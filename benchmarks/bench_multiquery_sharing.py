@@ -9,10 +9,10 @@ shared multi-query plane across PRs.
 The workload is the ROADMAP's north-star scenario scaled down: eight users
 watching the same feed with the same window shape ``(n, s)`` but different
 result sizes ``k``.  The pre-group architecture runs eight independent
-engines (eight batchers, eight sealing pipelines); the query-group plane
+engines (eight batchers, eight SAP instances); the query-group plane
 runs one engine, where the eight queries share one batcher and one
-``k_max`` execution plan.  The acceptance bar is a >= 1.5x throughput gain
-for SAP (the baselines share far more and gain proportionally).
+``k_max`` algorithm core.  The acceptance bar is a >= 1.5x throughput gain
+for SAP.
 """
 
 import json

@@ -6,7 +6,7 @@ tumbling per-day leaderboard at the same time.  The
 :class:`repro.StreamEngine` feeds every stream object exactly once and
 buckets the views into query groups by window shape: views that share a
 shape (the three last-minute views below) also share one slide batcher and
-one SAP sealing pipeline at the group's largest ``k`` — adding another
+one SAP core at the group's largest ``k`` — adding another
 user to an already-watched shape is nearly free.
 
 Run with::

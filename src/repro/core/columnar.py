@@ -22,7 +22,8 @@ contiguous buffers so the hot paths can operate on whole columns at once:
 * vectorized ordering helpers (:func:`rank_descending`,
   :func:`topk_objects`) implementing the library-wide total order
   ``(score, t)`` over columns via ``numpy.lexsort`` — used by partition
-  sealing and the shared plans instead of per-object Python sorts.
+  sealing and SAP's pending-suffix top-k instead of per-object Python
+  sorts.
 
 numpy is optional: when it is unavailable (or explicitly disabled) every
 entry point falls back to the stdlib ``array`` module and plain Python

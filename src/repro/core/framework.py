@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from bisect import insort
 from collections import deque
 from operator import itemgetter
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -54,7 +53,7 @@ from .object import StreamObject
 from .partition import Partition, build_partition
 from .query import TopKQuery
 from .result import TopKResult
-from .shared import SharedPartition, SharedPlan, SharedSlide
+from .shared import CoreSharedPlan, SharedCoreMember
 from .window import SlideEvent
 
 RankKey = Tuple[float, int]
@@ -143,7 +142,7 @@ class FrameworkStats:
 MEANINGFUL_POLICIES = ("lazy", "eager", "amortized")
 
 
-class SAPTopK(ContinuousTopKAlgorithm):
+class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     """Continuous top-k monitoring with the SAP framework.
 
     Parameters
@@ -196,13 +195,10 @@ class SAPTopK(ContinuousTopKAlgorithm):
         # Amortized proactive formation of the next partition's S-AVL.
         self._amortized_builder: Optional[AmortizedSAVLBuilder] = None
         self._amortized_skip_id: Optional[int] = None
-        # Set when the instance consumes partitions sealed by a query
-        # group's shared plan instead of running its own partitioner.
-        self._shared_plan: Optional["SAPSharedPlan"] = None
         self.stats = FrameworkStats()
         #: Telemetry tap of the adaptive control plane: when set, called as
         #: ``seal_listener(partition)`` for every partition this instance
-        #: adopts (own seals and plan-provided ones alike).
+        #: seals — or, for a member of a shared plan, the plan core seals.
         self.seal_listener: Optional[Callable[[Partition], None]] = None
 
     # ------------------------------------------------------------------
@@ -223,78 +219,28 @@ class SAPTopK(ContinuousTopKAlgorithm):
         return self._current_result(event)
 
     # ------------------------------------------------------------------
-    # Shared-slide lifecycle (multi-query execution plane)
+    # Shared-slide lifecycle: SAP answers the exact top-k of the window,
+    # so one core at k_max serves every co-windowed SAP query of the same
+    # configuration; members slice the answer (SharedCoreMember).
     # ------------------------------------------------------------------
     def shared_plan_key(self) -> Optional[Hashable]:
-        # Sealing decisions are partitioner-specific; the meaningful-set
-        # policy and the S-AVL toggle only affect how each member consumes
-        # the sealed partitions, so they can differ within one plan.
-        return ("SAP", self._partitioner.plan_key())
+        return ("SAP", self._partitioner.plan_key(), self._policy, self._use_savl)
 
     def build_shared_plan(self, subscriptions: Sequence[object]) -> "SAPSharedPlan":
         return SAPSharedPlan(subscriptions)
 
-    def enable_shared_sealing(self, plan: "SAPSharedPlan") -> None:
-        """Switch to consuming partitions sealed by ``plan``.
+    # Bound on the class itself so per-class instrumentation of SAPTopK
+    # also sees member slides.
+    process_shared_slide = SharedCoreMember.process_shared_slide
 
-        Must be called before any slide is processed: the instance's own
-        partitioner is abandoned, so mid-stream adoption would lose the
-        objects it has already buffered.
-        """
-        if self._slides_processed or self._partitions or self._next_partition_id:
-            raise AlgorithmStateError(
-                "cannot attach a shared plan after processing has begun"
-            )
-        self._shared_plan = plan
+    def _sharing_started(self) -> bool:
+        return bool(self._slides_processed or self._next_partition_id)
 
-    def process_shared_slide(self, shared: SharedSlide) -> TopKResult:
-        if self._shared_plan is None:
-            return ContinuousTopKAlgorithm.process_shared_slide(self, shared)
-        event = shared.event
-        # Pre-seals are the force-seal safety valve, applied by the plan
-        # before expirations would reach into the unsealed buffer.
-        for shared_partition in shared.pre_seals:
-            self._adopt_shared_partition(shared_partition)
-        self._handle_expirations(event.expirations)
-        for shared_partition in shared.seals:
-            self._adopt_shared_partition(shared_partition)
-        self._set_pending_topk(shared.pending_topk)
-        if self._policy == "amortized":
-            self._advance_amortized(len(event.expirations))
-        self._replenish_front()
-        self._slides_processed += 1
-        return self._current_result(event)
-
-    def _adopt_shared_partition(self, shared_partition: SharedPartition) -> None:
-        """Seal a partition pre-built by the shared plan at ``k_max``.
-
-        The local top-k is the ``k``-prefix of the shared top-``k_max``
-        (the total order makes ``top_k(X, k) == top_k(X, k_max)[:k]``), so
-        no per-member scan or sort of the partition is needed.  Unit
-        summaries were computed at the plan's ``k_max`` and are only safe
-        for members with exactly that result size.
-        """
-        k = self.query.k
-        units = shared_partition.units if shared_partition.k == k else None
-        partition = Partition(
-            partition_id=self._next_partition_id,
-            objects=shared_partition.objects,
-            k=k,
-            units=units,
-            topk=list(shared_partition.topk_for(k)),
-        )
-        self._adopt_partition(partition)
-
-    def _set_pending_topk(self, pending_topk: Sequence[StreamObject]) -> None:
-        """Adopt the plan's top-``k_max`` of the unsealed suffix, sliced."""
-        best_first = pending_topk[: self.query.k]
-        self._pending_topk = [(obj.rank_key, obj) for obj in reversed(best_first)]
-
-    def candidate_count(self) -> int:
+    def _local_candidate_count(self) -> int:
         meaningful = len(self._front_meaningful) if self._front_meaningful else 0
         return len(self._candidates) + len(self._pending_topk) + meaningful
 
-    def memory_bytes(self) -> int:
+    def _local_memory_bytes(self) -> int:
         candidates = len(self._candidates) + len(self._pending_topk)
         meaningful = len(self._front_meaningful) if self._front_meaningful else 0
         premade = sum(len(ms) for ms in self._premade.values())
@@ -324,17 +270,16 @@ class SAPTopK(ContinuousTopKAlgorithm):
         return self._partitions[0] if self._partitions else None
 
     def seal_stats(self) -> Dict[str, object]:
-        """Sealing behaviour of whichever pipeline feeds this instance.
+        """Sealing behaviour of whichever instance does the work.
 
-        When the instance is a member of a shared plan, sealing happens in
-        the plan's group-level partitioner; otherwise in the instance's
-        own.  Either way the record also carries the framework counters, so
-        the control plane sees sizing and consumption in one place.
+        A member of a shared plan reports the plan core; otherwise the
+        record is the instance's own.  Either way it carries the
+        partitioner's sizing and the framework counters, so the control
+        plane sees sizing and consumption in one place.
         """
         if self._shared_plan is not None:
-            base = self._shared_plan.seal_stats()
-        else:
-            base = self._partitioner.seal_stats()
+            return self._shared_plan.seal_stats()
+        base = self._partitioner.seal_stats()
         base["partitions_live"] = len(self._partitions)
         base["framework"] = self.stats.as_dict()
         return base
@@ -389,12 +334,6 @@ class SAPTopK(ContinuousTopKAlgorithm):
 
     def _front_for_expiry(self) -> Partition:
         if not self._partitions:
-            if self._shared_plan is not None:
-                # The plan force-seals ahead of expirations (pre_seals), so
-                # running dry here means the plane and the member disagree.
-                raise AlgorithmStateError(
-                    "shared plan did not seal ahead of expirations"
-                )
             # Safety valve: expirations would reach into the unsealed buffer
             # (only possible with a single partition per window); seal it.
             spec = self._partitioner.force_seal()
@@ -512,28 +451,8 @@ class SAPTopK(ContinuousTopKAlgorithm):
         partition = build_partition(
             self._next_partition_id, objects, self.query.k, units
         )
-        self._adopt_partition(partition)
-        if timed:
-            seal_seconds = time.perf_counter() - started
-            _seal_instruments(registry)[0].observe(seal_seconds)
-            if tracer.enabled:
-                tracer.record(
-                    "seal",
-                    self._slides_processed,
-                    time.time() - seal_seconds,
-                    seal_seconds,
-                    f"objects={len(objects)}",
-                )
-
-    def _adopt_partition(self, partition: Partition) -> None:
-        """Register a freshly sealed partition (own or plan-provided)."""
         self._next_partition_id += 1
         self.stats.partitions_sealed += 1
-        registry = get_registry()
-        if registry.enabled:
-            _, sealed_total, partition_size = _seal_instruments(registry)
-            sealed_total.inc()
-            partition_size.observe(len(partition.objects))
         if self.seal_listener is not None:
             self.seal_listener(partition)
         removed = self._candidates.merge_partition_topk(
@@ -548,6 +467,20 @@ class SAPTopK(ContinuousTopKAlgorithm):
         self._partitions.append(partition)
         if self._policy == "eager":
             self._premade[partition.partition_id] = self._build_premade(partition)
+        if timed:
+            seal_seconds = time.perf_counter() - started
+            stage, sealed_total, partition_size = _seal_instruments(registry)
+            stage.observe(seal_seconds)
+            sealed_total.inc()
+            partition_size.observe(len(partition.objects))
+            if tracer.enabled:
+                tracer.record(
+                    "seal",
+                    self._slides_processed,
+                    time.time() - seal_seconds,
+                    seal_seconds,
+                    f"objects={len(objects)}",
+                )
 
     def _build_premade(self, partition: Partition) -> MeaningfulSet:
         """Non-delay variant: form ``M_i`` at seal time.
@@ -569,16 +502,6 @@ class SAPTopK(ContinuousTopKAlgorithm):
         return SortedMeaningfulSet(
             [obj for obj in local if obj.rank_key not in exclude]
         )
-
-    def _push_pending_topk(self, obj: StreamObject) -> None:
-        k = self.query.k
-        entry = (obj.rank_key, obj)
-        if len(self._pending_topk) < k:
-            insort(self._pending_topk, entry)
-            return
-        if entry > self._pending_topk[0]:
-            self._pending_topk.pop(0)
-            insort(self._pending_topk, entry)
 
     def _push_pending_topk_many(self, objects: Sequence[StreamObject]) -> None:
         # top_k(A ∪ B) == top_k(top_k(A) ∪ B): merge the kept entries with
@@ -712,139 +635,51 @@ class SAPTopK(ContinuousTopKAlgorithm):
         return self._candidates.top_scores(count)
 
 
-class _SharedPendingTopK:
-    """Incremental top-``k_max`` of the shared plane's unsealed suffix.
+class SAPSharedPlan(CoreSharedPlan):
+    """One SAP core (at ``k_max``) serving every member query.
 
-    Mirrors :meth:`SAPTopK._push_pending_topk`, maintained once per plan so
-    that no member has to scan the pending buffer; members slice their own
-    ``k``-prefix out of :meth:`best_first`.
-    """
-
-    def __init__(self, k: int) -> None:
-        self._k = k
-        self._entries: List[Tuple[RankKey, StreamObject]] = []  # ascending
-
-    def push_many(self, objects: Sequence[StreamObject]) -> None:
-        # Same batch merge as SAPTopK._push_pending_topk_many: keep the
-        # k_max best of (kept ∪ batch) in one sort instead of s insorts.
-        merged = self._entries + [(obj.rank_key, obj) for obj in objects]
-        merged.sort(key=_entry_rank)
-        excess = len(merged) - self._k
-        if excess > 0:
-            del merged[:excess]
-        self._entries = merged
-
-    def rebuild(self, pending: Sequence[StreamObject]) -> None:
-        best = topk_objects(pending, self._k)
-        self._entries = sorted((obj.rank_key, obj) for obj in best)
-
-    def clear(self) -> None:
-        self._entries = []
-
-    def best_first(self) -> Tuple[StreamObject, ...]:
-        return tuple(obj for _, obj in reversed(self._entries))
-
-
-class SAPSharedPlan(SharedPlan):
-    """One sealing pipeline serving every SAP query of a window shape.
-
-    The plan owns a single partitioner — a clone of the leading member's
-    configuration, bound to the group's window shape at ``k_max`` — and
-    performs partition sealing, local top-k computation, and pending-suffix
-    top-k maintenance exactly once per slide.  Members adopt the sealed
-    partitions through :meth:`SAPTopK.process_shared_slide`, slicing their
-    own ``k``-prefix out of the shared top-``k_max`` artifacts; their
-    candidate sets, meaningful object sets, and promotions stay per-query,
-    which keeps every member exact for its own ``k``.
-
-    The dynamic partitioners consult the candidate scores of the *live
-    member with the largest k* (the best approximation of the reference
-    interval at ``k_max``); partition boundaries may therefore differ from
-    an independent run, but SAP's answers are exact for any boundary
-    choice, so the produced result sequences are identical.
+    The core copies the leading member's configuration — a fresh clone of
+    its partitioner, its meaningful-set policy, and its S-AVL toggle, which
+    the plan key makes equal across members — so the configuration each
+    member asked for is the one that runs.  Every partition the core seals
+    is reported to each open member's ``seal_listener``, so per-query seal
+    telemetry keeps flowing.
     """
 
     kind = "SAP"
 
     def __init__(self, subscriptions: Sequence[object]) -> None:
-        super().__init__(subscriptions)
-        algorithms: List[SAPTopK] = [sub.algorithm for sub in self._subs]
-        shape = algorithms[0].query
-        self._seal_query = TopKQuery(
-            n=shape.n,
-            k=self.k_max,
-            s=shape.s,
-            time_based=shape.time_based,
+        leader: SAPTopK = subscriptions[0].algorithm
+        shape = leader.query
+        core = SAPTopK(
+            TopKQuery(
+                n=shape.n,
+                k=max(sub.query.k for sub in subscriptions),
+                s=shape.s,
+                time_based=shape.time_based,
+            ),
+            partitioner=leader.partitioner.spawn(),
+            meaningful_policy=leader._policy,
+            use_savl=leader._use_savl,
         )
-        self._partitioner = algorithms[0].partitioner.spawn()
-        self._partitioner.bind(
-            self._seal_query, PartitionContext(self._leader_candidate_scores)
-        )
-        self._sealed_live = 0
-        self._pending_topk = _SharedPendingTopK(self.k_max)
-        for algorithm in algorithms:
-            algorithm.enable_shared_sealing(self)
+        core.seal_listener = self._report_seal
+        super().__init__(subscriptions, core)
 
-    # ------------------------------------------------------------------
+    # Bound on the class itself so SAP plan preparation can be instrumented
+    # apart from the baseline plans.
+    prepare = CoreSharedPlan.prepare
+
     def describe(self) -> Dict[str, object]:
         info = super().describe()
-        info["partitioner"] = self._partitioner.name
+        info["partitioner"] = self._core.partitioner.name
         return info
 
     def seal_stats(self) -> Dict[str, object]:
-        """Sealing behaviour of the plan's group-level partitioner."""
-        return self._partitioner.seal_stats()
+        """Sealing behaviour and framework counters of the plan core."""
+        return self._core.seal_stats()
 
-    def _leader_candidate_scores(self, count: int) -> List[float]:
-        leader: Optional[object] = None
+    def _report_seal(self, partition: Partition) -> None:
         for sub in self._subs:
-            if sub.closed:
-                continue
-            if leader is None or sub.query.k > leader.query.k:
-                leader = sub
-        if leader is None:
-            return []
-        return leader.algorithm._top_candidate_scores(count)
-
-    # ------------------------------------------------------------------
-    def prepare(self, event: SlideEvent) -> SharedSlide:
-        started = time.perf_counter()
-        pre_seals: Tuple[SharedPartition, ...] = ()
-        expired = len(event.expirations)
-        if expired > self._sealed_live:
-            # Expirations would reach into the unsealed buffer: seal it now
-            # (once for the whole plan) so every member's front partition
-            # chain covers the expiring objects.
-            spec = self._partitioner.force_seal()
-            if spec is not None:
-                pre_seals = (self._share(spec),)
-                self._pending_topk.clear()
-        self._sealed_live = max(0, self._sealed_live - expired)
-        seals: Tuple[SharedPartition, ...] = ()
-        if event.arrivals:
-            specs = self._partitioner.observe(event.arrivals)
-            if specs:
-                seals = tuple(self._share(spec) for spec in specs)
-                self._pending_topk.rebuild(self._partitioner.pending_objects())
-            else:
-                self._pending_topk.push_many(event.arrivals)
-        members = self.open_member_count() or 1
-        prep = time.perf_counter() - started
-        return SharedSlide(
-            event=event,
-            pre_seals=pre_seals,
-            seals=seals,
-            pending_topk=self._pending_topk.best_first(),
-            prep_share=prep / members,
-        )
-
-    def _share(self, spec) -> SharedPartition:
-        """Build the shared ``k_max`` artifacts of one sealed partition."""
-        self._sealed_live += len(spec.objects)
-        partition = build_partition(0, spec.objects, self.k_max, spec.units)
-        return SharedPartition(
-            objects=partition.objects,
-            units=spec.units,
-            topk=partition.topk,
-            k=self.k_max,
-        )
+            listener = sub.algorithm.seal_listener
+            if listener is not None and not sub.closed:
+                listener(partition)

@@ -171,22 +171,12 @@ def build_partition(
     k: int,
     units: Optional[List[UnitSummary]] = None,
 ) -> Partition:
-    """Create a sealed partition, deriving ``P_i^k`` from unit summaries when
-    available (the union of unit summaries is a superset of the partition's
-    top-k) and from a direct scan otherwise."""
-    objects = list(objects)
-    if units:
-        pool: List[StreamObject] = []
-        for unit in units:
-            pool.extend(unit.summary)
-        topk = topk_objects(pool, k)
-        # Unit summaries of non-k-units only keep the top-1 object, so for
-        # very small partitions the pooled summaries may not contain k
-        # objects; fall back to a direct scan in that case.
-        if len(topk) < min(k, len(objects)):
-            topk = topk_objects(objects, k)
-    else:
-        topk = topk_objects(objects, k)
+    """Create a sealed partition, deriving ``P_i^k`` by a direct scan.
+
+    Unit summaries are kept for the UBSA construction only.  They cannot
+    stand in for the scan: a non-k-unit keeps just its top-1 object, yet it
+    can hold many of the partition's top-k objects.
+    """
     return Partition(
-        partition_id=partition_id, objects=objects, k=k, units=units, topk=topk
+        partition_id=partition_id, objects=list(objects), k=k, units=units
     )

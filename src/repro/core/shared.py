@@ -1,23 +1,20 @@
 """Shared-slide artifacts exchanged between a query group and its members.
 
-The per-partition state the SAP framework maintains (partition boundaries,
-local top-k ``P_i^k``, unit summaries) and the candidate structures of the
-one-pass baselines depend only on the window shape ``(n, s)`` and on the
-*largest* ``k`` among the queries watching that shape — never on each
-individual ``k``.  The engine's :class:`repro.engine.group.QueryGroup`
-therefore performs that work exactly once per slide, at ``k_max``, and fans
-the result out to every member query, which slices its own answer out of
-the shared artifact (``top_k(X, k) == top_k(X, k_max)[:k]`` for any
-``k <= k_max`` under the library-wide total order).
+Every sharing algorithm of the library answers with the exact top-k of the
+window, so under the library-wide total order
+``top_k(X, k) == top_k(X, k_max)[:k]`` for any ``k <= k_max``.  The engine's
+:class:`repro.engine.group.QueryGroup` therefore runs *one* algorithm
+instance (the plan's core) per bucket of co-windowed queries, at the
+bucket's largest ``k``, and every member slices its own answer out of the
+core's top-``k_max``.  SAP, k-skyband and MinTopK all share this way.
 
 This module defines the data carried across that boundary:
 
-* :class:`SharedPartition` — one partition sealed by the group's shared
-  sealer, with its object run, optional unit summaries, and local top-k
-  computed at ``k_max``;
 * :class:`SharedSlide` — one window movement enriched with everything the
-  group precomputed for it;
-* :class:`SharedPlan` — base class of the per-algorithm sharing plans
+  plan computed for it (the core's answer and its bookkeeping sample);
+* :class:`SharedPlan` — base class of the sharing plans;
+* :class:`CoreSharedPlan` / :class:`SharedCoreMember` — the plan hosting
+  one core at ``k_max`` and the member-side mixin slicing its answer
   (``SAPSharedPlan``, ``KSkybandSharedPlan``, ``MinTopKSharedPlan``).
 
 Algorithms that cannot share anything simply ignore the extras: the default
@@ -33,47 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exceptions import AlgorithmStateError
 from .object import StreamObject
-from .partition import UnitSummary
 from .result import TopKResult
 from .window import SlideEvent
-
-
-@dataclass(frozen=True)
-class SharedPartition:
-    """One partition sealed once by a query group's shared sealer.
-
-    Attributes
-    ----------
-    objects:
-        The partition's object run, oldest first.  The list is shared by
-        every member of the plan and must never be mutated.
-    units:
-        Unit summaries produced by the sealing partitioner (enhanced
-        dynamic only).  They were computed at ``k``, so members with a
-        smaller result size must not reuse them for UBSA construction.
-    topk:
-        The partition's local top-``k`` (best first), computed once at the
-        plan's ``k_max``.  A member with result size ``k' <= k`` obtains
-        its own local top-k as ``topk[:k']``.
-    k:
-        The result size the shared artifacts were computed at (``k_max``).
-    """
-
-    objects: List[StreamObject]
-    units: Optional[List[UnitSummary]]
-    topk: List[StreamObject]
-    k: int
-
-    def topk_for(self, k: int) -> List[StreamObject]:
-        """Local top-``k`` of the partition for any ``k <= self.k``."""
-        if k > self.k:
-            raise ValueError(
-                f"shared partition was built at k={self.k}, cannot serve k={k}"
-            )
-        return self.topk[:k]
-
-    def __len__(self) -> int:
-        return len(self.objects)
 
 
 @dataclass(frozen=True)
@@ -84,28 +42,26 @@ class SharedSlide:
     ----------
     event:
         The raw slide event (arrivals / expirations / index).
-    pre_seals:
-        Partitions force-sealed *before* this slide's expirations are
-        applied (the safety valve for windows holding a single partition).
-    seals:
-        Partitions sealed by this slide's arrivals, in seal order.
-    pending_topk:
-        Top-``k_max`` of the not-yet-sealed stream suffix, best first.
     window_topk:
-        Top-``k_max`` of the whole current window, best first (produced by
-        the baseline plans whose shared core *is* the answer).
+        Top-``k_max`` of the whole current window, best first (the answer
+        of the plan's core).
     prep_share:
         Seconds of shared preparation attributed to each open member (the
         plan's total preparation time divided by the member count), so
         per-query latency metrics still account for the shared work.
+    candidates:
+        The core's candidate count after this slide, sampled once for all
+        members (``None`` when the plan does not sample it).
+    memory_bytes:
+        The core's memory estimate after this slide, amortised over the
+        members (``None`` when the plan does not sample it).
     """
 
     event: SlideEvent
-    pre_seals: Tuple[SharedPartition, ...] = ()
-    seals: Tuple[SharedPartition, ...] = ()
-    pending_topk: Tuple[StreamObject, ...] = ()
     window_topk: Tuple[StreamObject, ...] = ()
     prep_share: float = 0.0
+    candidates: Optional[int] = None
+    memory_bytes: Optional[int] = None
 
 
 class SharedPlan:
@@ -170,13 +126,12 @@ class SharedPlan:
 class CoreSharedPlan(SharedPlan):
     """A plan hosting one full algorithm instance (the *core*) at ``k_max``.
 
-    For one-pass baselines whose candidate state at ``k_max`` subsumes the
-    state at every smaller ``k`` (the k-skyband of the window, MinTopK's
-    predicted result sets), nothing per-member remains: the plan runs a
-    single core and every member slices its answer out of the core's
-    top-``k_max`` (``window_topk`` on the shared slide).  Subclasses build
-    the core; the per-slide driving, timing attribution, and bookkeeping
-    delegation live here.
+    The core answers the top-``k_max`` of the window, which holds every
+    member's answer as its prefix, so nothing per-member remains: the plan
+    runs the core once per slide and every member slices its answer out of
+    ``window_topk`` on the shared slide.  Subclasses build the core; the
+    per-slide driving, timing attribution, and bookkeeping sampling live
+    here.
     """
 
     def __init__(self, subscriptions: Sequence[object], core: object) -> None:
@@ -188,8 +143,9 @@ class CoreSharedPlan(SharedPlan):
     def candidate_count(self) -> int:
         return self._core.candidate_count()
 
-    def memory_bytes(self) -> int:
-        return self._core.memory_bytes()
+    def member_memory_bytes(self) -> int:
+        """The core's memory estimate, amortised over the members."""
+        return self._core.memory_bytes() // max(1, len(self._subs))
 
     def fast_forward(self, slide_index: int) -> None:
         self._core.fast_forward(slide_index)
@@ -203,6 +159,8 @@ class CoreSharedPlan(SharedPlan):
             event=event,
             window_topk=result.objects,
             prep_share=prep / members,
+            candidates=self.candidate_count(),
+            memory_bytes=self.member_memory_bytes(),
         )
 
 
@@ -244,10 +202,11 @@ class SharedCoreMember:
     def process_shared_slide(self, shared: SharedSlide) -> TopKResult:
         if self._shared_plan is None:
             return self.process_slide(shared.event)
-        return TopKResult.from_objects(
-            shared.event.index,
-            shared.event.window_end,
-            shared.window_topk[: self.query.k],
+        # The core's answer is already best-first: slice, never re-sort.
+        return TopKResult(
+            slide_index=shared.event.index,
+            window_end=shared.event.window_end,
+            objects=shared.window_topk[: self.query.k],
         )
 
     def candidate_count(self) -> int:
@@ -259,8 +218,5 @@ class SharedCoreMember:
 
     def memory_bytes(self) -> int:
         if self._shared_plan is not None:
-            # The shared core's structures, amortised over the members.
-            return self._shared_plan.memory_bytes() // max(
-                1, len(self._shared_plan.subscriptions())
-            )
+            return self._shared_plan.member_memory_bytes()
         return self._local_memory_bytes()

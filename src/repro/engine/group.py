@@ -9,11 +9,12 @@ fans each sealed slide event out to its members.
 On its first slide the group additionally buckets members by their
 algorithm's :meth:`~repro.core.interface.ContinuousTopKAlgorithm.shared_plan_key`
 and forms a :class:`~repro.core.shared.SharedPlan` for every bucket with at
-least two members: SAP queries share one partition-sealing pipeline at
-``k_max``, k-skyband and MinTopK queries share one candidate core at
-``k_max``.  Algorithms without a plan (or alone in their bucket) process
-the raw events exactly as before, so mixing sharable and unsharable
-queries in one group is always safe.
+least two members: SAP, k-skyband and MinTopK queries each share one
+algorithm core run at the bucket's ``k_max``, and every member slices its
+answer out of the core's top-``k_max``.  The plan prepares each slide
+once, before any member sees it.  Algorithms without a plan (or alone in
+their bucket) process the raw events exactly as before, so mixing
+sharable and unsharable queries in one group is always safe.
 
 Membership is fixed once the group has started consuming the stream: a
 subscription added later must see an *empty* window, so the engine opens a

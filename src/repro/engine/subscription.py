@@ -299,8 +299,13 @@ class Subscription:
                 "deliver", event.index, time.time() - latency, latency, self.name
             )
         if self._collect_metrics:
-            candidates = self.algorithm.candidate_count()
-            self._metrics.record(candidates, self.algorithm.memory_bytes(), latency)
+            if shared is not None and shared.candidates is not None:
+                # Sampled once per slide by the plan for all its members.
+                candidates, memory = shared.candidates, shared.memory_bytes
+            else:
+                candidates = self.algorithm.candidate_count()
+                memory = self.algorithm.memory_bytes()
+            self._metrics.record(candidates, memory, latency)
             self._obs_candidates.observe(candidates)
             self._obs_candidates_last.set(candidates)
         else:

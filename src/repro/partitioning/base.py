@@ -99,12 +99,12 @@ class Partitioner(ABC):
     # Multi-query sharing
     # ------------------------------------------------------------------
     def plan_key(self) -> tuple:
-        """Configuration key deciding which SAP queries may share sealing.
+        """Configuration key deciding which SAP queries may share one core.
 
         Two SAP instances whose partitioners return equal keys seal
         identical partition runs for the same arrivals (up to the ``k``
-        they are bound to), so a query group can run one sealer for all of
-        them.  The key must be derived from the *requested* configuration,
+        they are bound to), so a query group can run one SAP core for all
+        of them.  The key must be derived from the *requested* configuration,
         not from quantities resolved against the bound query — those
         depend on ``k``, which sharing deliberately varies.
         """
@@ -113,12 +113,12 @@ class Partitioner(ABC):
     def spawn(self) -> "Partitioner":
         """A fresh, unbound partitioner with this instance's configuration.
 
-        Used by the shared multi-query plane to create the group-level
-        sealer: the clone is bound to the group's ``k_max`` query instead
-        of any individual member's.
+        Used by the shared multi-query plane to build the partitioner of a
+        plan's SAP core: the clone is bound to the plan's ``k_max`` query
+        instead of any individual member's.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support shared sealing"
+            f"{type(self).__name__} does not support shared plans"
         )
 
     # ------------------------------------------------------------------

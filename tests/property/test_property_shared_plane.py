@@ -4,8 +4,8 @@ The acceptance property of the query-group refactor: for *any* mix of
 queries sharing a window shape ``(n, s)`` — arbitrary result sizes ``k``,
 arbitrary member counts, arbitrary streams — the shared plane produces
 result sequences identical to running every query on its own independent
-engine.  Checked for SAP (whose members share one sealing pipeline) and
-the two baselines with shared candidate cores (k-skyband, MinTopK).
+engine.  Checked for SAP, k-skyband and MinTopK, whose plans each run one
+shared algorithm core at ``k_max``.
 """
 
 from hypothesis import HealthCheck, given, settings
