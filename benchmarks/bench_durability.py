@@ -221,6 +221,7 @@ def recovery_run(scale):
             "recovery_seconds": recovery_seconds,
             "checkpoint_seq": report.checkpoint_seq,
             "restored_subscriptions": report.restored_subscriptions,
+            "restored_groups": report.restored_groups,
             "replayed_ops": report.replayed_ops,
             "replayed_slides": report.replayed_chunks,
             "replayed_objects": report.replayed_objects,

@@ -69,6 +69,7 @@ def main() -> None:
     report = recovered.recovery_report
     print(
         f"life 2 : recovered {report.restored_subscriptions} subscriptions "
+        f"in {report.restored_groups} query groups "
         f"from checkpoint {report.checkpoint_seq}, replayed "
         f"{report.replayed_chunks} WAL slides ({report.replayed_objects} "
         f"objects) in {report.seconds:.3f}s"

@@ -16,13 +16,13 @@ paper makes the same distinction).
 
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..core.interface import OBJECT_FOOTPRINT_BYTES, ContinuousTopKAlgorithm
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.shared import CoreSharedPlan, SharedCoreMember
+from ..core.shared import CoreSharedPlan, SharedCoreMember, plan_k_max
 from ..core.window import SlideEvent
 from ..structures.avl import AVLTree
 
@@ -56,8 +56,10 @@ class KSkybandTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     def shared_plan_key(self) -> Hashable:
         return ("k-skyband",)
 
-    def build_shared_plan(self, subscriptions: Sequence[object]) -> "KSkybandSharedPlan":
-        return KSkybandSharedPlan(subscriptions)
+    def build_shared_plan(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> "KSkybandSharedPlan":
+        return KSkybandSharedPlan(subscriptions, k_max)
 
     def _sharing_started(self) -> bool:
         return len(self._candidates) > 0
@@ -96,9 +98,11 @@ class KSkybandSharedPlan(CoreSharedPlan):
 
     kind = "k-skyband"
 
-    def __init__(self, subscriptions: Sequence[object]) -> None:
+    def __init__(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> None:
         shape = subscriptions[0].query
-        k_max = max(sub.query.k for sub in subscriptions)
+        k_max = plan_k_max(subscriptions, k_max)
         core = KSkybandTopK(
             TopKQuery(n=shape.n, k=k_max, s=shape.s, time_based=shape.time_based)
         )

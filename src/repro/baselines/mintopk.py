@@ -24,7 +24,7 @@ expensive as ``s`` shrinks.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import AlgorithmStateError, InvalidQueryError
 from ..core.interface import (
@@ -35,7 +35,7 @@ from ..core.interface import (
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.shared import CoreSharedPlan, SharedCoreMember
+from ..core.shared import CoreSharedPlan, SharedCoreMember, plan_k_max
 from ..core.window import SlideEvent
 
 RankKey = Tuple[float, int]
@@ -67,8 +67,10 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     def shared_plan_key(self) -> Hashable:
         return ("MinTopK",)
 
-    def build_shared_plan(self, subscriptions: Sequence[object]) -> "MinTopKSharedPlan":
-        return MinTopKSharedPlan(subscriptions)
+    def build_shared_plan(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> "MinTopKSharedPlan":
+        return MinTopKSharedPlan(subscriptions, k_max)
 
     def _sharing_started(self) -> bool:
         return bool(self._pool or self._predicted)
@@ -159,8 +161,10 @@ class MinTopKSharedPlan(CoreSharedPlan):
 
     kind = "MinTopK"
 
-    def __init__(self, subscriptions: Sequence[object]) -> None:
+    def __init__(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> None:
         shape = subscriptions[0].query
-        k_max = max(sub.query.k for sub in subscriptions)
+        k_max = plan_k_max(subscriptions, k_max)
         core = MinTopK(TopKQuery(n=shape.n, k=k_max, s=shape.s))
         super().__init__(subscriptions, core)

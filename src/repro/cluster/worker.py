@@ -420,6 +420,9 @@ def shard_worker_main(
                     "recovered_subscriptions": (
                         None if recovery is None else recovery.restored_subscriptions
                     ),
+                    "recovered_groups": (
+                        None if recovery is None else recovery.restored_groups
+                    ),
                 }
             elif op == "manifest":
                 # Which subscriptions this shard hosts — the facade

@@ -385,8 +385,10 @@ class ClusterSharedPlan(SharedPlan):
 
     kind = "cluster"
 
-    def __init__(self, subscriptions: Sequence[object]) -> None:
-        super().__init__(subscriptions)
+    def __init__(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> None:
+        super().__init__(subscriptions, k_max)
         algorithms = [sub.algorithm for sub in self._subs]
         first = algorithms[0]
         for algorithm in algorithms:
@@ -740,8 +742,8 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
       same ``(inner, cluster id)`` plan key, the query group forms one
       :class:`ClusterSharedPlan` and this member answers by re-ranking
       the plan's padded candidate set (exactness-guarded, scan fallback);
-    * **private** — alone in its bucket (or restored into a fresh group),
-      the member runs its own inner registry algorithm over the stream
+    * **private** — alone in its bucket (or moved alone to another
+      engine by ``restore_subscription``), the member runs its own inner registry algorithm over the stream
       re-scored with its *own* vector: the per-user exact plan that the
       shared mode is benchmarked against.
 
@@ -786,8 +788,10 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
     def shared_plan_key(self):
         return ("cluster", self.inner_name, self.cluster_id)
 
-    def build_shared_plan(self, subscriptions: Sequence[object]) -> ClusterSharedPlan:
-        return ClusterSharedPlan(subscriptions)
+    def build_shared_plan(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> ClusterSharedPlan:
+        return ClusterSharedPlan(subscriptions, k_max)
 
     def join_shared_plan(self, plan: ClusterSharedPlan) -> None:
         if self._slides:

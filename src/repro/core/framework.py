@@ -53,7 +53,7 @@ from .object import StreamObject
 from .partition import Partition, build_partition
 from .query import TopKQuery
 from .result import TopKResult
-from .shared import CoreSharedPlan, SharedCoreMember
+from .shared import CoreSharedPlan, SharedCoreMember, plan_k_max
 from .window import SlideEvent
 
 RankKey = Tuple[float, int]
@@ -226,8 +226,10 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     def shared_plan_key(self) -> Optional[Hashable]:
         return ("SAP", self._partitioner.plan_key(), self._policy, self._use_savl)
 
-    def build_shared_plan(self, subscriptions: Sequence[object]) -> "SAPSharedPlan":
-        return SAPSharedPlan(subscriptions)
+    def build_shared_plan(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> "SAPSharedPlan":
+        return SAPSharedPlan(subscriptions, k_max)
 
     # Bound on the class itself so per-class instrumentation of SAPTopK
     # also sees member slides.
@@ -648,13 +650,15 @@ class SAPSharedPlan(CoreSharedPlan):
 
     kind = "SAP"
 
-    def __init__(self, subscriptions: Sequence[object]) -> None:
+    def __init__(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> None:
         leader: SAPTopK = subscriptions[0].algorithm
         shape = leader.query
         core = SAPTopK(
             TopKQuery(
                 n=shape.n,
-                k=max(sub.query.k for sub in subscriptions),
+                k=plan_k_max(subscriptions, k_max),
                 s=shape.s,
                 time_based=shape.time_based,
             ),

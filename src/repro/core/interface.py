@@ -64,12 +64,15 @@ class ContinuousTopKAlgorithm(ABC):
         """
         return None
 
-    def build_shared_plan(self, subscriptions: Sequence[object]) -> Optional[SharedPlan]:
+    def build_shared_plan(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> Optional[SharedPlan]:
         """Create the sharing plan for a bucket of same-key subscriptions.
 
         Called once, on the first member of the bucket, before any object
-        is processed.  Returning ``None`` (the default) leaves every member
-        running independently.
+        is processed.  ``k_max`` overrides the plan's ``k`` (see
+        :func:`repro.core.shared.plan_k_max`).  Returning ``None`` (the
+        default) leaves every member running independently.
         """
         return None
 

@@ -14,7 +14,7 @@ long streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..obs.quantiles import nearest_rank, nearest_ranks
@@ -91,6 +91,11 @@ class MetricsCollector:
                 if len(self.latencies) >= LATENCY_SAMPLE_CAP:
                     self.latencies = self.latencies[::2]
                     self._latency_stride *= 2
+
+    def copy(self) -> "MetricsCollector":
+        """An independent snapshot (every field but the sample is an
+        immutable scalar, so only the latency list needs copying)."""
+        return replace(self, latencies=list(self.latencies))
 
     @property
     def average_candidates(self) -> float:

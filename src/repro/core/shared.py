@@ -64,6 +64,19 @@ class SharedSlide:
     memory_bytes: Optional[int] = None
 
 
+def plan_k_max(subscriptions: Sequence[object], k_max: Optional[int] = None) -> int:
+    """The ``k`` a plan over ``subscriptions`` runs at.
+
+    Normally the members' largest ``k``.  A restored plan passes the
+    ``k_max`` it was captured with: a live plan keeps its ``k_max`` when
+    the member that set it unsubscribes, and the restore must run the
+    same core as the plan it replaces.
+    """
+    if k_max is not None:
+        return k_max
+    return max(sub.query.k for sub in subscriptions)
+
+
 class SharedPlan:
     """Base class of the per-algorithm sharing plans of a query group.
 
@@ -78,11 +91,13 @@ class SharedPlan:
     #: Short label used by introspection (``StreamEngine.groups()``).
     kind: str = "shared"
 
-    def __init__(self, subscriptions: Sequence[object]) -> None:
+    def __init__(
+        self, subscriptions: Sequence[object], k_max: Optional[int] = None
+    ) -> None:
         if not subscriptions:
             raise ValueError("a shared plan needs at least one member")
         self._subs: List[object] = list(subscriptions)
-        self.k_max: int = max(sub.query.k for sub in self._subs)
+        self.k_max: int = plan_k_max(subscriptions, k_max)
 
     # ------------------------------------------------------------------
     def subscriptions(self) -> List[object]:
@@ -135,7 +150,7 @@ class CoreSharedPlan(SharedPlan):
     """
 
     def __init__(self, subscriptions: Sequence[object], core: object) -> None:
-        super().__init__(subscriptions)
+        super().__init__(subscriptions, core.query.k)
         self._core = core
         for sub in self._subs:
             sub.algorithm.join_shared_plan(self)

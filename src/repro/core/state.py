@@ -16,6 +16,13 @@ the state lands in.
 query; it additionally carries the retained answers and metric aggregates
 so the move is invisible to consumers of the subscription.
 
+:class:`GroupState` is the unit the durability plane checkpoints: one
+query group with its window and slide clock held once, plus each
+member's :class:`SubscriptionState` (configuration, retained answers,
+metrics) without a window of its own, and the layout of the group's
+shared plans.  Restoring it rebuilds the group whole, so a recovered
+engine has the same groups and plans as the one that was captured.
+
 All state objects are plain picklable dataclasses stamped with
 :data:`STATE_FORMAT_VERSION`.  :func:`dumps` / :func:`loads` are the
 byte-level entry points; :func:`loads` refuses payloads written by an
@@ -25,7 +32,6 @@ mis-restoring them.
 
 from __future__ import annotations
 
-import copy
 import pickle
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -42,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes
@@ -101,14 +107,62 @@ class SubscriptionState:
         return replace(self, name=name)
 
 
+#: One shared plan of a captured group: the positions of its members in
+#: the group's member order, and the ``k`` its core runs at.
+PlanLayout = Tuple[Tuple[int, ...], int]
+
+
+@dataclass(frozen=True)
+class GroupState:
+    """One query group at a slide boundary, captured whole.
+
+    ``window`` and ``slide_index`` are held once for the group.  Each
+    entry of ``members`` is a :class:`SubscriptionState` in group member
+    order with an empty window and no slide clock of its own.  ``plans``
+    is the group's shared-plan layout (:data:`PlanLayout`), so a restore
+    forms the same plans at the same ``k_max`` even after members left.
+    A group that has not started has an empty window, ``slide_index``
+    ``None`` and no plans.
+    """
+
+    version: int
+    n: int
+    s: int
+    window: Tuple[StreamObject, ...]
+    slide_index: Optional[int]
+    members: Tuple[SubscriptionState, ...]
+    plans: Tuple[PlanLayout, ...] = ()
+
+    @classmethod
+    def of_subscription(cls, state: SubscriptionState) -> "GroupState":
+        """A one-member group holding ``state``'s window and clock."""
+        query = state.algorithm.query
+        return cls(
+            version=state.version,
+            n=query.n,
+            s=query.s,
+            window=state.window,
+            slide_index=state.slide_index,
+            members=(replace(state, window=(), slide_index=None),),
+        )
+
+    def member_state(self, index: int) -> SubscriptionState:
+        """Member ``index`` as a standalone state carrying the group window."""
+        return replace(
+            self.members[index], window=self.window, slide_index=self.slide_index
+        )
+
+
 @dataclass(frozen=True)
 class EngineCheckpoint:
-    """A whole engine at one slide boundary: every subscription's state
+    """A whole engine at one slide boundary: every query group's state
     plus the write-ahead-log position the snapshot corresponds to.
 
     This is the unit the durability plane (:mod:`repro.durability`)
-    persists: restoring the states and replaying the WAL records past
+    persists: restoring the groups and replaying the WAL records past
     ``wal_records`` reproduces the pre-crash engine byte-identically.
+    ``groups`` follow the engine's group order and ``subscriptions`` is
+    the engine's subscription registration order.
     ``ingested`` is the engine's lifetime object count at capture time
     (the barrier accounting a resurrected shard worker resumes from) and
     ``last_t`` the highest arrival order seen (-1 before the first push),
@@ -119,13 +173,19 @@ class EngineCheckpoint:
     wal_records: int
     ingested: int
     last_t: int
-    states: Tuple[SubscriptionState, ...]
+    groups: Tuple[GroupState, ...]
     #: Lifetime count of ingested *chunks* at capture time.  WAL
     #: truncation deletes the records this would otherwise be counted
     #: from, and a shard router resurrecting a worker compares exactly
     #: this number (plus the replayed tail) against its send counter to
     #: decide which retained chunks to re-send.
     chunks: int = 0
+    subscriptions: Tuple[str, ...] = ()
+
+    @property
+    def member_count(self) -> int:
+        """Subscriptions held across every group."""
+        return sum(len(group.members) for group in self.groups)
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +258,9 @@ def capture_subscription(
     """Capture a subscription (algorithm state + retention + metrics).
 
     The state is a true point-in-time snapshot: the metric aggregates are
-    deep-copied, because the captured subscription may keep running (the
-    local capture API leaves it subscribed) and must not mutate the state
-    after the fact.
+    copied, because the captured subscription may keep running (the local
+    capture API leaves it subscribed) and must not mutate the state after
+    the fact.
     """
     if slide_index is None and window:
         raise ValueError(
@@ -219,7 +279,7 @@ def capture_subscription(
         collect_metrics=subscription._collect_metrics,
         results=tuple(subscription._results),
         results_delivered=subscription.results_delivered,
-        metrics=copy.deepcopy(subscription.metrics),
+        metrics=subscription.metrics.copy(),
     )
 
 

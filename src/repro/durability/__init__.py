@@ -11,9 +11,10 @@ small, decoupled pieces:
   the columnar wire format of :mod:`repro.core.columnar`, and
   subscription lifecycle ops — appended *before* the engine applies it;
 * periodic **checkpoints** (:class:`~repro.durability.checkpoint.CheckpointStore`)
-  of every subscription's :class:`~repro.core.state.SubscriptionState`,
-  written atomically with a CRC'd manifest, after which the WAL prefix
-  they cover is truncated.
+  of every query group's :class:`~repro.core.state.GroupState` (the
+  window once, plus each member's configuration and history), written
+  atomically with a CRC'd manifest, after which the WAL prefix they
+  cover is truncated.
 
 :class:`DurabilityManager` ties both to a live engine:
 ``StreamEngine.recover(directory)`` (or ``repro serve

@@ -4,8 +4,9 @@ A checkpoint is a directory ``checkpoints/checkpoint-<seq>`` holding
 
 * ``state.bin`` — :func:`repro.core.state.dumps` of an
   :class:`~repro.core.state.EngineCheckpoint`;
-* ``MANIFEST.json`` — ``{seq, wal_records, subscriptions, bytes,
-  crc32}`` where ``crc32`` covers ``state.bin``.
+* ``MANIFEST.json`` — ``{seq, wal_records, groups, subscriptions,
+  bytes, crc32}`` where ``crc32`` covers ``state.bin`` and
+  ``subscriptions`` counts the members of every group.
 
 Writes are crash-atomic: the payload and manifest land in a ``.tmp``
 sibling that is fsynced and then :func:`os.replace`'d into place, so a
@@ -15,7 +16,9 @@ presence the commit point even on filesystems that reorder directory
 operations.  :meth:`CheckpointStore.latest` walks checkpoints newest
 first and skips any whose manifest or CRC fails, so a torn or
 bit-rotted newest checkpoint degrades to the previous one instead of
-failing recovery (the WAL tail covers the difference).
+failing recovery (the WAL tail covers the difference).  An intact
+checkpoint of another state format version is not damage: reading it
+raises :class:`~repro.core.state.StateVersionError`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import zlib
 from typing import List, Optional, Tuple
 
 from ..core import state as state_module
-from ..core.state import EngineCheckpoint
+from ..core.state import EngineCheckpoint, StateVersionError
 
 _DIR_PREFIX = "checkpoint-"
 _MANIFEST = "MANIFEST.json"
@@ -91,7 +94,8 @@ class CheckpointStore:
         manifest = {
             "seq": seq,
             "wal_records": checkpoint.wal_records,
-            "subscriptions": len(checkpoint.states),
+            "groups": len(checkpoint.groups),
+            "subscriptions": checkpoint.member_count,
             "bytes": len(payload),
             "crc32": zlib.crc32(payload),
         }
@@ -120,7 +124,9 @@ class CheckpointStore:
 
         Returns ``(seq, checkpoint)`` or ``None`` when no verifiable
         checkpoint exists (fresh directory, or every candidate is
-        damaged — recovery then replays the WAL from record 0).
+        damaged — recovery then replays the WAL from record 0).  Raises
+        :class:`~repro.core.state.StateVersionError` on reaching an intact
+        checkpoint of another format version.
         """
         for seq, path in reversed(self._entries()):
             checkpoint = self._load(path, seq)
@@ -146,6 +152,10 @@ class CheckpointStore:
             return None
         try:
             checkpoint = state_module.loads(payload)
+        except StateVersionError:
+            # Intact but written by another format version: not damage.
+            # Skipping it would replay a WAL whose prefix it truncated.
+            raise
         except Exception:
             return None
         if not isinstance(checkpoint, EngineCheckpoint):

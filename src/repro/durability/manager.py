@@ -9,12 +9,17 @@ stores of this package.  Attached via
   applies it (chunks in the columnar wire format, so the log is also a
   replayable copy of the exact post-dedupe object sequence);
 * every ``checkpoint_interval`` chunks, at the first slide boundary,
-  captures every subscription's state into one atomic
+  captures every query group whole — its window and slide clock once,
+  each member's configuration, metrics and retained answers, and its
+  shared-plan layout — into one atomic
   :class:`~repro.core.state.EngineCheckpoint` and truncates the WAL
   prefix the checkpoint covers.
 
-:meth:`recover` is the inverse: restore the latest checkpoint's states
-into a fresh engine, then replay the WAL tail.  Determinism of the
+:meth:`recover` is the inverse: restore the latest checkpoint's groups
+into a fresh engine (the same groups and plans the checkpointed engine
+had), then replay the WAL tail.  A WAL whose truncated prefix no
+readable checkpoint covers is refused with :class:`DurabilityError`
+rather than replayed from the middle.  Determinism of the
 engine (answers are a pure function of subscriptions + object sequence)
 makes the recovered answer stream byte-identical to the crashed one's
 continuation — the property the crash-injection suite in
@@ -58,6 +63,7 @@ class RecoveryReport:
     """What one :meth:`DurabilityManager.recover` call reconstructed."""
 
     checkpoint_seq: Optional[int]
+    #: Members of every group restored from the checkpoint.
     restored_subscriptions: int
     replayed_ops: int
     replayed_chunks: int
@@ -70,6 +76,8 @@ class RecoveryReport:
     #: (they were journaled ahead of an application that then failed, so
     #: the pre-crash state never contained them either).
     skipped_chunks: int = 0
+    #: Query groups restored from the checkpoint (the recovered layout).
+    restored_groups: int = 0
 
     @property
     def next_t(self) -> int:
@@ -202,17 +210,15 @@ class DurabilityManager:
     # Checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self, engine: "EngineCore") -> bool:
-        """Capture every subscription and commit one checkpoint.
+        """Capture every query group and commit one checkpoint.
 
         Returns False (without partial effects) when the engine is not
         at a capturable point — a window holds a partial slide, or a
         time-based subscription exists; the caller just retries later.
         """
         started = time.perf_counter()
-        states = []
         try:
-            for name in engine.subscriptions():
-                states.append(engine.capture_subscription(name))
+            groups = engine.capture_groups()
         except AlgorithmStateError:
             return False
         checkpoint = EngineCheckpoint(
@@ -220,8 +226,9 @@ class DurabilityManager:
             wal_records=self.wal.next_seq,
             ingested=self.ingested,
             last_t=self.last_t,
-            states=tuple(states),
+            groups=groups,
             chunks=self.chunks_logged,
+            subscriptions=tuple(engine.subscriptions()),
         )
         self.wal.sync()
         self.store.write(checkpoint)
@@ -241,6 +248,11 @@ class DurabilityManager:
         ``engine`` must be fresh (no subscriptions, nothing pushed) and
         must not have this manager attached yet — the replayed records
         are already in the log, so replay must not re-log them.
+
+        Raises :class:`DurabilityError` when WAL truncation removed
+        records no readable checkpoint covers, and
+        :class:`~repro.core.state.StateVersionError` when the newest
+        intact checkpoint was written by another state format version.
         """
         if len(engine):
             raise DurabilityError(
@@ -249,18 +261,24 @@ class DurabilityManager:
             )
         started = time.perf_counter()
         latest = self.store.latest()
+        after_seq = 0 if latest is None else latest[1].wal_records
+        first_seq = self.wal.first_seq()
+        if first_seq > after_seq:
+            raise DurabilityError(
+                f"the write-ahead log in {self.directory!r} starts at record "
+                f"{first_seq}, but no readable checkpoint covers records "
+                f"before it (the newest usable one ends at record {after_seq})"
+            )
         checkpoint_seq: Optional[int] = None
-        after_seq = 0
-        restored = 0
+        restored = restored_groups = 0
         if latest is not None:
             checkpoint_seq, checkpoint = latest
-            after_seq = checkpoint.wal_records
             self.ingested = checkpoint.ingested
             self.chunks_logged = checkpoint.chunks
             self.last_t = checkpoint.last_t
-            for state in checkpoint.states:
-                engine.restore_subscription(state)
-                restored += 1
+            engine.restore_groups(checkpoint.groups, checkpoint.subscriptions)
+            restored = checkpoint.member_count
+            restored_groups = len(checkpoint.groups)
         replayed_ops = replayed_chunks = replayed_objects = skipped = 0
         for kind, payload in self.wal.replay(after_seq):
             if kind == KIND_OP:
@@ -290,6 +308,7 @@ class DurabilityManager:
             last_t=self.last_t,
             seconds=time.perf_counter() - started,
             skipped_chunks=skipped,
+            restored_groups=restored_groups,
         )
         self.last_recovery = report
         return report

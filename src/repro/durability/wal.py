@@ -170,6 +170,12 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Reading / truncation
     # ------------------------------------------------------------------
+    def first_seq(self) -> int:
+        """Sequence number of the oldest surviving record (``next_seq``
+        when the log holds none); above 0 once truncation ran."""
+        segments = _list_segments(self.directory)
+        return segments[0][0] if segments else self.next_seq
+
     def replay(self, after_seq: int = 0) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(kind, payload)`` for every record with seq >= after_seq.
 

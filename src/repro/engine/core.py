@@ -4,7 +4,8 @@
 execution plane shares: it owns the subscription registry, buckets
 subscriptions into :class:`~repro.engine.group.QueryGroup` objects by
 window shape, moves stream objects through the groups, and captures /
-restores serializable subscription state (:mod:`repro.core.state`).
+restores serializable subscription and group state
+(:mod:`repro.core.state`).
 
 Two planes build on it rather than forking it:
 
@@ -15,7 +16,10 @@ Two planes build on it rather than forking it:
 * the shard workers of :mod:`repro.cluster` — each worker process hosts a
   full :class:`StreamEngine`, and the sharded facade moves subscriptions
   between workers with :meth:`capture_subscription` /
-  :meth:`restore_subscription`.
+  :meth:`restore_subscription`;
+* the durability plane (:mod:`repro.durability`) — it checkpoints whole
+  query groups with :meth:`capture_groups` and recovers them with
+  :meth:`restore_groups`.
 
 The hooks (``_register_group``, ``_unregister_group``, ``_admit_one``,
 ``_chunk_size_for``, ``_admission_filter``, ``_note_chunk``,
@@ -25,14 +29,21 @@ functional, control-plane-free engine.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import AlgorithmStateError
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.state import SubscriptionState, capture_subscription, check_version, loads
+from ..core.state import (
+    STATE_FORMAT_VERSION,
+    GroupState,
+    SubscriptionState,
+    capture_subscription,
+    check_version,
+    loads,
+)
 from ..obs.registry import get_registry
 from ..registry import create_algorithm
 from .group import GroupKey, QueryGroup, group_key_for
@@ -325,10 +336,43 @@ class EngineCore:
         ends atomically.
         """
         subscription = self.subscription(name)
-        group = subscription.group
+        window, slide_index = self._capture_point(subscription.group)
+        return capture_subscription(subscription, window, slide_index)
+
+    def capture_group(self, group: QueryGroup) -> GroupState:
+        """Capture one query group whole: its window and slide clock once,
+        every member's state (in member order), and its plan layout.
+
+        Raises :class:`AlgorithmStateError` where
+        :meth:`capture_subscription` would: off a slide boundary, or on a
+        time-based group that has started.
+        """
+        window, slide_index = self._capture_point(group)
+        return GroupState(
+            version=STATE_FORMAT_VERSION,
+            n=group.n,
+            s=group.s,
+            window=window,
+            slide_index=slide_index,
+            members=tuple(
+                capture_subscription(subscription, (), None)
+                for subscription in group.members()
+            ),
+            plans=group.plan_layout(),
+        )
+
+    def capture_groups(self) -> Tuple[GroupState, ...]:
+        """:meth:`capture_group` of every query group, in engine order."""
+        return tuple(self.capture_group(group) for group in self._groups)
+
+    @staticmethod
+    def _capture_point(
+        group: Optional[QueryGroup],
+    ) -> Tuple[Tuple[StreamObject, ...], Optional[int]]:
+        """The window and slide index a capture of ``group`` records."""
         if group is None or not group.started:
             # Never pushed: the window is empty and there is no slide clock.
-            return capture_subscription(subscription, (), None)
+            return (), None
         if group.time_based:
             raise AlgorithmStateError(
                 "time-based subscriptions cannot be captured: their windows "
@@ -340,11 +384,7 @@ class EngineCore:
                 "no partial slide buffered); push a whole number of slides "
                 "or use slide-aligned chunking"
             )
-        return capture_subscription(
-            subscription,
-            tuple(group.window_contents()),
-            group.last_slide_index(),
-        )
+        return tuple(group.window_contents()), group.last_slide_index()
 
     def restore_subscription(
         self, state: Union[SubscriptionState, bytes]
@@ -355,41 +395,88 @@ class EngineCore:
         pickled bytes.  The subscription resumes with its retained answers,
         metric aggregates, and — after the captured window is replayed
         through the standard drain-and-replay path — produces byte-identical
-        answers to an uninterrupted run.  A restored subscription always
-        opens a fresh query group (its window position is its own).
+        answers to an uninterrupted run.  This is :meth:`restore_groups`
+        of a one-member group: a captured mid-stream window opens a query
+        group of its own, a never-started one joins the open group of its
+        shape like a fresh subscription.
         """
-        self._ensure_open()
         if isinstance(state, (bytes, bytearray)):
             state = loads(bytes(state))
         if not isinstance(state, SubscriptionState):
             raise TypeError(
                 f"expected SubscriptionState or bytes, got {type(state).__name__}"
             )
-        check_version(state.version)
-        if state.name in self._subscriptions:
-            raise ValueError(f"query {state.name!r} is already subscribed")
-        # Respawn once more so the state object stays reusable: restoring
-        # the same payload twice must not share one live instance.
-        subscription = Subscription(
-            state.name,
-            state.algorithm.respawn(),
-            keep_results=state.keep_results,
-            result_buffer=state.result_buffer,
-            collect_metrics=state.collect_metrics,
-        )
-        subscription._adopt_state(state)
-        if state.slide_index is None:
-            self._group_for(subscription.query).add(subscription)
-        else:
-            query = subscription.query
-            group = QueryGroup(query.n, query.s, query.time_based)
-            group.add(subscription)
-            group.prime(state.window, state.slide_index)
-            self._register_group(group)
-        self._subscriptions[state.name] = subscription
-        if self._durability is not None:
-            self._durability.log_op(("restore", state))
+        (subscription,) = self.restore_groups((GroupState.of_subscription(state),))
         return subscription
+
+    def restore_groups(
+        self, states: Sequence[GroupState], order: Sequence[str] = ()
+    ) -> List[Subscription]:
+        """Rebuild captured query groups whole; return the subscriptions.
+
+        Each started group is rebuilt with its members in captured order
+        and primed once with its window, slide clock and plan layout, so
+        its plans (leaders, buckets, ``k_max``) match the captured group.
+        Members of a never-started group join the open group of their
+        shape, as fresh subscriptions do.  ``order``, when given, is the
+        registration order of the restored names (default: group order).
+
+        With a durability manager attached every member is journaled as a
+        one-member ``restore`` op, the format WAL replay understands; the
+        next checkpoint records the groups whole again.
+        """
+        self._ensure_open()
+        names = [member.name for state in states for member in state.members]
+        for state in states:
+            check_version(state.version)
+            for member in state.members:
+                check_version(member.version)
+                query = member.algorithm.query
+                if (query.n, query.s) != (state.n, state.s):
+                    raise ValueError(
+                        f"member {member.name!r} ({query.describe()}) does not "
+                        f"fit a group of window n={state.n}, s={state.s}"
+                    )
+        seen = set(self._subscriptions)
+        for name in names:
+            if name in seen:
+                raise ValueError(f"query {name!r} is already subscribed")
+            seen.add(name)
+        if order and sorted(order) != sorted(names):
+            raise ValueError("order must list exactly the restored subscriptions")
+        restored: Dict[str, Subscription] = {}
+        for state in states:
+            members = []
+            for member in state.members:
+                # Respawn once more so the state object stays reusable:
+                # restoring the same payload twice must not share one live
+                # instance.
+                subscription = Subscription(
+                    member.name,
+                    member.algorithm.respawn(),
+                    keep_results=member.keep_results,
+                    result_buffer=member.result_buffer,
+                    collect_metrics=member.collect_metrics,
+                )
+                subscription._adopt_state(member)
+                members.append(subscription)
+                restored[member.name] = subscription
+            if state.slide_index is None:
+                for subscription in members:
+                    self._group_for(subscription.query).add(subscription)
+            elif members:
+                group = QueryGroup(state.n, state.s, members[0].query.time_based)
+                for subscription in members:
+                    group.add(subscription)
+                group.prime(state.window, state.slide_index, state.plans)
+                self._register_group(group)
+        for name in order or restored:
+            self._subscriptions[name] = restored[name]
+        if self._durability is not None:
+            for state in states:
+                for index in range(len(state.members)):
+                    self._durability.log_op(("restore", state.member_state(index)))
+        return list(restored.values())
 
     # ------------------------------------------------------------------
     # Ingestion

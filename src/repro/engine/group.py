@@ -32,7 +32,7 @@ from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from ..core.shared import SharedPlan, SharedSlide
-from ..core.state import replay_event
+from ..core.state import PlanLayout, replay_event
 from ..core.window import SlideBatcher, SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, get_registry
 from ..obs.tracing import get_tracer
@@ -102,6 +102,9 @@ class QueryGroup:
             self._members.remove(subscription)
         for plan in self._plans:
             plan.discard(subscription)
+        # A plan whose last member left does no work; dropping it keeps
+        # the group's layout capturable (a plan is restored from members).
+        self._plans = [plan for plan in self._plans if plan.subscriptions()]
 
     def __len__(self) -> int:
         return len(self._members)
@@ -135,28 +138,47 @@ class QueryGroup:
         self._plans.extend(self._form_plans(self._members))
 
     @staticmethod
-    def _form_plans(members: Sequence[Subscription]) -> List[SharedPlan]:
-        """Bucket ``members`` by plan key and build one plan per bucket."""
+    def _form_plans(
+        members: Sequence[Subscription],
+        layout: Optional[Sequence[PlanLayout]] = None,
+    ) -> List[SharedPlan]:
+        """Bucket ``members`` by plan key and build one plan per bucket.
+
+        With a captured ``layout`` the buckets and their ``k_max`` are
+        taken from it instead, reproducing the captured group's plans.
+        """
+        buckets: List[Tuple[List[Subscription], Optional[int]]] = []
+        if layout is not None:
+            for positions, k_max in layout:
+                buckets.append(([members[i] for i in positions], k_max))
+        else:
+            by_key: Dict[object, List[Subscription]] = {}
+            for subscription in members:
+                key = subscription.algorithm.shared_plan_key()
+                if key is not None:
+                    by_key.setdefault(key, []).append(subscription)
+            # A lone member gains nothing from a plan; it keeps its fully
+            # independent execution path (and its exact legacy per-slide
+            # accounting).
+            buckets = [(bucket, None) for bucket in by_key.values() if len(bucket) > 1]
         plans: List[SharedPlan] = []
-        buckets: Dict[object, List[Subscription]] = {}
-        for subscription in members:
-            key = subscription.algorithm.shared_plan_key()
-            if key is None:
-                continue
-            buckets.setdefault(key, []).append(subscription)
-        for bucket in buckets.values():
-            if len(bucket) < 2:
-                # A lone member gains nothing from a plan; it keeps its
-                # fully independent execution path (and its exact legacy
-                # per-slide accounting).
-                continue
-            plan = bucket[0].algorithm.build_shared_plan(bucket)
+        for bucket, k_max in buckets:
+            plan = bucket[0].algorithm.build_shared_plan(bucket, k_max)
             if plan is not None:
                 plans.append(plan)
         return plans
 
     def plans(self) -> List[SharedPlan]:
         return list(self._plans)
+
+    def plan_layout(self) -> Tuple[PlanLayout, ...]:
+        """Every shared plan as member positions plus ``k_max`` (the
+        :class:`~repro.core.state.GroupState` record of the plans)."""
+        position = {id(sub): index for index, sub in enumerate(self._members)}
+        return tuple(
+            (tuple(position[id(sub)] for sub in plan.subscriptions()), plan.k_max)
+            for plan in self._plans
+        )
 
     # ------------------------------------------------------------------
     # Live re-planning (adaptive control plane)
@@ -222,18 +244,24 @@ class QueryGroup:
         self._replay(ordered, new_plans, slide_index)
         return time.perf_counter() - started
 
-    def prime(self, contents: Sequence[StreamObject], last_index: int) -> None:
+    def prime(
+        self,
+        contents: Sequence[StreamObject],
+        last_index: int,
+        plans: Sequence[PlanLayout],
+    ) -> None:
         """Seed a never-started group with captured window state.
 
-        This is the restore half of subscription serialization
+        This is the restore half of group serialization
         (:mod:`repro.core.state`): the members — all fresh, never-pushed
         algorithm instances — adopt a window captured at slide boundary
         ``last_index`` in some other group (typically in another process).
-        The group's batcher is seeded, shared plans are formed, every
-        member is fast-forwarded to the captured slide clock, and the
-        window is replayed through the standard drain-and-replay path, so
-        subsequent slides produce byte-identical answers to the group the
-        state was captured from.
+        The group's batcher is seeded, the captured ``plans`` layout is
+        re-formed over the members, every member is
+        fast-forwarded to the captured slide clock, and the window is
+        replayed through the standard drain-and-replay path, so subsequent
+        slides produce byte-identical answers to the group the state was
+        captured from.
         """
         if self._started:
             raise AlgorithmStateError("cannot prime a group that has started")
@@ -243,7 +271,7 @@ class QueryGroup:
         self._started = True
         for subscription in self._members:
             subscription.algorithm.fast_forward(last_index)
-        self._plans.extend(self._form_plans(self._members))
+        self._plans.extend(self._form_plans(self._members, plans))
         for plan in self._plans:
             plan.fast_forward(last_index)
         self._replay(self._members, self._plans, last_index)

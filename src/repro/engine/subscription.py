@@ -16,7 +16,6 @@ caller bounds it (``result_buffer=...``) or disables retention
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
@@ -244,8 +243,8 @@ class Subscription:
         """Adopt the runtime history carried by a
         :class:`~repro.core.state.SubscriptionState`: retained answers, the
         delivery counter, and the metric aggregates.  Called by
-        :meth:`repro.engine.core.EngineCore.restore_subscription` so a
-        rebalanced subscription keeps its percentiles and result history.
+        :meth:`repro.engine.core.EngineCore.restore_groups` so a rebalanced
+        or recovered subscription keeps its percentiles and result history.
 
         The metric aggregates are copied, not adopted by reference — the
         state object stays reusable (restoring it into two engines must
@@ -253,7 +252,7 @@ class Subscription:
         """
         self._results.extend(state.results)
         self._delivered = state.results_delivered
-        self._metrics = copy.deepcopy(state.metrics)
+        self._metrics = state.metrics.copy()
 
     def _replace_algorithm(self, algorithm: ContinuousTopKAlgorithm) -> None:
         """Swap in a rebuilt algorithm instance (adaptive control plane).

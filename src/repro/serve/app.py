@@ -529,8 +529,12 @@ class TopKServer:
         self.batcher.set_alignment(self.registry.slide_sizes())
         next_t = await self._engine_call(self._recovered_next_t)
         self.batcher.resume_from(next_t)
+        report = getattr(self._engine, "recovery_report", None)
         self.recovery_info = {
             "recovered_subscriptions": len(handles),
+            # Query groups rebuilt from the checkpoint (local engines; a
+            # sharded engine recovers per shard, see durability_status).
+            "restored_groups": None if report is None else report.restored_groups,
             "replayed_results": routed,
             "resumed_at_t": next_t,
         }

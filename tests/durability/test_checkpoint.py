@@ -17,7 +17,7 @@ def _checkpoint(seq_hint=0, **overrides):
         wal_records=seq_hint * 10,
         ingested=seq_hint * 100,
         last_t=seq_hint * 100 - 1,
-        states=(),
+        groups=(),
         chunks=seq_hint,
     )
     fields.update(overrides)

@@ -125,6 +125,10 @@ def test_serve_process_sigkill_recovers_byte_identical(
     recovery = stats["durability"]["recovery"]
     assert recovery["recovered_subscriptions"] == len(SUBSCRIPTIONS)
     assert recovery["resumed_at_t"] == 80
+    if engine == "local":
+        assert recovery["restored_groups"] in (0, 2)  # (20, 5) and (30, 5)
+    else:
+        assert recovery["restored_groups"] is None  # recovered per shard
     _call(restarted.port, "POST", "/v1/events", {"events": EVENTS[80:]})
     recovered_histories = restarted.histories()
     restarted.sigkill()
