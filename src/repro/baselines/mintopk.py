@@ -55,6 +55,9 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         # Shared candidate pool: rank key -> (object, reference count).
         self._pool: Dict[RankKey, List] = {}
         self._next_report = 0
+        # Arrival order of window position 0's first object: a query that
+        # joins mid-stream (or is restored) does not see the stream from t=0.
+        self._origin: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Shared-slide lifecycle: a window position's predicted top-k_max set
@@ -102,6 +105,11 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
 
     # ------------------------------------------------------------------
     def process_slide(self, event: SlideEvent) -> TopKResult:
+        if self._origin is None:
+            # The first event is a window fill (the initial one, or a
+            # replayed window at slide boundary ``event.index``), so its
+            # first arrival sits at position ``event.index * s``.
+            self._origin = event.arrivals[0].t - event.index * self.query.s
         for obj in event.arrivals:
             self._insert(obj)
         result = self._report(event)
@@ -112,9 +120,12 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     def _windows_of(self, t: int) -> range:
         """Window positions that contain the object with arrival order ``t``.
 
-        Position ``i`` covers arrival orders ``[i·s, i·s + n − 1]``.
+        Position ``i`` covers arrival orders ``[i·s, i·s + n − 1]``,
+        counted from the first event's origin (0 before any event).
         """
         n, s = self.query.n, self.query.s
+        if self._origin is not None:
+            t -= self._origin
         earliest = -((n - 1 - t) // s)  # integer ceil((t - n + 1) / s)
         first = max(self._next_report, earliest)
         last = t // s

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.framework import SAPTopK
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.query import TopKQuery
-from ..engine import StreamEngine
+from ..engine import QuerySpec, StreamEngine
 from ..partitioning import EqualPartitioner
 from ..registry import algorithm_factories, get_algorithm
 from ..runner.engine import run_algorithm
@@ -663,14 +663,16 @@ def measure_preference_scale(
     sampled = list(range(0, users, sample_step))[:exactness_sample]
     sampled_set = set(sampled)
 
+    def preference_spec(vector, cluster_id=None) -> QuerySpec:
+        spec = QuerySpec(n=query.n, k=query.k, s=query.s, time_based=query.time_based)
+        return spec.using(inner).preferring(vector, cluster_id=cluster_id)
+
     # Clustered leg: one engine, shared plans per preference cluster.
     engine = StreamEngine(keep_results=False)
     for index, vector in enumerate(vectors):
-        engine.subscribe_preference(
+        engine.subscribe(
             f"user-{index}",
-            query,
-            vector,
-            algorithm=inner,
+            preference_spec(vector),
             keep_results=index in sampled_set,
             collect_metrics=False,
         )
@@ -696,9 +698,7 @@ def measure_preference_scale(
     exact = True
     for index in sampled:
         solo = StreamEngine(keep_results=True)
-        solo.subscribe_preference(
-            f"user-{index}", query, vectors[index], algorithm=inner
-        )
+        solo.subscribe(f"user-{index}", preference_spec(vectors[index]))
         solo.push_many(objects, chunk_size=max(1, query.s))
         if not results_agree(solo.results(f"user-{index}"), sampled_results[index]):
             exact = False
@@ -710,12 +710,10 @@ def measure_preference_scale(
     measured_users = min(users, baseline_users)
     baseline = StreamEngine(keep_results=False)
     for index in range(measured_users):
-        baseline.subscribe_preference(
+        baseline.subscribe(
             f"user-{index}",
-            query,
-            vectors[index],
-            algorithm=inner,
-            cluster_id=index,  # unique id: bucket of one, no shared plan
+            # Unique cluster id: a bucket of one, so no shared plan forms.
+            preference_spec(vectors[index], cluster_id=index),
             keep_results=False,
             collect_metrics=False,
         )

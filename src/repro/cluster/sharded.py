@@ -44,7 +44,6 @@ import json
 import math
 import os
 import time
-import warnings
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..core.exceptions import AlgorithmStateError
@@ -241,8 +240,11 @@ class ShardedStreamEngine:
         ``spec.using(...)`` / ``spec.preferring(...)`` — is the unified
         path: the algorithm and options come from the spec (passing them
         separately too is an error), the facade assigns the preference
-        cluster centrally, and placement is cluster-affine for preference
-        specs exactly as in :meth:`subscribe_preference`.
+        cluster centrally (:class:`~repro.core.clustering.ClusterSpace`),
+        and placement is **cluster-affine** for preference specs —
+        :meth:`~repro.cluster.placement.PlacementPolicy.place_preference`
+        hashes the cluster id so one cluster's members (and therefore its
+        shared padded-k plan) never straddle shards.
         """
         self._ensure_open()
         if name in self._handles:
@@ -288,86 +290,6 @@ class ShardedStreamEngine:
                 query,
                 algorithm,
                 algorithm_options,
-                keep,
-                result_buffer,
-                collect_metrics,
-            ),
-        )
-        handle = ShardSubscription(self, name, query)
-        self._handles[name] = handle
-        self._shard_of[name] = shard
-        self._loads[shard] += self._placement.load_of(query)
-        return handle
-
-    def subscribe_preference(
-        self,
-        name: str,
-        spec: Union[QuerySpec, TopKQuery],
-        vector,
-        algorithm: str = "SAP",
-        *,
-        keep_results: Optional[bool] = None,
-        result_buffer: Optional[int] = None,
-        collect_metrics: bool = True,
-        shard: Optional[int] = None,
-        pad_factor: Optional[float] = None,
-        **algorithm_options: object,
-    ) -> ShardSubscription:
-        """Register a linear-preference query on some shard.
-
-        The facade owns the cluster assignment
-        (:class:`~repro.core.clustering.ClusterSpace`): the vector is
-        clustered *here*, the resulting id travels to the worker inside
-        the algorithm options, and placement is **cluster-affine** —
-        :meth:`~repro.cluster.placement.PlacementPolicy.place_preference`
-        hashes the cluster id so one cluster's members (and therefore its
-        shared padded-k plan) never straddle shards.
-
-        .. deprecated::
-            Use :meth:`subscribe` with ``spec.preferring(vector)`` — the
-            unified entry point accepting one :class:`QuerySpec` that
-            carries its own execution.
-        """
-        warnings.warn(
-            "subscribe_preference() is deprecated; use "
-            "subscribe(name, spec.preferring(vector)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._ensure_open()
-        if not isinstance(algorithm, str):
-            raise TypeError(
-                "the sharded engine takes an inner algorithm name from "
-                f"repro.registry, got {type(algorithm).__name__}"
-            )
-        if name in self._handles:
-            raise ValueError(f"query {name!r} is already subscribed")
-        from ..core.clustering import validate_vector
-
-        vector = validate_vector(vector)
-        query = resolve_query(spec)
-        cluster_id = self._cluster_space().assign(vector)
-        if shard is None:
-            shard = self._placement.place_preference(query, cluster_id, self._loads)
-        elif not 0 <= shard < len(self._router):
-            raise ValueError(
-                f"shard {shard} out of range (cluster has {len(self._router)})"
-            )
-        options = dict(algorithm_options)
-        options["vector"] = vector
-        options["cluster_id"] = cluster_id
-        options["inner"] = algorithm
-        if pad_factor is not None:
-            options["pad_factor"] = float(pad_factor)
-        keep = self._default_keep_results if keep_results is None else keep_results
-        self._router.request(
-            shard,
-            (
-                "subscribe",
-                name,
-                query,
-                "clustered",
-                options,
                 keep,
                 result_buffer,
                 collect_metrics,

@@ -180,8 +180,8 @@ def shard_worker_main(
         return record
 
     def handle_push(payload) -> None:
-        """Apply one data chunk — encoded wire bytes (both transports) or
-        a legacy list of objects — latching any failure for the next
+        """Apply one data chunk — :func:`~repro.core.columnar.encode_chunk`
+        bytes on both transports — latching any failure for the next
         synchronous opcode."""
         nonlocal pushed, failure
         if failure is not None:
@@ -190,51 +190,45 @@ def shard_worker_main(
             if durability is not None:
                 # Journal the wire payload ahead of application; the
                 # replayed journal is then the exact received sequence.
-                if isinstance(payload, (bytes, bytearray, memoryview)):
-                    durability.log_encoded(bytes(payload))
-                else:
-                    durability.log_objects(payload)
-            if isinstance(payload, (bytes, bytearray, memoryview)):
-                # Pre-increment sequence number: matches the router's
-                # ``sent_chunks`` stamp on its encode/send spans, so the
-                # trace stitches across the process boundary.
-                seq = decode_stats["decoded_batches"]
-                started = time.perf_counter()
-                objects, block = decode_chunk(payload, materialize=False)
-                decode_seconds = time.perf_counter() - started
-                obs_decode.observe(decode_seconds)
-                if tracer.enabled:
-                    tracer.record(
-                        "decode",
-                        seq,
-                        time.time() - decode_seconds,
-                        decode_seconds,
-                        f"bytes={len(payload)}",
-                    )
-                count = len(block) if block is not None else len(objects)
-                decode_stats["decode_seconds"] += decode_seconds
-                decode_stats["decode_bytes"] += len(payload)
-                decode_stats["decoded_batches"] += 1
-                decode_stats["decoded_objects"] += count
-                # The router pre-chunks to slide-aligned sizes; a columnar
-                # chunk moves through each query group in block form.
-                started = time.perf_counter()
-                if block is not None:
-                    pushed += engine.push_block(block)
-                else:
-                    pushed += engine.push_many(objects, chunk_size=max(1, len(objects)))
-                push_seconds = time.perf_counter() - started
-                obs_push.observe(push_seconds)
-                if tracer.enabled:
-                    tracer.record(
-                        "push",
-                        seq,
-                        time.time() - push_seconds,
-                        push_seconds,
-                        f"objects={count}",
-                    )
+                durability.log_encoded(bytes(payload))
+            # Pre-increment sequence number: matches the router's
+            # ``sent_chunks`` stamp on its encode/send spans, so the
+            # trace stitches across the process boundary.
+            seq = decode_stats["decoded_batches"]
+            started = time.perf_counter()
+            objects, block = decode_chunk(payload, materialize=False)
+            decode_seconds = time.perf_counter() - started
+            obs_decode.observe(decode_seconds)
+            if tracer.enabled:
+                tracer.record(
+                    "decode",
+                    seq,
+                    time.time() - decode_seconds,
+                    decode_seconds,
+                    f"bytes={len(payload)}",
+                )
+            count = len(block) if block is not None else len(objects)
+            decode_stats["decode_seconds"] += decode_seconds
+            decode_stats["decode_bytes"] += len(payload)
+            decode_stats["decoded_batches"] += 1
+            decode_stats["decoded_objects"] += count
+            # The router pre-chunks to slide-aligned sizes; a columnar
+            # chunk moves through each query group in block form.
+            started = time.perf_counter()
+            if block is not None:
+                pushed += engine.push_block(block)
             else:
-                pushed += engine.push_many(payload, chunk_size=max(1, len(payload)))
+                pushed += engine.push_many(objects, chunk_size=max(1, len(objects)))
+            push_seconds = time.perf_counter() - started
+            obs_push.observe(push_seconds)
+            if tracer.enabled:
+                tracer.record(
+                    "push",
+                    seq,
+                    time.time() - push_seconds,
+                    push_seconds,
+                    f"objects={count}",
+                )
         except BaseException:
             failure = traceback.format_exc()
 

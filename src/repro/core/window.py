@@ -149,9 +149,7 @@ class SlideBatcher:
     # ------------------------------------------------------------------
     def push(self, obj: StreamObject) -> List[SlideEvent]:
         """Feed one object; return the slide events it completes (0+)."""
-        if self.query.time_based:
-            return self._push_time_based(obj)
-        return self._push_count_based(obj)
+        return self.push_batch((obj,))
 
     def push_batch(self, objects: Sequence[StreamObject]) -> List[SlideEvent]:
         """Feed a batch of objects at once; return the events it completes.
@@ -161,26 +159,56 @@ class SlideBatcher:
         move a chunk of stream through a query group with one call instead
         of one dispatch per object per query.
         """
-        if self.query.time_based:
-            events: List[SlideEvent] = []
+        events: List[SlideEvent] = []
+        window, query = self._window, self.query
+        if query.time_based:
             for obj in objects:
-                events.extend(self._push_time_based(obj))
+                if self._report_time is None:
+                    self._report_time = obj.arrival_time + query.n
+                while obj.arrival_time > self._report_time:
+                    events.append(self._emit_time_based(self._report_time))
+                    self._report_time += query.s
+                window.append(obj)
+                self._pending.append(obj)
             return events
-        return self._push_count_batch(objects)
+        total = len(objects)
+        position = 0
+        while position < total:
+            if not self._filled:
+                take = min(query.n - len(window), total - position)
+            else:
+                take = min(query.s - len(self._pending), total - position)
+            chunk = objects[position : position + take]
+            for obj in chunk:
+                window.append(obj)
+            self._pending.extend(chunk)
+            position += take
+            if not self._filled:
+                if len(window) == query.n:
+                    self._filled = True
+                    events.append(self._emit(expirations=[]))
+            elif len(self._pending) == query.s:
+                expired = window.expire_oldest(query.s)
+                events.append(self._emit(expirations=expired))
+        return events
 
-    def push_block(self, block: SlideBlock) -> List[SlideEvent]:
-        """Feed a column block; emitted events keep their arrivals in block
-        form (zero-copy slices of ``block``) whenever they align.
+    def push_block(
+        self, block: SlideBlock, objects: Sequence[StreamObject]
+    ) -> List[SlideEvent]:
+        """:meth:`push_batch` of ``objects`` (``block.to_objects()``, which
+        the engine materialises once per chunk for every group), then
+        attach block slices to the events they align with.
 
-        An event whose arrivals are drawn entirely from this block (the
-        common steady-state case: no partial slide pending from an earlier
-        batch) gets the matching ``block.slice`` attached; events that mix
-        in earlier objects fall back to :meth:`SlideEvent.arrivals_block`'s
-        lazy path.  Time-based windows never attach slices — their reports
-        may drop arrivals that expired before becoming visible.
+        An event whose arrivals are drawn entirely from this block
+        (the common steady-state case: no partial slide pending from an
+        earlier batch) gets the matching ``block.slice`` attached; events
+        that mix in earlier objects fall back to
+        :meth:`SlideEvent.arrivals_block`'s lazy path.  Time-based windows
+        never attach slices — their reports may drop arrivals that expired
+        before becoming visible.
         """
         lead = len(self._pending)
-        events = self.push_batch(block.to_objects())
+        events = self.push_batch(objects)
         if self.query.time_based:
             return events
         # Event j's arrivals span a contiguous run of (pending-before +
@@ -263,54 +291,6 @@ class SlideBatcher:
         )
 
     # ------------------------------------------------------------------
-    def _push_count_based(self, obj: StreamObject) -> List[SlideEvent]:
-        self._window.append(obj)
-        self._pending.append(obj)
-        if not self._filled:
-            if len(self._window) < self.query.n:
-                return []
-            self._filled = True
-            return [self._emit(expirations=[])]
-        if len(self._pending) < self.query.s:
-            return []
-        expired = self._window.expire_oldest(self.query.s)
-        return [self._emit(expirations=expired)]
-
-    def _push_count_batch(self, objects: Sequence[StreamObject]) -> List[SlideEvent]:
-        events: List[SlideEvent] = []
-        window, query = self._window, self.query
-        total = len(objects)
-        position = 0
-        while position < total:
-            if not self._filled:
-                take = min(query.n - len(window), total - position)
-            else:
-                take = min(query.s - len(self._pending), total - position)
-            chunk = objects[position : position + take]
-            for obj in chunk:
-                window.append(obj)
-            self._pending.extend(chunk)
-            position += take
-            if not self._filled:
-                if len(window) == query.n:
-                    self._filled = True
-                    events.append(self._emit(expirations=[]))
-            elif len(self._pending) == query.s:
-                expired = window.expire_oldest(query.s)
-                events.append(self._emit(expirations=expired))
-        return events
-
-    def _push_time_based(self, obj: StreamObject) -> List[SlideEvent]:
-        events: List[SlideEvent] = []
-        if self._report_time is None:
-            self._report_time = obj.arrival_time + self.query.n
-        while obj.arrival_time > self._report_time:
-            events.append(self._emit_time_based(self._report_time))
-            self._report_time += self.query.s
-        self._window.append(obj)
-        self._pending.append(obj)
-        return events
-
     def _emit_time_based(self, now: int) -> SlideEvent:
         expired = self._window.expire_older_than(now - self.query.n + 1)
         expired_ids = {o.t for o in expired}

@@ -170,14 +170,6 @@ class DurabilityManager:
         self._obs_records.inc()
         self._obs_bytes.inc(len(payload))
 
-    def log_block(self, block) -> None:
-        """WAL one :class:`~repro.core.columnar.SlideBlock` chunk."""
-        self._check_order(int(value) for value in block.ts)
-        self.log_encoded(block.to_bytes())
-        for value in block.ts:
-            if int(value) > self.last_t:
-                self.last_t = int(value)
-
     def log_op(self, op: Tuple) -> bool:
         """WAL one subscription lifecycle op; False when unpicklable.
 
@@ -316,17 +308,12 @@ class DurabilityManager:
     def _apply_chunk(self, engine: "EngineCore", payload: bytes) -> int:
         objects, block = decode_chunk(payload, materialize=False)
         if block is not None:
-            count = len(block)
-            engine.push_block(block)
-            top = -1
-            for value in block.ts:
-                if int(value) > top:
-                    top = int(value)
+            count = engine.push_block(block)
+            top = int(block.ts[-1]) if count else -1
         else:
-            count = len(objects)
-            if count:
-                engine.push_many(objects, chunk_size=count)
-            top = max((obj.t for obj in objects), default=-1)
+            count = engine.push_many(objects, chunk_size=max(1, len(objects)))
+            top = objects[-1].t if count else -1
+        # The engine admitted the chunk, so its last t is its newest.
         if top > self.last_t:
             self.last_t = top
         return count

@@ -21,9 +21,14 @@ Two planes build on it rather than forking it:
   query groups with :meth:`capture_groups` and recovers them with
   :meth:`restore_groups`.
 
-The hooks (``_register_group``, ``_unregister_group``, ``_admit_one``,
-``_chunk_size_for``, ``_admission_filter``, ``_note_chunk``,
-``_after_ingest``) default to no-ops, so the core alone is a fully
+Every ingest call — :meth:`~EngineCore.push`, :meth:`~EngineCore.push_many`
+and :meth:`~EngineCore.push_block` — hands its chunks to one edge,
+``EngineCore._ingest``: it validates arrival order, journals, counts, moves
+the chunk through every query group and notifies the hooks, in that order.
+
+The group hooks (``_register_group``, ``_unregister_group``) keep the
+group list; the ingest hooks (``_admission_filter``, ``_chunk_size_for``,
+``_note_chunk``) default to no-ops, so the core alone is a fully
 functional, control-plane-free engine.
 """
 
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.exceptions import AlgorithmStateError
+from ..core.exceptions import AlgorithmStateError, InvalidQueryError
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
@@ -76,6 +81,9 @@ class EngineCore:
         self._cluster_space = None
         self._closed = False
         self._durability = None
+        #: ``t`` of the newest admitted object; a chunk starting below it
+        #: is rejected whole at the ingest edge.
+        self._last_t = float("-inf")
         self._obs_ingested = get_registry().counter(
             "repro_events_ingested_total",
             "Stream objects admitted into this engine's windows.",
@@ -129,8 +137,8 @@ class EngineCore:
         A :class:`QuerySpec` that carries execution choices (``using``,
         ``preferring``) is the whole declaration: the ``algorithm``
         parameter must then stay at its default and the spec's plan wins
-        (preference vectors route through the clustered sharing plane
-        exactly as :meth:`subscribe_preference` used to).
+        (preference vectors route through the clustered sharing plane,
+        see :mod:`repro.core.clustering`).
         """
         self._ensure_open()
         if name in self._subscriptions:
@@ -194,70 +202,6 @@ class EngineCore:
                 return
             self._durability.log_op(("restore", state))
 
-    def subscribe_preference(
-        self,
-        name: str,
-        spec: Union[QuerySpec, TopKQuery],
-        vector: Iterable[float],
-        algorithm: str = "SAP",
-        *,
-        cluster_id: Optional[int] = None,
-        pad_factor: Optional[float] = None,
-        keep_results: Optional[bool] = None,
-        result_buffer: Optional[int] = None,
-        collect_metrics: bool = True,
-        on_result: Optional[ResultCallback] = None,
-        **algorithm_options: object,
-    ) -> Subscription:
-        """Register a query scored by a linear preference vector.
-
-        The subscription's answers rank the stream by ``vector ·
-        attributes(payload)`` instead of the pre-scored ``score`` field.
-        Vectors are clustered (:class:`repro.core.clustering.ClusterSpace`)
-        and co-windowed members of one cluster share a single padded-k
-        execution plan of the ``algorithm`` (a registry name), each member
-        answering by vectorized re-ranking of the shared candidates — see
-        :mod:`repro.core.clustering` for the exactness guard.
-
-        ``cluster_id`` overrides the engine's own cluster assignment (the
-        sharded facade assigns ids centrally and passes them down);
-        ``pad_factor`` tunes the shared candidate padding.  All other
-        parameters match :meth:`subscribe`.
-
-        .. deprecated::
-            Declare the preference on the spec instead:
-            ``subscribe(name, QuerySpec(...).using(algorithm).preferring(vector))``.
-        """
-        import warnings
-
-        warnings.warn(
-            "subscribe_preference is deprecated; use "
-            "subscribe(name, spec.using(algorithm).preferring(vector))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..core.clustering import validate_vector
-
-        vector = validate_vector(vector)
-        if cluster_id is None:
-            cluster_id = self.cluster_space().assign(vector)
-        options = dict(algorithm_options)
-        options["vector"] = vector
-        options["cluster_id"] = int(cluster_id)
-        options["inner"] = algorithm
-        if pad_factor is not None:
-            options["pad_factor"] = float(pad_factor)
-        return self.subscribe(
-            name,
-            spec,
-            "clustered",
-            keep_results=keep_results,
-            result_buffer=result_buffer,
-            collect_metrics=collect_metrics,
-            on_result=on_result,
-            **options,
-        )
-
     def update_preference(self, name: str, vector: Iterable[float]) -> Dict[str, object]:
         """Re-declare one preference subscription's vector mid-stream.
 
@@ -270,7 +214,8 @@ class EngineCore:
         update = getattr(subscription.algorithm, "update_vector", None)
         if update is None:
             raise AlgorithmStateError(
-                f"subscription {name!r} was not created by subscribe_preference"
+                f"subscription {name!r} has no preference vector; declare one "
+                "with subscribe(name, QuerySpec(...).preferring(vector))"
             )
         vector = tuple(vector)
         record = update(vector)
@@ -470,6 +415,7 @@ class EngineCore:
                     group.add(subscription)
                 group.prime(state.window, state.slide_index, state.plans)
                 self._register_group(group)
+                self._last_t = max(self._last_t, state.window[-1].t)
         for name in order or restored:
             self._subscriptions[name] = restored[name]
         if self._durability is not None:
@@ -490,25 +436,10 @@ class EngineCore:
         and retained results are unaffected.
         """
         self._ensure_open()
-        if not self._subscriptions:
-            raise ValueError("no queries subscribed")
-        if not self._admit_one(obj):
+        admit = self._admission_filter()
+        if admit is not None and not admit(obj):
             return {}
-        if self._durability is not None and self._durability.logs_engine_chunks:
-            self._durability.log_objects((obj,))
-        collect = self._return_results
-        produced = None
-        self._obs_ingested.inc()
-        # Snapshot: result callbacks may unsubscribe (mutating the list).
-        for group in tuple(self._groups):
-            for subscription, results in group.push(obj, collect=collect):
-                if produced is None:
-                    produced = {}
-                produced[subscription.name] = results
-        self._after_ingest()
-        if self._durability is not None:
-            self._durability.after_chunk(self, 1)
-        return self._ordered(produced)
+        return self._ordered(self._ingest((obj,), collect=self._return_results))
 
     def push_many(
         self, objects: Iterable[StreamObject], *, chunk_size: int = PUSH_MANY_CHUNK
@@ -521,6 +452,8 @@ class EngineCore:
         in O(window) memory with none of ``push``'s per-object dispatch.
         Answers are not collected (use callbacks, ``results()``, or
         ``drain()``); they are produced in the same order as with ``push``.
+        A chunk whose ``t`` decreases is rejected whole; earlier chunks of
+        the same call stay applied.
         """
         self._ensure_open()
         if chunk_size < 1:
@@ -537,49 +470,80 @@ class EngineCore:
                 continue
             chunk.append(obj)
             if len(chunk) >= chunk_size:
-                count += self._push_chunk(chunk)
+                self._ingest(chunk)
+                count += len(chunk)
                 chunk = []
                 admit = self._admission_filter()
-        if chunk:
-            count += self._push_chunk(chunk)
-        return count
-
-    def _push_chunk(self, chunk: List[StreamObject]) -> int:
-        if not self._subscriptions:
-            raise ValueError("no queries subscribed")
-        if self._durability is not None and self._durability.logs_engine_chunks:
-            self._durability.log_objects(chunk)
-        self._obs_ingested.inc(len(chunk))
-        for group in tuple(self._groups):
-            group.push_batch(chunk, collect=False)
-        self._note_chunk(len(chunk))
-        if self._durability is not None:
-            self._durability.after_chunk(self, len(chunk))
-        return len(chunk)
+        self._ingest(chunk)
+        return count + len(chunk)
 
     def push_block(self, block) -> int:
         """Feed one :class:`~repro.core.columnar.SlideBlock` as a chunk.
 
-        The zero-copy ingest path of the shm transport: the block's columns
-        flow through each query group unchanged, so slide events carry
-        block-form arrivals.  Falls back to :meth:`push_many` when an
-        admission filter is active (filters are per-object)."""
+        The block is materialised once, here, and every query group moves
+        the same objects; slide events carry block-form arrivals.  With an
+        admission filter active the admitted objects travel without their
+        block (filters are per-object)."""
         self._ensure_open()
-        if len(block) == 0:
-            return 0
-        if self._admission_filter() is not None:
-            return self.push_many(block.to_objects(), chunk_size=len(block))
+        objects = block.to_objects()
+        admit = self._admission_filter()
+        if admit is not None:
+            objects, block = [obj for obj in objects if admit(obj)], None
+        self._ingest(objects, block)
+        return len(objects)
+
+    def _ingest(
+        self,
+        objects: Sequence[StreamObject],
+        block=None,
+        collect: bool = False,
+    ) -> Optional[Dict[str, List[TopKResult]]]:
+        """The one ingest edge: every admitted chunk enters the engine here.
+
+        The chunk's arrival order is validated first, so a rejected chunk
+        leaves the engine and its write-ahead log exactly as they were.
+        Then the chunk is journaled, counted, moved through every query
+        group (``block`` is ``objects`` in column form, when the caller has
+        it) and reported to the control-plane and durability hooks.
+        Returns the answers per name when ``collect`` is set.
+        """
+        if not objects:
+            return None
         if not self._subscriptions:
             raise ValueError("no queries subscribed")
+        last_t = self._check_order(objects, block)
         if self._durability is not None and self._durability.logs_engine_chunks:
-            self._durability.log_block(block)
-        self._obs_ingested.inc(len(block))
+            self._durability.log_objects(objects)
+        self._last_t = last_t
+        self._obs_ingested.inc(len(objects))
+        produced = None
+        # Snapshot: result callbacks may unsubscribe (mutating the list).
         for group in tuple(self._groups):
-            group.push_block(block, collect=False)
-        self._note_chunk(len(block))
+            for subscription, results in group.ingest(objects, block, collect):
+                if produced is None:
+                    produced = {}
+                produced[subscription.name] = results
+        self._note_chunk(len(objects))
         if self._durability is not None:
-            self._durability.after_chunk(self, len(block))
-        return len(block)
+            self._durability.after_chunk(self, len(objects))
+        return produced
+
+    def _check_order(self, objects: Sequence[StreamObject], block) -> int:
+        """The chunk's last ``t``; raises :class:`InvalidQueryError` when
+        ``t`` decreases within the chunk or below the last admitted one."""
+        if block is not None and block.backend == "numpy":
+            ts = block.ts
+            if ts[0] >= self._last_t and not (ts[1:] < ts[:-1]).any():
+                return objects[-1].t
+        previous = self._last_t
+        for obj in objects:
+            if obj.t < previous:
+                raise InvalidQueryError(
+                    "stream objects must arrive in non-decreasing order of t; "
+                    f"got t={obj.t} after t={previous}"
+                )
+            previous = obj.t
+        return previous
 
     def flush(self) -> Dict[str, List[TopKResult]]:
         """Emit the end-of-stream report of time-based windows (if any)."""
@@ -591,7 +555,7 @@ class EngineCore:
                 if produced is None:
                     produced = {}
                 produced[subscription.name] = results
-        self._after_ingest()
+        self._note_chunk(0)
         return self._ordered(produced)
 
     def _ordered(
@@ -770,12 +734,9 @@ class EngineCore:
         if self._open_groups.get(group.key) is group:
             del self._open_groups[group.key]
 
-    def _admit_one(self, obj: StreamObject) -> bool:
-        """Admission decision of :meth:`push` (load-shedding valve)."""
-        return True
-
     def _admission_filter(self) -> Optional[Callable[[StreamObject], bool]]:
-        """Per-chunk admission filter of :meth:`push_many` (None = admit all)."""
+        """Admission filter of the next chunk (None = admit all): the
+        load-shedding valve."""
         return None
 
     def _chunk_size_for(self, requested: int) -> int:
@@ -783,7 +744,5 @@ class EngineCore:
         return requested
 
     def _note_chunk(self, count: int) -> None:
-        """A chunk of ``count`` objects finished moving through the groups."""
-
-    def _after_ingest(self) -> None:
-        """An ingest call (push / flush) completed."""
+        """A chunk of ``count`` objects finished moving through the groups
+        (``count`` is 0 after a :meth:`flush`)."""

@@ -18,9 +18,11 @@ process.  Callers describe queries with
     engine.close()
 
 All of the subscription/group bookkeeping and ingestion mechanics live in
-:class:`~repro.engine.core.EngineCore`; this class layers the adaptive
-control plane on top — controller attachment, the load-shedding valve,
-and slide-aligned chunking — through the core's hook methods.
+:class:`~repro.engine.core.EngineCore`, whose one ingest edge every push
+goes through; this class layers the adaptive control plane on top —
+controller attachment, the load-shedding valve, and slide-aligned
+chunking — through the core's three ingest hooks: the admission filter,
+the chunk size, and the per-chunk note that ticks the controller.
 
 Internally the engine buckets subscriptions into
 :class:`~repro.engine.group.QueryGroup` objects, one per window shape
@@ -54,8 +56,9 @@ class StreamEngine(EngineCore):
 
     Extends :class:`~repro.engine.core.EngineCore` with the adaptive
     control plane: an attached :class:`repro.control.AdaptiveController`
-    receives per-slide telemetry, runs its MAPE loop after every ingest
-    call, and may shed load or rebuild algorithms at slide boundaries.
+    receives per-slide telemetry, runs its MAPE loop after every ingested
+    chunk and flush, and may shed load or rebuild algorithms at slide
+    boundaries.
     """
 
     def __init__(self, *, keep_results: bool = True, return_results: bool = True) -> None:
@@ -162,15 +165,6 @@ class StreamEngine(EngineCore):
         if self._controller is not None:
             self._controller._discard_group(group)
 
-    def _admit_one(self, obj: StreamObject) -> bool:
-        controller = self._controller
-        if controller is None:
-            return True
-        if controller.shedding_active and not controller.admit(obj):
-            return False
-        controller.note_admitted(1)
-        return True
-
     def _admission_filter(self) -> Optional[Callable[[StreamObject], bool]]:
         controller = self._controller
         if controller is not None and controller.shedding_active:
@@ -187,10 +181,6 @@ class StreamEngine(EngineCore):
     def _note_chunk(self, count: int) -> None:
         if self._controller is not None:
             self._controller.note_admitted(count)
-            self._controller.tick()
-
-    def _after_ingest(self) -> None:
-        if self._controller is not None:
             self._controller.tick()
 
     # ------------------------------------------------------------------

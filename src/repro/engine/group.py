@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.columnar import SlideBlock
 from ..core.exceptions import AlgorithmStateError
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.object import StreamObject
@@ -313,33 +314,27 @@ class QueryGroup:
     # ------------------------------------------------------------------
     # Ingestion (driven by the engine)
     # ------------------------------------------------------------------
-    def push(
-        self, obj: StreamObject, collect: bool = True
+    def ingest(
+        self,
+        objects: Sequence[StreamObject],
+        block: Optional[SlideBlock] = None,
+        collect: bool = True,
     ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
-        """Feed one object; return each member's newly completed answers.
+        """Move one chunk through the shared batcher; return each member's
+        newly completed answers.
 
-        ``collect=False`` skips gathering the answers entirely (callbacks
-        and retention still run) and always returns an empty sequence.
+        ``block``, when given, is the chunk in column form (``objects`` is
+        its materialised sequence); slide events then keep block-form
+        arrivals.  ``collect=False`` skips gathering the answers entirely
+        (callbacks and retention still run) and returns an empty sequence.
         """
         if not self._started:
             self.start()
-        return self._dispatch(self._batcher.push(obj), collect)
-
-    def push_batch(
-        self, objects: Sequence[StreamObject], collect: bool = True
-    ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
-        """Feed a chunk of objects through the shared batcher at once."""
-        if not self._started:
-            self.start()
-        return self._dispatch(self._batcher.push_batch(objects), collect)
-
-    def push_block(
-        self, block, collect: bool = True
-    ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
-        """Feed a column block; slide events keep block-form arrivals."""
-        if not self._started:
-            self.start()
-        return self._dispatch(self._batcher.push_block(block), collect)
+        if block is None:
+            events = self._batcher.push_batch(objects)
+        else:
+            events = self._batcher.push_block(block, objects)
+        return self._dispatch(events, collect)
 
     def flush(
         self, collect: bool = True

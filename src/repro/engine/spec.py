@@ -26,10 +26,8 @@ rules: shape problems raise
 :class:`~repro.core.exceptions.InvalidQueryError`, preference problems
 raise :class:`~repro.streams.preference.PreferenceError`.
 
-The legacy positional forms (``subscribe(name, spec, "SAP", **options)``
-and ``subscribe_preference(...)``) still work; ``subscribe_preference``
-is a thin shim over a preference-carrying spec and emits
-``DeprecationWarning``.
+The legacy positional form (``subscribe(name, spec, "SAP", **options)``)
+still works.
 """
 
 from __future__ import annotations

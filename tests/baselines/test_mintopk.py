@@ -35,6 +35,13 @@ class TestExactness:
             _run(BruteForceTopK(query), decreasing_stream),
         )
 
+    def test_matches_brute_force_on_a_stream_not_starting_at_zero(self):
+        # A query that joins an engine mid-stream sees its first window
+        # start at some t > 0; positions count from that first arrival.
+        query = TopKQuery(n=18, k=1, s=6)
+        objects = make_objects(random_scores(120, seed=0))[12:]
+        assert results_agree(_run(MinTopK(query), objects), _run(BruteForceTopK(query), objects))
+
     def test_rejects_time_based_windows(self):
         with pytest.raises(InvalidQueryError):
             MinTopK(TopKQuery(n=100, k=5, s=10, time_based=True))

@@ -10,7 +10,7 @@ sharded round-trips) with small deterministic cases.
 
 import pytest
 
-from repro import StreamEngine, TopKQuery
+from repro import QuerySpec, StreamEngine
 from repro.core.clustering import (
     DEFAULT_PAD_FACTOR,
     DEFAULT_SIMILARITY,
@@ -141,9 +141,8 @@ ROWS = [
 class TestEngineIntegration:
     def test_two_members_form_a_cluster_plan(self):
         engine = StreamEngine()
-        query = TopKQuery(n=12, k=3, s=4)
-        engine.subscribe_preference("a", query, (1.0, 0.2, 0.0))
-        engine.subscribe_preference("b", query, (0.99, 0.21, 0.0))
+        engine.subscribe("a", QuerySpec(n=12, k=3, s=4).preferring((1.0, 0.2, 0.0)))
+        engine.subscribe("b", QuerySpec(n=12, k=3, s=4).preferring((0.99, 0.21, 0.0)))
         engine.push_many(_attribute_objects(ROWS))
         plans = [p for g in engine.groups() for p in g["plans"]]
         assert [p["kind"] for p in plans] == ["cluster"]
@@ -154,7 +153,7 @@ class TestEngineIntegration:
 
     def test_lone_member_runs_private(self):
         engine = StreamEngine()
-        engine.subscribe_preference("solo", TopKQuery(n=12, k=3, s=4), (1.0, 0.2, 0.0))
+        engine.subscribe("solo", QuerySpec(n=12, k=3, s=4).preferring((1.0, 0.2, 0.0)))
         engine.push_many(_attribute_objects(ROWS))
         assert engine.subscription("solo").snapshot()["cluster"]["mode"] == "private"
         assert not [p for g in engine.groups() for p in g["plans"]]
@@ -162,9 +161,8 @@ class TestEngineIntegration:
 
     def test_unattributed_objects_sort_last_not_crash(self):
         engine = StreamEngine()
-        query = TopKQuery(n=6, k=2, s=3)
-        engine.subscribe_preference("a", query, (1.0, 1.0, 1.0))
-        engine.subscribe_preference("b", query, (1.0, 0.99, 1.0))
+        engine.subscribe("a", QuerySpec(n=6, k=2, s=3).preferring((1.0, 1.0, 1.0)))
+        engine.subscribe("b", QuerySpec(n=6, k=2, s=3).preferring((1.0, 0.99, 1.0)))
         mixed = _attribute_objects(ROWS[:30])
         mixed[7] = StreamObject(score=0.0, t=7, payload=None)  # no attributes
         engine.push_many(mixed)
@@ -175,9 +173,8 @@ class TestEngineIntegration:
 
     def test_update_preference_inside_envelope_stays_shared(self):
         engine = StreamEngine()
-        query = TopKQuery(n=12, k=3, s=4)
-        engine.subscribe_preference("a", query, (1.0, 0.5, 0.0), cluster_id=0)
-        engine.subscribe_preference("b", query, (0.5, 1.0, 0.0), cluster_id=0)
+        engine.subscribe("a", QuerySpec(n=12, k=3, s=4).preferring((1.0, 0.5, 0.0), cluster_id=0))
+        engine.subscribe("b", QuerySpec(n=12, k=3, s=4).preferring((0.5, 1.0, 0.0), cluster_id=0))
         engine.push_many(_attribute_objects(ROWS[:40]))
         record = engine.update_preference("a", (0.8, 0.8, 0.0))  # under the envelope
         assert record["mode"] == "shared"
@@ -187,9 +184,8 @@ class TestEngineIntegration:
 
     def test_update_preference_outside_envelope_counts_drift(self):
         engine = StreamEngine()
-        query = TopKQuery(n=12, k=3, s=4)
-        engine.subscribe_preference("a", query, (1.0, 0.5, 0.0), cluster_id=0)
-        engine.subscribe_preference("b", query, (0.5, 1.0, 0.0), cluster_id=0)
+        engine.subscribe("a", QuerySpec(n=12, k=3, s=4).preferring((1.0, 0.5, 0.0), cluster_id=0))
+        engine.subscribe("b", QuerySpec(n=12, k=3, s=4).preferring((0.5, 1.0, 0.0), cluster_id=0))
         engine.push_many(_attribute_objects(ROWS[:40]))
         record = engine.update_preference("a", (3.0, 3.0, 3.0))
         assert record["mode"] == "drifted"
@@ -200,7 +196,7 @@ class TestEngineIntegration:
 
     def test_dimension_change_rejected(self):
         engine = StreamEngine()
-        engine.subscribe_preference("a", TopKQuery(n=12, k=3, s=4), (1.0, 0.5))
+        engine.subscribe("a", QuerySpec(n=12, k=3, s=4).preferring((1.0, 0.5)))
         with pytest.raises(InvalidQueryError):
             engine.update_preference("a", (1.0, 0.5, 0.2))
         engine.close()
@@ -213,7 +209,6 @@ class TestShardedIntegration:
         local = StreamEngine()
         sharded = ShardedStreamEngine(shards=2, placement="hash-cluster")
         try:
-            query = TopKQuery(n=12, k=3, s=4)
             vectors = {
                 "a": (1.0, 0.2, 0.0),
                 "b": (0.99, 0.21, 0.0),
@@ -221,8 +216,8 @@ class TestShardedIntegration:
                 "d": (0.0, 0.29, 0.98),
             }
             for name, vector in vectors.items():
-                local.subscribe_preference(name, query, vector)
-                sharded.subscribe_preference(name, query, vector)
+                local.subscribe(name, QuerySpec(n=12, k=3, s=4).preferring(vector))
+                sharded.subscribe(name, QuerySpec(n=12, k=3, s=4).preferring(vector))
             objects = _attribute_objects(ROWS)
             local.push_many(objects)
             sharded.push_many(objects)

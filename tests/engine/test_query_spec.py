@@ -179,16 +179,6 @@ class TestWireForm:
 
 
 class TestLegacyShims:
-    def test_subscribe_preference_emits_deprecation_warning(self):
-        from repro.engine import StreamEngine
-
-        engine = StreamEngine()
-        with pytest.warns(DeprecationWarning, match="subscribe_preference"):
-            engine.subscribe_preference(
-                "p", QuerySpec(n=10, k=2, s=5), (1.0, 0.5)
-            )
-        assert "p" in engine.subscriptions()
-
     def test_spec_with_execution_rejects_algorithm_argument(self):
         from repro.engine import StreamEngine
 

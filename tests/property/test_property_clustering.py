@@ -15,7 +15,7 @@ drift past the cluster envelope.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import StreamEngine, TopKQuery
+from repro import QuerySpec, StreamEngine, TopKQuery
 from repro.core.clustering import linear_scores
 from repro.core.object import StreamObject
 
@@ -99,6 +99,17 @@ def _reference_results(vector, rows, query, inner):
     return results
 
 
+def _member_spec(query, inner, vector):
+    """A cluster member over ``query``'s window.  The cluster id is pinned:
+    the property is about the shared plan's exactness, not the assignment
+    heuristic."""
+    return (
+        QuerySpec(n=query.n, k=query.k, s=query.s)
+        .using(inner)
+        .preferring(vector, cluster_id=0)
+    )
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=attribute_stream, vectors=cluster_vectors, shape=shape_strategy)
 def test_clustered_members_equal_independent_engines(rows, vectors, shape):
@@ -109,11 +120,7 @@ def test_clustered_members_equal_independent_engines(rows, vectors, shape):
     for inner in INNER_CORES:
         engine = StreamEngine()
         for index, vector in enumerate(vectors):
-            # Pinned cluster id: the property is about the shared plan's
-            # exactness, not the assignment heuristic.
-            engine.subscribe_preference(
-                f"m{index}", query, vector, algorithm=inner, cluster_id=0
-            )
+            engine.subscribe(f"m{index}", _member_spec(query, inner, vector))
         engine.push_many(_attribute_objects(rows))
 
         # The members really did share one cluster plan.
@@ -156,9 +163,7 @@ def test_drifted_member_falls_back_exactly(rows, vectors, shape, scale, split):
     for inner in INNER_CORES:
         engine = StreamEngine()
         for index, vector in enumerate(vectors):
-            engine.subscribe_preference(
-                f"m{index}", query, vector, algorithm=inner, cluster_id=0
-            )
+            engine.subscribe(f"m{index}", _member_spec(query, inner, vector))
         objects = _attribute_objects(rows)
         engine.push_many(objects[:cut])
         results_before = len(engine.results("m0"))
