@@ -482,13 +482,13 @@ class EngineCore:
 
         The block is materialised once, here, and every query group moves
         the same objects; slide events carry block-form arrivals.  With an
-        admission filter active the admitted objects travel without their
-        block (filters are per-object)."""
+        admission filter active it falls back to :meth:`push_many`, which
+        filters per object and keeps the control plane's slide-aligned
+        chunks."""
         self._ensure_open()
         objects = block.to_objects()
-        admit = self._admission_filter()
-        if admit is not None:
-            objects, block = [obj for obj in objects if admit(obj)], None
+        if objects and self._admission_filter() is not None:
+            return self.push_many(objects, chunk_size=len(objects))
         self._ingest(objects, block)
         return len(objects)
 
@@ -511,7 +511,7 @@ class EngineCore:
             return None
         if not self._subscriptions:
             raise ValueError("no queries subscribed")
-        last_t = self._check_order(objects, block)
+        last_t = self._check_order(objects)
         if self._durability is not None and self._durability.logs_engine_chunks:
             self._durability.log_objects(objects)
         self._last_t = last_t
@@ -528,13 +528,9 @@ class EngineCore:
             self._durability.after_chunk(self, len(objects))
         return produced
 
-    def _check_order(self, objects: Sequence[StreamObject], block) -> int:
+    def _check_order(self, objects: Sequence[StreamObject]) -> int:
         """The chunk's last ``t``; raises :class:`InvalidQueryError` when
         ``t`` decreases within the chunk or below the last admitted one."""
-        if block is not None and block.backend == "numpy":
-            ts = block.ts
-            if ts[0] >= self._last_t and not (ts[1:] < ts[:-1]).any():
-                return objects[-1].t
         previous = self._last_t
         for obj in objects:
             if obj.t < previous:
