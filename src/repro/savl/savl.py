@@ -1,37 +1,42 @@
 """The baseline S-AVL structure (Section 5.1 of the paper).
 
 S-AVL stores the meaningful objects of a partition in ``k − ρ`` stacks whose
-top entries are indexed by an AVL tree:
+top entries are indexed in rank order:
 
 * objects are scanned in *reverse arrival order*, so every entry of a stack
   arrived no later than the entries below it — within a stack the top entry
   has the highest score and the earliest arrival;
-* an object that cannot be pushed on any stack (its score is below every
-  stack top) is dominated by at least ``k − ρ`` later-arriving objects of
-  the same partition, which together with the ``ρ`` global dominators makes
-  ``k`` dominators, so it is pruned;
+* an object goes on the stack with the largest top below it; one that cannot
+  be pushed on any stack is dominated by at least ``k − ρ`` later-arriving
+  objects of the same partition, which together with the ``ρ`` global
+  dominators makes ``k`` dominators, so it is pruned;
 * objects whose rank falls below the global threshold ``F_θ`` (the k-th best
   candidate contributed by later partitions) are pruned outright.
 
-Promotion of the best remaining meaningful object is ``O(log k)``: read the
-AVL maximum, pop it from its stack, and re-insert the stack's new top.
-Because tops arrive earliest within their stack, expired entries always
-surface at stack tops and can be discarded lazily.
+The tops index is an ascending list of rank keys with the stack indices in
+lockstep, searched with :mod:`bisect`, for the reason the
+:class:`~repro.core.candidates.CandidateSet` docstring gives: contiguous
+lists beat pointer-chasing a balanced tree, with the same ordering.  The
+chosen top's key is replaced in place — the tops keep their relative order
+(Section 5.1) — so a push is one ``O(log k)`` search.  Promotion pops the
+list tail and re-inserts the stack's new top by bisection.  Because tops
+arrive earliest within their stack, expired entries always surface at stack
+tops and can be discarded lazily.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Tuple
 
 from ..core.object import StreamObject
-from ..structures.avl import AVLTree
 from .meaningful import MeaningfulSet
 
 RankKey = Tuple[float, int]
 
 
 class SAVL(MeaningfulSet):
-    """Stacks + AVL container for the meaningful objects of one partition."""
+    """Stacks + sorted top-key index for the meaningful objects of one partition."""
 
     def __init__(self, num_stacks: int, global_threshold: Optional[RankKey] = None) -> None:
         if num_stacks <= 0:
@@ -39,8 +44,10 @@ class SAVL(MeaningfulSet):
         self._num_stacks = num_stacks
         self._global_threshold = global_threshold
         self._stacks: List[List[StreamObject]] = []
-        # Maps the rank key of each stack's top entry to the stack index.
-        self._tops = AVLTree()
+        #: Rank keys of the non-empty stacks' tops in ascending order, with
+        #: the owning stack indices kept in lockstep.
+        self._keys: List[RankKey] = []
+        self._index: List[int] = []
         self._size = 0
         self._pruned = 0
 
@@ -117,41 +124,27 @@ class SAVL(MeaningfulSet):
         Returns ``False`` when the object is pruned by the global threshold
         or by the local stack-top comparison.
         """
-        if self._global_threshold is not None and obj.rank_key < self._global_threshold:
+        key = obj.rank_key
+        if self._global_threshold is not None and key < self._global_threshold:
             self._pruned += 1
             return False
 
+        keys = self._keys
+        pos = bisect_left(keys, key)
         if len(self._stacks) < self._num_stacks:
+            keys.insert(pos, key)
+            self._index.insert(pos, len(self._stacks))
             self._stacks.append([obj])
-            self._tops.insert(obj.rank_key, len(self._stacks) - 1)
-            self._size += 1
-            return True
-
-        # Choose, among the stacks whose top ranks below the object, the one
-        # with the largest top — this keeps the relative order of the AVL
-        # entries unchanged (Section 5.1).
-        target = self._best_stack_below(obj.rank_key)
-        if target is None:
+        elif pos:
+            # The stack with the largest top below the object takes it; the
+            # next top ranks at least as high, so the list stays sorted.
+            self._stacks[self._index[pos - 1]].append(obj)
+            keys[pos - 1] = key
+        else:
             self._pruned += 1
             return False
-
-        stack = self._stacks[target]
-        old_top = stack[-1]
-        self._tops.remove(old_top.rank_key)
-        stack.append(obj)
-        self._tops.insert(obj.rank_key, target)
         self._size += 1
         return True
-
-    def _best_stack_below(self, key: RankKey) -> Optional[int]:
-        best: Optional[int] = None
-        best_key: Optional[RankKey] = None
-        for top_key, index in self._tops.items_descending():
-            if top_key < key:
-                best, best_key = index, top_key
-                break
-        del best_key
-        return best
 
     # ------------------------------------------------------------------
     # MeaningfulSet protocol
@@ -160,10 +153,8 @@ class SAVL(MeaningfulSet):
         return self._size
 
     def pop_best(self, watermark_t: int) -> Optional[StreamObject]:
-        while self._tops:
-            key, index = self._tops.max_item()
-            obj = self._discard_top(index)
-            assert obj.rank_key == key
+        while self._keys:
+            obj = self._discard_top()
             if obj.t >= watermark_t:
                 return obj
         return None
@@ -174,33 +165,37 @@ class SAVL(MeaningfulSet):
         Expired entries encountered at stack tops are discarded on the way,
         which is safe because expired entries can only be stack tops.
         """
-        while self._tops:
-            key, index = self._tops.max_item()
-            top = self._stacks[index][-1]
-            if top.t >= watermark_t:
-                return key
-            self._discard_top(index)
+        while self._keys:
+            if self._stacks[self._index[-1]][-1].t >= watermark_t:
+                return self._keys[-1]
+            self._discard_top()
         return None
 
     def prune_expired(self, watermark_t: int) -> None:
         # Expired entries can only be stack tops (tops arrive earliest in
-        # their stack), so repeatedly discard expired tops.
-        changed = True
-        while changed:
-            changed = False
-            for key, index in list(self._tops.items()):
-                top = self._stacks[index][-1]
-                if top.t < watermark_t:
-                    self._discard_top(index)
-                    changed = True
+        # their stack): pop them off every stack, then re-index the tops once.
+        size = self._size
+        for stack in self._stacks:
+            while stack and stack[-1].t < watermark_t:
+                stack.pop()
+                self._size -= 1
+        if self._size != size:
+            tops = sorted((s[-1].rank_key, i) for i, s in enumerate(self._stacks) if s)
+            self._keys = [key for key, _ in tops]
+            self._index = [index for _, index in tops]
 
-    def _discard_top(self, stack_index: int) -> StreamObject:
+    def _discard_top(self) -> StreamObject:
+        """Pop the best top off its stack and re-index the stack's new top."""
+        self._keys.pop()
+        stack_index = self._index.pop()
         stack = self._stacks[stack_index]
         obj = stack.pop()
-        self._tops.remove(obj.rank_key)
         self._size -= 1
         if stack:
-            self._tops.insert(stack[-1].rank_key, stack_index)
+            key = stack[-1].rank_key
+            pos = bisect_left(self._keys, key)
+            self._keys.insert(pos, key)
+            self._index.insert(pos, stack_index)
         return obj
 
     # ------------------------------------------------------------------
@@ -228,6 +223,11 @@ class SAVL(MeaningfulSet):
             for below, above in zip(stack, stack[1:]):
                 assert below.rank_key <= above.rank_key, "stack score order violated"
                 assert below.t >= above.t, "stack arrival order violated"
-        live_tops = {stack[-1].rank_key for stack in self._stacks if stack}
-        assert set(self._tops.keys()) == live_tops, "AVL tops out of sync"
+        keys = self._keys
+        assert all(low < high for low, high in zip(keys, keys[1:])), "top keys not ascending"
+        assert sorted(self._index) == [
+            index for index, stack in enumerate(self._stacks) if stack
+        ], "top index does not cover exactly the non-empty stacks"
+        for key, index in zip(keys, self._index):
+            assert self._stacks[index][-1].rank_key == key, "top key is not its stack's top"
         assert self._size == sum(len(stack) for stack in self._stacks)

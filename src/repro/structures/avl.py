@@ -1,11 +1,10 @@
-"""A from-scratch AVL tree used as the ordered-map substrate of the library.
+"""A from-scratch, order-statistic augmented AVL tree.
 
-The paper relies on balanced search trees in several places: each partition
-maintains its top-k objects ``P_i^k`` in an AVL tree (Section 3.1), the
-S-AVL structure keeps the top entries of its stacks in an AVL tree
-(Section 5.1), and the candidate sets of SAP and of the baselines need
-ordered access by score.  This module provides a single, order-statistic
-augmented AVL tree that covers all of those uses.
+The paper uses balanced search trees for each partition's ``P_i^k``
+(Section 3.1), the S-AVL stack tops (Section 5.1) and the candidate sets.
+Here the tree serves the baselines and the dominance statistics; SAP's
+partitions, candidate set and S-AVL tops are sorted lists with the same
+ordering semantics and cheaper constants.
 
 Keys may be any mutually comparable values; the library conventionally uses
 ``(score, arrival_order)`` tuples so that the tree realises the global total
@@ -288,9 +287,10 @@ class AVLTree:
         return result
 
     # ------------------------------------------------------------------
-    # Serialization (the cluster's state layer pickles trees across
-    # process boundaries)
+    # Serialization
     # ------------------------------------------------------------------
+    # State capture pickles respawned algorithms, whose trees are still
+    # empty; a populated tree is pickled only when a caller pickles it.
     # The wire form is the sorted item list, not the node graph: it is
     # independent of the incidental tree topology (two trees holding the
     # same mapping serialize identically), far more compact than pickling
@@ -312,7 +312,7 @@ class AVLTree:
         mid = (low + high) // 2
         node = _Node(*items[mid])
         node.left = AVLTree._build_balanced(items, low, mid)
-        node.right = AVLTree._build_balanced(items, mid, high)
+        node.right = AVLTree._build_balanced(items, mid + 1, high)
         _update(node)
         return node
 

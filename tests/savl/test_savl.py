@@ -1,5 +1,7 @@
 """Unit tests for the baseline S-AVL structure."""
 
+import math
+import random
 
 import pytest
 
@@ -131,3 +133,39 @@ class TestExpiry:
         savl = SAVL.build(objects, num_stacks=2)
         savl.prune_expired(watermark_t=100)
         assert len(savl) == 0
+
+
+def _counted(method):
+    def compare(self, other):
+        CountingScore.comparisons += 1
+        return method(self, other)
+
+    return compare
+
+
+class CountingScore(float):
+    """A score that counts every comparison made against it."""
+
+    comparisons = 0
+    __lt__ = _counted(float.__lt__)
+    __le__ = _counted(float.__le__)
+    __gt__ = _counted(float.__gt__)
+    __ge__ = _counted(float.__ge__)
+    __eq__ = _counted(float.__eq__)
+    __ne__ = _counted(float.__ne__)
+    __hash__ = float.__hash__
+
+
+class TestComplexity:
+    def test_push_is_logarithmic_in_the_stack_count(self):
+        # Section 5.1: a push finds the stack with the largest top below
+        # the object by searching the ordered tops, not by walking them.
+        num_stacks, count = 256, 2000
+        rng = random.Random(5)
+        objects = [StreamObject(score=CountingScore(rng.random()), t=t) for t in range(count)]
+        savl = SAVL(num_stacks=num_stacks)
+        CountingScore.comparisons = 0
+        for obj in reversed(objects):
+            savl.push(obj)
+        savl.check_invariants()
+        assert CountingScore.comparisons / count < 4 * math.log2(num_stacks)

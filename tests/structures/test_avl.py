@@ -1,5 +1,6 @@
 """Unit tests for the order-statistic AVL tree."""
 
+import pickle
 import random
 
 import pytest
@@ -124,6 +125,18 @@ class TestIteration:
         tree.insert(2, "b")
         tree.insert(1, "a")
         assert tree.values() == ["a", "b"]
+
+
+class TestPickle:
+    @pytest.mark.parametrize("size", [0, 1, 2, 100])
+    def test_round_trip_keeps_items_and_balance(self, size):
+        tree = AVLTree()
+        for key in random.Random(size).sample(range(10 * size + 1), size):
+            tree.insert(key, str(key))
+        restored = pickle.loads(pickle.dumps(tree))
+        assert list(restored.items()) == list(tree.items())
+        assert len(restored) == size
+        restored.check_invariants()
 
 
 class TestStress:
