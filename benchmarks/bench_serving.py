@@ -6,7 +6,7 @@ layer's overhead across PRs.
 
 Two measurements, both over real sockets against ``repro.serve``:
 
-* **Sustained ingestion** — events/second through ``POST /events`` with
+* **Sustained ingestion** — events/second through ``POST /v1/events`` with
   mixed-window subscriptions attached, batched the way a real producer
   would batch (hundreds of events per request, keep-alive connection).
   The answers the server delivers are checked byte-for-byte against an
@@ -28,7 +28,7 @@ from repro.serve import ServeConfig, run_in_thread
 
 from conftest import run_sweep
 
-#: Events per POST /events request: large enough to amortise HTTP
+#: Events per POST /v1/events request: large enough to amortise HTTP
 #: round-trips, small enough to stay far under the body limit.
 BATCH = 500
 
@@ -97,7 +97,7 @@ def measure_serving(scale):
             for index, (n, k, s) in enumerate(shapes):
                 status, _ = client.request(
                     "POST",
-                    "/subscriptions",
+                    "/v1/subscriptions",
                     {"name": f"q{index}", "n": n, "k": k, "s": s},
                 )
                 assert status == 201, f"subscribe q{index} failed with {status}"
@@ -111,7 +111,7 @@ def measure_serving(scale):
                     {"id": f"e{begin + i}", "score": score}
                     for i, score in enumerate(scores[begin : begin + BATCH])
                 ]
-                status, body = client.request("POST", "/events", {"events": events})
+                status, body = client.request("POST", "/v1/events", {"events": events})
                 assert status == 200
                 accepted += body["accepted"]
             ingest_seconds = time.perf_counter() - started
@@ -127,7 +127,7 @@ def measure_serving(scale):
                 served = {}
                 for index in range(len(shapes)):
                     _, body = client.request(
-                        "GET", f"/subscriptions/q{index}/results"
+                        "GET", f"/v1/subscriptions/q{index}/results"
                     )
                     served[f"q{index}"] = [
                         (
@@ -151,17 +151,17 @@ def measure_serving(scale):
             for cycle in range(cycles):
                 status, _ = client.request(
                     "POST",
-                    "/subscriptions",
+                    "/v1/subscriptions",
                     {"name": f"churn-{cycle}", "n": 100, "k": 5, "s": 10},
                 )
                 assert status == 201
                 status, _ = client.request(
-                    "DELETE", f"/subscriptions/churn-{cycle}"
+                    "DELETE", f"/v1/subscriptions/churn-{cycle}"
                 )
                 assert status == 204
             churn_seconds = time.perf_counter() - started
 
-            _, stats = client.request("GET", "/stats")
+            _, stats = client.request("GET", "/v1/stats")
         finally:
             client.close()
 

@@ -69,64 +69,41 @@ def mixed_workload(scale):
 
 
 def sharding_sweep(scale):
-    """One row per transport: the queue row keeps the full exactness
-    battery (verify + mid-stream rebalance); the shm row re-verifies
-    byte-identity over the shared-memory ring and carries the per-batch
-    serialize/transfer/deserialize breakdown for both."""
-    rows = []
-    for transport, rebalance in (("queue", True), ("shm", False)):
-        rows.append(
-            measure_sharding(
-                dataset="STOCK",
-                workload=mixed_workload(scale),
-                algorithm="SAP",
-                stream_length=scale.stream_length,
-                shards=SHARDS,
-                placement="hash-window",
-                verify=True,
-                rebalance=rebalance,
-                transport=transport,
-            )
+    """One row with the full exactness battery (verify + mid-stream
+    rebalance) and the per-batch serialize/transfer/deserialize
+    breakdown."""
+    return [
+        measure_sharding(
+            dataset="STOCK",
+            workload=mixed_workload(scale),
+            algorithm="SAP",
+            stream_length=scale.stream_length,
+            shards=SHARDS,
+            placement="hash-window",
+            verify=True,
+            rebalance=True,
         )
-    return rows
+    ]
 
 
 def write_trajectory(rows, scale) -> None:
-    by_transport = {row["transport"]: row for row in rows}
-    queue_row = by_transport.get("queue", rows[0])
-    shm_row = by_transport.get("shm")
+    row = rows[0]
     headline = {
-        "speedup": round(queue_row["speedup"], 3),
+        "speedup": round(row["speedup"], 3),
         "single_process_objects_per_second": round(
-            queue_row["single_process"]["objects_per_second"], 1
+            row["single_process"]["objects_per_second"], 1
         ),
-        "sharded_objects_per_second": round(
-            queue_row["sharded"]["objects_per_second"], 1
-        ),
-        "exact": all(row["exact"] for row in rows),
-        "rebalance_exact": queue_row["rebalance_exact"],
+        "sharded_objects_per_second": round(row["sharded"]["objects_per_second"], 1),
+        "exact": row["exact"],
+        "rebalance_exact": row["rebalance_exact"],
     }
-    if shm_row is not None:
-        breakdown = shm_row["transport_breakdown"]
-        headline["shm"] = {
-            "speedup": round(shm_row["speedup"], 3),
-            "sharded_objects_per_second": round(
-                shm_row["sharded"]["objects_per_second"], 1
-            ),
-            "exact": shm_row["exact"],
-            "bytes_per_event": round(breakdown["bytes_per_event"], 1),
-            "serialize_seconds": round(breakdown["serialize_seconds"], 4),
-            "transfer_seconds": round(breakdown["transfer_seconds"], 4),
-            "deserialize_seconds": round(breakdown["deserialize_seconds"], 4),
-        }
     payload = {
         "benchmark": "sharding",
         "scale": scale.name,
-        "queries": queue_row["queries"],
-        "shards": queue_row["shards"],
-        "placement": "pinned" if queue_row["pinned"] else queue_row["placement"],
-        "cpu_count": queue_row["cpu_count"],
-        "transports": sorted(by_transport),
+        "queries": row["queries"],
+        "shards": row["shards"],
+        "placement": "pinned" if row["pinned"] else row["placement"],
+        "cpu_count": row["cpu_count"],
         "rows": rows,
         "headline": headline,
     }
@@ -146,7 +123,6 @@ def test_sharding(benchmark, scale):
         f"Sharding ({scale.name} scale): {row['queries']} mixed-window queries, "
         f"one process vs {row['shards']} shards on {row['cpu_count']} core(s)",
         [
-            "transport",
             "single s",
             "sharded s",
             "speedup",
@@ -159,7 +135,6 @@ def test_sharding(benchmark, scale):
         ],
         [
             [
-                each["transport"],
                 each["single_process"]["seconds"],
                 each["sharded"]["seconds"],
                 each["speedup"],
@@ -177,14 +152,10 @@ def test_sharding(benchmark, scale):
     write_results("sharding", table, raw={"rows": rows})
     write_trajectory(rows, scale)
 
-    # Correctness bars hold on any hardware and over any transport: the
-    # sharded plane must be indistinguishable from the single-process
-    # engine, including across a mid-stream rebalance.
-    for each in rows:
-        assert each["exact"], (
-            f"sharded answers over the {each['transport']} transport differ "
-            "from the single-process engine"
-        )
+    # Correctness bars hold on any hardware: the sharded plane must be
+    # indistinguishable from the single-process engine, including across
+    # a mid-stream rebalance.
+    assert row["exact"], "sharded answers differ from the single-process engine"
     assert row["rebalance_exact"], "a mid-stream rebalance changed answers"
 
     # The throughput bar needs actual cores to parallelise over, and a

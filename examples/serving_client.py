@@ -3,7 +3,7 @@
 This example boots ``repro serve`` in-process (the same server the CLI
 command runs), then plays both sides of the network:
 
-* the **producer** POSTs stock ticks to ``/events`` in at-least-once
+* the **producer** POSTs stock ticks to ``/v1/events`` in at-least-once
   style — every batch is sent *twice*, and the server's idempotent
   dedupe window collapses the redeliveries before the engine sees them;
 * the **consumer** opens the SSE stream of a subscription and prints the
@@ -100,7 +100,7 @@ def main() -> int:
 
     with run_in_thread(ServeConfig(port=0, linger_ms=20)) as handle:
         print(f"server    : {handle.base_url}")
-        created = request(handle.base_url, "POST", "/subscriptions", QUERY)
+        created = request(handle.base_url, "POST", "/v1/subscriptions", QUERY)
         print(
             f"subscribed: {created['name']} "
             f"(n={QUERY['n']}, k={QUERY['k']}, s={QUERY['s']})"
@@ -109,7 +109,7 @@ def main() -> int:
         records, ready = [], threading.Event()
         consumer = threading.Thread(
             target=consume_sse,
-            args=(handle.port, f"/subscriptions/{QUERY['name']}/stream", records, ready),
+            args=(handle.port, f"/v1/subscriptions/{QUERY['name']}/stream", records, ready),
             daemon=True,
         )
         consumer.start()
@@ -122,16 +122,16 @@ def main() -> int:
                 for i, score in enumerate(scores[begin : begin + BATCH])
             ]
             # At-least-once producer: every batch is delivered twice.
-            request(handle.base_url, "POST", "/events", {"events": events})
-            reply = request(handle.base_url, "POST", "/events", {"events": events})
+            request(handle.base_url, "POST", "/v1/events", {"events": events})
+            reply = request(handle.base_url, "POST", "/v1/events", {"events": events})
             duplicates += reply["duplicates"]
         print(f"produced  : {len(scores)} ticks, {duplicates} redeliveries deduped")
 
         expected = embedded_answers(scores)
         polled = request(
-            handle.base_url, "GET", f"/subscriptions/{QUERY['name']}/results"
+            handle.base_url, "GET", f"/v1/subscriptions/{QUERY['name']}/results"
         )["results"]
-        stats = request(handle.base_url, "GET", f"/subscriptions/{QUERY['name']}")
+        stats = request(handle.base_url, "GET", f"/v1/subscriptions/{QUERY['name']}")
         print(
             f"delivered : {stats['results_pushed']} answers "
             f"({stats['clients']} streaming client)"

@@ -118,17 +118,7 @@ __all__ = [
     "create_algorithm",
     "algorithm_names",
     "algorithm_factories",
-    "algorithm_registry",
     "RunReport",
     "run_algorithm",
     "compare_algorithms",
 ]
-
-
-def algorithm_registry():
-    """Factories of every algorithm keyed by the names used in the paper.
-
-    Deprecated alias of :func:`repro.registry.algorithm_factories`; the
-    single source of truth is :mod:`repro.registry`.
-    """
-    return algorithm_factories()

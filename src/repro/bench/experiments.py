@@ -232,7 +232,6 @@ def measure_sharding(
     placement: str = "hash-window",
     verify: bool = True,
     rebalance: bool = True,
-    transport: str = "queue",
     repeats: int = 3,
 ) -> Dict[str, object]:
     """The sharded plane against one single-process engine.
@@ -249,8 +248,7 @@ def measure_sharding(
     third sharded run moves one subscription to another shard mid-stream
     and its answers are checked against the uninterrupted reference.
 
-    ``transport`` picks the router's data path (``"queue"`` or ``"shm"``);
-    the timing run also collects the router/worker transport counters and
+    The timing run also collects the router/worker transport counters and
     reports a per-batch breakdown (serialize/transfer/deserialize seconds
     plus bytes per event) under ``"transport_breakdown"``.  Both timing
     legs take the minimum over ``repeats`` fresh runs: a cold worker pool
@@ -289,7 +287,7 @@ def measure_sharding(
         keep: bool, move: Optional[Tuple[str, int]] = None
     ) -> Tuple[float, Dict[str, List]]:
         with ShardedStreamEngine(
-            shards, placement=placement, keep_results=keep, transport=transport
+            shards, placement=placement, keep_results=keep
         ) as engine:
             for name, query, shard in entries:
                 engine.subscribe(name, query, algorithm=algorithm, shard=shard)
@@ -359,7 +357,6 @@ def measure_sharding(
         "placement": placement,
         "pinned": any(shard is not None for _, _, shard in entries),
         "cpu_count": os.cpu_count(),
-        "transport": transport,
         "transport_breakdown": transport_breakdown(),
         "single_process": {
             "seconds": single_seconds,
@@ -423,7 +420,7 @@ def measure_control_overhead(
       measurement is robust to scheduler noise, which easily exceeds the
       low-single-digit signal on whole-run timings.
     * ``wallclock_overhead_fraction`` — the classic A/B wall-clock delta
-      over interleaved, GC-fenced runs (minimum of ``repeats``), kept as
+      over interleaved, GC-disabled runs (minimum of ``repeats``), kept as
       corroboration.
     """
     import gc

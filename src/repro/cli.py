@@ -67,19 +67,9 @@ class CliCommand:
 #: Flags shared verbatim by several subcommands.  Each entry is the one
 #: definition (argparse names + kwargs); commands opt in with
 #: :func:`_add_flags`, so a shared flag cannot drift in spelling, default,
-#: or semantics between ``repro serve``, ``repro shard``, ``repro
-#: control``, and ``repro trace``.
+#: or semantics between ``repro serve``, ``repro shard`` and ``repro
+#: control``.
 SHARED_FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict[str, object]]] = {
-    "transport": (
-        ("--transport",),
-        dict(
-            default="queue",
-            choices=("queue", "shm"),
-            help="sharded data path to the workers: per-worker command "
-            "queues, or zero-copy shared-memory rings carrying columnar "
-            "chunks",
-        ),
-    ),
     "durability-dir": (
         ("--durability-dir",),
         dict(
@@ -441,7 +431,7 @@ def _configure_shard(sub: argparse.ArgumentParser) -> None:
         help="result sizes, cycled over the generated queries",
     )
     sub.add_argument("--shards", type=int, default=4, help="worker processes")
-    _add_flags(sub, "transport", "durability-dir", "policy")
+    _add_flags(sub, "durability-dir", "policy")
     sub.add_argument(
         "--queries",
         type=int,
@@ -492,7 +482,6 @@ def _command_shard(args: argparse.Namespace) -> int:
     with ShardedStreamEngine(
         args.shards,
         placement=args.placement,
-        transport=args.transport,
         durability_dir=args.durability_dir,
     ) as engine:
         for name, query in workload:
@@ -583,7 +572,7 @@ def _configure_serve(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--shards", type=int, default=2, help="worker processes (sharded engine only)"
     )
-    _add_flags(sub, "transport", "durability-dir", "policy")
+    _add_flags(sub, "durability-dir", "policy")
     sub.add_argument(
         "--checkpoint-interval",
         type=int,
@@ -631,7 +620,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         port=args.port,
         engine=args.engine,
         shards=args.shards,
-        transport=args.transport,
         max_subscriptions=args.max_subscriptions,
         client_queue=args.client_queue,
         slow_client=args.slow_client,
@@ -683,7 +671,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _configure_top(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--url",
-        default="http://127.0.0.1:8765/metrics.json",
+        default="http://127.0.0.1:8765/v1/metrics.json",
         help="metrics snapshot endpoint of a running ``repro serve``",
     )
     sub.add_argument(
@@ -738,7 +726,6 @@ def _configure_trace(sub: argparse.ArgumentParser) -> None:
         help="result sizes, cycled over the generated queries",
     )
     sub.add_argument("--shards", type=int, default=2, help="worker processes")
-    _add_flags(sub, "transport")
     sub.add_argument(
         "--queries",
         type=int,
@@ -766,7 +753,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     stream = list(make_dataset(args.dataset).take(args.objects))
     workload = _shard_workload(args)
 
-    with ShardedStreamEngine(args.shards, transport=args.transport) as engine:
+    with ShardedStreamEngine(args.shards) as engine:
         for name, query in workload:
             engine.subscribe(name, query, algorithm=args.algorithm, keep_results=False)
         engine.set_tracing(True)
@@ -780,7 +767,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     print(f"dataset   : {args.dataset} ({args.objects} objects)")
     print(
         f"plane     : {len(workload)} queries on {args.shards} shards "
-        f"({args.transport} transport, {args.algorithm})"
+        f"({args.algorithm})"
     )
     print(f"run       : {elapsed:.3f}s traced")
     per_stage: Dict[str, int] = {}
@@ -867,7 +854,7 @@ COMMANDS: List[CliCommand] = [
     CliCommand(
         name="top",
         help="live terminal dashboard over a serving endpoint's metrics",
-        doc="Poll the ``/metrics.json`` snapshot feed of a running ``repro "
+        doc="Poll the ``/v1/metrics.json`` snapshot feed of a running ``repro "
         "serve`` and repaint a compact terminal dashboard "
         "(:mod:`repro.obs.top`): cluster-wide rates, delivery-latency "
         "quantiles from the merged histograms, per-shard counters, and "
@@ -942,7 +929,7 @@ def _command_reference() -> str:
             "    python -m repro control --dataset DRIFT --objects 12000 --json",
             "    python -m repro shard --shards 4 --queries 8 --baseline",
             "    python -m repro serve --port 8765 --max-subscriptions 1000",
-            "    python -m repro top --url http://127.0.0.1:8765/metrics.json",
+            "    python -m repro top --url http://127.0.0.1:8765/v1/metrics.json",
             "    python -m repro trace --shards 2 --objects 10000 -o trace.json",
             "    python -m repro --version",
         ]

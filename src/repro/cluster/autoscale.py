@@ -7,15 +7,15 @@ engine executes*; this module adapts *how many engines there are*.
 four stages over cluster-level signals:
 
 * **Monitor** — per-shard :class:`~repro.control.ShardPressureSample`
-  records: backpressure stalls since the last tick, shm-ring occupancy,
-  placement-load share, hosted-query count.  When the per-shard
+  records: backpressure stalls since the last tick, placement-load
+  share, hosted-query count.  When the per-shard
   controllers are attached, their merged
   :class:`~repro.cluster.merge.AggregatedKnowledge` rides along in the
   tick record for the audit log.
 * **Analyze** — :class:`~repro.control.ShardPressure` reports at most
-  one symptom per tick: ``shard-overload`` (a producer stalled, or a
-  ring is nearly full) or ``cluster-underload`` (everything idle and the
-  emptiest shard below an even split).
+  one symptom per tick: ``shard-overload`` (a producer stalled) or
+  ``cluster-underload`` (nobody stalled and the emptiest shard below an
+  even split).
 * **Plan** — the policy's rules map symptoms to the two cluster tactics
   (``spawn-shard`` / ``retire-shard``), subject to the ``min_shards`` /
   ``max_shards`` bounds and a tick cooldown so the pool cannot thrash.
@@ -131,7 +131,6 @@ class ShardAutoscaler:
                 ShardPressureSample(
                     shard=shard_id,
                     load_share=loads[shard_id] / total,
-                    ring_occupancy=float(signals.get("ring_occupancy", 0.0)),
                     bp_wait_delta=int(delta),
                     subscriptions=members.get(shard_id, 0),
                 )

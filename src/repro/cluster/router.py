@@ -1,24 +1,17 @@
-"""The shard router: process handles, transports, fan-out, and barriers.
+"""The shard router: process handles, fan-out, and barriers.
 
-:class:`ShardRouter` owns the worker processes and two paths into each:
+:class:`ShardRouter` owns the worker processes and feeds each one through
+a single ``mp.Queue`` that carries both kinds of traffic in FIFO order:
 
 * the **data path** — asynchronous ``push`` batches, fanned out to every
   interested shard without waiting so all workers crunch in parallel.  The
   chunk is packed once into :func:`~repro.core.columnar.encode_chunk`
-  bytes and then either enqueued on the worker's ``mp.Queue`` (the
-  ``queue`` transport) or written into its shared-memory ring (the ``shm``
-  transport, :mod:`repro.cluster.shm`) — the latter skips the queue's
-  feeder-thread pickle and pipe copy entirely.
-* the **control path** — synchronous request/reply over ``mp.Queue`` in
-  both transports.  Because one worker processes its commands strictly in
-  order, a synchronous request also acts as a barrier for everything
-  queued to that shard before it; :meth:`barrier` exploits this to drain
-  the whole cluster before operations that need a consistent cut (stats,
-  flush, rebalance, close).  Under the shm transport the data no longer
-  shares the queue's FIFO, so every control message carries a *fence* —
-  the count of data chunks sent so far — and the worker drains its ring up
-  to that fence before executing the command, restoring the exact
-  data/control ordering of the queue transport.
+  bytes and the same payload is enqueued for every target shard.
+* the **control path** — synchronous request/reply.  Because one worker
+  processes its queue strictly in order, a synchronous request also acts
+  as a barrier for everything queued to that shard before it;
+  :meth:`barrier` exploits this to drain the whole cluster before
+  operations that need a consistent cut (stats, flush, rebalance, close).
 
 Bounded command queues give natural backpressure: a producer that outruns
 the workers blocks on ``put`` (with exponential backoff) instead of
@@ -42,7 +35,6 @@ from ..core.exceptions import ReproError
 from ..core.state import dumps
 from ..obs.registry import LATENCY_BUCKETS, get_registry
 from ..obs.tracing import get_tracer
-from .shm import RingTimeout, ShmRing
 from .worker import shard_worker_main
 
 #: Command-queue depth per worker.  Small on purpose: each entry can carry
@@ -57,11 +49,8 @@ REPLY_POLL_SECONDS = 1.0
 _POLL_MIN_SECONDS = 0.005
 
 #: How long a producer may stay blocked on one shard's full command queue
-#: (or full ring) before the stall is reported as backpressure.
+#: before the stall is reported as backpressure.
 DEFAULT_BACKPRESSURE_TIMEOUT = 30.0
-
-#: The data-path transports :class:`ShardRouter` can run on.
-TRANSPORTS = ("queue", "shm")
 
 
 class ShardError(ReproError):
@@ -104,15 +93,13 @@ class _TransportCounters:
 
 
 class _ShardHandle:
-    """One worker process plus its queues, ring, and liveness state."""
+    """One worker process plus its queues and liveness state."""
 
     __slots__ = (
         "shard_id",
         "process",
         "commands",
         "replies",
-        "ring",
-        "doorbell",
         "sent_chunks",
         "counters",
         "bp_waits",
@@ -125,48 +112,30 @@ class _ShardHandle:
         shard_id: int,
         ctx,
         queue_depth: int,
-        ring: Optional[ShmRing],
         durability_dir: Optional[str] = None,
     ) -> None:
         self.shard_id = shard_id
         self.commands = ctx.Queue(maxsize=queue_depth)
         self.replies = ctx.Queue()
-        self.ring = ring
-        # The ring itself is pure shared memory with no wakeup primitive;
-        # the doorbell (a futex-backed semaphore, released once per send)
-        # is what lets an idle worker block instead of sleep-polling.
-        self.doorbell = ctx.Semaphore(0) if ring is not None else None
         self.sent_chunks = 0
         self.counters = _TransportCounters()
         self.bp_waits = 0
         self.durability_dir = durability_dir
         # Resurrection buffer: the most recent ``(seq, payload)`` sends.
         # A crashed worker has journaled every chunk except those still in
-        # flight, and in-flight is bounded by queue depth (queue transport)
-        # or ring slots (shm: every chunk occupies at least one slot) —
-        # so this deque provably covers the journal -> send-count gap.
+        # flight, and in-flight is bounded by the queue depth — so this
+        # deque provably covers the journal -> send-count gap.
         if durability_dir is not None:
-            in_flight = ring.slots if ring is not None else queue_depth
-            self.retained: Optional[deque] = deque(maxlen=in_flight + queue_depth + 4)
+            self.retained: Optional[deque] = deque(maxlen=2 * queue_depth + 4)
         else:
             self.retained = None
         self.process = ctx.Process(
             target=shard_worker_main,
             args=(shard_id, self.commands, self.replies),
-            kwargs={
-                "ring_name": ring.name if ring is not None else None,
-                "doorbell": self.doorbell,
-                "durability_dir": durability_dir,
-            },
+            kwargs={"durability_dir": durability_dir},
             name=f"repro-shard-{shard_id}",
             daemon=True,
         )
-
-    def ding(self) -> None:
-        """Wake the worker: one release per ring message or fenced
-        control message (a pure hint — spurious wakeups are harmless)."""
-        if self.doorbell is not None:
-            self.doorbell.release()
 
 
 class ShardRouter:
@@ -179,18 +148,13 @@ class ShardRouter:
         start_method: Optional[str] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         reply_timeout: Optional[float] = None,
-        transport: str = "queue",
         backpressure_timeout: Optional[float] = DEFAULT_BACKPRESSURE_TIMEOUT,
-        ring_slots: Optional[int] = None,
-        ring_slot_size: Optional[int] = None,
         durability_root: Optional[str] = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be positive, got {shard_count}")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be positive, got {queue_depth}")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
         # ``fork`` starts workers in milliseconds and is the Linux default;
         # ``spawn`` works too (the worker entry point is importable) and is
         # the fallback where fork is unavailable.
@@ -200,12 +164,9 @@ class ShardRouter:
         self._ctx = mp.get_context(start_method)
         self.start_method = start_method
         self.reply_timeout = reply_timeout
-        self.transport = transport
         self.backpressure_timeout = backpressure_timeout
         self.queue_depth = queue_depth
         self.durability_root = durability_root
-        self._ring_slots = ring_slots
-        self._ring_slot_size = ring_slot_size
         self._shards: List[_ShardHandle] = [
             self._build_handle(shard_id) for shard_id in range(shard_count)
         ]
@@ -213,9 +174,8 @@ class ShardRouter:
             shard.process.start()
         self._stopped = False
         # Router-process observability: the fan-out stages as histograms,
-        # and a pull-time collector exporting the per-shard transport
-        # counters and ring occupancy (already maintained — zero hot-path
-        # cost).  Worker-process stages live in each worker's registry.
+        # and a pull-time collector exporting the per-shard data-path
+        # counters (already maintained — zero hot-path cost).  Worker-process stages live in each worker's registry.
         registry = get_registry()
         stage_help = "Pipeline stage timings over the slide lifecycle."
         self._obs_encode = registry.histogram(
@@ -230,27 +190,15 @@ class ShardRouter:
 
     def _build_handle(self, shard_id: int) -> _ShardHandle:
         """Construct (but do not start) one worker handle."""
-        ring = None
-        if self.transport == "shm":
-            kwargs = {}
-            if self._ring_slots is not None:
-                kwargs["slots"] = self._ring_slots
-            if self._ring_slot_size is not None:
-                kwargs["slot_size"] = self._ring_slot_size
-            ring = ShmRing.create(**kwargs)
         durability_dir = None
         if self.durability_root is not None:
             durability_dir = os.path.join(self.durability_root, f"shard-{shard_id}")
-        return _ShardHandle(shard_id, self._ctx, self.queue_depth, ring, durability_dir)
+        return _ShardHandle(shard_id, self._ctx, self.queue_depth, durability_dir)
 
     def _collect(self, registry) -> None:
         """Pull-time export of the data-path state this router maintains."""
         for shard in self._shards:
-            labels = {
-                "shard": str(shard.shard_id),
-                "transport": self.transport,
-                "direction": "send",
-            }
+            labels = {"shard": str(shard.shard_id), "direction": "send"}
             counters = shard.counters
             # Counter values mirror external monotone state, so the
             # collector assigns rather than increments.
@@ -268,12 +216,6 @@ class ShardRouter:
                 "Producer stalls on a full shard inbound path.",
                 {"shard": str(shard.shard_id)},
             ).value = float(shard.bp_waits)
-            if shard.ring is not None:
-                registry.gauge(
-                    "repro_ring_occupancy",
-                    "FULL slots in the shard's shm ring.",
-                    {"shard": str(shard.shard_id)},
-                ).set(shard.ring.occupancy())
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -329,13 +271,13 @@ class ShardRouter:
     # ------------------------------------------------------------------
     def send(self, shard_id: int, message: Tuple) -> None:
         """Enqueue a fire-and-forget command (blocks on backpressure)."""
-        self._put_control(self._handle(shard_id), message)
+        self._put(self._handle(shard_id), message)
 
     def push_chunk(self, chunk: Sequence, shard_ids: Sequence[int]) -> None:
         """Fan one slide-aligned chunk out to the given shards.
 
         The chunk is packed once into columnar wire bytes; each shard then
-        receives the same immutable payload over its transport.
+        receives the same immutable payload on its command queue.
         """
         targets = [self._handle(shard_id) for shard_id in shard_ids]
         if not targets:
@@ -367,10 +309,7 @@ class ShardRouter:
                 # must still find this chunk in the resurrection buffer.
                 shard.retained.append((shard.sent_chunks, payload))
             started = time.perf_counter()
-            if shard.ring is not None:
-                self._ring_send(shard, payload)
-            else:
-                self._put(shard, ("push", payload))
+            self._put(shard, ("push", payload))
             send_seconds = time.perf_counter() - started
             counters.send_seconds += send_seconds
             self._obs_send.observe(send_seconds)
@@ -384,49 +323,17 @@ class ShardRouter:
                 )
             shard.sent_chunks += 1
 
-    def _ring_send(self, shard: _ShardHandle, payload: bytes) -> None:
-        try:
-            shard.ring.send(
-                payload,
-                timeout=self.backpressure_timeout,
-                should_abort=lambda: not shard.process.is_alive(),
-            )
-            shard.ding()
-        except RingTimeout:
-            shard.bp_waits += 1
-            raise ShardBackpressureError(
-                f"shard {shard.shard_id} ring stayed full for "
-                f"{self.backpressure_timeout}s (backpressure)",
-                shard_id=shard.shard_id,
-            ) from None
-        except Exception as exc:
-            if not shard.process.is_alive():
-                raise ShardError(
-                    f"shard {shard.shard_id} died (exit code "
-                    f"{shard.process.exitcode}) while receiving a chunk"
-                ) from None
-            raise ShardError(
-                f"shard {shard.shard_id} ring send failed: {exc}"
-            ) from exc
-
     def transport_stats(self) -> Dict[int, Dict[str, float]]:
         """Router-side data-path counters, keyed by shard id."""
         return {shard.shard_id: shard.counters.as_dict() for shard in self._shards}
 
     def pressure_stats(self) -> Dict[int, Dict[str, float]]:
-        """Per-shard saturation signals for the autoscaler: lifetime
-        backpressure-stall count and the ring's FULL-slot fraction (0.0
-        on the queue transport)."""
-        stats: Dict[int, Dict[str, float]] = {}
-        for shard in self._shards:
-            occupancy = 0.0
-            if shard.ring is not None:
-                occupancy = shard.ring.occupancy() / shard.ring.slots
-            stats[shard.shard_id] = {
-                "bp_waits": float(shard.bp_waits),
-                "ring_occupancy": occupancy,
-            }
-        return stats
+        """Per-shard saturation signal for the autoscaler: the lifetime
+        backpressure-stall count."""
+        return {
+            shard.shard_id: {"bp_waits": float(shard.bp_waits)}
+            for shard in self._shards
+        }
 
     # ------------------------------------------------------------------
     # Control path (synchronous request/reply)
@@ -446,14 +353,6 @@ class ShardRouter:
         dumps(message)
         return message
 
-    def _put_control(self, shard: _ShardHandle, message: Tuple) -> None:
-        """Send a control message, fenced behind the shard's data stream
-        when the data rides a separate ring."""
-        if shard.ring is not None:
-            message = ("fence", shard.sent_chunks, message)
-        self._put(shard, message)
-        shard.ding()
-
     def request(self, shard_id: int, message: Tuple):
         """Send a synchronous command and return its payload.
 
@@ -463,7 +362,7 @@ class ShardRouter:
         message itself cannot cross the process boundary.
         """
         shard = self._handle(shard_id)
-        self._put_control(shard, self._checked(message))
+        self._put(shard, self._checked(message))
         return self._await_reply(shard, message[0])
 
     def broadcast(self, message: Tuple, shard_ids: Optional[Sequence[int]] = None):
@@ -481,7 +380,7 @@ class ShardRouter:
         targets = [self._handle(s) for s in (shard_ids if shard_ids is not None else self.shard_ids())]
         message = self._checked(message)
         for shard in targets:
-            self._put_control(shard, message)
+            self._put(shard, message)
         payloads = []
         first_error: Optional[ShardError] = None
         for shard in targets:
@@ -539,11 +438,10 @@ class ShardRouter:
         The replacement process recovers the shard's journal (checkpoint +
         WAL tail) at boot; the router then re-sends the chunk tail the
         dead worker had *received but not yet journaled* — bounded by the
-        transport's in-flight window and therefore always covered by the
-        retention buffer.  Fence continuity: the new handle inherits the
-        lifetime send count, and the worker resumes its receive count from
-        the journal, so fenced control messages keep lining up.  Returns
-        the worker's ``wal_status`` payload.
+        command queue's in-flight window and therefore always covered by
+        the retention buffer.  The new handle inherits the lifetime send
+        count, which the journal's chunk count is compared against.
+        Returns the worker's ``wal_status`` payload.
         """
         old = self._handle(shard_id)
         if old.durability_dir is None:
@@ -555,7 +453,7 @@ class ShardRouter:
             raise ShardError(
                 f"shard {shard_id} is still alive; refusing to resurrect it"
             )
-        # Reap the corpse.  Its queues and ring may hold undelivered
+        # Reap the corpse.  Its queues may hold undelivered
         # chunks; every one of them is still in the retention buffer.
         try:
             old.process.join(timeout=1.0)
@@ -567,8 +465,6 @@ class ShardRouter:
                 queue.cancel_join_thread()
             except Exception:
                 pass
-        if old.ring is not None:
-            old.ring.unlink()
         fresh = self._build_handle(shard_id)
         fresh.sent_chunks = old.sent_chunks
         fresh.counters = old.counters
@@ -576,10 +472,7 @@ class ShardRouter:
         fresh.retained = old.retained
         self._shards[shard_id] = fresh
         fresh.process.start()
-        # Unfenced status request — a fence would wait forever on chunks
-        # that were never sent to the fresh ring.
         self._put(fresh, ("wal_status",))
-        fresh.ding()
         status = self._await_reply(fresh, "wal_status")
         self._resend_tail(fresh, int(status["chunks"] or 0))
         return status
@@ -598,10 +491,7 @@ class ShardRouter:
         for _, payload in tail:
             # Raw re-send: these are already counted in ``sent_chunks``
             # and already sit in the retention buffer.
-            if shard.ring is not None:
-                self._ring_send(shard, payload)
-            else:
-                self._put(shard, ("push", payload))
+            self._put(shard, ("push", payload))
 
     def add_shard(self) -> int:
         """Grow the pool by one worker; returns the new shard id."""
@@ -634,7 +524,6 @@ class ShardRouter:
         shard = self._shards.pop()
         try:
             shard.commands.put(("stop",), timeout=1.0)
-            shard.ding()
         except Exception:
             pass
         shard.process.join(timeout=5.0)
@@ -647,8 +536,6 @@ class ShardRouter:
                 queue.cancel_join_thread()
             except Exception:
                 pass
-        if shard.ring is not None:
-            shard.ring.unlink()
         if shard.durability_dir is not None:
             shutil.rmtree(shard.durability_dir, ignore_errors=True)
 
@@ -668,7 +555,6 @@ class ShardRouter:
                 # Bounded: a dead worker with a full queue must not hang
                 # shutdown; terminate() below reaps it regardless.
                 shard.commands.put(("stop",), timeout=1.0)
-                shard.ding()
             except Exception:
                 pass
         for shard in self._shards:
@@ -683,8 +569,6 @@ class ShardRouter:
                     queue.cancel_join_thread()
                 except Exception:
                     pass
-            if shard.ring is not None:
-                shard.ring.unlink()
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

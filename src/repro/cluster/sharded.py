@@ -144,10 +144,11 @@ class ShardedStreamEngine:
         ``keep_results`` is the default retention policy of new
         subscriptions; ``start_method``/``queue_depth``/``reply_timeout``
         tune the worker pool (defaults: platform fork, depth 8, wait
-        forever).  ``transport`` picks the data path: ``"queue"`` moves
-        chunks over each worker's command queue, ``"shm"`` over a
-        shared-memory ring (:mod:`repro.cluster.shm`); answers are
-        byte-identical either way.  ``backpressure_timeout`` bounds how
+        forever).  Chunks and control messages share each worker's one
+        command queue; ``transport`` accepts only ``"queue"`` and raises
+        :class:`ValueError` for anything else — it stays in the signature
+        because existing callers (the ``perfbench`` sharded workload among
+        them) pass it.  ``backpressure_timeout`` bounds how
         long a push may stall on one congested shard before raising
         :class:`~repro.cluster.router.ShardBackpressureError`.
 
@@ -160,6 +161,8 @@ class ShardedStreamEngine:
         recovered subscriptions.  A worker that dies mid-stream can then
         be revived in place with :meth:`resurrect_shard`.
         """
+        if transport != "queue":
+            raise ValueError(f"transport must be 'queue', got {transport!r}")
         self._durability_dir = durability_dir
         if durability_dir is not None:
             os.makedirs(durability_dir, exist_ok=True)
@@ -174,7 +177,6 @@ class ShardedStreamEngine:
             start_method=start_method,
             queue_depth=queue_depth,
             reply_timeout=reply_timeout,
-            transport=transport,
             backpressure_timeout=backpressure_timeout,
             durability_root=durability_dir,
         )
@@ -526,7 +528,7 @@ class ShardedStreamEngine:
         state = self._router.request(source, ("capture", name, True))
         # Pre-pickle once: restore_subscription accepts the bytes directly,
         # so the (potentially large) window + retained results are not
-        # serialized a second time by the router's transport check.
+        # serialized a second time by the router's pickle check.
         payload = dumps(state)
         try:
             self._router.request(to_shard, ("restore", payload))
@@ -645,11 +647,6 @@ class ShardedStreamEngine:
         average of per-shard percentiles)."""
         self._ensure_open()
         return merged_latency_stats(self._router.broadcast(("telemetry",)))
-
-    @property
-    def transport(self) -> str:
-        """The data-path transport of the router (``queue`` or ``shm``)."""
-        return self._router.transport
 
     def transport_stats(self) -> Dict[int, Dict[str, object]]:
         """Per-shard data-path breakdown, keyed by shard id: the router's

@@ -17,6 +17,7 @@ cannot disappear just because nobody was waiting.
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from queue import Empty
@@ -66,30 +67,25 @@ SYNC_OPS = frozenset(
     }
 )
 
-#: Idle wait of the shm-transport worker loop.  The router rings the
-#: doorbell after every ring message and fenced control message, so this
-#: bound is only the re-check cadence for paths that bypass the doorbell
-#: (a racing shutdown, a peer that died without ringing).
-_IDLE_WAIT = 0.05
-
-#: How long a fence may wait on ring data the router claims to have sent.
-_FENCE_TIMEOUT = 60.0
+#: How long an idle worker waits on its command queue before checking
+#: that its parent is still alive.  The worker holds the queue's write end
+#: too, so a SIGKILLed parent never shows up as end-of-file; without this
+#: re-check the worker would block forever as an orphan.
+PARENT_CHECK_SECONDS = 1.0
 
 
 def shard_worker_main(
     shard_id: int,
     commands,
     replies,
-    ring_name: Optional[str] = None,
-    doorbell=None,
     durability_dir: Optional[str] = None,
 ) -> None:
     """Entry point of a worker process (module-level so every
-    multiprocessing start method can import it).  ``ring_name`` attaches
-    the shared-memory data ring of the shm transport; without it the data
-    path arrives on ``commands`` like every control message.  ``doorbell``
-    is the router's wakeup semaphore for the ring: released once per sent
-    message, acquired here as a hint (never a count) of pending work.
+    multiprocessing start method can import it).  Data chunks and control
+    messages both arrive on ``commands``, in the order the router sent
+    them.  A worker whose parent dies (it is re-parented, so
+    ``os.getppid()`` changes) exits without touching its engine, exactly
+    as if it had been killed with the parent.
 
     With a ``durability_dir`` the worker journals every received chunk
     and subscription op into a :class:`repro.durability.DurabilityManager`
@@ -97,6 +93,7 @@ def shard_worker_main(
     resurrection path of :meth:`~repro.cluster.router.ShardRouter`
     restarts a SIGKILL'd worker this way, then re-sends the chunk tail
     the dead process had received but not yet logged."""
+    parent_pid = os.getppid()
     # This process's tracer carries the shard id on every span; installed
     # before the engine exists so subscriptions and groups cache the right
     # one.  The facade's "set_tracing" broadcast flips it on.
@@ -132,15 +129,6 @@ def shard_worker_main(
         engine.attach_durability(durability)
         pushed = recovery.ingested_total
 
-    ring = None
-    if ring_name is not None:
-        from .shm import ShmRing
-
-        ring = ShmRing.attach(ring_name)
-    # Lifetime chunk-receive count.  Resumes from the journal so the
-    # router's fences (which carry its lifetime *send* count) stay
-    # comparable across a resurrection.
-    consumed_chunks = durability.chunks_logged if durability is not None else 0
     decode_stats = {
         "decode_seconds": 0.0,
         "decode_bytes": 0,
@@ -148,11 +136,9 @@ def shard_worker_main(
         "decoded_objects": 0,
     }
 
-    transport_name = "shm" if ring is not None else "queue"
-
     def collect_transport(reg) -> None:
         """Pull-time export of the decode-side transport counters."""
-        labels = {"transport": transport_name, "direction": "recv"}
+        labels = {"direction": "recv"}
         reg.counter(
             "repro_transport_bytes_total", "Encoded chunk bytes moved.", labels
         ).value = float(decode_stats["decode_bytes"])
@@ -180,9 +166,8 @@ def shard_worker_main(
         return record
 
     def handle_push(payload) -> None:
-        """Apply one data chunk — :func:`~repro.core.columnar.encode_chunk`
-        bytes on both transports — latching any failure for the next
-        synchronous opcode."""
+        """Apply one data chunk of :func:`~repro.core.columnar.encode_chunk`
+        bytes, latching any failure for the next synchronous opcode."""
         nonlocal pushed, failure
         if failure is not None:
             return  # the shard is broken; drop data, keep the error
@@ -232,68 +217,17 @@ def shard_worker_main(
         except BaseException:
             failure = traceback.format_exc()
 
-    def drain_ring_to(target: int) -> None:
-        """Consume ring chunks until ``target`` have been seen (the fence
-        of a control message: the router sent them all before the fence,
-        so they are guaranteed to arrive)."""
-        nonlocal consumed_chunks, failure
-        while consumed_chunks < target:
-            try:
-                payload = ring.recv(timeout=_FENCE_TIMEOUT)
-            except BaseException:
-                if failure is None:
-                    failure = traceback.format_exc()
-                return
-            consumed_chunks += 1
-            handle_push(payload)
-
-    rung = False  # a doorbell token was consumed but its message not yet seen
     while True:
-        if ring is not None:
-            # Consume stale doorbell tokens *before* draining, so a token
-            # can never be eaten for a message that is then left behind:
-            # any message sent after this drain has its own fresh token.
-            if doorbell is not None:
-                while doorbell.acquire(False):
-                    rung = True
-            # Drain whatever data is already in the ring before checking
-            # for control messages; data dominates, control is rare.
-            drained = False
-            while True:
-                payload = ring.try_recv()
-                if payload is None:
-                    break
-                consumed_chunks += 1
-                handle_push(payload)
-                drained = True
-            try:
-                message = commands.get_nowait()
-            except Empty:
-                if drained:
-                    rung = False
-                elif rung:
-                    # The ding beat its message here (mp.Queue puts land
-                    # via a feeder thread); it is imminent — take a micro
-                    # nap instead of a full idle block.
-                    time.sleep(0.0005)
-                elif doorbell is not None:
-                    # Fully idle: block on the doorbell (instant wakeup on
-                    # the next send), bounded as a liveness re-check.
-                    rung = doorbell.acquire(True, _IDLE_WAIT)
-                else:
-                    time.sleep(_IDLE_WAIT)
-                continue
-            rung = False
-        else:
-            message = commands.get()
+        try:
+            message = commands.get(timeout=PARENT_CHECK_SECONDS)
+        except Empty:
+            if os.getppid() != parent_pid:
+                # Orphaned: the parent died without sending "stop".  Nobody
+                # reads the replies any more, so do not wait to flush them.
+                replies.cancel_join_thread()
+                return
+            continue
         op = message[0]
-        if op == "fence":
-            # Control messages are fenced behind the data stream: catch the
-            # ring up to the send count, then execute the inner command.
-            _, target, message = message
-            if ring is not None:
-                drain_ring_to(target)
-            op = message[0]
         if op == "stop":
             # Reap the engine on the way out so a worker stopped without a
             # prior "close" (e.g. best-effort facade shutdown after a
@@ -302,8 +236,6 @@ def shard_worker_main(
                 engine.close()
             except BaseException:
                 pass
-            if ring is not None:
-                ring.close()
             break
         if op == "push":
             handle_push(message[1])
@@ -368,12 +300,7 @@ def shard_worker_main(
             elif op == "telemetry":
                 payload = telemetry()
             elif op == "transport_stats":
-                payload = {
-                    "shard": shard_id,
-                    "transport": "shm" if ring is not None else "queue",
-                    "chunks": consumed_chunks if ring is not None else decode_stats["decoded_batches"],
-                    **decode_stats,
-                }
+                payload = {"shard": shard_id, **decode_stats}
             elif op == "metrics":
                 payload = registry.snapshot()
             elif op == "spans":
@@ -405,8 +332,7 @@ def shard_worker_main(
             elif op == "wal_status":
                 # Resurrection handshake: how many chunks the journal
                 # holds, so the router knows which retained chunks to
-                # re-send.  Sent unfenced (there is nothing to fence
-                # against in a fresh ring).
+                # re-send.
                 payload = {
                     "shard": shard_id,
                     "chunks": durability.chunks_logged if durability is not None else None,

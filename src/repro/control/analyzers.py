@@ -30,7 +30,7 @@ from .knowledge import Knowledge
 #: Symptom kinds, in the order rules are usually written for them.  The
 #: first three are per-subscription (detected by an engine-attached
 #: controller); the last two are cluster-level (detected by
-#: :class:`ShardPressure` over per-shard transport/knowledge metrics).
+#: :class:`ShardPressure` over per-shard backpressure and load metrics).
 SYMPTOM_KINDS = (
     "latency-violation",
     "candidate-blowup",
@@ -153,16 +153,14 @@ class CandidateBlowupAnalyzer(Analyzer):
 class ShardPressureSample:
     """One shard's load picture at one autoscaler tick.
 
-    ``ring_occupancy`` is the FULL-slot fraction of the shard's shm ring
-    (0.0 on the queue transport); ``bp_wait_delta`` counts producer
-    stalls on this shard's inbound path since the previous tick;
-    ``load_share`` is the shard's fraction of the cluster's placement
-    load; ``subscriptions`` its hosted query count.
+    ``bp_wait_delta`` counts producer stalls on this shard's command
+    queue since the previous tick; ``load_share`` is the shard's fraction
+    of the cluster's placement load; ``subscriptions`` its hosted query
+    count.
     """
 
     shard: int
     load_share: float
-    ring_occupancy: float
     bp_wait_delta: int
     subscriptions: int
 
@@ -171,40 +169,26 @@ class ShardPressure:
     """Cluster-level analyzer: is any shard saturated, is the pool idle?
 
     Unlike the per-subscription analyzers above, this one inspects the
-    *transport* — backpressure stalls and ring occupancy are the two
-    signals that rise when a worker process can no longer keep up with
-    the stream, whatever the reason (query load, skewed placement, a
-    slow core) — plus the placement load shares, merged per shard by the
-    caller (see :meth:`repro.cluster.autoscale.ShardAutoscaler.monitor`).
+    data path — backpressure stalls are the signal that rises when a
+    worker process can no longer keep up with the stream, whatever the
+    reason (query load, skewed placement, a slow core) — plus the
+    placement load shares, merged per shard by the caller (see
+    :meth:`repro.cluster.autoscale.ShardAutoscaler.monitor`).
 
     Two symptoms, mirroring the MAPE-K split of the per-engine loop:
 
-    * ``shard-overload`` — a shard stalled producers since the last tick
-      or its ring sits above ``high_occupancy``; severity scales with
-      how far past the threshold it is.  At most one symptom per tick
-      (the worst shard): one spawn per tick keeps scaling monotone.
-    * ``cluster-underload`` — every shard is simultaneously below
-      ``low_occupancy``, nobody stalled, and the *emptiest* shard's load
-      share is below an even split's, so draining it onto the others
-      cannot overload them.
+    * ``shard-overload`` — a shard stalled producers more than
+      ``bp_wait_tolerance`` times since the last tick; severity grows
+      with the excess.  At most one symptom per tick (the worst shard):
+      one spawn per tick keeps scaling monotone.
+    * ``cluster-underload`` — nobody stalled and the *emptiest* shard's
+      load share is below an even split's, so draining it onto the
+      others cannot overload them.
     """
 
-    def __init__(
-        self,
-        *,
-        high_occupancy: float = 0.75,
-        low_occupancy: float = 0.25,
-        bp_wait_tolerance: int = 0,
-    ) -> None:
-        if not 0.0 <= low_occupancy < high_occupancy <= 1.0:
-            raise ValueError(
-                "need 0 <= low_occupancy < high_occupancy <= 1, got "
-                f"{low_occupancy} / {high_occupancy}"
-            )
+    def __init__(self, *, bp_wait_tolerance: int = 0) -> None:
         if bp_wait_tolerance < 0:
             raise ValueError(f"bp_wait_tolerance must be >= 0, got {bp_wait_tolerance}")
-        self.high_occupancy = high_occupancy
-        self.low_occupancy = low_occupancy
         self.bp_wait_tolerance = bp_wait_tolerance
 
     def analyze_cluster(
@@ -214,15 +198,11 @@ class ShardPressure:
             return None
         worst: Optional[Symptom] = None
         for sample in samples:
-            severity = 0.0
-            if sample.bp_wait_delta > self.bp_wait_tolerance:
-                severity = max(
-                    severity,
-                    1.0 + (sample.bp_wait_delta - self.bp_wait_tolerance),
-                )
-            if sample.ring_occupancy > self.high_occupancy:
-                severity = max(severity, sample.ring_occupancy / self.high_occupancy)
-            if severity > 0.0 and (worst is None or severity > worst.severity):
+            excess = sample.bp_wait_delta - self.bp_wait_tolerance
+            if excess <= 0:
+                continue
+            severity = 1.0 + excess
+            if worst is None or severity > worst.severity:
                 worst = Symptom(
                     kind="shard-overload",
                     subscription=f"shard:{sample.shard}",
@@ -230,7 +210,6 @@ class ShardPressure:
                     evidence={
                         "shard": sample.shard,
                         "bp_wait_delta": sample.bp_wait_delta,
-                        "ring_occupancy": sample.ring_occupancy,
                         "load_share": sample.load_share,
                     },
                 )
@@ -239,8 +218,6 @@ class ShardPressure:
         if len(samples) < 2:
             return None
         if any(s.bp_wait_delta > 0 for s in samples):
-            return None
-        if any(s.ring_occupancy >= self.low_occupancy for s in samples):
             return None
         emptiest = min(samples, key=lambda s: (s.load_share, -s.shard))
         even_share = 1.0 / len(samples)

@@ -1,8 +1,8 @@
 """Unified observability plane: metrics, tracing, exposition, dashboard.
 
 Every layer of the system — engine, query groups, partition seals, the
-shard router's transports, the shm ring, the serving layer's batcher and
-dedupe window, the MAPE-K control loop — records into one process-local
+shard router's command queues, the serving layer's batcher and dedupe
+window, the MAPE-K control loop — records into one process-local
 :class:`MetricsRegistry` of named counters, gauges, and log-linear-bucket
 histograms.  The registry is lock-free on the hot path (instruments are
 resolved once and cached by their owners), and a disabled registry hands
@@ -16,8 +16,8 @@ Around the metrics sit three consumers:
   deliver``), shipped from worker processes over the existing control
   channel and exported as Chrome trace-event JSON via ``repro trace``;
 * **exposition** (:func:`render_prometheus`, :func:`merge_snapshots`):
-  ``GET /metrics`` on ``repro serve`` in Prometheus text format 0.0.4,
-  cluster-aggregated across worker processes, plus the ``/metrics.json``
+  ``GET /v1/metrics`` on ``repro serve`` in Prometheus text format 0.0.4,
+  cluster-aggregated across worker processes, plus the ``/v1/metrics.json``
   snapshot feed that also lands in the MAPE-K ``Knowledge`` store;
 * **dashboard** (``repro top``): a stdlib ANSI live view over the
   snapshot feed.

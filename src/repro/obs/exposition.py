@@ -5,7 +5,7 @@ the single wire shape; this module turns snapshots into the two consumer
 formats:
 
 * :func:`render_prometheus` — the text exposition format served by
-  ``GET /metrics`` on ``repro serve`` (scrapeable by any Prometheus);
+  ``GET /v1/metrics`` on ``repro serve`` (scrapeable by any Prometheus);
 * :func:`merge_snapshots` — cluster aggregation: per-worker snapshots
   (each its own process, its own registry) are merged into one, with an
   optional extra label (``shard="2"``) stamped on every series so

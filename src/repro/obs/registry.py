@@ -5,7 +5,7 @@ gauges, and histograms, each with a frozen label set — instead of growing
 its own ad-hoc stat dict.  One registry serves a whole process; worker
 processes of the sharded plane each have their own, and the facade merges
 their snapshots (:func:`repro.obs.exposition.merge_snapshots`) so a
-``/metrics`` scrape sees the cluster as one.
+``/v1/metrics`` scrape sees the cluster as one.
 
 Design constraints, in order:
 
@@ -346,7 +346,7 @@ class MetricsRegistry:
     def snapshot(self) -> List[Dict[str, object]]:
         """Every series as one JSON-friendly record list.
 
-        The wire shape shared by ``/metrics.json``, the cluster merge,
+        The wire shape shared by ``/v1/metrics.json``, the cluster merge,
         the MAPE-K knowledge feed, and ``repro top``: one record per
         series with ``name``, ``type``, ``help``, ``labels``, and either
         ``value`` (counter/gauge) or ``buckets``/``sum``/``count``

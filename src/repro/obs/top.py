@@ -1,11 +1,11 @@
 """``repro top``: a live terminal dashboard over the metrics snapshot feed.
 
 The serving layer exposes its merged registry snapshot as JSON at
-``/metrics.json``; this module polls that endpoint and renders a
+``/v1/metrics.json``; this module polls that endpoint and renders a
 compact ANSI dashboard — cluster-wide rates (events/s, slides/s,
 deliveries/s), delivery latency quantiles from the merged histogram, and
-a per-shard table (events, candidates, ring occupancy, shed and
-backpressure counters).  Everything is stdlib: ``urllib`` to poll, ANSI
+a per-shard table (events, candidates, shed and backpressure
+counters).  Everything is stdlib: ``urllib`` to poll, ANSI
 escapes to repaint.
 
 The rendering itself is a pure function of two snapshots
@@ -118,7 +118,7 @@ def render_dashboard(
     previous: Optional[Dict[str, object]] = None,
     color: bool = True,
 ) -> str:
-    """Render one dashboard frame from a ``/metrics.json`` document.
+    """Render one dashboard frame from a ``/v1/metrics.json`` document.
 
     ``current`` / ``previous`` are the endpoint's JSON dicts
     (``{"ts": epoch_seconds, "metrics": [snapshot records]}``); rates
@@ -163,20 +163,19 @@ def render_dashboard(
         lines.append("")
         lines.append(
             f"  {dim}{'shard':>6} {'events':>10} {'slides':>8} "
-            f"{'cands':>8} {'ring':>6} {'shed':>6} {'bp':>6}{reset}"
+            f"{'cands':>8} {'shed':>6} {'bp':>6}{reset}"
         )
         for shard in shards:
             sel = {"shard": shard}
             events = snapshot_value(metrics, "repro_events_ingested_total", sel)
             slides = snapshot_value(metrics, "repro_slides_total", sel)
             cands = snapshot_value(metrics, "repro_candidates_last", sel)
-            ring = snapshot_value(metrics, "repro_ring_occupancy", sel)
             shard_shed = snapshot_value(metrics, "repro_shed_objects_total", sel)
             shard_bp = snapshot_value(metrics, "repro_backpressure_waits_total", sel)
             lines.append(
                 f"  {shard:>6} {_fmt_count(events):>10} {_fmt_count(slides):>8} "
-                f"{_fmt_count(cands):>8} {_fmt_count(ring):>6} "
-                f"{_fmt_count(shard_shed):>6} {_fmt_count(shard_bp):>6}"
+                f"{_fmt_count(cands):>8} {_fmt_count(shard_shed):>6} "
+                f"{_fmt_count(shard_bp):>6}"
             )
 
     clusters = _cluster_ids(metrics)
@@ -241,7 +240,7 @@ def render_dashboard(
 
 
 def fetch_snapshot(url: str, timeout: float = 5.0) -> Dict[str, object]:
-    """GET one ``/metrics.json`` document."""
+    """GET one ``/v1/metrics.json`` document."""
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return json.loads(response.read().decode("utf-8"))
 

@@ -11,7 +11,7 @@ engine-side stages — so a trace stitched from several processes still
 reads as one pipeline.
 
 Workers buffer their spans in a bounded ring and ship them back over the
-existing control/fence channel (the ``spans`` opcode); the facade merges
+existing control channel (the ``spans`` opcode); the facade merges
 them with its own and :func:`to_chrome_trace` renders the whole thing as
 Chrome trace-event JSON (load it at ``chrome://tracing`` or in Perfetto).
 

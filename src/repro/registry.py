@@ -3,8 +3,7 @@
 Every continuous top-k algorithm — the SAP framework with its partitioner
 variants and the competitors from the paper's evaluation — is registered
 here exactly once, under the name used in the paper's tables.  The CLI
-(:data:`repro.cli.CLI_ALGORITHMS`), the package-level
-:func:`repro.algorithm_registry`, the benchmark harness, and the push-based
+(:data:`repro.cli.CLI_ALGORITHMS`), the benchmark harness, and the push-based
 :class:`repro.engine.StreamEngine` all resolve algorithm names through this
 module, so a new algorithm registered with :func:`register_algorithm` is
 immediately addressable everywhere::
@@ -149,8 +148,7 @@ def algorithm_factories(
 ) -> Dict[str, Callable[[TopKQuery], ContinuousTopKAlgorithm]]:
     """Name → factory mapping for the given names (all when none given).
 
-    This is the shape the CLI, the benchmark harness, and the legacy
-    :func:`repro.algorithm_registry` consume.
+    This is the shape the CLI and the benchmark harness consume.
     """
     selected = names or tuple(_REGISTRY)
     return {name: get_algorithm(name).factory for name in selected}

@@ -5,10 +5,8 @@
 service — the ``repro serve`` CLI command is a thin wrapper around it.
 The HTTP surface is declared once, as data, in :mod:`repro.serve.schema`
 — :data:`~repro.serve.schema.ROUTES` is simultaneously the route table
-this module dispatches from and the documentation the README embeds.  The
-canonical paths live under ``/v1/``; the original unversioned paths stay
-as deprecated aliases whose responses carry a ``Deprecation: true``
-header and a ``Link`` to the successor path.  Subscription bodies are
+this module dispatches from and the documentation the README embeds.
+Every path lives under ``/v1/``.  Subscription bodies are
 validated by :meth:`repro.engine.spec.QuerySpec.from_dict` — the same
 typed validator behind every library-level ``subscribe`` call.
 
@@ -99,9 +97,6 @@ class ServeConfig:
     #: ``"sharded"`` (a multi-process :class:`ShardedStreamEngine`).
     engine: str = "local"
     shards: int = 2
-    #: Data-path transport of the sharded plane: ``"queue"`` or ``"shm"``
-    #: (ignored by the local engine).
-    transport: str = "queue"
     #: Admission control: new subscriptions past this cap get 429.
     max_subscriptions: int = 1024
     retry_after: int = 5
@@ -126,10 +121,6 @@ class ServeConfig:
     def validate(self) -> "ServeConfig":
         if self.engine not in ("local", "sharded"):
             raise ValueError(f"engine must be 'local' or 'sharded', got {self.engine!r}")
-        if self.transport not in ("queue", "shm"):
-            raise ValueError(
-                f"transport must be 'queue' or 'shm', got {self.transport!r}"
-            )
         if self.slow_client not in SLOW_CLIENT_POLICIES:
             raise ValueError(
                 f"slow_client must be one of {SLOW_CLIENT_POLICIES}, "
@@ -153,7 +144,6 @@ def _default_engine_factory(config: ServeConfig):
         return ShardedStreamEngine(
             config.shards,
             keep_results=True,
-            transport=config.transport,
             durability_dir=config.durability_dir,
         )
     from ..engine import StreamEngine
@@ -648,9 +638,8 @@ class TopKServer:
         """Dispatch one request from the declarative route table.
 
         :data:`repro.serve.schema.ROUTES` is the single definition of the
-        wire surface; this method only resolves a match, runs the bound
-        handler, and stamps deprecation headers on unversioned-alias
-        responses.  Streaming handlers take over the connection (and
+        wire surface; this method only resolves a match and runs the
+        bound handler.  Streaming handlers take over the connection (and
         return True here); plain handlers return a
         ``(status, payload, content_type)`` triple.
         """
@@ -669,12 +658,7 @@ class TopKServer:
             return True
         status, payload, content_type = await handler(request, matched.params)
         writer.write(
-            render_response(
-                status,
-                payload,
-                headers=matched.deprecation_headers(),
-                content_type=content_type,
-            )
+            render_response(status, payload, content_type=content_type)
         )
         await writer.drain()
         return False

@@ -156,7 +156,7 @@ def render_response(
 ) -> bytes:
     """Render a full response; dict/list payloads are serialized as JSON.
 
-    ``content_type`` overrides the inferred type (the ``/metrics``
+    ``content_type`` overrides the inferred type (the ``/v1/metrics``
     endpoint serves bytes as Prometheus text, not an octet stream).
     """
     if payload is None:

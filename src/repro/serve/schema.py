@@ -5,15 +5,11 @@ table below *is* the router (:meth:`repro.serve.app.TopKServer._route`
 dispatches by walking it) and *is* the documentation (the README's
 endpoint table is rendered from it by :func:`markdown_table`, with a test
 asserting the two stay identical).  Adding an endpoint means adding one
-:class:`Route` line; the dispatcher, the 404/405 behaviour, the
-``/v1`` aliasing, and the docs all follow.
+:class:`Route` line; the dispatcher, the 404/405 behaviour, and the
+docs all follow.
 
-Versioning: the canonical surface lives under ``/v1/...``.  The original
-unversioned paths remain as **deprecated aliases** — same handlers, same
-payloads — and every response to one carries a ``Deprecation: true``
-header plus a ``Link`` to its successor, per the IETF deprecation-header
-draft, so clients can migrate on their own schedule while operators can
-alert on the header.
+Versioning: the surface lives under ``/v1/...`` and only there; an
+unversioned path such as ``/subscriptions`` is a 404.
 
 The subscription *body* schema is owned by
 :meth:`repro.engine.spec.QuerySpec.from_dict` — the same validator every
@@ -54,7 +50,7 @@ class Route:
     ``pattern`` segments are literals or ``{param}`` placeholders;
     ``handler`` names a method key the application binds at startup;
     ``streaming`` marks handlers that take over the connection (SSE /
-    WebSocket), which therefore cannot carry deprecation headers.
+    WebSocket) instead of returning a response triple.
     """
 
     method: str
@@ -65,13 +61,8 @@ class Route:
 
     @property
     def path(self) -> str:
-        """The canonical (versioned) path of this route."""
+        """The versioned path of this route."""
         return "/" + "/".join((API_VERSION,) + self.pattern)
-
-    @property
-    def legacy_path(self) -> str:
-        """The deprecated unversioned alias."""
-        return "/" + "/".join(self.pattern)
 
 
 #: The wire surface.  Order matters only for documentation.
@@ -115,22 +106,10 @@ class MethodNotAllowed(Exception):
 
 @dataclass(frozen=True)
 class Match:
-    """A resolved request: the route, its path params, and whether the
-    client used the deprecated unversioned alias."""
+    """A resolved request: the route and its path params."""
 
     route: Route
     params: Dict[str, str]
-    deprecated: bool
-
-    def deprecation_headers(self) -> Optional[Dict[str, str]]:
-        """Headers announcing the alias's deprecation (None when the
-        canonical path was used)."""
-        if not self.deprecated:
-            return None
-        return {
-            "Deprecation": "true",
-            "Link": f'<{self.route.path}>; rel="successor-version"',
-        }
 
 
 def _match_one(route: Route, segments: Sequence[str]) -> Optional[Dict[str, str]]:
@@ -146,24 +125,23 @@ def _match_one(route: Route, segments: Sequence[str]) -> Optional[Dict[str, str]
 
 
 def match(method: str, segments: Sequence[str]) -> Match:
-    """Resolve a request against the table (both path forms).
+    """Resolve a request against the table.
 
     Raises :class:`RouteNotFound` (404) when no pattern matches and
     :class:`MethodNotAllowed` (405) when the path exists under another
     method — the distinction the hand-written router used to special-case.
     """
     segments = tuple(segments)
-    deprecated = True
-    if segments and segments[0] == API_VERSION:
-        segments = segments[1:]
-        deprecated = False
+    if not segments or segments[0] != API_VERSION:
+        raise RouteNotFound()
+    segments = segments[1:]
     allowed = set()
     for route in ROUTES:
         params = _match_one(route, segments)
         if params is None:
             continue
         if route.method == method:
-            return Match(route=route, params=params, deprecated=deprecated)
+            return Match(route=route, params=params)
         allowed.add(route.method)
     if allowed:
         raise MethodNotAllowed(allowed)

@@ -8,6 +8,8 @@ from repro.control.analyzers import (
     CandidateBlowupAnalyzer,
     LatencyBudgetAnalyzer,
     ScoreDriftAnalyzer,
+    ShardPressure,
+    ShardPressureSample,
 )
 from repro.control.knowledge import Knowledge, SlideSample
 
@@ -143,3 +145,47 @@ class TestScoreDrift:
             down = rank_sum_test(reference, recent, alpha=0.01)
             expected = up.first_is_larger or down.first_is_larger
             assert (symptom is not None) == expected, f"shift={shift}"
+
+
+def pressure(shard, *, load_share, stalls=0):
+    return ShardPressureSample(
+        shard=shard, load_share=load_share, bp_wait_delta=stalls, subscriptions=1
+    )
+
+
+class TestShardPressure:
+    def test_overload_from_stalls_names_the_worst_shard(self):
+        symptom = ShardPressure().analyze_cluster(
+            [
+                pressure(0, load_share=0.5, stalls=1),
+                pressure(1, load_share=0.5, stalls=3),
+            ]
+        )
+        assert symptom.kind == "shard-overload"
+        assert symptom.evidence["shard"] == 1
+        assert symptom.severity == 4.0
+
+    def test_stalls_within_tolerance_are_not_overload(self):
+        analyzer = ShardPressure(bp_wait_tolerance=2)
+        samples = [pressure(0, load_share=0.5, stalls=2), pressure(1, load_share=0.5)]
+        assert analyzer.analyze_cluster(samples) is None
+
+    def test_underload_from_load_share(self):
+        symptom = ShardPressure().analyze_cluster(
+            [pressure(0, load_share=0.8), pressure(1, load_share=0.2)]
+        )
+        assert symptom.kind == "cluster-underload"
+        assert symptom.evidence["shard"] == 1
+        assert symptom.severity == pytest.approx(1.6)
+
+    def test_no_underload_while_any_shard_stalls_or_on_an_even_split(self):
+        analyzer = ShardPressure(bp_wait_tolerance=1)
+        stalled = [pressure(0, load_share=0.8, stalls=1), pressure(1, load_share=0.2)]
+        assert analyzer.analyze_cluster(stalled) is None
+        even = [pressure(0, load_share=0.5), pressure(1, load_share=0.5)]
+        assert analyzer.analyze_cluster(even) is None
+        assert analyzer.analyze_cluster([pressure(0, load_share=1.0)]) is None
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            ShardPressure(bp_wait_tolerance=-1)

@@ -4,7 +4,9 @@ The serving layer adds its own durable state on top of the engine's —
 the ``sessions.json`` sidecar and the server-assigned arrival clock —
 so this suite crashes the *entire process* (engine, batcher, sessions)
 and asserts the restarted server's answer histories are byte-identical
-to a twin that never crashed.  Runs over both engine planes.
+to a twin that never crashed.  Runs over both engine planes; on the
+sharded plane it also checks that the SIGKILLed server's shard workers
+notice their parent is gone and exit instead of lingering as orphans.
 """
 
 import json
@@ -16,6 +18,9 @@ import time
 import urllib.request
 
 import pytest
+
+#: How long an orphaned shard worker may outlive its SIGKILLed parent.
+ORPHAN_EXIT_SECONDS = 5.0
 
 CHILD = """\
 import asyncio
@@ -52,6 +57,26 @@ EVENTS = [
     {"id": f"e{i}", "score": float((i * 37) % 101), "payload": [0.1 * i, 0.2 * i]}
     for i in range(120)
 ]
+
+
+def _children(pid):
+    """Pids of every process forked by any thread of ``pid``."""
+    children = set()
+    task_dir = f"/proc/{pid}/task"
+    for tid in os.listdir(task_dir):
+        with open(os.path.join(task_dir, tid, "children")) as fh:
+            children.update(int(child) for child in fh.read().split())
+    return children
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
 
 
 def _call(port, method, path, body=None):
@@ -118,7 +143,15 @@ def test_serve_process_sigkill_recovers_byte_identical(
         _call(crashed.port, "POST", "/v1/subscriptions", sub)
     _call(crashed.port, "POST", "/v1/events", {"events": EVENTS[:80]})
     time.sleep(0.3)  # let the batcher flush and the engine checkpoint
+    workers = _children(crashed.process.pid)
+    if engine == "sharded":
+        assert len(workers) == 2, f"expected 2 shard workers, found {workers}"
     crashed.sigkill()
+    deadline = time.monotonic() + ORPHAN_EXIT_SECONDS
+    while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = sorted(pid for pid in workers if _running(pid))
+    assert not orphans, f"shard workers outlived their SIGKILLed parent: {orphans}"
 
     restarted = _Server(child_script, crash_dir, engine)
     stats = _call(restarted.port, "GET", "/v1/stats")

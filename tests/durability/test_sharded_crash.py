@@ -26,7 +26,7 @@ from repro.engine import QuerySpec
 
 from ..conftest import make_objects, random_scores
 
-TRANSPORTS = ["queue", "shm"]
+TRANSPORTS = ["queue"]
 
 
 def _stream(count=120, seed=11):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import algorithm_registry
 from repro.cli import CLI_ALGORITHMS
 from repro.core.framework import SAPTopK
 from repro.core.interface import ContinuousTopKAlgorithm
@@ -71,8 +70,8 @@ class TestSingleSourceOfTruth:
     def test_cli_algorithms_backed_by_registry(self):
         assert set(CLI_ALGORITHMS) == set(algorithm_names())
 
-    def test_legacy_algorithm_registry_backed_by_registry(self):
-        assert set(algorithm_registry()) == set(algorithm_names())
+    def test_algorithm_factories_cover_every_name(self):
+        assert set(algorithm_factories()) == set(algorithm_names())
 
     def test_factories_subset_selection(self):
         subset = algorithm_factories("SAP", "MinTopK")

@@ -204,7 +204,7 @@ class TestGeneratedDocstring:
 class TestObservabilityCommands:
     def test_top_parser_defaults(self):
         args = build_parser().parse_args(["top"])
-        assert args.url.endswith("/metrics.json")
+        assert args.url.endswith("/v1/metrics.json")
         assert args.interval == 1.0
         assert args.iterations is None
 

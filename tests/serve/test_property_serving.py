@@ -96,7 +96,7 @@ def test_served_answers_byte_identical_to_embedded_engine(
     name = f"prop-{example}"
     n, k, s = SHAPES[shape_index]
     status, _ = _request(
-        server, "POST", "/subscriptions", {"name": name, "n": n, "k": k, "s": s}
+        server, "POST", "/v1/subscriptions", {"name": name, "n": n, "k": k, "s": s}
     )
     assert status == 201
     try:
@@ -109,7 +109,7 @@ def test_served_answers_byte_identical_to_embedded_engine(
             extra = redeliveries[index] if index < len(redeliveries) else 0
             events.extend([event] * (1 + extra))
 
-        status, body = _request(server, "POST", "/events", {"events": events})
+        status, body = _request(server, "POST", "/v1/events", {"events": events})
         assert status == 200
         assert body["accepted"] == len(scores)
         assert body["duplicates"] == len(events) - len(scores)
@@ -119,7 +119,7 @@ def test_served_answers_byte_identical_to_embedded_engine(
         deadline = time.monotonic() + 10
         served = []
         while time.monotonic() < deadline:
-            _, body = _request(server, "GET", f"/subscriptions/{name}/results")
+            _, body = _request(server, "GET", f"/v1/subscriptions/{name}/results")
             served = body["results"]
             if len(served) >= len(expected):
                 break
@@ -141,5 +141,5 @@ def test_served_answers_byte_identical_to_embedded_engine(
                 o["t"] for o in want["objects"]
             ]
     finally:
-        status, _ = _request(server, "DELETE", f"/subscriptions/{name}")
+        status, _ = _request(server, "DELETE", f"/v1/subscriptions/{name}")
         assert status == 204

@@ -42,19 +42,19 @@ def parse(raw: bytes) -> HttpRequest:
 class TestHttpParsing:
     def test_request_line_query_and_headers(self):
         req = parse(
-            b"GET /subscriptions/q1/results?drain=true&x=1 HTTP/1.1\r\n"
+            b"GET /v1/subscriptions/q1/results?drain=true&x=1 HTTP/1.1\r\n"
             b"Host: localhost\r\nX-Custom: Value\r\n\r\n"
         )
         assert req.method == "GET"
-        assert req.path == "/subscriptions/q1/results"
-        assert req.segments == ("subscriptions", "q1", "results")
+        assert req.path == "/v1/subscriptions/q1/results"
+        assert req.segments == ("v1", "subscriptions", "q1", "results")
         assert req.query == {"drain": "true", "x": "1"}
         assert req.headers["x-custom"] == "Value"  # header names lowercase
 
     def test_body_read_by_content_length(self):
         body = json.dumps({"events": [1, 2, 3]}).encode()
         req = parse(
-            b"POST /events HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            b"POST /v1/events HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
             % (len(body), body)
         )
         assert req.json() == {"events": [1, 2, 3]}
@@ -70,18 +70,18 @@ class TestHttpParsing:
     def test_chunked_transfer_rejected(self):
         with pytest.raises(ProtocolError) as err:
             parse(
-                b"POST /events HTTP/1.1\r\n"
+                b"POST /v1/events HTTP/1.1\r\n"
                 b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n"
             )
         assert err.value.status == 400
 
     def test_oversized_body_rejected(self):
         with pytest.raises(ProtocolError) as err:
-            parse(b"POST /events HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
+            parse(b"POST /v1/events HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
         assert err.value.status == 413
 
     def test_bad_json_body_maps_to_400(self):
-        req = parse(b"POST /events HTTP/1.1\r\nContent-Length: 4\r\n\r\n{oop")
+        req = parse(b"POST /v1/events HTTP/1.1\r\nContent-Length: 4\r\n\r\n{oop")
         with pytest.raises(ProtocolError) as err:
             req.json()
         assert err.value.status == 400
@@ -130,7 +130,7 @@ class TestWebSocket:
 
     def test_upgrade_detection(self):
         req = parse(
-            b"GET /subscriptions/q/ws HTTP/1.1\r\n"
+            b"GET /v1/subscriptions/q/ws HTTP/1.1\r\n"
             b"Upgrade: websocket\r\nConnection: keep-alive, Upgrade\r\n"
             b"Sec-WebSocket-Key: abc\r\n\r\n"
         )
@@ -139,7 +139,7 @@ class TestWebSocket:
 
     def test_handshake_response_contains_accept(self):
         req = parse(
-            b"GET /subscriptions/q/ws HTTP/1.1\r\n"
+            b"GET /v1/subscriptions/q/ws HTTP/1.1\r\n"
             b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
             b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n"
         )

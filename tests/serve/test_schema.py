@@ -1,4 +1,4 @@
-"""The declared wire surface: route matching, aliasing, and drift guards.
+"""The declared wire surface: route matching and drift guards.
 
 Two drift guards matter more than the unit checks: every route's
 ``handler`` key must resolve to a ``_h_<key>`` method on the server (so
@@ -19,16 +19,7 @@ class TestMatch:
     def test_v1_path_is_canonical(self):
         matched = schema.match("GET", ("v1", "health"))
         assert matched.route.handler == "health"
-        assert not matched.deprecated
-        assert matched.deprecation_headers() is None
-
-    def test_unversioned_path_is_deprecated_alias(self):
-        matched = schema.match("GET", ("health",))
-        assert matched.route.handler == "health"
-        assert matched.deprecated
-        headers = matched.deprecation_headers()
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == '</v1/health>; rel="successor-version"'
+        assert matched.params == {}
 
     def test_path_params_are_extracted(self):
         matched = schema.match("GET", ("v1", "subscriptions", "alerts", "results"))
@@ -44,15 +35,14 @@ class TestMatch:
             schema.match("PUT", ("v1", "subscriptions"))
         assert set(excinfo.value.allowed) == {"GET", "POST"}
 
-    def test_both_forms_resolve_every_route(self):
+    def test_every_route_resolves_under_v1_only(self):
         for route in schema.ROUTES:
             segments = tuple(
                 "x" if part.startswith("{") else part for part in route.pattern
             )
-            canonical = schema.match(route.method, ("v1",) + segments)
-            legacy = schema.match(route.method, segments)
-            assert canonical.route is route and not canonical.deprecated
-            assert legacy.route is route and legacy.deprecated
+            assert schema.match(route.method, ("v1",) + segments).route is route
+            with pytest.raises(schema.RouteNotFound):
+                schema.match(route.method, segments)
 
 
 class TestDriftGuards:

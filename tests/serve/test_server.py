@@ -47,18 +47,18 @@ def request(handle, method, path, body=None):
 
 def subscribe(handle, name, *, n=10, k=3, s=5, **extra):
     body = {"name": name, "n": n, "k": k, "s": s, **extra}
-    return request(handle, "POST", "/subscriptions", body)
+    return request(handle, "POST", "/v1/subscriptions", body)
 
 
 def ingest(handle, events):
-    return request(handle, "POST", "/events", {"events": events})
+    return request(handle, "POST", "/v1/events", {"events": events})
 
 
 def wait_for_results(handle, name, minimum=1, timeout=5.0):
     """Poll (without draining) until the subscription has answers."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, body, _ = request(handle, "GET", f"/subscriptions/{name}/results")
+        status, body, _ = request(handle, "GET", f"/v1/subscriptions/{name}/results")
         assert status == 200
         if len(body["results"]) >= minimum:
             return body["results"]
@@ -73,18 +73,18 @@ class TestSubscriptionLifecycle:
         assert body["query"] == {"n": 20, "k": 5, "s": 10, "time_based": False}
         assert body["algorithm"] == "SAP"
 
-        status, body, _ = request(server, "GET", "/subscriptions")
+        status, body, _ = request(server, "GET", "/v1/subscriptions")
         assert status == 200
         assert [s["name"] for s in body["subscriptions"]] == ["alpha"]
 
-        status, body, _ = request(server, "GET", "/subscriptions/alpha")
+        status, body, _ = request(server, "GET", "/v1/subscriptions/alpha")
         assert status == 200
         assert body["name"] == "alpha"
         assert "engine" in body  # engine-side stats merged in
 
-        status, _, _ = request(server, "DELETE", "/subscriptions/alpha")
+        status, _, _ = request(server, "DELETE", "/v1/subscriptions/alpha")
         assert status == 204
-        status, _, _ = request(server, "GET", "/subscriptions/alpha")
+        status, _, _ = request(server, "GET", "/v1/subscriptions/alpha")
         assert status == 404
 
     def test_duplicate_name_conflicts(self, server):
@@ -100,18 +100,25 @@ class TestSubscriptionLifecycle:
             {"name": "x", "n": 10, "k": 3, "s": 5, "algorithm": "nope"},
             {"name": "", "n": 10, "k": 3, "s": 5},
         ]:
-            status, _, _ = request(server, "POST", "/subscriptions", body)
+            status, _, _ = request(server, "POST", "/v1/subscriptions", body)
             assert status == 400, body
 
     def test_unknown_routes_and_methods(self, server):
         assert request(server, "GET", "/nope")[0] == 404
         subscribe(server, "q")
-        assert request(server, "PUT", "/subscriptions/q")[0] == 405
+        assert request(server, "PUT", "/v1/subscriptions/q")[0] == 405
+
+    def test_unversioned_path_is_404(self, server):
+        subscribe(server, "q")
+        status, body, headers = request(server, "GET", "/subscriptions")
+        assert status == 404
+        assert "no route" in body["error"]
+        assert "Deprecation" not in headers
 
     def test_health_and_stats(self, server):
-        status, body, _ = request(server, "GET", "/health")
+        status, body, _ = request(server, "GET", "/v1/health")
         assert (status, body["status"]) == (200, "ok")
-        status, body, _ = request(server, "GET", "/stats")
+        status, body, _ = request(server, "GET", "/v1/stats")
         assert status == 200
         assert body["engine"] == "local"
         assert {"ingest", "admission", "sessions"} <= set(body)
@@ -128,7 +135,7 @@ class TestAdmissionControl:
             assert headers["Retry-After"] == "9"
             assert "limit" in body["error"]
             # Unsubscribing frees the slot for a newcomer.
-            assert request(handle, "DELETE", "/subscriptions/a")[0] == 204
+            assert request(handle, "DELETE", "/v1/subscriptions/a")[0] == 204
             assert subscribe(handle, "c")[0] == 201
 
 
@@ -147,14 +154,14 @@ class TestIngestion:
         # second window would have closed early with different members.
         assert [r["slide_index"] for r in results] == [0, 1]
         assert results[1]["objects"][0]["score"] == 14.0
-        status, body, _ = request(server, "GET", "/stats")
+        status, body, _ = request(server, "GET", "/v1/stats")
         assert body["ingest"]["dedupe"]["duplicates"] == 4
 
     def test_single_event_and_array_bodies(self, server):
         subscribe(server, "q")
-        status, body, _ = request(server, "POST", "/events", {"score": 1.5})
+        status, body, _ = request(server, "POST", "/v1/events", {"score": 1.5})
         assert (status, body["accepted"]) == (200, 1)
-        status, body, _ = request(server, "POST", "/events", [{"score": 2.0}])
+        status, body, _ = request(server, "POST", "/v1/events", [{"score": 2.0}])
         assert (status, body["accepted"]) == (200, 1)
 
     def test_invalid_event_rejects_the_request(self, server):
@@ -165,7 +172,7 @@ class TestIngestion:
     def test_events_without_subscribers_are_dropped(self, server):
         status, body, _ = ingest(server, [{"score": 1.0}, {"score": 2.0}])
         assert status == 200
-        _, stats, _ = request(server, "GET", "/stats")
+        _, stats, _ = request(server, "GET", "/v1/stats")
         assert stats["ingest"]["dropped_no_subscribers"] == 2
 
     def test_linger_flushes_partial_slides(self, server):
@@ -185,9 +192,9 @@ class TestIngestion:
         subscribe(server, "q")
         ingest(server, [{"score": float(i)} for i in range(15)])
         wait_for_results(server, "q", minimum=2)
-        _, body, _ = request(server, "GET", "/subscriptions/q/results?drain=true")
+        _, body, _ = request(server, "GET", "/v1/subscriptions/q/results?drain=true")
         assert len(body["results"]) >= 2
-        _, body, _ = request(server, "GET", "/subscriptions/q/results")
+        _, body, _ = request(server, "GET", "/v1/subscriptions/q/results")
         assert body["results"] == []
 
 
@@ -207,7 +214,7 @@ class TestStreamingDelivery:
         sse = socket.create_connection(("127.0.0.1", server.port))
         try:
             sse.sendall(
-                b"GET /subscriptions/q/stream HTTP/1.1\r\nHost: t\r\n\r\n"
+                b"GET /v1/subscriptions/q/stream HTTP/1.1\r\nHost: t\r\n\r\n"
             )
             head = self.read_until(sse, b": subscribed q")
             assert b"text/event-stream" in head
@@ -231,7 +238,7 @@ class TestStreamingDelivery:
             key = base64.b64encode(os.urandom(16)).decode()
             ws.sendall(
                 (
-                    "GET /subscriptions/q/ws HTTP/1.1\r\nHost: t\r\n"
+                    "GET /v1/subscriptions/q/ws HTTP/1.1\r\nHost: t\r\n"
                     "Upgrade: websocket\r\nConnection: Upgrade\r\n"
                     f"Sec-WebSocket-Key: {key}\r\n"
                     "Sec-WebSocket-Version: 13\r\n\r\n"
@@ -263,14 +270,14 @@ class TestStreamingDelivery:
     def test_disconnecting_sse_client_is_detached(self, server):
         subscribe(server, "q")
         sse = socket.create_connection(("127.0.0.1", server.port))
-        sse.sendall(b"GET /subscriptions/q/stream HTTP/1.1\r\nHost: t\r\n\r\n")
+        sse.sendall(b"GET /v1/subscriptions/q/stream HTTP/1.1\r\nHost: t\r\n\r\n")
         self.read_until(sse, b": subscribed q")
-        _, body, _ = request(server, "GET", "/subscriptions/q")
+        _, body, _ = request(server, "GET", "/v1/subscriptions/q")
         assert body["clients"] == 1
         sse.close()
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
-            _, body, _ = request(server, "GET", "/subscriptions/q")
+            _, body, _ = request(server, "GET", "/v1/subscriptions/q")
             if body["clients"] == 0:
                 break
             time.sleep(0.02)
@@ -306,7 +313,7 @@ class TestSlowClients:
         deadline = time.monotonic() + 5
         body = {}
         while time.monotonic() < deadline:
-            _, body, _ = request(server, "GET", "/subscriptions/q")
+            _, body, _ = request(server, "GET", "/v1/subscriptions/q")
             if body["results_dropped"] >= 3:
                 break
             time.sleep(0.02)
@@ -325,7 +332,7 @@ class TestSlowClients:
             time.sleep(0.02)
         assert channel.closed
         assert channel.close_reason == "slow-client"
-        _, body, _ = request(server, "GET", "/subscriptions/q")
+        _, body, _ = request(server, "GET", "/v1/subscriptions/q")
         assert body["clients_disconnected"] == 1
         assert body["clients"] == 0  # the dead channel was discarded
 

@@ -1,7 +1,7 @@
 """Tests of the package-level public API surface."""
 
 import repro
-from repro import algorithm_registry
+from repro import algorithm_factories
 from repro.core.query import TopKQuery
 
 
@@ -16,11 +16,11 @@ class TestPublicAPI:
                 continue
             assert hasattr(repro, name), name
 
-    def test_algorithm_registry_builds_every_algorithm(self):
+    def test_algorithm_factories_build_every_algorithm(self):
         from repro.registry import get_algorithm
 
         query = TopKQuery(n=50, k=3, s=5)
-        registry = algorithm_registry()
+        registry = algorithm_factories()
         assert {"SAP", "MinTopK", "k-skyband", "SMA", "brute-force"} <= set(registry)
         for name, factory in registry.items():
             algorithm = factory(query, **get_algorithm(name).example_options)
@@ -32,7 +32,7 @@ class TestPublicAPI:
 
         query = TopKQuery(n=40, k=3, s=10)
         stream = UncorrelatedStream(seed=1).take(120)
-        registry = algorithm_registry()
+        registry = algorithm_factories()
         reference = None
         for name, factory in registry.items():
             if get_algorithm(name).example_options:
