@@ -12,23 +12,26 @@ queries the framework needs: the group dominance number ``P_i.ρ`` and the
 global pruning threshold ``F_θ`` used by the S-AVL construction.
 
 The set is backed by a sorted key list with a parallel entry list and a
-``dict`` index rather than a balanced tree: the framework probes membership
-far more often than it hits (expiration processing checks every leaving
-object against ``C``), so the O(1) dict lookup makes the common miss free,
-and the descending merge walk degenerates to a reversed slice scan over
-contiguous lists — much cheaper constants than pointer-chasing an AVL, with
-identical ordering semantics.
+``dict`` index rather than a balanced tree: membership probes (promotion
+from ``M_0``, expiry of the front partition's candidates) are O(1) dict
+lookups, and the descending merge walk degenerates to a reversed slice
+scan over contiguous lists — much cheaper constants than pointer-chasing
+an AVL, with identical ordering semantics.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .object import StreamObject
 
 RankKey = Tuple[float, int]
+
+_obj_of = attrgetter("obj")
+_rank_of = attrgetter("score", "t")
 
 
 @dataclass
@@ -62,12 +65,6 @@ class CandidateSet:
 
     def get(self, rank_key: RankKey) -> Optional[CandidateEntry]:
         return self._index.get(rank_key)
-
-    def iter_descending(self) -> Iterator[CandidateEntry]:
-        return reversed(self._entries)
-
-    def entries(self) -> List[CandidateEntry]:
-        return list(self._entries)
 
     # ------------------------------------------------------------------
     def add(self, obj: StreamObject, partition_id: int, dominance: int = 0) -> CandidateEntry:
@@ -110,21 +107,21 @@ class CandidateSet:
         removed: List[CandidateEntry] = []
         if not new_objects:
             return removed
-        ordered_new = sorted(new_objects, key=lambda o: o.rank_key, reverse=True)
+        ordered_new = sorted(new_objects, key=_rank_of, reverse=True)
         keys = self._keys
         entries = self._entries
         to_delete: List[int] = []
         new_index = 0
         seen_new = 0
-        # Walk existing candidates best-first; the dominance increment for a
-        # candidate is the count of new objects ranking above it.
-        for position in range(len(keys) - 1, -1, -1):
+        # Walk existing candidates best-first, starting below the best new
+        # object (those above it gain nothing); the dominance increment for
+        # a candidate is the count of new objects ranking above it.
+        start = bisect_right(keys, ordered_new[0].rank_key)
+        for position in range(start - 1, -1, -1):
             key = keys[position]
             while new_index < len(ordered_new) and ordered_new[new_index].rank_key > key:
                 seen_new += 1
                 new_index += 1
-            if seen_new == 0:
-                continue
             entry = entries[position]
             entry.dominance += seen_new
             if entry.dominance >= k:
@@ -135,8 +132,12 @@ class CandidateSet:
             del self._index[keys[position]]
             del keys[position]
             del entries[position]
-        for obj in ordered_new:
-            self.add(obj, partition_id=partition_id, dominance=0)
+        # Insert the new objects by merging two ascending runs in one sort.
+        new_keys = list(map(_rank_of, reversed(ordered_new)))
+        fresh = [CandidateEntry(obj, partition_id) for obj in reversed(ordered_new)]
+        self._index.update(zip(new_keys, fresh))
+        merged = sorted(zip(keys + new_keys, entries + fresh), key=itemgetter(0))
+        self._keys, self._entries = map(list, zip(*merged))
         return removed
 
     # ------------------------------------------------------------------
@@ -147,6 +148,13 @@ class CandidateSet:
         if count <= 0:
             return []
         return self._entries[-count:][::-1]
+
+    def top_objects(self, count: int) -> List[StreamObject]:
+        """The objects of the ``count`` best candidates, in ascending rank
+        order (the order the answer merge consumes)."""
+        if count <= 0:
+            return []
+        return list(map(_obj_of, self._entries[-count:]))
 
     def top_scores(self, count: int) -> List[float]:
         """Scores of the best ``count`` candidates (for the WRT evaluation)."""
@@ -204,7 +212,3 @@ class CandidateSet:
             if count == k:
                 return self._keys[position]
         return None
-
-    def count_for_partition(self, partition_id: int) -> int:
-        """Number of candidates currently owned by a partition (O(|C|))."""
-        return sum(1 for entry in self._entries if entry.partition_id == partition_id)

@@ -18,7 +18,8 @@ procedure) on top of the building blocks of the other modules:
   S-AVL is disabled (the ablation rows of Table 2);
 * whenever a front candidate expires, the best live object of ``M_0`` is
   promoted into ``C`` in ``O(log k)`` so the candidate set always covers
-  the true top-k;
+  the true top-k; the front's candidates sit in a heap ordered by ``t``,
+  so an expiring run touches only the candidates inside it;
 * the query answer at every slide is the k best objects of
   ``C ∪ P_m^k`` where ``P_m^k`` is the top-k of the not-yet-sealed suffix
   of the stream.
@@ -26,10 +27,11 @@ procedure) on top of the building blocks of the other modules:
 
 from __future__ import annotations
 
+import heapq
 import time
 import weakref
 from collections import deque
-from operator import itemgetter
+from operator import attrgetter
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..partitioning.base import PartitionContext, Partitioner
@@ -50,7 +52,7 @@ from .interface import (
     ContinuousTopKAlgorithm,
 )
 from .object import StreamObject
-from .partition import Partition, build_partition
+from .partition import Partition, PartitionSpec, build_partition
 from .query import TopKQuery
 from .result import TopKResult
 from .shared import CoreSharedPlan, SharedCoreMember, plan_k_max
@@ -58,10 +60,8 @@ from .window import SlideEvent
 
 RankKey = Tuple[float, int]
 
-#: Sort key of a ``(rank_key, obj)`` pending-top-k entry.  Sorting on the
-#: rank key alone keeps entry comparison away from ``StreamObject`` (keys
-#: are unique within a window, so ties never reach the object).
-_entry_rank = itemgetter(0)
+#: The rank key ``(score, t)`` of an object, read in C.
+_rank_of = attrgetter("score", "t")
 
 #: Seal-path instruments per registry.  SAP algorithms are pickled for
 #: capture/rebalance, so observability handles must not live on the
@@ -184,11 +184,15 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
 
         self._partitions: Deque[Partition] = deque()
         self._candidates = CandidateSet()
-        self._pending_topk: List[Tuple[RankKey, StreamObject]] = []
+        #: Top-k of the unsealed suffix, ascending.
+        self._pending_topk: List[StreamObject] = []
         self._premade: Dict[int, MeaningfulSet] = {}
         self._front_meaningful: Optional[MeaningfulSet] = None
         self._front_prepared = False
         self._front_candidate_live = 0
+        #: ``(t, rank_key)`` heap of the prepared front's candidates; keys
+        #: that have since left ``C`` are skipped when popped.
+        self._front_expiry: List[Tuple[int, RankKey]] = []
         self._next_partition_id = 0
         self._watermark = 0
         self._slides_processed = 0
@@ -286,6 +290,23 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         base["framework"] = self.stats.as_dict()
         return base
 
+    def check_invariants(self) -> None:
+        """Validate the per-slide bookkeeping (tests call it after slides)."""
+        if self._front_prepared:
+            front_id = self._partitions[0].partition_id
+            owned = [
+                entry.obj.rank_key
+                for entry in self._candidates.top_entries(len(self._candidates))
+                if entry.partition_id == front_id
+            ]
+            assert self._front_candidate_live == len(owned), "front count drifted"
+            queued = {key for _, key in self._front_expiry}
+            assert queued.issuperset(owned), "front candidate missing from expiry heap"
+        pending = self._pending_topk
+        assert pending == sorted(pending, key=_rank_of), "pending top-k not ascending"
+        expected = topk_objects(self._partitioner.pending_objects(), self.query.k)
+        assert pending == expected[::-1], "pending top-k is not the suffix's top-k"
+
     def respawn(self) -> "SAPTopK":
         """A fresh SAP instance with this configuration, empty state."""
         return self.with_partitioner(self._partitioner.spawn())
@@ -309,30 +330,49 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         if not expirations:
             return
         partitions = self._partitions
-        candidates = self._candidates
         index = 0
         total = len(expirations)
         while index < total:
             front = partitions[0] if partitions else self._front_for_expiry()
             if not self._front_prepared:
                 self._prepare_front(front)
-            # Absorb the longest run this front can take in one batch; the
-            # dict-backed candidate set makes the (common) non-candidate
-            # removal probe a single hash miss.
+            # Absorb the longest run this front can take in one batch; only
+            # the front's candidates inside the run (the heap entries up to
+            # its last t) leave C — every other object is untouched.
             run = min(front.live_count, total - index)
             batch = expirations[index : index + run]
             front.expire_batch(batch)
-            front_id = front.partition_id
-            for obj in batch:
-                entry = candidates.remove(obj.rank_key)
-                if entry is not None and entry.partition_id == front_id:
-                    self._front_candidate_live -= 1
+            self._expire_front_candidates(front, batch)
             index += run
             if front.fully_expired:
                 self._retire_front()
         self._watermark = max(self._watermark, expirations[-1].t + 1)
         if self._front_meaningful is not None:
             self._front_meaningful.prune_expired(self._watermark)
+
+    def _expire_front_candidates(
+        self, front: Partition, batch: Sequence[StreamObject]
+    ) -> None:
+        """Drop the front's candidates among ``batch``, its expired run."""
+        heap, candidates = self._front_expiry, self._candidates
+        last_t = batch[-1].t
+        # Equal t may straddle the run's end: then only the expired
+        # objects of that t leave, and the rest go back on the heap.
+        tied = None
+        if front.live_count and front.objects[front.expired_prefix].t == last_t:
+            tied = {obj.rank_key for obj in batch if obj.t == last_t}
+        kept = []
+        while heap and heap[0][0] <= last_t:
+            item = heapq.heappop(heap)
+            if tied is not None and item[0] == last_t and item[1] not in tied:
+                kept.append(item)
+                continue
+            entry = candidates.get(item[1])
+            if entry is not None and entry.partition_id == front.partition_id:
+                candidates.remove(item[1])
+                self._front_candidate_live -= 1
+        for item in kept:
+            heapq.heappush(heap, item)
 
     def _front_for_expiry(self) -> Partition:
         if not self._partitions:
@@ -341,7 +381,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
             spec = self._partitioner.force_seal()
             if spec is None:
                 raise AlgorithmStateError("expiration requested on an empty window")
-            self._seal(spec.objects, spec.units)
+            self._seal(spec)
             self._rebuild_pending_topk()
         return self._partitions[0]
 
@@ -351,6 +391,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         self._front_meaningful = None
         self._front_prepared = False
         self._front_candidate_live = 0
+        self._front_expiry = []
 
     def _ensure_front_prepared(self) -> None:
         if self._front_prepared or not self._partitions:
@@ -364,9 +405,14 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         k = self.query.k
         rho = self._candidates.group_dominance(partition.kth_key, partition.partition_id, k)
         partition.rho = rho
-        self._front_candidate_live = self._candidates.count_for_partition(
-            partition.partition_id
-        )
+        front_id = partition.partition_id
+        self._front_expiry = [
+            (entry.obj.t, entry.obj.rank_key)
+            for entry in self._candidates.top_entries(len(self._candidates))
+            if entry.partition_id == front_id
+        ]
+        heapq.heapify(self._front_expiry)
+        self._front_candidate_live = len(self._front_expiry)
         if self._policy == "eager":
             self._front_meaningful = self._premade.pop(
                 partition.partition_id, EmptyMeaningfulSet()
@@ -438,11 +484,11 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         self._push_pending_topk_many(arrivals)
         specs = self._partitioner.observe(arrivals)
         for spec in specs:
-            self._seal(spec.objects, spec.units)
+            self._seal(spec)
         if specs:
             self._rebuild_pending_topk()
 
-    def _seal(self, objects: Sequence[StreamObject], units) -> None:
+    def _seal(self, spec: PartitionSpec) -> None:
         # The observability handles come from the module-level per-registry
         # cache (never the instance): SAP algorithms are pickled for
         # capture/rebalance, so instruments must not ride on ``self``.
@@ -451,7 +497,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         timed = registry.enabled or tracer.enabled
         started = time.perf_counter() if timed else 0.0
         partition = build_partition(
-            self._next_partition_id, objects, self.query.k, units
+            self._next_partition_id, spec.objects, self.query.k, spec.units, spec.topk
         )
         self._next_partition_id += 1
         self.stats.partitions_sealed += 1
@@ -461,7 +507,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
             partition.topk, partition.partition_id, self.query.k
         )
         self.stats.refine_removals += len(removed)
-        if self._partitions:
+        if self._front_prepared:
             front_id = self._partitions[0].partition_id
             for entry in removed:
                 if entry.partition_id == front_id:
@@ -481,7 +527,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
                     self._slides_processed,
                     time.time() - seal_seconds,
                     seal_seconds,
-                    f"objects={len(objects)}",
+                    f"objects={len(spec.objects)}",
                 )
 
     def _build_premade(self, partition: Partition) -> MeaningfulSet:
@@ -506,20 +552,20 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         )
 
     def _push_pending_topk_many(self, objects: Sequence[StreamObject]) -> None:
-        # top_k(A ∪ B) == top_k(top_k(A) ∪ B): merge the kept entries with
+        # top_k(A ∪ B) == top_k(top_k(A) ∪ B): merge the kept objects with
         # the whole batch and keep the k best.  Timsort exploits the sorted
         # prefix, so this beats per-object insort by a wide margin.
-        merged = self._pending_topk + [(obj.rank_key, obj) for obj in objects]
-        merged.sort(key=_entry_rank)
+        merged = self._pending_topk + list(objects)
+        merged.sort(key=_rank_of)
         excess = len(merged) - self.query.k
         if excess > 0:
             del merged[:excess]
         self._pending_topk = merged
 
     def _rebuild_pending_topk(self) -> None:
-        pending = self._partitioner.pending_objects()
-        best = topk_objects(pending, self.query.k)
-        self._pending_topk = sorted((obj.rank_key, obj) for obj in best)
+        best = self._partitioner.pending_topk(self.query.k)
+        best.reverse()
+        self._pending_topk = best
 
     # ------------------------------------------------------------------
     # Amortized proactive formation (Section 5.1)
@@ -598,6 +644,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
             if obj.rank_key in self._candidates:
                 continue
             self._candidates.add(obj, front.partition_id)
+            heapq.heappush(self._front_expiry, (obj.t, obj.rank_key))
             self._front_candidate_live += 1
             self.stats.promotions += 1
 
@@ -605,29 +652,17 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     # Results
     # ------------------------------------------------------------------
     def _current_result(self, event: SlideEvent) -> TopKResult:
-        # Merge the two already-ordered sources — the candidate set
-        # (descending walk) and the pending top-k (ascending list) — so
-        # the answer needs no sort.  The sources are disjoint: candidates
-        # come from sealed partitions, pending objects are unsealed.
+        # The two sources are ascending runs — the candidate set's top k
+        # and the pending top-k — so one sort merges them in C.  They are
+        # disjoint: candidates come from sealed partitions, pending objects
+        # are unsealed.
         k = self.query.k
-        pending = self._pending_topk
-        pending_index = len(pending) - 1
-        candidates = self._candidates.iter_descending()
-        candidate = next(candidates, None)
-        best: List[StreamObject] = []
-        while len(best) < k:
-            if candidate is not None and (
-                pending_index < 0 or candidate.rank_key > pending[pending_index][0]
-            ):
-                best.append(candidate.obj)
-                candidate = next(candidates, None)
-            elif pending_index >= 0:
-                best.append(pending[pending_index][1])
-                pending_index -= 1
-            else:
-                break
+        merged = self._candidates.top_objects(k) + self._pending_topk
+        merged.sort(key=_rank_of)
         return TopKResult(
-            slide_index=event.index, window_end=event.window_end, objects=tuple(best)
+            slide_index=event.index,
+            window_end=event.window_end,
+            objects=tuple(reversed(merged[-k:])),
         )
 
     # ------------------------------------------------------------------

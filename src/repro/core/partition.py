@@ -11,12 +11,15 @@ segmentation-based S-AVL construction (UBSA).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .columnar import topk_objects
 from .object import StreamObject
 
 RankKey = Tuple[float, int]
+
+_t_of = attrgetter("t")
 
 
 @dataclass
@@ -54,6 +57,8 @@ class PartitionSpec:
 
     objects: List[StreamObject]
     units: Optional[List[UnitSummary]] = None
+    #: The objects' top-k (best first) when the partitioner already has it.
+    topk: Optional[List[StreamObject]] = None
 
     @property
     def size(self) -> int:
@@ -74,12 +79,11 @@ class Partition:
     rho: Optional[int] = None
     #: The local top-k ``P_i^k`` (best first), computed at seal time.
     topk: List[StreamObject] = field(default_factory=list)
-    #: Lazy caches over ``topk``; rebuilt after seal/insert via
+    #: Lazy cache over ``topk``; rebuilt after seal/insert via
     #: :meth:`invalidate_caches`.
     _topk_keys: Optional[List[RankKey]] = field(
         default=None, repr=False, compare=False
     )
-    _candidate_keys: Optional[set] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.objects:
@@ -89,9 +93,8 @@ class Partition:
         self.invalidate_caches()
 
     def invalidate_caches(self) -> None:
-        """Drop the derived-key caches (call after replacing ``topk``)."""
+        """Drop the derived-key cache (call after replacing ``topk``)."""
         self._topk_keys = None
-        self._candidate_keys = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -111,44 +114,16 @@ class Partition:
         candidate)."""
         return self.topk[-1].rank_key
 
-    @property
-    def oldest_live_t(self) -> Optional[int]:
-        if self.fully_expired:
-            return None
-        return self.objects[self.expired_prefix].t
-
     def topk_keys(self) -> List[RankKey]:
         if self._topk_keys is None:
             self._topk_keys = [obj.rank_key for obj in self.topk]
         return self._topk_keys
 
-    @property
-    def candidate_keys(self) -> set:
-        """The rank keys of ``P_i^k`` as a set (cached)."""
-        if self._candidate_keys is None:
-            self._candidate_keys = set(self.topk_keys())
-        return self._candidate_keys
-
-    def non_candidate_objects(self) -> List[StreamObject]:
-        """Objects of the partition outside ``P_i^k`` (any order)."""
-        candidate_keys = self.candidate_keys
-        return [obj for obj in self.objects if obj.rank_key not in candidate_keys]
-
-    def expire_one(self, obj: StreamObject) -> None:
-        """Record the expiration of the partition's oldest live object."""
-        expected = self.objects[self.expired_prefix]
-        if expected.t != obj.t:
-            raise ValueError(
-                f"expiration order violated: expected t={expected.t}, got t={obj.t}"
-            )
-        self.expired_prefix += 1
-
     def expire_batch(self, objs: Sequence[StreamObject]) -> None:
         """Record the expiration of a run of oldest live objects at once.
 
-        Equivalent to calling :meth:`expire_one` for each object, including
-        which object a mismatch is reported for, but advances the expired
-        prefix in one step."""
+        Each object is checked against the partition's next live object;
+        the first mismatch is reported by its ``t``."""
         start = self.expired_prefix
         end = start + len(objs)
         if end > len(self.objects):
@@ -157,11 +132,12 @@ class Partition:
                 f"{len(self.objects) - start} remain live"
             )
         expected = self.objects[start:end]
-        for have, got in zip(expected, objs):
-            if have.t != got.t:
-                raise ValueError(
-                    f"expiration order violated: expected t={have.t}, got t={got.t}"
-                )
+        if list(map(_t_of, expected)) != list(map(_t_of, objs)):
+            for have, got in zip(expected, objs):
+                if have.t != got.t:
+                    raise ValueError(
+                        f"expiration order violated: expected t={have.t}, got t={got.t}"
+                    )
         self.expired_prefix = end
 
 
@@ -170,13 +146,19 @@ def build_partition(
     objects: Sequence[StreamObject],
     k: int,
     units: Optional[List[UnitSummary]] = None,
+    topk: Optional[List[StreamObject]] = None,
 ) -> Partition:
-    """Create a sealed partition, deriving ``P_i^k`` by a direct scan.
+    """Create a sealed partition with ``P_i^k`` = ``topk`` (best first), or
+    derived by a direct scan when no top-k is supplied.
 
     Unit summaries are kept for the UBSA construction only.  They cannot
     stand in for the scan: a non-k-unit keeps just its top-1 object, yet it
     can hold many of the partition's top-k objects.
     """
     return Partition(
-        partition_id=partition_id, objects=list(objects), k=k, units=units
+        partition_id=partition_id,
+        objects=list(objects),
+        k=k,
+        units=units,
+        topk=topk or [],
     )

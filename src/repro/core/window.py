@@ -17,14 +17,20 @@ assert it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .columnar import SlideBlock
 from .exceptions import InvalidQueryError
 from .object import StreamObject
 from .query import TopKQuery
+
+_t_of = attrgetter("t")
+
+#: Objects per batcher call when :func:`slides_for_query` drains a stream.
+_SLIDES_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -72,26 +78,47 @@ class SlideEvent:
         return self.block
 
 
+def check_order(objects: Sequence[StreamObject], previous: float) -> int:
+    """The last ``t`` of a non-empty chunk; raises
+    :class:`InvalidQueryError` when ``t`` decreases within the chunk or
+    below ``previous``."""
+    ts = list(map(_t_of, objects))
+    if ts[0] < previous or ts != sorted(ts):
+        # Name the first offending object.
+        for t in ts:
+            if t < previous:
+                raise InvalidQueryError(
+                    "stream objects must arrive in non-decreasing order of t; "
+                    f"got t={t} after t={previous}"
+                )
+            previous = t
+    return ts[-1]
+
+
 class SlidingWindow:
     """Materialised view of the current window contents.
 
-    The class is a thin wrapper around a deque that additionally checks the
-    fundamental invariant of sliding windows: objects expire in exactly the
-    order they arrived.
+    The objects live in one list behind a head index: arrivals are
+    appended a chunk at a time after one order check (objects expire in
+    exactly the order they arrived), expiry slices the oldest objects off
+    and moves the head, and the dead prefix is dropped once it outgrows
+    the live part, so the list never holds more than about twice the
+    window.
     """
 
     def __init__(self) -> None:
-        self._objects: Deque[StreamObject] = deque()
+        self._objects: List[StreamObject] = []
+        self._head = 0
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._objects) - self._head
 
     def __iter__(self) -> Iterator[StreamObject]:
-        return iter(self._objects)
+        return iter(self.contents())
 
     @property
     def oldest(self) -> StreamObject:
-        return self._objects[0]
+        return self._objects[self._head]
 
     @property
     def newest(self) -> StreamObject:
@@ -99,43 +126,49 @@ class SlidingWindow:
 
     def contents(self) -> List[StreamObject]:
         """Snapshot of the window contents, oldest first."""
-        return list(self._objects)
+        return self._objects[self._head :]
 
     def append(self, obj: StreamObject) -> None:
-        if self._objects and obj.t < self._objects[-1].t:
-            raise InvalidQueryError(
-                "stream objects must arrive in non-decreasing order of t; "
-                f"got t={obj.t} after t={self._objects[-1].t}"
-            )
-        self._objects.append(obj)
+        self.extend((obj,))
+
+    def extend(self, objects: Sequence[StreamObject]) -> None:
+        """Append a chunk of objects, oldest first."""
+        if not objects:
+            return
+        check_order(objects, self.newest.t if len(self) else float("-inf"))
+        self._objects.extend(objects)
 
     def expire_oldest(self, count: int) -> List[StreamObject]:
         """Remove and return the ``count`` oldest objects."""
-        removed = []
-        for _ in range(count):
-            removed.append(self._objects.popleft())
-        return removed
+        return self._expire_to(self._head + count)
 
     def expire_older_than(self, cutoff: int) -> List[StreamObject]:
         """Remove and return every object whose arrival time precedes
         ``cutoff`` (time-based windows)."""
-        removed = []
-        while self._objects and self._objects[0].arrival_time < cutoff:
-            removed.append(self._objects.popleft())
+        objects, end = self._objects, self._head
+        while end < len(objects) and objects[end].arrival_time < cutoff:
+            end += 1
+        return self._expire_to(end)
+
+    def _expire_to(self, end: int) -> List[StreamObject]:
+        objects, head = self._objects, self._head
+        removed = objects[head:end]
+        head += len(removed)
+        if head > len(objects) - head:
+            del objects[:head]
+            head = 0
+        self._head = head
         return removed
 
 
 class SlideBatcher:
-    """Incremental slide-event builder (one object at a time).
+    """Incremental slide-event builder, fed one chunk at a time.
 
-    The generator functions below consume a whole stream; the batcher is
-    their push-based counterpart, used when several queries must share a
-    single pass over the stream — every query group of the engine owns
-    exactly one batcher for its window shape (see
-    :class:`repro.engine.group.QueryGroup`).  Feeding the same
-    objects to a batcher produces exactly the same events as the
-    corresponding generator, except that time-based windows emit their final
-    (end-of-stream) report only when :meth:`flush` is called.
+    Every query group of the engine owns exactly one batcher for its
+    window shape (see :class:`repro.engine.group.QueryGroup`), and
+    :func:`slides_for_query` drains a whole stream through one.  How the
+    stream is chunked never changes the events; a time-based window emits
+    its final (end-of-stream) report only when :meth:`flush` is called.
     """
 
     def __init__(self, query: TopKQuery) -> None:
@@ -179,8 +212,7 @@ class SlideBatcher:
             else:
                 take = min(query.s - len(self._pending), total - position)
             chunk = objects[position : position + take]
-            for obj in chunk:
-                window.append(obj)
+            window.extend(chunk)
             self._pending.extend(chunk)
             position += take
             if not self._filled:
@@ -252,8 +284,7 @@ class SlideBatcher:
             )
         if last_index < 0:
             raise InvalidQueryError(f"last_index must be >= 0, got {last_index}")
-        for obj in contents:
-            self._window.append(obj)
+        self._window.extend(contents)
         self._filled = True
         self._index = last_index + 1
 
@@ -319,116 +350,43 @@ class SlideBatcher:
         return event
 
 
+def slides_for_query(
+    objects: Iterable[StreamObject], query: TopKQuery
+) -> Iterator[SlideEvent]:
+    """Generate the slide events of ``query``'s window over a stream.
+
+    The pull-based face of :class:`SlideBatcher`, fed in chunks.  A
+    count-based window reports once ``n`` objects have arrived and then
+    once per ``s`` arrivals; trailing objects that do not fill a whole
+    slide are discarded, mirroring the paper's setup where ``s`` divides
+    the processed stream length.  A time-based window (``n`` and ``s`` are
+    durations in the unit of the objects' arrival times) reports at every
+    multiple of ``s`` once a full window duration has elapsed since the
+    first object, and a final report covers the last full window.
+    """
+    batcher = SlideBatcher(query)
+    source = iter(objects)
+    while True:
+        chunk = list(islice(source, _SLIDES_CHUNK))
+        if not chunk:
+            break
+        yield from batcher.push_batch(chunk)
+    yield from batcher.flush()
+
+
 def count_based_slides(
     objects: Iterable[StreamObject], query: TopKQuery
 ) -> Iterator[SlideEvent]:
-    """Generate slide events for a count-based window.
-
-    The first event is emitted when ``n`` objects have arrived; afterwards
-    one event is emitted per ``s`` arrivals.  Trailing objects that do not
-    fill a whole slide are discarded, mirroring the paper's setup where
-    ``s`` divides the processed stream length.
-    """
+    """:func:`slides_for_query` of a count-based query."""
     if query.time_based:
         raise InvalidQueryError("count_based_slides requires a count-based query")
-
-    window = SlidingWindow()
-    pending_arrivals: List[StreamObject] = []
-    pending_expirations: List[StreamObject] = []
-    index = 0
-    filled = False
-
-    for obj in objects:
-        window.append(obj)
-        pending_arrivals.append(obj)
-        if not filled:
-            if len(window) == query.n:
-                filled = True
-                yield SlideEvent(
-                    index=index,
-                    arrivals=tuple(pending_arrivals),
-                    expirations=tuple(pending_expirations),
-                    window_end=obj.t,
-                )
-                index += 1
-                pending_arrivals = []
-                pending_expirations = []
-            continue
-
-        if len(pending_arrivals) == query.s:
-            pending_expirations = window.expire_oldest(query.s)
-            yield SlideEvent(
-                index=index,
-                arrivals=tuple(pending_arrivals),
-                expirations=tuple(pending_expirations),
-                window_end=obj.t,
-            )
-            index += 1
-            pending_arrivals = []
-            pending_expirations = []
+    return slides_for_query(objects, query)
 
 
 def time_based_slides(
     objects: Iterable[StreamObject], query: TopKQuery
 ) -> Iterator[SlideEvent]:
-    """Generate slide events for a time-based window.
-
-    ``query.n`` is the window duration and ``query.s`` the slide duration,
-    both in the same time unit as ``StreamObject.t``.  A report is produced
-    at every multiple of ``s`` once at least one full window duration has
-    elapsed since the first object.  Objects are assumed sorted by ``t``.
-    """
+    """:func:`slides_for_query` of a time-based query."""
     if not query.time_based:
         raise InvalidQueryError("time_based_slides requires a time-based query")
-
-    window = SlidingWindow()
-    iterator = iter(objects)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        return
-
-    window.append(first)
-    start_time = first.arrival_time
-    pending_arrivals: List[StreamObject] = [first]
-    # The first report covers the window ending at start_time + n.
-    report_time = start_time + query.n
-    index = 0
-
-    def make_event(now: int, expirations: Sequence[StreamObject]) -> SlideEvent:
-        # An object that arrives and falls out of the window before the very
-        # first report was never visible to any consumer: drop it from both
-        # lists instead of reporting a phantom expiration.
-        expired_ids = {obj.t for obj in expirations}
-        pending_ids = {obj.t for obj in pending_arrivals}
-        visible_arrivals = [obj for obj in pending_arrivals if obj.t not in expired_ids]
-        visible_expirations = [obj for obj in expirations if obj.t not in pending_ids]
-        return SlideEvent(
-            index=index,
-            arrivals=tuple(visible_arrivals),
-            expirations=tuple(visible_expirations),
-            window_end=now,
-        )
-
-    for obj in iterator:
-        while obj.arrival_time > report_time:
-            expirations = window.expire_older_than(report_time - query.n + 1)
-            yield make_event(report_time, expirations)
-            index += 1
-            pending_arrivals = []
-            report_time += query.s
-        window.append(obj)
-        pending_arrivals.append(obj)
-
-    # Final report covering the last full window.
-    expirations = window.expire_older_than(report_time - query.n + 1)
-    yield make_event(report_time, expirations)
-
-
-def slides_for_query(
-    objects: Iterable[StreamObject], query: TopKQuery
-) -> Iterator[SlideEvent]:
-    """Dispatch to the count-based or time-based slide generator."""
-    if query.time_based:
-        return time_based_slides(objects, query)
-    return count_based_slides(objects, query)
+    return slides_for_query(objects, query)

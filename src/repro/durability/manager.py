@@ -41,6 +41,7 @@ from ..core.columnar import decode_chunk, encode_chunk
 from ..core.exceptions import AlgorithmStateError, InvalidQueryError, ReproError
 from ..core.object import StreamObject
 from ..core.state import STATE_FORMAT_VERSION, EngineCheckpoint, StateSerializationError
+from ..core.window import check_order
 from ..obs.registry import get_registry
 from .checkpoint import DEFAULT_KEEP, CheckpointStore
 from .wal import DEFAULT_SEGMENT_BYTES, KIND_CHUNK, KIND_OP, WriteAheadLog
@@ -136,33 +137,20 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # Logging (called by the engine hooks / worker receive path)
     # ------------------------------------------------------------------
-    def _check_order(self, ts) -> None:
-        """Refuse to journal a chunk the engine is bound to reject.
-
-        The engine enforces non-decreasing ``t``; journaling happens
-        before application (write-ahead), so an out-of-order chunk must
-        be rejected *here* — otherwise it would poison the log and fail
-        again on every replay.  Raises the same error the engine would.
-        """
-        prev = self.last_t
-        for value in ts:
-            if value < prev:
-                raise InvalidQueryError(
-                    "stream objects must arrive in non-decreasing order of "
-                    f"t; got t={value} after t={prev}"
-                )
-            prev = value
-
     def log_objects(self, chunk: Sequence[StreamObject]) -> None:
-        """WAL one chunk of objects about to enter the engine."""
-        self._check_order(obj.t for obj in chunk)
+        """WAL one non-empty chunk of objects about to enter the engine.
+
+        Journaling happens before application (write-ahead), so a chunk
+        the engine is bound to reject must be refused *here*, with the
+        engine's error — otherwise it would poison the log and fail again
+        on every replay.
+        """
+        last_t = check_order(chunk, self.last_t)
         payload = encode_chunk(chunk)
         self.wal.append(KIND_CHUNK, payload)
         self._obs_records.inc()
         self._obs_bytes.inc(len(payload))
-        for obj in chunk:
-            if obj.t > self.last_t:
-                self.last_t = obj.t
+        self.last_t = last_t
 
     def log_encoded(self, payload: bytes) -> None:
         """WAL one already-encoded chunk payload (worker receive path)."""

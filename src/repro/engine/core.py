@@ -34,9 +34,10 @@ functional, control-plane-free engine.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.exceptions import AlgorithmStateError, InvalidQueryError
+from ..core.exceptions import AlgorithmStateError
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
@@ -49,6 +50,7 @@ from ..core.state import (
     check_version,
     loads,
 )
+from ..core.window import check_order
 from ..obs.registry import get_registry
 from ..registry import create_algorithm
 from .group import GroupKey, QueryGroup, group_key_for
@@ -460,22 +462,18 @@ class EngineCore:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         chunk_size = self._chunk_size_for(chunk_size)
         count = 0
-        chunk: List[StreamObject] = []
-        # The admission filter can only engage/disengage between chunks —
-        # so it is hoisted out of the per-object loop and re-read after
-        # each chunk (None in the common unfiltered case).
-        admit = self._admission_filter()
-        for obj in objects:
-            if admit is not None and not admit(obj):
-                continue
-            chunk.append(obj)
-            if len(chunk) >= chunk_size:
-                self._ingest(chunk)
-                count += len(chunk)
-                chunk = []
-                admit = self._admission_filter()
-        self._ingest(chunk)
-        return count + len(chunk)
+        source = iter(objects)
+        while True:
+            # The admission filter can only engage/disengage between
+            # chunks, so it is re-read once per chunk (None in the common
+            # unfiltered case).
+            admit = self._admission_filter()
+            feed = source if admit is None else filter(admit, source)
+            chunk = list(islice(feed, chunk_size))
+            if not chunk:
+                return count
+            self._ingest(chunk)
+            count += len(chunk)
 
     def push_block(self, block) -> int:
         """Feed one :class:`~repro.core.columnar.SlideBlock` as a chunk.
@@ -531,15 +529,7 @@ class EngineCore:
     def _check_order(self, objects: Sequence[StreamObject]) -> int:
         """The chunk's last ``t``; raises :class:`InvalidQueryError` when
         ``t`` decreases within the chunk or below the last admitted one."""
-        previous = self._last_t
-        for obj in objects:
-            if obj.t < previous:
-                raise InvalidQueryError(
-                    "stream objects must arrive in non-decreasing order of t; "
-                    f"got t={obj.t} after t={previous}"
-                )
-            previous = obj.t
-        return previous
+        return check_order(objects, self._last_t)
 
     def flush(self) -> Dict[str, List[TopKResult]]:
         """Emit the end-of-stream report of time-based windows (if any)."""

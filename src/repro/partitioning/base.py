@@ -12,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, List, Optional, Sequence
 
+from ..core.columnar import topk_objects
 from ..core.object import StreamObject
 from ..core.partition import PartitionSpec
 from ..core.query import TopKQuery
@@ -132,6 +133,11 @@ class Partitioner(ABC):
 
     def pending_count(self) -> int:
         return len(self.pending_objects())
+
+    def pending_topk(self, k: int) -> List[StreamObject]:
+        """The ``k`` best pending objects, best first (``k`` is at most the
+        bound query's ``k``)."""
+        return topk_objects(self.pending_objects(), k)
 
     def force_seal(self) -> Optional[PartitionSpec]:
         """Seal everything pending immediately.

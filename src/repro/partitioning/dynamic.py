@@ -106,17 +106,23 @@ class DynamicPartitioner(Partitioner):
     # ------------------------------------------------------------------
     def observe(self, batch: Sequence[StreamObject]) -> List[PartitionSpec]:
         specs: List[PartitionSpec] = []
-        for obj in batch:
-            self._observe_object(obj)
-            self._current.append(obj)
+        position, total = 0, len(batch)
+        # Consume the batch in slices that end at unit boundaries.
+        while position < total:
+            end = min(position + self._unit_size - len(self._current), total)
+            piece = batch[position:end]
+            self._observe_slice(piece)
+            self._current.extend(piece)
+            position = end
             if len(self._current) >= self._unit_size:
                 spec = self._complete_unit()
                 if spec is not None:
                     specs.append(spec)
         return specs
 
-    def _observe_object(self, obj: StreamObject) -> None:
-        """Hook for the enhanced partitioner's per-object TBUI bookkeeping."""
+    def _observe_slice(self, objects: Sequence[StreamObject]) -> None:
+        """Hook for the enhanced partitioner's TBUI bookkeeping over the
+        objects joining the current unit."""
 
     # ------------------------------------------------------------------
     def _complete_unit(self) -> Optional[PartitionSpec]:
@@ -170,9 +176,15 @@ class DynamicPartitioner(Partitioner):
         """Called when a new partition is started from ``seed_unit``."""
 
     def _seal_units(self, units: List[_PendingUnit]) -> PartitionSpec:
+        assert self.query is not None
         objects = [obj for unit in units for obj in unit.objects]
         self.seals.record(len(objects))
-        return PartitionSpec(objects=objects, units=self._unit_summaries(units))
+        # top_k(A ∪ B) == top_k(top_k(A) ∪ top_k(B)): the units' top-k
+        # stand in for a scan of the sealed objects.
+        topk = topk_objects([obj for unit in units for obj in unit.topk], self.query.k)
+        return PartitionSpec(
+            objects=objects, units=self._unit_summaries(units), topk=topk
+        )
 
     def _unit_summaries(self, units: List[_PendingUnit]) -> Optional[List[UnitSummary]]:
         """The plain dynamic partitioner attaches no unit metadata."""
@@ -183,6 +195,11 @@ class DynamicPartitioner(Partitioner):
         pending = [obj for unit in self._units for obj in unit.objects]
         pending.extend(self._current)
         return pending
+
+    def pending_topk(self, k: int) -> List[StreamObject]:
+        pool = [obj for unit in self._units for obj in unit.topk]
+        pool.extend(self._current)
+        return topk_objects(pool, k)
 
     def _drop_pending(self) -> None:
         self._units = []

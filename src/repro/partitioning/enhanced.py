@@ -16,7 +16,7 @@ object.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.object import StreamObject, top_k
 from ..core.partition import UnitSummary
@@ -44,9 +44,11 @@ class EnhancedDynamicPartitioner(DynamicPartitioner):
     # ------------------------------------------------------------------
     # Hooks into the dynamic partitioner
     # ------------------------------------------------------------------
-    def _observe_object(self, obj: StreamObject) -> None:
+    def _observe_slice(self, objects: Sequence[StreamObject]) -> None:
         assert self._tbui is not None
-        self._tbui.observe(obj.score)
+        observe = self._tbui.observe
+        for obj in objects:
+            observe(obj.score)
 
     def _on_unit_complete(self, unit: _PendingUnit) -> None:
         assert self._tbui is not None

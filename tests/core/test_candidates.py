@@ -26,12 +26,13 @@ class TestBasics:
         assert candidates.remove((5.0, 1)) is None
         assert len(candidates) == 0
 
-    def test_iter_descending_orders_by_rank(self):
+    def test_top_objects_ascend_by_rank(self):
         candidates = CandidateSet()
         for score, t in [(5, 1), (9, 2), (7, 3)]:
             candidates.add(_obj(score, t), partition_id=0)
-        scores = [entry.obj.score for entry in candidates.iter_descending()]
-        assert scores == [9.0, 7.0, 5.0]
+        assert [o.score for o in candidates.top_objects(3)] == [5.0, 7.0, 9.0]
+        assert [o.score for o in candidates.top_objects(2)] == [7.0, 9.0]
+        assert candidates.top_objects(0) == []
 
     def test_top_entries_and_scores(self):
         candidates = CandidateSet()
@@ -119,9 +120,3 @@ class TestFrameworkQueries:
     def test_global_threshold_none_when_not_enough_candidates(self):
         candidates = self._populated()
         assert candidates.global_threshold(exclude_partition_id=0, k=4) is None
-
-    def test_count_for_partition(self):
-        candidates = self._populated()
-        assert candidates.count_for_partition(0) == 2
-        assert candidates.count_for_partition(1) == 2
-        assert candidates.count_for_partition(7) == 0

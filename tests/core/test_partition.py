@@ -26,31 +26,29 @@ class TestPartition:
     def test_expire_one_advances_prefix(self):
         objects = make_objects([5, 9, 1])
         partition = build_partition(0, objects, k=1)
-        partition.expire_one(objects[0])
+        partition.expire_batch(objects[:1])
         assert partition.expired_prefix == 1
         assert partition.live_count == 2
         assert not partition.fully_expired
-        assert partition.oldest_live_t == 1
 
     def test_expire_out_of_order_rejected(self):
         objects = make_objects([5, 9, 1])
         partition = build_partition(0, objects, k=1)
-        with pytest.raises(ValueError):
-            partition.expire_one(objects[1])
+        with pytest.raises(ValueError, match="expected t=0, got t=1"):
+            partition.expire_batch(objects[1:2])
+        partition.expire_batch(objects[:1])
+        with pytest.raises(ValueError, match="expected t=2, got t=0"):
+            partition.expire_batch([objects[1], objects[0]])
+        assert partition.expired_prefix == 1
+        with pytest.raises(ValueError, match="only 2 remain live"):
+            partition.expire_batch(objects)
 
     def test_fully_expired(self):
         objects = make_objects([5, 9])
         partition = build_partition(0, objects, k=1)
-        for obj in objects:
-            partition.expire_one(obj)
+        partition.expire_batch(objects)
         assert partition.fully_expired
-        assert partition.oldest_live_t is None
-
-    def test_non_candidate_objects(self):
-        objects = make_objects([5, 9, 1, 7])
-        partition = build_partition(0, objects, k=2)
-        others = partition.non_candidate_objects()
-        assert sorted(o.score for o in others) == [1.0, 5.0]
+        assert partition.live_count == 0
 
 
 class TestBuildPartitionWithUnits:
@@ -73,6 +71,13 @@ class TestBuildPartitionWithUnits:
         units = self._units_for(objects, unit_size=10, k=3)
         partition = build_partition(0, objects, k=3, units=units)
         assert partition.topk == top_k(objects, 3)
+
+    def test_supplied_topk_is_kept(self):
+        objects = make_objects(random_scores(20, seed=3))
+        best = top_k(objects, 4)
+        partition = build_partition(0, objects, k=4, topk=best)
+        assert partition.topk is best
+        assert partition.kth_key == best[-1].rank_key
 
     def test_falls_back_to_scan_when_summaries_too_small(self):
         objects = make_objects(random_scores(20, seed=2))

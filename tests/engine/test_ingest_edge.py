@@ -7,11 +7,14 @@ ingest counter or any query group sees the chunk.  A rejected chunk must
 leave the engine exactly as an uncrashed twin that never saw it.
 """
 
+import re
+
 import pytest
 
 from repro.core.columnar import SlideBlock
 from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
+from repro.core.window import SlidingWindow
 from repro.control import AdaptiveController
 from repro.engine import QuerySpec, StreamEngine
 
@@ -66,8 +69,25 @@ def _reject_push(engine):
     engine.push(StreamObject(score=99.0, t=5))
 
 
+def _reject_first_position(engine):
+    # The chunk itself is ordered; its first t falls below the last admitted.
+    engine.push_many([StreamObject(score=99.0, t=5)] + STREAM[100:120])
+
+
+def _reject_middle_position(engine):
+    engine.push_many(STREAM[100:110] + [StreamObject(score=99.0, t=5)] + STREAM[110:120])
+
+
 @pytest.mark.parametrize(
-    "reject", [_reject_push_many, _reject_push_block, _reject_stdlib_block, _reject_push]
+    "reject",
+    [
+        _reject_push_many,
+        _reject_push_block,
+        _reject_stdlib_block,
+        _reject_push,
+        _reject_first_position,
+        _reject_middle_position,
+    ],
 )
 def test_rejected_chunk_leaves_the_engine_as_its_twin(reject):
     engine, twin = _engine(), _engine()
@@ -79,6 +99,31 @@ def test_rejected_chunk_leaves_the_engine_as_its_twin(reject):
     engine.push_many(STREAM[100:])
     twin.push_many(STREAM[100:])
     _assert_twins(engine, twin)
+
+
+@pytest.mark.parametrize("position", [0, 10, 20])
+def test_order_checks_name_the_first_decrease(position):
+    """The engine edge and the window run one check with one message."""
+    chunk = STREAM[100:121]
+    chunk[position] = StreamObject(score=1.0, t=50)
+    previous = 99 if position == 0 else chunk[position - 1].t
+    message = re.escape(
+        "stream objects must arrive in non-decreasing order of t; "
+        f"got t=50 after t={previous}"
+    )
+    engine = _engine()
+    engine.push_many(STREAM[:100])
+    with pytest.raises(InvalidQueryError, match=message):
+        engine._check_order(chunk)
+    window = SlidingWindow()
+    window.extend(STREAM[:100])
+    with pytest.raises(InvalidQueryError, match=message):
+        window.extend(chunk)
+    assert window.contents() == STREAM[:100]
+    tied = [StreamObject(score=2.0, t=99), StreamObject(score=3.0, t=99)] + STREAM[100:102]
+    assert engine._check_order(tied) == 101
+    window.extend(tied)
+    assert len(window) == 104
 
 
 def test_equal_t_is_admitted_across_chunks():

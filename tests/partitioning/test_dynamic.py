@@ -1,5 +1,6 @@
 """Unit tests for the WRT-driven dynamic partitioner."""
 
+from repro.core.object import top_k
 from repro.core.query import TopKQuery
 from repro.partitioning.base import PartitionContext
 from repro.partitioning.dynamic import DynamicPartitioner
@@ -117,3 +118,21 @@ class TestSealingBehaviour:
         spec = partitioner.force_seal()
         assert spec is not None and spec.size == pending_before
         assert partitioner.pending_count() == 0
+
+    def test_sealed_and_pending_topk_match_a_scan(self):
+        query = TopKQuery(n=400, k=4, s=4)
+        # A stronger reference keeps units merging, so seals span units.
+        partitioner = _bind(
+            DynamicPartitioner(), query, reference_scores=[1000.0 - i for i in range(50)]
+        )
+        stream = make_objects(random_scores(1200, seed=12))
+        sizes = []
+        for start in range(0, len(stream), 41):
+            for spec in partitioner.observe(stream[start : start + 41]):
+                assert spec.topk == top_k(spec.objects, query.k)
+                sizes.append(spec.size)
+            pending = partitioner.pending_objects()
+            assert partitioner.pending_topk(query.k) == top_k(pending, query.k)
+        assert sizes and max(sizes) > partitioner.unit_size
+        # A forced seal leaves the scan to build_partition.
+        assert partitioner.force_seal().topk is None

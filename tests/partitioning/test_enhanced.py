@@ -111,3 +111,26 @@ class TestSealingParity:
         enhanced_sizes = [spec.size for spec in _drive(enhanced, stream, query.s)]
         dynamic_sizes = [spec.size for spec in _drive(dynamic, stream, query.s)]
         assert enhanced_sizes == dynamic_sizes
+
+    def test_batch_size_does_not_change_seals_or_labels(self):
+        """Batches are consumed in unit-sized slices: one object at a time
+        and batches spanning several units seal the same partitions with
+        the same TBUI labels."""
+        query = TopKQuery(n=400, k=4, s=4)
+        reference = random_scores(50, seed=7)
+        stream = make_objects(random_scores(2000, seed=8))
+
+        def outline(batch):
+            partitioner = _bind(EnhancedDynamicPartitioner(), query, reference)
+            return [
+                (
+                    [o.t for o in spec.objects],
+                    [(u.start, u.end, u.is_k_unit, u.summary) for u in spec.units],
+                )
+                for spec in _drive(partitioner, stream, batch)
+            ]
+
+        single = outline(1)
+        assert single
+        assert outline(query.s) == single
+        assert outline(97) == single

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateSet
-from repro.core.object import StreamObject
 
 from ..conftest import make_objects
 
@@ -61,7 +60,7 @@ def test_merge_never_loses_the_global_topk(partition_scores, k):
     candidates, merged_objects = _merge_all(partition_scores, k)
     objects_only = [obj for _, obj in merged_objects]
     global_topk = sorted(objects_only, key=lambda o: o.rank_key, reverse=True)[:k]
-    surviving = {entry.obj.rank_key for entry in candidates.iter_descending()}
+    surviving = {obj.rank_key for obj in candidates.top_objects(len(candidates))}
     assert all(obj.rank_key in surviving for obj in global_topk)
 
 
@@ -69,7 +68,7 @@ def test_merge_never_loses_the_global_topk(partition_scores, k):
 @given(partition_scores=partition_stream, k=st.integers(min_value=1, max_value=4))
 def test_candidate_set_queries_consistent(partition_scores, k):
     candidates, _ = _merge_all(partition_scores, k)
-    entries = list(candidates.iter_descending())
+    entries = candidates.top_entries(len(candidates))
     keys = [entry.rank_key for entry in entries]
     assert keys == sorted(keys, reverse=True)
     assert len(candidates) == len(entries)

@@ -9,10 +9,15 @@ from repro import (
     MinTopK,
     SAPTopK,
     SMATopK,
+    StreamObject,
     TopKQuery,
     compare_algorithms,
 )
-from repro.partitioning import EnhancedDynamicPartitioner, EqualPartitioner
+from repro.partitioning import (
+    DynamicPartitioner,
+    EnhancedDynamicPartitioner,
+    EqualPartitioner,
+)
 
 from ..conftest import make_objects
 
@@ -39,22 +44,52 @@ def _valid_query(params):
     return TopKQuery(n=n, k=min(k, n), s=min(s, n))
 
 
+class _CheckedSAP(SAPTopK):
+    """SAP that validates its bookkeeping after every slide."""
+
+    def process_slide(self, event):
+        result = super().process_slide(event)
+        self.check_invariants()
+        return result
+
+
+#: Every SAP configuration, including what the shared engine-fleet plans
+#: run (``SAP-dynamic`` is the plain dynamic partitioner).
+SAP_VARIANTS = [
+    lambda q: _CheckedSAP(q, partitioner=EqualPartitioner()),
+    lambda q: _CheckedSAP(q, partitioner=EnhancedDynamicPartitioner()),
+    lambda q: _CheckedSAP(q, partitioner=DynamicPartitioner()),
+    lambda q: _CheckedSAP(q, meaningful_policy="eager"),
+    lambda q: _CheckedSAP(q, use_savl=False),
+    lambda q: _CheckedSAP(q, partitioner=DynamicPartitioner(), meaningful_policy="amortized"),
+    lambda q: _CheckedSAP(q, partitioner=EqualPartitioner(), meaningful_policy="amortized"),
+]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scores=scores_strategy, params=query_strategy)
 def test_sap_variants_match_brute_force(scores, params):
     query = _valid_query(params)
     objects = make_objects(scores)
-    outcome = compare_algorithms(
-        [
-            BruteForceTopK,
-            lambda q: SAPTopK(q, partitioner=EqualPartitioner()),
-            lambda q: SAPTopK(q, partitioner=EnhancedDynamicPartitioner()),
-            lambda q: SAPTopK(q, meaningful_policy="eager"),
-            lambda q: SAPTopK(q, use_savl=False),
-        ],
-        objects,
-        query,
-    )
+    outcome = compare_algorithms([BruteForceTopK] + SAP_VARIANTS, objects, query)
+    assert outcome.agree, outcome.disagreement
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    scores=scores_strategy,
+    params=query_strategy,
+    steps=st.lists(st.integers(min_value=0, max_value=3), min_size=160, max_size=160),
+)
+def test_time_based_sap_variants_match_brute_force(scores, params, steps):
+    # Timestamps advance by 0-3 per object, so many objects tie.
+    n, k, s = params
+    query = TopKQuery(n=n, k=k, s=min(s, n), time_based=True)
+    objects, stamp = [], 0
+    for t, (score, step) in enumerate(zip(scores, steps)):
+        stamp += step
+        objects.append(StreamObject(score=float(score), t=t, timestamp=stamp))
+    outcome = compare_algorithms([BruteForceTopK] + SAP_VARIANTS, objects, query)
     assert outcome.agree, outcome.disagreement
 
 

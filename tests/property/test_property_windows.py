@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from repro.baselines.mintopk import MinTopK
 from repro.core.query import TopKQuery
-from repro.core.window import SlideBatcher, count_based_slides
+from repro.core.object import StreamObject
+from repro.core.window import SlideBatcher, count_based_slides, slides_for_query
 
 from ..conftest import make_objects
+from ..window_reference import reference_slides
 
 
 window_params = st.tuples(
@@ -51,7 +53,8 @@ def test_slide_batcher_equivalent_to_generator(params):
     query = TopKQuery(n=n, k=1, s=s)
     objects = make_objects(range(n + extra))
 
-    generated = list(count_based_slides(objects, query))
+    generated = list(reference_slides(objects, query))
+    assert list(count_based_slides(objects, query)) == generated
     batcher = SlideBatcher(query)
     incremental = []
     for obj in objects:
@@ -62,6 +65,19 @@ def test_slide_batcher_equivalent_to_generator(params):
     for a, b in zip(generated, incremental):
         assert [o.t for o in a.arrivals] == [o.t for o in b.arrivals]
         assert [o.t for o in a.expirations] == [o.t for o in b.expirations]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    params=window_params,
+    steps=st.lists(st.integers(min_value=0, max_value=4), max_size=160),
+)
+def test_time_based_slides_match_the_reference(params, steps):
+    n, s, _ = params
+    query = TopKQuery(n=n, k=1, s=min(s, n), time_based=True)
+    stamps = [sum(steps[: i + 1]) for i in range(len(steps))]
+    objects = [StreamObject(score=float(i), t=i, timestamp=ts) for i, ts in enumerate(stamps)]
+    assert list(slides_for_query(objects, query)) == list(reference_slides(objects, query))
 
 
 @settings(max_examples=150, deadline=None)
