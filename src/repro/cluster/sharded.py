@@ -25,10 +25,12 @@ Division of labour:
 * the *merge layer* (:mod:`repro.cluster.merge`) combines per-shard
   results, statistics (percentiles merged from raw samples, never
   averaged), and control-plane knowledge;
-* *rebalancing* moves a live subscription between shards at a slide
-  boundary using the serialization layer (:mod:`repro.core.state`) — the
-  same drain-and-replay contract the control plane's rebuilds use, so a
-  moved query's answers are byte-identical to an unmoved one's.
+* *rebalancing* moves live subscriptions between shards at a slide
+  boundary as :class:`~repro.core.state.GroupState` records — the same
+  drain-and-replay contract the control plane's rebuilds use, so a moved
+  query's answers are byte-identical to an unmoved one's, and the same
+  placement rule as local restores, so a moved query joins the target's
+  group at its window position instead of opening its own.
 
 Because subscriptions cross a process boundary, ``subscribe`` takes an
 *algorithm name* from :mod:`repro.registry` (plus picklable options), not
@@ -504,8 +506,9 @@ class ShardedStreamEngine:
         clock, retained answers, metrics — is captured and removed on the
         source shard (behind any queued pushes, which the worker drains
         first), and restored on the target through the standard
-        drain-and-replay path.  Subsequent answers are byte-identical to
-        an unmoved run.
+        drain-and-replay path: it joins the target's group of its window
+        shape and position when there is one.  Subsequent answers are
+        byte-identical to an unmoved run.
 
         Capture requires the source group to sit at an exact slide
         boundary.  Slide-aligned chunking guarantees that after any
@@ -523,34 +526,40 @@ class ShardedStreamEngine:
             raise ValueError(
                 f"shard {to_shard} out of range (cluster has {len(self._router)})"
             )
-        if to_shard == source:
-            return self._handles[name]
-        state = self._router.request(source, ("capture", name, True))
-        # Pre-pickle once: restore_subscription accepts the bytes directly,
-        # so the (potentially large) window + retained results are not
+        if to_shard != source:
+            self._move([name], source, to_shard)
+        return self._handles[name]
+
+    def _move(self, names: List[str], source: int, target: int) -> None:
+        """Capture ``names`` off ``source`` (removing them there) and
+        restore the captured groups on ``target``; on failure put them
+        back on ``source``."""
+        states = self._router.request(source, ("capture", names, True))
+        # Pre-pickle once: the worker's restore takes the bytes directly,
+        # so the (potentially large) windows + retained results are not
         # serialized a second time by the router's pickle check.
-        payload = dumps(state)
+        payload = dumps(states)
         try:
-            self._router.request(to_shard, ("restore", payload))
+            self._router.request(target, ("restore", payload))
         except Exception as target_error:
-            # Put the subscription back where it was; the capture removed it.
             try:
                 self._router.request(source, ("restore", payload))
             except Exception:
-                # Both shards refused: the subscription is hosted nowhere,
-                # so stop advertising it and surface the cause chain.
-                self._forget(name, source)
+                # Both shards refused: the subscriptions are hosted
+                # nowhere, so stop advertising them and surface the cause.
+                for name in names:
+                    self._forget(name, source)
                 raise ShardError(
-                    f"rebalance of {name!r} failed on the target shard "
-                    f"{to_shard} and the rollback to shard {source} failed "
-                    "too; the subscription has been dropped"
+                    f"moving {names} failed on the target shard {target} and "
+                    f"the rollback to shard {source} failed too; the "
+                    "subscriptions have been dropped"
                 ) from target_error
             raise
-        handle = self._handles[name]
-        self._loads[source] -= self._placement.load_of(handle.query)
-        self._loads[to_shard] += self._placement.load_of(handle.query)
-        self._shard_of[name] = to_shard
-        return handle
+        for name in names:
+            load = self._placement.load_of(self._handles[name].query)
+            self._loads[source] -= load
+            self._loads[target] += load
+            self._shard_of[name] = target
 
     # ------------------------------------------------------------------
     # Durability and elasticity
@@ -590,11 +599,12 @@ class ShardedStreamEngine:
     def retire_shard(self, shard_id: Optional[int] = None) -> int:
         """Drain and stop the highest-numbered worker; returns its id.
 
-        Every subscription the shard hosts is first rebalanced onto the
-        least-loaded remaining shard (which needs the same slide-boundary
-        alignment as any :meth:`rebalance`), then the worker is stopped
-        and its journal removed.  Ids stay dense, so only the highest
-        shard can retire.
+        Each query group the shard hosts first moves whole, in one
+        capture, onto the least-loaded remaining shard (which needs the
+        same slide-boundary alignment as any :meth:`rebalance`), where it
+        joins the group at its window position if there is one; then the
+        worker is stopped and its journal removed.  Ids stay dense, so
+        only the highest shard can retire.
         """
         self._ensure_open()
         last = len(self._router) - 1
@@ -607,10 +617,9 @@ class ShardedStreamEngine:
             )
         if len(self._router) == 1:
             raise ValueError("cannot retire the last shard")
-        members = [name for name, s in self._shard_of.items() if s == shard_id]
-        for name in members:
+        for group in self._router.request(shard_id, ("groups",)):
             target = min(range(shard_id), key=self._loads.__getitem__)
-            self.rebalance(name, target)
+            self._move(group["members"], shard_id, target)
         self._router.remove_shard(shard_id)
         self._loads.pop()
         self._write_manifest()

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 
 from ..control import AdaptiveController
 from ..core.columnar import decode_chunk
+from ..core.state import loads
 from ..engine import StreamEngine
 from ..obs.registry import (
     LATENCY_BUCKETS,
@@ -315,12 +316,13 @@ def shard_worker_main(
             elif op == "groups":
                 payload = engine.groups()
             elif op == "capture":
-                _, name, remove = message
-                payload = engine.capture_subscription(name)
+                _, names, remove = message
+                payload = engine.capture_groups(names)
                 if remove:
-                    engine.unsubscribe(name)
+                    for name in names:
+                        engine.unsubscribe(name)
             elif op == "restore":
-                engine.restore_subscription(message[1])
+                engine.restore_groups(loads(message[1]))
             elif op == "attach_controller":
                 if controller is not None:
                     raise RuntimeError(f"shard {shard_id} already has a controller")

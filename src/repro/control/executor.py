@@ -4,11 +4,12 @@ Mechanism only, no judgement: the executor receives the planner's actions
 and carries them out, logging every outcome to the knowledge store's
 adaptation event log.  Tactics that reconfigure query execution build
 fresh algorithm instances and hand them to
-:meth:`repro.engine.group.QueryGroup.rebuild`, which drains the group at
-the current slide boundary and replays the live window state into the new
-pipeline — so a swap is answer-preserving by construction.  Load shedding
-is an engine-level valve operated through the controller, with its cost
-recorded in the knowledge store's shedding account.
+:meth:`repro.engine.group.QueryGroup.rebuild`, which drops the affected
+plans at the current slide boundary and re-admits the affected members
+with their new instances, replaying the live window into them — so a swap
+is answer-preserving by construction.  Load shedding is an engine-level
+valve operated through the controller, with its cost recorded in the
+knowledge store's shedding account.
 
 A tactic whose runtime preconditions fail (for example an algorithm swap
 to MinTopK when the window's arrival orders are not contiguous, which its
@@ -144,11 +145,11 @@ class Executor:
     def _rebuild_safe(self, group, subscription) -> bool:
         """True when rebuilding ``subscription`` cannot corrupt a sibling.
 
-        A rebuild dissolves every plan containing the subscription and
-        respawns the plan's other members from the live window; if any of
-        those members runs MinTopK, the window must satisfy MinTopK's
-        adoption precondition even though the tactic itself targets a
-        different member.
+        A rebuild drops the plan containing the subscription and respawns
+        the plan's other members from the live window; if any of those
+        members runs MinTopK, the window must satisfy MinTopK's adoption
+        precondition even though the tactic itself targets a different
+        member.  (Joins never respawn a member, so only rebuilds check.)
         """
         for plan in group.plans():
             members = plan.subscriptions()

@@ -119,16 +119,6 @@ class ContinuousTopKAlgorithm(ABC):
         Called on *fresh* instances only — both by the control plane's
         live rebuilds and by state restores across process boundaries."""
 
-    def capture_state(self, window: Sequence[StreamObject], slide_index: Optional[int]):
-        """Transportable state at a slide boundary (see
-        :mod:`repro.core.state`): a versioned, picklable record from which
-        :func:`repro.core.state.restore_algorithm` rebuilds an equivalent
-        live instance in any process.
-        """
-        from .state import capture_algorithm
-
-        return capture_algorithm(self, tuple(window), slide_index)
-
     # ------------------------------------------------------------------
     def candidate_count(self) -> int:
         """Number of candidate objects currently maintained.

@@ -1,40 +1,41 @@
-"""Serializable runtime state: the contract that moves queries between processes.
+"""Serializable runtime state: the one record that moves query groups.
 
 Every algorithm in the library computes exact answers from the live window
-contents alone, which makes its *transportable* state tiny: a fresh
-(configuration-only) instance, the window contents, and the slide clock.
-Restoring is the same drain-and-replay mechanism the control plane's
-:meth:`repro.engine.group.QueryGroup.rebuild` uses for live algorithm
-swaps — respawn, :meth:`fast_forward` to the captured slide index, then
-replay the window as one synthetic slide event whose answer is discarded
-(that window was already reported).  The result stream after a restore is
-therefore byte-identical to an uninterrupted run, no matter which process
-the state lands in.
+contents alone, which makes a query group's *transportable* state tiny:
+fresh (configuration-only) algorithm instances, the window contents, and
+the slide clock.  Restoring is the same drain-and-replay mechanism the
+control plane's :meth:`repro.engine.group.QueryGroup.rebuild` uses —
+:meth:`fast_forward` to the captured slide index, then replay the window
+as one synthetic slide event whose answer is discarded (that window was
+already reported).  The result stream after a restore is therefore
+byte-identical to an uninterrupted run, no matter which process the state
+lands in.
 
-:class:`SubscriptionState` is the unit the sharded execution plane
-(:mod:`repro.cluster`) moves between shard workers when it rebalances a
-query; it additionally carries the retained answers and metric aggregates
-so the move is invisible to consumers of the subscription.
-
-:class:`GroupState` is the unit the durability plane checkpoints: one
-query group with its window and slide clock held once, plus each
-member's :class:`SubscriptionState` (configuration, retained answers,
-metrics) without a window of its own, and the layout of the group's
-shared plans.  Restoring it rebuilds the group whole, so a recovered
-engine has the same groups and plans as the one that was captured.
+:class:`GroupState` is the one unit of state: one query group — or the
+named members of one — at a slide boundary, with its window and slide
+clock held once, each member's :class:`SubscriptionState`
+(configuration, retention policy, retained answers, metric aggregates),
+and the layout of the members' shared plans.  Checkpoints hold one per
+group, the write-ahead log journals one per restored group, and the
+sharded plane (:mod:`repro.cluster`) moves them between shard workers on
+rebalance.  :meth:`repro.engine.core.EngineCore.restore_groups` places
+the members by the engine's one placement rule, so a record captured at
+the window position of a live group joins that group instead of
+splitting from it.
 
 All state objects are plain picklable dataclasses stamped with
 :data:`STATE_FORMAT_VERSION`.  :func:`dumps` / :func:`loads` are the
-byte-level entry points; :func:`loads` refuses payloads written by an
-incompatible format version with :class:`StateVersionError` instead of
-mis-restoring them.
+byte-level entry points; a record written by an incompatible format
+version — in a payload, a checkpoint or a journaled op — is refused with
+:class:`StateVersionError` naming the record kind instead of being
+mis-restored.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional, Tuple, Type
 
 from .exceptions import ReproError
 from .interface import ContinuousTopKAlgorithm
@@ -48,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 2
+STATE_FORMAT_VERSION = 3
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes
@@ -65,36 +66,20 @@ class StateSerializationError(ReproError):
 
 
 @dataclass(frozen=True)
-class AlgorithmState:
-    """Transportable state of one algorithm at a slide boundary.
+class SubscriptionState:
+    """One member of a captured :class:`GroupState`.
 
     ``algorithm`` is a *fresh* instance (the captured one's
     :meth:`~repro.core.interface.ContinuousTopKAlgorithm.respawn`): it
-    carries the full configuration — query, partitioner, policies — but no
-    window-derived structures, so it pickles compactly and never drags
-    closures created during processing across the process boundary.
-    """
-
-    version: int
-    algorithm: ContinuousTopKAlgorithm
-    window: Tuple[StreamObject, ...]
-    slide_index: Optional[int]
-
-
-@dataclass(frozen=True)
-class SubscriptionState:
-    """Everything needed to re-home a subscription in another engine.
-
-    Beyond the algorithm state this carries the subscription's retention
-    policy, its retained answers, the delivery counter, and the metric
-    aggregates, so percentiles and result history survive a rebalance.
+    carries the full configuration but no window-derived structures.
+    Beyond it the record carries the retention policy, the retained
+    answers, the delivery counter and the metric aggregates, so result
+    history and percentiles survive a move or a recovery.
     """
 
     version: int
     name: str
     algorithm: ContinuousTopKAlgorithm
-    window: Tuple[StreamObject, ...]
-    slide_index: Optional[int]
     keep_results: bool = True
     result_buffer: Optional[int] = None
     collect_metrics: bool = True
@@ -102,27 +87,26 @@ class SubscriptionState:
     results_delivered: int = 0
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
 
-    def renamed(self, name: str) -> "SubscriptionState":
-        """The same state under a different subscription name."""
-        return replace(self, name=name)
-
 
 #: One shared plan of a captured group: the positions of its members in
-#: the group's member order, and the ``k`` its core runs at.
+#: the captured member order, and the ``k`` its core runs at.
 PlanLayout = Tuple[Tuple[int, ...], int]
+
+#: Where a group's window stands: ``None`` before the group's first push,
+#: else the last slide index and the ``t`` of every window object.
+Position = Optional[Tuple[int, Tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
 class GroupState:
-    """One query group at a slide boundary, captured whole.
+    """Members of one query group at a slide boundary, captured together.
 
-    ``window`` and ``slide_index`` are held once for the group.  Each
-    entry of ``members`` is a :class:`SubscriptionState` in group member
-    order with an empty window and no slide clock of its own.  ``plans``
-    is the group's shared-plan layout (:data:`PlanLayout`), so a restore
-    forms the same plans at the same ``k_max`` even after members left.
-    A group that has not started has an empty window, ``slide_index``
-    ``None`` and no plans.
+    ``window`` and ``slide_index`` are held once for the group, and
+    ``members`` are in group member order.  ``plans`` is the members'
+    shared-plan layout (:data:`PlanLayout`), so a restore forms the same
+    plans at the same ``k_max`` even after members left.  A group that
+    has not started has an empty window, ``slide_index`` ``None`` and no
+    plans.
     """
 
     version: int
@@ -133,24 +117,13 @@ class GroupState:
     members: Tuple[SubscriptionState, ...]
     plans: Tuple[PlanLayout, ...] = ()
 
-    @classmethod
-    def of_subscription(cls, state: SubscriptionState) -> "GroupState":
-        """A one-member group holding ``state``'s window and clock."""
-        query = state.algorithm.query
-        return cls(
-            version=state.version,
-            n=query.n,
-            s=query.s,
-            window=state.window,
-            slide_index=state.slide_index,
-            members=(replace(state, window=(), slide_index=None),),
-        )
-
-    def member_state(self, index: int) -> SubscriptionState:
-        """Member ``index`` as a standalone state carrying the group window."""
-        return replace(
-            self.members[index], window=self.window, slide_index=self.slide_index
-        )
+    @property
+    def position(self) -> Position:
+        """The window position of the capture (see
+        :meth:`repro.engine.group.QueryGroup.at`)."""
+        if self.slide_index is None:
+            return None
+        return self.slide_index, tuple(obj.t for obj in self.window)
 
 
 @dataclass(frozen=True)
@@ -189,50 +162,9 @@ class EngineCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Algorithm-level capture / restore
+# Replay and capture (restore lives in EngineCore, which owns the group
+# placement every restored member goes through)
 # ----------------------------------------------------------------------
-def capture_algorithm(
-    algorithm: ContinuousTopKAlgorithm,
-    window: Tuple[StreamObject, ...],
-    slide_index: Optional[int],
-) -> AlgorithmState:
-    """Capture an algorithm's transportable state at a slide boundary.
-
-    ``window`` must be the live window contents feeding the algorithm and
-    ``slide_index`` the index of the last reported slide (``None`` when the
-    window has not filled yet, in which case ``window`` must be empty —
-    partially filled windows are not slide boundaries).
-    """
-    if slide_index is None and window:
-        raise ValueError(
-            "a partially filled window is not a slide boundary; "
-            "capture before the first object or at a reported slide"
-        )
-    return AlgorithmState(
-        version=STATE_FORMAT_VERSION,
-        algorithm=algorithm.respawn(),
-        window=tuple(window),
-        slide_index=slide_index,
-    )
-
-
-def restore_algorithm(state: AlgorithmState) -> ContinuousTopKAlgorithm:
-    """Rebuild a live algorithm from captured state (drain-and-replay).
-
-    The returned instance has consumed the captured window as one synthetic
-    slide event (answer discarded — that window was already reported) and
-    will produce byte-identical results to the uninterrupted original for
-    every subsequent slide.
-    """
-    check_version(state.version)
-    algorithm = state.algorithm.respawn()
-    if state.slide_index is None:
-        return algorithm
-    algorithm.fast_forward(state.slide_index)
-    algorithm.process_slide(replay_event(state.window, state.slide_index))
-    return algorithm
-
-
 def replay_event(
     window: Tuple[StreamObject, ...], slide_index: int
 ) -> SlideEvent:
@@ -246,36 +178,20 @@ def replay_event(
     )
 
 
-# ----------------------------------------------------------------------
-# Subscription-level capture (restore lives in EngineCore, which owns the
-# group bookkeeping a subscription must be re-homed into)
-# ----------------------------------------------------------------------
-def capture_subscription(
-    subscription: "Subscription",
-    window: Tuple[StreamObject, ...],
-    slide_index: Optional[int],
-) -> SubscriptionState:
-    """Capture a subscription (algorithm state + retention + metrics).
+def capture_subscription(subscription: "Subscription") -> SubscriptionState:
+    """Capture one member (configuration + retention + metrics).
 
     The state is a true point-in-time snapshot: the metric aggregates are
     copied, because the captured subscription may keep running (the local
     capture API leaves it subscribed) and must not mutate the state after
     the fact.
     """
-    if slide_index is None and window:
-        raise ValueError(
-            "a partially filled window is not a slide boundary; "
-            "capture before the first object or at a reported slide"
-        )
-    buffer = subscription._results.maxlen
     return SubscriptionState(
         version=STATE_FORMAT_VERSION,
         name=subscription.name,
         algorithm=subscription.algorithm.respawn(),
-        window=tuple(window),
-        slide_index=slide_index,
         keep_results=subscription._keep_results,
-        result_buffer=buffer,
+        result_buffer=subscription._results.maxlen,
         collect_metrics=subscription._collect_metrics,
         results=tuple(subscription._results),
         results_delivered=subscription.results_delivered,
@@ -286,14 +202,19 @@ def capture_subscription(
 # ----------------------------------------------------------------------
 # Wire format
 # ----------------------------------------------------------------------
-def check_version(version: int) -> None:
-    """Reject state written by an incompatible format version."""
-    if version != STATE_FORMAT_VERSION:
+def check_version(record: object, kind: Type = object) -> None:
+    """Reject a record written by an incompatible format version with
+    :class:`StateVersionError` naming its kind, and anything that is not
+    a ``kind`` with :class:`TypeError`."""
+    version = getattr(record, "version", None)
+    if version is not None and version != STATE_FORMAT_VERSION:
         raise StateVersionError(
-            f"state format version {version} is not supported by this "
-            f"library (expected {STATE_FORMAT_VERSION}); re-capture the "
-            "state with a matching version"
+            f"{type(record).__name__} format version {version} is not "
+            f"supported by this library (expected {STATE_FORMAT_VERSION}); "
+            "re-capture the state with a matching version"
         )
+    if not isinstance(record, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(record).__name__}")
 
 
 def dumps(state: object) -> bytes:
@@ -312,7 +233,5 @@ def dumps(state: object) -> bytes:
 def loads(payload: bytes) -> object:
     """Unpickle a state object and verify its format version."""
     state = pickle.loads(payload)
-    version = getattr(state, "version", None)
-    if version is not None:
-        check_version(version)
+    check_version(state)
     return state

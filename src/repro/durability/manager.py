@@ -17,7 +17,10 @@ stores of this package.  Attached via
 
 :meth:`recover` is the inverse: restore the latest checkpoint's groups
 into a fresh engine (the same groups and plans the checkpointed engine
-had), then replay the WAL tail.  A WAL whose truncated prefix no
+had), then replay the WAL tail.  A journaled ``restore`` op holds one
+captured :class:`~repro.core.state.GroupState` and replays through the
+same :meth:`~repro.engine.EngineCore.restore_groups` placement, so the
+tail rebuilds the groups the live engine had too.  A WAL whose truncated prefix no
 readable checkpoint covers is refused with :class:`DurabilityError`
 rather than replayed from the middle.  Determinism of the
 engine (answers are a pure function of subscriptions + object sequence)
@@ -232,7 +235,8 @@ class DurabilityManager:
         Raises :class:`DurabilityError` when WAL truncation removed
         records no readable checkpoint covers, and
         :class:`~repro.core.state.StateVersionError` when the newest
-        intact checkpoint was written by another state format version.
+        intact checkpoint, or a journaled record, was written by another
+        state format version.
         """
         if len(engine):
             raise DurabilityError(
@@ -320,7 +324,7 @@ class DurabilityManager:
                 **options,
             )
         elif kind == "restore":
-            engine.restore_subscription(op[1])
+            engine.restore_groups((op[1],))
         elif kind == "unsubscribe":
             try:
                 engine.unsubscribe(op[1])

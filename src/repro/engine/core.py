@@ -1,13 +1,18 @@
 """The engine core: subscription/group bookkeeping and local execution.
 
 :class:`EngineCore` is the part of the push-based engine that every
-execution plane shares: it owns the subscription registry, buckets
-subscriptions into :class:`~repro.engine.group.QueryGroup` objects by
-window shape, moves stream objects through the groups, and captures /
-restores serializable subscription and group state
-(:mod:`repro.core.state`).
+execution plane shares: it owns the subscription registry, places
+subscriptions into :class:`~repro.engine.group.QueryGroup` objects, moves
+stream objects through the groups, and captures / restores query groups
+as :class:`~repro.core.state.GroupState` records.
 
-Two planes build on it rather than forking it:
+Every subscription is placed by one rule, in ``EngineCore._place``: it
+joins the query group that has its window shape and its window position,
+or opens one.  :meth:`~EngineCore.subscribe` places a fresh subscription
+("not started"); :meth:`~EngineCore.restore_groups` places the members of
+each captured record at the record's slide index and window.
+
+Three planes build on the core rather than forking it:
 
 * :class:`repro.engine.StreamEngine` — the single-process facade; it adds
   the adaptive control plane integration (controller attachment, the
@@ -15,11 +20,11 @@ Two planes build on it rather than forking it:
   hook methods at the bottom of this class.
 * the shard workers of :mod:`repro.cluster` — each worker process hosts a
   full :class:`StreamEngine`, and the sharded facade moves subscriptions
-  between workers with :meth:`capture_subscription` /
-  :meth:`restore_subscription`;
+  between workers with :meth:`capture_groups` / :meth:`restore_groups`,
+  so a moved group joins the target's group at the same position;
 * the durability plane (:mod:`repro.durability`) — it checkpoints whole
-  query groups with :meth:`capture_groups` and recovers them with
-  :meth:`restore_groups`.
+  query groups with :meth:`capture_groups`, journals every restored
+  record, and recovers both through :meth:`restore_groups`.
 
 Every ingest call — :meth:`~EngineCore.push`, :meth:`~EngineCore.push_many`
 and :meth:`~EngineCore.push_block` — hands its chunks to one edge,
@@ -53,7 +58,7 @@ from ..core.state import (
 from ..core.window import check_order
 from ..obs.registry import get_registry
 from ..registry import create_algorithm
-from .group import GroupKey, QueryGroup, group_key_for
+from .group import QueryGroup, group_key_for
 from .spec import QuerySpec, resolve_query
 from .subscription import ResultCallback, Subscription
 
@@ -77,7 +82,6 @@ class EngineCore:
         building them, for hot loops that only consume callbacks."""
         self._subscriptions: Dict[str, Subscription] = {}
         self._groups: List[QueryGroup] = []
-        self._open_groups: Dict[GroupKey, QueryGroup] = {}
         self._default_keep_results = keep_results
         self._return_results = return_results
         self._cluster_space = None
@@ -131,10 +135,10 @@ class EngineCore:
             Optional callback invoked as ``callback(name, result)`` for
             every answer.
 
-        The subscription joins the query group of its window shape.  A
-        group that has already consumed stream objects is full: the new
-        subscription then opens a fresh group (its window starts empty),
-        and only queries subscribed before the first push share state.
+        The subscription joins the query group of its window shape that
+        has not consumed the stream yet (its window starts empty), or
+        opens one; queries subscribed between the same two pushes share
+        state.
 
         A :class:`QuerySpec` that carries execution choices (``using``,
         ``preferring``) is the whole declaration: the ``algorithm``
@@ -170,7 +174,7 @@ class EngineCore:
         )
         if on_result is not None:
             subscription.on_result(on_result)
-        self._group_for(instance.query).add(subscription)
+        self._place([subscription])
         self._subscriptions[name] = subscription
         if self._durability is not None:
             self._log_subscribe_op(name, instance, algorithm, algorithm_options,
@@ -184,8 +188,8 @@ class EngineCore:
 
         Registry-named algorithms log a compact ``subscribe`` op; ready
         instances/factories fall back to a ``restore`` op of the fresh
-        state (checkpoint-only durability when even that is unpicklable,
-        e.g. closure-scored queries)."""
+        member's :class:`GroupState` (checkpoint-only durability when even
+        that is unpicklable, e.g. closure-scored queries)."""
         if isinstance(algorithm, str):
             self._durability.log_op((
                 "subscribe",
@@ -198,11 +202,7 @@ class EngineCore:
                 subscription._collect_metrics,
             ))
         else:
-            try:
-                state = self.capture_subscription(name)
-            except AlgorithmStateError:  # pragma: no cover - defensive
-                return
-            self._durability.log_op(("restore", state))
+            self._durability.log_op(("restore", self.capture_subscription(name)))
 
     def update_preference(self, name: str, vector: Iterable[float]) -> Dict[str, object]:
         """Re-declare one preference subscription's vector mid-stream.
@@ -272,118 +272,119 @@ class EngineCore:
     # ------------------------------------------------------------------
     # Serializable state (rebalancing between engines / processes)
     # ------------------------------------------------------------------
-    def capture_subscription(self, name: str) -> SubscriptionState:
-        """Capture one subscription as transportable, picklable state.
+    def capture_subscription(self, name: str) -> GroupState:
+        """Capture one subscription as a one-member :class:`GroupState`
+        (:meth:`capture_groups` of that name).
+
+        The subscription keeps running here; pair with :meth:`unsubscribe`
+        to move it, or use the sharded engine's ``rebalance`` which does
+        both ends atomically.
+        """
+        (state,) = self.capture_groups((name,))
+        return state
+
+    def capture_group(
+        self, group: QueryGroup, members: Optional[Sequence[Subscription]] = None
+    ) -> GroupState:
+        """Capture ``members`` of one query group (default: all, in member
+        order): the group's window and slide clock once, every member's
+        state, and their plan layout.
 
         Only exact slide boundaries can be captured (the live window must
-        equal the last reported window), so captures line up with the same
-        points where the control plane may rebuild algorithms.  The
-        subscription keeps running here; pair with :meth:`unsubscribe` to
-        move it, or use the sharded engine's ``rebalance`` which does both
-        ends atomically.
-        """
-        subscription = self.subscription(name)
-        window, slide_index = self._capture_point(subscription.group)
-        return capture_subscription(subscription, window, slide_index)
-
-    def capture_group(self, group: QueryGroup) -> GroupState:
-        """Capture one query group whole: its window and slide clock once,
-        every member's state (in member order), and its plan layout.
-
-        Raises :class:`AlgorithmStateError` where
-        :meth:`capture_subscription` would: off a slide boundary, or on a
+        equal the last reported window), so captures line up with the
+        points where the control plane may rebuild algorithms.  Raises
+        :class:`AlgorithmStateError` off a slide boundary and on a
         time-based group that has started.
         """
-        window, slide_index = self._capture_point(group)
+        window: Tuple[StreamObject, ...] = ()
+        slide_index = None
+        if group.started:
+            if group.time_based:
+                raise AlgorithmStateError(
+                    "time-based subscriptions cannot be captured: their windows "
+                    "have no exact slide boundaries"
+                )
+            if not group.at_slide_boundary():
+                raise AlgorithmStateError(
+                    "capture is only possible at a slide boundary (window full, "
+                    "no partial slide buffered); push a whole number of slides "
+                    "or use slide-aligned chunking"
+                )
+            window, slide_index = tuple(group.window_contents()), group.last_slide_index()
+        members = group.members() if members is None else members
         return GroupState(
             version=STATE_FORMAT_VERSION,
             n=group.n,
             s=group.s,
             window=window,
             slide_index=slide_index,
-            members=tuple(
-                capture_subscription(subscription, (), None)
-                for subscription in group.members()
-            ),
-            plans=group.plan_layout(),
+            members=tuple(capture_subscription(sub) for sub in members),
+            plans=group.plan_layout(members),
         )
 
-    def capture_groups(self) -> Tuple[GroupState, ...]:
-        """:meth:`capture_group` of every query group, in engine order."""
-        return tuple(self.capture_group(group) for group in self._groups)
+    def capture_groups(self, names: Optional[Iterable[str]] = None) -> Tuple[GroupState, ...]:
+        """:meth:`capture_group` of every query group, in engine order —
+        or, given ``names``, of every group holding a named subscription,
+        restricted to those members."""
+        if names is None:
+            return tuple(self.capture_group(group) for group in self._groups)
+        wanted = {id(self.subscription(name)) for name in names}
+        states = []
+        for group in self._groups:
+            members = [sub for sub in group.members() if id(sub) in wanted]
+            if members:
+                states.append(self.capture_group(group, members))
+        return tuple(states)
 
-    @staticmethod
-    def _capture_point(
-        group: Optional[QueryGroup],
-    ) -> Tuple[Tuple[StreamObject, ...], Optional[int]]:
-        """The window and slide index a capture of ``group`` records."""
-        if group is None or not group.started:
-            # Never pushed: the window is empty and there is no slide clock.
-            return (), None
-        if group.time_based:
-            raise AlgorithmStateError(
-                "time-based subscriptions cannot be captured: their windows "
-                "have no exact slide boundaries"
-            )
-        if not group.at_slide_boundary():
-            raise AlgorithmStateError(
-                "capture is only possible at a slide boundary (window full, "
-                "no partial slide buffered); push a whole number of slides "
-                "or use slide-aligned chunking"
-            )
-        return tuple(group.window_contents()), group.last_slide_index()
+    def restore_subscription(self, state: Union[GroupState, bytes]) -> Subscription:
+        """Re-home one captured subscription on this engine.
 
-    def restore_subscription(
-        self, state: Union[SubscriptionState, bytes]
-    ) -> Subscription:
-        """Re-home a captured subscription on this engine.
-
-        Accepts a :class:`~repro.core.state.SubscriptionState` or its
-        pickled bytes.  The subscription resumes with its retained answers,
-        metric aggregates, and — after the captured window is replayed
-        through the standard drain-and-replay path — produces byte-identical
-        answers to an uninterrupted run.  This is :meth:`restore_groups`
-        of a one-member group: a captured mid-stream window opens a query
-        group of its own, a never-started one joins the open group of its
-        shape like a fresh subscription.
+        Accepts :meth:`capture_subscription`'s one-member
+        :class:`~repro.core.state.GroupState` or its pickled bytes, and is
+        :meth:`restore_groups` of that one record: the subscription
+        resumes with its retained answers and metric aggregates, and
+        produces byte-identical answers to an uninterrupted run.
         """
         if isinstance(state, (bytes, bytearray)):
             state = loads(bytes(state))
-        if not isinstance(state, SubscriptionState):
-            raise TypeError(
-                f"expected SubscriptionState or bytes, got {type(state).__name__}"
+        check_version(state, GroupState)
+        if len(state.members) != 1:
+            raise ValueError(
+                f"expected one member, got {len(state.members)}; use restore_groups"
             )
-        (subscription,) = self.restore_groups((GroupState.of_subscription(state),))
+        (subscription,) = self.restore_groups((state,))
         return subscription
 
     def restore_groups(
         self, states: Sequence[GroupState], order: Sequence[str] = ()
     ) -> List[Subscription]:
-        """Rebuild captured query groups whole; return the subscriptions.
+        """Place the members of captured query groups; return them.
 
-        Each started group is rebuilt with its members in captured order
-        and primed once with its window, slide clock and plan layout, so
-        its plans (leaders, buckets, ``k_max``) match the captured group.
-        Members of a never-started group join the open group of their
-        shape, as fresh subscriptions do.  ``order``, when given, is the
-        registration order of the restored names (default: group order).
+        The members of each record go through the engine's placement rule
+        together: they join the group at the record's window position — a
+        live group at the same slide index and window, or the group of
+        their shape that has not started — or open one seeded with the
+        record's window.  They form plans from the record's layout, so
+        plans (buckets, ``k_max``) match the captured ones.  ``order``,
+        when given, is the registration order of the restored names
+        (default: record order).
 
-        With a durability manager attached every member is journaled as a
-        one-member ``restore`` op, the format WAL replay understands; the
-        next checkpoint records the groups whole again.
+        With a durability manager attached every record is journaled as
+        one ``restore`` op, which WAL replay feeds back through this
+        method.
         """
         self._ensure_open()
-        names = [member.name for state in states for member in state.members]
         for state in states:
-            check_version(state.version)
+            check_version(state, GroupState)
             for member in state.members:
-                check_version(member.version)
+                check_version(member, SubscriptionState)
                 query = member.algorithm.query
                 if (query.n, query.s) != (state.n, state.s):
                     raise ValueError(
                         f"member {member.name!r} ({query.describe()}) does not "
                         f"fit a group of window n={state.n}, s={state.s}"
                     )
+        names = [member.name for state in states for member in state.members]
         seen = set(self._subscriptions)
         for name in names:
             if name in seen:
@@ -408,22 +409,13 @@ class EngineCore:
                 subscription._adopt_state(member)
                 members.append(subscription)
                 restored[member.name] = subscription
-            if state.slide_index is None:
-                for subscription in members:
-                    self._group_for(subscription.query).add(subscription)
-            elif members:
-                group = QueryGroup(state.n, state.s, members[0].query.time_based)
-                for subscription in members:
-                    group.add(subscription)
-                group.prime(state.window, state.slide_index, state.plans)
-                self._register_group(group)
-                self._last_t = max(self._last_t, state.window[-1].t)
+            if members:
+                self._place(members, state)
         for name in order or restored:
             self._subscriptions[name] = restored[name]
         if self._durability is not None:
             for state in states:
-                for index in range(len(state.members)):
-                    self._durability.log_op(("restore", state.member_state(index)))
+                self._durability.log_op(("restore", state))
         return list(restored.values())
 
     # ------------------------------------------------------------------
@@ -632,8 +624,8 @@ class EngineCore:
 
     def at_checkpoint_boundary(self) -> bool:
         """Whether every window sits at an exact slide boundary (the only
-        points where :meth:`capture_subscription` — and therefore a
-        checkpoint — is possible).  Time-based windows never are."""
+        points where :meth:`capture_groups` — and therefore a checkpoint —
+        is possible).  Time-based windows never are."""
         for group in self._groups:
             if group.time_based:
                 return False
@@ -673,14 +665,25 @@ class EngineCore:
         if self._closed:
             raise AlgorithmStateError("the engine is closed")
 
-    def _group_for(self, query: TopKQuery) -> QueryGroup:
-        key = group_key_for(query)
-        group = self._open_groups.get(key)
-        if group is None or group.started:
-            group = QueryGroup(query.n, query.s, query.time_based)
-            self._open_groups[key] = group
+    def _place(
+        self, members: Sequence[Subscription], state: Optional[GroupState] = None
+    ) -> None:
+        """The one placement rule: ``members`` join the query group with
+        their window shape and window position — "not started" for fresh
+        subscriptions, ``state``'s slide index and window for captured
+        ones — or open one (seeded with ``state``'s window)."""
+        key = group_key_for(members[0].query)
+        position = None if state is None else state.position
+        for group in self._groups:
+            if group.key == key and group.at(position):
+                break
+        else:
+            group = QueryGroup(*key)
+            if position is not None:
+                group.prime(state.window, state.slide_index)
+                self._last_t = max(self._last_t, state.window[-1].t)
             self._register_group(group)
-        return group
+        group.admit(members, None if state is None else state.plans)
 
     @staticmethod
     def _resolve_algorithm(
@@ -717,8 +720,6 @@ class EngineCore:
     def _unregister_group(self, group: QueryGroup) -> None:
         """A query group lost its last member and leaves the engine."""
         self._groups.remove(group)
-        if self._open_groups.get(group.key) is group:
-            del self._open_groups[group.key]
 
     def _admission_filter(self) -> Optional[Callable[[StreamObject], bool]]:
         """Admission filter of the next chunk (None = admit all): the

@@ -1,14 +1,14 @@
 """Query groups: the shared multi-query execution plane of the engine.
 
-A :class:`QueryGroup` holds every subscription whose query shares one
-window shape ``(n, s, window type)``.  The group owns the *single* slide
-batcher for that shape — window filling, slide batching, and expiry happen
-exactly once per slide, no matter how many queries watch the shape — and
-fans each sealed slide event out to its members.
+A :class:`QueryGroup` holds subscriptions whose queries share one window
+shape ``(n, s, window type)`` and one window position.  The group owns the
+*single* slide batcher for that shape — window filling, slide batching,
+and expiry happen exactly once per slide, no matter how many queries watch
+the shape — and fans each sealed slide event out to its members.
 
-On its first slide the group additionally buckets members by their
-algorithm's :meth:`~repro.core.interface.ContinuousTopKAlgorithm.shared_plan_key`
-and forms a :class:`~repro.core.shared.SharedPlan` for every bucket with at
+Members are bucketed by their algorithm's
+:meth:`~repro.core.interface.ContinuousTopKAlgorithm.shared_plan_key`, and
+a :class:`~repro.core.shared.SharedPlan` forms for every bucket with at
 least two members: SAP, k-skyband and MinTopK queries each share one
 algorithm core run at the bucket's ``k_max``, and every member slices its
 answer out of the core's top-``k_max``.  The plan prepares each slide
@@ -16,9 +16,16 @@ once, before any member sees it.  Algorithms without a plan (or alone in
 their bucket) process the raw events exactly as before, so mixing
 sharable and unsharable queries in one group is always safe.
 
-Membership is fixed once the group has started consuming the stream: a
-subscription added later must see an *empty* window, so the engine opens a
-fresh group of the same shape for it instead.
+The placement rule: a subscription joins the group with its window shape
+and its window position (:meth:`QueryGroup.at`).  A fresh subscription's
+position is "not started", so it joins the group of its shape that has
+not consumed the stream yet, and every member of that group forms plans
+at its first push.  A captured one (:class:`~repro.core.state.GroupState`)
+joins the group at its last slide index and window ``t`` sequence.
+Members admitted into a started group (:meth:`QueryGroup.admit`) are
+fast-forwarded to the group's slide, fed its window as one replayed slide,
+and form plans only among themselves, so existing members and plans never
+notice a join.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from ..core.shared import SharedPlan, SharedSlide
-from ..core.state import PlanLayout, replay_event
+from ..core.state import PlanLayout, Position, replay_event
 from ..core.window import SlideBatcher, SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, get_registry
 from ..obs.tracing import get_tracer
@@ -49,7 +56,7 @@ def group_key_for(query: TopKQuery) -> GroupKey:
 
 
 class QueryGroup:
-    """All subscriptions sharing one window shape on a stream engine."""
+    """All subscriptions sharing one window shape and window position."""
 
     def __init__(self, n: int, s: int, time_based: bool) -> None:
         self.n = n
@@ -90,13 +97,30 @@ class QueryGroup:
     def members(self) -> List[Subscription]:
         return list(self._members)
 
-    def add(self, subscription: Subscription) -> None:
-        if self._started:
+    def admit(
+        self,
+        subscriptions: Sequence[Subscription],
+        layout: Optional[Sequence[PlanLayout]] = None,
+    ) -> None:
+        """Add ``subscriptions`` (fresh algorithm instances) at this
+        group's position.
+
+        In a group that has not started they simply join, and plans form
+        over every member at the first push.  In a started group they are
+        fast-forwarded to its slide, form plans among themselves — from
+        the captured ``layout`` (positions into ``subscriptions``) when
+        given, else by plan-key bucketing — and consume the live window as
+        one replayed slide whose answers are discarded.
+        """
+        if self._started and not self.at_slide_boundary():
             raise AlgorithmStateError(
-                "cannot join a query group that has started consuming the stream"
+                "a started query group admits members only at a slide boundary"
             )
-        self._members.append(subscription)
-        subscription._attach_group(self)
+        for subscription in subscriptions:
+            self._members.append(subscription)
+            subscription._attach_group(self)
+        if self._started:
+            self._join(subscriptions, layout)
 
     def remove(self, subscription: Subscription) -> None:
         if subscription in self._members:
@@ -128,11 +152,24 @@ class QueryGroup:
         rebuilds by the control plane are only legal at such boundaries."""
         return self._started and self._batcher.at_slide_boundary()
 
+    def at(self, position: Position) -> bool:
+        """Whether this group sits at ``position``: not started for
+        ``None``, else at a slide boundary with that last slide index and
+        window ``t`` sequence."""
+        if position is None:
+            return not self._started
+        index, ts = position
+        return (
+            self.at_slide_boundary()
+            and self._batcher.last_index == index
+            and tuple(obj.t for obj in self._batcher.window_contents()) == ts
+        )
+
     # ------------------------------------------------------------------
     # Plan formation
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Freeze membership and form the shared plans (first push)."""
+        """Form the shared plans over every member (first push)."""
         if self._started:
             return
         self._started = True
@@ -172,14 +209,23 @@ class QueryGroup:
     def plans(self) -> List[SharedPlan]:
         return list(self._plans)
 
-    def plan_layout(self) -> Tuple[PlanLayout, ...]:
-        """Every shared plan as member positions plus ``k_max`` (the
-        :class:`~repro.core.state.GroupState` record of the plans)."""
-        position = {id(sub): index for index, sub in enumerate(self._members)}
-        return tuple(
-            (tuple(position[id(sub)] for sub in plan.subscriptions()), plan.k_max)
-            for plan in self._plans
-        )
+    def plan_layout(
+        self, members: Optional[Sequence[Subscription]] = None
+    ) -> Tuple[PlanLayout, ...]:
+        """Every shared plan as positions in ``members`` (default: every
+        member) plus ``k_max`` — the :class:`~repro.core.state.GroupState`
+        record of the plans.  A plan keeps only its members among
+        ``members``, and is left out when none of them is."""
+        members = self._members if members is None else members
+        position = {id(sub): index for index, sub in enumerate(members)}
+        layout = []
+        for plan in self._plans:
+            positions = tuple(
+                position[id(sub)] for sub in plan.subscriptions() if id(sub) in position
+            )
+            if positions:
+                layout.append((positions, plan.k_max))
+        return tuple(layout)
 
     # ------------------------------------------------------------------
     # Live re-planning (adaptive control plane)
@@ -191,18 +237,19 @@ class QueryGroup:
         seconds.
 
         ``replacements`` maps subscription names to fresh (never pushed)
-        algorithm instances for the same query.  The group is "drained" in
-        place: every replaced member — plus every member that shared a plan
-        with one, since dissolving a plan orphans its members — gets a
-        fresh instance, shared plans are re-formed over the rebuilt set,
-        and the live window contents are replayed into the new pipeline as
-        one synthetic slide event whose answer is discarded (the current
-        window was already reported).  Because every algorithm in the
-        library computes exact answers from the window contents alone, the
-        result stream after a rebuild is identical to an uninterrupted
-        run — this is what makes control-plane tactics answer-preserving.
+        algorithm instances for the same query.  The rebuild drops every
+        plan holding a replaced member — dissolving a plan orphans its
+        members, whose instances refuse to run outside it, so they are
+        respawned too — and re-admits the affected members with their new
+        instances exactly as :meth:`admit` seats joining members: plans
+        re-form over them and the live window is replayed into them as one
+        synthetic slide whose answer is discarded (the current window was
+        already reported).  Because every algorithm in the library
+        computes exact answers from the window contents alone, the result
+        stream after a rebuild is identical to an uninterrupted run — this
+        is what makes control-plane tactics answer-preserving.
 
-        Members untouched by the rebuild (not replaced, not in a dissolved
+        Members untouched by the rebuild (not replaced, not in a dropped
         plan) keep their instances and plans and never notice.
         """
         if not self.at_slide_boundary():
@@ -217,76 +264,48 @@ class QueryGroup:
 
         started = time.perf_counter()
         affected = {by_name[name] for name in replacements}
-        # Dissolving a plan orphans every member bound to it: their old
-        # instances refuse to run outside the plan, so they must be
-        # rebuilt (with their current configuration) alongside the swaps.
-        surviving_plans: List[SharedPlan] = []
+        kept: List[SharedPlan] = []
         for plan in self._plans:
-            plan_members = set(plan.subscriptions())
-            if plan_members & affected:
-                affected |= {m for m in plan_members if m in self._members}
+            if affected.isdisjoint(plan.subscriptions()):
+                kept.append(plan)
             else:
-                surviving_plans.append(plan)
-        self._plans = surviving_plans
-
-        slide_index = self._batcher.last_index
+                affected.update(plan.subscriptions())
+        self._plans = kept
         for subscription in affected:
             algorithm = replacements.get(subscription.name)
-            if algorithm is None:
-                algorithm = subscription.algorithm.respawn()
-            algorithm.fast_forward(slide_index)
-            subscription._replace_algorithm(algorithm)
-
-        ordered = [sub for sub in self._members if sub in affected]
-        new_plans = self._form_plans(ordered)
-        for plan in new_plans:
-            plan.fast_forward(slide_index)
-        self._plans.extend(new_plans)
-        self._replay(ordered, new_plans, slide_index)
+            subscription._replace_algorithm(
+                subscription.algorithm.respawn() if algorithm is None else algorithm
+            )
+        self._join([sub for sub in self._members if sub in affected])
         return time.perf_counter() - started
 
-    def prime(
-        self,
-        contents: Sequence[StreamObject],
-        last_index: int,
-        plans: Sequence[PlanLayout],
-    ) -> None:
-        """Seed a never-started group with captured window state.
-
-        This is the restore half of group serialization
-        (:mod:`repro.core.state`): the members — all fresh, never-pushed
-        algorithm instances — adopt a window captured at slide boundary
-        ``last_index`` in some other group (typically in another process).
-        The group's batcher is seeded, the captured ``plans`` layout is
-        re-formed over the members, every member is
-        fast-forwarded to the captured slide clock, and the window is
-        replayed through the standard drain-and-replay path, so subsequent
-        slides produce byte-identical answers to the group the state was
-        captured from.
+    def prime(self, contents: Sequence[StreamObject], last_index: int) -> None:
+        """Seed a fresh, memberless group with a window captured at slide
+        boundary ``last_index`` (the restore half of
+        :mod:`repro.core.state`); members then join through :meth:`admit`
+        and continue byte-identically to the group the window came from.
         """
-        if self._started:
-            raise AlgorithmStateError("cannot prime a group that has started")
-        if not self._members:
-            raise AlgorithmStateError("cannot prime a group with no members")
+        if self._started or self._members:
+            raise AlgorithmStateError("only a fresh, empty group can be primed")
         self._batcher.seed(contents, last_index)
         self._started = True
-        for subscription in self._members:
-            subscription.algorithm.fast_forward(last_index)
-        self._plans.extend(self._form_plans(self._members, plans))
-        for plan in self._plans:
-            plan.fast_forward(last_index)
-        self._replay(self._members, self._plans, last_index)
 
-    def _replay(
+    def _join(
         self,
         subscriptions: Sequence[Subscription],
-        plans: Sequence[SharedPlan],
-        slide_index: int,
+        layout: Optional[Sequence[PlanLayout]] = None,
     ) -> None:
-        """Replay the live window into ``subscriptions`` as one synthetic
-        slide event (same shape as the initial window-fill event).  The
-        produced answers are discarded: this window was already reported.
-        """
+        """Seat fresh member instances in this started group: fast-forward
+        them to its slide clock, form their plans, and replay the live
+        window into them as one synthetic slide event (answers discarded:
+        this window was already reported)."""
+        slide_index = self._batcher.last_index
+        for subscription in subscriptions:
+            subscription.algorithm.fast_forward(slide_index)
+        plans = self._form_plans(subscriptions, layout)
+        for plan in plans:
+            plan.fast_forward(slide_index)
+        self._plans.extend(plans)
         event = replay_event(tuple(self._batcher.window_contents()), slide_index)
         planned: Dict[int, SharedSlide] = {}
         for plan in plans:

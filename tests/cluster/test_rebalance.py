@@ -136,7 +136,7 @@ class TestLocalCaptureRestore:
         state = engine.capture_subscription("mover")
         with pytest.raises(ValueError, match="already subscribed"):
             engine.restore_subscription(state)
-        with pytest.raises(TypeError, match="SubscriptionState"):
+        with pytest.raises(TypeError, match="GroupState"):
             engine.restore_subscription({"not": "a state"})
 
     def test_time_based_capture_rejected(self):
@@ -149,3 +149,114 @@ class TestLocalCaptureRestore:
         engine.push_many(make_objects(random_scores(200, seed=2)))
         with pytest.raises(AlgorithmStateError, match="time-based"):
             engine.capture_subscription("timed")
+
+
+def _single_engine_answers(subscriptions, stream):
+    engine = StreamEngine()
+    for name, query in subscriptions:
+        engine.subscribe(name, query, algorithm="SAP")
+    engine.push_many(stream)
+    return {name: [r.identity() for r in engine.results(name)] for name, _ in subscriptions}
+
+
+def _shape_groups(cluster):
+    return [(group["shard"], group["members"]) for group in cluster.groups()]
+
+
+class TestMovesJoinGroupsByPosition:
+    """A moved subscription joins the target's group of its window shape
+    and window position instead of opening a group of its own."""
+
+    SUBSCRIPTIONS = [
+        ("a", TopKQuery(n=100, k=3, s=10)),
+        ("b", TopKQuery(n=100, k=5, s=10)),
+        ("c", TopKQuery(n=100, k=4, s=10)),
+        ("d", TopKQuery(n=100, k=6, s=10)),
+    ]
+
+    def test_rebalance_joins_the_target_group(self, stream):
+        with ShardedStreamEngine(2) as engine:
+            for (name, query), shard in zip(self.SUBSCRIPTIONS, (0, 0, 1, 1)):
+                engine.subscribe(name, query, algorithm="SAP", shard=shard)
+            engine.push_many(stream[:600])
+            engine.rebalance("a", to_shard=1)
+            assert _shape_groups(engine) == [(0, ["b"]), (1, ["c", "d", "a"])]
+            engine.push_many(stream[600:])
+            engine.synchronize()
+            got = {name: [r.identity() for r in engine.results(name)] for name in "abcd"}
+        assert got == _single_engine_answers(self.SUBSCRIPTIONS, stream)
+
+    def test_moving_a_group_member_by_member_keeps_it_whole(self, stream):
+        with ShardedStreamEngine(2) as engine:
+            for name, query in self.SUBSCRIPTIONS[:2]:
+                engine.subscribe(name, query, algorithm="SAP", shard=0)
+            engine.push_many(stream[:600])
+            engine.rebalance("a", to_shard=1)
+            engine.rebalance("b", to_shard=1)
+            assert _shape_groups(engine) == [(1, ["a", "b"])]
+            engine.push_many(stream[600:])
+            engine.synchronize()
+            got = {name: [r.identity() for r in engine.results(name)] for name in "ab"}
+        assert got == _single_engine_answers(self.SUBSCRIPTIONS[:2], stream)
+
+
+class TestElasticShards:
+    """spawn_shard / retire_shard move query groups whole."""
+
+    SURVIVORS = [("x", TopKQuery(n=120, k=2, s=10)), ("y", TopKQuery(n=120, k=8, s=10))]
+    RETIREES = [
+        ("p", TopKQuery(n=120, k=3, s=10)),
+        ("q", TopKQuery(n=120, k=5, s=10)),
+        ("r", TopKQuery(n=120, k=7, s=10)),
+    ]
+
+    def test_retire_merges_a_group_into_the_survivor_group(self, stream):
+        everyone = self.SURVIVORS + self.RETIREES
+        with ShardedStreamEngine(2) as engine:
+            for name, query in self.SURVIVORS:
+                engine.subscribe(name, query, algorithm="SAP", shard=0)
+            for name, query in self.RETIREES:
+                engine.subscribe(name, query, algorithm="SAP", shard=1)
+            engine.push_many(stream[:600])
+            assert engine.retire_shard() == 1
+            assert engine.shards == 1
+            (group,) = engine.groups()
+            assert (group["n"], group["s"]) == (120, 10)
+            assert group["members"] == ["x", "y", "p", "q", "r"]
+            # The members kept their plans: the survivors' and the moved
+            # group's, each at its own k_max.
+            assert [(plan["members"], plan["k_max"]) for plan in group["plans"]] == [
+                (["x", "y"], 8),
+                (["p", "q", "r"], 7),
+            ]
+            assert {engine.shard_of(name) for name, _ in everyone} == {0}
+            engine.push_many(stream[600:])
+            engine.synchronize()
+            got = {name: [r.identity() for r in engine.results(name)] for name, _ in everyone}
+        assert got == _single_engine_answers(everyone, stream)
+
+    def test_spawned_shard_takes_a_group_and_can_retire_again(self, stream):
+        with ShardedStreamEngine(1) as engine:
+            for name, query in self.RETIREES:
+                engine.subscribe(name, query, algorithm="SAP", shard=0)
+            engine.push_many(stream[:600])
+            assert engine.spawn_shard() == 1
+            assert engine.shards == 2
+            for name, _ in self.RETIREES:
+                engine.rebalance(name, to_shard=1)
+            assert _shape_groups(engine) == [(1, ["p", "q", "r"])]
+            engine.push_many(stream[600:900])
+            assert engine.retire_shard() == 1
+            assert _shape_groups(engine) == [(0, ["p", "q", "r"])]
+            engine.push_many(stream[900:])
+            engine.synchronize()
+            got = {name: [r.identity() for r in engine.results(name)] for name, _ in self.RETIREES}
+        assert got == _single_engine_answers(self.RETIREES, stream)
+
+    def test_only_the_highest_shard_retires(self):
+        with ShardedStreamEngine(2) as engine:
+            with pytest.raises(ValueError, match="highest-numbered"):
+                engine.retire_shard(0)
+            engine.retire_shard()
+            with pytest.raises(ValueError, match="last shard"):
+                engine.retire_shard()

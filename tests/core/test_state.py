@@ -4,20 +4,19 @@ import pickle
 
 import pytest
 
-from repro.core.exceptions import InvalidQueryError
+from repro import StreamEngine
+from repro.core.exceptions import AlgorithmStateError, InvalidQueryError
 from repro.core.framework import SAPTopK
 from repro.core.query import TopKQuery
 from repro.core.state import (
     STATE_FORMAT_VERSION,
-    AlgorithmState,
+    GroupState,
     StateSerializationError,
     StateVersionError,
-    capture_algorithm,
     check_version,
     dumps,
     loads,
     replay_event,
-    restore_algorithm,
 )
 from repro.core.window import SlideBatcher
 from repro.baselines.sma import SMATopK
@@ -27,72 +26,69 @@ from ..conftest import make_objects, random_scores
 QUERY = TopKQuery(n=60, k=4, s=10)
 
 
-def run_to_boundary(algorithm, objects):
-    """Drive ``algorithm`` through ``objects``; return (batcher, results)."""
-    batcher = SlideBatcher(algorithm.query)
-    results = []
-    for obj in objects:
-        for event in batcher.push(obj):
-            results.append(algorithm.process_slide(event))
-    return batcher, results
+def engine_at(objects, query=QUERY):
+    """A one-subscription engine ("q") fed ``objects`` in slide chunks."""
+    engine = StreamEngine()
+    engine.subscribe("q", query, algorithm="SAP")
+    if objects:
+        engine.push_many(objects, chunk_size=query.s)
+    return engine
 
 
 class TestCapture:
     def test_capture_is_versioned_and_fresh(self):
-        algorithm = SAPTopK(QUERY)
-        batcher, _ = run_to_boundary(algorithm, make_objects(random_scores(120)))
-        state = capture_algorithm(
-            algorithm, tuple(batcher.window_contents()), batcher.last_index
-        )
+        engine = engine_at(make_objects(random_scores(120)))
+        group = engine.subscription("q").group
+        state = engine.capture_subscription("q")
+        assert isinstance(state, GroupState)
         assert state.version == STATE_FORMAT_VERSION
-        assert state.slide_index == batcher.last_index
+        assert state.slide_index == group.last_slide_index()
+        assert state.position == (state.slide_index, tuple(range(60, 120)))
         assert len(state.window) == QUERY.n
+        (member,) = state.members
+        assert member.version == STATE_FORMAT_VERSION
         # The captured algorithm is a respawn: configuration, no state.
-        assert state.algorithm is not algorithm
-        assert state.algorithm.candidate_count() == 0
+        assert member.algorithm is not engine.subscription("q").algorithm
+        assert member.algorithm.candidate_count() == 0
 
     def test_capture_before_first_slide_requires_empty_window(self):
-        algorithm = SAPTopK(QUERY)
-        with pytest.raises(ValueError, match="not a slide boundary"):
-            capture_algorithm(algorithm, tuple(make_objects([1.0])), None)
+        fresh = engine_at(())
+        state = fresh.capture_subscription("q")
+        assert state.window == () and state.slide_index is None
+        assert state.position is None
+        # A partially filled window is not a slide boundary.
+        partial = engine_at(make_objects(random_scores(30)))
+        with pytest.raises(AlgorithmStateError, match="slide boundary"):
+            partial.capture_subscription("q")
 
-    def test_interface_capture_state_helper(self):
-        algorithm = SAPTopK(QUERY)
-        state = algorithm.capture_state((), None)
-        assert isinstance(state, AlgorithmState)
-        restored = restore_algorithm(state)
-        assert isinstance(restored, SAPTopK)
+    def test_restored_member_is_a_respawned_instance(self):
+        state = engine_at(make_objects(random_scores(120))).capture_subscription("q")
+        restored = StreamEngine().restore_subscription(state)
+        assert isinstance(restored.algorithm, SAPTopK)
+        assert restored.algorithm is not state.members[0].algorithm
 
 
 class TestRestore:
     def test_round_trip_continues_byte_identical(self):
         objects = make_objects(random_scores(300, seed=7))
-        reference = SAPTopK(QUERY)
-        _, expected = run_to_boundary(reference, objects)
+        expected = [r.scores for r in engine_at(objects).results("q")]
 
-        algorithm = SAPTopK(QUERY)
-        batcher, head = run_to_boundary(algorithm, objects[:150])
-        state = loads(dumps(capture_algorithm(
-            algorithm, tuple(batcher.window_contents()), batcher.last_index
-        )))
-        restored = restore_algorithm(state)
-        resumed = SlideBatcher(QUERY)
-        resumed.seed(tuple(batcher.window_contents()), batcher.last_index)
-        tail = []
-        for obj in objects[150:]:
-            for event in resumed.push(obj):
-                tail.append(restored.process_slide(event))
-        assert [r.scores for r in head + tail] == [r.scores for r in expected]
+        source = engine_at(objects[:150])
+        state = loads(dumps(source.capture_subscription("q")))
+        head = [r.scores for r in source.results("q")]
+        resumed = StreamEngine()
+        resumed.restore_groups((state,))
+        assert [r.scores for r in resumed.results("q")] == head
+        resumed.push_many(objects[150:], chunk_size=QUERY.s)
+        assert [r.scores for r in resumed.results("q")] == expected
 
     def test_restore_twice_yields_independent_instances(self):
-        algorithm = SAPTopK(QUERY)
-        batcher, _ = run_to_boundary(algorithm, make_objects(random_scores(120)))
-        state = capture_algorithm(
-            algorithm, tuple(batcher.window_contents()), batcher.last_index
-        )
-        first, second = restore_algorithm(state), restore_algorithm(state)
-        assert first is not second
-        assert first is not state.algorithm
+        state = engine_at(make_objects(random_scores(120))).capture_subscription("q")
+        first = StreamEngine().restore_subscription(state)
+        second = StreamEngine().restore_subscription(state)
+        assert first.algorithm is not second.algorithm
+        assert first.algorithm is not state.members[0].algorithm
+        assert second.algorithm is not state.members[0].algorithm
 
     def test_sma_respawn_preserves_configuration(self):
         algorithm = SMATopK(QUERY, kmax_factor=3, grid_cells=16)
@@ -103,24 +99,30 @@ class TestRestore:
 
 class TestWireFormat:
     def test_version_mismatch_rejected(self):
-        state = capture_algorithm(SAPTopK(QUERY), (), None)
-        stale = AlgorithmState(
+        state = engine_at(()).capture_subscription("q")
+        stale = GroupState(
             version=STATE_FORMAT_VERSION + 1,
-            algorithm=state.algorithm,
+            n=state.n,
+            s=state.s,
             window=state.window,
             slide_index=state.slide_index,
+            members=state.members,
         )
-        with pytest.raises(StateVersionError, match="not supported"):
+        with pytest.raises(StateVersionError, match="GroupState format version"):
             loads(dumps(stale))
         with pytest.raises(StateVersionError):
-            check_version(-1)
+            check_version(stale)
         with pytest.raises(StateVersionError):
-            restore_algorithm(stale)
+            StreamEngine().restore_groups((stale,))
+        with pytest.raises(TypeError, match="expected GroupState"):
+            check_version(state.members[0], GroupState)
 
     def test_unpicklable_state_raises_clear_error(self):
         query = TopKQuery(n=60, k=4, s=10, preference=lambda record: float(record))
+        engine = StreamEngine()
+        engine.subscribe("q", query, algorithm="SAP")
         with pytest.raises(StateSerializationError, match="picklable"):
-            dumps(capture_algorithm(SAPTopK(query), (), None))
+            dumps(engine.capture_subscription("q"))
 
     def test_loads_round_trips_plain_pickles(self):
         # Payloads without a ``version`` attribute pass through untouched.

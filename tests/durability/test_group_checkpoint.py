@@ -21,15 +21,19 @@ from hypothesis import strategies as st
 
 from repro.core import state as state_module
 from repro.core.exceptions import AlgorithmStateError
+from repro.core.framework import SAPTopK
+from repro.core.metrics import MetricsCollector
 from repro.core.object import StreamObject
 from repro.core.query import TopKQuery
 from repro.core.state import (
     PICKLE_PROTOCOL,
     STATE_FORMAT_VERSION,
     EngineCheckpoint,
+    GroupState,
     StateVersionError,
+    SubscriptionState,
 )
-from repro.durability import DurabilityError, DurabilityManager, WriteAheadLog
+from repro.durability import KIND_OP, DurabilityError, DurabilityManager, WriteAheadLog
 from repro.durability.checkpoint import CheckpointStore
 from repro.engine import QuerySpec, StreamEngine
 
@@ -215,8 +219,7 @@ class TestCheckpointRecords:
         _, checkpoint = engine.durability.store.latest()
         for group in checkpoint.groups:
             assert len(group.window) == group.n
-            assert all(member.window == () for member in group.members)
-            assert all(member.slide_index is None for member in group.members)
+            assert not any(hasattr(member, "window") for member in group.members)
         engine.close()
 
     def test_manifest_and_report_count_members_and_groups(self, tmp_path):
@@ -263,13 +266,14 @@ class TestCheckpointRecords:
         engine.subscribe("q", QuerySpec(n=12, k=2, s=6))
         engine.push_many(make_objects(random_scores(24)))
         state = engine.capture_subscription("q")
-        slides, samples = state.metrics.slides, list(state.metrics.latencies)
+        metrics = state.members[0].metrics
+        slides, samples = metrics.slides, list(metrics.latencies)
         engine.push_many(make_objects(random_scores(24, seed=2), start_t=24))
-        assert state.metrics.slides == slides
-        assert state.metrics.latencies == samples
+        assert metrics.slides == slides
+        assert metrics.latencies == samples
         restored = StreamEngine().restore_subscription(state)
         restored.metrics.latencies.append(1.0)
-        assert state.metrics.latencies == samples
+        assert metrics.latencies == samples
 
 
 class TestUnusableCheckpoints:
@@ -311,4 +315,51 @@ class TestUnusableCheckpoints:
         with pytest.raises(StateVersionError):
             store.latest()
         with pytest.raises(StateVersionError):
+            _durable(str(tmp_path))
+
+
+def _legacy(cls, **fields):
+    """A record of ``cls`` carrying exactly ``fields`` — how a payload
+    pickled by an older library version unpickles today."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
+def _version_2_member(name):
+    """A version-2 member record: it carried the group window itself."""
+    query = TopKQuery(n=12, k=2, s=6)
+    return _legacy(
+        SubscriptionState, version=2, name=name, algorithm=SAPTopK(query),
+        window=tuple(make_objects(random_scores(12))), slide_index=0,
+        keep_results=True, result_buffer=None, collect_metrics=True,
+        results=(), results_delivered=0, metrics=MetricsCollector(),
+    )
+
+
+class TestVersion2Records:
+    """Journals and checkpoints of state format 2 are refused by kind."""
+
+    def test_journaled_version_2_restore_op_is_refused(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        op = ("restore", _version_2_member("old"))
+        wal.append(KIND_OP, pickle.dumps(op, protocol=PICKLE_PROTOCOL))
+        wal.close()
+        with pytest.raises(StateVersionError, match="SubscriptionState format version 2"):
+            _durable(str(tmp_path))
+
+    def test_version_2_checkpoint_is_refused(self, tmp_path):
+        member = _version_2_member("old")
+        group = _legacy(
+            GroupState, version=2, n=12, s=6, window=member.window,
+            slide_index=0, members=(member,), plans=(),
+        )
+        checkpoint = _legacy(
+            EngineCheckpoint, version=2, wal_records=0, ingested=12, last_t=11,
+            groups=(group,), chunks=1, subscriptions=("old",),
+        )
+        CheckpointStore(str(tmp_path)).write(checkpoint)
+        with pytest.raises(StateVersionError, match="EngineCheckpoint format version 2"):
+            CheckpointStore(str(tmp_path)).latest()
+        with pytest.raises(StateVersionError, match="EngineCheckpoint format version 2"):
             _durable(str(tmp_path))

@@ -42,12 +42,15 @@ class TestGrouping:
         assert results_agree(late.results(), reference)
 
     def test_started_group_rejects_new_members(self):
+        # Off a slide boundary (here: before its window filled) a started
+        # group has no position a member could join at.
         group = QueryGroup(10, 2, False)
         group.start()
-        with pytest.raises(AlgorithmStateError):
-            engine = StreamEngine()
-            subscription = engine.subscribe("q", TopKQuery(n=10, k=2, s=2))
-            group.add(subscription)
+        engine = StreamEngine()
+        subscription = engine.subscribe("q", TopKQuery(n=10, k=2, s=2))
+        with pytest.raises(AlgorithmStateError, match="slide boundary"):
+            group.admit([subscription])
+        assert len(group) == 0
 
     def test_unsubscribe_drops_empty_group(self):
         engine = StreamEngine()
