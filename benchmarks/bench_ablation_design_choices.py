@@ -11,11 +11,11 @@ using the default query parameters.
 
 import pytest
 
+from repro.bench.experiments import run_measured
 from repro.bench.reporting import format_table, write_results
 from repro.bench.workloads import dataset_stream
 from repro.core.query import TopKQuery
 from repro.registry import get_algorithm
-from repro.runner.engine import run_algorithm
 
 from conftest import run_sweep
 
@@ -44,14 +44,14 @@ def ablation_sweep(dataset, scale):
     objects = dataset_stream(dataset, scale.stream_length)
     rows = []
     for label, factory in CONFIGURATIONS.items():
-        report = run_algorithm(factory(query), objects, keep_results=False)
+        metrics = run_measured(factory(query), objects)
         rows.append(
             {
                 "dataset": dataset,
                 "configuration": label,
-                "seconds": report.elapsed_seconds,
-                "candidates": report.average_candidates,
-                "memory_kb": report.average_memory_kb,
+                "seconds": metrics["seconds"],
+                "candidates": metrics["candidates"],
+                "memory_kb": metrics["memory_kb"],
             }
         )
     return rows

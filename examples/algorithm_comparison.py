@@ -15,7 +15,7 @@ where DATASET is one of STOCK, TRIP, PLANET, TIMEU, TIMER (default TIMER).
 
 import sys
 
-from repro import TopKQuery, algorithm_factories, compare_algorithms
+from repro import StreamEngine, TopKQuery, results_agree
 from repro.streams import make_dataset
 
 
@@ -24,35 +24,39 @@ def main() -> None:
     stream = make_dataset(dataset).take(8000)
     query = TopKQuery(n=1000, k=20, s=50)
 
-    # Every configuration comes from the unified registry; the brute-force
-    # oracle goes first so it serves as the agreement reference.
-    factories = list(
-        algorithm_factories(
-            "brute-force",
-            "SAP-equal",
-            "SAP-dynamic",
-            "SAP-enhanced",
-            "MinTopK",
-            "SMA",
-            "k-skyband",
-        ).values()
-    )
+    # Every configuration comes from the unified registry and subscribes to
+    # one engine, so the stream is read once; the brute-force oracle goes
+    # first so it serves as the agreement reference.
+    names = [
+        "brute-force",
+        "SAP-equal",
+        "SAP-dynamic",
+        "SAP-enhanced",
+        "MinTopK",
+        "SMA",
+        "k-skyband",
+    ]
+    engine = StreamEngine()
+    runs = [engine.subscribe(name, query, algorithm=name) for name in names]
 
     print(f"dataset  : {dataset} ({len(stream)} objects)")
     print(f"query    : {query.describe()}")
-    outcome = compare_algorithms(factories, stream, query)
-    print(f"all algorithms agree: {outcome.agree}\n")
+    engine.push_many(stream)
+    engine.close()
+    reference = runs[0].results()
+    agree = all(results_agree(reference, run.results()) for run in runs[1:])
+    print(f"all algorithms agree: {agree}\n")
 
+    # Seconds are the sum of each algorithm's own per-slide latencies.
     header = f"{'algorithm':<26} {'seconds':>9} {'avg candidates':>15} {'memory KB':>11}"
     print(header)
     print("-" * len(header))
-    for name in outcome.names():
-        report = outcome.report(name)
+    for run in runs:
+        metrics = run.metrics
         print(
-            f"{name:<26} {report.elapsed_seconds:9.3f} "
-            f"{report.average_candidates:15.1f} {report.average_memory_kb:11.1f}"
+            f"{run.algorithm.name:<26} {metrics.latency_total:9.3f} "
+            f"{metrics.average_candidates:15.1f} {metrics.average_memory_kb:11.1f}"
         )
-
 
 if __name__ == "__main__":
     main()

@@ -7,9 +7,9 @@ Run with::
 The example builds a continuous top-k query ``⟨n=1000, k=5, s=50⟩`` with
 the :class:`QuerySpec` builder, subscribes it on the push-based
 :class:`StreamEngine`, and streams 5,000 uniformly random objects through
-it — one at a time, the way an unbounded feed would arrive.  The legacy
-one-shot API (``run_algorithm``) produces identical answers; see the
-commented block at the end.
+it — one at a time, the way an unbounded feed would arrive.  The answers
+equal those of the reference driver ``SAPTopK(query).run(objects)``; see
+the commented block at the end.
 """
 
 from repro import QuerySpec, StreamEngine
@@ -47,16 +47,14 @@ def main() -> None:
 
     engine.close()
 
-    # The legacy one-shot API is a thin wrapper over the same engine and
-    # returns identical answers:
+    # The engine's answers equal those of the algorithm's own reference
+    # driver, which the tests compare it against:
     #
-    #     from repro import SAPTopK, TopKQuery, run_algorithm
-    #     report = run_algorithm(
-    #         SAPTopK(TopKQuery(n=1000, k=5, s=50)),
-    #         UncorrelatedStream(seed=7).take(5000),
+    #     from repro import SAPTopK, TopKQuery, results_agree
+    #     reference = SAPTopK(TopKQuery(n=1000, k=5, s=50)).run(
+    #         UncorrelatedStream(seed=7).take(5000)
     #     )
-    #     print(report.summary())
-
+    #     assert results_agree(results, reference)
 
 if __name__ == "__main__":
     main()

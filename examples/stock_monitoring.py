@@ -12,7 +12,7 @@ Run with::
     python examples/stock_monitoring.py
 """
 
-from repro import MinTopK, SAPTopK, TopKQuery, compare_algorithms
+from repro import StreamEngine, TopKQuery, results_agree
 from repro.streams import StockStream
 
 
@@ -22,15 +22,15 @@ def main() -> None:
     query = TopKQuery(n=2000, k=10, s=100)
     stream = StockStream(stocks=250, seed=42).take(10_000)
 
-    outcome = compare_algorithms([SAPTopK, MinTopK], stream, query)
-    assert outcome.agree, "exact algorithms must agree"
-
-    sap_report = outcome.report("SAP[enhanced-dynamic]")
-    mintopk_report = outcome.report("MinTopK")
+    engine = StreamEngine()
+    sap = engine.subscribe("sap", query, algorithm="SAP")
+    mintopk = engine.subscribe("mintopk", query, algorithm="MinTopK")
+    engine.push_many(stream)
+    engine.close()
+    assert results_agree(sap.results(), mintopk.results()), "exact algorithms must agree"
 
     print("Top-10 most significant transactions in the final window:")
-    final = sap_report.results[-1]
-    for rank, obj in enumerate(final, start=1):
+    for rank, obj in enumerate(sap.latest(), start=1):
         trade = obj.payload
         print(
             f"  #{rank:<2} stock {trade.stock_id:<4} "
@@ -40,13 +40,13 @@ def main() -> None:
 
     print()
     print("Efficiency comparison over the whole stream:")
-    for report in (sap_report, mintopk_report):
+    for run in (sap, mintopk):
+        metrics = run.metrics
         print(
-            f"  {report.algorithm:<22} {report.elapsed_seconds:7.3f} s, "
-            f"{report.average_candidates:7.1f} candidates on average, "
-            f"{report.average_memory_kb:7.1f} KB"
+            f"  {run.algorithm.name:<22} {metrics.latency_total:7.3f} s, "
+            f"{metrics.average_candidates:7.1f} candidates on average, "
+            f"{metrics.average_memory_kb:7.1f} KB"
         )
-
 
 if __name__ == "__main__":
     main()

@@ -15,9 +15,7 @@ The public API mirrors the paper's structure:
 * :class:`repro.cluster.ShardedStreamEngine` -- the sharded execution
   plane: the same subscribe/push API across N worker processes, with
   placement policies, merged statistics, and live rebalancing;
-* :mod:`repro.streams` -- synthetic equivalents of the paper's datasets;
-* :mod:`repro.runner` -- legacy one-shot helpers (:func:`run_algorithm`,
-  :func:`compare_algorithms`), kept as thin wrappers over the engine.
+* :mod:`repro.streams` -- synthetic equivalents of the paper's datasets.
 
 Quickstart (push-based, works on unbounded streams)::
 
@@ -33,15 +31,20 @@ Quickstart (push-based, works on unbounded streams)::
     print(watch.stats())
     engine.close()
 
-Legacy one-shot quickstart (equivalent results)::
+Several algorithms over one stream (each subscription measures its own
+per-slide latency, candidate count and memory)::
 
-    from repro import SAPTopK, TopKQuery, run_algorithm
+    from repro import StreamEngine, TopKQuery, results_agree
     from repro.streams import UncorrelatedStream
 
     query = TopKQuery(n=1000, k=10, s=10)
-    stream = UncorrelatedStream(seed=1).take(5000)
-    report = run_algorithm(SAPTopK(query), stream)
-    print(report.summary())
+    engine = StreamEngine()
+    sap = engine.subscribe("sap", query, algorithm="SAP")
+    oracle = engine.subscribe("oracle", query, algorithm="brute-force")
+    engine.push_many(UncorrelatedStream(seed=1).take(5000))
+    engine.close()
+    assert results_agree(sap.results(), oracle.results())
+    print(sap.metrics.latency_total, sap.metrics.average_candidates)
 """
 
 from .core import (
@@ -76,7 +79,6 @@ from .registry import (
 from .control import AdaptiveController, Knowledge, Policy
 from .engine import EngineCore, QueryGroup, QuerySpec, StreamEngine, Subscription
 from .cluster import ShardedStreamEngine, ShardSubscription
-from .runner import RunReport, compare_algorithms, run_algorithm
 
 __version__ = "1.2.0"
 
@@ -118,7 +120,4 @@ __all__ = [
     "create_algorithm",
     "algorithm_names",
     "algorithm_factories",
-    "RunReport",
-    "run_algorithm",
-    "compare_algorithms",
 ]

@@ -14,11 +14,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.framework import SAPTopK
 from ..core.interface import ContinuousTopKAlgorithm
+from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..engine import QuerySpec, StreamEngine
 from ..partitioning import EqualPartitioner
 from ..registry import algorithm_factories, get_algorithm
-from ..runner.engine import run_algorithm
 from .workloads import BenchScale, dataset_stream
 
 AlgorithmFactory = Callable[[TopKQuery], ContinuousTopKAlgorithm]
@@ -57,16 +57,31 @@ def measure_one(
     cached = _MEASUREMENT_CACHE.get(key)
     if cached is not None:
         return dict(cached)
-    objects = dataset_stream(dataset, stream_length)
-    report = run_algorithm(factory(query), objects, keep_results=False)
-    metrics = {
-        "seconds": report.elapsed_seconds,
-        "candidates": report.average_candidates,
-        "memory_kb": report.average_memory_kb,
-        "slides": float(report.slides),
-    }
+    metrics = run_measured(factory(query), dataset_stream(dataset, stream_length))
     _MEASUREMENT_CACHE[key] = dict(metrics)
     return metrics
+
+
+def run_measured(
+    algorithm: ContinuousTopKAlgorithm, objects: Sequence[StreamObject]
+) -> Dict[str, float]:
+    """Subscribe ``algorithm`` alone on a fresh engine, push ``objects``
+    and return the paper's three measures plus the slide count.
+
+    ``seconds`` is the sum of the per-slide latencies, the time spent
+    inside the algorithm, so batching and harness overhead are not
+    charged to it.
+    """
+    engine = StreamEngine()
+    metrics = engine.subscribe("run", algorithm=algorithm, keep_results=False).metrics
+    engine.push_many(objects)
+    engine.close()
+    return {
+        "seconds": metrics.latency_total,
+        "candidates": metrics.average_candidates,
+        "memory_kb": metrics.average_memory_kb,
+        "slides": float(metrics.slides),
+    }
 
 
 def measure_algorithms(
@@ -142,15 +157,15 @@ def equal_partition_sweep(
     objects = dataset_stream(dataset, scale.stream_length)
     for m in m_values or scale.m_values:
         for variant, builder in variants.items():
-            report = run_algorithm(builder(m), objects, keep_results=False)
+            metrics = run_measured(builder(m), objects)
             rows.append(
                 {
                     "dataset": dataset,
                     "m": m,
                     "m_star": query.m_star,
                     "variant": variant,
-                    "seconds": report.elapsed_seconds,
-                    "candidates": report.average_candidates,
+                    "seconds": metrics["seconds"],
+                    "candidates": metrics["candidates"],
                 }
             )
     return rows
@@ -609,8 +624,6 @@ def _attribute_objects(length: int, dim: int, seed: int):
     """A stream of attribute-carrying objects (scores live in the vectors)."""
     import random
 
-    from ..core.object import StreamObject
-
     rng = random.Random(seed)
     return [
         StreamObject(
@@ -750,19 +763,6 @@ def measure_preference_scale(
         "exact": exact,
         "exactness_sample": len(sampled),
     }
-
-
-def oracle_check(dataset: str, scale: BenchScale) -> bool:
-    """Sanity helper: SAP agrees with the brute-force oracle on this scale's
-    default query (used by the benchmark suite as a guard)."""
-    from ..runner.comparison import compare_algorithms
-
-    n, k, s = scale.default_query_params()
-    query = TopKQuery(n=n, k=k, s=s)
-    objects = dataset_stream(dataset, scale.stream_length)
-    factories = algorithm_factories("brute-force", "SAP")
-    outcome = compare_algorithms(list(factories.values()), objects, query)
-    return outcome.agree
 
 
 def main(argv: Sequence[str]) -> int:  # pragma: no cover - CLI convenience

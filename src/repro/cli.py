@@ -19,10 +19,9 @@ from .cluster import PLACEMENT_POLICIES, ShardedStreamEngine
 from .control import AdaptiveController, Policy
 from .core.interface import ContinuousTopKAlgorithm
 from .core.query import TopKQuery
+from .core.result import results_agree
 from .engine import StreamEngine
-from .registry import algorithm_factories, create_algorithm, get_algorithm
-from .runner.comparison import compare_algorithms
-from .runner.engine import run_algorithm
+from .registry import algorithm_factories, create_algorithm
 from .serve import SLOW_CLIENT_POLICIES, ServeConfig, TopKServer
 from .streams import dataset_names, make_dataset
 
@@ -169,13 +168,22 @@ def _configure_run(sub: argparse.ArgumentParser) -> None:
 def _command_run(args: argparse.Namespace) -> int:
     query = _query_from_args(args)
     stream = make_dataset(args.dataset).take(args.objects)
-    algorithm = create_algorithm(args.algorithm, query)
-    report = run_algorithm(algorithm, stream)
+    engine = StreamEngine()
+    run = engine.subscribe(
+        "run", algorithm=create_algorithm(args.algorithm, query), result_buffer=1
+    )
+    engine.push_many(stream)
+    engine.close()
+    metrics = run.metrics
     print(f"dataset   : {args.dataset} ({args.objects} objects)")
     print(f"query     : {query.describe()}")
-    print(report.summary())
-    if report.results:
-        final = report.results[-1]
+    print(
+        f"{run.algorithm.name}: {metrics.slides} slides in {metrics.latency_total:.3f}s, "
+        f"avg candidates {metrics.average_candidates:.1f}, "
+        f"avg memory {metrics.average_memory_kb:.1f} KB"
+    )
+    final = run.latest()
+    if final is not None:
         print(f"final window top-{min(args.show, len(final))} scores:")
         for obj in list(final)[: args.show]:
             print(f"  score={obj.score:.6g}  t={obj.t}")
@@ -199,21 +207,35 @@ def _configure_compare(sub: argparse.ArgumentParser) -> None:
 def _command_compare(args: argparse.Namespace) -> int:
     query = _query_from_args(args)
     stream = make_dataset(args.dataset).take(args.objects)
-    factories = [get_algorithm(name).factory for name in args.algorithms]
-    outcome = compare_algorithms(factories, stream, query)
+    # All algorithms share one pass over the stream; each one's seconds are
+    # the sum of its own per-slide latencies.  A configuration listed twice
+    # gets a "#2" suffix, so it keeps its own row and is checked too.
+    engine = StreamEngine()
+    runs = []
+    for name in args.algorithms:
+        algorithm = create_algorithm(name, query)
+        display, copy = algorithm.name, 1
+        while display in engine:
+            copy += 1
+            display = f"{algorithm.name} #{copy}"
+        runs.append(engine.subscribe(display, algorithm=algorithm))
+    engine.push_many(stream)
+    engine.close()
+    reference = runs[0].results()
+    agree = all(results_agree(reference, run.results()) for run in runs[1:])
     print(f"dataset   : {args.dataset} ({args.objects} objects)")
     print(f"query     : {query.describe()}")
-    print(f"agreement : {outcome.agree}")
+    print(f"agreement : {agree}")
     header = f"{'algorithm':<24} {'seconds':>9} {'candidates':>11} {'memory KB':>10}"
     print(header)
     print("-" * len(header))
-    for name in outcome.names():
-        report = outcome.report(name)
+    for run in runs:
+        metrics = run.metrics
         print(
-            f"{name:<24} {report.elapsed_seconds:9.3f} "
-            f"{report.average_candidates:11.1f} {report.average_memory_kb:10.1f}"
+            f"{run.name:<24} {metrics.latency_total:9.3f} "
+            f"{metrics.average_candidates:11.1f} {metrics.average_memory_kb:10.1f}"
         )
-    return 0 if outcome.agree else 2
+    return 0 if agree else 2
 
 
 # ----------------------------------------------------------------------

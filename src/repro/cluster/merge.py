@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.quantiles import weighted_nearest_rank, weighted_nearest_ranks
+from ..obs.quantiles import weighted_nearest_ranks
 
 
 def merge_disjoint(maps: Sequence[Dict[str, object]]) -> Dict[str, object]:
@@ -36,27 +36,6 @@ def merge_disjoint(maps: Sequence[Dict[str, object]]) -> Dict[str, object]:
             )
         merged.update(mapping)
     return merged
-
-
-def weighted_percentile(
-    samples: Sequence[Tuple[float, float]], fraction: float
-) -> float:
-    """Nearest-rank percentile of ``(value, weight)`` samples.
-
-    The value at the smallest cumulative-weight position covering
-    ``fraction`` of the total weight; matches
-    :func:`repro.core.metrics.percentile` when all weights are equal.
-    Alias for :func:`repro.obs.quantiles.weighted_nearest_rank`, the
-    library's one weighted-percentile implementation.
-    """
-    return weighted_nearest_rank(samples, fraction)
-
-
-def weighted_percentiles(
-    samples: Sequence[Tuple[float, float]], fractions: Sequence[float]
-) -> List[float]:
-    """Several weighted percentiles from one sort of the sample."""
-    return weighted_nearest_ranks(samples, fractions)
 
 
 def merged_latency_stats(
@@ -107,7 +86,7 @@ def merged_latency_stats(
         "max_latency": latency_max,
     }
     percentiles = (
-        weighted_percentiles(samples, (0.5, 0.95, 0.99)) if samples else [0.0] * 3
+        weighted_nearest_ranks(samples, (0.5, 0.95, 0.99)) if samples else [0.0] * 3
     )
     merged["p50_latency"], merged["p95_latency"], merged["p99_latency"] = percentiles
     merged["median_latency"] = merged["p50_latency"]

@@ -34,7 +34,6 @@ accuracy for throughput and is accounted explicitly
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional
 
 from ..baselines.mintopk import MinTopK
@@ -203,7 +202,6 @@ class AdaptiveController:
         """
         events: List[AdaptationEvent] = []
         interval = self.policy.analysis_interval_slides
-        analyzed = False
         for group in self._groups:
             if not len(group) or not group.at_slide_boundary():
                 continue
@@ -212,7 +210,6 @@ class AdaptiveController:
             if last is not None and index - last < interval:
                 continue
             self._analyzed[id(group)] = index
-            analyzed = True
             symptoms = self._analyze(group)
             actions = self.planner.plan(
                 group,
@@ -226,13 +223,6 @@ class AdaptiveController:
                 actions.append(recovery)
             if actions:
                 events.extend(self.executor.execute(group, actions, self))
-        if analyzed and self._registry is not None and self._registry.enabled:
-            # Feed the knowledge store one observability snapshot per
-            # analysis pass, so MAPE-K analyzers can correlate engine
-            # symptoms with transport/serving metrics.
-            self.knowledge.add_metrics_snapshot(
-                {"ts": time.time(), "metrics": self._registry.snapshot()}
-            )
         return events
 
     def _analyze(self, group) -> List[Symptom]:

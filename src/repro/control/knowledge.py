@@ -40,10 +40,6 @@ RING_CAPACITY = 256
 #: total count of logged events stays exact (``events_total``).
 EVENT_LOG_CAPACITY = 512
 
-#: Retained periodic metrics snapshots (the observability plane feeds one
-#: per analysis tick; see :meth:`Knowledge.add_metrics_snapshot`).
-METRICS_SNAPSHOT_CAPACITY = 64
-
 
 class SlideSample(NamedTuple):
     """Telemetry of one processed slide of one subscription.
@@ -144,9 +140,6 @@ class Knowledge:
         #: Exact per-tactic attempt counts (the event log is bounded, these
         #: are not) — exported as ``repro_tactics_total{tactic=...}``.
         self.tactic_counts: Dict[str, int] = {}
-        self._metrics_snapshots: Deque[Dict[str, object]] = deque(
-            maxlen=METRICS_SNAPSHOT_CAPACITY
-        )
 
     # ------------------------------------------------------------------
     # Writing (monitor / executor)
@@ -177,17 +170,6 @@ class Knowledge:
         self.events_total += 1
         self.tactic_counts[event.tactic] = self.tactic_counts.get(event.tactic, 0) + 1
         self._last_adaptation[event.subscription] = event.slide_index
-
-    def add_metrics_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Retain one periodic observability snapshot (a ``{"ts": ...,
-        "metrics": [...]}`` document from the metrics registry), bounded
-        by :data:`METRICS_SNAPSHOT_CAPACITY`.  Analyzers may correlate
-        engine telemetry with transport/serving metrics through these."""
-        self._metrics_snapshots.append(snapshot)
-
-    def metrics_snapshots(self, count: Optional[int] = None) -> List[Dict[str, object]]:
-        """The most recent ``count`` retained snapshots, oldest first."""
-        return self._tail(self._metrics_snapshots, count)
 
     # ------------------------------------------------------------------
     # Reading (analyzers / planner / reporting)

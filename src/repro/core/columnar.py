@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .object import StreamObject, top_k
 
@@ -215,9 +215,6 @@ class SlideBlock:
                 )
             )
         return objects
-
-    def iter_objects(self) -> Iterator[StreamObject]:
-        return iter(self.to_objects())
 
     # ------------------------------------------------------------------
     # Wire format

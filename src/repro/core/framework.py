@@ -356,23 +356,12 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         """Drop the front's candidates among ``batch``, its expired run."""
         heap, candidates = self._front_expiry, self._candidates
         last_t = batch[-1].t
-        # Equal t may straddle the run's end: then only the expired
-        # objects of that t leave, and the rest go back on the heap.
-        tied = None
-        if front.live_count and front.objects[front.expired_prefix].t == last_t:
-            tied = {obj.rank_key for obj in batch if obj.t == last_t}
-        kept = []
         while heap and heap[0][0] <= last_t:
             item = heapq.heappop(heap)
-            if tied is not None and item[0] == last_t and item[1] not in tied:
-                kept.append(item)
-                continue
             entry = candidates.get(item[1])
             if entry is not None and entry.partition_id == front.partition_id:
                 candidates.remove(item[1])
                 self._front_candidate_live -= 1
-        for item in kept:
-            heapq.heappush(heap, item)
 
     def _front_for_expiry(self) -> Partition:
         if not self._partitions:

@@ -17,7 +17,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 from .query import TopKQuery
 from .result import TopKResult
 from .shared import SharedPlan, SharedSlide
-from .window import SlideBatcher, SlideEvent, slides_for_query
+from .window import SlideEvent, slides_for_query
 from ..core.object import StreamObject
 
 #: Approximate footprint of one candidate record (object reference, score,
@@ -37,7 +37,6 @@ class ContinuousTopKAlgorithm(ABC):
 
     def __init__(self, query: TopKQuery) -> None:
         self.query = query
-        self._push_batcher: Optional[SlideBatcher] = None
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -133,26 +132,6 @@ class ContinuousTopKAlgorithm(ABC):
         """Estimated memory footprint of the algorithm's own structures."""
         return self.candidate_count() * OBJECT_FOOTPRINT_BYTES
 
-    # ------------------------------------------------------------------
-    # Push lifecycle
-    # ------------------------------------------------------------------
-    # Algorithms consume slide events, but callers usually hold raw stream
-    # objects.  ``push``/``finish`` bridge the two with an internal slide
-    # batcher so any algorithm can be driven one object at a time; the
-    # :class:`repro.engine.StreamEngine` facade builds on the same model
-    # (with its own batcher, so it can share one pass across queries).
-    def push(self, obj: StreamObject) -> List[TopKResult]:
-        """Feed one stream object; return the answers it completed (0+)."""
-        if self._push_batcher is None:
-            self._push_batcher = SlideBatcher(self.query)
-        return [self.process_slide(event) for event in self._push_batcher.push(obj)]
-
-    def finish(self) -> List[TopKResult]:
-        """Signal end-of-stream: emit a time-based window's final report."""
-        if self._push_batcher is None:
-            return []
-        return [self.process_slide(event) for event in self._push_batcher.flush()]
-
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time description of the algorithm's state."""
         return {
@@ -168,5 +147,9 @@ class ContinuousTopKAlgorithm(ABC):
 
     # ------------------------------------------------------------------
     def run(self, objects: Iterable[StreamObject]) -> List[TopKResult]:
-        """Convenience driver: push a whole stream through the algorithm."""
+        """Reference driver: every answer of a whole stream, in order.
+
+        The tests compare :class:`repro.engine.StreamEngine` subscriptions
+        against this; streaming and measured runs go through the engine.
+        """
         return [self.process_slide(event) for event in slides_for_query(objects, self.query)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .columnar import SlideBlock
@@ -80,15 +80,15 @@ class SlideEvent:
 
 def check_order(objects: Sequence[StreamObject], previous: float) -> int:
     """The last ``t`` of a non-empty chunk; raises
-    :class:`InvalidQueryError` when ``t`` decreases within the chunk or
-    below ``previous``."""
+    :class:`InvalidQueryError` unless ``t`` strictly increases, within the
+    chunk and from ``previous`` (``t`` identifies an object)."""
     ts = list(map(_t_of, objects))
-    if ts[0] < previous or ts != sorted(ts):
+    if ts[0] <= previous or not all(map(lt, ts, islice(ts, 1, None))):
         # Name the first offending object.
         for t in ts:
-            if t < previous:
+            if t <= previous:
                 raise InvalidQueryError(
-                    "stream objects must arrive in non-decreasing order of t; "
+                    "stream objects must arrive in strictly increasing order of t; "
                     f"got t={t} after t={previous}"
                 )
             previous = t

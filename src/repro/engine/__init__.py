@@ -7,9 +7,7 @@ with cross-query sharing plans at ``k_max``), :mod:`repro.engine.spec` for
 the query builder, and :mod:`repro.engine.subscription` for the per-query
 handle.  The subscription/group bookkeeping lives in
 :mod:`repro.engine.core` (:class:`EngineCore`), which the sharded
-execution plane (:mod:`repro.cluster`) builds on as well.  The legacy
-one-shot helpers (:func:`repro.run_algorithm`,
-:func:`repro.compare_algorithms`) are thin wrappers over these classes.
+execution plane (:mod:`repro.cluster`) builds on as well.
 """
 
 from .core import EngineCore

@@ -446,8 +446,8 @@ class EngineCore:
         in O(window) memory with none of ``push``'s per-object dispatch.
         Answers are not collected (use callbacks, ``results()``, or
         ``drain()``); they are produced in the same order as with ``push``.
-        A chunk whose ``t`` decreases is rejected whole; earlier chunks of
-        the same call stay applied.
+        A chunk whose ``t`` does not strictly increase is rejected whole;
+        earlier chunks of the same call stay applied.
         """
         self._ensure_open()
         if chunk_size < 1:
@@ -519,8 +519,9 @@ class EngineCore:
         return produced
 
     def _check_order(self, objects: Sequence[StreamObject]) -> int:
-        """The chunk's last ``t``; raises :class:`InvalidQueryError` when
-        ``t`` decreases within the chunk or below the last admitted one."""
+        """The chunk's last ``t``; raises :class:`InvalidQueryError` unless
+        ``t`` strictly increases within the chunk and past the last
+        admitted one."""
         return check_order(objects, self._last_t)
 
     def flush(self) -> Dict[str, List[TopKResult]]:
@@ -611,11 +612,6 @@ class EngineCore:
         if self._durability is not None:
             raise ValueError("a durability manager is already attached")
         self._durability = manager
-
-    def detach_durability(self):
-        """Stop persisting; returns the detached manager (or ``None``)."""
-        manager, self._durability = self._durability, None
-        return manager
 
     @property
     def durability(self):

@@ -1,10 +1,9 @@
 """Push-based facade over every continuous top-k algorithm in the library.
 
 :class:`StreamEngine` is the single-process execution path of the
-reproduction: the one-shot :func:`repro.run_algorithm`, the comparison
-helper, the CLI, and the benchmarks all drive it, and the sharded
-execution plane (:mod:`repro.cluster`) runs one of these per worker
-process.  Callers describe queries with
+reproduction: the CLI, the benchmarks and the tests run and measure every
+algorithm through its subscriptions, and the sharded execution plane
+(:mod:`repro.cluster`) runs one of these per worker process.  Callers describe queries with
 :class:`~repro.engine.spec.QuerySpec` (or a plain
 :class:`~repro.core.query.TopKQuery`), attach any algorithm registered in
 :mod:`repro.registry` by name, and push stream objects one at a time::

@@ -379,10 +379,6 @@ class MetricsRegistry:
                 records.append(record)
         return records
 
-    def family_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._families)
-
 
 # ----------------------------------------------------------------------
 # The process default registry

@@ -133,10 +133,6 @@ class IngestBatcher:
     def alignment(self) -> int:
         return self._alignment
 
-    @property
-    def next_arrival(self) -> int:
-        return self._next_t
-
     def set_alignment(self, slide_sizes: Iterable[int]) -> int:
         """Recompute the batch alignment as the LCM of the given slide
         sizes, clamped to :data:`MAX_ALIGNED_BATCH` (falling back to 1

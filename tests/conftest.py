@@ -8,11 +8,33 @@ from typing import List
 import pytest
 
 from repro.core.object import StreamObject
+from repro.core.result import results_agree
+from repro.engine import StreamEngine
 
 
 def make_objects(scores, start_t: int = 0) -> List[StreamObject]:
     """Turn a plain list of scores into stream objects with sequential t."""
     return [StreamObject(score=float(s), t=start_t + i) for i, s in enumerate(scores)]
+
+
+def assert_all_agree(factories, objects, query) -> list:
+    """The differential oracle: subscribe each factory's algorithm to one
+    :class:`StreamEngine`, push ``objects`` once and assert that every
+    answer sequence agrees with the first factory's (the reference).
+    Returns the subscriptions in factory order, for their ``metrics``."""
+    engine = StreamEngine()
+    runs = [
+        engine.subscribe(str(i), algorithm=factory(query))
+        for i, factory in enumerate(factories)
+    ]
+    engine.push_many(objects)
+    engine.close()
+    reference = runs[0].results()
+    for run in runs[1:]:
+        assert results_agree(reference, run.results()), (
+            f"{run.algorithm.name} (#{run.name}) disagrees with {runs[0].algorithm.name}"
+        )
+    return runs
 
 
 def random_scores(count: int, seed: int = 0, low: float = 0.0, high: float = 100.0):

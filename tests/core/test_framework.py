@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.framework import SAPTopK
-from repro.core.object import StreamObject
 from repro.core.query import TopKQuery
 from repro.core.window import slides_for_query
 from repro.baselines.brute_force import BruteForceTopK
@@ -140,19 +139,3 @@ class TestInternals:
         results = SAPTopK(query).run(small_uniform_stream)
         assert results
         assert all(len(result) == query.k for result in results)
-
-    def test_expiry_run_ending_inside_an_equal_t_group(self):
-        """Two objects share t=0; the run expiring the first must leave the
-        second, still live, in the candidate set."""
-        objects = [
-            StreamObject(score=score, t=t)
-            for score, t in [(6.0, 0), (8.0, 0), (2.0, 1), (0.0, 1), (5.0, 3), (4.0, 4)]
-        ]
-        query = TopKQuery(n=3, k=1, s=1)
-        sap = SAPTopK(query, partitioner=EqualPartitioner())
-        results = []
-        for event in slides_for_query(objects, query):
-            results.append(sap.process_slide(event))
-            sap.check_invariants()
-        assert [r.objects[0].score for r in results] == [8.0, 8.0, 5.0, 5.0]
-        assert results_agree(results, _reference(query, objects))

@@ -1,8 +1,8 @@
 """The one ingest edge: validate a chunk before anything applies it.
 
 ``push``, ``push_many`` and ``push_block`` all hand their chunks to
-``EngineCore._ingest``, which checks that ``t`` never decreases — within
-the chunk and against the last admitted object — before the WAL, the
+``EngineCore._ingest``, which checks that ``t`` strictly increases — within
+the chunk and past the last admitted object — before the WAL, the
 ingest counter or any query group sees the chunk.  A rejected chunk must
 leave the engine exactly as an uncrashed twin that never saw it.
 """
@@ -14,9 +14,12 @@ import pytest
 from repro.core.columnar import SlideBlock
 from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
+from repro.core.result import results_agree
+from repro.core.state import dumps
 from repro.core.window import SlidingWindow
 from repro.control import AdaptiveController
 from repro.engine import QuerySpec, StreamEngine
+from repro.registry import create_algorithm
 
 from ..conftest import make_objects, random_scores
 
@@ -93,7 +96,7 @@ def test_rejected_chunk_leaves_the_engine_as_its_twin(reject):
     engine, twin = _engine(), _engine()
     engine.push_many(STREAM[:100])
     twin.push_many(STREAM[:100])
-    with pytest.raises(InvalidQueryError, match="non-decreasing order of t"):
+    with pytest.raises(InvalidQueryError, match="strictly increasing order of t"):
         reject(engine)
     _assert_twins(engine, twin)
     engine.push_many(STREAM[100:])
@@ -108,7 +111,7 @@ def test_order_checks_name_the_first_decrease(position):
     chunk[position] = StreamObject(score=1.0, t=50)
     previous = 99 if position == 0 else chunk[position - 1].t
     message = re.escape(
-        "stream objects must arrive in non-decreasing order of t; "
+        "stream objects must arrive in strictly increasing order of t; "
         f"got t=50 after t={previous}"
     )
     engine = _engine()
@@ -120,17 +123,50 @@ def test_order_checks_name_the_first_decrease(position):
     with pytest.raises(InvalidQueryError, match=message):
         window.extend(chunk)
     assert window.contents() == STREAM[:100]
-    tied = [StreamObject(score=2.0, t=99), StreamObject(score=3.0, t=99)] + STREAM[100:102]
-    assert engine._check_order(tied) == 101
-    window.extend(tied)
-    assert len(window) == 104
+    tied = STREAM[100:102] + [StreamObject(score=3.0, t=101)] + STREAM[102:104]
+    tie = re.escape("order of t; got t=101 after t=101")
+    with pytest.raises(InvalidQueryError, match=tie):
+        engine._check_order(tied)
+    with pytest.raises(InvalidQueryError, match=tie):
+        window.extend(tied)
+    assert window.contents() == STREAM[:100]
 
 
-def test_equal_t_is_admitted_across_chunks():
-    engine = _engine()
+def test_equal_t_chunk_is_rejected_whole():
+    """``t`` identifies an object: a chunk repeating the last admitted
+    ``t``, or repeating a ``t`` inside itself, leaves every group as it
+    was, and the next valid chunk is accepted."""
+    engine, twin = _engine(), _engine()
     engine.push_many(STREAM[:100])
-    engine.push(StreamObject(score=1.0, t=99))
-    engine.push_many([StreamObject(score=2.0, t=99)] + STREAM[100:110])
+    twin.push_many(STREAM[:100])
+    before = dumps(engine.capture_groups())
+    for chunk in (
+        [StreamObject(score=1.0, t=99)],
+        [StreamObject(score=2.0, t=99)] + STREAM[100:110],
+        STREAM[100:105] + [StreamObject(score=2.0, t=104)] + STREAM[105:110],
+    ):
+        with pytest.raises(InvalidQueryError, match="strictly increasing order of t"):
+            engine.push_many(chunk)
+        assert dumps(engine.capture_groups()) == before
+    engine.push_many(STREAM[100:])
+    twin.push_many(STREAM[100:])
+    _assert_twins(engine, twin)
+
+
+def test_equal_score_and_t_never_reach_sap():
+    """Objects sharing both score and ``t`` once crashed SAP mid-chunk;
+    the edge refuses them and the engine stays usable."""
+    query = QuerySpec(n=4, k=2, s=2).using("SAP")
+    engine = StreamEngine(keep_results=True, return_results=False)
+    sap = engine.subscribe("sap", query)
+    with pytest.raises(InvalidQueryError):
+        engine.push_many([StreamObject(score=0.5, t=i // 2) for i in range(8)])
+    # The group never started: no slide, no window position.
+    assert [state.position for state in engine.capture_groups()] == [None]
+    objects = [StreamObject(score=0.5, t=i) for i in range(8)]
+    engine.push_many(objects)
+    reference = create_algorithm("brute-force", sap.query).run(objects)
+    assert results_agree(sap.results(), reference)
 
 
 def test_durable_engine_journals_no_record_of_a_rejected_chunk(tmp_path):

@@ -14,7 +14,7 @@ from repro.core.query import TopKQuery
 from repro.core.result import results_agree
 from repro.engine import QuerySpec, StreamEngine
 from repro.registry import algorithm_names, create_algorithm
-from repro.runner.engine import run_algorithm
+from repro.core.window import slides_for_query
 from repro.streams import dataset_names, make_dataset
 
 from ..conftest import make_objects, random_scores
@@ -52,17 +52,30 @@ class TestPushParity:
         assert results_agree(subscription.results(), reference)
 
     def test_matches_run_algorithm_report(self, algorithm, dataset):
+        """A subscription's metrics are the run's report: per slide, the
+        same candidate count and memory as the reference driver's."""
         _skip_preference_algorithms(algorithm)
         objects = make_dataset(dataset).take(PARITY_LENGTH)
-        report = run_algorithm(create_algorithm(algorithm, PARITY_QUERY), objects)
+        reference = create_algorithm(algorithm, PARITY_QUERY)
+        candidates, memory = [], []
+        for event in slides_for_query(objects, PARITY_QUERY):
+            reference.process_slide(event)
+            candidates.append(reference.candidate_count())
+            memory.append(reference.memory_bytes())
 
         engine = StreamEngine()
-        subscription = engine.subscribe("q", PARITY_QUERY, algorithm=algorithm)
+        subscription = engine.subscribe(
+            "q", PARITY_QUERY, algorithm=algorithm, keep_results=False
+        )
         engine.push_many(objects)
-        engine.flush()
+        engine.close()
 
-        assert results_agree(subscription.results(), report.results)
-        assert subscription.metrics.slides == report.slides
+        metrics = subscription.metrics
+        assert metrics.slides == len(metrics.latencies) == len(candidates)
+        assert metrics.candidate_total == sum(candidates)
+        assert metrics.candidate_max == max(candidates)
+        assert metrics.memory_total == sum(memory)
+        assert subscription.results() == []
 
 
 class TestTimeBasedParity:

@@ -88,31 +88,14 @@ class TestUnboundedStreams:
 
 
 class TestAlgorithmPushLifecycle:
-    """The core interface's own push/finish bridge (used without an engine)."""
-
-    def test_push_matches_pull_run(self):
-        from repro.core.result import results_agree
-        from repro.registry import create_algorithm
-
-        objects = list(endless_scores(600, seed=4))
-        query = TopKQuery(n=100, k=5, s=20)
-        reference = create_algorithm("SAP", query).run(objects)
-
-        algorithm = create_algorithm("SAP", query)
-        pushed = []
-        for obj in objects:
-            pushed.extend(algorithm.push(obj))
-        pushed.extend(algorithm.finish())
-
-        assert results_agree(pushed, reference)
+    """The core interface's own hooks, used without an engine."""
 
     def test_snapshot_and_close_hooks(self):
         from repro.registry import create_algorithm
 
         query = TopKQuery(n=50, k=3, s=10)
         algorithm = create_algorithm("SAP", query)
-        for obj in endless_scores(120, seed=5):
-            algorithm.push(obj)
+        algorithm.run(endless_scores(120, seed=5))
         snap = algorithm.snapshot()
         assert snap["algorithm"].startswith("SAP")
         assert snap["candidate_count"] == algorithm.candidate_count()

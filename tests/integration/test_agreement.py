@@ -15,7 +15,6 @@ from repro import (
     SAPTopK,
     SMATopK,
     TopKQuery,
-    compare_algorithms,
 )
 from repro.partitioning import (
     DynamicPartitioner,
@@ -23,6 +22,8 @@ from repro.partitioning import (
     EqualPartitioner,
 )
 from repro.streams import make_dataset
+
+from ..conftest import assert_all_agree
 
 SAP_VARIANTS = [
     lambda q: SAPTopK(q, partitioner=EqualPartitioner()),
@@ -40,8 +41,7 @@ ALL_COUNT_BASED = [BruteForceTopK] + SAP_VARIANTS + [MinTopK, KSkybandTopK, SMAT
 def test_all_algorithms_agree_on_default_parameters(dataset):
     objects = make_dataset(dataset).take(1500)
     query = TopKQuery(n=300, k=10, s=30)
-    outcome = compare_algorithms(ALL_COUNT_BASED, objects, query)
-    assert outcome.agree, f"{dataset}: {outcome.disagreement}"
+    assert_all_agree(ALL_COUNT_BASED, objects, query)
 
 
 @pytest.mark.parametrize(
@@ -58,16 +58,14 @@ def test_all_algorithms_agree_on_default_parameters(dataset):
 def test_all_algorithms_agree_across_query_parameters(n, k, s):
     objects = make_dataset("TIMEU").take(1200)
     query = TopKQuery(n=n, k=k, s=s)
-    outcome = compare_algorithms(ALL_COUNT_BASED, objects, query)
-    assert outcome.agree, f"(n={n}, k={k}, s={s}): {outcome.disagreement}"
+    assert_all_agree(ALL_COUNT_BASED, objects, query)
 
 
 @pytest.mark.parametrize("dataset", ["TIMER", "STOCK"])
 def test_adversarial_distributions_small_slide(dataset):
     objects = make_dataset(dataset).take(1000)
     query = TopKQuery(n=250, k=20, s=5)
-    outcome = compare_algorithms(ALL_COUNT_BASED, objects, query)
-    assert outcome.agree, f"{dataset}: {outcome.disagreement}"
+    assert_all_agree(ALL_COUNT_BASED, objects, query)
 
 
 def test_time_based_windows_agree():
@@ -84,10 +82,7 @@ def test_time_based_windows_agree():
         objects.append(StreamObject(score=rng.uniform(0, 100), t=t, timestamp=timestamp))
 
     query = TopKQuery(n=200, k=8, s=25, time_based=True)
-    outcome = compare_algorithms(
-        [BruteForceTopK] + SAP_VARIANTS + [KSkybandTopK, SMATopK], objects, query
-    )
-    assert outcome.agree, outcome.disagreement
+    assert_all_agree([BruteForceTopK] + SAP_VARIANTS + [KSkybandTopK, SMATopK], objects, query)
 
 
 def test_candidate_ordering_matches_paper_expectation():
@@ -96,13 +91,12 @@ def test_candidate_ordering_matches_paper_expectation():
     plain k-skyband baseline does not beat MinTopK."""
     objects = make_dataset("TIMEU").take(3000)
     query = TopKQuery(n=600, k=20, s=10)
-    outcome = compare_algorithms(
-        [BruteForceTopK, SAPTopK, MinTopK, KSkybandTopK], objects, query
+    _, sap, mintopk, skyband = (
+        run.metrics.average_candidates
+        for run in assert_all_agree(
+            [BruteForceTopK, SAPTopK, MinTopK, KSkybandTopK], objects, query
+        )
     )
-    assert outcome.agree
-    sap = outcome.report("SAP[enhanced-dynamic]").average_candidates
-    mintopk = outcome.report("MinTopK").average_candidates
-    skyband = outcome.report("k-skyband").average_candidates
     assert sap < mintopk
     assert sap < skyband
 
@@ -111,10 +105,10 @@ def test_memory_ordering_matches_paper_expectation():
     """Memory follows the same ordering as candidate counts (Table 8)."""
     objects = make_dataset("TIMER").take(3000)
     query = TopKQuery(n=600, k=20, s=30)
-    outcome = compare_algorithms(
-        [BruteForceTopK, SAPTopK, MinTopK, KSkybandTopK], objects, query
+    _, sap, _, skyband = (
+        run.metrics.average_memory_kb
+        for run in assert_all_agree(
+            [BruteForceTopK, SAPTopK, MinTopK, KSkybandTopK], objects, query
+        )
     )
-    assert outcome.agree
-    sap = outcome.report("SAP[enhanced-dynamic]").average_memory_kb
-    skyband = outcome.report("k-skyband").average_memory_kb
     assert skyband > sap

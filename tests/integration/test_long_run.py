@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro import BruteForceTopK, SAPTopK, TopKQuery, compare_algorithms
+from repro import BruteForceTopK, SAPTopK, TopKQuery
 from repro.partitioning import EqualPartitioner, EnhancedDynamicPartitioner
 from repro.streams import TimeCorrelatedStream, UncorrelatedStream
+
+from ..conftest import assert_all_agree
 
 
 def test_many_partition_retirements():
@@ -12,12 +14,11 @@ def test_many_partition_retirements():
     framework must stay exact throughout."""
     objects = UncorrelatedStream(seed=99).take(6000)
     query = TopKQuery(n=120, k=6, s=12)
-    outcome = compare_algorithms(
+    assert_all_agree(
         [BruteForceTopK, lambda q: SAPTopK(q, partitioner=EqualPartitioner(m=6))],
         objects,
         query,
     )
-    assert outcome.agree, outcome.disagreement
 
 
 def test_sine_wave_with_multiple_periods():
@@ -26,12 +27,11 @@ def test_sine_wave_with_multiple_periods():
     formation on downtrending fronts."""
     objects = TimeCorrelatedStream(period=500, seed=7).take(5000)
     query = TopKQuery(n=400, k=15, s=40)
-    outcome = compare_algorithms(
+    assert_all_agree(
         [BruteForceTopK, lambda q: SAPTopK(q, partitioner=EnhancedDynamicPartitioner())],
         objects,
         query,
     )
-    assert outcome.agree, outcome.disagreement
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 17, 33])
@@ -39,12 +39,11 @@ def test_equal_partition_resolution_sweep(m):
     """Every equal-partition resolution of Table 2 must stay exact."""
     objects = UncorrelatedStream(seed=m).take(2500)
     query = TopKQuery(n=500, k=10, s=25)
-    outcome = compare_algorithms(
+    assert_all_agree(
         [BruteForceTopK, lambda q: SAPTopK(q, partitioner=EqualPartitioner(m=m))],
         objects,
         query,
     )
-    assert outcome.agree, f"m={m}: {outcome.disagreement}"
 
 
 def test_partition_sizes_respect_bounds():

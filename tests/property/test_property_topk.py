@@ -11,7 +11,6 @@ from repro import (
     SMATopK,
     StreamObject,
     TopKQuery,
-    compare_algorithms,
 )
 from repro.partitioning import (
     DynamicPartitioner,
@@ -19,7 +18,7 @@ from repro.partitioning import (
     EqualPartitioner,
 )
 
-from ..conftest import make_objects
+from ..conftest import assert_all_agree, make_objects
 
 # A compact but adversarial universe: short windows, small slides, scores
 # with plenty of ties and both signs.
@@ -71,8 +70,7 @@ SAP_VARIANTS = [
 def test_sap_variants_match_brute_force(scores, params):
     query = _valid_query(params)
     objects = make_objects(scores)
-    outcome = compare_algorithms([BruteForceTopK] + SAP_VARIANTS, objects, query)
-    assert outcome.agree, outcome.disagreement
+    assert_all_agree([BruteForceTopK] + SAP_VARIANTS, objects, query)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -89,8 +87,7 @@ def test_time_based_sap_variants_match_brute_force(scores, params, steps):
     for t, (score, step) in enumerate(zip(scores, steps)):
         stamp += step
         objects.append(StreamObject(score=float(score), t=t, timestamp=stamp))
-    outcome = compare_algorithms([BruteForceTopK] + SAP_VARIANTS, objects, query)
-    assert outcome.agree, outcome.disagreement
+    assert_all_agree([BruteForceTopK] + SAP_VARIANTS, objects, query)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -98,10 +95,7 @@ def test_time_based_sap_variants_match_brute_force(scores, params, steps):
 def test_baselines_match_brute_force(scores, params):
     query = _valid_query(params)
     objects = make_objects(scores)
-    outcome = compare_algorithms(
-        [BruteForceTopK, MinTopK, KSkybandTopK, SMATopK], objects, query
-    )
-    assert outcome.agree, outcome.disagreement
+    assert_all_agree([BruteForceTopK, MinTopK, KSkybandTopK, SMATopK], objects, query)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

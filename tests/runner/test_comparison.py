@@ -1,14 +1,12 @@
-"""Unit tests for the cross-algorithm comparison helper."""
+"""Tests of ``repro compare``: several algorithms over one stream, with the
+answers checked against the first one listed."""
 
-from repro.baselines.brute_force import BruteForceTopK
-from repro.baselines.kskyband import KSkybandTopK
-from repro.core.framework import SAPTopK
+import pytest
+
+from repro.cli import main
 from repro.core.interface import ContinuousTopKAlgorithm
-from repro.core.query import TopKQuery
 from repro.core.result import TopKResult
-from repro.runner.comparison import compare_algorithms
-
-from ..conftest import make_objects, random_scores
+from repro.registry import register_factory, unregister_algorithm
 
 
 class _DeliberatelyWrong(ContinuousTopKAlgorithm):
@@ -28,58 +26,53 @@ class _DeliberatelyWrong(ContinuousTopKAlgorithm):
         return TopKResult.from_objects(event.index, event.window_end, worst)
 
 
+@pytest.fixture(autouse=True)
+def wrong_algorithm():
+    register_factory("wrong", _DeliberatelyWrong)
+    yield
+    unregister_algorithm("wrong")
+
+
+def _compare(capsys, *algorithms):
+    """Exit code, output and the algorithm column of the table."""
+    exit_code = main(
+        ["compare", "--objects", "360", "--n", "60", "--k", "4", "--s", "6",
+         "--algorithms", *algorithms]
+    )
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    return exit_code, out, [line[:24].strip() for line in lines[rule + 1:]]
+
+
 class TestCompareAlgorithms:
-    def test_exact_algorithms_agree(self):
-        query = TopKQuery(n=60, k=4, s=6)
-        objects = make_objects(random_scores(360, seed=1))
-        outcome = compare_algorithms(
-            [BruteForceTopK, SAPTopK, KSkybandTopK], objects, query
-        )
-        assert outcome.agree
-        assert outcome.disagreement is None
-        assert set(outcome.names()) == {"brute-force", "SAP[enhanced-dynamic]", "k-skyband"}
+    def test_exact_algorithms_agree(self, capsys):
+        exit_code, out, names = _compare(capsys, "brute-force", "SAP", "k-skyband")
+        assert exit_code == 0
+        assert "agreement : True" in out
+        assert names == ["brute-force", "SAP[enhanced-dynamic]", "k-skyband"]
 
-    def test_detects_disagreement(self):
-        query = TopKQuery(n=60, k=4, s=6)
-        objects = make_objects(random_scores(360, seed=2))
-        outcome = compare_algorithms([BruteForceTopK, _DeliberatelyWrong], objects, query)
-        assert not outcome.agree
-        assert "wrong" in outcome.disagreement
+    def test_detects_disagreement(self, capsys):
+        exit_code, out, names = _compare(capsys, "brute-force", "wrong")
+        assert exit_code == 2
+        assert "agreement : False" in out
+        assert names == ["brute-force", "wrong"]
 
-    def test_without_results_no_agreement_check(self):
-        query = TopKQuery(n=60, k=4, s=6)
-        objects = make_objects(random_scores(360, seed=3))
-        outcome = compare_algorithms(
-            [BruteForceTopK, _DeliberatelyWrong], objects, query, keep_results=False
-        )
-        assert outcome.agree  # nothing to compare
-        assert outcome.report("brute-force").results == []
-
-    def test_single_algorithm(self):
-        query = TopKQuery(n=60, k=4, s=6)
-        objects = make_objects(random_scores(200, seed=4))
-        outcome = compare_algorithms([BruteForceTopK], objects, query)
-        assert outcome.agree and len(outcome.names()) == 1
+    def test_single_algorithm(self, capsys):
+        exit_code, out, names = _compare(capsys, "brute-force")
+        assert exit_code == 0
+        assert "agreement : True" in out and names == ["brute-force"]
 
 
 class TestDuplicateDisplayNames:
-    def test_same_named_configurations_both_reported_and_checked(self):
-        query = TopKQuery(n=60, k=4, s=6)
-        objects = make_objects(random_scores(240, seed=5))
+    def test_same_named_configurations_both_reported_and_checked(self, capsys):
+        # Both runs keep their own row (the second gets a "#2" suffix), so
+        # the agreement check actually compares them.
+        exit_code, _, names = _compare(capsys, "SAP", "SAP")
+        assert exit_code == 0
+        assert names == ["SAP[enhanced-dynamic]", "SAP[enhanced-dynamic] #2"]
 
-        def same(q):
-            return SAPTopK(q)
-
-        outcome = compare_algorithms([same, same], objects, query)
-        # Both runs keep their own report (the second gets a "#2" suffix),
-        # so the agreement check actually compares them.
-        assert len(outcome.names()) == 2
-        assert outcome.agree
-
-    def test_duplicate_wrong_algorithm_detected(self):
-        query = TopKQuery(n=60, k=4, s=6)
-        objects = make_objects(random_scores(240, seed=6))
-        outcome = compare_algorithms(
-            [_DeliberatelyWrong, _DeliberatelyWrong, SAPTopK], objects, query
-        )
-        assert not outcome.agree
+    def test_duplicate_wrong_algorithm_detected(self, capsys):
+        exit_code, _, names = _compare(capsys, "wrong", "wrong", "SAP")
+        assert exit_code == 2
+        assert names == ["wrong", "wrong #2", "SAP[enhanced-dynamic]"]

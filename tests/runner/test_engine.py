@@ -1,10 +1,10 @@
-"""Unit tests for the execution engine and metrics collection."""
+"""Unit tests for running one algorithm on the engine and its metrics."""
 
 from repro.baselines.brute_force import BruteForceTopK
 from repro.core.framework import SAPTopK
+from repro.core.metrics import MetricsCollector, bytes_to_kb
 from repro.core.query import TopKQuery
-from repro.runner.engine import run_algorithm
-from repro.runner.metrics import MetricsCollector, bytes_to_kb
+from repro.engine import StreamEngine
 
 from ..conftest import make_objects, random_scores
 
@@ -28,34 +28,43 @@ class TestMetricsCollector:
         assert bytes_to_kb(2048) == 2.0
 
 
+def _run(algorithm, objects, **options):
+    """One subscription alone on an engine, after the whole stream."""
+    engine = StreamEngine()
+    run = engine.subscribe("run", algorithm=algorithm, **options)
+    engine.push_many(objects)
+    engine.close()
+    return run
+
+
 class TestRunAlgorithm:
     def test_report_contains_results_and_metrics(self):
         query = TopKQuery(n=50, k=3, s=5)
         objects = make_objects(random_scores(300, seed=1))
-        report = run_algorithm(SAPTopK(query), objects)
+        run = _run(SAPTopK(query), objects)
         expected_slides = 1 + (300 - 50) // 5
-        assert report.slides == expected_slides
-        assert len(report.results) == expected_slides
-        assert report.elapsed_seconds >= 0
-        assert report.average_candidates > 0
-        assert "SAP" in report.summary()
+        assert run.metrics.slides == expected_slides
+        assert len(run.results()) == expected_slides
+        assert run.metrics.latency_total >= 0
+        assert run.metrics.average_candidates > 0
+        assert run.stats()["slides"] == expected_slides
 
     def test_keep_results_false_drops_results(self):
         query = TopKQuery(n=50, k=3, s=5)
         objects = make_objects(random_scores(200, seed=2))
-        report = run_algorithm(SAPTopK(query), objects, keep_results=False)
-        assert report.results == []
-        assert report.slides > 0
+        run = _run(SAPTopK(query), objects, keep_results=False)
+        assert run.results() == []
+        assert run.metrics.slides > 0
 
     def test_metrics_disabled_still_counts_slides(self):
         query = TopKQuery(n=50, k=3, s=5)
         objects = make_objects(random_scores(200, seed=3))
-        report = run_algorithm(BruteForceTopK(query), objects, collect_metrics=False)
-        assert report.slides == 1 + (200 - 50) // 5
-        assert report.average_candidates == 0.0
+        run = _run(BruteForceTopK(query), objects, collect_metrics=False)
+        assert run.metrics.slides == 1 + (200 - 50) // 5
+        assert run.metrics.average_candidates == 0.0
 
     def test_every_result_has_k_objects(self):
         query = TopKQuery(n=50, k=3, s=5)
         objects = make_objects(random_scores(200, seed=4))
-        report = run_algorithm(SAPTopK(query), objects)
-        assert all(len(result) == query.k for result in report.results)
+        run = _run(SAPTopK(query), objects)
+        assert all(len(result) == query.k for result in run.results())

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.framework import SAPTopK
+from repro.core.metrics import MetricsCollector, percentile
 from repro.core.query import TopKQuery
-from repro.runner.engine import run_algorithm
-from repro.runner.metrics import MetricsCollector, percentile
+from repro.engine import StreamEngine
 
 from ..conftest import make_objects, random_scores
 
@@ -42,14 +42,16 @@ class TestLatencyCollection:
         assert metrics.median_latency == 0.0
         assert metrics.max_latency == 0.0
 
-    def test_run_algorithm_records_one_latency_per_slide(self):
+    def test_subscription_records_one_latency_per_slide(self):
         query = TopKQuery(n=60, k=3, s=6)
         objects = make_objects(random_scores(300, seed=1))
-        report = run_algorithm(SAPTopK(query), objects)
-        assert len(report.metrics.latencies) == report.slides
-        assert all(latency >= 0.0 for latency in report.metrics.latencies)
-        assert sum(report.metrics.latencies) <= report.elapsed_seconds + 1e-6
-        assert report.metrics.p95_latency >= report.metrics.median_latency
+        engine = StreamEngine()
+        metrics = engine.subscribe("run", algorithm=SAPTopK(query)).metrics
+        engine.push_many(objects)
+        assert len(metrics.latencies) == metrics.slides == 1 + (300 - 60) // 6
+        assert all(latency >= 0.0 for latency in metrics.latencies)
+        assert sum(metrics.latencies) == pytest.approx(metrics.latency_total)
+        assert metrics.p95_latency >= metrics.median_latency
 
 
 class TestBoundedLatencySample:
