@@ -453,7 +453,7 @@ def _configure_shard(sub: argparse.ArgumentParser) -> None:
         help="result sizes, cycled over the generated queries",
     )
     sub.add_argument("--shards", type=int, default=4, help="worker processes")
-    _add_flags(sub, "durability-dir", "policy")
+    _add_flags(sub, "durability-dir")
     sub.add_argument(
         "--queries",
         type=int,
@@ -513,22 +513,8 @@ def _command_shard(args: argparse.Namespace) -> int:
                 )
         if args.durability_dir is not None:
             stream = _shift_stream(stream, _resume_offset(engine))
-        autoscaler = None
-        if args.policy is not None:
-            # A cluster policy puts the worker pool itself under MAPE-K
-            # control: spawn-shard / retire-shard rules react to the
-            # pressure samples taken after every pushed block.
-            from .cluster import ShardAutoscaler
-
-            autoscaler = ShardAutoscaler(engine, policy=Policy.from_file(args.policy))
         started = time.perf_counter()
-        if autoscaler is None:
-            engine.push_many(stream)
-        else:
-            block = max(1, len(stream) // 16)
-            for start in range(0, len(stream), block):
-                engine.push_many(stream[start : start + block])
-                autoscaler.tick()
+        engine.push_many(stream)
         engine.synchronize()
         sharded_seconds = time.perf_counter() - started
 
@@ -548,17 +534,6 @@ def _command_shard(args: argparse.Namespace) -> int:
             f"p95={merged['p95_latency']:.6f}s p99={merged['p99_latency']:.6f}s "
             f"(merged from {int(merged['latency_samples'])} samples)"
         )
-        if autoscaler is not None:
-            applied = [e for e in autoscaler.events() if e["applied"]]
-            print(
-                f"autoscale : {len(autoscaler.events())} ticks, "
-                f"{len(applied)} pool changes, final width {engine.shards}"
-            )
-            for event in applied:
-                print(
-                    f"  tick {event['tick']:>3}: {event['symptom']} -> "
-                    f"{event['tactic']} {event['detail']}"
-                )
 
     if args.baseline:
         solo = StreamEngine(keep_results=False, return_results=False)
@@ -850,10 +825,11 @@ COMMANDS: List[CliCommand] = [
         "execution plane (:mod:`repro.cluster`): N worker processes, a "
         "placement policy assigning queries to shards, and cluster-wide "
         "statistics merged from per-shard samples.  ``--durability-dir`` "
-        "makes every worker journal its state for crash-exact recovery; "
-        "``--policy`` puts the pool under the MAPE-K shard autoscaler.  "
-        "``--baseline`` also runs the workload single-process and reports "
-        "the speedup.",
+        "makes every worker journal its state for crash-exact recovery.  "
+        "The pool keeps its ``--shards`` width; the library's "
+        "``spawn_shard`` / ``retire_shard`` / ``rebalance`` change it by "
+        "hand.  ``--baseline`` also runs the workload single-process and "
+        "reports the speedup.",
         configure=_configure_shard,
         run=_command_shard,
     ),

@@ -6,6 +6,9 @@ processes (each hosting a full :class:`repro.StreamEngine`), fans the
 stream out in slide-aligned chunks over multiprocessing queues, merges
 per-shard answers and statistics, and rebalances live subscriptions
 between shards through the serialization layer (:mod:`repro.core.state`).
+The pool is elastic by hand: ``spawn_shard`` adds a worker,
+``retire_shard`` drains the highest-numbered one onto the rest and stops
+it, and ``rebalance`` moves one subscription at a slide boundary.
 
 See :mod:`repro.cluster.sharded` for the facade,
 :mod:`repro.cluster.placement` for the placement policies,
@@ -13,7 +16,6 @@ See :mod:`repro.cluster.sharded` for the facade,
 plumbing, and :mod:`repro.cluster.merge` for result/statistics merging.
 """
 
-from .autoscale import ShardAutoscaler, default_scaling_policy
 from .merge import AggregatedKnowledge, merged_latency_stats
 from .placement import (
     PLACEMENT_POLICIES,
@@ -35,8 +37,6 @@ __all__ = [
     "make_placement",
     "AggregatedKnowledge",
     "merged_latency_stats",
-    "ShardAutoscaler",
-    "default_scaling_policy",
     "ShardError",
     "ShardRouter",
 ]

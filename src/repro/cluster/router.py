@@ -328,8 +328,8 @@ class ShardRouter:
         return {shard.shard_id: shard.counters.as_dict() for shard in self._shards}
 
     def pressure_stats(self) -> Dict[int, Dict[str, float]]:
-        """Per-shard saturation signal for the autoscaler: the lifetime
-        backpressure-stall count."""
+        """Per-shard saturation signal: the lifetime backpressure-stall
+        count (a producer that found the shard's queue full)."""
         return {
             shard.shard_id: {"bp_waits": float(shard.bp_waits)}
             for shard in self._shards

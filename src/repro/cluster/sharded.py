@@ -43,7 +43,6 @@ lambdas).
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from typing import Dict, Iterable, List, Optional, Union
@@ -53,6 +52,7 @@ from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from ..core.state import dumps
+from ..core.window import aligned_chunk, check_order
 from ..engine.spec import QuerySpec, resolve_query
 from ..obs.exposition import merge_snapshots
 from ..obs.registry import get_registry
@@ -67,15 +67,10 @@ from .router import (
 )
 
 #: Requested fan-out chunk size (objects per router dispatch).  The actual
-#: chunk is the nearest slide-aligned size (see ``_aligned_chunk``); large
-#: chunks amortise queue/pickle overhead, which is the IPC cost driver.
+#: chunk is the nearest slide-aligned size (see :meth:`slide_alignment`);
+#: large chunks amortise queue/pickle overhead, which is the IPC cost
+#: driver.
 DEFAULT_CHUNK = 4096
-
-#: Ceiling for slide alignment, mirroring the control plane's bound: when
-#: the least common multiple of the subscribed slide sizes exceeds this,
-#: chunks keep the requested size (rebalances may then have to wait for a
-#: coincidental boundary).
-MAX_ALIGNED_CHUNK = 32_768
 
 
 class ShardSubscription:
@@ -189,6 +184,10 @@ class ShardedStreamEngine:
         self._shard_of: Dict[str, int] = {}
         self._clusters = None
         self._loads: List[float] = [0.0] * shards
+        # The last admitted arrival order: the facade rejects a chunk whose
+        # t does not strictly increase before any shard sees it, as the
+        # embedded engine's ingest edge does.
+        self._last_t = float("-inf")
         self._closed = False
         if durability_dir is not None:
             self._write_manifest()
@@ -207,15 +206,17 @@ class ShardedStreamEngine:
         os.replace(tmp, path)
 
     def _recover_map(self) -> None:
-        """Rebuild handles, placement map, and load accounting from the
-        subscriptions the workers recovered out of their journals."""
+        """Rebuild handles, placement map, load accounting and the last
+        admitted ``t`` from what the workers recovered out of their
+        journals."""
         for shard_id, manifest in zip(
             self._router.shard_ids(), self._router.broadcast(("manifest",))
         ):
-            for name, query in (manifest or {}).items():
+            for name, query in manifest["subscriptions"].items():
                 self._handles[name] = ShardSubscription(self, name, query)
                 self._shard_of[name] = shard_id
                 self._loads[shard_id] += self._placement.load_of(query)
+            self._last_t = max(self._last_t, manifest["last_t"])
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -385,7 +386,7 @@ class ShardedStreamEngine:
         targets = self._active_shards()
         if not targets:
             raise ValueError("no queries subscribed")
-        self._router.push_chunk([obj], targets)
+        self._dispatch([obj], targets)
         return {}
 
     def push_many(
@@ -400,15 +401,19 @@ class ShardedStreamEngine:
         window size is a multiple of their slide (``n % s == 0``) — every
         chunk boundary is an exact slide boundary, the points where
         :meth:`rebalance` may move queries (see :meth:`slide_alignment`).
+        A chunk whose ``t`` does not strictly increase is rejected whole
+        with :class:`~repro.core.exceptions.InvalidQueryError` before any
+        shard sees it; earlier chunks of the same call stay dispatched.
         Returns the number of objects dispatched.
         """
         self._ensure_open()
         targets = self._active_shards()
         if not targets:
             raise ValueError("no queries subscribed")
-        size = self._aligned_chunk(
-            self._chunk_size if chunk_size is None else chunk_size
-        )
+        size = self._chunk_size if chunk_size is None else chunk_size
+        if size < 1:
+            raise ValueError(f"chunk_size must be positive, got {size}")
+        size = aligned_chunk(self._queries(), size)
         tracer = get_tracer()
         count = 0
         batches = 0
@@ -417,7 +422,7 @@ class ShardedStreamEngine:
         for obj in objects:
             chunk.append(obj)
             if len(chunk) >= size:
-                self._router.push_chunk(chunk, targets)
+                self._dispatch(chunk, targets)
                 count += len(chunk)
                 if tracer.enabled:
                     now = time.time()
@@ -432,7 +437,7 @@ class ShardedStreamEngine:
                 batches += 1
                 chunk = []
         if chunk:
-            self._router.push_chunk(chunk, targets)
+            self._dispatch(chunk, targets)
             count += len(chunk)
             if tracer.enabled:
                 tracer.record(
@@ -443,6 +448,12 @@ class ShardedStreamEngine:
                     f"objects={len(chunk)}",
                 )
         return count
+
+    def _dispatch(self, chunk: List[StreamObject], targets: List[int]) -> None:
+        """Check the chunk's arrival order, then send it to ``targets``."""
+        last_t = check_order(chunk, self._last_t)
+        self._router.push_chunk(chunk, targets)
+        self._last_t = last_t
 
     def flush(self) -> Dict[str, List[TopKResult]]:
         """Drain the cluster, then emit end-of-stream reports of
@@ -468,7 +479,8 @@ class ShardedStreamEngine:
     def slide_alignment(self) -> int:
         """The cluster's slide-alignment quantum: the least common multiple
         of the subscribed count-based slide sizes (1 when none applies, or
-        when the lcm would exceed :data:`MAX_ALIGNED_CHUNK`).
+        past the ceiling of :func:`repro.core.window.aligned_chunk`, when
+        rebalances may have to wait for a coincidental boundary).
 
         After pushing a whole multiple of this many objects through
         :meth:`push_many` — at least the largest window size, for windows
@@ -476,25 +488,10 @@ class ShardedStreamEngine:
         subscription sits at an exact slide boundary, which is what
         :meth:`rebalance` needs on the source shard.
         """
-        lcm = 1
-        for handle in self._handles.values():
-            query = handle.query
-            if query.time_based:
-                continue
-            lcm = lcm * query.s // math.gcd(lcm, query.s)
-            if lcm > MAX_ALIGNED_CHUNK:
-                return 1
-        return lcm
+        return aligned_chunk(self._queries())
 
-    def _aligned_chunk(self, requested: int) -> int:
-        if requested < 1:
-            raise ValueError(f"chunk_size must be positive, got {requested}")
-        lcm = self.slide_alignment()
-        if lcm <= 1:
-            return requested
-        if requested <= lcm:
-            return lcm
-        return (requested // lcm) * lcm
+    def _queries(self) -> List[TopKQuery]:
+        return [handle.query for handle in self._handles.values()]
 
     # ------------------------------------------------------------------
     # Rebalancing (the serialization layer in action)

@@ -347,12 +347,16 @@ def shard_worker_main(
                     ),
                 }
             elif op == "manifest":
-                # Which subscriptions this shard hosts — the facade
-                # rebuilds its name->shard map (and load accounting)
-                # from these after a restart.
+                # Which subscriptions this shard hosts and the last t its
+                # journal recovered — the facade rebuilds its name->shard
+                # map, load accounting and order check from these after a
+                # restart.
                 payload = {
-                    name: engine.subscription(name).query
-                    for name in engine.subscriptions()
+                    "subscriptions": {
+                        name: engine.subscription(name).query
+                        for name in engine.subscriptions()
+                    },
+                    "last_t": None if durability is None else durability.last_t,
                 }
             elif op == "controller_report":
                 if controller is None:

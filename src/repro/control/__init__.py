@@ -11,6 +11,12 @@ running engine at slide boundaries — draining a query group and rebuilding
 its execution plan from live window state, so every exact-mode tactic is
 answer-preserving.
 
+The loop runs per engine.  A sharded engine attaches one controller to
+each shard worker (:meth:`repro.cluster.ShardedStreamEngine.attach_controllers`);
+the number of shards is not a tactic, it changes only through the
+sharded engine's manual ``spawn_shard`` / ``retire_shard`` /
+``rebalance`` calls.
+
 See ``examples/adaptive_control.py`` for a runnable walkthrough and
 ``examples/control_policy.json`` for the policy file format.
 """
@@ -20,8 +26,6 @@ from .analyzers import (
     CandidateBlowupAnalyzer,
     LatencyBudgetAnalyzer,
     ScoreDriftAnalyzer,
-    ShardPressure,
-    ShardPressureSample,
     Symptom,
 )
 from .controller import AdaptiveController
@@ -46,8 +50,6 @@ __all__ = [
     "Policy",
     "Rule",
     "ScoreDriftAnalyzer",
-    "ShardPressure",
-    "ShardPressureSample",
     "SealSample",
     "SlideSample",
     "Symptom",

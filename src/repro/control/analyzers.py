@@ -27,16 +27,12 @@ from typing import Dict, List, Optional
 from ..stats.mannwhitney import normal_quantile, rank_sum
 from .knowledge import Knowledge
 
-#: Symptom kinds, in the order rules are usually written for them.  The
-#: first three are per-subscription (detected by an engine-attached
-#: controller); the last two are cluster-level (detected by
-#: :class:`ShardPressure` over per-shard backpressure and load metrics).
+#: Symptom kinds, in the order rules are usually written for them.  Every
+#: kind is per-subscription, detected by an engine-attached controller.
 SYMPTOM_KINDS = (
     "latency-violation",
     "candidate-blowup",
     "score-drift",
-    "shard-overload",
-    "cluster-underload",
 )
 
 
@@ -145,93 +141,6 @@ class CandidateBlowupAnalyzer(Analyzer):
                 "baseline_mean": baseline,
                 "factor": self.factor,
                 "window": self.window,
-            },
-        )
-
-
-@dataclass(frozen=True)
-class ShardPressureSample:
-    """One shard's load picture at one autoscaler tick.
-
-    ``bp_wait_delta`` counts producer stalls on this shard's command
-    queue since the previous tick; ``load_share`` is the shard's fraction
-    of the cluster's placement load; ``subscriptions`` its hosted query
-    count.
-    """
-
-    shard: int
-    load_share: float
-    bp_wait_delta: int
-    subscriptions: int
-
-
-class ShardPressure:
-    """Cluster-level analyzer: is any shard saturated, is the pool idle?
-
-    Unlike the per-subscription analyzers above, this one inspects the
-    data path — backpressure stalls are the signal that rises when a
-    worker process can no longer keep up with the stream, whatever the
-    reason (query load, skewed placement, a slow core) — plus the
-    placement load shares, merged per shard by the caller (see
-    :meth:`repro.cluster.autoscale.ShardAutoscaler.monitor`).
-
-    Two symptoms, mirroring the MAPE-K split of the per-engine loop:
-
-    * ``shard-overload`` — a shard stalled producers more than
-      ``bp_wait_tolerance`` times since the last tick; severity grows
-      with the excess.  At most one symptom per tick (the worst shard):
-      one spawn per tick keeps scaling monotone.
-    * ``cluster-underload`` — nobody stalled and the *emptiest* shard's
-      load share is below an even split's, so draining it onto the
-      others cannot overload them.
-    """
-
-    def __init__(self, *, bp_wait_tolerance: int = 0) -> None:
-        if bp_wait_tolerance < 0:
-            raise ValueError(f"bp_wait_tolerance must be >= 0, got {bp_wait_tolerance}")
-        self.bp_wait_tolerance = bp_wait_tolerance
-
-    def analyze_cluster(
-        self, samples: List["ShardPressureSample"]
-    ) -> Optional[Symptom]:
-        if not samples:
-            return None
-        worst: Optional[Symptom] = None
-        for sample in samples:
-            excess = sample.bp_wait_delta - self.bp_wait_tolerance
-            if excess <= 0:
-                continue
-            severity = 1.0 + excess
-            if worst is None or severity > worst.severity:
-                worst = Symptom(
-                    kind="shard-overload",
-                    subscription=f"shard:{sample.shard}",
-                    severity=severity,
-                    evidence={
-                        "shard": sample.shard,
-                        "bp_wait_delta": sample.bp_wait_delta,
-                        "load_share": sample.load_share,
-                    },
-                )
-        if worst is not None:
-            return worst
-        if len(samples) < 2:
-            return None
-        if any(s.bp_wait_delta > 0 for s in samples):
-            return None
-        emptiest = min(samples, key=lambda s: (s.load_share, -s.shard))
-        even_share = 1.0 / len(samples)
-        if emptiest.load_share >= even_share:
-            return None
-        return Symptom(
-            kind="cluster-underload",
-            subscription=f"shard:{emptiest.shard}",
-            severity=1.0 + (even_share - emptiest.load_share) / even_share,
-            evidence={
-                "shard": emptiest.shard,
-                "load_share": emptiest.load_share,
-                "even_share": even_share,
-                "shards": len(samples),
             },
         )
 

@@ -33,12 +33,12 @@ accuracy for throughput and is accounted explicitly
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from ..baselines.mintopk import MinTopK
 from ..core.exceptions import AlgorithmStateError
 from ..core.object import StreamObject
+from ..core.window import aligned_chunk
 from ..obs.registry import get_registry
 from .analyzers import Analyzer, Symptom
 from .executor import Executor
@@ -46,12 +46,6 @@ from .knowledge import AdaptationEvent, Knowledge
 from .monitor import Monitor
 from .planner import Planner
 from .policy import Policy
-
-#: Ceiling for slide-aligned chunk sizes: beyond this, aligning chunks to
-#: the least common multiple of the controlled slide sizes would buffer an
-#: unreasonable amount of stream per dispatch, so the engine keeps its
-#: requested chunking (tactics then fire on whatever boundaries occur).
-MAX_ALIGNED_CHUNK = 32_768
 
 
 class AdaptiveController:
@@ -173,21 +167,11 @@ class AdaptiveController:
         The least common multiple of the count-based groups' slide sizes
         divides the returned chunk, so every chunk ends exactly on a slide
         boundary of every group — the points where :meth:`tick` may apply
-        tactics.  Falls back to ``requested`` when alignment would exceed
-        :data:`MAX_ALIGNED_CHUNK`.
+        tactics (see :func:`repro.core.window.aligned_chunk`).  Past the
+        alignment ceiling the chunk stays ``requested`` and tactics fire on
+        whatever boundaries occur.
         """
-        lcm = 1
-        for group in self._groups:
-            if group.time_based or not len(group):
-                continue
-            lcm = lcm * group.s // math.gcd(lcm, group.s)
-            if lcm > MAX_ALIGNED_CHUNK:
-                return requested
-        if lcm <= 1:
-            return requested
-        if requested <= lcm:
-            return lcm
-        return (requested // lcm) * lcm
+        return aligned_chunk(self._groups, requested)
 
     # ------------------------------------------------------------------
     # The MAPE tick

@@ -56,17 +56,13 @@ from .analyzers import (
     ScoreDriftAnalyzer,
 )
 
-#: Tactic names a rule may use.  The first four act on one subscription
-#: inside an engine; the last two act on the sharded cluster itself and
-#: are only planned by :class:`repro.cluster.autoscale.ShardAutoscaler`
-#: (an engine-attached controller ignores them).
+#: Tactic names a rule may use.  Each acts on one subscription inside an
+#: engine; a rule naming any other tactic is refused.
 TACTICS = (
     "swap-partitioner",
     "retune-eta",
     "swap-algorithm",
     "load-shed",
-    "spawn-shard",
-    "retire-shard",
 )
 
 #: Default configuration of the latency analyzer, shared by

@@ -180,23 +180,6 @@ class SlideBlock:
     def __len__(self) -> int:
         return self.count
 
-    def slice(self, start: int, stop: int) -> "SlideBlock":
-        """A sub-block over ``[start, stop)`` — column views, no copies
-        (numpy slices share the parent's buffers)."""
-        if not 0 <= start <= stop <= self.count:
-            raise IndexError(f"slice [{start}:{stop}) outside block of {self.count}")
-        return SlideBlock(
-            backend=self.backend,
-            count=stop - start,
-            scores=self.scores[start:stop],
-            ts=self.ts[start:stop],
-            timestamps=self.timestamps[start:stop] if self.timestamps is not None else None,
-            timestamp_mask=(
-                self.timestamp_mask[start:stop] if self.timestamp_mask is not None else None
-            ),
-            payloads=self.payloads[start:stop] if self.payloads is not None else None,
-        )
-
     def to_objects(self) -> List[StreamObject]:
         """Materialise the exact ``StreamObject`` sequence of this block."""
         scores = self.scores.tolist()

@@ -17,12 +17,12 @@ assert it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
+from math import gcd
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .columnar import SlideBlock
 from .exceptions import InvalidQueryError
 from .object import StreamObject
 from .query import TopKQuery
@@ -49,33 +49,12 @@ class SlideEvent:
         first.
     window_end:
         Arrival order / timestamp of the newest object in the window.
-    block:
-        Optional columnar form of ``arrivals`` — attached by
-        :meth:`SlideBatcher.push_block` when the arrivals came in as a
-        :class:`~repro.core.columnar.SlideBlock` slice, lazily built (and
-        cached) otherwise via :meth:`arrivals_block`.  Carries no identity:
-        it is excluded from comparison and never serialized.
     """
 
     index: int
     arrivals: Tuple[StreamObject, ...]
     expirations: Tuple[StreamObject, ...]
     window_end: int
-    block: Optional[SlideBlock] = field(default=None, compare=False, repr=False)
-
-    def arrivals_block(self) -> Optional[SlideBlock]:
-        """The arrivals as a column block (cached on the event), or ``None``
-        when they cannot be packed (exotic scores, t beyond int64)."""
-        if self.block is None:
-            from .columnar import BlockPackError
-
-            try:
-                object.__setattr__(
-                    self, "block", SlideBlock.from_objects(self.arrivals)
-                )
-            except BlockPackError:
-                return None
-        return self.block
 
 
 def check_order(objects: Sequence[StreamObject], previous: float) -> int:
@@ -93,6 +72,37 @@ def check_order(objects: Sequence[StreamObject], previous: float) -> int:
                 )
             previous = t
     return ts[-1]
+
+
+#: Ceiling for slide alignment: past it, aligning chunks to the least
+#: common multiple of the slide sizes would buffer an unreasonable amount
+#: of stream per dispatch, so the requested chunking is kept.
+MAX_ALIGNED_CHUNK = 32_768
+
+
+def aligned_chunk(windows: Iterable, requested: int = 1) -> int:
+    """A chunk size that ends on a slide boundary of every count-based
+    window.
+
+    ``windows`` are queries or query groups (anything with ``s`` and
+    ``time_based``); time-based windows and empty groups are skipped.  The
+    quantum is the least common multiple of the remaining slide sizes.
+    Returns ``requested`` rounded down to a multiple of the quantum, or the
+    quantum itself when ``requested`` is smaller; when the quantum would
+    exceed :data:`MAX_ALIGNED_CHUNK`, returns ``requested`` unaligned.  With
+    the default ``requested=1`` the result is the quantum (1 when none
+    applies).
+    """
+    lcm = 1
+    for window in windows:
+        if window.time_based or not window:
+            continue
+        lcm = lcm * window.s // gcd(lcm, window.s)
+        if lcm > MAX_ALIGNED_CHUNK:
+            return requested
+    if requested <= lcm:
+        return lcm
+    return (requested // lcm) * lcm
 
 
 class SlidingWindow:
@@ -224,35 +234,14 @@ class SlideBatcher:
                 events.append(self._emit(expirations=expired))
         return events
 
-    def push_block(
-        self, block: SlideBlock, objects: Sequence[StreamObject]
-    ) -> List[SlideEvent]:
-        """:meth:`push_batch` of ``objects`` (``block.to_objects()``, which
-        the engine materialises once per chunk for every group), then
-        attach block slices to the events they align with.
+    def push_block(self, block, objects: Sequence[StreamObject]) -> List[SlideEvent]:
+        """:meth:`push_batch` of ``objects``, the objects of ``block``.
 
-        An event whose arrivals are drawn entirely from this block
-        (the common steady-state case: no partial slide pending from an
-        earlier batch) gets the matching ``block.slice`` attached; events
-        that mix in earlier objects fall back to
-        :meth:`SlideEvent.arrivals_block`'s lazy path.  Time-based windows
-        never attach slices — their reports may drop arrivals that expired
-        before becoming visible.
+        Nothing in the program calls it: it remains because the
+        ``perfbench`` tracer wraps it by name, until the program times its
+        own stages.
         """
-        lead = len(self._pending)
-        events = self.push_batch(objects)
-        if self.query.time_based:
-            return events
-        # Event j's arrivals span a contiguous run of (pending-before +
-        # block); a run starting at or past the lead lies fully inside the
-        # block and can be served as a column slice.
-        offset = -lead
-        for event in events:
-            size = len(event.arrivals)
-            if offset >= 0:
-                object.__setattr__(event, "block", block.slice(offset, offset + size))
-            offset += size
-        return events
+        return self.push_batch(objects)
 
     def flush(self) -> List[SlideEvent]:
         """Emit the final report of a time-based window (if any)."""

@@ -471,30 +471,25 @@ class EngineCore:
         """Feed one :class:`~repro.core.columnar.SlideBlock` as a chunk.
 
         The block is materialised once, here, and every query group moves
-        the same objects; slide events carry block-form arrivals.  With an
-        admission filter active it falls back to :meth:`push_many`, which
-        filters per object and keeps the control plane's slide-aligned
-        chunks."""
+        the same objects.  With an admission filter active it falls back to
+        :meth:`push_many`, which filters per object and keeps the control
+        plane's slide-aligned chunks."""
         self._ensure_open()
         objects = block.to_objects()
         if objects and self._admission_filter() is not None:
             return self.push_many(objects, chunk_size=len(objects))
-        self._ingest(objects, block)
+        self._ingest(objects)
         return len(objects)
 
     def _ingest(
-        self,
-        objects: Sequence[StreamObject],
-        block=None,
-        collect: bool = False,
+        self, objects: Sequence[StreamObject], collect: bool = False
     ) -> Optional[Dict[str, List[TopKResult]]]:
         """The one ingest edge: every admitted chunk enters the engine here.
 
         The chunk's arrival order is validated first, so a rejected chunk
         leaves the engine and its write-ahead log exactly as they were.
         Then the chunk is journaled, counted, moved through every query
-        group (``block`` is ``objects`` in column form, when the caller has
-        it) and reported to the control-plane and durability hooks.
+        group and reported to the control-plane and durability hooks.
         Returns the answers per name when ``collect`` is set.
         """
         if not objects:
@@ -509,7 +504,7 @@ class EngineCore:
         produced = None
         # Snapshot: result callbacks may unsubscribe (mutating the list).
         for group in tuple(self._groups):
-            for subscription, results in group.ingest(objects, block, collect):
+            for subscription, results in group.ingest(objects, collect):
                 if produced is None:
                     produced = {}
                 produced[subscription.name] = results

@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.columnar import SlideBlock
 from ..core.exceptions import AlgorithmStateError
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.object import StreamObject
@@ -334,26 +333,17 @@ class QueryGroup:
     # Ingestion (driven by the engine)
     # ------------------------------------------------------------------
     def ingest(
-        self,
-        objects: Sequence[StreamObject],
-        block: Optional[SlideBlock] = None,
-        collect: bool = True,
+        self, objects: Sequence[StreamObject], collect: bool = True
     ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
         """Move one chunk through the shared batcher; return each member's
         newly completed answers.
 
-        ``block``, when given, is the chunk in column form (``objects`` is
-        its materialised sequence); slide events then keep block-form
-        arrivals.  ``collect=False`` skips gathering the answers entirely
-        (callbacks and retention still run) and returns an empty sequence.
+        ``collect=False`` skips gathering the answers entirely (callbacks
+        and retention still run) and returns an empty sequence.
         """
         if not self._started:
             self.start()
-        if block is None:
-            events = self._batcher.push_batch(objects)
-        else:
-            events = self._batcher.push_block(block, objects)
-        return self._dispatch(events, collect)
+        return self._dispatch(self._batcher.push_batch(objects), collect)
 
     def flush(
         self, collect: bool = True

@@ -407,7 +407,7 @@ class TopKServer:
             preference=spec.vector,
         )
         self.registry.add(session)
-        self.batcher.set_alignment(self.registry.slide_sizes())
+        self.batcher.set_alignment(self.registry.queries())
         self._session_specs[name] = spec.to_dict()
         self._persist_sessions()
         return session
@@ -418,7 +418,7 @@ class TopKServer:
             raise ProtocolError(404, f"no subscription named {name!r}")
         session.close("unsubscribed")
         self.admission.release()
-        self.batcher.set_alignment(self.registry.slide_sizes())
+        self.batcher.set_alignment(self.registry.queries())
         if not len(self.registry):
             # The last subscriber left: buffered events can never reach an
             # answer (new subscriptions only window future arrivals), so
@@ -516,7 +516,7 @@ class TopKServer:
         self._persist_sessions()
         replayed = await self._engine_call(self._engine.drain_results)
         routed = self.registry.dispatch(replayed or {})
-        self.batcher.set_alignment(self.registry.slide_sizes())
+        self.batcher.set_alignment(self.registry.queries())
         next_t = await self._engine_call(self._recovered_next_t)
         self.batcher.resume_from(next_t)
         report = getattr(self._engine, "recovery_report", None)

@@ -23,17 +23,14 @@ moves whole slides and results surface at batch boundaries.
 from __future__ import annotations
 
 from collections import OrderedDict
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.object import StreamObject
+from ..core.query import TopKQuery
+from ..core.window import aligned_chunk
 
 #: Default dedupe-window capacity (distinct event ids remembered).
 DEFAULT_DEDUPE_WINDOW = 65_536
-
-#: Ceiling for slide alignment, mirroring the cluster facade's bound: a
-#: pathological mix of slide sizes must not make batches unbounded.
-MAX_ALIGNED_BATCH = 32_768
 
 
 class DedupeWindow:
@@ -133,20 +130,13 @@ class IngestBatcher:
     def alignment(self) -> int:
         return self._alignment
 
-    def set_alignment(self, slide_sizes: Iterable[int]) -> int:
-        """Recompute the batch alignment as the LCM of the given slide
-        sizes, clamped to :data:`MAX_ALIGNED_BATCH` (falling back to 1
-        exactly like the cluster facade does)."""
-        lcm = 1
-        for s in slide_sizes:
-            if s < 1:
-                continue
-            lcm = lcm * s // gcd(lcm, s)
-            if lcm > MAX_ALIGNED_BATCH:
-                lcm = 1
-                break
-        self._alignment = lcm
-        return lcm
+    def set_alignment(self, queries: Iterable[TopKQuery]) -> int:
+        """Recompute the batch alignment from the subscribed queries: the
+        least common multiple of their count-based slide sizes, or 1 when
+        none applies or the multiple passes the ceiling of
+        :func:`repro.core.window.aligned_chunk`."""
+        self._alignment = aligned_chunk(queries)
+        return self._alignment
 
     def resume_from(self, next_t: int) -> int:
         """Advance the arrival clock past a recovered stream's tail.

@@ -23,6 +23,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
+from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from .backpressure import ClientChannel
 
@@ -169,13 +170,9 @@ class SessionRegistry:
     def sessions(self) -> List[Session]:
         return list(self._sessions.values())
 
-    def slide_sizes(self) -> List[int]:
-        """Count-based slide sizes of every session (alignment input)."""
-        return [
-            session.query.s
-            for session in self._sessions.values()
-            if not session.query.time_based
-        ]
+    def queries(self) -> List[TopKQuery]:
+        """Every session's query (the batcher's alignment input)."""
+        return [session.query for session in self._sessions.values()]
 
     def dispatch(self, produced: Dict[str, Iterable[TopKResult]]) -> int:
         """Route drained answers to their sessions; returns answers routed."""

@@ -6,11 +6,13 @@ answers in the same order for every query — while actually running the
 queries in separate processes.
 """
 
+import pickle
+
 import pytest
 
 from repro import StreamEngine, TopKQuery
 from repro.cluster import ShardedStreamEngine, ShardError
-from repro.core.exceptions import AlgorithmStateError
+from repro.core.exceptions import AlgorithmStateError, InvalidQueryError
 
 from ..conftest import make_objects, random_scores
 
@@ -180,14 +182,15 @@ class TestFacadeSurface:
 
 class TestWorkerFailure:
     def test_mid_stream_failure_is_latched_and_reported(self):
-        # Objects must arrive in non-decreasing t order; violating that
-        # inside a worker raises during an async push, which must surface
-        # at the next synchronous command instead of vanishing.
+        # A push that raises inside a worker fails asynchronously and must
+        # surface at the next synchronous command instead of vanishing.
+        # The facade rejects an out-of-order chunk before sending it, so
+        # the fault goes to the router directly.
         with ShardedStreamEngine(1) as engine:
             engine.subscribe("q", QUERIES["fine"])
             engine.push_many(make_objects(random_scores(240, seed=1)))
             bad = make_objects([1.0], start_t=0)  # t restarts at 0
-            engine.push(bad[0])
+            engine._router.push_chunk(bad, [0])
             with pytest.raises(ShardError, match="failed during push"):
                 engine.synchronize()
 
@@ -199,7 +202,8 @@ class TestWorkerFailure:
         engine = ShardedStreamEngine(2)
         engine.subscribe("q", QUERIES["fine"])
         engine.push_many(make_objects(random_scores(240, seed=3)))
-        engine.push(make_objects([1.0], start_t=0)[0])  # t goes backwards
+        # t goes backwards, sent past the facade's order check.
+        engine._router.push_chunk(make_objects([1.0], start_t=0), [0])
         with pytest.raises(ShardError, match="failed during push"):
             engine.synchronize()
         engine.close()  # must not raise despite the latched failure
@@ -238,3 +242,38 @@ class TestWorkerFailure:
             results = engine.results("healthy")
             assert results and all(hasattr(r, "scores") for r in results)
             assert engine._router.request(1, ("sync",)) == len(objects)
+
+
+class TestOrderCheck:
+    def test_out_of_order_chunk_is_rejected_whole_and_nothing_is_sent(self, stream):
+        with ShardedStreamEngine(2, placement="least-loaded") as engine:
+            for name, query in QUERIES.items():
+                engine.subscribe(name, query, algorithm="SAP")
+            engine.push_many(stream[:100])
+            # A chunk starting at the last admitted t, then one going back.
+            with pytest.raises(InvalidQueryError, match="strictly increasing"):
+                engine.push_many(stream[99:300])
+            with pytest.raises(InvalidQueryError, match="strictly increasing"):
+                engine.push(stream[50])
+            # No shard saw either chunk: valid chunks still go through.
+            engine.push_many(stream[100:700])
+            for obj in stream[700:760]:
+                engine.push(obj)
+            engine.push_many(stream[760:])
+            engine.flush()
+            sharded = {name: engine.results(name) for name in QUERIES}
+        expected = reference_results(stream)
+        for name in QUERIES:
+            assert pickle.dumps(sharded[name]) == pickle.dumps(expected[name])
+
+    def test_durable_restart_resumes_the_order_check(self, stream, tmp_path):
+        directory = str(tmp_path / "cluster")
+        with ShardedStreamEngine(2, durability_dir=directory) as engine:
+            engine.subscribe("fine", QUERIES["fine"])
+            engine.push_many(stream[:200])
+        with ShardedStreamEngine(2, durability_dir=directory) as engine:
+            with pytest.raises(InvalidQueryError, match="after t=199"):
+                engine.push_many(stream[150:250])
+            engine.push_many(stream[200:400])
+            engine.flush()
+            assert engine.results("fine")

@@ -60,8 +60,10 @@ class TestPolicyFormat:
             Policy.from_dict({"latency_budget": 1.0})
 
     def test_unknown_tactic_rejected(self):
-        with pytest.raises(ValueError, match="unknown tactic"):
-            Policy.from_dict({"rules": [{"when": "score-drift", "tactic": "reboot"}]})
+        # The shard-pool tactics are gone: the pool changes only by hand.
+        for tactic in ("reboot", "spawn-shard", "retire-shard"):
+            with pytest.raises(ValueError, match="unknown tactic"):
+                Policy.from_dict({"rules": [{"when": "score-drift", "tactic": tactic}]})
 
     def test_swap_partitioner_needs_valid_target(self):
         with pytest.raises(ValueError, match="swap-partitioner"):

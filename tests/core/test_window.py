@@ -6,13 +6,43 @@ from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
 from repro.core.query import TopKQuery
 from repro.core.window import (
+    MAX_ALIGNED_CHUNK,
     SlidingWindow,
+    aligned_chunk,
     count_based_slides,
     slides_for_query,
     time_based_slides,
 )
+from repro.engine.group import QueryGroup
 
 from ..conftest import make_objects
+
+
+def _count(s):
+    return TopKQuery(n=s * 4, k=1, s=s)
+
+
+@pytest.mark.parametrize(
+    "windows, requested, expected",
+    [
+        # The quantum is the lcm of the slide sizes (12 here).
+        ([_count(4), _count(6)], 1, 12),
+        ([_count(4), _count(6)], 10, 12),  # below: the quantum
+        ([_count(4), _count(6)], 12, 12),  # at
+        ([_count(4), _count(6)], 50, 48),  # above: rounded down
+        ([], 1, 1),
+        ([], 50, 50),
+        # Coprime slides whose lcm passes the ceiling: no alignment.
+        ([_count(7919), _count(7927)], 1, 1),
+        ([_count(7919), _count(7927)], 100, 100),
+        # Time-based windows and empty groups do not align chunks.
+        ([_count(4), TopKQuery(n=60, k=1, s=6, time_based=True)], 10, 8),
+        ([_count(4), QueryGroup(60, 6, False)], 10, 8),
+    ],
+)
+def test_aligned_chunk(windows, requested, expected):
+    assert 7919 * 7927 > MAX_ALIGNED_CHUNK
+    assert aligned_chunk(windows, requested) == expected
 
 
 class TestSlidingWindow:

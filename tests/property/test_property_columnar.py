@@ -139,15 +139,6 @@ def test_chunk_codec_roundtrip(backend, objects):
     assert block is not None  # packable inputs take the columnar format
 
 
-@settings(max_examples=60, deadline=None)
-@given(objects=stream_objects(max_size=20), data=st.data())
-def test_slice_matches_object_slice(objects, data):
-    block = SlideBlock.from_objects(objects)
-    start = data.draw(st.integers(min_value=0, max_value=len(objects)))
-    stop = data.draw(st.integers(min_value=start, max_value=len(objects)))
-    assert_same_objects(block.slice(start, stop).to_objects(), objects[start:stop])
-
-
 def test_empty_block_roundtrips():
     for backend in RUNNABLE_BACKENDS:
         block = SlideBlock.from_objects([], backend=backend)

@@ -3,13 +3,19 @@ slide-aligned batching (:mod:`repro.serve.ingest`)."""
 
 import pytest
 
+from repro.core.query import TopKQuery
+from repro.core.window import MAX_ALIGNED_CHUNK
 from repro.serve.ingest import (
     DEFAULT_DEDUPE_WINDOW,
-    MAX_ALIGNED_BATCH,
     DedupeWindow,
     IngestBatcher,
     parse_event,
 )
+
+
+def slides(*sizes):
+    """Count-based queries with the given slide sizes."""
+    return [TopKQuery(n=s, k=1, s=s) for s in sizes]
 
 
 class TestDedupeWindow:
@@ -104,22 +110,22 @@ class TestIngestBatcher:
 
     def test_alignment_is_lcm_of_slides(self):
         batcher = IngestBatcher()
-        batcher.set_alignment([4, 6])
+        batcher.set_alignment(slides(4, 6))
         assert batcher.alignment == 12
-        batcher.set_alignment([5])
+        batcher.set_alignment(slides(5))
         assert batcher.alignment == 5
-        batcher.set_alignment([])  # no count-based subscriptions
+        batcher.set_alignment(slides())  # no count-based subscriptions
         assert batcher.alignment == 1
 
     def test_alignment_clamped_when_lcm_explodes(self):
         batcher = IngestBatcher()
-        batcher.set_alignment([7919, 7927])  # coprime: lcm ~62.8M
+        batcher.set_alignment(slides(7919, 7927))  # coprime: lcm ~62.8M
         assert batcher.alignment == 1
-        assert batcher.alignment <= MAX_ALIGNED_BATCH
+        assert batcher.alignment <= MAX_ALIGNED_CHUNK
 
     def test_take_aligned_keeps_the_tail(self):
         batcher = IngestBatcher()
-        batcher.set_alignment([5])
+        batcher.set_alignment(slides(5))
         for i in range(13):
             batcher.append(float(i), None)
         aligned = batcher.take_aligned()
@@ -130,14 +136,14 @@ class TestIngestBatcher:
 
     def test_take_aligned_below_one_slide_is_empty(self):
         batcher = IngestBatcher()
-        batcher.set_alignment([10])
+        batcher.set_alignment(slides(10))
         batcher.append(1.0, None)
         assert batcher.take_aligned() == []
         assert batcher.stats()["pending"] == 1
 
     def test_stats_track_totals(self):
         batcher = IngestBatcher()
-        batcher.set_alignment([2])
+        batcher.set_alignment(slides(2))
         for i in range(5):
             batcher.append(float(i), None)
         batcher.take_aligned()
