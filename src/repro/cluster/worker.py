@@ -348,15 +348,16 @@ def shard_worker_main(
                 }
             elif op == "manifest":
                 # Which subscriptions this shard hosts and the last t its
-                # journal recovered — the facade rebuilds its name->shard
+                # engine admitted — the facade rebuilds its name->shard
                 # map, load accounting and order check from these after a
-                # restart.
+                # restart.  The engine's own t is kept both live and
+                # through checkpoint restore plus journal replay.
                 payload = {
                     "subscriptions": {
                         name: engine.subscription(name).query
                         for name in engine.subscriptions()
                     },
-                    "last_t": None if durability is None else durability.last_t,
+                    "last_t": engine.last_t,
                 }
             elif op == "controller_report":
                 if controller is None:

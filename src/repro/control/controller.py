@@ -169,9 +169,10 @@ class AdaptiveController:
         boundary of every group — the points where :meth:`tick` may apply
         tactics (see :func:`repro.core.window.aligned_chunk`).  Past the
         alignment ceiling the chunk stays ``requested`` and tactics fire on
-        whatever boundaries occur.
+        whatever boundaries occur.  Groups without members (one is adopted
+        before its first member joins) do not align chunks.
         """
-        return aligned_chunk(self._groups, requested)
+        return aligned_chunk([g for g in self._groups if len(g)], requested)
 
     # ------------------------------------------------------------------
     # The MAPE tick

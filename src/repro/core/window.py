@@ -85,8 +85,8 @@ def aligned_chunk(windows: Iterable, requested: int = 1) -> int:
     window.
 
     ``windows`` are queries or query groups (anything with ``s`` and
-    ``time_based``); time-based windows and empty groups are skipped.  The
-    quantum is the least common multiple of the remaining slide sizes.
+    ``time_based``); time-based windows are skipped.  The quantum is the
+    least common multiple of the remaining slide sizes.
     Returns ``requested`` rounded down to a multiple of the quantum, or the
     quantum itself when ``requested`` is smaller; when the quantum would
     exceed :data:`MAX_ALIGNED_CHUNK`, returns ``requested`` unaligned.  With
@@ -95,7 +95,7 @@ def aligned_chunk(windows: Iterable, requested: int = 1) -> int:
     """
     lcm = 1
     for window in windows:
-        if window.time_based or not window:
+        if window.time_based:
             continue
         lcm = lcm * window.s // gcd(lcm, window.s)
         if lcm > MAX_ALIGNED_CHUNK:

@@ -181,6 +181,10 @@ class DurabilityManager:
     def after_chunk(self, engine: "EngineCore", count: int) -> None:
         """A chunk of ``count`` objects finished moving through ``engine``;
         checkpoint when due and the engine sits at a slide boundary."""
+        # Shard workers journal encoded payloads (:meth:`log_encoded`), so
+        # the engine's admitted t is what keeps checkpoints' ``last_t``
+        # current there.
+        self.last_t = max(self.last_t, engine.last_t)
         self.ingested += count
         self.chunks_logged += 1
         self._chunks_since_checkpoint += 1

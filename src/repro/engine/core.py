@@ -609,6 +609,12 @@ class EngineCore:
         self._durability = manager
 
     @property
+    def last_t(self) -> float:
+        """``t`` of the newest admitted object (``-inf`` before the first);
+        restored windows and replayed journal chunks move it too."""
+        return self._last_t
+
+    @property
     def durability(self):
         """The attached :class:`~repro.durability.DurabilityManager`."""
         return self._durability

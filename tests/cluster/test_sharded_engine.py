@@ -6,6 +6,7 @@ answers in the same order for every query — while actually running the
 queries in separate processes.
 """
 
+import os
 import pickle
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro import StreamEngine, TopKQuery
 from repro.cluster import ShardedStreamEngine, ShardError
 from repro.core.exceptions import AlgorithmStateError, InvalidQueryError
+from repro.durability import CheckpointStore
 
 from ..conftest import make_objects, random_scores
 
@@ -266,14 +268,44 @@ class TestOrderCheck:
         for name in QUERIES:
             assert pickle.dumps(sharded[name]) == pickle.dumps(expected[name])
 
-    def test_durable_restart_resumes_the_order_check(self, stream, tmp_path):
+    @pytest.mark.parametrize(
+        "count, checkpointed",
+        [
+            (200, False),  # the journal tail alone recovers the last t
+            (640, True),   # checkpoint at chunk 64, empty journal tail
+            (700, True),   # checkpoint plus a six-chunk journal tail
+        ],
+    )
+    def test_durable_restart_resumes_the_order_check(
+        self, stream, tmp_path, count, checkpointed
+    ):
+        names = ("fine", "fine-deep")
         directory = str(tmp_path / "cluster")
-        with ShardedStreamEngine(2, durability_dir=directory) as engine:
-            engine.subscribe("fine", QUERIES["fine"])
-            engine.push_many(stream[:200])
-        with ShardedStreamEngine(2, durability_dir=directory) as engine:
-            with pytest.raises(InvalidQueryError, match="after t=199"):
-                engine.push_many(stream[150:250])
-            engine.push_many(stream[200:400])
+        with ShardedStreamEngine(2, durability_dir=directory, chunk_size=10) as engine:
+            for name in names:
+                engine.subscribe(name, QUERIES[name])
+            engine.push_many(stream[:count])
+        stores = [
+            CheckpointStore(os.path.join(directory, f"shard-{shard}"))
+            for shard in range(2)
+        ]
+        assert any(store.latest() for store in stores) == checkpointed
+        with ShardedStreamEngine(2, durability_dir=directory, chunk_size=10) as engine:
+            with pytest.raises(InvalidQueryError, match=f"after t={count - 1}"):
+                engine.push_many(stream[count - 50:count + 50])
+            with pytest.raises(InvalidQueryError, match=f"after t={count - 1}"):
+                engine.push(stream[count - 1])
+            engine.push_many(stream[count:])
             engine.flush()
-            assert engine.results("fine")
+            restarted = {name: engine.results(name) for name in names}
+        engine = StreamEngine()
+        for name in names:
+            engine.subscribe(name, QUERIES[name], algorithm="SAP")
+        engine.push_many(stream)
+        engine.flush()
+        for name in names:
+            # Answers after the restart continue the uninterrupted stream's.
+            tail = restarted[name]
+            assert len(tail) >= (len(stream) - count) // QUERIES[name].s
+            expected = engine.results(name)[-len(tail):]
+            assert pickle.dumps(tail) == pickle.dumps(expected)

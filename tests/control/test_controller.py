@@ -6,6 +6,7 @@ from repro.control import AdaptiveController, Policy
 from repro.core.exceptions import AlgorithmStateError
 from repro.core.query import TopKQuery
 from repro.engine import StreamEngine
+from repro.engine.group import QueryGroup
 from repro.streams import make_dataset
 
 
@@ -201,6 +202,9 @@ class TestAdaptationEndToEnd:
         # lcm(12, 8) = 24; 256 rounds down to 240.
         assert controller.aligned_chunk(256) == 240
         assert controller.aligned_chunk(10) == 24
+        # A group adopted before its first member joins does not align.
+        controller._adopt_group(QueryGroup(70, 7, False))
+        assert controller.aligned_chunk(256) == 240
 
     def test_describe_reports_state(self):
         engine = StreamEngine(return_results=False)

@@ -35,9 +35,11 @@ def _count(s):
         # Coprime slides whose lcm passes the ceiling: no alignment.
         ([_count(7919), _count(7927)], 1, 1),
         ([_count(7919), _count(7927)], 100, 100),
-        # Time-based windows and empty groups do not align chunks.
+        # Time-based windows do not align chunks; query groups align
+        # like their queries.
         ([_count(4), TopKQuery(n=60, k=1, s=6, time_based=True)], 10, 8),
-        ([_count(4), QueryGroup(60, 6, False)], 10, 8),
+        ([_count(4), QueryGroup(60, 6, False)], 10, 12),
+        ([_count(4), QueryGroup(60, 6, True)], 10, 8),
     ],
 )
 def test_aligned_chunk(windows, requested, expected):
