@@ -1,9 +1,9 @@
 """Subscription scale — clustered preference plans vs per-user exact plans.
 
-Trajectory benchmark for ROADMAP item 5 ("millions of users"): the
-headline numbers are recorded in ``BENCH_scale.json`` at the repository
-root (and under ``benchmarks/results/``) to track the clustering plane's
-scaling across PRs.
+The subscription-scale benchmark of preference clustering ("millions of
+users"): the headline numbers are recorded in ``BENCH_scale.json`` at
+the repository root (and under ``benchmarks/results/``) to track the
+clustering plane's scaling across PRs.
 
 The workload is many users with *distinct but similar* preference
 vectors (drawn around a few shared "tastes") watching one attribute

@@ -4,11 +4,10 @@ Each subscription lives on exactly one shard, so per-subscription records
 merge by disjoint union.  Cluster-wide *distributional* statistics are the
 subtle part: a latency percentile of the cluster is **not** the average of
 the shards' percentiles (a shard with 10 slow slides and one with 10 000
-fast ones would average to nonsense).  The workers therefore ship their
-bounded per-slide latency samples, and :func:`merged_latency_stats`
-computes nearest-rank percentiles over the *combined* sample, weighting
-each sample by the number of slides it represents (collectors decimate
-long histories, so raw sample counts do not reflect slide counts).
+fast ones would average to nonsense).  The workers therefore ship each
+subscription's latency sketch (:mod:`repro.obs.quantiles`), and
+:func:`merged_latency_stats` adds their bucket counts — an exact merge,
+so the cluster's percentiles are those of one sketch fed every slide.
 
 :class:`AggregatedKnowledge` is the control plane's cluster view: one
 controller runs per shard (each sees only its own engine), and this class
@@ -18,9 +17,9 @@ per-subscription sample counts — into a single audit surface.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..obs.quantiles import weighted_nearest_ranks
+from ..obs.quantiles import STANDARD_FRACTIONS, merge_sketches, sketch_ranks
 
 
 def merge_disjoint(maps: Sequence[Dict[str, object]]) -> Dict[str, object]:
@@ -43,20 +42,19 @@ def merged_latency_stats(
 ) -> Dict[str, float]:
     """Cluster-wide latency distribution from per-shard telemetry.
 
-    Percentiles are computed over the union of the shards' retained
-    latency samples, with each sample weighted by how many slides it
-    represents (``slides / len(samples)`` of its subscription): the
-    collectors decimate long-running subscriptions' samples, so an
-    unweighted union would hand a quiet query the same influence as one
-    that processed a thousand times more slides.  Totals and maxima are
-    exact sums/maxima of the per-subscription aggregates.
+    Each telemetry record carries its subscription's latency sketch under
+    ``"latencies"``; the sketches merge by adding bucket counts, so every
+    slide of every subscription counts once and the percentiles are
+    within 1% relative of the exact nearest-rank percentiles of all the
+    recorded latencies.  Totals and maxima are exact sums/maxima of the
+    per-subscription aggregates.
 
     Emits exactly :data:`repro.engine.subscription.STATS_KEYS`, the one
     stats schema shared with :meth:`repro.engine.Subscription.stats`:
     candidate/memory averages are slide-weighted means of the
     per-subscription averages, maxima are maxima.
     """
-    samples: List[Tuple[float, float]] = []
+    sketches = []
     slides = 0
     delivered = 0
     latency_max = 0.0
@@ -66,10 +64,7 @@ def merged_latency_stats(
     for telemetry in telemetry_maps:
         for record in telemetry.values():
             stats = record["stats"]
-            latencies = record["latencies"]
-            if latencies:
-                weight = float(stats["slides"]) / len(latencies)
-                samples.extend((value, weight) for value in latencies)
+            sketches.append(record["latencies"])
             sub_slides = int(stats["slides"])
             slides += sub_slides
             delivered += int(stats["results_delivered"])
@@ -85,12 +80,11 @@ def merged_latency_stats(
         "average_memory_kb": memory_kb_total / slides if slides else 0.0,
         "max_latency": latency_max,
     }
-    percentiles = (
-        weighted_nearest_ranks(samples, (0.5, 0.95, 0.99)) if samples else [0.0] * 3
-    )
+    sketch = merge_sketches(sketches)
+    percentiles = sketch_ranks(sketch, STANDARD_FRACTIONS, latency_max)
     merged["p50_latency"], merged["p95_latency"], merged["p99_latency"] = percentiles
     merged["median_latency"] = merged["p50_latency"]
-    merged["latency_samples"] = float(len(samples))
+    merged["latency_samples"] = float(sum(sketch.values()))
     return merged
 
 

@@ -648,9 +648,9 @@ class ShardedStreamEngine:
         return {name: merged[name] for name in self._handles if name in merged}
 
     def aggregate_stats(self) -> Dict[str, float]:
-        """Cluster-wide latency distribution: percentiles computed over
-        the union of every subscription's retained samples (never an
-        average of per-shard percentiles)."""
+        """Cluster-wide latency distribution: percentiles of every
+        subscription's latency sketches added together (never an average
+        of per-shard percentiles), within 1% of the exact ones."""
         self._ensure_open()
         return merged_latency_stats(self._router.broadcast(("telemetry",)))
 

@@ -153,15 +153,15 @@ def shard_worker_main(
     registry.add_collector(collect_transport)
 
     def telemetry() -> Dict[str, Dict[str, object]]:
-        """Per-subscription statistics plus the raw bounded latency sample,
-        so the facade can merge percentiles from samples instead of
-        averaging per-shard percentiles (which would be wrong)."""
+        """Per-subscription statistics plus the latency sketch's bucket
+        counts, so the facade can merge percentiles by adding counts
+        instead of averaging per-shard percentiles (which would be wrong)."""
         record: Dict[str, Dict[str, object]] = {}
         for name in engine.subscriptions():
             subscription = engine.subscription(name)
             record[name] = {
                 "stats": subscription.stats(),
-                "latencies": list(subscription.metrics.latencies),
+                "latencies": dict(subscription.metrics.latency_buckets),
                 "shard": shard_id,
             }
         return record

@@ -1,4 +1,4 @@
-"""Preference clustering: cross-function plan sharing (ROADMAP item 5).
+"""Preference clustering: cross-function plan sharing.
 
 The shared multi-query plane (:mod:`repro.core.shared`) dedupes
 subscriptions that differ only in ``k`` inside one window shape; this

@@ -8,16 +8,17 @@ The evaluation section of the paper reports, for every algorithm:
 * the memory consumed by the algorithm's own structures (Appendix F).
 
 :class:`MetricsCollector` samples the latter two after every slide and keeps
-simple aggregates so that benchmarks never retain per-slide lists for very
-long streams.
+simple aggregates, and per-slide latencies in a log-bucket sketch
+(:mod:`repro.obs.quantiles`), so it never grows with the stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from math import ceil, log
+from typing import List, Optional, Sequence
 
-from ..obs.quantiles import nearest_rank, nearest_ranks
+from ..obs.quantiles import SKETCH_INDEX_SCALE, ZERO_BUCKET, Sketch, nearest_rank, sketch_ranks
 
 
 def bytes_to_kb(value: float) -> float:
@@ -34,22 +35,15 @@ def percentile(values: List[float], fraction: float) -> float:
     return nearest_rank(values, fraction)
 
 
-#: Cap on retained per-slide latency samples.  Once reached, the sample is
-#: decimated (every other value dropped, stride doubled), so the collector
-#: stays O(1) in stream length while the percentile estimates remain
-#: representative.  Totals and maxima are exact regardless.
-LATENCY_SAMPLE_CAP = 8192
-
-
 @dataclass
 class MetricsCollector:
     """Streaming aggregates of candidate counts, memory usage, and latency.
 
     The paper reports total running time; a production consumer also cares
     about the per-slide latency distribution (a window slide must be
-    answered before the next one arrives), so the collector optionally
-    retains a bounded sample of per-slide latencies and exposes p50/p95,
-    plus exact running totals and maxima.
+    answered before the next one arrives), so the collector also keeps a
+    sketch of every per-slide latency, from which it reports percentiles
+    within 1% of the exact ones, plus exact running totals and maxima.
     """
 
     slides: int = 0
@@ -59,14 +53,13 @@ class MetricsCollector:
     memory_max: int = 0
     latency_total: float = 0.0
     latency_max: float = 0.0
-    latencies: List[float] = field(default_factory=list, repr=False)
+    #: Every recorded latency, as a :data:`~repro.obs.quantiles.Sketch`.
+    latency_buckets: Sketch = field(default_factory=dict, repr=False)
     #: Values of the most recent slide, read by the control plane's monitor
     #: so telemetry never recomputes what the collector already sampled.
     last_candidates: int = 0
     last_memory_bytes: int = 0
     last_latency: float = 0.0
-    _latency_seen: int = field(default=0, repr=False)
-    _latency_stride: int = field(default=1, repr=False)
 
     def record(
         self,
@@ -74,28 +67,33 @@ class MetricsCollector:
         memory_bytes: int,
         latency_seconds: Optional[float] = None,
     ) -> None:
+        # Runs once per member per slide: plain comparisons, not max().
         self.slides += 1
         self.candidate_total += candidate_count
-        self.candidate_max = max(self.candidate_max, candidate_count)
+        if candidate_count > self.candidate_max:
+            self.candidate_max = candidate_count
         self.memory_total += memory_bytes
-        self.memory_max = max(self.memory_max, memory_bytes)
+        if memory_bytes > self.memory_max:
+            self.memory_max = memory_bytes
         self.last_candidates = candidate_count
         self.last_memory_bytes = memory_bytes
         if latency_seconds is not None:
             self.last_latency = latency_seconds
             self.latency_total += latency_seconds
-            self.latency_max = max(self.latency_max, latency_seconds)
-            self._latency_seen += 1
-            if self._latency_seen % self._latency_stride == 0:
-                self.latencies.append(latency_seconds)
-                if len(self.latencies) >= LATENCY_SAMPLE_CAP:
-                    self.latencies = self.latencies[::2]
-                    self._latency_stride *= 2
+            if latency_seconds > self.latency_max:
+                self.latency_max = latency_seconds
+            # The sketch bucket (repro.obs.quantiles), computed inline.
+            if latency_seconds > 0.0:
+                bucket = ceil(log(latency_seconds) * SKETCH_INDEX_SCALE)
+            else:
+                bucket = ZERO_BUCKET
+            buckets = self.latency_buckets
+            buckets[bucket] = buckets.get(bucket, 0) + 1
 
     def copy(self) -> "MetricsCollector":
-        """An independent snapshot (every field but the sample is an
-        immutable scalar, so only the latency list needs copying)."""
-        return replace(self, latencies=list(self.latencies))
+        """An independent snapshot (every field but the sketch is an
+        immutable scalar, so only the bucket map needs copying)."""
+        return replace(self, latency_buckets=dict(self.latency_buckets))
 
     @property
     def average_candidates(self) -> float:
@@ -112,27 +110,23 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Per-slide latency distribution
     # ------------------------------------------------------------------
-    def latency_percentile(self, fraction: float) -> float:
-        """Any percentile of the retained latency sample (0.0 when empty)."""
-        return percentile(self.latencies, fraction) if self.latencies else 0.0
+    @property
+    def latency_count(self) -> int:
+        """How many latencies were recorded."""
+        return sum(self.latency_buckets.values())
 
-    def latency_percentiles(self, fractions) -> List[float]:
-        """Several percentiles from one sort of the retained sample."""
-        if not self.latencies:
-            return [0.0] * len(fractions)
-        return nearest_ranks(self.latencies, fractions)
+    def latency_percentiles(self, fractions: Sequence[float]) -> List[float]:
+        """Several percentiles from one walk of the sketch, each within 1%
+        of the exact nearest-rank percentile (0.0 when empty)."""
+        return sketch_ranks(self.latency_buckets, fractions, self.latency_max)
 
     @property
     def median_latency(self) -> float:
-        return self.latency_percentile(0.5)
+        return self.latency_percentiles((0.5,))[0]
 
     @property
     def p95_latency(self) -> float:
-        return self.latency_percentile(0.95)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(0.99)
+        return self.latency_percentiles((0.95,))[0]
 
     @property
     def max_latency(self) -> float:

@@ -588,7 +588,7 @@ class EngineCore:
         telemetry = {
             name: {
                 "stats": sub.stats(),
-                "latencies": list(sub.metrics.latencies),
+                "latencies": sub.metrics.latency_buckets,
                 "shard": -1,
             }
             for name, sub in self._subscriptions.items()

@@ -33,6 +33,8 @@ from ..obs.tracing import get_tracer
 #: ``ShardSubscription.stats()`` (one shard), and the cluster-wide
 #: :func:`repro.cluster.merge.merged_latency_stats` all emit exactly
 #: these keys, so stat consumers never branch on the execution plane.
+#: Percentiles come from the latency sketch, within 1% of the exact ones;
+#: ``latency_samples`` counts the latencies recorded.
 STATS_KEYS = (
     "slides",
     "results_delivered",
@@ -204,7 +206,7 @@ class Subscription:
             "p95_latency": p95,
             "p99_latency": p99,
             "max_latency": m.max_latency,
-            "latency_samples": float(len(m.latencies)),
+            "latency_samples": float(m.latency_count),
         }
 
     def last_slide_sample(self) -> Dict[str, float]:

@@ -23,8 +23,8 @@ Around the metrics sit three consumers:
   snapshot feed.
 
 :mod:`repro.obs.quantiles` is also the library's single percentile
-implementation — the per-subscription collector, the cluster merge
-layer, and the serving stats all call it.
+implementation, including the 1%-accurate latency sketch that the
+per-subscription collector keeps and the cluster merge layer adds up.
 """
 
 from .exposition import (
@@ -38,8 +38,6 @@ from .quantiles import (
     STANDARD_FRACTIONS,
     nearest_rank,
     nearest_ranks,
-    weighted_nearest_rank,
-    weighted_nearest_ranks,
 )
 from .registry import (
     LATENCY_BUCKETS,
@@ -97,7 +95,5 @@ __all__ = [
     "span_payload",
     "spans_from_payload",
     "to_chrome_trace",
-    "weighted_nearest_rank",
-    "weighted_nearest_ranks",
     "write_chrome_trace",
 ]

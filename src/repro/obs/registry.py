@@ -176,8 +176,8 @@ class Histogram:
         The nearest-rank target is located in its bucket and linearly
         interpolated across the bucket's span (Prometheus
         ``histogram_quantile`` semantics); 0.0 with no observations.
-        Estimates are bucket-resolution approximations — exact percentile
-        surfaces (``stats()``) use the retained samples instead.
+        Estimates are bucket-resolution approximations — the ``stats()``
+        surfaces use the 1%-accurate latency sketch instead.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.merge import AggregatedKnowledge, merge_disjoint, merged_latency_stats
+from repro.core.metrics import MetricsCollector
 
 
 class TestMergeDisjoint:
@@ -15,6 +16,14 @@ class TestMergeDisjoint:
             merge_disjoint([{"a": 1}, {"a": 2}])
 
 
+def sketch(latencies):
+    """The bucket counts a subscription's collector ships for ``latencies``."""
+    collector = MetricsCollector()
+    for latency in latencies:
+        collector.record(0, 0, latency)
+    return collector.latency_buckets
+
+
 def telemetry(latencies, max_latency=None):
     return {
         "stats": {
@@ -22,30 +31,22 @@ def telemetry(latencies, max_latency=None):
             "results_delivered": len(latencies),
             "max_latency": max_latency if max_latency is not None else max(latencies, default=0.0),
         },
-        "latencies": list(latencies),
+        "latencies": sketch(latencies),
         "shard": 0,
     }
 
 
 class TestMergedLatency:
     def test_decimated_samples_weighted_by_slides_represented(self):
-        # A long-running slow subscription whose collector decimated its
-        # history (10 retained samples for 1000 slides) must dominate a
-        # quiet fast one (10 samples, 10 slides): the merged p50 is the
-        # slow value, not a 50/50 sample mix.
-        slow = {
-            "stats": {"slides": 1000, "results_delivered": 1000, "max_latency": 1.0},
-            "latencies": [1.0] * 10,
-            "shard": 0,
-        }
-        fast = {
-            "stats": {"slides": 10, "results_delivered": 10, "max_latency": 0.001},
-            "latencies": [0.001] * 10,
-            "shard": 1,
-        }
+        # A long-running slow subscription (1000 slides) must dominate a
+        # quiet fast one (10 slides): its sketch counts every slide, so
+        # the merged p50 is the slow value, not a 50/50 mix of the two.
+        slow = telemetry([1.0] * 1000)
+        fast = telemetry([0.001] * 10)
         merged = merged_latency_stats([{"slow": slow}, {"fast": fast}])
-        assert merged["p50_latency"] == pytest.approx(1.0)
+        assert merged["p50_latency"] == pytest.approx(1.0, rel=0.01)
         assert merged["slides"] == 1010
+        assert merged["latency_samples"] == 1010
 
     def test_percentiles_from_combined_samples_not_averaged(self):
         # Shard A: 99 fast slides; shard B: 1 slow slide.  Averaging the
@@ -53,7 +54,7 @@ class TestMergedLatency:
         fast = telemetry([0.001] * 99)
         slow = telemetry([1.0])
         merged = merged_latency_stats([{"a": fast}, {"b": slow}])
-        assert merged["p50_latency"] == pytest.approx(0.001)
+        assert merged["p50_latency"] == pytest.approx(0.001, rel=0.01)
         naive_average = (0.001 + 1.0) / 2
         assert merged["p50_latency"] < naive_average / 100
         assert merged["max_latency"] == pytest.approx(1.0)

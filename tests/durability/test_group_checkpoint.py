@@ -9,11 +9,13 @@ as well as in answers, through mid-stream subscribe/unsubscribe churn.
 """
 
 import io
+import itertools
 import json
 import os
 import pickle
 import shutil
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -267,13 +269,55 @@ class TestCheckpointRecords:
         engine.push_many(make_objects(random_scores(24)))
         state = engine.capture_subscription("q")
         metrics = state.members[0].metrics
-        slides, samples = metrics.slides, list(metrics.latencies)
+        slides, buckets = metrics.slides, dict(metrics.latency_buckets)
         engine.push_many(make_objects(random_scores(24, seed=2), start_t=24))
+        assert engine.subscription("q").metrics.latency_count > slides
         assert metrics.slides == slides
-        assert metrics.latencies == samples
+        assert metrics.latency_buckets == buckets
         restored = StreamEngine().restore_subscription(state)
-        restored.metrics.latencies.append(1.0)
-        assert metrics.latencies == samples
+        restored.metrics.record(1, 1, 1.0)
+        assert metrics.latency_buckets == buckets
+
+
+class TestCheckpointAge:
+    """A checkpoint's size depends on the subscriptions, not on their age."""
+
+    @staticmethod
+    def _checkpoint_bytes(engine, directory):
+        assert engine.durability.checkpoint(engine)
+        store = CheckpointStore(directory)
+        seq, _ = store.latest()
+        manifest_path = os.path.join(
+            store.directory, f"checkpoint-{seq:08d}", "MANIFEST.json"
+        )
+        with open(manifest_path) as handle:
+            return json.load(handle)["bytes"]
+
+    def test_checkpoint_bytes_do_not_grow_with_subscription_age(
+        self, tmp_path, monkeypatch
+    ):
+        # A fixed clock (1 us per reading) gives every slide the same
+        # latencies at any age, so the two checkpoints differ only in how
+        # long the subscriptions have run.  With real timing a sketch also
+        # opens a bucket for each new outlier, bounded by the range of the
+        # latencies (tests/core/test_metrics.py), not by their number.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) * 1e-6)
+        engine = _durable(str(tmp_path), interval=10**9)
+        for index in range(20):
+            engine.subscribe(
+                f"q{index}", QuerySpec(n=40, k=1 + index % 5, s=2),
+                keep_results=False,
+            )
+        scores = random_scores(40 + 2 * 4999, seed=7)
+        early_end = 40 + 2 * 99  # the 100th slide
+        engine.push_many(make_objects(scores[:early_end]))
+        early = self._checkpoint_bytes(engine, str(tmp_path))
+        engine.push_many(make_objects(scores[early_end:], start_t=early_end))
+        assert engine.subscription("q0").metrics.slides == 5000
+        late = self._checkpoint_bytes(engine, str(tmp_path))
+        engine.close()
+        assert late <= 1.2 * early
 
 
 class TestUnusableCheckpoints:
@@ -362,4 +406,50 @@ class TestVersion2Records:
         with pytest.raises(StateVersionError, match="EngineCheckpoint format version 2"):
             CheckpointStore(str(tmp_path)).latest()
         with pytest.raises(StateVersionError, match="EngineCheckpoint format version 2"):
+            _durable(str(tmp_path))
+
+
+def _version_3_group(name):
+    """A version-3 group record: its member's collector kept a list of
+    per-slide latencies (decimated past a cap) instead of a sketch."""
+    query = TopKQuery(n=12, k=2, s=6)
+    metrics = _legacy(
+        MetricsCollector, slides=1, candidate_total=2.0, candidate_max=2,
+        memory_total=64.0, memory_max=64, latency_total=1e-4, latency_max=1e-4,
+        latencies=[1e-4], last_candidates=2, last_memory_bytes=64,
+        last_latency=1e-4, _latency_seen=1, _latency_stride=1,
+    )
+    member = _legacy(
+        SubscriptionState, version=3, name=name, algorithm=SAPTopK(query),
+        keep_results=True, result_buffer=None, collect_metrics=True,
+        results=(), results_delivered=1, metrics=metrics,
+    )
+    return _legacy(
+        GroupState, version=3, n=12, s=6,
+        window=tuple(make_objects(random_scores(12))), slide_index=0,
+        members=(member,), plans=(((0,), 2),),
+    )
+
+
+class TestVersion3Records:
+    """Journals and checkpoints of state format 3 (latency lists) are
+    refused by kind, not restored with a collector missing its sketch."""
+
+    def test_journaled_version_3_restore_op_is_refused(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        op = ("restore", _version_3_group("old"))
+        wal.append(KIND_OP, pickle.dumps(op, protocol=PICKLE_PROTOCOL))
+        wal.close()
+        with pytest.raises(StateVersionError, match="GroupState format version 3"):
+            _durable(str(tmp_path))
+
+    def test_version_3_checkpoint_is_refused(self, tmp_path):
+        checkpoint = _legacy(
+            EngineCheckpoint, version=3, wal_records=0, ingested=12, last_t=11,
+            groups=(_version_3_group("old"),), chunks=1, subscriptions=("old",),
+        )
+        CheckpointStore(str(tmp_path)).write(checkpoint)
+        with pytest.raises(StateVersionError, match="EngineCheckpoint format version 3"):
+            CheckpointStore(str(tmp_path)).latest()
+        with pytest.raises(StateVersionError, match="EngineCheckpoint format version 3"):
             _durable(str(tmp_path))

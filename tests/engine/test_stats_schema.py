@@ -38,7 +38,7 @@ class TestSchemaParity:
         telemetry = {
             "watch": {
                 "stats": subscription.stats(),
-                "latencies": list(subscription.metrics.latencies),
+                "latencies": subscription.metrics.latency_buckets,
                 "shard": 0,
             }
         }
@@ -46,14 +46,15 @@ class TestSchemaParity:
         assert set(merged) == set(STATS_KEYS)
 
     def test_merged_stats_agree_with_the_single_subscription(self):
-        # With exactly one subscription and an undecimated sample, the
-        # cluster merge must reproduce the local report.
+        # With exactly one subscription the merged sketch is that
+        # subscription's sketch, so the cluster merge must reproduce the
+        # local report, percentiles included.
         _, subscription = run_local_engine()
         stats = subscription.stats()
         telemetry = {
             "watch": {
                 "stats": stats,
-                "latencies": list(subscription.metrics.latencies),
+                "latencies": subscription.metrics.latency_buckets,
                 "shard": 0,
             }
         }
@@ -64,6 +65,8 @@ class TestSchemaParity:
         assert merged["candidate_max"] == stats["candidate_max"]
         assert merged["average_memory_kb"] == stats["average_memory_kb"]
         assert merged["max_latency"] == stats["max_latency"]
+        for key in ("p50_latency", "p95_latency", "p99_latency", "latency_samples"):
+            assert merged[key] == stats[key]
 
     def test_merge_tolerates_legacy_partial_stats(self):
         # Older workers (or a crashed one's cached report) may ship only
@@ -75,7 +78,7 @@ class TestSchemaParity:
                     "results_delivered": 10,
                     "max_latency": 0.5,
                 },
-                "latencies": [0.1] * 10,
+                "latencies": {-115: 10},  # ten latencies of about 0.1 s
             }
         }
         merged = merged_latency_stats([telemetry])

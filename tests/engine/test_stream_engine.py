@@ -71,7 +71,7 @@ class TestPushParity:
         engine.close()
 
         metrics = subscription.metrics
-        assert metrics.slides == len(metrics.latencies) == len(candidates)
+        assert metrics.slides == metrics.latency_count == len(candidates)
         assert metrics.candidate_total == sum(candidates)
         assert metrics.candidate_max == max(candidates)
         assert metrics.memory_total == sum(memory)

@@ -1,20 +1,24 @@
 """The shared percentile helpers: the library's one implementation.
 
-Every stat surface (per-subscription collectors, the cluster merge,
-serving reports) routes through these helpers, so these tests pin the
-convention — nearest rank over the sorted sample — and the equivalences
-the call sites rely on.
+Every stat surface (per-subscription collectors, the cluster merge, the
+control plane's windows) routes through these helpers, so these tests
+pin the convention — nearest rank over the sorted values — and the
+latency sketch that applies the same rule over its bucket counts.
 """
 
 import pytest
 
 from repro.core.metrics import percentile
 from repro.obs.quantiles import (
+    SKETCH_ALPHA,
+    SKETCH_GAMMA,
+    ZERO_BUCKET,
     STANDARD_FRACTIONS,
+    bucket_value,
+    merge_sketches,
     nearest_rank,
     nearest_ranks,
-    weighted_nearest_rank,
-    weighted_nearest_ranks,
+    sketch_ranks,
 )
 
 
@@ -55,29 +59,44 @@ class TestNearestRank:
             assert percentile(values, fraction) == nearest_rank(values, fraction)
 
 
-class TestWeightedNearestRank:
-    def test_equal_weights_reduce_to_unweighted(self):
-        values = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0]
-        samples = [(v, 1.0) for v in values]
-        for fraction in (0.0, 0.5, 0.95, 1.0):
-            assert weighted_nearest_rank(samples, fraction) == nearest_rank(
-                values, fraction
-            )
+class TestSketch:
+    def test_bucket_value_is_within_alpha_of_its_bucket(self):
+        for bucket in (-700, -1, 0, 1, 300):
+            low, high = SKETCH_GAMMA ** (bucket - 1), SKETCH_GAMMA**bucket
+            value = bucket_value(bucket)
+            assert low < value <= high
+            assert value / high == pytest.approx(1 - SKETCH_ALPHA)
+            assert value / low == pytest.approx(1 + SKETCH_ALPHA)
 
-    def test_weight_shifts_the_rank(self):
-        # One heavy slow sample outweighs many light fast ones.
-        samples = [(0.001, 1.0)] * 4 + [(1.0, 100.0)]
-        assert weighted_nearest_rank(samples, 0.5) == 1.0
-        # Unweighted, the median would be the fast value.
-        assert nearest_rank([v for v, _ in samples], 0.5) == 0.001
-
-    def test_many_fractions(self):
-        samples = [(float(i), float(i)) for i in range(1, 11)]
-        assert weighted_nearest_ranks(samples, (0.5, 0.99)) == [
-            weighted_nearest_rank(samples, 0.5),
-            weighted_nearest_rank(samples, 0.99),
+    def test_zero_bucket_reports_zero_and_sorts_first(self):
+        assert bucket_value(ZERO_BUCKET) == 0.0
+        sketch = {-300: 2, ZERO_BUCKET: 3}
+        assert sketch_ranks(sketch, (0.0, 0.5, 1.0), 1.0) == [
+            0.0, 0.0, bucket_value(-300),
         ]
 
-    def test_empty_raises(self):
+    def test_ranks_walk_the_bucket_counts(self):
+        # Ten values: four in bucket 1, one in 5, five in 9.  Index
+        # round(f * 9) picks the 0th, 4th (bucket 5) and 9th value.
+        sketch = {9: 5, 1: 4, 5: 1}
+        assert sketch_ranks(sketch, (0.0, 0.45, 1.0), 2.0) == [
+            bucket_value(1), bucket_value(5), bucket_value(9),
+        ]
+        assert sketch_ranks(sketch, STANDARD_FRACTIONS, 2.0) == [
+            bucket_value(5), bucket_value(9), bucket_value(9),
+        ]
+
+    def test_ranks_are_capped_at_the_exact_maximum(self):
+        # Bucket 9 reports about 1.185; its values may all be smaller.
+        assert sketch_ranks({9: 3}, (0.5, 1.0), 1.18) == [1.18, 1.18]
+
+    def test_merge_adds_counts_and_leaves_inputs_alone(self):
+        first, second = {1: 2, ZERO_BUCKET: 1}, {1: 3, 4: 1}
+        assert merge_sketches([first, second, {}]) == {1: 5, 4: 1, ZERO_BUCKET: 1}
+        assert first == {1: 2, ZERO_BUCKET: 1} and second == {1: 3, 4: 1}
+        assert merge_sketches([]) == {}
+
+    def test_empty_sketch_reports_zeros_and_bad_fraction_raises(self):
+        assert sketch_ranks({}, STANDARD_FRACTIONS, 0.0) == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
-            weighted_nearest_rank([], 0.5)
+            sketch_ranks({0: 1}, (1.5,), 1.0)

@@ -31,14 +31,15 @@ class TestLatencyCollection:
         metrics = MetricsCollector()
         for latency in [0.001, 0.002, 0.010]:
             metrics.record(candidate_count=1, memory_bytes=1, latency_seconds=latency)
-        assert metrics.median_latency == 0.002
+        assert metrics.median_latency == pytest.approx(0.002, rel=0.01)
         assert metrics.max_latency == 0.010
         assert metrics.p95_latency <= metrics.max_latency
 
     def test_latency_optional(self):
         metrics = MetricsCollector()
         metrics.record(candidate_count=1, memory_bytes=1)
-        assert metrics.latencies == []
+        assert metrics.latency_buckets == {}
+        assert metrics.latency_count == 0
         assert metrics.median_latency == 0.0
         assert metrics.max_latency == 0.0
 
@@ -48,23 +49,7 @@ class TestLatencyCollection:
         engine = StreamEngine()
         metrics = engine.subscribe("run", algorithm=SAPTopK(query)).metrics
         engine.push_many(objects)
-        assert len(metrics.latencies) == metrics.slides == 1 + (300 - 60) // 6
-        assert all(latency >= 0.0 for latency in metrics.latencies)
-        assert sum(metrics.latencies) == pytest.approx(metrics.latency_total)
+        assert metrics.latency_count == metrics.slides == 1 + (300 - 60) // 6
+        assert metrics.latency_total > 0.0
         assert metrics.p95_latency >= metrics.median_latency
 
-
-class TestBoundedLatencySample:
-    def test_sample_is_decimated_but_totals_stay_exact(self):
-        from repro.core.metrics import LATENCY_SAMPLE_CAP
-
-        metrics = MetricsCollector()
-        count = 3 * LATENCY_SAMPLE_CAP
-        for i in range(count):
-            metrics.record(candidate_count=1, memory_bytes=1, latency_seconds=1.0)
-        # The retained sample stays bounded on unbounded streams ...
-        assert len(metrics.latencies) < LATENCY_SAMPLE_CAP
-        # ... while totals and maxima remain exact.
-        assert metrics.latency_total == pytest.approx(float(count))
-        assert metrics.max_latency == 1.0
-        assert metrics.median_latency == 1.0
