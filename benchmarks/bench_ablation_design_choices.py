@@ -1,6 +1,6 @@
 """Ablation — SAP design choices (not a paper table).
 
-DESIGN.md calls out the framework's main design decisions: the delay policy
+The framework rests on four design decisions: the delay policy
 for forming the meaningful object set, the S-AVL structure (vs a plain
 re-scan), the amortized proactive formation, and the partitioner choice.
 Table 2 of the paper ablates the first two under the equal partitioner;

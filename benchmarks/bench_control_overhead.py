@@ -138,7 +138,6 @@ def test_control_overhead_and_drift(benchmark, scale):
     # uncontrolled run; the idle controller must stay cheap.
     assert drift["exact_match"], "adaptive run diverged from the uncontrolled answers"
     assert drift["tactics_applied"], "the planner never adapted on the drifting stream"
-    assert drift["accuracy"]["exact"], "load shedding engaged under the default policy"
     for row in overhead_rows:
         assert row["overhead_fraction"] < OVERHEAD_TARGET, (
             f"{row['algorithm']}: controller overhead "

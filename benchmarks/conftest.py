@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md for the experiment index).  The measured
+evaluation section, named in its docstring.  The measured
 numbers are written to ``benchmarks/results/<name>.txt`` (and ``.json``) so
 they can be compared against the paper after the run; the pytest-benchmark
 summary printed at the end times each sweep as a whole.

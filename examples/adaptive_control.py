@@ -61,8 +61,8 @@ def main() -> None:
             f"  slide {event.slide_index:>4}  {event.subscription:<8} "
             f"{event.tactic:<18} <- {event.trigger} ({status})"
         )
-    account = controller.accuracy_report()
-    print(f"accuracy      : exact={account['exact']} (shed {account['shed']} objects)")
+    applied = [event.tactic for event in controller.knowledge.applied_events()]
+    print(f"applied       : {len(applied)} tactics ({', '.join(sorted(set(applied)))})")
 
 
 if __name__ == "__main__":

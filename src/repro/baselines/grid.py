@@ -6,7 +6,7 @@ has gathered enough objects to rebuild its candidate set.  The original
 algorithm grids the attribute space and uses the preference-function
 coefficients to order cells; because this library computes scores up
 front, a one-dimensional grid over the score domain is the equivalent
-structure (documented as a substitution in DESIGN.md).
+structure, substituted here for the original attribute-space grid.
 """
 
 from __future__ import annotations

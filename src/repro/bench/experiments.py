@@ -593,7 +593,6 @@ def measure_drift_adaptation(
         "exact_match": (
             adaptive_answers == equal_answers == enhanced_answers
         ),
-        "accuracy": controller.accuracy_report(),
     }
 
 

@@ -325,7 +325,7 @@ def _configure_control(sub: argparse.ArgumentParser) -> None:
         "--algorithm",
         default="SAP",
         choices=sorted(algorithm_factories()),
-        help="algorithm the workload starts on (tactics may change it)",
+        help="algorithm the workload runs (tactics rebuild only SAP partitioners)",
     )
     _add_flags(sub, "policy", "durability-dir")
     sub.add_argument(
@@ -381,7 +381,6 @@ def _command_control(args: argparse.Namespace) -> int:
 
     stats = subscription.stats()
     events = controller.events()
-    accuracy = controller.accuracy_report()
 
     if args.json:
         print(
@@ -395,7 +394,6 @@ def _command_control(args: argparse.Namespace) -> int:
                     "policy": policy.describe(),
                     "events": [event.as_dict() for event in events],
                     "stats": stats,
-                    "accuracy": accuracy,
                 },
                 indent=2,
             )
@@ -421,14 +419,6 @@ def _command_control(args: argparse.Namespace) -> int:
                 f"{event.slide_index:>6} {event.subscription:<10} "
                 f"{event.tactic:<18} {event.trigger:<20} {event.applied}"
             )
-    if accuracy["exact"]:
-        print("accuracy  : exact (no load shedding engaged)")
-    else:
-        print(
-            f"accuracy  : approximate — shed {accuracy['shed']} of "
-            f"{accuracy['shed'] + accuracy['admitted']} objects "
-            f"({accuracy['shed_fraction']:.1%})"
-        )
     return 0
 
 
@@ -813,7 +803,8 @@ COMMANDS: List[CliCommand] = [
         doc="Run a workload under the adaptive control plane "
         "(:mod:`repro.control`) and print the adaptation event log — which "
         "tactics fired, what triggered them, and at which slide — plus "
-        "latency percentiles and the load-shedding accuracy account.  "
+        "latency percentiles.  Every tactic rebuilds a SAP query's "
+        "partitioner, so the answers stay exact.  "
         "``--json`` dumps the full record.",
         configure=_configure_control,
         run=_command_control,

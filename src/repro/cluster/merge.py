@@ -11,8 +11,8 @@ so the cluster's percentiles are those of one sketch fed every slide.
 
 :class:`AggregatedKnowledge` is the control plane's cluster view: one
 controller runs per shard (each sees only its own engine), and this class
-folds their knowledge reports — adaptation events, shedding accounts,
-per-subscription sample counts — into a single audit surface.
+folds their knowledge reports — adaptation events and per-subscription
+sample counts — into a single audit surface.
 """
 
 from __future__ import annotations
@@ -124,22 +124,6 @@ class AggregatedKnowledge:
         are bounded, this counter is not)."""
         return sum(report["knowledge"]["events_total"] for report in self._reports)
 
-    def shedding(self) -> Dict[str, object]:
-        """Combined load-shedding accuracy account across shards."""
-        admitted = sum(report["accuracy"]["admitted"] for report in self._reports)
-        shed = sum(report["accuracy"]["shed"] for report in self._reports)
-        engagements = sum(
-            report["accuracy"]["engagements"] for report in self._reports
-        )
-        total = admitted + shed
-        return {
-            "admitted": admitted,
-            "shed": shed,
-            "shed_fraction": shed / total if total else 0.0,
-            "engagements": engagements,
-            "exact": shed == 0,
-        }
-
     def subscriptions(self) -> Dict[str, Dict[str, object]]:
         """Per-subscription monitor summaries, tagged with their shard."""
         merged: Dict[str, Dict[str, object]] = {}
@@ -157,5 +141,4 @@ class AggregatedKnowledge:
             "subscriptions": self.subscriptions(),
             "events": self.events(),
             "events_total": self.events_total,
-            "shedding": self.shedding(),
         }

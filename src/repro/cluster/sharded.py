@@ -747,8 +747,7 @@ class ShardedStreamEngine:
 
     def knowledge(self) -> AggregatedKnowledge:
         """Aggregated view over the per-shard controllers' knowledge:
-        merged adaptation events, combined shedding account, and
-        per-subscription monitor summaries."""
+        merged adaptation events and per-subscription monitor summaries."""
         self._ensure_open()
         return AggregatedKnowledge(self._router.broadcast(("controller_report",)))
 

@@ -366,7 +366,6 @@ def shard_worker_main(
                     payload = {
                         "shard": shard_id,
                         "events": [event.as_dict() for event in controller.events()],
-                        "accuracy": controller.accuracy_report(),
                         "knowledge": controller.knowledge.describe(),
                     }
             else:  # op == "close" (the last member of SYNC_OPS)

@@ -5,11 +5,12 @@ executed as the stream evolves.  A :class:`AdaptiveController` attached to
 a :class:`~repro.engine.StreamEngine` monitors per-slide telemetry into a
 ring-buffered :class:`Knowledge` store, analyzes it for latency-budget
 violations, candidate-set blowup, and score-distribution drift, plans
-tactics from a declarative :class:`Policy` (swap partitioner, retune η,
-swap algorithm, bounded load shedding), and executes them against the
-running engine at slide boundaries — draining a query group and rebuilding
-its execution plan from live window state, so every exact-mode tactic is
-answer-preserving.
+tactics from a declarative :class:`Policy`, and executes them against the
+running engine at slide boundaries.  Both tactics rebuild one SAP query's
+partitioner — ``swap-partitioner`` changes its family, ``retune-eta``
+rescales the dynamic partitioners' reference interval η — by draining the
+query group and rebuilding its execution plan from live window state, so
+every tactic is answer-preserving.
 
 The loop runs per engine.  A sharded engine attaches one controller to
 each shard worker (:meth:`repro.cluster.ShardedStreamEngine.attach_controllers`);
@@ -33,7 +34,7 @@ from .executor import Executor
 from .knowledge import AdaptationEvent, Knowledge, SealSample, SlideSample
 from .monitor import Monitor
 from .planner import Action, Planner
-from .policy import LoadSheddingConfig, Policy, Rule, Tactic
+from .policy import Policy, Rule, Tactic
 
 __all__ = [
     "AdaptiveController",
@@ -44,7 +45,6 @@ __all__ = [
     "Executor",
     "Knowledge",
     "LatencyBudgetAnalyzer",
-    "LoadSheddingConfig",
     "Monitor",
     "Planner",
     "Policy",

@@ -56,6 +56,9 @@ class Analyzer:
     def analyze(self, knowledge: Knowledge, subscription: str) -> Optional[Symptom]:
         raise NotImplementedError
 
+    def forget(self, subscription: str) -> None:
+        """Drop per-subscription state kept between ticks (none here)."""
+
 
 class LatencyBudgetAnalyzer(Analyzer):
     """Detects per-slide latency percentiles above a budget."""
@@ -183,6 +186,9 @@ class ScoreDriftAnalyzer(Analyzer):
         self.min_shift = min_shift
         self._quantile = normal_quantile(1.0 - alpha / 2.0)
         self._last_fired: Dict[str, int] = {}
+
+    def forget(self, subscription: str) -> None:
+        self._last_fired.pop(subscription, None)
 
     def analyze(self, knowledge: Knowledge, subscription: str) -> Optional[Symptom]:
         # Small margin over 2·window covers slides whose answers carried

@@ -24,20 +24,16 @@ boundaries of count-based groups (the only points where the live window
 state equals the last reported window), which the engine makes frequent by
 aligning ``push_many`` chunks to the controlled slide sizes.
 
-With load shedding disabled (the default), every tactic is
-answer-preserving: a controlled engine produces byte-identical results to
-an uncontrolled one on the same stream.  Load shedding trades bounded
-accuracy for throughput and is accounted explicitly
-(:meth:`accuracy_report`).
+Every tactic rebuilds a SAP subscription's partitioner from the live
+window, so every tactic is answer-preserving: a controlled engine produces
+byte-identical results to an uncontrolled one on the same stream.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..baselines.mintopk import MinTopK
 from ..core.exceptions import AlgorithmStateError
-from ..core.object import StreamObject
 from ..core.window import aligned_chunk
 from ..obs.registry import get_registry
 from .analyzers import Analyzer, Symptom
@@ -65,8 +61,6 @@ class AdaptiveController:
         self._engine = None
         self._groups: List[object] = []
         self._analyzed: Dict[int, int] = {}
-        self._shed_stride: Optional[int] = None
-        self._admit_counter = 0
         self._registry = None
 
     # ------------------------------------------------------------------
@@ -89,7 +83,6 @@ class AdaptiveController:
             self._engine = None
             self._groups = []
             self._analyzed = {}
-            self._shed_stride = None
             if self._registry is not None:
                 self._registry.remove_collector(self._collect_metrics)
                 self._registry = None
@@ -98,16 +91,8 @@ class AdaptiveController:
         """Pull-time export of the control plane's accounting.
 
         Counter values mirror the knowledge store's exact monotone state,
-        so the collector assigns rather than increments — the per-object
-        admit valve stays untouched.
+        so the collector assigns rather than increments.
         """
-        shedding = self.knowledge.shedding
-        registry.counter(
-            "repro_shed_objects_total", "Stream objects dropped by load shedding."
-        ).value = float(shedding.shed)
-        registry.counter(
-            "repro_shedding_engagements_total", "Load-shedding engagements."
-        ).value = float(shedding.engagements)
         for tactic, count in self.knowledge.tactic_counts.items():
             registry.counter(
                 "repro_tactics_total",
@@ -127,6 +112,14 @@ class AdaptiveController:
             self._groups.remove(group)
         self._analyzed.pop(id(group), None)
 
+    def forget(self, name: str) -> None:
+        """Drop everything kept about an unsubscribed query: its telemetry
+        rings, its cooldown and the analyzers' per-query state, so a later
+        query reusing the name starts from nothing."""
+        self.knowledge.forget(name)
+        for analyzer in self.analyzers:
+            analyzer.forget(name)
+
     def rewatch(self, group) -> None:
         """Re-install telemetry taps after a rebuild swapped algorithms."""
         for subscription in group.members():
@@ -139,28 +132,6 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     # Ingest-path hooks (driven by the engine)
     # ------------------------------------------------------------------
-    def admit(self, obj: StreamObject) -> bool:
-        """Load-shedding valve: False drops the object before any window.
-
-        Stride sampling: with an active stride ``m``, every ``m``-th object
-        is shed (fraction ``1/m``), which preserves the temporal structure
-        of the stream better than dropping bursts.  Shed objects are
-        counted here; admitted objects are counted in bulk through
-        :meth:`note_admitted` (the engine knows how many it pushed), so the
-        common no-shedding path costs nothing per object.
-        """
-        if self._shed_stride is None:
-            return True
-        self._admit_counter += 1
-        if self._admit_counter % self._shed_stride == 0:
-            self.knowledge.shedding.shed += 1
-            return False
-        return True
-
-    def note_admitted(self, count: int) -> None:
-        """Bulk-count objects that reached the windows (accuracy account)."""
-        self.knowledge.shedding.admitted += count
-
     def aligned_chunk(self, requested: int) -> int:
         """A chunk size aligned to the controlled groups' slide boundaries.
 
@@ -196,16 +167,7 @@ class AdaptiveController:
                 continue
             self._analyzed[id(group)] = index
             symptoms = self._analyze(group)
-            actions = self.planner.plan(
-                group,
-                symptoms,
-                self.knowledge,
-                self.shedding_active,
-                shed_allowed=self._shed_allowed(),
-            )
-            recovery = self.planner.plan_recovery(self.knowledge, self.shedding_active)
-            if recovery is not None:
-                actions.append(recovery)
+            actions = self.planner.plan(group, symptoms, self.knowledge)
             if actions:
                 events.extend(self.executor.execute(group, actions, self))
         return events
@@ -221,52 +183,11 @@ class AdaptiveController:
         return symptoms
 
     # ------------------------------------------------------------------
-    # Load-shedding valve
-    # ------------------------------------------------------------------
-    @property
-    def shedding_active(self) -> bool:
-        return self._shed_stride is not None
-
-    def _shed_allowed(self) -> bool:
-        """Engine-wide shedding gate: stride sampling gaps the arrival
-        orders, which MinTopK's window-position arithmetic cannot survive
-        (its predicted sets would desynchronise from the batcher and leak),
-        so the valve stays shut while any MinTopK query is live."""
-        for group in self._groups:
-            for subscription in group.members():
-                if isinstance(subscription.algorithm, MinTopK):
-                    return False
-        return True
-
-    def engage_shedding(self, stride: int) -> None:
-        if stride < 2:
-            raise ValueError(f"shedding stride must be >= 2, got {stride}")
-        self._shed_stride = stride
-        self._admit_counter = 0
-        self.knowledge.shedding.engagements += 1
-
-    def disengage_shedding(self) -> Dict[str, object]:
-        """Stop shedding; return the accuracy account at disengagement."""
-        self._shed_stride = None
-        return self.knowledge.shedding.as_dict()
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def events(self) -> List[AdaptationEvent]:
         """The adaptation audit log (applied and declined tactics)."""
         return self.knowledge.events()
-
-    def accuracy_report(self) -> Dict[str, object]:
-        """Explicit accounting of the only approximate tactic.
-
-        ``exact`` is True iff no object was ever shed — in which case the
-        controlled engine's answers are byte-identical to an uncontrolled
-        run on the same stream.
-        """
-        report = self.knowledge.shedding.as_dict()
-        report["active_stride"] = self._shed_stride
-        return report
 
     def describe(self) -> Dict[str, object]:
         """Full state summary (CLI JSON output)."""
@@ -275,5 +196,4 @@ class AdaptiveController:
             "attached": self.attached,
             "groups": len(self._groups),
             "knowledge": self.knowledge.describe(),
-            "accuracy": self.accuracy_report(),
         }

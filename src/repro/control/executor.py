@@ -7,14 +7,13 @@ fresh algorithm instances and hand them to
 :meth:`repro.engine.group.QueryGroup.rebuild`, which drops the affected
 plans at the current slide boundary and re-admits the affected members
 with their new instances, replaying the live window into them — so a swap
-is answer-preserving by construction.  Load shedding is an engine-level
-valve operated through the controller, with its cost recorded in the
-knowledge store's shedding account.
+is answer-preserving by construction.
 
-A tactic whose runtime preconditions fail (for example an algorithm swap
-to MinTopK when the window's arrival orders are not contiguous, which its
-position arithmetic requires) is *declined*, not errored: the event log
-records it with ``applied=False`` and the engine keeps running untouched.
+Every tactic rebuilds one SAP subscription with a new partitioner.  A
+tactic whose runtime preconditions fail (the member is no longer a SAP
+query, or its partitioner has no η to retune) is *declined*, not errored:
+the event log records it with ``applied=False`` and the engine keeps
+running untouched.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..baselines.mintopk import MinTopK
 from ..core.framework import SAPTopK
 from ..core.interface import ContinuousTopKAlgorithm
-from ..registry import create_algorithm
 from .knowledge import AdaptationEvent, Knowledge
 from .planner import Action, _PARTITIONER_FAMILY
 
@@ -40,10 +37,9 @@ class Executor:
     def execute(self, group, actions: List[Action], controller) -> List[AdaptationEvent]:
         """Apply one tick's actions for one group.
 
-        All rebuild-type tactics of the tick are folded into a single
+        All tactics of the tick are folded into a single
         :meth:`QueryGroup.rebuild` call, so co-triggered swaps share one
-        window replay.  Engine-level tactics (shedding) go through the
-        controller's valve.
+        window replay.
         """
         slide_index = group.last_slide_index() or 0
         events: List[AdaptationEvent] = []
@@ -51,19 +47,7 @@ class Executor:
         rebuild_actions: List[Tuple[Action, Dict[str, object]]] = []
 
         for action in actions:
-            kind = action.tactic.kind
-            if kind == "load-shed":
-                stride = int(action.tactic.params["stride"])
-                controller.engage_shedding(stride)
-                events.append(
-                    self._log(slide_index, action, True, {"stride": stride})
-                )
-                continue
-            if kind == "load-recover":
-                account = controller.disengage_shedding()
-                events.append(self._log(slide_index, action, True, account))
-                continue
-            replacement, detail, reason = self._build_replacement(group, action)
+            replacement, detail, reason = self._build_replacement(action)
             if replacement is None:
                 events.append(
                     self._log(slide_index, action, False, {"skipped": reason})
@@ -85,27 +69,23 @@ class Executor:
         return events
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _build_replacement(
-        self, group, action: Action
+        action: Action,
     ) -> Tuple[Optional[ContinuousTopKAlgorithm], Dict[str, object], str]:
-        """(replacement, detail, decline-reason) for one rebuild tactic."""
+        """(replacement, detail, decline-reason) for one tactic.
+
+        Rebuilding a member dissolves its shared plan and respawns the
+        plan's other members from the live window.  A SAP plan's key
+        (:meth:`SAPTopK.shared_plan_key`) holds only SAP members, which
+        adopt any window, so the respawn is always exact.
+        """
         tactic = action.tactic
         algorithm = action.subscription.algorithm
-        if not self._rebuild_safe(group, action.subscription):
-            # Rebuilding dissolves the subscription's shared plan, which
-            # collaterally respawns its plan siblings from live window
-            # state — MinTopK siblings need contiguous arrival orders for
-            # that, just like a direct swap to MinTopK does.
-            return (
-                None,
-                {},
-                "a MinTopK plan sibling cannot adopt this window "
-                "(arrival orders are not contiguous slide-aligned)",
-            )
+        if not isinstance(algorithm, SAPTopK):
+            return None, {}, "not a SAP subscription"
         if tactic.kind == "swap-partitioner":
             target = str(tactic.params["to"])
-            if not isinstance(algorithm, SAPTopK):
-                return None, {}, "not a SAP subscription"
             family = _PARTITIONER_FAMILY[target]
             replacement = algorithm.with_partitioner(family())
             return (
@@ -113,68 +93,16 @@ class Executor:
                 {"from": algorithm.partitioner.name, "to": target},
                 "",
             )
-        if tactic.kind == "retune-eta":
-            if not isinstance(algorithm, SAPTopK):
-                return None, {}, "not a SAP subscription"
-            partitioner = algorithm.partitioner
-            if not hasattr(partitioner, "retuned"):
-                return None, {}, f"partitioner {partitioner.name} has no eta"
-            target_scale = float(tactic.params["eta_scale"])
-            replacement = algorithm.with_partitioner(partitioner.retuned(target_scale))
-            return (
-                replacement,
-                {"from_eta_scale": partitioner.eta_scale, "to_eta_scale": target_scale},
-                "",
-            )
-        if tactic.kind == "swap-algorithm":
-            target = str(tactic.params["to"])
-            query = action.subscription.query
-            if target == "MinTopK" and not self._mintopk_adoptable(group):
-                return (
-                    None,
-                    {},
-                    "window arrival orders are not contiguous slide-aligned",
-                )
-            try:
-                replacement = create_algorithm(target, query)
-            except (KeyError, ValueError, TypeError) as error:
-                return None, {}, f"cannot build {target!r}: {error}"
-            return replacement, {"from": algorithm.name, "to": target}, ""
-        return None, {}, f"unknown tactic {tactic.kind!r}"
-
-    def _rebuild_safe(self, group, subscription) -> bool:
-        """True when rebuilding ``subscription`` cannot corrupt a sibling.
-
-        A rebuild drops the plan containing the subscription and respawns
-        the plan's other members from the live window; if any of those
-        members runs MinTopK, the window must satisfy MinTopK's adoption
-        precondition even though the tactic itself targets a different
-        member.  (Joins never respawn a member, so only rebuilds check.)
-        """
-        for plan in group.plans():
-            members = plan.subscriptions()
-            if subscription not in members:
-                continue
-            if any(
-                member is not subscription and isinstance(member.algorithm, MinTopK)
-                for member in members
-            ):
-                return self._mintopk_adoptable(group)
-        return True
-
-    @staticmethod
-    def _mintopk_adoptable(group) -> bool:
-        """MinTopK derives window positions from arrival orders: adopting
-        it mid-stream requires the live window to be exactly the arrival
-        orders ``[index·s, index·s + n - 1]``."""
-        index = group.last_slide_index()
-        if index is None:
-            return False
-        contents = group.window_contents()
-        if len(contents) != group.n:
-            return False
-        first, last = contents[0].t, contents[-1].t
-        return first == index * group.s and last - first == group.n - 1
+        partitioner = algorithm.partitioner  # retune-eta
+        if not hasattr(partitioner, "retuned"):
+            return None, {}, f"partitioner {partitioner.name} has no eta"
+        target_scale = float(tactic.params["eta_scale"])
+        replacement = algorithm.with_partitioner(partitioner.retuned(target_scale))
+        return (
+            replacement,
+            {"from_eta_scale": partitioner.eta_scale, "to_eta_scale": target_scale},
+            "",
+        )
 
     # ------------------------------------------------------------------
     def _log(

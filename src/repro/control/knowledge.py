@@ -11,7 +11,7 @@ bounded structures so an unbounded stream can stay under control forever:
   tactic the planner applied (or deliberately skipped), which the CLI and
   benchmarks surface;
 * bookkeeping shared by analyzers and planner: last-adaptation slide per
-  subscription (cooldowns) and the load-shedding accuracy account.
+  subscription (cooldowns).
 
 The monitor writes, analyzers and planners read, executors append to the
 event log; none of them talk to each other directly — the knowledge store
@@ -73,8 +73,8 @@ class AdaptationEvent:
     """One entry of the adaptation audit log.
 
     ``applied`` is False for tactics the planner chose but the executor
-    declined (e.g. an algorithm swap whose preconditions failed); the
-    reason then lives in ``detail["skipped"]``.
+    declined (e.g. an η retune of a partitioner without η); the reason
+    then lives in ``detail["skipped"]``.
     """
 
     slide_index: int
@@ -95,35 +95,6 @@ class AdaptationEvent:
         }
 
 
-@dataclass
-class SheddingAccount:
-    """Explicit accuracy accounting of the load-shedding tactic.
-
-    Shedding drops stream objects *before* they reach any window, so the
-    engine's answers become approximate; the account makes the
-    approximation auditable: how many objects were admitted versus shed,
-    and over how many engagements.
-    """
-
-    admitted: int = 0
-    shed: int = 0
-    engagements: int = 0
-
-    @property
-    def shed_fraction(self) -> float:
-        total = self.admitted + self.shed
-        return self.shed / total if total else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "shed_fraction": self.shed_fraction,
-            "engagements": self.engagements,
-            "exact": self.shed == 0,
-        }
-
-
 class Knowledge:
     """Bounded runtime knowledge shared by the MAPE stages."""
 
@@ -136,7 +107,6 @@ class Knowledge:
         self._events: Deque[AdaptationEvent] = deque(maxlen=EVENT_LOG_CAPACITY)
         self.events_total = 0
         self._last_adaptation: Dict[str, int] = {}
-        self.shedding = SheddingAccount()
         #: Exact per-tactic attempt counts (the event log is bounded, these
         #: are not) — exported as ``repro_tactics_total{tactic=...}``.
         self.tactic_counts: Dict[str, int] = {}
@@ -170,6 +140,13 @@ class Knowledge:
         self.events_total += 1
         self.tactic_counts[event.tactic] = self.tactic_counts.get(event.tactic, 0) + 1
         self._last_adaptation[event.subscription] = event.slide_index
+
+    def forget(self, subscription: str) -> None:
+        """Drop a departed subscription's rings and cooldown (the audit
+        log keeps its events)."""
+        self._slides.pop(subscription, None)
+        self._seals.pop(subscription, None)
+        self._last_adaptation.pop(subscription, None)
 
     # ------------------------------------------------------------------
     # Reading (analyzers / planner / reporting)
@@ -256,5 +233,4 @@ class Knowledge:
             },
             "events": [event.as_dict() for event in self._events],
             "events_total": self.events_total,
-            "shedding": self.shedding.as_dict(),
         }

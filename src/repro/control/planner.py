@@ -3,9 +3,9 @@
 The planner owns *selection*, not mechanism: given the symptoms of one
 control tick it walks the policy's ordered rules and emits
 :class:`Action` records for the executor.  A rule only produces an action
-when its tactic is applicable to the subscription it would act on — an η
-retune needs a dynamic partitioner, an algorithm swap must actually change
-the algorithm, load shedding must be explicitly enabled — and when the
+when its tactic is applicable to the subscription it would act on — both
+tactics need a SAP subscription, a partitioner swap must change the
+partitioner family, an η retune needs a dynamic partitioner — and when the
 subscription is outside its adaptation cooldown, so a persistent symptom
 cannot thrash the engine with back-to-back rebuilds.
 """
@@ -19,7 +19,6 @@ from ..core.framework import SAPTopK
 from ..partitioning.dynamic import DynamicPartitioner
 from ..partitioning.enhanced import EnhancedDynamicPartitioner
 from ..partitioning.equal import EqualPartitioner
-from ..registry import create_algorithm
 from .analyzers import Symptom
 from .knowledge import Knowledge
 from .policy import Policy, Rule, Tactic
@@ -62,26 +61,12 @@ class Planner:
 
     # ------------------------------------------------------------------
     def plan(
-        self,
-        group,
-        symptoms: List[Symptom],
-        knowledge: Knowledge,
-        shedding_active: bool = False,
-        shed_allowed: bool = True,
+        self, group, symptoms: List[Symptom], knowledge: Knowledge
     ) -> List[Action]:
-        """Actions for one group's control tick, at most one per member.
-
-        ``shed_allowed`` is the engine-wide gate computed by the
-        controller: stride shedding gaps the arrival orders, which breaks
-        algorithms that derive window positions from them (MinTopK), so
-        the valve must stay shut while any such query is live.
-        """
+        """Actions for one group's control tick, at most one per member."""
         members = {sub.name: sub for sub in group.members()}
         actions: List[Action] = []
         planned: set = set()
-        # Shedding is an engine-level valve: once one symptom plans it in
-        # this tick, further load-shed rules are already satisfied.
-        shed_planned = shedding_active or not shed_allowed
         for symptom in symptoms:
             subscription = members.get(symptom.subscription)
             if subscription is None or symptom.subscription in planned:
@@ -89,11 +74,9 @@ class Planner:
             if self._in_cooldown(symptom.subscription, knowledge):
                 continue
             for rule in self.policy.rules_for(symptom.kind):
-                tactic = self._applicable(rule, subscription, shed_planned)
+                tactic = self._applicable(rule, subscription)
                 if tactic is None:
                     continue
-                if tactic.kind == "load-shed":
-                    shed_planned = True
                 actions.append(
                     Action(
                         subscription=subscription,
@@ -106,36 +89,6 @@ class Planner:
                 break
         return actions
 
-    def plan_recovery(
-        self, knowledge: Knowledge, shedding_active: bool
-    ) -> Optional[Action]:
-        """Disengage load shedding once latencies are back under budget.
-
-        Recovery is planned engine-wide (shedding is an engine-level
-        valve): every monitored subscription must sit below 80% of the
-        latency budget at the configured percentile.
-        """
-        if not shedding_active:
-            return None
-        budget = self.policy.latency_budget_seconds
-        if budget is None:
-            return None
-        config = self.policy.analyzer_config.get("latency", {})
-        fraction = float(config.get("percentile", 0.95))
-        window = int(config.get("window", 32))
-        names = knowledge.subscriptions()
-        if not names:
-            return None
-        for name in names:
-            if knowledge.latency_percentile(name, fraction, window) > 0.8 * budget:
-                return None
-        return Action(
-            subscription=_EngineWide(),
-            tactic=Tactic("load-recover"),
-            trigger="latency-recovered",
-            evidence={"budget_seconds": budget, "percentile": fraction},
-        )
-
     # ------------------------------------------------------------------
     def _in_cooldown(self, name: str, knowledge: Knowledge) -> bool:
         last = knowledge.last_adaptation_slide(name)
@@ -146,57 +99,23 @@ class Planner:
             return True
         return latest - last < self.policy.cooldown_slides
 
-    def _applicable(
-        self, rule: Rule, subscription, shedding_active: bool
-    ) -> Optional[Tactic]:
+    def _applicable(self, rule: Rule, subscription) -> Optional[Tactic]:
         """The rule's tactic, parameters resolved, or None if inapplicable."""
         tactic = rule.tactic
         algorithm = subscription.algorithm
+        if not isinstance(algorithm, SAPTopK):
+            return None
         if tactic.kind == "swap-partitioner":
-            if not isinstance(algorithm, SAPTopK):
-                return None
             family = _PARTITIONER_FAMILY[tactic.params["to"]]
             if type(algorithm.partitioner) is family:
                 return None
             return tactic
-        if tactic.kind == "retune-eta":
-            if not isinstance(algorithm, SAPTopK):
-                return None
-            partitioner = algorithm.partitioner
-            if not isinstance(partitioner, DynamicPartitioner):
-                return None
-            scale = float(tactic.params["scale"])
-            target = min(ETA_SCALE_MAX, max(ETA_SCALE_MIN, partitioner.eta_scale * scale))
-            if abs(target - partitioner.eta_scale) < 1e-9:
-                return None  # already pinned at the bound
-            return Tactic("retune-eta", {"scale": scale, "eta_scale": target})
-        if tactic.kind == "swap-algorithm":
-            target = str(tactic.params["to"])
-            if target == "MinTopK" and subscription.query.time_based:
-                return None
-            # Build the candidate replacement and compare display names
-            # (which encode the resolved configuration): a swap must
-            # actually change the algorithm, otherwise a persistent
-            # symptom would trigger a full-window rebuild every cooldown.
-            try:
-                replacement = create_algorithm(target, subscription.query)
-            except (KeyError, ValueError, TypeError):
-                return None
-            if replacement.name == algorithm.name:
-                return None
-            return tactic
-        if tactic.kind == "load-shed":
-            shedding = self.policy.load_shedding
-            if not shedding.enabled or shedding_active:
-                return None
-            stride = int(tactic.params.get("stride", 8))
-            if 1.0 / stride > shedding.max_fraction:
-                return None
-            return Tactic("load-shed", {"stride": stride})
-        return None
-
-
-class _EngineWide:
-    """Placeholder subscription for engine-level actions (shedding)."""
-
-    name = "<engine>"
+        # retune-eta, the only other tactic a policy admits.
+        partitioner = algorithm.partitioner
+        if not isinstance(partitioner, DynamicPartitioner):
+            return None
+        scale = float(tactic.params["scale"])
+        target = min(ETA_SCALE_MAX, max(ETA_SCALE_MIN, partitioner.eta_scale * scale))
+        if abs(target - partitioner.eta_scale) < 1e-9:
+            return None  # already pinned at the bound
+        return Tactic("retune-eta", {"scale": scale, "eta_scale": target})

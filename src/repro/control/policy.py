@@ -1,7 +1,7 @@
 """Declarative adaptation policies: what to watch and which tactic to take.
 
 A policy is plain data — loadable from a JSON file — so that adaptation
-behaviour can be changed without touching code.  It has four parts:
+behaviour can be changed without touching code.  It has three parts:
 
 ``analyzers``
     Configuration of the symptom detectors (latency / candidates / drift);
@@ -18,12 +18,6 @@ behaviour can be changed without touching code.  It has four parts:
     Minimum number of slides between two applied tactics on the same
     subscription, so the loop cannot thrash.
 
-``load_shedding``
-    Opt-in gate for the only approximate tactic.  ``enabled`` defaults to
-    False — a policy must explicitly accept approximation — and
-    ``max_fraction`` bounds the fraction of the stream a ``load-shed``
-    rule may drop.
-
 The file format (see ``examples/control_policy.json``)::
 
     {
@@ -37,9 +31,8 @@ The file format (see ``examples/control_policy.json``)::
       "rules": [
         {"when": "score-drift",       "tactic": "swap-partitioner", "to": "enhanced-dynamic"},
         {"when": "candidate-blowup",  "tactic": "retune-eta",       "scale": 1.5},
-        {"when": "latency-violation", "tactic": "load-shed",        "stride": 8}
-      ],
-      "load_shedding": {"enabled": false, "max_fraction": 0.25}
+        {"when": "latency-violation", "tactic": "swap-partitioner", "to": "equal"}
+      ]
     }
 """
 
@@ -56,14 +49,10 @@ from .analyzers import (
     ScoreDriftAnalyzer,
 )
 
-#: Tactic names a rule may use.  Each acts on one subscription inside an
-#: engine; a rule naming any other tactic is refused.
-TACTICS = (
-    "swap-partitioner",
-    "retune-eta",
-    "swap-algorithm",
-    "load-shed",
-)
+#: Tactic names a rule may use.  Each rebuilds the partitioner of one SAP
+#: subscription inside an engine, so every tactic is answer-preserving; a
+#: rule naming any other tactic is refused.
+TACTICS = ("swap-partitioner", "retune-eta")
 
 #: Default configuration of the latency analyzer, shared by
 #: :meth:`Policy.default`, the CLI's ``--latency-budget`` override, and
@@ -115,31 +104,7 @@ class Rule:
             scale = data.get("scale")
             if not isinstance(scale, (int, float)) or scale <= 0:
                 raise ValueError(f"retune-eta needs a positive 'scale', got {scale!r}")
-        if kind == "swap-algorithm" and not data.get("to"):
-            raise ValueError("swap-algorithm needs a 'to' algorithm name")
-        if kind == "load-shed":
-            stride = data.get("stride", 8)
-            if not isinstance(stride, int) or stride < 2:
-                raise ValueError(f"load-shed 'stride' must be an int >= 2, got {stride!r}")
-            data["stride"] = stride
         return Rule(when=str(when), tactic=Tactic(kind=str(kind), params=data))
-
-
-@dataclass(frozen=True)
-class LoadSheddingConfig:
-    enabled: bool = False
-    max_fraction: float = 0.25
-
-    @staticmethod
-    def from_dict(raw: Optional[Dict[str, object]]) -> "LoadSheddingConfig":
-        if not raw:
-            return LoadSheddingConfig()
-        fraction = float(raw.get("max_fraction", 0.25))
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"max_fraction must be in (0, 1), got {fraction}")
-        return LoadSheddingConfig(
-            enabled=bool(raw.get("enabled", False)), max_fraction=fraction
-        )
 
 
 @dataclass
@@ -154,7 +119,6 @@ class Policy:
     analysis_interval_slides: int = 8
     latency_budget_seconds: Optional[float] = None
     analyzer_config: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    load_shedding: LoadSheddingConfig = field(default_factory=LoadSheddingConfig)
 
     # ------------------------------------------------------------------
     def build_analyzers(self) -> List[Analyzer]:
@@ -185,7 +149,6 @@ class Policy:
             "analysis_interval_slides",
             "latency_budget_seconds",
             "analyzers",
-            "load_shedding",
         }
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -213,7 +176,6 @@ class Policy:
             analysis_interval_slides=interval,
             latency_budget_seconds=budget,
             analyzer_config={k: dict(v) for k, v in analyzers_raw.items()},
-            load_shedding=LoadSheddingConfig.from_dict(raw.get("load_shedding")),
         )
 
     @staticmethod
@@ -223,8 +185,8 @@ class Policy:
 
     @staticmethod
     def default(latency_budget_seconds: Optional[float] = None) -> "Policy":
-        """The built-in policy: react to drift and candidate blowup with
-        exact tactics; load shedding stays off (answers stay exact).
+        """The built-in policy: react to drift and candidate blowup by
+        rebuilding the SAP partitioner (answers stay exact).
 
         The drift rule swaps a dynamic-partitioner SAP query to the equal
         partitioner: the WRT-driven sizing pays off when the score
@@ -274,8 +236,4 @@ class Policy:
                 {"when": rule.when, "tactic": rule.tactic.describe()}
                 for rule in self.rules
             ],
-            "load_shedding": {
-                "enabled": self.load_shedding.enabled,
-                "max_fraction": self.load_shedding.max_fraction,
-            },
         }

@@ -3,7 +3,7 @@
 Records are framed ``<kind:u8> <length:u32> <crc32:u32> <payload>``
 (little-endian).  Two kinds exist: :data:`KIND_CHUNK` payloads are the
 columnar wire format of :func:`repro.core.columnar.encode_chunk` — one
-record per ingested (post-dedupe, post-shed) chunk — and
+record per ingested (post-dedupe) chunk — and
 :data:`KIND_OP` payloads are pickled subscription lifecycle ops
 (:func:`repro.core.state.dumps`).  Because chunks are logged in the
 same format the data plane already ships between processes, a replayed

@@ -15,9 +15,9 @@ each captured record at the record's slide index and window.
 Three planes build on the core rather than forking it:
 
 * :class:`repro.engine.StreamEngine` — the single-process facade; it adds
-  the adaptive control plane integration (controller attachment, the
-  load-shedding valve, slide-aligned chunking) by overriding the small
-  hook methods at the bottom of this class.
+  the adaptive control plane integration (controller attachment and
+  slide-aligned chunking) by overriding the small hook methods at the
+  bottom of this class.
 * the shard workers of :mod:`repro.cluster` — each worker process hosts a
   full :class:`StreamEngine`, and the sharded facade moves subscriptions
   between workers with :meth:`capture_groups` / :meth:`restore_groups`,
@@ -32,9 +32,9 @@ and :meth:`~EngineCore.push_block` — hands its chunks to one edge,
 the chunk through every query group and notifies the hooks, in that order.
 
 The group hooks (``_register_group``, ``_unregister_group``) keep the
-group list; the ingest hooks (``_admission_filter``, ``_chunk_size_for``,
-``_note_chunk``) default to no-ops, so the core alone is a fully
-functional, control-plane-free engine.
+group list; the ingest hooks (``_chunk_size_for``, ``_note_chunk``)
+default to no-ops, so the core alone is a fully functional,
+control-plane-free engine.
 """
 
 from __future__ import annotations
@@ -430,9 +430,6 @@ class EngineCore:
         and retained results are unaffected.
         """
         self._ensure_open()
-        admit = self._admission_filter()
-        if admit is not None and not admit(obj):
-            return {}
         return self._ordered(self._ingest((obj,), collect=self._return_results))
 
     def push_many(
@@ -456,12 +453,7 @@ class EngineCore:
         count = 0
         source = iter(objects)
         while True:
-            # The admission filter can only engage/disengage between
-            # chunks, so it is re-read once per chunk (None in the common
-            # unfiltered case).
-            admit = self._admission_filter()
-            feed = source if admit is None else filter(admit, source)
-            chunk = list(islice(feed, chunk_size))
+            chunk = list(islice(source, chunk_size))
             if not chunk:
                 return count
             self._ingest(chunk)
@@ -471,20 +463,16 @@ class EngineCore:
         """Feed one :class:`~repro.core.columnar.SlideBlock` as a chunk.
 
         The block is materialised once, here, and every query group moves
-        the same objects.  With an admission filter active it falls back to
-        :meth:`push_many`, which filters per object and keeps the control
-        plane's slide-aligned chunks."""
+        the same objects."""
         self._ensure_open()
         objects = block.to_objects()
-        if objects and self._admission_filter() is not None:
-            return self.push_many(objects, chunk_size=len(objects))
         self._ingest(objects)
         return len(objects)
 
     def _ingest(
         self, objects: Sequence[StreamObject], collect: bool = False
     ) -> Optional[Dict[str, List[TopKResult]]]:
-        """The one ingest edge: every admitted chunk enters the engine here.
+        """The one ingest edge: every pushed chunk enters the engine here.
 
         The chunk's arrival order is validated first, so a rejected chunk
         leaves the engine and its write-ahead log exactly as they were.
@@ -717,11 +705,6 @@ class EngineCore:
     def _unregister_group(self, group: QueryGroup) -> None:
         """A query group lost its last member and leaves the engine."""
         self._groups.remove(group)
-
-    def _admission_filter(self) -> Optional[Callable[[StreamObject], bool]]:
-        """Admission filter of the next chunk (None = admit all): the
-        load-shedding valve."""
-        return None
 
     def _chunk_size_for(self, requested: int) -> int:
         """Opportunity to align ``push_many`` chunks to slide boundaries."""

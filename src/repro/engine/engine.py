@@ -19,9 +19,9 @@ algorithm through its subscriptions, and the sharded execution plane
 All of the subscription/group bookkeeping and ingestion mechanics live in
 :class:`~repro.engine.core.EngineCore`, whose one ingest edge every push
 goes through; this class layers the adaptive control plane on top —
-controller attachment, the load-shedding valve, and slide-aligned
-chunking — through the core's three ingest hooks: the admission filter,
-the chunk size, and the per-chunk note that ticks the controller.
+controller attachment and slide-aligned chunking — through the core's two
+ingest hooks: the chunk size, and the per-chunk note that ticks the
+controller.
 
 Internally the engine buckets subscriptions into
 :class:`~repro.engine.group.QueryGroup` objects, one per window shape
@@ -40,10 +40,9 @@ constant space.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.exceptions import AlgorithmStateError
-from ..core.object import StreamObject
 from .core import PUSH_MANY_CHUNK, AlgorithmLike, EngineCore
 from .group import QueryGroup
 
@@ -56,8 +55,7 @@ class StreamEngine(EngineCore):
     Extends :class:`~repro.engine.core.EngineCore` with the adaptive
     control plane: an attached :class:`repro.control.AdaptiveController`
     receives per-slide telemetry, runs its MAPE loop after every ingested
-    chunk and flush, and may shed load or rebuild algorithms at slide
-    boundaries.
+    chunk and flush, and may rebuild SAP partitioners at slide boundaries.
     """
 
     def __init__(self, *, keep_results: bool = True, return_results: bool = True) -> None:
@@ -151,6 +149,12 @@ class StreamEngine(EngineCore):
         controller._unbind_engine(self)
         return controller
 
+    def unsubscribe(self, name: str) -> None:
+        """Close and remove one query; an attached controller forgets it."""
+        super().unsubscribe(name)
+        if self._controller is not None:
+            self._controller.forget(name)
+
     # ------------------------------------------------------------------
     # EngineCore hooks: wire the controller into the ingest path
     # ------------------------------------------------------------------
@@ -164,12 +168,6 @@ class StreamEngine(EngineCore):
         if self._controller is not None:
             self._controller._discard_group(group)
 
-    def _admission_filter(self) -> Optional[Callable[[StreamObject], bool]]:
-        controller = self._controller
-        if controller is not None and controller.shedding_active:
-            return controller.admit
-        return None
-
     def _chunk_size_for(self, requested: int) -> int:
         # Slide-aligned chunks make chunk ends coincide with slide
         # boundaries, the only points where tactics may be applied.
@@ -179,7 +177,6 @@ class StreamEngine(EngineCore):
 
     def _note_chunk(self, count: int) -> None:
         if self._controller is not None:
-            self._controller.note_admitted(count)
             self._controller.tick()
 
     # ------------------------------------------------------------------

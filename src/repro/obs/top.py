@@ -4,7 +4,7 @@ The serving layer exposes its merged registry snapshot as JSON at
 ``/v1/metrics.json``; this module polls that endpoint and renders a
 compact ANSI dashboard — cluster-wide rates (events/s, slides/s,
 deliveries/s), delivery latency quantiles from the merged histogram, and
-a per-shard table (events, candidates, shed and backpressure
+a per-shard table (events, candidates and backpressure
 counters).  Everything is stdlib: ``urllib`` to poll, ANSI
 escapes to repaint.
 
@@ -150,12 +150,10 @@ def render_dashboard(
             f"   p99 {bold}{_fmt_seconds(p99)}{reset}"
         )
 
-    shed = snapshot_value(metrics, "repro_shed_objects_total")
     backpressure = snapshot_value(metrics, "repro_backpressure_waits_total")
     dropped = snapshot_value(metrics, "repro_results_dropped_total")
     lines.append(
-        f"  shed {_fmt_count(shed)}   backpressure {_fmt_count(backpressure)}"
-        f"   dropped {_fmt_count(dropped)}"
+        f"  backpressure {_fmt_count(backpressure)}   dropped {_fmt_count(dropped)}"
     )
 
     shards = _shard_ids(metrics)
@@ -163,19 +161,17 @@ def render_dashboard(
         lines.append("")
         lines.append(
             f"  {dim}{'shard':>6} {'events':>10} {'slides':>8} "
-            f"{'cands':>8} {'shed':>6} {'bp':>6}{reset}"
+            f"{'cands':>8} {'bp':>6}{reset}"
         )
         for shard in shards:
             sel = {"shard": shard}
             events = snapshot_value(metrics, "repro_events_ingested_total", sel)
             slides = snapshot_value(metrics, "repro_slides_total", sel)
             cands = snapshot_value(metrics, "repro_candidates_last", sel)
-            shard_shed = snapshot_value(metrics, "repro_shed_objects_total", sel)
             shard_bp = snapshot_value(metrics, "repro_backpressure_waits_total", sel)
             lines.append(
                 f"  {shard:>6} {_fmt_count(events):>10} {_fmt_count(slides):>8} "
-                f"{_fmt_count(cands):>8} {_fmt_count(shard_shed):>6} "
-                f"{_fmt_count(shard_bp):>6}"
+                f"{_fmt_count(cands):>8} {_fmt_count(shard_bp):>6}"
             )
 
     clusters = _cluster_ids(metrics)

@@ -4,7 +4,7 @@ The paper evaluates on three real datasets (STOCK, TRIP, PLANET) and two
 synthetic ones (TIMER, TIMEU).  The real datasets are not redistributable,
 so this package provides synthetic generators that reproduce the relevant
 property for every algorithm under study: the joint distribution of
-*scores* and *arrival order*.  See DESIGN.md for the substitution notes.
+*scores* and *arrival order*, not the raw attributes.
 """
 
 from .source import ListSource, StreamSource, materialise

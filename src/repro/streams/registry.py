@@ -30,7 +30,7 @@ DATASETS: Dict[str, Callable[[], StreamSource]] = {
     "TIMEU": lambda: UncorrelatedStream(seed=11),
     "TIMER": _timer_factory,
     # Beyond the paper: a regime-switching stream for the adaptive
-    # control plane (drift detection, partitioner swaps, load shedding).
+    # control plane (drift detection, partitioner swaps).
     "DRIFT": lambda: DriftingStream(seed=19),
 }
 

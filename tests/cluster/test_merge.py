@@ -71,21 +71,13 @@ class TestMergedLatency:
         assert merged["median_latency"] == merged["p50_latency"]
 
 
-def report(shard, events=(), admitted=0, shed=0, engagements=0, subs=None):
+def report(shard, events=(), subs=None):
     return {
         "shard": shard,
         "events": list(events),
-        "accuracy": {
-            "admitted": admitted,
-            "shed": shed,
-            "shed_fraction": 0.0,
-            "engagements": engagements,
-            "exact": shed == 0,
-        },
         "knowledge": {
             "subscriptions": subs or {},
             "events_total": len(events),
-            "shedding": {},
         },
     }
 
@@ -116,17 +108,6 @@ class TestAggregatedKnowledge:
         assert len(view.applied_events()) == 2
         assert view.events_total == 3
         assert view.shard_count == 2
-
-    def test_shedding_combined(self):
-        view = AggregatedKnowledge(
-            [report(0, admitted=90, shed=10, engagements=1), report(1, admitted=100)]
-        )
-        account = view.shedding()
-        assert account["admitted"] == 190
-        assert account["shed"] == 10
-        assert account["shed_fraction"] == pytest.approx(0.05)
-        assert account["engagements"] == 1
-        assert account["exact"] is False
 
     def test_subscriptions_tagged_with_shard(self):
         view = AggregatedKnowledge(

@@ -160,39 +160,6 @@ class TestAdaptationEndToEnd:
             if earlier.subscription == later.subscription:
                 assert later.slide_index - earlier.slide_index >= policy.cooldown_slides
 
-    def test_shedding_loop_engages_and_recovers(self):
-        policy = Policy.from_dict(
-            {
-                "latency_budget_seconds": 1e-7,
-                "cooldown_slides": 0,
-                "analysis_interval_slides": 1,
-                "analyzers": {
-                    "latency": {"percentile": 0.5, "window": 8, "min_samples": 8}
-                },
-                "rules": [
-                    {"when": "latency-violation", "tactic": "load-shed", "stride": 10}
-                ],
-                "load_shedding": {"enabled": True, "max_fraction": 0.2},
-            }
-        )
-        engine = StreamEngine(keep_results=False, return_results=False)
-        engine.subscribe("q", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        controller = AdaptiveController(policy)
-        engine.attach_controller(controller)
-        stream = make_dataset("STOCK").take(2200)
-        engine.push_many(stream[:2000])
-        assert controller.shedding_active
-        report = controller.accuracy_report()
-        assert report["shed"] > 0
-        assert report["shed"] + report["admitted"] == 2000
-        # With an impossible budget the engine never recovers; relax the
-        # budget and the recovery planner disengages on the next tick.
-        controller.policy.latency_budget_seconds = 1e9
-        engine.push_many(stream[2000:])
-        assert not controller.shedding_active
-        kinds = [e.tactic for e in controller.knowledge.events()]
-        assert "load-shed" in kinds and "load-recover" in kinds
-
     def test_aligned_chunk(self):
         engine = StreamEngine(return_results=False)
         engine.subscribe("a", TopKQuery(n=200, k=5, s=12), algorithm="SAP")
@@ -215,7 +182,6 @@ class TestAdaptationEndToEnd:
         description = controller.describe()
         assert description["attached"] is True
         assert description["groups"] == 1
-        assert description["accuracy"]["exact"] is True
 
 
 class TestStatsPercentiles:
@@ -238,32 +204,6 @@ class TestStatsPercentiles:
 
 
 class TestReviewRegressions:
-    def test_shedding_gated_off_while_mintopk_is_live(self):
-        """Stride shedding gaps arrival orders, which MinTopK's position
-        arithmetic cannot survive — the valve must stay shut."""
-        policy = Policy.from_dict(
-            {
-                "latency_budget_seconds": 1e-7,
-                "cooldown_slides": 0,
-                "analysis_interval_slides": 1,
-                "analyzers": {
-                    "latency": {"percentile": 0.5, "window": 8, "min_samples": 8}
-                },
-                "rules": [
-                    {"when": "latency-violation", "tactic": "load-shed", "stride": 10}
-                ],
-                "load_shedding": {"enabled": True, "max_fraction": 0.2},
-            }
-        )
-        engine = StreamEngine(keep_results=False, return_results=False)
-        engine.subscribe("sap", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        engine.subscribe("mt", TopKQuery(n=100, k=5, s=10), algorithm="MinTopK")
-        controller = AdaptiveController(policy)
-        engine.attach_controller(controller)
-        engine.push_many(make_dataset("STOCK").take(2000))
-        assert not controller.shedding_active
-        assert controller.accuracy_report()["exact"] is True
-
     def test_unsubscribe_discards_group_from_controller(self):
         engine = StreamEngine(return_results=False)
         controller = AdaptiveController()
@@ -275,53 +215,54 @@ class TestReviewRegressions:
             engine.unsubscribe(f"q{i}")
         assert len(controller._groups) == 0
 
+    def test_unsubscribe_forgets_the_query(self):
+        """A departed query leaves no samples, cooldown or drift state in
+        the controller, so a new query reusing its name is judged on its
+        own history only."""
+        policy = Policy.from_dict(
+            {
+                "cooldown_slides": 0,
+                "analysis_interval_slides": 1,
+                "analyzers": {"drift": {"alpha": 0.05, "window": 10}},
+                "rules": [
+                    {"when": "score-drift", "tactic": "swap-partitioner", "to": "equal"}
+                ],
+            }
+        )
+        query = TopKQuery(n=300, k=5, s=20)
+        engine = StreamEngine(keep_results=False, return_results=False)
+        controller = AdaptiveController(policy)
+        engine.attach_controller(controller)
+        knowledge = controller.knowledge
+        (drift,) = controller.analyzers
+        stream = drift_stream(6_000)
+        engine.subscribe("long", query, algorithm="SAP")
+        for i in range(5):
+            engine.subscribe(f"churn{i}", query, algorithm="SAP")
+            engine.push_many(stream[i * 300 : (i + 1) * 300])
+            engine.unsubscribe(f"churn{i}")
+        assert knowledge.subscriptions() == ["long"]
+
+        engine.subscribe("churn0", query, algorithm="SAP")
+        engine.push_many(stream[1_500:5_500])
+        assert knowledge.sample_count("churn0") > 0
+        assert knowledge.last_adaptation_slide("churn0") is not None
+        assert "churn0" in drift._last_fired
+        engine.unsubscribe("churn0")
+        assert knowledge.sample_count("churn0") == 0
+        assert knowledge.seals("churn0") == []
+        assert knowledge.last_adaptation_slide("churn0") is None
+        assert "churn0" not in drift._last_fired
+
+        reborn = engine.subscribe("churn0", query, algorithm="SAP-equal")
+        assert knowledge.sample_count("churn0") == 0
+        engine.push_many(stream[5_500:])
+        first = knowledge.slides("churn0")[0]
+        assert first.algorithm == reborn.algorithm.name
+        assert first.slide_index == 0
+
     def test_default_policy_budget_has_a_consuming_rule(self):
         policy = Policy.default(latency_budget_seconds=0.005)
         assert policy.rules_for("latency-violation"), (
             "a latency budget must come with a rule that reacts to it"
         )
-
-    def test_swap_algorithm_noop_not_planned(self):
-        """A swap to a name resolving to the current configuration must
-        not trigger a full-window rebuild."""
-        from repro.control.analyzers import Symptom
-        from repro.control.planner import Planner
-
-        policy = Policy.from_dict(
-            {"rules": [{"when": "score-drift", "tactic": "swap-algorithm",
-                        "to": "SAP-enhanced"}]}
-        )
-        engine = StreamEngine()
-        engine.subscribe("q", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        group = engine.subscription("q").group
-        symptom = Symptom(kind="score-drift", subscription="q", severity=2.0)
-        assert Planner(policy).plan(group, [symptom], controller_knowledge()) == []
-
-    def test_swap_between_sap_variants_is_planned(self):
-        from repro.control.analyzers import Symptom
-        from repro.control.planner import Planner
-
-        policy = Policy.from_dict(
-            {"rules": [{"when": "score-drift", "tactic": "swap-algorithm",
-                        "to": "SAP-equal"}]}
-        )
-        engine = StreamEngine()
-        engine.subscribe("q", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        group = engine.subscription("q").group
-        symptom = Symptom(kind="score-drift", subscription="q", severity=2.0)
-        actions = Planner(policy).plan(group, [symptom], controller_knowledge())
-        assert len(actions) == 1
-
-
-def controller_knowledge():
-    from repro.control.knowledge import Knowledge, SlideSample
-
-    knowledge = Knowledge()
-    knowledge.add_slide(
-        SlideSample(
-            subscription="q", algorithm="SAP", slide_index=50,
-            latency=0.001, candidates=10, memory_bytes=320,
-            top_score=1.0, window_size=200,
-        )
-    )
-    return knowledge

@@ -1,10 +1,10 @@
 """Unit tests for the Execute stage and the group rebuild mechanism.
 
-The load-bearing property: every rebuild-type tactic is answer-preserving.
-A controlled engine that swaps partitioners, retunes η, or swaps the
-algorithm mid-run must produce byte-identical results to an uncontrolled
-engine on the same stream, because the group is drained at a slide
-boundary and the replacement pipeline is rebuilt from live window state.
+The load-bearing property: every tactic is answer-preserving.  A
+controlled engine that swaps a SAP query's partitioner or retunes its η
+mid-run must produce byte-identical results to an uncontrolled engine on
+the same stream, because the group is drained at a slide boundary and the
+replacement pipeline is rebuilt from live window state.
 """
 
 import pytest
@@ -82,22 +82,6 @@ class TestAnswerPreservation:
         assert partitioner.eta_scale == pytest.approx(2.0)
         assert answers == run_uncontrolled("SAP-dynamic")
 
-    def test_swap_algorithm_to_mintopk(self):
-        answers, events, sub = run_with_midstream_tactic(
-            Tactic("swap-algorithm", {"to": "MinTopK"})
-        )
-        assert [e.applied for e in events] == [True]
-        assert isinstance(sub.algorithm, MinTopK)
-        assert answers == run_uncontrolled()
-
-    def test_swap_algorithm_back_to_sap(self):
-        answers, events, sub = run_with_midstream_tactic(
-            Tactic("swap-algorithm", {"to": "SAP"}), algorithm="MinTopK"
-        )
-        assert [e.applied for e in events] == [True]
-        assert isinstance(sub.algorithm, SAPTopK)
-        assert answers == run_uncontrolled("MinTopK")
-
     def test_metrics_and_results_carry_over(self):
         _, _, sub = run_with_midstream_tactic(Tactic("swap-partitioner", {"to": "equal"}))
         stats = sub.stats()
@@ -150,6 +134,53 @@ class TestSharedPlanRebuild:
             ], sub.name
 
 
+    def test_sap_rebuild_leaves_a_mintopk_plan_alone(self):
+        """A SAP plan never holds a MinTopK member, so rebuilding SAP
+        members leaves MinTopK's plan running, even on arrival orders
+        with gaps, which a MinTopK respawn could not adopt."""
+        from repro.core.object import StreamObject
+
+        gapped = [StreamObject(score=float(i * 37 % 101), t=2 * i) for i in range(1200)]
+        algorithms = {"sap4": "SAP", "sap8": "SAP", "mt4": "MinTopK", "mt8": "MinTopK"}
+        engine = StreamEngine(return_results=False)
+        subs = [
+            engine.subscribe(name, TopKQuery(n=300, k=int(name[-1]), s=20),
+                             algorithm=algorithm)
+            for name, algorithm in algorithms.items()
+        ]
+        controller = AdaptiveController(Policy(rules=[], analyzer_config={}))
+        engine.attach_controller(controller)
+        engine.push_many(gapped[:600], chunk_size=20)
+        group = subs[0].group
+        mintopk_plan = [
+            plan for plan in group.plans()
+            if isinstance(plan.subscriptions()[0].algorithm, MinTopK)
+        ]
+        events = Executor(controller.knowledge).execute(
+            group,
+            [
+                Action(
+                    subscription=subs[0],
+                    tactic=Tactic("swap-partitioner", {"to": "equal"}),
+                    trigger="test",
+                )
+            ],
+            controller,
+        )
+        assert [e.applied for e in events] == [True]
+        assert mintopk_plan and mintopk_plan[0] in group.plans()
+        engine.push_many(gapped[600:], chunk_size=20)
+        engine.flush()
+        for sub in subs:
+            solo = StreamEngine(return_results=False)
+            ref = solo.subscribe("ref", sub.query, algorithm=algorithms[sub.name])
+            solo.push_many(gapped)
+            solo.flush()
+            assert [r.identity() for r in sub.results()] == [
+                r.identity() for r in ref.results()
+            ], sub.name
+
+
 class TestRebuildPreconditions:
     def test_rebuild_requires_slide_boundary(self):
         engine = StreamEngine(return_results=False)
@@ -165,79 +196,21 @@ class TestRebuildPreconditions:
         with pytest.raises(KeyError):
             subscription.group.rebuild({"nope": subscription.algorithm.respawn()})
 
-    def test_mintopk_swap_declined_on_non_contiguous_window(self):
-        """MinTopK's position arithmetic needs contiguous arrival orders;
-        the executor declines (and logs) instead of corrupting answers."""
-        from repro.core.object import StreamObject
-
-        gapped = [StreamObject(score=float(i % 97), t=2 * i) for i in range(1200)]
-        engine = StreamEngine(return_results=False)
-        subscription = engine.subscribe("q", QUERY, algorithm="SAP")
-        controller = AdaptiveController(Policy(rules=[], analyzer_config={}))
-        engine.attach_controller(controller)
-        engine.push_many(gapped, chunk_size=QUERY.s)
-        group = subscription.group
-        assert group.at_slide_boundary()
-        executor = Executor(controller.knowledge)
-        events = executor.execute(
-            group,
-            [
-                Action(
-                    subscription=subscription,
-                    tactic=Tactic("swap-algorithm", {"to": "MinTopK"}),
-                    trigger="test",
-                )
-            ],
-            controller,
+    def test_non_sap_member_declined(self):
+        """Every tactic rebuilds a SAP partitioner; the executor declines
+        (and logs) a tactic aimed at any other algorithm."""
+        _, events, sub = run_with_midstream_tactic(
+            Tactic("swap-partitioner", {"to": "equal"}), algorithm="MinTopK"
         )
         assert [e.applied for e in events] == [False]
-        assert "contiguous" in events[0].detail["skipped"]
-        assert isinstance(subscription.algorithm, SAPTopK)
+        assert events[0].detail["skipped"] == "not a SAP subscription"
+        assert isinstance(sub.algorithm, MinTopK)
 
     def test_rebuild_cost_logged(self):
         _, events, _ = run_with_midstream_tactic(
             Tactic("swap-partitioner", {"to": "equal"})
         )
         assert events[0].detail["rebuild_seconds"] >= 0.0
-
-
-class TestSheddingTactics:
-    def test_engage_and_recover(self):
-        engine = StreamEngine(return_results=False)
-        subscription = engine.subscribe("q", QUERY, algorithm="SAP")
-        controller = AdaptiveController(Policy(rules=[], analyzer_config={}))
-        engine.attach_controller(controller)
-        engine.push_many(STREAM[:600], chunk_size=QUERY.s)
-        executor = Executor(controller.knowledge)
-        executor.execute(
-            subscription.group,
-            [
-                Action(
-                    subscription=subscription,
-                    tactic=Tactic("load-shed", {"stride": 10}),
-                    trigger="latency-violation",
-                )
-            ],
-            controller,
-        )
-        assert controller.shedding_active
-        engine.push_many(STREAM[600:1200], chunk_size=QUERY.s)
-        report = controller.accuracy_report()
-        assert report["shed"] > 0 and report["exact"] is False
-        assert report["shed_fraction"] == pytest.approx(0.1, abs=0.05)
-        executor.execute(
-            subscription.group,
-            [
-                Action(
-                    subscription=subscription,
-                    tactic=Tactic("load-recover"),
-                    trigger="latency-recovered",
-                )
-            ],
-            controller,
-        )
-        assert not controller.shedding_active
-        assert len(controller.knowledge.events()) == 2
 
 
 class TestFastForward:

@@ -86,7 +86,7 @@ class TestAdaptationLog:
             trigger="score-drift", applied=True,
         )
         declined = AdaptationEvent(
-            slide_index=12, subscription="q", tactic="swap-algorithm",
+            slide_index=12, subscription="q", tactic="retune-eta",
             trigger="latency-violation", applied=False,
         )
         knowledge.log_event(applied)
@@ -103,7 +103,7 @@ class TestAdaptationLog:
         for i in range(EVENT_LOG_CAPACITY + 50):
             knowledge.log_event(
                 AdaptationEvent(
-                    slide_index=i, subscription="q", tactic="swap-algorithm",
+                    slide_index=i, subscription="q", tactic="retune-eta",
                     trigger="score-drift", applied=False,
                 )
             )
@@ -126,13 +126,21 @@ class TestAdaptationLog:
         )
         payload = json.dumps(knowledge.describe())
         assert "retune-eta" in payload
-        assert "shedding" in payload
 
-    def test_shedding_account(self):
+    def test_forget_drops_rings_and_cooldown_but_keeps_the_log(self):
         knowledge = Knowledge()
-        assert knowledge.shedding.as_dict()["exact"] is True
-        knowledge.shedding.admitted += 90
-        knowledge.shedding.shed += 10
-        account = knowledge.shedding.as_dict()
-        assert account["shed_fraction"] == pytest.approx(0.1)
-        assert account["exact"] is False
+        knowledge.add_slide(sample(index=3))
+        knowledge.add_seal(SealSample(subscription="q", size=4))
+        knowledge.log_event(
+            AdaptationEvent(
+                slide_index=3, subscription="q", tactic="retune-eta",
+                trigger="candidate-blowup", applied=True,
+            )
+        )
+        knowledge.forget("q")
+        assert knowledge.subscriptions() == []
+        assert knowledge.sample_count("q") == 0
+        assert knowledge.seals("q") == []
+        assert knowledge.last_adaptation_slide("q") is None
+        assert [event.tactic for event in knowledge.events()] == ["retune-eta"]
+        knowledge.forget("never-seen")  # forgetting an unknown name is a no-op

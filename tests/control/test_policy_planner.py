@@ -1,13 +1,14 @@
 """Unit tests for the declarative policy format and the Plan stage."""
 
 import json
+import re
 
 import pytest
 
 from repro.control.analyzers import Symptom
 from repro.control.knowledge import AdaptationEvent, Knowledge, SlideSample
 from repro.control.planner import Planner
-from repro.control.policy import Policy, Rule, Tactic
+from repro.control.policy import TACTICS, Policy, Rule, Tactic
 from repro.core.query import TopKQuery
 from repro.engine import StreamEngine
 
@@ -23,9 +24,8 @@ POLICY_DOC = {
     "rules": [
         {"when": "score-drift", "tactic": "swap-partitioner", "to": "equal"},
         {"when": "candidate-blowup", "tactic": "retune-eta", "scale": 1.5},
-        {"when": "latency-violation", "tactic": "load-shed", "stride": 8},
+        {"when": "latency-violation", "tactic": "swap-partitioner", "to": "equal"},
     ],
-    "load_shedding": {"enabled": True, "max_fraction": 0.25},
 }
 
 
@@ -35,9 +35,8 @@ class TestPolicyFormat:
         assert policy.latency_budget_seconds == 0.01
         assert policy.cooldown_slides == 10
         assert [rule.tactic.kind for rule in policy.rules] == [
-            "swap-partitioner", "retune-eta", "load-shed",
+            "swap-partitioner", "retune-eta", "swap-partitioner",
         ]
-        assert policy.load_shedding.enabled is True
         assert len(policy.build_analyzers()) == 3
 
     def test_from_file(self, tmp_path):
@@ -54,16 +53,27 @@ class TestPolicyFormat:
         )
         policy = Policy.from_file(example)
         assert policy.rules, "the documented example policy must define rules"
+        # The latency budget drives the same exact tactic as the default
+        # policy with a budget.
+        (latency_rule,) = policy.rules_for("latency-violation")
+        assert latency_rule.tactic == Tactic("swap-partitioner", {"to": "equal"})
+        assert latency_rule.tactic in [
+            rule.tactic for rule in Policy.default(latency_budget_seconds=0.01).rules
+        ]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown policy keys"):
             Policy.from_dict({"latency_budget": 1.0})
 
     def test_unknown_tactic_rejected(self):
-        # The shard-pool tactics are gone: the pool changes only by hand.
-        for tactic in ("reboot", "spawn-shard", "retire-shard"):
-            with pytest.raises(ValueError, match="unknown tactic"):
-                Policy.from_dict({"rules": [{"when": "score-drift", "tactic": tactic}]})
+        # The shard pool changes only by hand, and every tactic rebuilds
+        # a SAP partitioner.
+        known = re.escape(str(TACTICS))
+        for tactic in ("reboot", "spawn-shard", "retire-shard", "swap-algorithm"):
+            with pytest.raises(ValueError, match=f"unknown tactic .*known: {known}"):
+                Policy.from_dict(
+                    {"rules": [{"when": "score-drift", "tactic": tactic, "to": "MinTopK"}]}
+                )
 
     def test_swap_partitioner_needs_valid_target(self):
         with pytest.raises(ValueError, match="swap-partitioner"):
@@ -72,18 +82,24 @@ class TestPolicyFormat:
             )
 
     def test_load_shed_stride_validated(self):
-        with pytest.raises(ValueError, match="stride"):
-            Policy.from_dict(
-                {"rules": [{"when": "latency-violation", "tactic": "load-shed", "stride": 1}]}
-            )
+        for stride in (1, 8):
+            with pytest.raises(ValueError, match="unknown tactic 'load-shed'; known"):
+                Policy.from_dict(
+                    {"rules": [
+                        {"when": "latency-violation", "tactic": "load-shed", "stride": stride}
+                    ]}
+                )
 
     def test_shedding_fraction_validated(self):
-        with pytest.raises(ValueError, match="max_fraction"):
-            Policy.from_dict({"load_shedding": {"enabled": True, "max_fraction": 2.0}})
+        with pytest.raises(
+            ValueError, match=r"unknown policy keys: \['load_shedding'\]; known"
+        ):
+            Policy.from_dict({"load_shedding": {"enabled": True, "max_fraction": 0.2}})
 
     def test_default_policy_is_exact(self):
+        for policy in (Policy.default(), Policy.default(latency_budget_seconds=0.01)):
+            assert {rule.tactic.kind for rule in policy.rules} <= set(TACTICS)
         policy = Policy.default()
-        assert policy.load_shedding.enabled is False
         assert {rule.tactic.kind for rule in policy.rules} <= {
             "swap-partitioner", "retune-eta",
         }
@@ -174,69 +190,11 @@ class TestPlanner:
         )
         assert len(planner.plan(group, [symptom("score-drift")], knowledge2)) == 1
 
-    def test_load_shed_respects_enable_gate_and_fraction(self):
-        _, _, group = make_group("SAP")
-        disabled = Policy.from_dict({**POLICY_DOC, "load_shedding": {"enabled": False}})
-        assert Planner(disabled).plan(
-            group, [symptom("latency-violation")], knowledge_at_slide(50)
-        ) == []
-        # stride 8 sheds 12.5% > max_fraction 10% -> not applicable.
-        tight = Policy.from_dict(
-            {**POLICY_DOC, "load_shedding": {"enabled": True, "max_fraction": 0.1}}
-        )
-        assert Planner(tight).plan(
-            group, [symptom("latency-violation")], knowledge_at_slide(50)
-        ) == []
-
-    def test_load_shed_planned_once_per_tick(self):
-        engine = StreamEngine()
-        engine.subscribe("a", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        engine.subscribe("b", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        group = engine.subscription("a").group
+    def test_tactics_only_apply_to_sap(self):
+        _, _, group = make_group("MinTopK")
         planner = Planner(Policy.from_dict(POLICY_DOC))
-        knowledge = knowledge_at_slide(50, "a")
-        knowledge.add_slide(
-            SlideSample(
-                subscription="b", algorithm="SAP", slide_index=50,
-                latency=0.1, candidates=10, memory_bytes=320,
-                top_score=1.0, window_size=200,
-            )
-        )
-        actions = planner.plan(
-            group,
-            [symptom("latency-violation", "a"), symptom("latency-violation", "b")],
-            knowledge,
-        )
-        assert [a.tactic.kind for a in actions] == ["load-shed"]
-
-    def test_recovery_planned_when_latencies_back_under_budget(self):
-        planner = Planner(Policy.from_dict(POLICY_DOC))
-        calm = Knowledge()
-        for i in range(40):
-            calm.add_slide(
-                SlideSample(
-                    subscription="q", algorithm="SAP", slide_index=i,
-                    latency=0.0001, candidates=10, memory_bytes=320,
-                    top_score=1.0, window_size=200,
-                )
-            )
-        recovery = planner.plan_recovery(calm, shedding_active=True)
-        assert recovery is not None and recovery.tactic.kind == "load-recover"
-        assert planner.plan_recovery(calm, shedding_active=False) is None
-
-    def test_swap_algorithm_applicability(self):
-        _, _, group = make_group("SAP")
-        policy = Policy.from_dict(
-            {"rules": [{"when": "score-drift", "tactic": "swap-algorithm", "to": "MinTopK"}]}
-        )
-        actions = Planner(policy).plan(group, [symptom("score-drift")], knowledge_at_slide(50))
-        assert len(actions) == 1
-        # Already on MinTopK: nothing to do.
-        _, _, mt_group = make_group("MinTopK")
-        assert Planner(policy).plan(
-            mt_group, [symptom("score-drift")], knowledge_at_slide(50)
-        ) == []
-
+        for kind in ("score-drift", "candidate-blowup", "latency-violation"):
+            assert planner.plan(group, [symptom(kind)], knowledge_at_slide(50)) == []
 
 class TestRuleConstruction:
     def test_rule_needs_when_and_tactic(self):
@@ -247,4 +205,4 @@ class TestRuleConstruction:
         assert Tactic("swap-partitioner", {"to": "equal"}).describe() == (
             "swap-partitioner(to=equal)"
         )
-        assert Tactic("load-recover").describe() == "load-recover"
+        assert Tactic("retune-eta").describe() == "retune-eta"

@@ -17,7 +17,6 @@ from repro.core.object import StreamObject
 from repro.core.result import results_agree
 from repro.core.state import dumps
 from repro.core.window import SlidingWindow
-from repro.control import AdaptiveController
 from repro.engine import QuerySpec, StreamEngine
 from repro.registry import create_algorithm
 
@@ -216,38 +215,3 @@ def test_restored_window_raises_the_order_mark():
         {"sap": source.drain_results()["sap"]}
     )
 
-
-def _shedding_engine():
-    """An SAP engine whose valve sheds every third object, with the chunk
-    sizes reaching the controller recorded."""
-    engine = StreamEngine(keep_results=True, return_results=False)
-    engine.subscribe("sap", QuerySpec(n=120, k=3, s=60).using("SAP"))
-    controller = AdaptiveController()
-    engine.attach_controller(controller)
-    controller.engage_shedding(3)
-    noted = []
-    note_admitted = controller.note_admitted
-
-    def record(count):
-        noted.append(count)
-        note_admitted(count)
-
-    controller.note_admitted = record
-    return engine, controller, noted
-
-
-def test_push_block_under_shedding_keeps_slide_aligned_chunks():
-    engine, controller, noted = _shedding_engine()
-    twin, twin_controller, twin_noted = _shedding_engine()
-    # 119 objects align to one 60-object chunk; a third are shed, so the
-    # 80 admitted ones must reach the controller as 60 + 20, each full
-    # chunk ending on a slide boundary.
-    block = SlideBlock.from_objects(STREAM[:119])
-    assert engine.push_block(block) == 80
-    assert noted == [60, 20]
-    assert twin.push_many(STREAM[:119], chunk_size=119) == 80
-    assert twin_noted == noted
-    assert controller.knowledge.shedding.as_dict() == (
-        twin_controller.knowledge.shedding.as_dict()
-    )
-    _assert_twins(engine, twin)
