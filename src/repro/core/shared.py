@@ -25,8 +25,9 @@ Algorithms that cannot share anything simply ignore the extras: the default
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import DefaultDict, Dict, List, Optional, Sequence, Tuple
 
 from .exceptions import AlgorithmStateError
 from .object import StreamObject
@@ -47,14 +48,18 @@ class SharedSlide:
         of the plan's core).
     prep_share:
         Seconds of shared preparation attributed to each open member (the
-        plan's total preparation time divided by the member count), so
-        per-query latency metrics still account for the shared work.
+        plan's total preparation time divided by the member count); added
+        to a member's own timed work, or its whole latency when it has none.
     candidates:
         The core's candidate count after this slide, sampled once for all
         members (``None`` when the plan does not sample it).
     memory_bytes:
         The core's memory estimate after this slide, amortised over the
         members (``None`` when the plan does not sample it).
+    delivered:
+        Set, empty, by a plan whose members do no work of their own
+        (:class:`CoreSharedPlan`): they share ``answers``, one per ``k``,
+        and the engine accounts the slide once for them, collected here.
     """
 
     event: SlideEvent
@@ -62,6 +67,8 @@ class SharedSlide:
     prep_share: float = 0.0
     candidates: Optional[int] = None
     memory_bytes: Optional[int] = None
+    answers: Dict[int, TopKResult] = field(default_factory=dict, compare=False, repr=False)
+    delivered: Optional[DefaultDict[object, List[object]]] = None
 
 
 def plan_k_max(subscriptions: Sequence[object], k_max: Optional[int] = None) -> int:
@@ -143,10 +150,10 @@ class CoreSharedPlan(SharedPlan):
 
     The core answers the top-``k_max`` of the window, which holds every
     member's answer as its prefix, so nothing per-member remains: the plan
-    runs the core once per slide and every member slices its answer out of
-    ``window_topk`` on the shared slide.  Subclasses build the core; the
-    per-slide driving, timing attribution, and bookkeeping sampling live
-    here.
+    runs the core once per slide and each distinct ``k``'s answer is sliced
+    out of ``window_topk`` once, for every member with that ``k``.
+    Subclasses build the core; the per-slide driving, timing attribution,
+    and bookkeeping sampling live here.
     """
 
     def __init__(self, subscriptions: Sequence[object], core: object) -> None:
@@ -176,6 +183,7 @@ class CoreSharedPlan(SharedPlan):
             prep_share=prep / members,
             candidates=self.candidate_count(),
             memory_bytes=self.member_memory_bytes(),
+            delivered=defaultdict(list),
         )
 
 
@@ -217,12 +225,16 @@ class SharedCoreMember:
     def process_shared_slide(self, shared: SharedSlide) -> TopKResult:
         if self._shared_plan is None:
             return self.process_slide(shared.event)
-        # The core's answer is already best-first: slice, never re-sort.
-        return TopKResult(
-            slide_index=shared.event.index,
-            window_end=shared.event.window_end,
-            objects=shared.window_topk[: self.query.k],
-        )
+        k = self.query.k
+        result = shared.answers.get(k)
+        if result is None:
+            # The core's answer is already best-first: slice, never re-sort.
+            result = shared.answers[k] = TopKResult(
+                slide_index=shared.event.index,
+                window_end=shared.event.window_end,
+                objects=shared.window_topk[:k],
+            )
+        return result
 
     def candidate_count(self) -> int:
         # Members of a shared plan hold no candidates of their own; they

@@ -69,12 +69,13 @@ class StateSerializationError(ReproError):
 class SubscriptionState:
     """One member of a captured :class:`GroupState`.
 
-    ``algorithm`` is a *fresh* instance (the captured one's
-    :meth:`~repro.core.interface.ContinuousTopKAlgorithm.respawn`): it
-    carries the full configuration but no window-derived structures.
-    Beyond it the record carries the retention policy, the retained
-    answers, the delivery counter and the metric aggregates, so result
-    history and percentiles survive a move or a recovery.
+    ``algorithm`` is the member's configuration: a *fresh* instance (the
+    live one's :meth:`~repro.core.interface.ContinuousTopKAlgorithm.respawn`,
+    made once per live instance and shared by its captures; restores
+    respawn it again, so it never runs).  Beyond it the record carries
+    the retention policy, the retained answers (plan members share each
+    answer object, which a payload holds once), the delivery counter and
+    the metric aggregates, so history and percentiles survive a move.
     """
 
     version: int
@@ -189,7 +190,7 @@ def capture_subscription(subscription: "Subscription") -> SubscriptionState:
     return SubscriptionState(
         version=STATE_FORMAT_VERSION,
         name=subscription.name,
-        algorithm=subscription.algorithm.respawn(),
+        algorithm=subscription._algorithm_template(),
         keep_results=subscription._keep_results,
         result_buffer=subscription._results.maxlen,
         collect_metrics=subscription._collect_metrics,

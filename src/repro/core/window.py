@@ -113,12 +113,13 @@ class SlidingWindow:
     exactly the order they arrived), expiry slices the oldest objects off
     and moves the head, and the dead prefix is dropped once it outgrows
     the live part, so the list never holds more than about twice the
-    window.
+    window.  ``checked=False`` skips the order check (already done).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, checked: bool = True) -> None:
         self._objects: List[StreamObject] = []
         self._head = 0
+        self._checked = checked
 
     def __len__(self) -> int:
         return len(self._objects) - self._head
@@ -145,7 +146,8 @@ class SlidingWindow:
         """Append a chunk of objects, oldest first."""
         if not objects:
             return
-        check_order(objects, self.newest.t if len(self) else float("-inf"))
+        if self._checked:
+            check_order(objects, self.newest.t if len(self) else float("-inf"))
         self._objects.extend(objects)
 
     def expire_oldest(self, count: int) -> List[StreamObject]:
@@ -179,11 +181,12 @@ class SlideBatcher:
     :func:`slides_for_query` drains a whole stream through one.  How the
     stream is chunked never changes the events; a time-based window emits
     its final (end-of-stream) report only when :meth:`flush` is called.
+    Query groups pass ``checked=False``: the engine's edge checks order.
     """
 
-    def __init__(self, query: TopKQuery) -> None:
+    def __init__(self, query: TopKQuery, checked: bool = True) -> None:
         self.query = query
-        self._window = SlidingWindow()
+        self._window = SlidingWindow(checked)
         self._pending: List[StreamObject] = []
         self._index = 0
         self._filled = False

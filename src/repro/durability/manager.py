@@ -44,7 +44,6 @@ from ..core.columnar import decode_chunk, encode_chunk
 from ..core.exceptions import AlgorithmStateError, InvalidQueryError, ReproError
 from ..core.object import StreamObject
 from ..core.state import STATE_FORMAT_VERSION, EngineCheckpoint, StateSerializationError
-from ..core.window import check_order
 from ..obs.registry import get_registry
 from .checkpoint import DEFAULT_KEEP, CheckpointStore
 from .wal import DEFAULT_SEGMENT_BYTES, KIND_CHUNK, KIND_OP, WriteAheadLog
@@ -143,17 +142,15 @@ class DurabilityManager:
     def log_objects(self, chunk: Sequence[StreamObject]) -> None:
         """WAL one non-empty chunk of objects about to enter the engine.
 
-        Journaling happens before application (write-ahead), so a chunk
-        the engine is bound to reject must be refused *here*, with the
-        engine's error — otherwise it would poison the log and fail again
-        on every replay.
+        Journaling happens before application (write-ahead), so the
+        engine's ingest edge checks the chunk's order before it gets
+        here: a rejected chunk never poisons the log.
         """
-        last_t = check_order(chunk, self.last_t)
         payload = encode_chunk(chunk)
         self.wal.append(KIND_CHUNK, payload)
         self._obs_records.inc()
         self._obs_bytes.inc(len(payload))
-        self.last_t = last_t
+        self.last_t = chunk[-1].t
 
     def log_encoded(self, payload: bytes) -> None:
         """WAL one already-encoded chunk payload (worker receive path)."""

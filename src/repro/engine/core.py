@@ -221,6 +221,7 @@ class EngineCore:
             )
         vector = tuple(vector)
         record = update(vector)
+        subscription._template = None  # the vector is configuration
         if self._durability is not None:
             self._durability.log_op(("update_preference", name, vector))
         return record
@@ -489,16 +490,26 @@ class EngineCore:
             self._durability.log_objects(objects)
         self._last_t = last_t
         self._obs_ingested.inc(len(objects))
-        produced = None
+        return self._move(objects, collect)
+
+    def _move(
+        self, objects: Optional[Sequence[StreamObject]], collect: bool
+    ) -> Dict[str, List[TopKResult]]:
+        """Move a chunk (``None``: the end-of-stream flush) through every
+        query group, then the hooks.  A raising result callback does not
+        cut it short: the first callback error is re-raised at the end."""
+        produced: Dict[str, List[TopKResult]] = {}
+        errors: List[Exception] = []
         # Snapshot: result callbacks may unsubscribe (mutating the list).
         for group in tuple(self._groups):
-            for subscription, results in group.ingest(objects, collect):
-                if produced is None:
-                    produced = {}
+            for subscription, results in group.ingest(objects, errors, collect):
                 produced[subscription.name] = results
-        self._note_chunk(len(objects))
-        if self._durability is not None:
-            self._durability.after_chunk(self, len(objects))
+        count = len(objects) if objects else 0
+        self._note_chunk(count)
+        if count and self._durability is not None:
+            self._durability.after_chunk(self, count)
+        if errors:
+            raise errors[0]
         return produced
 
     def _check_order(self, objects: Sequence[StreamObject]) -> int:
@@ -510,15 +521,7 @@ class EngineCore:
     def flush(self) -> Dict[str, List[TopKResult]]:
         """Emit the end-of-stream report of time-based windows (if any)."""
         self._ensure_open()
-        collect = self._return_results
-        produced = None
-        for group in tuple(self._groups):
-            for subscription, results in group.flush(collect=collect):
-                if produced is None:
-                    produced = {}
-                produced[subscription.name] = results
-        self._note_chunk(0)
-        return self._ordered(produced)
+        return self._ordered(self._move(None, self._return_results))
 
     def _ordered(
         self, produced: Optional[Dict[str, List[TopKResult]]]
@@ -546,12 +549,11 @@ class EngineCore:
         no new answers are omitted.  Reading is allowed on a closed
         engine (the final answers stay collectible after ``close``).
         """
-        produced: Dict[str, List[TopKResult]] = {}
-        for name, subscription in self._subscriptions.items():
-            drained = list(subscription.drain())
-            if drained:
-                produced[name] = drained
-        return produced
+        return {
+            name: list(subscription.drain())
+            for name, subscription in self._subscriptions.items()
+            if subscription._results
+        }
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Point-in-time state of every subscription, keyed by name."""
@@ -595,6 +597,8 @@ class EngineCore:
         if self._durability is not None:
             raise ValueError("a durability manager is already attached")
         self._durability = manager
+        # The log may end past every restored window; order resumes there.
+        self._last_t = max(self._last_t, manager.last_t)
 
     @property
     def last_t(self) -> float:
@@ -633,11 +637,12 @@ class EngineCore:
         """
         if self._closed:
             return {}
-        produced = self.flush()
-        for subscription in self._subscriptions.values():
-            subscription.close()
-        self._closed = True
-        return produced
+        try:
+            return self.flush()
+        finally:
+            for subscription in self._subscriptions.values():
+                subscription.close()
+            self._closed = True
 
     def __enter__(self) -> "EngineCore":
         return self

@@ -104,10 +104,11 @@ class StreamEngine(EngineCore):
         return engine
 
     def close(self):
-        produced = super().close()
-        if self._durability is not None:
-            self._durability.close()
-        return produced
+        try:
+            return super().close()
+        finally:
+            if self._durability is not None:
+                self._durability.close()
 
     # ------------------------------------------------------------------
     # Adaptive control plane

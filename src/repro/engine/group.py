@@ -63,7 +63,8 @@ class QueryGroup:
         self.time_based = time_based
         # The batcher only consults n, s, and the window type; k is
         # irrelevant to window movement, so a placeholder of 1 is used.
-        self._batcher = SlideBatcher(TopKQuery(n=n, k=1, s=s, time_based=time_based))
+        query = TopKQuery(n=n, k=1, s=s, time_based=time_based)
+        self._batcher = SlideBatcher(query, checked=False)
         self._members: List[Subscription] = []
         self._plans: List[SharedPlan] = []
         self._started = False
@@ -333,29 +334,28 @@ class QueryGroup:
     # Ingestion (driven by the engine)
     # ------------------------------------------------------------------
     def ingest(
-        self, objects: Sequence[StreamObject], collect: bool = True
+        self,
+        objects: Optional[Sequence[StreamObject]],
+        errors: List[Exception],
+        collect: bool = True,
     ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
-        """Move one chunk through the shared batcher; return each member's
-        newly completed answers.
+        """Move one order-checked chunk through the shared batcher (or, for
+        ``None``, emit the end-of-stream report of a time-based window);
+        return each member's newly completed answers.  Result callbacks'
+        errors are appended to ``errors``; the chunk still completes.
 
         ``collect=False`` skips gathering the answers entirely (callbacks
         and retention still run) and returns an empty sequence.
         """
         if not self._started:
             self.start()
-        return self._dispatch(self._batcher.push_batch(objects), collect)
-
-    def flush(
-        self, collect: bool = True
-    ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
-        """Emit the end-of-stream report of a time-based window (if any)."""
-        if not self._started:
-            self.start()
-        return self._dispatch(self._batcher.flush(), collect)
+        batcher = self._batcher
+        events = batcher.flush() if objects is None else batcher.push_batch(objects)
+        return self._dispatch(events, errors, collect)
 
     # ------------------------------------------------------------------
     def _dispatch(
-        self, events: Sequence[SlideEvent], collect: bool = True
+        self, events: Sequence[SlideEvent], errors: List[Exception], collect: bool = True
     ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
         if not events:
             return ()
@@ -364,22 +364,27 @@ class QueryGroup:
         for event in events:
             merge_started = time.perf_counter() if timed else 0.0
             shared_for: Dict[int, SharedSlide] = {}
+            prepared: List[SharedSlide] = []
             for plan in self._plans:
                 if not plan.has_open_members():
                     continue
                 shared = plan.prepare(event)
+                prepared.append(shared)
                 for subscription in plan.subscriptions():
                     shared_for[id(subscription)] = shared
             # Snapshot: a result callback may unsubscribe a member (which
             # mutates self._members) without desyncing this dispatch.
             for subscription in tuple(self._members):
                 result = subscription._deliver_slide(
-                    event, shared_for.get(id(subscription))
+                    event, shared_for.get(id(subscription)), errors
                 )
                 if result is not None and self.telemetry is not None:
                     self.telemetry.record_slide(self, subscription, event, result)
                 if collect and result is not None:
                     produced.setdefault(subscription, []).append(result)
+            for shared in prepared:
+                if shared.delivered:
+                    Subscription._account_plan_slide(shared)
             if timed:
                 merge_seconds = time.perf_counter() - merge_started
                 self._obs_merge.observe(merge_seconds)

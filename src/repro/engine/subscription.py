@@ -83,6 +83,7 @@ class Subscription:
         self._delivered = 0
         self._closed = False
         self._last_latency = 0.0
+        self._template: Optional[ContinuousTopKAlgorithm] = None
         # Observability instruments, resolved once per subscription so the
         # per-slide path is increment/observe only (a disabled registry
         # hands out shared no-op instruments instead).
@@ -96,7 +97,8 @@ class Subscription:
         )
         self._obs_latency = registry.histogram(
             "repro_deliver_latency_seconds",
-            "Per-slide answer latency (includes the shared-plan prep share).",
+            "Per-slide answer latency (a core-plan member's is its share of "
+            "the plan's prepare time).",
             labels,
             LATENCY_BUCKETS,
         )
@@ -270,35 +272,47 @@ class Subscription:
             )
         self.algorithm.close()
         self.algorithm = algorithm
+        self._template = None
+
+    def _algorithm_template(self) -> ContinuousTopKAlgorithm:
+        """``algorithm.respawn()`` made once per instance; captures share it."""
+        if self._template is None:
+            self._template = self.algorithm.respawn()
+        return self._template
 
     def _deliver_slide(
-        self, event: SlideEvent, shared: Optional[SharedSlide] = None
+        self, event: SlideEvent, shared: Optional[SharedSlide], errors: List[Exception]
     ) -> Optional[TopKResult]:
         """Process one sealed slide; return the answer (None when closed).
 
         ``shared`` carries the artifacts precomputed by this subscription's
-        shared plan, if it belongs to one; the per-slide latency then also
-        includes this member's share of the plan's preparation time, so
-        aggregate timings still account for the shared work.
+        shared plan, if it belongs to one.  A core-plan member does no work
+        of its own: its per-slide latency is its share of the plan's prepare
+        time, and its registry instruments are updated once per plan
+        (:meth:`_account_plan_slide`).  Callback errors go to ``errors``.
         """
         if self._closed:
             return None
-        started = time.perf_counter()
-        if shared is not None:
+        planned = shared is not None and shared.delivered is not None
+        if planned:
             result = self.algorithm.process_shared_slide(shared)
+            latency = shared.prep_share
+            shared.delivered[self._obs_slides].append(self)
         else:
-            result = self.algorithm.process_slide(event)
-        latency = time.perf_counter() - started
-        if shared is not None:
-            latency += shared.prep_share
+            started = time.perf_counter()
+            if shared is None:
+                result = self.algorithm.process_slide(event)
+            else:
+                result = self.algorithm.process_shared_slide(shared)
+            latency = time.perf_counter() - started
+            if shared is not None:
+                latency += shared.prep_share
         self._last_latency = latency
-        self._obs_slides.inc()
-        self._obs_delivered.inc()
-        self._obs_latency.observe(latency)
         if self._tracer.enabled:
             self._tracer.record(
                 "deliver", event.index, time.time() - latency, latency, self.name
             )
+        candidates = 0
         if self._collect_metrics:
             if shared is not None and shared.candidates is not None:
                 # Sampled once per slide by the plan for all its members.
@@ -307,16 +321,37 @@ class Subscription:
                 candidates = self.algorithm.candidate_count()
                 memory = self.algorithm.memory_bytes()
             self._metrics.record(candidates, memory, latency)
-            self._obs_candidates.observe(candidates)
-            self._obs_candidates_last.set(candidates)
         else:
             self._metrics.slides += 1
+        if not planned:
+            self._observe(1, latency, candidates, self._collect_metrics)
         self._delivered += 1
         if self._keep_results:
             self._results.append(result)
         for callback in self._callbacks:
-            callback(self.name, result)
+            try:
+                callback(self.name, result)
+            except Exception as exc:  # re-raised by the ingest edge
+                errors.append(exc)
         return result
+
+    def _observe(self, count: int, latency: float, candidates: int, sampled: int) -> None:
+        """Observe ``count`` slides (``sampled`` with ``candidates``)."""
+        self._obs_slides.inc(count)
+        self._obs_delivered.inc(count)
+        self._obs_latency.observe(latency, count)
+        if sampled:
+            self._obs_candidates.observe(candidates, sampled)
+            self._obs_candidates_last.set(candidates)
+
+    @staticmethod
+    def _account_plan_slide(shared: SharedSlide) -> None:
+        """Observe an untimed slide once per instrument set of its
+        ``delivered`` members (one per algorithm name), weighted by their
+        number: each would have observed the same values."""
+        for members in shared.delivered.values():
+            sampled = sum(member._collect_metrics for member in members)
+            members[0]._observe(len(members), shared.prep_share, shared.candidates, sampled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

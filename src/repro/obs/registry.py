@@ -165,10 +165,11 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.boundaries, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one bisect either way)."""
+        self.counts[bisect_left(self.boundaries, value)] += count
+        self.sum += value * count
+        self.count += count
 
     def quantile(self, fraction: float) -> float:
         """Estimated percentile from the bucket populations.
@@ -221,7 +222,7 @@ class NoopInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
     def quantile(self, fraction: float) -> float:

@@ -15,9 +15,11 @@ from repro.core.columnar import SlideBlock
 from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
 from repro.core.result import results_agree
+from repro.core import window as window_module
 from repro.core.state import dumps
-from repro.core.window import SlidingWindow
+from repro.core.window import SlideBatcher, SlidingWindow, check_order
 from repro.engine import QuerySpec, StreamEngine
+from repro.engine import core as engine_core
 from repro.registry import create_algorithm
 
 from ..conftest import make_objects, random_scores
@@ -215,3 +217,63 @@ def test_restored_window_raises_the_order_mark():
         {"sap": source.drain_results()["sap"]}
     )
 
+
+
+def test_standalone_batcher_and_reference_driver_keep_the_order_check():
+    """Only windows fed by the engine edge skip the check; a standalone
+    ``SlideBatcher`` and ``ContinuousTopKAlgorithm.run`` refuse a
+    decrease with the edge's message."""
+    query = QuerySpec(n=40, k=3, s=10).build()
+    message = re.escape(
+        "stream objects must arrive in strictly increasing order of t; "
+        "got t=5 after t=119"
+    )
+    batcher = SlideBatcher(query)
+    batcher.push_batch(STREAM[:100])
+    with pytest.raises(InvalidQueryError, match=message):
+        batcher.push_batch(BAD_CHUNK)
+    with pytest.raises(InvalidQueryError, match=message):
+        create_algorithm("SAP", query).run(STREAM[:100] + BAD_CHUNK)
+    with pytest.raises(InvalidQueryError, match=message):
+        _engine().push_many(STREAM[:100] + BAD_CHUNK, chunk_size=121)
+
+
+def test_engine_path_checks_each_chunk_once(tmp_path, monkeypatch):
+    """The edge is the one order check: neither the groups' windows nor
+    the write-ahead log check an admitted chunk again."""
+    calls = []
+
+    def counting(objects, previous):
+        calls.append(len(objects))
+        return check_order(objects, previous)
+
+    monkeypatch.setattr(window_module, "check_order", counting)
+    monkeypatch.setattr(engine_core, "check_order", counting)
+    engine = StreamEngine.durable(str(tmp_path), keep_results=True, return_results=False)
+    _subscribe(engine)
+    engine.subscribe("late", QuerySpec(n=20, k=2, s=5))
+    assert len(engine.groups()) == 3
+    engine.push_many(STREAM, chunk_size=40)
+    assert calls == [40] * 5
+    engine.close()
+
+
+def test_recovered_engine_resumes_the_order_mark_of_its_log(tmp_path):
+    """A checkpoint whose groups have not started holds no window, so
+    the recovered engine takes the newest admitted ``t`` from the log."""
+    engine = StreamEngine.durable(str(tmp_path), keep_results=True, return_results=False)
+    engine.subscribe("gone", QuerySpec(n=20, k=2, s=5))
+    engine.push_many(STREAM[:100])
+    engine.unsubscribe("gone")
+    engine.subscribe("fresh", QuerySpec(n=20, k=2, s=5))
+    assert engine.durability.checkpoint(engine)
+    engine.durability.close()
+
+    recovered = StreamEngine.recover(str(tmp_path), keep_results=True, return_results=False)
+    assert recovered.last_t == 99
+    with pytest.raises(InvalidQueryError, match="got t=50 after t=99"):
+        recovered.push_many([StreamObject(score=1.0, t=50)])
+    recovered.push_many(STREAM[100:])
+    reference = create_algorithm("brute-force", recovered.subscription("fresh").query)
+    assert results_agree(recovered.results("fresh"), reference.run(STREAM[100:]))
+    recovered.close()

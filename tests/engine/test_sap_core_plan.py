@@ -114,6 +114,40 @@ class TestOneCorePerPlan:
         assert small.algorithm.candidate_count() == big.algorithm.candidate_count() > 0
         assert small.stats()["average_candidates"] == big.stats()["average_candidates"]
 
+    def test_one_answer_per_distinct_k_and_no_member_clock(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.engine import subscription as subscription_module
+
+        ticks = []
+
+        def perf_counter():
+            ticks.append(None)
+            return 0.0
+
+        monkeypatch.setattr(
+            subscription_module,
+            "time",
+            SimpleNamespace(perf_counter=perf_counter, time=subscription_module.time.time),
+        )
+        objects = make_objects(random_scores(600, seed=13))
+        engine = StreamEngine(return_results=False)
+        subs = [
+            engine.subscribe(f"m{i}", TopKQuery(n=100, k=1 + i % 8, s=10), algorithm="SAP")
+            for i in range(50)
+        ]
+        engine.push_many(objects)
+        for slide in zip(*(sub.results() for sub in subs)):
+            assert len({id(result) for result in slide}) == 8
+            for sub, result in zip(subs, slide):
+                assert len(result) == sub.query.k
+        # Plan members read no clock of their own; each latency is the
+        # member's share of the plan's prepare time.
+        assert ticks == []
+        latencies = {sub.metrics.latency_total for sub in subs}
+        assert len(latencies) == 1 and latencies.pop() > 0
+        assert {sub.stats()["latency_samples"] for sub in subs} == {len(subs[0].results())}
+
     def test_policy_and_savl_split_plans(self):
         engine = StreamEngine()
         for name, options in [

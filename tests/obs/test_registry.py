@@ -95,6 +95,18 @@ class TestBuckets:
         assert histogram.count == 7
         assert histogram.sum == pytest.approx(113.0)
 
+    def test_weighted_observation_equals_repeated_ones(self):
+        weighted = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 5.0))
+        repeated = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 5.0))
+        weighted.observe(1.5, 4)
+        weighted.observe(7.0)
+        for value in (1.5, 1.5, 1.5, 1.5, 7.0):
+            repeated.observe(value)
+        assert weighted.counts == repeated.counts == [0, 4, 0, 1]
+        assert weighted.count == repeated.count == 5
+        assert weighted.sum == pytest.approx(repeated.sum)
+        NOOP.observe(1.0, 3)
+
     def test_unsorted_buckets_raise(self):
         with pytest.raises(ValueError):
             MetricsRegistry().histogram("h", buckets=(2.0, 1.0))
