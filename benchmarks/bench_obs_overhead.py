@@ -1,8 +1,7 @@
 """Observability plane — what the instruments cost the hot path.
 
-Trajectory benchmark (like ``bench_control_overhead``): the headline
-numbers land in ``BENCH_obs.json`` at the repository root so the
-instrumentation tax is tracked across PRs.  Two questions are answered:
+Trajectory benchmark: the headline numbers land in ``BENCH_obs.json`` at
+the repository root so the instrumentation tax is tracked across PRs.  Two questions are answered:
 
 * **Enabled cost** — an engine with the default (enabled) metrics
   registry against one whose registry is disabled, same stream, same

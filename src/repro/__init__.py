@@ -76,7 +76,6 @@ from .registry import (
     create_algorithm,
     register_algorithm,
 )
-from .control import AdaptiveController, Knowledge, Policy
 from .engine import EngineCore, QueryGroup, QuerySpec, StreamEngine, Subscription
 from .cluster import ShardedStreamEngine, ShardSubscription
 
@@ -112,9 +111,6 @@ __all__ = [
     "QueryGroup",
     "QuerySpec",
     "Subscription",
-    "AdaptiveController",
-    "Knowledge",
-    "Policy",
     "AlgorithmInfo",
     "register_algorithm",
     "create_algorithm",

@@ -91,7 +91,7 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
 
     # ------------------------------------------------------------------
     def fast_forward(self, slide_index: int) -> None:
-        """Align the predicted-result-set clock for a mid-stream rebuild.
+        """Align the predicted-result-set clock for a mid-stream join.
 
         Without this, replaying a full window as one synthetic event would
         build predicted sets for window positions that were already

@@ -411,191 +411,6 @@ def measure_sharding(
     return record
 
 
-def measure_control_overhead(
-    dataset: str,
-    query: TopKQuery,
-    algorithm: str,
-    stream_length: int,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Controller overhead: bare engine vs the same engine under control.
-
-    The controlled run attaches an :class:`~repro.control.AdaptiveController`
-    with a *quiet* policy — the monitor records every slide and all three
-    analyzers run on their normal cadence, but no rule ever fires — so the
-    measured gap is pure control-plane overhead (telemetry + analysis),
-    the cost every adaptive deployment pays even when nothing happens.
-
-    Two measurements are reported:
-
-    * ``overhead_fraction`` (the headline) — the control plane's per-slide
-      cost measured in isolation on the live engine state (the monitor's
-      record path, plus an analysis pass amortised over its cadence),
-      relative to the bare engine's per-slide cost.  This component
-      measurement is robust to scheduler noise, which easily exceeds the
-      low-single-digit signal on whole-run timings.
-    * ``wallclock_overhead_fraction`` — the classic A/B wall-clock delta
-      over interleaved, GC-disabled runs (minimum of ``repeats``), kept as
-      corroboration.
-    """
-    import gc
-
-    from ..control import AdaptiveController, Policy
-    from ..control.policy import DEFAULT_LATENCY_ANALYZER
-
-    objects = dataset_stream(dataset, stream_length)
-    chunk = max(query.s, (256 // query.s) * query.s)
-    quiet = Policy(
-        rules=[],
-        latency_budget_seconds=1e9,
-        analyzer_config={
-            "latency": dict(DEFAULT_LATENCY_ANALYZER),
-            "candidates": {"factor": 3.0, "window": 32},
-            "drift": {"alpha": 0.01, "window": 16},
-        },
-    )
-
-    def run(controlled: bool):
-        engine = StreamEngine(keep_results=False, return_results=False)
-        subscription = engine.subscribe("q", query, algorithm=algorithm)
-        controller = None
-        if controlled:
-            controller = AdaptiveController(quiet)
-            engine.attach_controller(controller)
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            engine.push_many(objects, chunk_size=chunk)
-            engine.flush()
-            elapsed = time.perf_counter() - started
-        finally:
-            gc.enable()
-        return elapsed, engine, subscription, controller
-
-    bare = controlled = float("inf")
-    run(False)  # warm caches before the first timed pair
-    for _ in range(repeats):
-        bare = min(bare, run(False)[0])
-        elapsed, engine, subscription, controller = run(True)
-        controlled = min(controlled, elapsed)
-
-    # Component measurement on the final controlled engine's live state.
-    group = subscription.group
-    monitor = controller.monitor
-    result = subscription.latest()
-    if result is None:  # keep_results=False: synthesise a k-sized answer
-        from ..core.result import TopKResult
-
-        result = TopKResult.from_objects(0, 0, objects[: query.k])
-    from ..core.window import SlideEvent
-
-    event_count = 2000
-    sample_event = SlideEvent(index=1, arrivals=(), expirations=(), window_end=0)
-    started = time.perf_counter()
-    for _ in range(event_count):
-        monitor.record_slide(group, subscription, sample_event, result)
-    record_seconds = (time.perf_counter() - started) / event_count
-    pass_count = 500
-    started = time.perf_counter()
-    for _ in range(pass_count):
-        controller._analyze(group)
-    analyze_seconds = (time.perf_counter() - started) / pass_count
-
-    slides = max(1, int(subscription.stats()["slides"]))
-    bare_per_slide = bare / slides
-    per_slide_overhead = (
-        record_seconds + analyze_seconds / quiet.analysis_interval_slides
-    )
-    overhead = per_slide_overhead / bare_per_slide if bare_per_slide else 0.0
-    return {
-        "dataset": dataset,
-        "algorithm": algorithm,
-        "stream_length": stream_length,
-        "slides": slides,
-        "bare_seconds": bare,
-        "controlled_seconds": controlled,
-        "overhead_fraction": overhead,
-        "wallclock_overhead_fraction": controlled / bare - 1.0 if bare else 0.0,
-        "monitor_seconds_per_slide": record_seconds,
-        "analysis_pass_seconds": analyze_seconds,
-        "bare_events_per_second": stream_length / bare if bare else float("inf"),
-        "controlled_events_per_second": (
-            stream_length / controlled if controlled else float("inf")
-        ),
-    }
-
-
-def measure_drift_adaptation(
-    dataset: str,
-    query: TopKQuery,
-    stream_length: int,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Adaptation win: a drifting stream under static vs adaptive config.
-
-    Three runs over the same stream:
-
-    * ``static-enhanced`` — SAP pinned to the enhanced dynamic partitioner
-      (the paper's default, the configuration the workload *starts* on);
-    * ``static-equal`` — SAP pinned to the equal partitioner (the oracle
-      best for this regime-switching stream: under drift the WRT-driven
-      sizing pays its statistical-test cost without candidate savings);
-    * ``adaptive`` — starts on the enhanced partitioner under the default
-      policy, whose drift rule swaps to the equal partitioner mid-run.
-
-    The adaptive run's answers are verified byte-identical to both static
-    runs (``exact_match``) — SAP is exact for any partitioning — and its
-    speedup over the static starting configuration is the headline.  The
-    applied tactics are returned so trajectory files record *when* the
-    plane adapted.
-    """
-    from ..control import AdaptiveController, Policy
-
-    objects = dataset_stream(dataset, stream_length)
-
-    def run(algorithm: str, controlled: bool):
-        engine = StreamEngine(return_results=False)
-        subscription = engine.subscribe("q", query, algorithm=algorithm)
-        controller = None
-        if controlled:
-            controller = AdaptiveController(Policy.default())
-            engine.attach_controller(controller)
-        started = time.perf_counter()
-        engine.push_many(objects)
-        engine.flush()
-        elapsed = time.perf_counter() - started
-        answers = [
-            (result.slide_index, tuple(result.scores))
-            for result in subscription.results()
-        ]
-        return elapsed, answers, controller
-
-    equal_seconds = enhanced_seconds = adaptive_seconds = float("inf")
-    for _ in range(repeats):
-        seconds, equal_answers, _ = run("SAP-equal", False)
-        equal_seconds = min(equal_seconds, seconds)
-        seconds, enhanced_answers, _ = run("SAP-enhanced", False)
-        enhanced_seconds = min(enhanced_seconds, seconds)
-        seconds, adaptive_answers, controller = run("SAP-enhanced", True)
-        adaptive_seconds = min(adaptive_seconds, seconds)
-    events = [event.as_dict() for event in controller.events() if event.applied]
-    return {
-        "dataset": dataset,
-        "stream_length": stream_length,
-        "static_equal_seconds": equal_seconds,
-        "static_enhanced_seconds": enhanced_seconds,
-        "adaptive_seconds": adaptive_seconds,
-        "speedup_vs_static": (
-            enhanced_seconds / adaptive_seconds if adaptive_seconds else float("inf")
-        ),
-        "tactics_applied": events,
-        "exact_match": (
-            adaptive_answers == equal_answers == enhanced_answers
-        ),
-    }
-
-
 def _preference_vectors(users: int, dim: int, centers: int, seed: int) -> List[Tuple[float, ...]]:
     """Deterministic user vectors drawn around ``centers`` shared tastes.
 

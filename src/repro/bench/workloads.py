@@ -85,9 +85,9 @@ FULL_SCALE = BenchScale(
 
 
 #: Tiny scale for CI smoke jobs: a stream of a few thousand objects still
-#: exercises every code path (window fills, partitions seal, the control
-#: plane's analyzers see enough slides to fire) in a couple of seconds,
-#: but the measured ratios are too noisy to compare against the paper.
+#: exercises every code path (window fills, partitions seal, fronts
+#: retire) in a couple of seconds, but the measured ratios are too noisy
+#: to compare against the paper.
 SMOKE_SCALE = BenchScale(
     name="smoke",
     stream_length=3_000,

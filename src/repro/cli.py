@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cluster import PLACEMENT_POLICIES, ShardedStreamEngine
-from .control import AdaptiveController, Policy
 from .core.interface import ContinuousTopKAlgorithm
 from .core.query import TopKQuery
 from .core.result import results_agree
@@ -66,8 +65,7 @@ class CliCommand:
 #: Flags shared verbatim by several subcommands.  Each entry is the one
 #: definition (argparse names + kwargs); commands opt in with
 #: :func:`_add_flags`, so a shared flag cannot drift in spelling, default,
-#: or semantics between ``repro serve``, ``repro shard`` and ``repro
-#: control``.
+#: or semantics between ``repro serve`` and ``repro shard``.
 SHARED_FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict[str, object]]] = {
     "durability-dir": (
         ("--durability-dir",),
@@ -77,16 +75,6 @@ SHARED_FLAGS: Dict[str, Tuple[Tuple[str, ...], Dict[str, object]]] = {
             help="durability journal directory (checkpoints + slide-"
             "granular write-ahead log); restarting with the same "
             "directory recovers the exact pre-crash state",
-        ),
-    ),
-    "policy": (
-        ("--policy",),
-        dict(
-            default=None,
-            metavar="PATH",
-            help="JSON adaptation policy file (see "
-            "examples/control_policy.json); default: the command's "
-            "built-in policy",
         ),
     ),
 }
@@ -316,113 +304,6 @@ def _command_multi(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# control
-# ----------------------------------------------------------------------
-def _configure_control(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub)
-    sub.set_defaults(dataset="DRIFT", objects=12_000)
-    sub.add_argument(
-        "--algorithm",
-        default="SAP",
-        choices=sorted(algorithm_factories()),
-        help="algorithm the workload runs (tactics rebuild only SAP partitioners)",
-    )
-    _add_flags(sub, "policy", "durability-dir")
-    sub.add_argument(
-        "--latency-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-slide latency budget for the latency analyzer "
-        "(with --policy, overrides the file's budget)",
-    )
-    sub.add_argument(
-        "--json",
-        action="store_true",
-        help="dump the adaptation log and statistics as JSON",
-    )
-
-
-def _command_control(args: argparse.Namespace) -> int:
-    query = _query_from_args(args)
-    stream = make_dataset(args.dataset).take(args.objects)
-    if args.policy is not None:
-        policy = Policy.from_file(args.policy)
-        if args.latency_budget is not None:
-            # The flag overrides (or supplies) the file's budget; make sure
-            # the latency analyzer actually runs so the budget has effect.
-            from .control.policy import DEFAULT_LATENCY_ANALYZER
-
-            policy.latency_budget_seconds = args.latency_budget
-            policy.analyzer_config.setdefault(
-                "latency", dict(DEFAULT_LATENCY_ANALYZER)
-            )
-    else:
-        policy = Policy.default(latency_budget_seconds=args.latency_budget)
-
-    if args.durability_dir is not None:
-        engine = StreamEngine.recover(
-            args.durability_dir, keep_results=False, return_results=False
-        )
-    else:
-        engine = StreamEngine(keep_results=False, return_results=False)
-    if "watch" in engine.subscriptions():
-        # A recovered journal already carries the subscription.
-        subscription = engine.subscription("watch")
-    else:
-        subscription = engine.subscribe("watch", query, algorithm=args.algorithm)
-    stream = _shift_stream(stream, _resume_offset(engine))
-    controller = AdaptiveController(policy)
-    engine.attach_controller(controller)
-    started = time.perf_counter()
-    engine.push_many(stream)
-    engine.flush()
-    elapsed = time.perf_counter() - started
-
-    stats = subscription.stats()
-    events = controller.events()
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "dataset": args.dataset,
-                    "objects": args.objects,
-                    "query": query.describe(),
-                    "algorithm": args.algorithm,
-                    "seconds": elapsed,
-                    "policy": policy.describe(),
-                    "events": [event.as_dict() for event in events],
-                    "stats": stats,
-                },
-                indent=2,
-            )
-        )
-        return 0
-
-    print(f"dataset   : {args.dataset} ({args.objects} objects)")
-    print(f"query     : {query.describe()} on {args.algorithm}")
-    throughput = args.objects / elapsed if elapsed else float("inf")
-    print(f"run       : {elapsed:.3f}s ({throughput:,.0f} objects/s)")
-    print(
-        f"latency   : p50={stats['p50_latency']:.6f}s "
-        f"p95={stats['p95_latency']:.6f}s p99={stats['p99_latency']:.6f}s"
-    )
-    applied = [event for event in events if event.applied]
-    print(f"adaptation: {len(applied)} applied, {len(events) - len(applied)} declined")
-    if events:
-        header = f"{'slide':>6} {'query':<10} {'tactic':<18} {'trigger':<20} applied"
-        print(header)
-        print("-" * len(header))
-        for event in events:
-            print(
-                f"{event.slide_index:>6} {event.subscription:<10} "
-                f"{event.tactic:<18} {event.trigger:<20} {event.applied}"
-            )
-    return 0
-
-
-# ----------------------------------------------------------------------
 # shard
 # ----------------------------------------------------------------------
 def _configure_shard(sub: argparse.ArgumentParser) -> None:
@@ -559,7 +440,7 @@ def _configure_serve(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--shards", type=int, default=2, help="worker processes (sharded engine only)"
     )
-    _add_flags(sub, "durability-dir", "policy")
+    _add_flags(sub, "durability-dir")
     sub.add_argument(
         "--checkpoint-interval",
         type=int,
@@ -616,22 +497,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
     )
 
-    engine_factory = None
-    if args.policy is not None:
-        policy = Policy.from_file(args.policy)
-
-        def engine_factory(cfg: ServeConfig):
-            from .serve.app import _default_engine_factory
-
-            engine = _default_engine_factory(cfg)
-            if cfg.engine == "sharded":
-                engine.attach_controllers(policy)
-            else:
-                engine.attach_controller(AdaptiveController(policy))
-            return engine
-
     async def main() -> None:
-        server = TopKServer(config, engine_factory)
+        server = TopKServer(config)
         await server.start()
         print(f"serving   : http://{config.host}:{server.port} ({config.engine} engine)")
         print("api       : POST /v1/subscriptions | POST /v1/events | "
@@ -798,18 +665,6 @@ COMMANDS: List[CliCommand] = [
         run=_command_multi,
     ),
     CliCommand(
-        name="control",
-        help="run a workload under the adaptive control plane",
-        doc="Run a workload under the adaptive control plane "
-        "(:mod:`repro.control`) and print the adaptation event log — which "
-        "tactics fired, what triggered them, and at which slide — plus "
-        "latency percentiles.  Every tactic rebuilds a SAP query's "
-        "partitioner, so the answers stay exact.  "
-        "``--json`` dumps the full record.",
-        configure=_configure_control,
-        run=_command_control,
-    ),
-    CliCommand(
         name="shard",
         help="run a mixed-window workload on the sharded execution plane",
         doc="Run a mixed-window multi-query workload on the sharded "
@@ -915,7 +770,6 @@ def _command_reference() -> str:
             "    python -m repro compare --dataset TIMER --n 1000 --k 20 --s 50 \\",
             "        --algorithms SAP MinTopK k-skyband",
             "    python -m repro multi --dataset STOCK --n 1000 --s 50 --k 5 10 20 50",
-            "    python -m repro control --dataset DRIFT --objects 12000 --json",
             "    python -m repro shard --shards 4 --queries 8 --baseline",
             "    python -m repro serve --port 8765 --max-subscriptions 1000",
             "    python -m repro top --url http://127.0.0.1:8765/v1/metrics.json",

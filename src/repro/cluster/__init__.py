@@ -16,7 +16,7 @@ See :mod:`repro.cluster.sharded` for the facade,
 plumbing, and :mod:`repro.cluster.merge` for result/statistics merging.
 """
 
-from .merge import AggregatedKnowledge, merged_latency_stats
+from .merge import merged_latency_stats
 from .placement import (
     PLACEMENT_POLICIES,
     HashWindowPlacement,
@@ -35,7 +35,6 @@ __all__ = [
     "LeastLoadedPlacement",
     "PLACEMENT_POLICIES",
     "make_placement",
-    "AggregatedKnowledge",
     "merged_latency_stats",
     "ShardError",
     "ShardRouter",

@@ -1,4 +1,4 @@
-"""Merging per-shard results, statistics, and knowledge into one view.
+"""Merging per-shard results and statistics into one view.
 
 Each subscription lives on exactly one shard, so per-subscription records
 merge by disjoint union.  Cluster-wide *distributional* statistics are the
@@ -8,16 +8,11 @@ fast ones would average to nonsense).  The workers therefore ship each
 subscription's latency sketch (:mod:`repro.obs.quantiles`), and
 :func:`merged_latency_stats` adds their bucket counts — an exact merge,
 so the cluster's percentiles are those of one sketch fed every slide.
-
-:class:`AggregatedKnowledge` is the control plane's cluster view: one
-controller runs per shard (each sees only its own engine), and this class
-folds their knowledge reports — adaptation events and per-subscription
-sample counts — into a single audit surface.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..obs.quantiles import STANDARD_FRACTIONS, merge_sketches, sketch_ranks
 
@@ -87,58 +82,3 @@ def merged_latency_stats(
     merged["latency_samples"] = float(sum(sketch.values()))
     return merged
 
-
-class AggregatedKnowledge:
-    """Read-only cluster view over the per-shard controllers' knowledge.
-
-    Built from the ``controller_report`` payloads of every shard that has
-    a controller attached; shards without one contribute nothing.
-    """
-
-    def __init__(self, reports: Sequence[Optional[Dict[str, object]]]) -> None:
-        self._reports = [report for report in reports if report is not None]
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards that reported a controller."""
-        return len(self._reports)
-
-    def events(self) -> List[Dict[str, object]]:
-        """Every shard's adaptation events, tagged with their shard and
-        ordered by slide index (ties: shard order) — one audit log."""
-        merged: List[Dict[str, object]] = []
-        for report in self._reports:
-            for event in report["events"]:
-                tagged = dict(event)
-                tagged["shard"] = report["shard"]
-                merged.append(tagged)
-        merged.sort(key=lambda event: (event["slide_index"], event["shard"]))
-        return merged
-
-    def applied_events(self) -> List[Dict[str, object]]:
-        return [event for event in self.events() if event["applied"]]
-
-    @property
-    def events_total(self) -> int:
-        """Exact count of logged events across shards (the per-shard logs
-        are bounded, this counter is not)."""
-        return sum(report["knowledge"]["events_total"] for report in self._reports)
-
-    def subscriptions(self) -> Dict[str, Dict[str, object]]:
-        """Per-subscription monitor summaries, tagged with their shard."""
-        merged: Dict[str, Dict[str, object]] = {}
-        for report in self._reports:
-            for name, summary in report["knowledge"]["subscriptions"].items():
-                tagged = dict(summary)
-                tagged["shard"] = report["shard"]
-                merged[name] = tagged
-        return merged
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly summary (the CLI's ``--json`` output)."""
-        return {
-            "shards_with_controllers": self.shard_count,
-            "subscriptions": self.subscriptions(),
-            "events": self.events(),
-            "events_total": self.events_total,
-        }

@@ -23,14 +23,14 @@ Division of labour:
   every shard that hosts subscriptions, asynchronously, with bounded
   queues for backpressure;
 * the *merge layer* (:mod:`repro.cluster.merge`) combines per-shard
-  results, statistics (percentiles merged from raw samples, never
-  averaged), and control-plane knowledge;
+  results and statistics (percentiles merged from latency sketches,
+  never averaged);
 * *rebalancing* moves live subscriptions between shards at a slide
   boundary as :class:`~repro.core.state.GroupState` records — the same
-  drain-and-replay contract the control plane's rebuilds use, so a moved
-  query's answers are byte-identical to an unmoved one's, and the same
-  placement rule as local restores, so a moved query joins the target's
-  group at its window position instead of opening its own.
+  capture-and-replay contract as durable recovery, so a moved query's
+  answers are byte-identical to an unmoved one's, and the same placement
+  rule as local restores, so a moved query joins the target's group at
+  its window position instead of opening its own.
 
 Because subscriptions cross a process boundary, ``subscribe`` takes an
 *algorithm name* from :mod:`repro.registry` (plus picklable options), not
@@ -57,7 +57,7 @@ from ..engine.spec import QuerySpec, resolve_query
 from ..obs.exposition import merge_snapshots
 from ..obs.registry import get_registry
 from ..obs.tracing import Span, get_tracer, spans_from_payload
-from .merge import AggregatedKnowledge, merge_disjoint, merged_latency_stats
+from .merge import merge_disjoint, merged_latency_stats
 from .placement import PlacementPolicy, make_placement
 from .router import (
     DEFAULT_BACKPRESSURE_TIMEOUT,
@@ -729,27 +729,6 @@ class ShardedStreamEngine:
         shard's queued pushes first, by queue ordering)."""
         self._ensure_open()
         return self._router.request(self.shard_of(name), message)
-
-    # ------------------------------------------------------------------
-    # Adaptive control plane (one controller per shard)
-    # ------------------------------------------------------------------
-    def attach_controllers(self, policy=None) -> None:
-        """Attach an :class:`~repro.control.AdaptiveController` with this
-        policy to every shard's engine.  Each controller sees only its own
-        shard; read the cluster-wide picture with :meth:`knowledge`."""
-        self._ensure_open()
-        self._router.broadcast(("attach_controller", policy))
-
-    def detach_controllers(self) -> None:
-        """Detach every shard's controller (idempotent per shard)."""
-        self._ensure_open()
-        self._router.broadcast(("detach_controller",))
-
-    def knowledge(self) -> AggregatedKnowledge:
-        """Aggregated view over the per-shard controllers' knowledge:
-        merged adaptation events and per-subscription monitor summaries."""
-        self._ensure_open()
-        return AggregatedKnowledge(self._router.broadcast(("controller_report",)))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,12 +1,11 @@
 """The shard worker: one :class:`StreamEngine` behind a command queue.
 
 Each worker is a separate OS process (its own interpreter, its own GIL)
-hosting a full single-process engine — query groups, ``k_max`` shared
-plans, and optionally an adaptive controller all work inside a shard
-exactly as they do locally.  The worker loop is deliberately dumb: it
-pops ``(opcode, ...)`` tuples off its command queue, applies them to the
-engine, and pushes ``("ok", payload)`` / ``("err", message)`` tuples onto
-its reply queue for synchronous opcodes.
+hosting a full single-process engine — query groups and ``k_max`` shared
+plans work inside a shard exactly as they do locally.  The worker loop is
+deliberately dumb: it pops ``(opcode, ...)`` tuples off its command queue,
+applies them to the engine, and pushes ``("ok", payload)`` /
+``("err", message)`` tuples onto its reply queue for synchronous opcodes.
 
 ``push`` is the one asynchronous opcode: the router streams pre-chunked,
 slide-aligned object batches without waiting for replies (that is where
@@ -23,7 +22,6 @@ import traceback
 from queue import Empty
 from typing import Dict, Optional
 
-from ..control import AdaptiveController
 from ..core.columnar import decode_chunk
 from ..core.state import loads
 from ..engine import StreamEngine
@@ -59,9 +57,6 @@ SYNC_OPS = frozenset(
         "groups",
         "capture",
         "restore",
-        "attach_controller",
-        "detach_controller",
-        "controller_report",
         "wal_status",
         "manifest",
         "close",
@@ -114,7 +109,6 @@ def shard_worker_main(
     )
 
     engine = StreamEngine(keep_results=True, return_results=True)
-    controller: Optional[AdaptiveController] = None
     pushed = 0
     failure: Optional[str] = None
 
@@ -323,14 +317,6 @@ def shard_worker_main(
                         engine.unsubscribe(name)
             elif op == "restore":
                 engine.restore_groups(loads(message[1]))
-            elif op == "attach_controller":
-                if controller is not None:
-                    raise RuntimeError(f"shard {shard_id} already has a controller")
-                controller = AdaptiveController(message[1])
-                engine.attach_controller(controller)
-            elif op == "detach_controller":
-                engine.detach_controller()
-                controller = None
             elif op == "wal_status":
                 # Resurrection handshake: how many chunks the journal
                 # holds, so the router knows which retained chunks to
@@ -359,15 +345,6 @@ def shard_worker_main(
                     },
                     "last_t": engine.last_t,
                 }
-            elif op == "controller_report":
-                if controller is None:
-                    payload = None
-                else:
-                    payload = {
-                        "shard": shard_id,
-                        "events": [event.as_dict() for event in controller.events()],
-                        "knowledge": controller.knowledge.describe(),
-                    }
             else:  # op == "close" (the last member of SYNC_OPS)
                 payload = engine.close()
             replies.put(("ok", payload))

@@ -30,8 +30,8 @@ of the candidates — the **exactness guard**.  When the guard fails (or an
 object with a negative attribute taints the window, or a member's vector
 drifts above the envelope after :meth:`ClusteredTopK.update_vector`), the
 member falls back to a vectorized full-window scan, which is exact by
-construction; the fallback and drift counters are MAPE-K-visible so the
-control plane can re-cluster.
+construction; the fallback and drift counters are exported through the
+metrics registry, so an operator can see when to re-cluster.
 
 Byte-identity
 -------------
@@ -812,7 +812,7 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
         return "private"
 
     def cluster_info(self) -> Dict[str, object]:
-        """The MAPE-K/serve-visible cluster record of this member."""
+        """The serve-visible cluster record of this member."""
         record: Dict[str, object] = {
             "cluster_id": self.cluster_id,
             "mode": self.mode,
@@ -871,7 +871,7 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
     def process_slide(self, event: SlideEvent) -> TopKResult:
         if self._plan is not None:
             # Plan members are always fed through the group's shared-slide
-            # path (dispatch, prime, and rebuild all prepare the plan
+            # path (dispatch and mid-stream joins both prepare the plan
             # first); a raw event here means the caller bypassed the plan.
             raise AlgorithmStateError(
                 "a cluster plan member only consumes shared slides"
@@ -896,10 +896,10 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
         Shared members whose new vector still sits under the plan's
         envelope keep re-ranking (the guard stays sound); vectors outside
         the envelope mark the member *drifted* — every subsequent answer
-        is an exact full-window scan, and the drift counter tells the
-        control plane it is time to re-cluster.  Private members rebuild
-        their inner algorithm over the re-scored live window, which keeps
-        the answer stream exact without touching the query group.
+        is an exact full-window scan, and the drift counter says it is
+        time to re-cluster.  Private members rebuild their inner algorithm
+        over the re-scored live window, which keeps the answer stream
+        exact without touching the query group.
         """
         vector = validate_vector(vector)
         if len(vector) != len(self.vector):

@@ -32,7 +32,7 @@ import time
 import weakref
 from collections import deque
 from operator import attrgetter
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..partitioning.base import PartitionContext, Partitioner
 from ..partitioning.enhanced import EnhancedDynamicPartitioner
@@ -200,10 +200,6 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         self._amortized_builder: Optional[AmortizedSAVLBuilder] = None
         self._amortized_skip_id: Optional[int] = None
         self.stats = FrameworkStats()
-        #: Telemetry tap of the adaptive control plane: when set, called as
-        #: ``seal_listener(partition)`` for every partition this instance
-        #: seals — or, for a member of a shared plan, the plan core seals.
-        self.seal_listener: Optional[Callable[[Partition], None]] = None
 
     # ------------------------------------------------------------------
     # Public protocol
@@ -259,7 +255,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         )
 
     # ------------------------------------------------------------------
-    # Introspection used by tests, benchmarks, and the control plane
+    # Introspection used by tests and benchmarks
     # ------------------------------------------------------------------
     @property
     def partition_count(self) -> int:
@@ -280,8 +276,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
 
         A member of a shared plan reports the plan core; otherwise the
         record is the instance's own.  Either way it carries the
-        partitioner's sizing and the framework counters, so the control
-        plane sees sizing and consumption in one place.
+        partitioner's sizing and the framework counters in one place.
         """
         if self._shared_plan is not None:
             return self._shared_plan.seal_stats()
@@ -308,17 +303,12 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         assert pending == expected[::-1], "pending top-k is not the suffix's top-k"
 
     def respawn(self) -> "SAPTopK":
-        """A fresh SAP instance with this configuration, empty state."""
-        return self.with_partitioner(self._partitioner.spawn())
-
-    def with_partitioner(self, partitioner: Partitioner) -> "SAPTopK":
-        """A fresh SAP instance using ``partitioner``, all other
-        configuration (meaningful-set policy, S-AVL toggle) preserved.
-        The control plane's partitioner-swap and η-retune tactics build
-        their replacement instances through this."""
+        """A fresh SAP instance with this configuration (a fresh clone of
+        the partitioner, the meaningful-set policy, the S-AVL toggle) and
+        empty state."""
         return SAPTopK(
             self.query,
-            partitioner=partitioner,
+            partitioner=self._partitioner.spawn(),
             meaningful_policy=self._policy,
             use_savl=self._use_savl,
         )
@@ -490,8 +480,6 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         )
         self._next_partition_id += 1
         self.stats.partitions_sealed += 1
-        if self.seal_listener is not None:
-            self.seal_listener(partition)
         removed = self._candidates.merge_partition_topk(
             partition.topk, partition.partition_id, self.query.k
         )
@@ -667,9 +655,7 @@ class SAPSharedPlan(CoreSharedPlan):
     The core copies the leading member's configuration — a fresh clone of
     its partitioner, its meaningful-set policy, and its S-AVL toggle, which
     the plan key makes equal across members — so the configuration each
-    member asked for is the one that runs.  Every partition the core seals
-    is reported to each open member's ``seal_listener``, so per-query seal
-    telemetry keeps flowing.
+    member asked for is the one that runs.
     """
 
     kind = "SAP"
@@ -690,7 +676,6 @@ class SAPSharedPlan(CoreSharedPlan):
             meaningful_policy=leader._policy,
             use_savl=leader._use_savl,
         )
-        core.seal_listener = self._report_seal
         super().__init__(subscriptions, core)
 
     # Bound on the class itself so SAP plan preparation can be instrumented
@@ -705,9 +690,3 @@ class SAPSharedPlan(CoreSharedPlan):
     def seal_stats(self) -> Dict[str, object]:
         """Sealing behaviour and framework counters of the plan core."""
         return self._core.seal_stats()
-
-    def _report_seal(self, partition: Partition) -> None:
-        for sub in self._subs:
-            listener = sub.algorithm.seal_listener
-            if listener is not None and not sub.closed:
-                listener(partition)

@@ -85,14 +85,14 @@ class ContinuousTopKAlgorithm(ABC):
         return self.process_slide(shared.event)
 
     # ------------------------------------------------------------------
-    # Live re-planning (adaptive control plane)
+    # Mid-stream seating (state restores, rebalances, recovery)
     # ------------------------------------------------------------------
-    # The control plane (:mod:`repro.control`) can replace a running
-    # algorithm at a slide boundary: a fresh instance is built, fast-
-    # forwarded to the stream position, and fed the live window contents as
-    # one synthetic slide event.  Both hooks have safe defaults; algorithms
-    # with construction-time configuration override ``respawn`` and
-    # algorithms with an internal slide clock override ``fast_forward``.
+    # A captured query is seated at a slide boundary of a started group: a
+    # fresh instance is built, fast-forwarded to the stream position, and
+    # fed the live window contents as one synthetic slide event.  Both hooks
+    # have safe defaults; algorithms with construction-time configuration
+    # override ``respawn`` and algorithms with an internal slide clock
+    # override ``fast_forward``.
     def respawn(self) -> "ContinuousTopKAlgorithm":
         """A fresh instance with this instance's configuration, empty state.
 
@@ -113,10 +113,10 @@ class ContinuousTopKAlgorithm(ABC):
 
     def fast_forward(self, slide_index: int) -> None:
         """Align any internal slide clock to ``slide_index`` before a
-        mid-stream rebuild replays the live window.  The default is a
-        no-op: most algorithms derive their position from the events.
-        Called on *fresh* instances only — both by the control plane's
-        live rebuilds and by state restores across process boundaries."""
+        mid-stream join replays the live window.  The default is a no-op:
+        most algorithms derive their position from the events.  Called on
+        *fresh* instances only, by state restores (in process or across
+        process boundaries)."""
 
     # ------------------------------------------------------------------
     def candidate_count(self) -> int:

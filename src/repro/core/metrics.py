@@ -55,11 +55,6 @@ class MetricsCollector:
     latency_max: float = 0.0
     #: Every recorded latency, as a :data:`~repro.obs.quantiles.Sketch`.
     latency_buckets: Sketch = field(default_factory=dict, repr=False)
-    #: Values of the most recent slide, read by the control plane's monitor
-    #: so telemetry never recomputes what the collector already sampled.
-    last_candidates: int = 0
-    last_memory_bytes: int = 0
-    last_latency: float = 0.0
 
     def record(
         self,
@@ -75,10 +70,7 @@ class MetricsCollector:
         self.memory_total += memory_bytes
         if memory_bytes > self.memory_max:
             self.memory_max = memory_bytes
-        self.last_candidates = candidate_count
-        self.last_memory_bytes = memory_bytes
         if latency_seconds is not None:
-            self.last_latency = latency_seconds
             self.latency_total += latency_seconds
             if latency_seconds > self.latency_max:
                 self.latency_max = latency_seconds

@@ -132,12 +132,12 @@ class SharedPlan:
 
     # ------------------------------------------------------------------
     def fast_forward(self, slide_index: int) -> None:
-        """Align any internal slide clock before a mid-stream rebuild.
+        """Align any internal slide clock before a mid-stream join.
 
-        Called by the control plane when a plan is formed over a window
-        that is already full (see :meth:`repro.engine.group.QueryGroup.rebuild`).
-        The default is a no-op; plans hosting a full algorithm core forward
-        the call to it.
+        Called when a plan is formed over a window that is already full:
+        members restored into a started group (see ``QueryGroup._join``).
+        The default is a no-op; plans hosting a full algorithm core
+        forward the call to it.
         """
 
     def prepare(self, event: SlideEvent) -> SharedSlide:

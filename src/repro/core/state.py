@@ -3,8 +3,8 @@
 Every algorithm in the library computes exact answers from the live window
 contents alone, which makes a query group's *transportable* state tiny:
 fresh (configuration-only) algorithm instances, the window contents, and
-the slide clock.  Restoring is the same drain-and-replay mechanism the
-control plane's :meth:`repro.engine.group.QueryGroup.rebuild` uses —
+the slide clock.  Restoring is the drain-and-replay mechanism by which a
+started query group seats new members (``QueryGroup._join``) —
 :meth:`fast_forward` to the captured slide index, then replay the window
 as one synthetic slide event whose answer is discarded (that window was
 already reported).  The result stream after a restore is therefore
@@ -170,7 +170,7 @@ def replay_event(
     window: Tuple[StreamObject, ...], slide_index: int
 ) -> SlideEvent:
     """The synthetic window-fill event used by every drain-and-replay path
-    (control-plane rebuilds, state restores, shard rebalances)."""
+    (state restores, shard rebalances, recovery)."""
     return SlideEvent(
         index=slide_index,
         arrivals=tuple(window),

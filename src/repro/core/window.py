@@ -287,8 +287,8 @@ class SlideBatcher:
     def window_contents(self) -> List[StreamObject]:
         """Snapshot of the buffered window, oldest first.
 
-        Used by the control plane to rebuild an algorithm's state from the
-        live window when a tactic swaps it out mid-run.
+        Captures and joins read it: a member seated in a started group is
+        fed these contents as one replayed slide.
         """
         return self._window.contents()
 

@@ -15,9 +15,7 @@ each captured record at the record's slide index and window.
 Three planes build on the core rather than forking it:
 
 * :class:`repro.engine.StreamEngine` — the single-process facade; it adds
-  the adaptive control plane integration (controller attachment and
-  slide-aligned chunking) by overriding the small hook methods at the
-  bottom of this class.
+  durable construction (:meth:`~repro.engine.StreamEngine.recover`).
 * the shard workers of :mod:`repro.cluster` — each worker process hosts a
   full :class:`StreamEngine`, and the sharded facade moves subscriptions
   between workers with :meth:`capture_groups` / :meth:`restore_groups`,
@@ -28,13 +26,8 @@ Three planes build on the core rather than forking it:
 
 Every ingest call — :meth:`~EngineCore.push`, :meth:`~EngineCore.push_many`
 and :meth:`~EngineCore.push_block` — hands its chunks to one edge,
-``EngineCore._ingest``: it validates arrival order, journals, counts, moves
-the chunk through every query group and notifies the hooks, in that order.
-
-The group hooks (``_register_group``, ``_unregister_group``) keep the
-group list; the ingest hooks (``_chunk_size_for``, ``_note_chunk``)
-default to no-ops, so the core alone is a fully functional,
-control-plane-free engine.
+``EngineCore._ingest``: it validates arrival order, journals, counts, and
+moves the chunk through every query group, in that order.
 """
 
 from __future__ import annotations
@@ -209,8 +202,8 @@ class EngineCore:
 
         Returns the member's cluster record (id, mode, counters).  A
         vector that drifts outside its cluster's envelope flips the member
-        to exact per-slide fallback and bumps the MAPE-K-visible drift
-        counter; it never changes the answers' exactness.
+        to exact per-slide fallback and bumps the cluster's drift counter;
+        it never changes the answers' exactness.
         """
         subscription = self.subscription(name)
         update = getattr(subscription.algorithm, "update_vector", None)
@@ -244,7 +237,7 @@ class EngineCore:
         if group is not None:
             group.remove(subscription)
             if not len(group):
-                self._unregister_group(group)
+                self._groups.remove(group)
         if self._durability is not None:
             self._durability.log_op(("unsubscribe", name))
 
@@ -292,10 +285,8 @@ class EngineCore:
         state, and their plan layout.
 
         Only exact slide boundaries can be captured (the live window must
-        equal the last reported window), so captures line up with the
-        points where the control plane may rebuild algorithms.  Raises
-        :class:`AlgorithmStateError` off a slide boundary and on a
-        time-based group that has started.
+        equal the last reported window).  Raises :class:`AlgorithmStateError`
+        off a slide boundary and on a time-based group that has started.
         """
         window: Tuple[StreamObject, ...] = ()
         slide_index = None
@@ -450,7 +441,6 @@ class EngineCore:
         self._ensure_open()
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        chunk_size = self._chunk_size_for(chunk_size)
         count = 0
         source = iter(objects)
         while True:
@@ -478,7 +468,7 @@ class EngineCore:
         The chunk's arrival order is validated first, so a rejected chunk
         leaves the engine and its write-ahead log exactly as they were.
         Then the chunk is journaled, counted, moved through every query
-        group and reported to the control-plane and durability hooks.
+        group and reported to the durability manager.
         Returns the answers per name when ``collect`` is set.
         """
         if not objects:
@@ -496,18 +486,17 @@ class EngineCore:
         self, objects: Optional[Sequence[StreamObject]], collect: bool
     ) -> Dict[str, List[TopKResult]]:
         """Move a chunk (``None``: the end-of-stream flush) through every
-        query group, then the hooks.  A raising result callback does not
-        cut it short: the first callback error is re-raised at the end."""
+        query group, then report it to the durability manager.  A raising
+        result callback does not cut it short: the first callback error is
+        re-raised at the end."""
         produced: Dict[str, List[TopKResult]] = {}
         errors: List[Exception] = []
         # Snapshot: result callbacks may unsubscribe (mutating the list).
         for group in tuple(self._groups):
             for subscription, results in group.ingest(objects, errors, collect):
                 produced[subscription.name] = results
-        count = len(objects) if objects else 0
-        self._note_chunk(count)
-        if count and self._durability is not None:
-            self._durability.after_chunk(self, count)
+        if objects and self._durability is not None:
+            self._durability.after_chunk(self, len(objects))
         if errors:
             raise errors[0]
         return produced
@@ -672,7 +661,7 @@ class EngineCore:
             if position is not None:
                 group.prime(state.window, state.slide_index)
                 self._last_t = max(self._last_t, state.window[-1].t)
-            self._register_group(group)
+            self._groups.append(group)
         group.admit(members, None if state is None else state.plans)
 
     @staticmethod
@@ -699,22 +688,3 @@ class EngineCore:
         if isinstance(algorithm, str):
             return create_algorithm(algorithm, query, **options)
         return algorithm(query, **options)
-
-    # ------------------------------------------------------------------
-    # Hooks (overridden by StreamEngine's control-plane integration)
-    # ------------------------------------------------------------------
-    def _register_group(self, group: QueryGroup) -> None:
-        """A new query group joined the engine."""
-        self._groups.append(group)
-
-    def _unregister_group(self, group: QueryGroup) -> None:
-        """A query group lost its last member and leaves the engine."""
-        self._groups.remove(group)
-
-    def _chunk_size_for(self, requested: int) -> int:
-        """Opportunity to align ``push_many`` chunks to slide boundaries."""
-        return requested
-
-    def _note_chunk(self, count: int) -> None:
-        """A chunk of ``count`` objects finished moving through the groups
-        (``count`` is 0 after a :meth:`flush`)."""

@@ -18,10 +18,8 @@ algorithm through its subscriptions, and the sharded execution plane
 
 All of the subscription/group bookkeeping and ingestion mechanics live in
 :class:`~repro.engine.core.EngineCore`, whose one ingest edge every push
-goes through; this class layers the adaptive control plane on top —
-controller attachment and slide-aligned chunking — through the core's two
-ingest hooks: the chunk size, and the per-chunk note that ticks the
-controller.
+goes through; this class adds durable construction
+(:meth:`StreamEngine.recover`).
 
 Internally the engine buckets subscriptions into
 :class:`~repro.engine.group.QueryGroup` objects, one per window shape
@@ -42,9 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.exceptions import AlgorithmStateError
 from .core import PUSH_MANY_CHUNK, AlgorithmLike, EngineCore
-from .group import QueryGroup
 
 __all__ = ["StreamEngine", "AlgorithmLike", "PUSH_MANY_CHUNK"]
 
@@ -52,15 +48,13 @@ __all__ = ["StreamEngine", "AlgorithmLike", "PUSH_MANY_CHUNK"]
 class StreamEngine(EngineCore):
     """Shared, push-based execution of any number of continuous queries.
 
-    Extends :class:`~repro.engine.core.EngineCore` with the adaptive
-    control plane: an attached :class:`repro.control.AdaptiveController`
-    receives per-slide telemetry, runs its MAPE loop after every ingested
-    chunk and flush, and may rebuild SAP partitioners at slide boundaries.
+    Extends :class:`~repro.engine.core.EngineCore` with durable
+    construction: :meth:`durable` and :meth:`recover` build an engine that
+    journals into a directory and recovers from it.
     """
 
     def __init__(self, *, keep_results: bool = True, return_results: bool = True) -> None:
         super().__init__(keep_results=keep_results, return_results=return_results)
-        self._controller = None
         #: Set by :meth:`recover` — what the durability plane replayed.
         self.recovery_report = None
 
@@ -109,76 +103,6 @@ class StreamEngine(EngineCore):
         finally:
             if self._durability is not None:
                 self._durability.close()
-
-    # ------------------------------------------------------------------
-    # Adaptive control plane
-    # ------------------------------------------------------------------
-    @property
-    def controller(self):
-        """The attached :class:`repro.control.AdaptiveController`, if any."""
-        return self._controller
-
-    def attach_controller(self, controller) -> None:
-        """Put this engine under adaptive control (see :mod:`repro.control`).
-
-        The controller's monitor starts receiving per-slide telemetry from
-        every query group (existing and future), and the controller runs
-        its MAPE loop after every ingest call, applying tactics at slide
-        boundaries.  Only one controller may be attached at a time.
-        """
-        self._ensure_open()
-        if self._controller is not None:
-            raise AlgorithmStateError(
-                "a controller is already attached; detach it first"
-            )
-        self._controller = controller
-        controller._bind_engine(self)
-        for group in self._groups:
-            controller._adopt_group(group)
-
-    def detach_controller(self):
-        """Detach the controller; telemetry stops, tactics no longer fire.
-
-        Returns the detached controller (its knowledge store, including the
-        adaptation event log, stays readable)."""
-        controller = self._controller
-        if controller is None:
-            return None
-        self._controller = None
-        for group in self._groups:
-            group.telemetry = None
-        controller._unbind_engine(self)
-        return controller
-
-    def unsubscribe(self, name: str) -> None:
-        """Close and remove one query; an attached controller forgets it."""
-        super().unsubscribe(name)
-        if self._controller is not None:
-            self._controller.forget(name)
-
-    # ------------------------------------------------------------------
-    # EngineCore hooks: wire the controller into the ingest path
-    # ------------------------------------------------------------------
-    def _register_group(self, group: QueryGroup) -> None:
-        super()._register_group(group)
-        if self._controller is not None:
-            self._controller._adopt_group(group)
-
-    def _unregister_group(self, group: QueryGroup) -> None:
-        super()._unregister_group(group)
-        if self._controller is not None:
-            self._controller._discard_group(group)
-
-    def _chunk_size_for(self, requested: int) -> int:
-        # Slide-aligned chunks make chunk ends coincide with slide
-        # boundaries, the only points where tactics may be applied.
-        if self._controller is not None:
-            return self._controller.aligned_chunk(requested)
-        return requested
-
-    def _note_chunk(self, count: int) -> None:
-        if self._controller is not None:
-            self._controller.tick()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "StreamEngine":

@@ -34,7 +34,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import AlgorithmStateError
-from ..core.interface import ContinuousTopKAlgorithm
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
@@ -68,11 +67,6 @@ class QueryGroup:
         self._members: List[Subscription] = []
         self._plans: List[SharedPlan] = []
         self._started = False
-        #: Telemetry sink of the adaptive control plane (duck-typed to
-        #: avoid an import cycle): when set, ``record_slide(group=...,
-        #: subscription=..., event=..., result=...)`` is called after every
-        #: member processes a slide.
-        self.telemetry = None
         registry = get_registry()
         self._obs_merge = registry.histogram(
             "repro_stage_seconds",
@@ -148,8 +142,8 @@ class QueryGroup:
 
     def at_slide_boundary(self) -> bool:
         """True when the group's window state matches the last emitted slide
-        exactly (count-based, filled, no partial slide buffered).  Live
-        rebuilds by the control plane are only legal at such boundaries."""
+        exactly (count-based, filled, no partial slide buffered).  Captures
+        and joins into a started group are only legal at such boundaries."""
         return self._started and self._batcher.at_slide_boundary()
 
     def at(self, position: Position) -> bool:
@@ -226,58 +220,6 @@ class QueryGroup:
             if positions:
                 layout.append((positions, plan.k_max))
         return tuple(layout)
-
-    # ------------------------------------------------------------------
-    # Live re-planning (adaptive control plane)
-    # ------------------------------------------------------------------
-    def rebuild(
-        self, replacements: Dict[str, ContinuousTopKAlgorithm]
-    ) -> float:
-        """Swap member algorithms at a slide boundary; return the cost in
-        seconds.
-
-        ``replacements`` maps subscription names to fresh (never pushed)
-        algorithm instances for the same query.  The rebuild drops every
-        plan holding a replaced member — dissolving a plan orphans its
-        members, whose instances refuse to run outside it, so they are
-        respawned too — and re-admits the affected members with their new
-        instances exactly as :meth:`admit` seats joining members: plans
-        re-form over them and the live window is replayed into them as one
-        synthetic slide whose answer is discarded (the current window was
-        already reported).  Because every algorithm in the library
-        computes exact answers from the window contents alone, the result
-        stream after a rebuild is identical to an uninterrupted run — this
-        is what makes control-plane tactics answer-preserving.
-
-        Members untouched by the rebuild (not replaced, not in a dropped
-        plan) keep their instances and plans and never notice.
-        """
-        if not self.at_slide_boundary():
-            raise AlgorithmStateError(
-                "a live rebuild is only possible at a count-based slide "
-                "boundary (window full, no partial slide buffered)"
-            )
-        by_name = {sub.name: sub for sub in self._members}
-        unknown = sorted(set(replacements) - set(by_name))
-        if unknown:
-            raise KeyError(f"no such members in this group: {unknown}")
-
-        started = time.perf_counter()
-        affected = {by_name[name] for name in replacements}
-        kept: List[SharedPlan] = []
-        for plan in self._plans:
-            if affected.isdisjoint(plan.subscriptions()):
-                kept.append(plan)
-            else:
-                affected.update(plan.subscriptions())
-        self._plans = kept
-        for subscription in affected:
-            algorithm = replacements.get(subscription.name)
-            subscription._replace_algorithm(
-                subscription.algorithm.respawn() if algorithm is None else algorithm
-            )
-        self._join([sub for sub in self._members if sub in affected])
-        return time.perf_counter() - started
 
     def prime(self, contents: Sequence[StreamObject], last_index: int) -> None:
         """Seed a fresh, memberless group with a window captured at slide
@@ -378,8 +320,6 @@ class QueryGroup:
                 result = subscription._deliver_slide(
                     event, shared_for.get(id(subscription)), errors
                 )
-                if result is not None and self.telemetry is not None:
-                    self.telemetry.record_slide(self, subscription, event, result)
                 if collect and result is not None:
                     produced.setdefault(subscription, []).append(result)
             for shared in prepared:

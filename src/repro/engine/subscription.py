@@ -82,7 +82,6 @@ class Subscription:
         self._callbacks: List[ResultCallback] = []
         self._delivered = 0
         self._closed = False
-        self._last_latency = 0.0
         self._template: Optional[ContinuousTopKAlgorithm] = None
         # Observability instruments, resolved once per subscription so the
         # per-slide path is increment/observe only (a disabled registry
@@ -169,7 +168,7 @@ class Subscription:
         Preference-clustered subscriptions additionally carry a
         ``"cluster"`` record (cluster id, shared/private/drifted mode,
         re-rank and fallback counters) — the surface the serve layer's
-        inspect endpoint and the control plane read.
+        inspect endpoint reads.
         """
         latest = self.latest()
         cluster_info = getattr(self.algorithm, "cluster_info", None)
@@ -211,26 +210,6 @@ class Subscription:
             "latency_samples": float(m.latency_count),
         }
 
-    def last_slide_sample(self) -> Dict[str, float]:
-        """Telemetry of the most recent slide: latency, candidates, memory.
-
-        Read by the control plane's monitor after every slide.  Candidate
-        and memory figures come from the metrics collector when it is
-        enabled (they were sampled during the slide anyway) and straight
-        from the algorithm otherwise.
-        """
-        if self._collect_metrics:
-            return {
-                "latency": self._metrics.last_latency,
-                "candidates": self._metrics.last_candidates,
-                "memory_bytes": self._metrics.last_memory_bytes,
-            }
-        return {
-            "latency": self._last_latency,
-            "candidates": self.algorithm.candidate_count(),
-            "memory_bytes": self.algorithm.memory_bytes(),
-        }
-
     # ------------------------------------------------------------------
     # Lifecycle (driven by the engine and its query groups)
     # ------------------------------------------------------------------
@@ -257,22 +236,6 @@ class Subscription:
         self._results.extend(state.results)
         self._delivered = state.results_delivered
         self._metrics = state.metrics.copy()
-
-    def _replace_algorithm(self, algorithm: ContinuousTopKAlgorithm) -> None:
-        """Swap in a rebuilt algorithm instance (adaptive control plane).
-
-        The query (and therefore the group membership) must not change;
-        metric aggregates, retained results, and callbacks carry over so
-        the swap is invisible to consumers of the subscription.
-        """
-        if algorithm.query != self.query:
-            raise ValueError(
-                "a replacement algorithm must answer the same query; "
-                f"got {algorithm.query.describe()} for {self.query.describe()}"
-            )
-        self.algorithm.close()
-        self.algorithm = algorithm
-        self._template = None
 
     def _algorithm_template(self) -> ContinuousTopKAlgorithm:
         """``algorithm.respawn()`` made once per instance; captures share it."""
@@ -307,7 +270,6 @@ class Subscription:
             latency = time.perf_counter() - started
             if shared is not None:
                 latency += shared.prep_share
-        self._last_latency = latency
         if self._tracer.enabled:
             self._tracer.record(
                 "deliver", event.index, time.time() - latency, latency, self.name

@@ -2,12 +2,12 @@
 
 Every layer of the system — engine, query groups, partition seals, the
 shard router's command queues, the serving layer's batcher and dedupe
-window, the MAPE-K control loop — records into one process-local
-:class:`MetricsRegistry` of named counters, gauges, and log-linear-bucket
-histograms.  The registry is lock-free on the hot path (instruments are
-resolved once and cached by their owners), and a disabled registry hands
-out a shared no-op instrument so the whole plane compiles away to one
-dead method call per sample.
+window — records into one process-local :class:`MetricsRegistry` of
+named counters, gauges, and log-linear-bucket histograms.  The registry
+is lock-free on the hot path (instruments are resolved once and cached by
+their owners), and a disabled registry hands out a shared no-op
+instrument so the whole plane compiles away to one dead method call per
+sample.
 
 Around the metrics sit three consumers:
 
@@ -18,7 +18,7 @@ Around the metrics sit three consumers:
 * **exposition** (:func:`render_prometheus`, :func:`merge_snapshots`):
   ``GET /v1/metrics`` on ``repro serve`` in Prometheus text format 0.0.4,
   cluster-aggregated across worker processes, plus the ``/v1/metrics.json``
-  snapshot feed that also lands in the MAPE-K ``Knowledge`` store;
+  snapshot feed;
 * **dashboard** (``repro top``): a stdlib ANSI live view over the
   snapshot feed.
 

@@ -1,11 +1,11 @@
 """The library's one percentile implementation.
 
-Nearest-rank percentiles appear in three places with very different
-inputs: the per-subscription :class:`~repro.core.metrics.MetricsCollector`,
-the cluster merge layer (every shard's subscriptions at once), and the
-control plane's recent-slide windows.  They must agree — a p95 computed
-one way on a shard and another way on the facade would drift — so all of
-them call the helpers here and nothing else implements a percentile.
+Nearest-rank percentiles appear in two places with very different
+inputs: the per-subscription :class:`~repro.core.metrics.MetricsCollector`
+and the cluster merge layer (every shard's subscriptions at once).  They
+must agree — a p95 computed one way on a shard and another way on the
+facade would drift — so both call the helpers here and nothing else
+implements a percentile.
 
 The convention is nearest rank over the *sorted* values: for ``m``
 values, fraction ``f`` selects the value at index ``round(f * (m - 1))``.

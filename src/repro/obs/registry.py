@@ -347,9 +347,9 @@ class MetricsRegistry:
     def snapshot(self) -> List[Dict[str, object]]:
         """Every series as one JSON-friendly record list.
 
-        The wire shape shared by ``/v1/metrics.json``, the cluster merge,
-        the MAPE-K knowledge feed, and ``repro top``: one record per
-        series with ``name``, ``type``, ``help``, ``labels``, and either
+        The wire shape shared by ``/v1/metrics.json``, the cluster merge
+        and ``repro top``: one record per series with ``name``, ``type``,
+        ``help``, ``labels``, and either
         ``value`` (counter/gauge) or ``buckets``/``sum``/``count``
         (histogram, with non-cumulative bucket counts keyed by upper
         boundary).

@@ -185,9 +185,9 @@ def render_dashboard(
             members = snapshot_value(metrics, "repro_cluster_members", sel)
             reranks = _rate(current, previous, "repro_cluster_rerank_total", sel)
             fallbacks = _rate(current, previous, "repro_cluster_fallback_total", sel)
-            # Lifetime hit rate: shared answers over all answers (the
-            # MAPE-K signal — a falling hit rate says the cluster's
-            # envelope is too loose for its members).
+            # Lifetime hit rate: shared answers over all answers (a
+            # falling hit rate says the cluster's envelope is too loose
+            # for its members).
             total_rerank = snapshot_value(metrics, "repro_cluster_rerank_total", sel)
             total_fallback = snapshot_value(metrics, "repro_cluster_fallback_total", sel)
             answered = total_rerank + total_fallback

@@ -38,9 +38,9 @@ class PartitionContext:
 class SealStats:
     """Counters describing the sealing behaviour of one partitioner.
 
-    Surfaced through :meth:`Partitioner.seal_stats` so the adaptive control
-    plane (and tests) can observe partition sizing without touching the
-    partitioner's internals: how many partitions were sealed, how many
+    Surfaced through :meth:`Partitioner.seal_stats` so tests and benchmarks
+    can observe partition sizing without touching the partitioner's
+    internals: how many partitions were sealed, how many
     objects they covered, how many seals were forced by the expiration
     safety valve, and the size of the most recent seal.
     """

@@ -21,7 +21,7 @@ from ..core.columnar import topk_objects
 from ..core.object import StreamObject
 from ..core.partition import PartitionSpec, UnitSummary
 from ..stats.mannwhitney import rank_sum_test
-from ..stats.solvers import eta_for_k, scaled_eta_k
+from ..stats.solvers import eta_for_k, eta_k
 from .base import Partitioner
 
 
@@ -46,16 +46,9 @@ class DynamicPartitioner(Partitioner):
 
     name = "dynamic"
 
-    def __init__(self, alpha: float = 0.05, eta_scale: float = 1.0) -> None:
-        """``eta_scale`` multiplies the reference-interval size ``ηk`` (and
-        the ``η`` entering the ``l_max`` bound); the adaptive control plane
-        retunes it at runtime when the 3-sigma default misjudges the live
-        score distribution.  ``1.0`` is the paper's configuration."""
+    def __init__(self, alpha: float = 0.05) -> None:
         super().__init__()
-        if eta_scale <= 0:
-            raise ValueError(f"eta_scale must be positive, got {eta_scale}")
         self._alpha = alpha
-        self._eta_scale = eta_scale
         self._unit_size = 0
         self._l_max = 0
         self._eta_k = 0
@@ -67,9 +60,8 @@ class DynamicPartitioner(Partitioner):
         assert self.query is not None
         query = self.query
         self._unit_size = query.l_min
-        eta = eta_for_k(query.k) * self._eta_scale
-        self._eta_k = scaled_eta_k(query.k, self._eta_scale)
-        self._l_max = query.l_max(eta)
+        self._eta_k = eta_k(query.k)
+        self._l_max = query.l_max(eta_for_k(query.k))
         self._units = []
         self._current = []
 
@@ -77,10 +69,10 @@ class DynamicPartitioner(Partitioner):
     def plan_key(self) -> tuple:
         # Covers EnhancedDynamicPartitioner too: the subclass adds TBUI
         # bookkeeping but no extra configuration.
-        return (type(self).__name__, self._alpha, self._eta_scale)
+        return (type(self).__name__, self._alpha)
 
     def spawn(self) -> "DynamicPartitioner":
-        return type(self)(alpha=self._alpha, eta_scale=self._eta_scale)
+        return type(self)(alpha=self._alpha)
 
     @property
     def unit_size(self) -> int:
@@ -91,17 +83,8 @@ class DynamicPartitioner(Partitioner):
         return self._l_max
 
     @property
-    def eta_scale(self) -> float:
-        return self._eta_scale
-
-    @property
     def alpha(self) -> float:
         return self._alpha
-
-    def retuned(self, eta_scale: float) -> "DynamicPartitioner":
-        """A fresh, unbound partitioner of this family with a new
-        ``eta_scale`` (the control plane's η-retune tactic)."""
-        return type(self)(alpha=self._alpha, eta_scale=eta_scale)
 
     # ------------------------------------------------------------------
     def observe(self, batch: Sequence[StreamObject]) -> List[PartitionSpec]:

@@ -29,8 +29,8 @@ class EnhancedDynamicPartitioner(DynamicPartitioner):
 
     name = "enhanced-dynamic"
 
-    def __init__(self, alpha: float = 0.05, eta_scale: float = 1.0) -> None:
-        super().__init__(alpha=alpha, eta_scale=eta_scale)
+    def __init__(self, alpha: float = 0.05) -> None:
+        super().__init__(alpha=alpha)
         self._tbui: Optional[TBUIState] = None
         self._previous_unit: Optional[_PendingUnit] = None
 

@@ -56,17 +56,3 @@ def eta_k(k: int) -> int:
     """``⌈ηk⌉`` — the number of reference objects the dynamic partitioner
     compares against (the ``I_ηk`` set of Equation 2)."""
     return int(math.ceil(_solve_three_sigma(k)))
-
-
-def scaled_eta_k(k: int, scale: float = 1.0) -> int:
-    """``⌈scale · ηk⌉`` — the reference-interval size after a runtime retune.
-
-    The adaptive control plane widens (``scale > 1``) or narrows
-    (``scale < 1``) the dynamic partitioner's reference interval when the
-    3-sigma default misjudges the live score distribution.  ``scale = 1``
-    reduces exactly to :func:`eta_k`; the result never drops below 2, the
-    smallest sample the rank-sum test accepts.
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return max(2, int(math.ceil(scale * _solve_three_sigma(k))))

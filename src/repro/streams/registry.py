@@ -29,8 +29,8 @@ DATASETS: Dict[str, Callable[[], StreamSource]] = {
     "PLANET": lambda: PlanetStream(seed=29),
     "TIMEU": lambda: UncorrelatedStream(seed=11),
     "TIMER": _timer_factory,
-    # Beyond the paper: a regime-switching stream for the adaptive
-    # control plane (drift detection, partitioner swaps).
+    # Beyond the paper: a regime-switching stream (abrupt distribution
+    # changes, which move the dynamic partitioners' boundaries).
     "DRIFT": lambda: DriftingStream(seed=19),
 }
 

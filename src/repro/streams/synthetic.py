@@ -76,7 +76,7 @@ class UncorrelatedStream(StreamSource):
 
 
 class DriftingStream(StreamSource):
-    """Regime-switching stream for exercising the adaptive control plane.
+    """Regime-switching stream: the score distribution changes abruptly.
 
     The stream alternates between two regimes every ``phase`` objects:
 
@@ -86,9 +86,9 @@ class DriftingStream(StreamSource):
       around ``high_mean`` (the TIMER shape, shifted upward).
 
     Each switch is a genuine distribution change: the per-slide best scores
-    jump between the two levels, which the control plane's drift analyzer
-    detects with the same rank-sum test the dynamic partitioner uses, and
-    the correlated phases reward dynamic over equal partition sizing.
+    jump between the two levels, which the dynamic partitioner's rank-sum
+    test sees as unit-to-unit changes, and the correlated phases reward
+    dynamic over equal partition sizing.
     """
 
     name = "DRIFT"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.merge import AggregatedKnowledge, merge_disjoint, merged_latency_stats
+from repro.cluster.merge import merge_disjoint, merged_latency_stats
 from repro.core.metrics import MetricsCollector
 
 
@@ -70,53 +70,3 @@ class TestMergedLatency:
         merged = merged_latency_stats([{"a": telemetry([0.2, 0.4, 0.6])}])
         assert merged["median_latency"] == merged["p50_latency"]
 
-
-def report(shard, events=(), subs=None):
-    return {
-        "shard": shard,
-        "events": list(events),
-        "knowledge": {
-            "subscriptions": subs or {},
-            "events_total": len(events),
-        },
-    }
-
-
-def event(slide, tactic="swap", applied=True):
-    return {
-        "slide_index": slide,
-        "subscription": "q",
-        "tactic": tactic,
-        "trigger": "t",
-        "applied": applied,
-        "detail": {},
-    }
-
-
-class TestAggregatedKnowledge:
-    def test_events_merged_sorted_and_tagged(self):
-        view = AggregatedKnowledge(
-            [
-                report(0, events=[event(10), event(30)]),
-                None,  # a shard without a controller contributes nothing
-                report(2, events=[event(20, applied=False)]),
-            ]
-        )
-        merged = view.events()
-        assert [e["slide_index"] for e in merged] == [10, 20, 30]
-        assert [e["shard"] for e in merged] == [0, 2, 0]
-        assert len(view.applied_events()) == 2
-        assert view.events_total == 3
-        assert view.shard_count == 2
-
-    def test_subscriptions_tagged_with_shard(self):
-        view = AggregatedKnowledge(
-            [report(3, subs={"q": {"samples": 7, "latest_slide": 6, "seals": 0}})]
-        )
-        assert view.subscriptions()["q"]["shard"] == 3
-
-    def test_describe_is_json_friendly(self):
-        import json
-
-        view = AggregatedKnowledge([report(0, events=[event(1)])])
-        assert json.loads(json.dumps(view.describe()))["events_total"] == 1

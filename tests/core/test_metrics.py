@@ -34,7 +34,6 @@ class TestSketchCollector:
         # ... while totals and maxima remain exact.
         assert metrics.latency_total == pytest.approx(math.fsum(latencies))
         assert metrics.max_latency == max(latencies)
-        assert metrics.last_latency == latencies[-1]
 
     def test_percentiles_within_alpha_of_exact_nearest_rank(self):
         rng = random.Random(5)

@@ -1,35 +1,22 @@
 """Checkpoints capture a member's configuration once per algorithm instance.
 
 A member's captured algorithm is its ``respawn()`` template, made by the
-first capture and reused by later ones until the control plane replaces
-the instance (or a preference update changes it).  Members of one SAP
-plan that share ``k`` retain the very same answer objects, so a payload
-pickles each answer once.
+first capture and reused by later ones until a preference update changes
+the member's configuration.  Members of one SAP plan that share ``k``
+retain the very same answer objects, so a payload pickles each answer
+once.
 """
 
 import pytest
 
 from repro.baselines.mintopk import MinTopK
-from repro.control import AdaptiveController, Policy
-from repro.control.executor import Executor
-from repro.control.planner import Action
-from repro.control.policy import Tactic
 from repro.core.framework import SAPTopK
 from repro.core.state import dumps
-from repro.durability.checkpoint import CheckpointStore
 from repro.engine import QuerySpec, StreamEngine
-from repro.partitioning import EqualPartitioner
 
 from ..conftest import make_objects, random_scores
 
 STREAM = make_objects(random_scores(600, seed=21))
-
-
-def _signature(drained):
-    return {
-        name: [(r.slide_index, r.window_end, r.identity()) for r in results]
-        for name, results in sorted(drained.items())
-    }
 
 
 def test_each_member_respawns_once_over_two_checkpoints(tmp_path, monkeypatch):
@@ -53,58 +40,6 @@ def test_each_member_respawns_once_over_two_checkpoints(tmp_path, monkeypatch):
     live = {id(engine.subscription(name).algorithm) for name in engine.subscriptions()}
     assert sorted(respawned) == sorted(live)
     engine.close()
-
-
-def _swap_to_equal(engine, name):
-    subscription = engine.subscription(name)
-    controller = AdaptiveController(Policy(rules=[], analyzer_config={}))
-    engine.attach_controller(controller)
-    events = Executor(controller.knowledge).execute(
-        subscription.group,
-        [Action(subscription=subscription, tactic=Tactic("swap-partitioner", {"to": "equal"}),
-                trigger="test")],
-        controller,
-    )
-    assert [event.applied for event in events] == [True]
-    engine.detach_controller()
-
-
-def _subscribe(engine):
-    for name, k in (("a", 2), ("b", 4), ("c", 4)):
-        engine.subscribe(name, QuerySpec(n=60, k=k, s=20))
-
-
-def test_swap_partitioner_is_recorded_by_the_next_checkpoint(tmp_path):
-    engine = StreamEngine.durable(str(tmp_path), checkpoint_interval=1000,
-                                  keep_results=True, return_results=False)
-    twin = StreamEngine(keep_results=True, return_results=False)
-    for target in (engine, twin):
-        _subscribe(target)
-        target.push_many(STREAM[:200], chunk_size=20)
-    assert engine.durability.checkpoint(engine)
-    for target in (engine, twin):
-        _swap_to_equal(target, "b")
-        target.push_many(STREAM[200:400], chunk_size=20)
-    assert engine.durability.checkpoint(engine)
-    _, checkpoint = CheckpointStore(str(tmp_path)).latest()
-    (group,) = checkpoint.groups
-    swapped = {
-        member.name: isinstance(member.algorithm.partitioner, EqualPartitioner)
-        for member in group.members
-    }
-    assert swapped == {"a": False, "b": True, "c": False}
-    engine.push_many(STREAM[400:500], chunk_size=20)
-    engine.durability.close()  # crash after a journaled tail
-
-    recovered = StreamEngine.recover(str(tmp_path), keep_results=True, return_results=False)
-    assert recovered.recovery_report.replayed_chunks == 5
-    twin.push_many(STREAM[400:500], chunk_size=20)
-    assert recovered.groups() == twin.groups()
-    assert _signature(recovered.drain_results()) == _signature(twin.drain_results())
-    for target in (recovered, twin):
-        target.push_many(STREAM[500:], chunk_size=20)
-    assert _signature(recovered.drain_results()) == _signature(twin.drain_results())
-    recovered.close()
 
 
 def _twenty_members(keep_results):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro import StreamEngine, TopKQuery
-from repro.control import AdaptiveController
 from repro.core.framework import SAPTopK
 from repro.core.object import StreamObject, top_k
 from repro.core.partition import UnitSummary, build_partition
@@ -190,21 +189,6 @@ class TestOneCorePerPlan:
 
 
 class TestSealTelemetryForMembers:
-    def test_each_member_records_seal_samples(self):
-        objects = make_objects(random_scores(1500, seed=14))
-        engine = StreamEngine(return_results=False)
-        engine.subscribe("a", TopKQuery(n=200, k=5, s=10), algorithm="SAP")
-        engine.subscribe("b", TopKQuery(n=200, k=12, s=10), algorithm="SAP")
-        controller = AdaptiveController()
-        engine.attach_controller(controller)
-        engine.push_many(objects)
-        (group,) = engine.groups()
-        assert [plan["kind"] for plan in group["plans"]] == ["SAP"]
-        seals_a = controller.knowledge.seals("a")
-        seals_b = controller.knowledge.seals("b")
-        assert seals_a, "plan members must keep receiving seal samples"
-        assert [s.size for s in seals_a] == [s.size for s in seals_b]
-
     def test_member_seal_stats_report_the_core(self):
         objects = make_objects(random_scores(800, seed=15))
         engine = StreamEngine(return_results=False)

@@ -89,3 +89,16 @@ class TestSchemaParity:
         merged = merged_latency_stats([{}])
         assert set(merged) == set(STATS_KEYS)
         assert all(value == 0.0 for value in merged.values())
+
+
+class TestSubscriptionPercentiles:
+    def test_subscription_stats_expose_percentiles(self):
+        _, subscription = run_local_engine(500)
+        stats = subscription.stats()
+        assert stats["p50_latency"] == stats["median_latency"]
+        assert stats["p50_latency"] <= stats["p95_latency"] <= stats["p99_latency"]
+        assert stats["p99_latency"] <= stats["max_latency"]
+
+    def test_engine_stats_pass_through(self):
+        engine, subscription = run_local_engine(300)
+        assert engine.stats()["watch"] == subscription.stats()
