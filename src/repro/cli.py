@@ -502,7 +502,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(f"serving   : http://{config.host}:{server.port} ({config.engine} engine)")
         print("api       : POST /v1/subscriptions | POST /v1/events | "
-              "GET /v1/subscriptions/<name>/stream (SSE) | .../ws (WebSocket)")
+              "GET /v1/subscriptions/<name>/stream (SSE)")
         if config.durability_dir is not None:
             recovery = server.recovery_info or {}
             print(f"durable   : {config.durability_dir} "
@@ -686,7 +686,7 @@ COMMANDS: List[CliCommand] = [
         "facade exposing subscription management, idempotent event "
         "ingestion (at-least-once producers get exactly-once engine "
         "semantics via an event-id dedupe window), per-client result push "
-        "over SSE/WebSocket with bounded queues, and admission control — "
+        "over SSE with bounded queues, and admission control — "
         "under the versioned ``/v1`` REST surface.  ``--durability-dir`` "
         "makes the whole service crash-exact: a restart pointed at the "
         "same directory recovers subscriptions, histories, and the "

@@ -38,12 +38,11 @@ Byte-identity
 All paths — shared re-ranking, the fallback scan, the private per-member
 plan, and any independent engine fed a pre-scored stream — must produce
 bit-identical float scores.  They all funnel through one canonical
-scorer, :func:`linear_scores`: with numpy, an elementwise product
-followed by a *row-wise* reduction (``(m * w).sum(axis=1)``), whose
-pairwise summation depends only on the vector dimension, never on the
-batch size; without numpy, an exactly-rounded ``math.fsum`` per object.
-The backend can change the rounding between installs, never within one
-process — which is what the byte-identity property tests compare.
+scorer, :func:`linear_scores`: an elementwise product followed by a
+*row-wise* reduction (``(m * w).sum(axis=1)``), whose pairwise summation
+depends only on the vector dimension, never on the batch size.  Every
+path ranks the scores with the one column ordering,
+:func:`repro.core.columnar.rank_descending`.
 """
 
 from __future__ import annotations
@@ -53,7 +52,10 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..obs.registry import get_registry
+from .columnar import rank_descending
 from .exceptions import AlgorithmStateError, InvalidQueryError
 from .interface import (
     OBJECT_FOOTPRINT_BYTES,
@@ -65,11 +67,6 @@ from .query import TopKQuery
 from .result import TopKResult
 from .shared import SharedPlan, SharedSlide
 from .window import SlideEvent
-
-try:  # pragma: no cover - exercised via both-backend parametrized tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib fallback path
-    _np = None
 
 __all__ = [
     "DEFAULT_PAD_FACTOR",
@@ -153,8 +150,8 @@ def attributes_of(obj: StreamObject, dim: int) -> Optional[Tuple[float, ...]]:
     * a bare numeric sequence of length ``dim``.
 
     Anything else — including a right-shaped sequence with a non-numeric
-    entry — yields ``None``, and every scoring path prices the object at
-    :data:`UNATTRIBUTED_SCORE` (counted per cluster).
+    or non-finite entry — yields ``None``, and every scoring path prices
+    the object at :data:`UNATTRIBUTED_SCORE` (counted per cluster).
     """
     return attributes_of_payload(obj.payload, dim)
 
@@ -177,11 +174,8 @@ def attributes_of_payload(payload: object, dim: int) -> Optional[Tuple[float, ..
         values = tuple(float(value) for value in candidate)
     except (TypeError, ValueError):
         return None
-    if len(values) != dim:
+    if len(values) != dim or not all(map(math.isfinite, values)):
         return None
-    for value in values:
-        if math.isnan(value):
-            return None
     return values
 
 
@@ -199,14 +193,9 @@ def linear_scores(
     present = [row for row in rows if row is not None]
     if not present:
         return [UNATTRIBUTED_SCORE] * len(rows)
-    if _np is not None:
-        matrix = _np.ascontiguousarray(present, dtype=_np.float64)
-        w = _np.asarray(weights, dtype=_np.float64)
-        scored = iter((matrix * w).sum(axis=1).tolist())
-    else:
-        scored = iter(
-            math.fsum(w * x for w, x in zip(weights, row)) for row in present
-        )
+    matrix = _np.ascontiguousarray(present, dtype=_np.float64)
+    w = _np.asarray(weights, dtype=_np.float64)
+    scored = iter((matrix * w).sum(axis=1).tolist())
     return [UNATTRIBUTED_SCORE if row is None else next(scored) for row in rows]
 
 
@@ -275,11 +264,10 @@ class ClusterSpace:
 
     @staticmethod
     def _cosine(left: Sequence[float], right: Sequence[float]) -> float:
-        dot = math.fsum(a * b for a, b in zip(left, right))
-        norms = math.sqrt(
-            math.fsum(a * a for a in left) * math.fsum(b * b for b in right)
-        )
-        return dot / norms if norms > 0 else 0.0
+        left = _np.asarray(left, dtype=_np.float64)
+        right = _np.asarray(right, dtype=_np.float64)
+        norms = math.sqrt(float(left @ left) * float(right @ right))
+        return float(left @ right) / norms if norms > 0 else 0.0
 
     def assign(self, vector: Sequence[float]) -> int:
         """The cluster id for ``vector`` (existing when similar, else new)."""
@@ -554,46 +542,44 @@ class ClusterSharedPlan(SharedPlan):
         )
 
     # ------------------------------------------------------------------
-    def _batch_for(self, prepared: _PreparedSlide) -> Optional["_SlideBatch"]:
+    def _attribute_matrix(self, entries: Sequence[_WindowEntry]):
+        """``(matrix, missing)``: the entries' attribute rows as a
+        ``len(entries) x dim`` float64 matrix (zeros for unattributed
+        rows) and the positions of the unattributed rows."""
+        rows = [entry.attributes for entry in entries]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        zeros = (0.0,) * self.dim
+        matrix = _np.array(
+            [zeros if row is None else row for row in rows], dtype=_np.float64
+        ).reshape(len(rows), self.dim)
+        return matrix, missing
+
+    def _batch_for(self, prepared: _PreparedSlide) -> "_SlideBatch":
         """All members' candidate scores and ranks, computed in one pass.
 
         Built lazily on the slide's first member answer: one elementwise
         product + row reduction scores every distinct member vector
-        against every candidate, and one 2-D lexsort ranks all of them —
-        the per-user Python loop of ``linear_scores`` + ``_rank`` becomes
-        two numpy calls per slide regardless of member count.  The
-        reduction runs along the attribute axis exactly like the
-        canonical scorer's ``(m * w).sum(axis=1)``, so the floats stay
-        bit-identical to a per-member scoring pass.  ``None`` when numpy
-        is missing (members fall back to the per-member path).
+        against every candidate, and one 2-D :func:`rank_descending`
+        ranks all of them — two numpy calls per slide regardless of
+        member count.  The reduction runs along the attribute axis
+        exactly like the canonical scorer's ``(m * w).sum(axis=1)``, so
+        the floats stay bit-identical to a per-member scoring pass.
         """
         if self._batch is not None:
             return self._batch
-        if _np is None or not prepared.candidates:
-            return None
         row_of: Dict[Tuple[float, ...], int] = {}
         for sub in self._subs:
             algorithm = sub.algorithm
             if algorithm.drifted or algorithm.vector in row_of:
                 continue
             row_of[algorithm.vector] = len(row_of)
-        if not row_of:
-            return None
-        weights = _np.ascontiguousarray(list(row_of), dtype=_np.float64)
-        rows = prepared.candidate_rows
-        missing = [index for index, row in enumerate(rows) if row is None]
-        matrix = _np.ascontiguousarray(
-            [row if row is not None else (0.0,) * self.dim for row in rows],
-            dtype=_np.float64,
-        )
+        weights = _np.array(list(row_of), dtype=_np.float64).reshape(len(row_of), self.dim)
+        matrix, missing = self._attribute_matrix(prepared.candidates)
         scores = (weights[:, None, :] * matrix[None, :, :]).sum(axis=2)
         if missing:
             scores[:, missing] = UNATTRIBUTED_SCORE
-        ts = _np.asarray([entry.obj.t for entry in prepared.candidates], dtype=_np.int64)
-        order = _np.lexsort(
-            (_np.broadcast_to(ts, scores.shape), scores), axis=-1
-        )[:, ::-1]
-        self._batch = _SlideBatch(scores, order, row_of)
+        ts = [entry.obj.t for entry in prepared.candidates]
+        self._batch = _SlideBatch(scores, rank_descending(scores, ts), row_of)
         return self._batch
 
     def answer_for(self, member: "ClusteredTopK", shared: SharedSlide) -> TopKResult:
@@ -606,36 +592,21 @@ class ClusterSharedPlan(SharedPlan):
         event = prepared.event
         k = member.query.k
         if not member.drifted and not prepared.tainted:
+            # Every undrifted member has a row: the plan built the batch
+            # from its members, and a vector change drops the batch.
             batch = self._batch_for(prepared)
-            if batch is not None and member.vector in batch.row_of:
-                row = batch.row_of[member.vector]
-                scores = batch.scores[row]
-                order = batch.order[row]
-                exact = not prepared.saturated or (
-                    order.shape[0] >= k and scores[order[k - 1]] > prepared.tau_u
+            row = batch.row_of[member.vector]
+            scores = batch.scores[row]
+            order = batch.order[row]
+            exact = not prepared.saturated or (
+                order.shape[0] >= k and scores[order[k - 1]] > prepared.tau_u
+            )
+            if exact:
+                self.rerank_count += 1
+                self._obs_rerank.inc()
+                return _result_from(
+                    event, k, prepared.candidates, scores.tolist(), order[:k].tolist()
                 )
-                if exact:
-                    self.rerank_count += 1
-                    self._obs_rerank.inc()
-                    return _result_from(
-                        event,
-                        k,
-                        prepared.candidates,
-                        scores.tolist(),
-                        order[:k].tolist(),
-                    )
-            else:
-                scores = linear_scores(member.vector, prepared.candidate_rows)
-                order = _rank(scores, [c.obj.t for c in prepared.candidates], k)
-                exact = not prepared.saturated or (
-                    len(order) >= k and scores[order[k - 1]] > prepared.tau_u
-                )
-                if exact:
-                    self.rerank_count += 1
-                    self._obs_rerank.inc()
-                    return _result_from(
-                        event, k, prepared.candidates, scores, order
-                    )
         self.fallback_count += 1
         self._obs_fallback.inc()
         return self._scan(member, event, k)
@@ -653,33 +624,18 @@ class ClusterSharedPlan(SharedPlan):
         if scan is None or scan[0] is not event:
             entries = list(self._window)
             ts = [entry.obj.t for entry in entries]
-            matrix = missing = None
-            if _np is not None and entries:
-                rows = [entry.attributes for entry in entries]
-                missing = [i for i, row in enumerate(rows) if row is None]
-                matrix = _np.ascontiguousarray(
-                    [row if row is not None else (0.0,) * self.dim for row in rows],
-                    dtype=_np.float64,
-                )
-            scan = self._scan_state = (event, entries, ts, matrix, missing)
+            scan = self._scan_state = (event, entries, ts) + self._attribute_matrix(entries)
             self._window_scan_cache.clear()
         _, entries, ts, matrix, missing = scan
         scores = self._window_scan_cache.get(member.vector)
         if scores is None:
-            if matrix is not None:
-                # Same elementwise-product row reduction as the canonical
-                # scorer (bit-identical floats), over the shared matrix.
-                weights = _np.asarray(member.vector, dtype=_np.float64)
-                scored = (matrix * weights).sum(axis=1)
-                if missing:
-                    scored[missing] = UNATTRIBUTED_SCORE
-                scores = scored.tolist()
-            else:
-                scores = linear_scores(
-                    member.vector, [entry.attributes for entry in entries]
-                )
-            self._window_scan_cache[member.vector] = scores
-        order = _rank(scores, ts, k)
+            # Same elementwise-product row reduction as the canonical
+            # scorer (bit-identical floats), over the shared matrix.
+            scored = (matrix * _np.asarray(member.vector, dtype=_np.float64)).sum(axis=1)
+            if missing:
+                scored[missing] = UNATTRIBUTED_SCORE
+            scores = self._window_scan_cache[member.vector] = scored.tolist()
+        order = rank_descending(scores, ts)[:k].tolist()
         return _result_from(event, k, entries, scores, order)
 
     def member_vector_changed(
@@ -692,21 +648,6 @@ class ClusterSharedPlan(SharedPlan):
         membership but answers by exact scan until re-clustered."""
         self._batch = None  # the batch keys member rows by vector
         return dominated_by(vector, self.envelope)
-
-
-def _rank(scores: List[float], ts: List[int], k: int) -> List[int]:
-    """Indices of the top-``k`` under ``(score, t)`` desc — vectorized
-    when numpy is available (same lexsort as :mod:`repro.core.columnar`)."""
-    size = len(scores)
-    if size == 0:
-        return []
-    if _np is not None and size > 16:
-        order = _np.lexsort(
-            (_np.asarray(ts, dtype=_np.int64), _np.asarray(scores, dtype=_np.float64))
-        )[::-1]
-        return order[:k].tolist()
-    order = sorted(range(size), key=lambda i: (scores[i], ts[i]), reverse=True)
-    return order[:k]
 
 
 def _result_from(
@@ -769,9 +710,9 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
         self.cluster_id = int(cluster_id)
         self.inner_name = str(inner)
         self.pad_factor = float(pad_factor)
-        if self.pad_factor < 1.0:
+        if not 1.0 <= self.pad_factor < math.inf:
             raise InvalidQueryError(
-                f"pad_factor must be >= 1, got {self.pad_factor}"
+                f"pad_factor must be finite and >= 1, got {self.pad_factor}"
             )
         self.inner_options = dict(inner_options)
         self.drifted = False

@@ -19,16 +19,11 @@ contiguous buffers so the hot paths can operate on whole columns at once:
   walk), with an automatic whole-chunk pickle fallback for objects the
   columns cannot represent (arrival orders beyond int64, exotic score
   types).
-* vectorized ordering helpers (:func:`rank_descending`,
-  :func:`topk_objects`) implementing the library-wide total order
-  ``(score, t)`` over columns via ``numpy.lexsort`` — used by partition
-  sealing and SAP's pending-suffix top-k instead of per-object Python
-  sorts.
-
-numpy is optional: when it is unavailable (or explicitly disabled) every
-entry point falls back to the stdlib ``array`` module and plain Python
-sorts, producing bit-identical results.  The backend only changes speed,
-never answers — the property tests assert the round trip under both.
+* the one ordering helper over columns (:func:`rank_descending`) and
+  :func:`topk_objects` built on it, implementing the library-wide total
+  order ``(score, t)`` via ``numpy.lexsort`` — used by partition sealing,
+  SAP's pending-suffix top-k and the cluster plans' re-ranking instead
+  of per-object Python sorts.
 """
 
 from __future__ import annotations
@@ -37,18 +32,9 @@ import pickle
 import struct
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from .object import StreamObject, top_k
-
-try:  # pragma: no cover - exercised via both-backend parametrized tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib fallback path
-    _np = None
-
-#: Backend names accepted by :meth:`SlideBlock.from_objects`.
-BACKENDS = ("numpy", "stdlib")
-
-#: The default backend: numpy when importable, stdlib otherwise.
-DEFAULT_BACKEND = "numpy" if _np is not None else "stdlib"
 
 #: int64 bounds; arrival orders outside them cannot be packed as columns.
 _INT64_MIN = -(2**63)
@@ -100,10 +86,9 @@ class SlideBlock:
     shares them freely between plans and members.
     """
 
-    __slots__ = ("backend", "count", "scores", "ts", "timestamps", "timestamp_mask", "payloads")
+    __slots__ = ("count", "scores", "ts", "timestamps", "timestamp_mask", "payloads")
 
-    def __init__(self, backend, count, scores, ts, timestamps, timestamp_mask, payloads) -> None:
-        self.backend = backend
+    def __init__(self, count, scores, ts, timestamps, timestamp_mask, payloads) -> None:
         self.count = count
         self.scores = scores
         self.ts = ts
@@ -113,17 +98,9 @@ class SlideBlock:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_objects(
-        cls, objects: Sequence[StreamObject], backend: Optional[str] = None
-    ) -> "SlideBlock":
+    def from_objects(cls, objects: Sequence[StreamObject]) -> "SlideBlock":
         """Pack objects into columns (raises :class:`BlockPackError` when
         a score or arrival order cannot be represented)."""
-        if backend is None:
-            backend = DEFAULT_BACKEND
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if backend == "numpy" and _np is None:
-            raise ValueError("the numpy backend is unavailable (numpy not importable)")
         count = len(objects)
         scores = _as_float_scores(objects)
         ts: List[int] = []
@@ -156,22 +133,11 @@ class SlideBlock:
                 if payloads is None:
                     payloads = [None] * count
                 payloads[index] = obj.payload
-        if backend == "numpy":
-            score_col = _np.array(scores, dtype=_np.float64)
-            t_col = _np.array(ts, dtype=_np.int64)
-            stamp_col = None if timestamps is None else _np.array(timestamps, dtype=_np.int64)
-        else:
-            import array
-
-            score_col = array.array("d", scores)
-            t_col = array.array("q", ts)
-            stamp_col = None if timestamps is None else array.array("q", timestamps)
         return cls(
-            backend=backend,
             count=count,
-            scores=score_col,
-            ts=t_col,
-            timestamps=stamp_col,
+            scores=_np.array(scores, dtype=_np.float64),
+            ts=_np.array(ts, dtype=_np.int64),
+            timestamps=None if timestamps is None else _np.array(timestamps, dtype=_np.int64),
             timestamp_mask=bytes(mask) if mask is not None else None,
             payloads=payloads,
         )
@@ -207,28 +173,12 @@ class SlideBlock:
         payload list when present).  Near-memcpy for payload-free blocks."""
         flags = 0
         parts: List[bytes] = []
-        if self.backend == "numpy":
-            score_bytes = _np.ascontiguousarray(self.scores, dtype="<f8").tobytes()
-            t_bytes = _np.ascontiguousarray(self.ts, dtype="<i8").tobytes()
-            stamp_bytes = (
-                _np.ascontiguousarray(self.timestamps, dtype="<i8").tobytes()
-                if self.timestamps is not None
-                else None
-            )
-        else:
-            score_bytes = struct.pack(f"<{self.count}d", *self.scores)
-            t_bytes = struct.pack(f"<{self.count}q", *self.ts)
-            stamp_bytes = (
-                struct.pack(f"<{self.count}q", *self.timestamps)
-                if self.timestamps is not None
-                else None
-            )
-        parts.append(score_bytes)
-        parts.append(t_bytes)
-        if stamp_bytes is not None:
+        parts.append(_np.ascontiguousarray(self.scores, dtype="<f8").tobytes())
+        parts.append(_np.ascontiguousarray(self.ts, dtype="<i8").tobytes())
+        if self.timestamps is not None:
             flags |= _FLAG_TIMESTAMPS
             parts.append(self.timestamp_mask)
-            parts.append(stamp_bytes)
+            parts.append(_np.ascontiguousarray(self.timestamps, dtype="<i8").tobytes())
         if self.payloads is not None:
             flags |= _FLAG_PAYLOADS
             parts.append(pickle.dumps(self.payloads, protocol=pickle.HIGHEST_PROTOCOL))
@@ -236,10 +186,8 @@ class SlideBlock:
         return header + b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data, backend: Optional[str] = None) -> "SlideBlock":
+    def from_bytes(cls, data) -> "SlideBlock":
         """Decode a block written by :meth:`to_bytes`."""
-        if backend is None:
-            backend = DEFAULT_BACKEND
         magic, version, wire_format, flags, count = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
             raise ValueError(f"not a SlideBlock payload (magic {magic:#x})")
@@ -257,32 +205,16 @@ class SlideBlock:
             offset += length
             return piece
 
-        if backend == "numpy" and _np is not None:
-            scores = _np.frombuffer(take(col), dtype="<f8")
-            ts = _np.frombuffer(take(col), dtype="<i8")
-            if flags & _FLAG_TIMESTAMPS:
-                mask = bytes(take(count))
-                timestamps = _np.frombuffer(take(col), dtype="<i8")
-            else:
-                mask = None
-                timestamps = None
+        scores = _np.frombuffer(take(col), dtype="<f8")
+        ts = _np.frombuffer(take(col), dtype="<i8")
+        if flags & _FLAG_TIMESTAMPS:
+            mask = bytes(take(count))
+            timestamps = _np.frombuffer(take(col), dtype="<i8")
         else:
-            import array
-
-            scores = array.array("d")
-            scores.frombytes(take(col))
-            ts = array.array("q")
-            ts.frombytes(take(col))
-            if flags & _FLAG_TIMESTAMPS:
-                mask = bytes(take(count))
-                timestamps = array.array("q")
-                timestamps.frombytes(take(col))
-            else:
-                mask = None
-                timestamps = None
+            mask = None
+            timestamps = None
         payloads = pickle.loads(view[offset:]) if flags & _FLAG_PAYLOADS else None
         return cls(
-            backend=backend if not (backend == "numpy" and _np is None) else "stdlib",
             count=count,
             scores=scores,
             ts=ts,
@@ -295,7 +227,7 @@ class SlideBlock:
 # ----------------------------------------------------------------------
 # Chunk codec (the cluster transports' unit of transfer)
 # ----------------------------------------------------------------------
-def encode_chunk(objects: Sequence[StreamObject], backend: Optional[str] = None) -> bytes:
+def encode_chunk(objects: Sequence[StreamObject]) -> bytes:
     """Encode a chunk of stream objects for transport.
 
     Columnar when possible; otherwise (exotic scores, arrival orders past
@@ -303,14 +235,14 @@ def encode_chunk(objects: Sequence[StreamObject], backend: Optional[str] = None)
     consumer handles every chunk through one entry point.
     """
     try:
-        return SlideBlock.from_objects(objects, backend=backend).to_bytes()
+        return SlideBlock.from_objects(objects).to_bytes()
     except BlockPackError:
         header = _HEADER.pack(_MAGIC, _WIRE_VERSION, FORMAT_PICKLED, 0, len(objects))
         return header + pickle.dumps(list(objects), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_chunk(
-    data, backend: Optional[str] = None, materialize: bool = True
+    data, materialize: bool = True
 ) -> Tuple[List[StreamObject], Optional[SlideBlock]]:
     """Decode a chunk written by :func:`encode_chunk`.
 
@@ -328,7 +260,7 @@ def decode_chunk(
         raise ValueError(f"unsupported chunk wire version {version}")
     if wire_format == FORMAT_PICKLED:
         return pickle.loads(memoryview(data)[_HEADER.size :]), None
-    block = SlideBlock.from_bytes(data, backend=backend)
+    block = SlideBlock.from_bytes(data)
     return (block.to_objects() if materialize else []), block
 
 
@@ -338,52 +270,48 @@ def decode_chunk(
 def _columns_of(
     objects: Sequence[StreamObject],
 ) -> Optional[Tuple["object", "object"]]:
-    """Extract (scores, ts) as numpy columns, or ``None`` when the
-    vectorized order would not match the Python tuple order (no numpy,
-    NaN scores, ints beyond int64)."""
-    if _np is None:
-        return None
+    """Extract (scores, ts) as numpy columns, or ``None`` when a score or
+    an arrival order does not fit float64 / int64."""
     try:
         scores = _np.array([obj.score for obj in objects], dtype=_np.float64)
         ts = _np.array([obj.t for obj in objects], dtype=_np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if _np.isnan(scores).any():
-        # Python tuple comparison and numpy lexsort disagree on NaN.
-        return None
     return scores, ts
 
 
 def rank_descending(scores, ts) -> "object":
-    """Indices ordering the columns best-first under ``(score, t)``.
+    """Indices ordering ``(score, t)`` best-first along the last axis.
 
-    Requires numpy columns with no NaN scores; callers go through
-    :func:`topk_objects`, which performs that check.
+    ``scores`` is one column or a 2-D batch of columns (one row per
+    scoring vector) over the same arrival orders ``ts``.  Scores must not
+    be NaN: NaN has no place in the total order, and the ingest edge
+    (:func:`repro.core.window.check_order`) refuses it.
     """
-    return _np.lexsort((ts, scores))[::-1]
+    scores = _np.asarray(scores, dtype=_np.float64)
+    ts = _np.asarray(ts, dtype=_np.int64)
+    if scores.ndim > 1:
+        ts = _np.broadcast_to(ts, scores.shape)
+    return _np.lexsort((ts, scores), axis=-1)[..., ::-1]
 
 
 def topk_objects(objects: Sequence[StreamObject], k: int) -> List[StreamObject]:
     """The ``k`` best objects, best first — vectorized :func:`~repro.core.object.top_k`.
 
     Bit-identical to the per-object sort: ``numpy.lexsort`` over the
-    ``(score, t)`` columns realises the same total order (NaN scores and
-    non-int64 arrival orders fall back to the object sort).
+    ``(score, t)`` columns realises the same total order (arrival orders
+    beyond int64 and scores beyond float64 fall back to the object sort).
     """
     if k <= 0:
         return []
     size = len(objects)
     if size == 0:
         return []
-    if size <= 16 or _np is None:
+    if size <= 16:
         # Tiny inputs: column extraction costs more than the sort saves.
         return top_k(objects, k)
     columns = _columns_of(objects)
     if columns is None:
         return top_k(objects, k)
-    scores, ts = columns
-    if k >= size:
-        order = rank_descending(scores, ts)
-        return [objects[i] for i in order.tolist()]
-    order = rank_descending(scores, ts)[:k]
+    order = rank_descending(*columns)[:k]
     return [objects[i] for i in order.tolist()]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
+from math import gcd, inf
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -28,6 +28,7 @@ from .object import StreamObject
 from .query import TopKQuery
 
 _t_of = attrgetter("t")
+_score_of = attrgetter("score")
 
 #: Objects per batcher call when :func:`slides_for_query` drains a stream.
 _SLIDES_CHUNK = 256
@@ -57,10 +58,16 @@ class SlideEvent:
     window_end: int
 
 
+def _non_finite(score) -> bool:
+    # NaN is the one value unequal to itself.
+    return score != score or score == inf or score == -inf
+
+
 def check_order(objects: Sequence[StreamObject], previous: float) -> int:
     """The last ``t`` of a non-empty chunk; raises
     :class:`InvalidQueryError` unless ``t`` strictly increases, within the
-    chunk and from ``previous`` (``t`` identifies an object)."""
+    chunk and from ``previous`` (``t`` identifies an object), and every
+    score is finite (NaN has no place in the ``(score, t)`` order)."""
     ts = list(map(_t_of, objects))
     if ts[0] <= previous or not all(map(lt, ts, islice(ts, 1, None))):
         # Name the first offending object.
@@ -71,6 +78,18 @@ def check_order(objects: Sequence[StreamObject], previous: float) -> int:
                     f"got t={t} after t={previous}"
                 )
             previous = t
+    try:
+        total = sum(map(_score_of, objects))
+    except (OverflowError, TypeError):
+        total = inf
+    # One non-finite score makes the sum non-finite; so can an overflow
+    # of finite scores, which the per-object pass then admits.
+    if _non_finite(total):
+        for obj in objects:
+            if _non_finite(obj.score):
+                raise InvalidQueryError(
+                    f"stream object scores must be finite; got {obj.score!r} at t={obj.t}"
+                )
     return ts[-1]
 
 

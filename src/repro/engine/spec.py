@@ -32,6 +32,7 @@ still works.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.exceptions import InvalidQueryError
@@ -176,6 +177,10 @@ class QuerySpec:
                 validate_vector(self._vector)
             except InvalidQueryError as exc:
                 raise PreferenceError(f"invalid preference vector: {exc}") from None
+            if self._pad_factor is not None and not 1.0 <= self._pad_factor < math.inf:
+                raise PreferenceError(
+                    f"pad_factor must be finite and >= 1, got {self._pad_factor}"
+                )
             if self._preference is not None:
                 raise PreferenceError(
                     "a spec cannot combine scored_by(F) with a preference "
@@ -278,11 +283,11 @@ class QuerySpec:
             raise InvalidQueryError(
                 f"missing query parameter {exc.args[0]!r}"
             ) from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidQueryError(f"invalid query: {exc}") from None
         try:
             s = int(body.get("s", 1))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidQueryError(f"invalid slide size: {exc}") from None
         algorithm = body.get("algorithm", default_algorithm)
         if not isinstance(algorithm, str):
@@ -308,6 +313,11 @@ class QuerySpec:
                 algorithm = default_algorithm
         cluster_id = body.get("cluster_id")
         pad_factor = body.get("pad_factor")
+        try:
+            cluster_id = None if cluster_id is None else int(cluster_id)
+            pad_factor = None if pad_factor is None else float(pad_factor)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidQueryError(f"invalid cluster option: {exc}") from None
         spec = cls(
             n=n,
             k=k,
@@ -316,8 +326,8 @@ class QuerySpec:
             algorithm=algorithm,
             options=dict(options),
             vector=vector,
-            cluster_id=None if cluster_id is None else int(cluster_id),
-            pad_factor=None if pad_factor is None else float(pad_factor),
+            cluster_id=cluster_id,
+            pad_factor=pad_factor,
         )
         return spec.validate()
 

@@ -5,7 +5,7 @@ Turns a live engine (:class:`repro.StreamEngine` or
 subscription service: a REST API for subscription lifecycle, idempotent
 event ingestion (at-least-once producers get exactly-once engine
 semantics through a bounded dedupe window), and per-client result push
-over SSE or WebSocket with bounded queues and explicit backpressure.
+over SSE with bounded queues and explicit backpressure.
 Standard-library only — the whole service is asyncio + sockets.
 
 Quickstart (embedded)::

@@ -66,20 +66,13 @@ from .backpressure import (
 from .ingest import DEFAULT_DEDUPE_WINDOW, DedupeWindow, IngestBatcher, parse_event
 from .protocol import (
     SSE_HEADER,
-    WS_CLOSE,
-    WS_PING,
-    WS_PONG,
     HttpRequest,
     ProtocolError,
-    encode_websocket_frame,
     error_response,
-    is_websocket_upgrade,
     read_request,
-    read_websocket_frame,
     render_response,
     sse_comment,
     sse_event,
-    websocket_handshake_response,
 )
 from .sessions import Session, SessionRegistry
 
@@ -534,10 +527,12 @@ class TopKServer:
     # ------------------------------------------------------------------
     async def ingest(self, events: List[object]) -> Dict[str, int]:
         """Dedupe, batch, and (when a whole slide multiple is pending)
-        push a batch through the engine, delivering the answers."""
+        push a batch through the engine, delivering the answers.  Every
+        event is validated first, so a request with one bad event is
+        refused whole."""
         accepted = duplicates = 0
-        for raw in events:
-            event_id, score, payload = parse_event(raw)  # ValueError -> 400
+        parsed = [parse_event(raw) for raw in events]  # ValueError -> 400
+        for event_id, score, payload in parsed:
             if event_id is not None and not self.dedupe.admit(event_id):
                 duplicates += 1
                 continue
@@ -616,7 +611,7 @@ class TopKServer:
 
     async def _dispatch(self, request: HttpRequest, reader, writer) -> bool:
         """Route one request; returns True when the handler took over the
-        connection (SSE/WebSocket)."""
+        connection (SSE)."""
         try:
             return await self._route(request, reader, writer)
         except ProtocolError as exc:
@@ -719,12 +714,6 @@ class TopKServer:
         session = self._session(params["name"])
         await self._serve_sse(session, reader, writer)
 
-    async def _h_stream_ws(self, request, params, reader, writer):
-        session = self._session(params["name"])
-        if not is_websocket_upgrade(request):
-            raise ProtocolError(400, "expected a WebSocket upgrade request")
-        await self._serve_websocket(session, request, reader, writer)
-
     def _session(self, name: str) -> Session:
         session = self.registry.get(name)
         if session is None:
@@ -755,13 +744,10 @@ class TopKServer:
     # ------------------------------------------------------------------
     # Streaming endpoints
     # ------------------------------------------------------------------
-    def _open_channel(self, session: Session) -> ClientChannel:
-        return session.attach(
+    async def _serve_sse(self, session: Session, reader, writer) -> None:
+        channel = session.attach(
             ClientChannel(self.config.client_queue, self.config.slow_client)
         )
-
-    async def _serve_sse(self, session: Session, reader, writer) -> None:
-        channel = self._open_channel(session)
         writer.write(SSE_HEADER)
         writer.write(sse_comment(f"subscribed {session.name}"))
         monitor = asyncio.ensure_future(self._watch_disconnect(reader, channel))
@@ -783,32 +769,6 @@ class TopKServer:
             session.detach(channel)
             channel.close("client-disconnect")
 
-    async def _serve_websocket(
-        self, session: Session, request: HttpRequest, reader, writer
-    ) -> None:
-        channel = self._open_channel(session)
-        writer.write(websocket_handshake_response(request))
-        monitor = asyncio.ensure_future(self._watch_ws_frames(reader, writer, channel))
-        try:
-            await writer.drain()
-            while True:
-                try:
-                    record = await channel.get()
-                except ChannelClosed as exc:
-                    payload = json.dumps({"event": "end", "reason": str(exc)}).encode()
-                    writer.write(encode_websocket_frame(payload))
-                    writer.write(encode_websocket_frame(b"", opcode=WS_CLOSE))
-                    await writer.drain()
-                    break
-                writer.write(encode_websocket_frame(json.dumps(record).encode()))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            monitor.cancel()
-            session.detach(channel)
-            channel.close("client-disconnect")
-
     @staticmethod
     async def _watch_disconnect(reader, channel: ClientChannel) -> None:
         """Close the channel when the SSE client hangs up (EOF on read)."""
@@ -817,21 +777,6 @@ class TopKServer:
                 data = await reader.read(4096)
                 if not data:
                     break
-        except (ConnectionError, OSError):
-            pass
-        channel.close("client-disconnect")
-
-    @staticmethod
-    async def _watch_ws_frames(reader, writer, channel: ClientChannel) -> None:
-        """Answer pings and notice the client's close frame."""
-        try:
-            while True:
-                frame = await read_websocket_frame(reader)
-                if frame is None or frame[0] == WS_CLOSE:
-                    break
-                if frame[0] == WS_PING:
-                    writer.write(encode_websocket_frame(frame[1], opcode=WS_PONG))
-                    await writer.drain()
         except (ConnectionError, OSError):
             pass
         channel.close("client-disconnect")

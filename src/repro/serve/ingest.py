@@ -23,6 +23,7 @@ moves whole slides and results surface at batch boundaries.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import inf, isfinite
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.object import StreamObject
@@ -84,7 +85,7 @@ class DedupeWindow:
 def parse_event(raw: object) -> Tuple[Optional[str], float, object]:
     """Validate one wire event; returns ``(id, score, payload)``.
 
-    An event is a JSON object with a numeric ``score``, an optional
+    An event is a JSON object with a finite numeric ``score``, an optional
     string ``id`` (events without an id bypass deduplication — the
     producer has declared them non-retried), and an optional ``payload``
     carried through to the :class:`StreamObject` untouched.
@@ -96,10 +97,16 @@ def parse_event(raw: object) -> Tuple[Optional[str], float, object]:
     score = raw["score"]
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise ValueError(f"event score must be a number, got {score!r}")
+    try:
+        value = float(score)
+    except OverflowError:  # an int past float64
+        value = inf
+    if not isfinite(value):
+        raise ValueError(f"event score must be finite, got {score!r}")
     event_id = raw.get("id")
     if event_id is not None and not isinstance(event_id, str):
         raise ValueError(f"event id must be a string, got {event_id!r}")
-    return event_id, float(score), raw.get("payload")
+    return event_id, value, raw.get("payload")
 
 
 class IngestBatcher:

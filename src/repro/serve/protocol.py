@@ -1,28 +1,18 @@
-"""Wire protocols of the serving layer: HTTP/1.1, SSE, and WebSocket.
+"""Wire protocols of the serving layer: HTTP/1.1 and Server-Sent Events.
 
 Everything here is standard-library only, built directly on
 :mod:`asyncio` stream readers/writers.  The HTTP support is deliberately
 minimal — request-line + headers + ``Content-Length`` bodies, JSON in and
 out — because the serving layer's API surface is small and a dependency
-on a web framework would break the repository's no-new-deps rule.  Two
-streaming protocols ride on top of a parsed request:
-
-* **Server-Sent Events** (:func:`sse_event`): one-directional result push
-  with named events; any HTTP client that can read a chunked response can
-  consume it (``curl -N`` included).
-* **WebSocket** (:func:`websocket_accept_key`, :class:`WebSocketWriter`,
-  :func:`read_websocket_frame`): RFC 6455 server side — handshake,
-  unmasked server→client text frames, masked client frames, close/ping
-  control frames.  Enough for result push; no fragmentation or
-  extensions.
+on a web framework would break the repository's no-new-deps rule.
+Results are pushed as **Server-Sent Events** (:func:`sse_event`):
+one-directional push with named events, which any HTTP client that can
+read a streamed response consumes (``curl -N`` included).
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -31,9 +21,6 @@ from urllib.parse import parse_qsl, urlsplit
 #: bodies.  Oversized requests are rejected instead of buffered.
 MAX_HEAD_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: RFC 6455 handshake GUID.
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 HTTP_REASONS = {
     200: "OK",
@@ -48,6 +35,10 @@ HTTP_REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _refuse_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a JSON number")
 
 
 class ProtocolError(Exception):
@@ -73,11 +64,12 @@ class HttpRequest:
     segments: Tuple[str, ...] = field(default=())
 
     def json(self) -> object:
-        """The body decoded as JSON (``{}`` when empty)."""
+        """The body decoded as JSON (``{}`` when empty); ``NaN`` and
+        ``Infinity``, which JSON does not define, are refused."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
+            return json.loads(self.body, parse_constant=_refuse_constant)
         except (ValueError, UnicodeDecodeError) as exc:
             raise ProtocolError(400, f"invalid JSON body: {exc}") from None
 
@@ -211,74 +203,3 @@ def sse_event(data: object, event: Optional[str] = None) -> bytes:
 def sse_comment(text: str) -> bytes:
     """An SSE comment line (keep-alive / informational, not an event)."""
     return f": {text}\n\n".encode()
-
-
-# ----------------------------------------------------------------------
-# WebSocket (RFC 6455, server side)
-# ----------------------------------------------------------------------
-def is_websocket_upgrade(request: HttpRequest) -> bool:
-    return (
-        "websocket" in request.headers.get("upgrade", "").lower()
-        and "sec-websocket-key" in request.headers
-    )
-
-
-def websocket_accept_key(client_key: str) -> str:
-    digest = hashlib.sha1((client_key + _WS_GUID).encode()).digest()
-    return base64.b64encode(digest).decode()
-
-
-def websocket_handshake_response(request: HttpRequest) -> bytes:
-    accept = websocket_accept_key(request.headers["sec-websocket-key"])
-    return (
-        "HTTP/1.1 101 Switching Protocols\r\n"
-        "Upgrade: websocket\r\n"
-        "Connection: Upgrade\r\n"
-        f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
-    ).encode("latin-1")
-
-
-def encode_websocket_frame(payload: bytes, opcode: int = 0x1) -> bytes:
-    """One unmasked server→client frame (FIN set, no fragmentation)."""
-    head = bytes([0x80 | opcode])
-    length = len(payload)
-    if length < 126:
-        head += bytes([length])
-    elif length < 1 << 16:
-        head += bytes([126]) + struct.pack("!H", length)
-    else:
-        head += bytes([127]) + struct.pack("!Q", length)
-    return head + payload
-
-
-async def read_websocket_frame(reader) -> Optional[Tuple[int, bytes]]:
-    """Read one client frame; returns ``(opcode, payload)`` or ``None`` at EOF.
-
-    Client frames are masked per RFC 6455; the mask is applied here so the
-    caller sees plain payload bytes.
-    """
-    try:
-        head = await reader.readexactly(2)
-    except (EOFError, ConnectionError, OSError):
-        return None
-    opcode = head[0] & 0x0F
-    masked = bool(head[1] & 0x80)
-    length = head[1] & 0x7F
-    try:
-        if length == 126:
-            length = struct.unpack("!H", await reader.readexactly(2))[0]
-        elif length == 127:
-            length = struct.unpack("!Q", await reader.readexactly(8))[0]
-        if length > MAX_BODY_BYTES:
-            return None
-        mask = await reader.readexactly(4) if masked else b""
-        payload = await reader.readexactly(length) if length else b""
-    except (EOFError, ConnectionError, OSError):
-        return None
-    if masked and payload:
-        payload = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-    return opcode, payload
-
-
-#: WebSocket control opcodes the serving layer reacts to.
-WS_TEXT, WS_CLOSE, WS_PING, WS_PONG = 0x1, 0x8, 0x9, 0xA

@@ -49,8 +49,8 @@ class Route:
 
     ``pattern`` segments are literals or ``{param}`` placeholders;
     ``handler`` names a method key the application binds at startup;
-    ``streaming`` marks handlers that take over the connection (SSE /
-    WebSocket) instead of returning a response triple.
+    ``streaming`` marks handlers that take over the connection (SSE)
+    instead of returning a response triple.
     """
 
     method: str
@@ -86,8 +86,6 @@ ROUTES: Tuple[Route, ...] = (
           "poll retained answers (`?drain=true`)"),
     Route("GET", ("subscriptions", "{name}", "stream"), "stream_sse",
           "push answers over SSE", streaming=True),
-    Route("GET", ("subscriptions", "{name}", "ws"), "stream_ws",
-          "push answers over WebSocket", streaming=True),
 )
 
 

@@ -29,7 +29,7 @@ from .backpressure import ClientChannel
 
 
 def result_record(name: str, result: TopKResult) -> Dict[str, object]:
-    """The JSON shape of one answer, shared by SSE, WebSocket, and REST.
+    """The JSON shape of one answer, shared by SSE and REST.
 
     ``objects`` carries the full total-order identity ``(score, t)`` of
     every result object, best first, so a network consumer can check

@@ -17,6 +17,7 @@ from repro.core.clustering import (
     UNATTRIBUTED_SCORE,
     ClusterSpace,
     attributes_of,
+    attributes_of_payload,
     dominated_by,
     k_pad_for,
     linear_score,
@@ -25,7 +26,7 @@ from repro.core.clustering import (
     validate_vector,
 )
 from repro.core.exceptions import InvalidQueryError
-from repro.core.object import StreamObject
+from repro.core.object import StreamObject, top_k
 
 
 class TestValidateVector:
@@ -169,6 +170,39 @@ class TestEngineIntegration:
         for name in ("a", "b"):
             for result in engine.results(name):
                 assert all(obj.score > UNATTRIBUTED_SCORE for obj in result.objects)
+        engine.close()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_non_finite_attributes_are_unattributed(self, shared):
+        """``(x, inf)`` under ``(1, 0)`` once scored ``0 * inf = nan``, and
+        that NaN led the member's top-5.  A non-finite attribute makes
+        the object unattributed on every scoring path."""
+        rows = [(float(i % 13), float(i % 7)) for i in range(40)]
+        rows[12] = (50.0, float("inf"))
+        rows[20] = (60.0, float("-inf"))
+        rows[28] = (70.0, float("nan"))
+        assert attributes_of_payload({"attributes": rows[12]}, 2) is None
+        n, k, s = 10, 5, 5
+        engine = StreamEngine()
+        engine.subscribe("w", QuerySpec(n=n, k=k, s=s).preferring((1.0, 0.0)))
+        if shared:
+            engine.subscribe("v", QuerySpec(n=n, k=k, s=s).preferring((0.999, 0.0)))
+        engine.push_many(_attribute_objects(rows))
+        assert engine.subscription("w").snapshot()["cluster"]["mode"] == (
+            "shared" if shared else "private"
+        )
+        scored = [
+            StreamObject(score=score, t=t)
+            for t, score in enumerate(
+                linear_scores((1.0, 0.0), [attributes_of_payload(r, 2) for r in rows])
+            )
+        ]
+        expected = [
+            [(o.score, o.t) for o in top_k(scored[end - n + 1 : end + 1], k)]
+            for end in range(n - 1, len(rows), s)
+        ]
+        answers = [[(o.score, o.t) for o in r.objects] for r in engine.results("w")]
+        assert answers == expected
         engine.close()
 
     def test_update_preference_inside_envelope_stays_shared(self):

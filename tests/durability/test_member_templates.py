@@ -7,8 +7,6 @@ retain the very same answer objects, so a payload pickles each answer
 once.
 """
 
-import pytest
-
 from repro.baselines.mintopk import MinTopK
 from repro.core.framework import SAPTopK
 from repro.core.state import dumps
@@ -70,7 +68,6 @@ def test_plan_members_with_one_k_pickle_each_answer_once():
 
 
 def test_preference_update_refreshes_the_captured_configuration():
-    pytest.importorskip("numpy")
     engine = StreamEngine()
     engine.subscribe("u", QuerySpec(n=30, k=2, s=10).preferring((1.0, 1.0), cluster_id=0))
     (before,) = engine.capture_subscription("u").members

@@ -65,8 +65,9 @@ def _reject_push_block(engine):
     engine.push_block(SlideBlock.from_objects(BAD_CHUNK))
 
 
-def _reject_stdlib_block(engine):
-    engine.push_block(SlideBlock.from_objects(BAD_CHUNK, backend="stdlib"))
+def _reject_wire_block(engine):
+    # A block decoded from the wire, as a shard worker or WAL replay has it.
+    engine.push_block(SlideBlock.from_bytes(SlideBlock.from_objects(BAD_CHUNK).to_bytes()))
 
 
 def _reject_push(engine):
@@ -87,7 +88,7 @@ def _reject_middle_position(engine):
     [
         _reject_push_many,
         _reject_push_block,
-        _reject_stdlib_block,
+        _reject_wire_block,
         _reject_push,
         _reject_first_position,
         _reject_middle_position,
@@ -277,3 +278,91 @@ def test_recovered_engine_resumes_the_order_mark_of_its_log(tmp_path):
     reference = create_algorithm("brute-force", recovered.subscription("fresh").query)
     assert results_agree(recovered.results("fresh"), reference.run(STREAM[100:]))
     recovered.close()
+
+
+#: n=200, k=10, s=20 over 600 objects: the shape that a NaN poisoned.
+FINITE_STREAM = make_objects(random_scores(600, seed=29))
+WIDE = (200, 10, 20)
+
+
+def _poisoned(value):
+    """``FINITE_STREAM[200:220]`` with ``value`` as the score at t=205."""
+    chunk = list(FINITE_STREAM[200:220])
+    chunk[5] = StreamObject(score=value, t=chunk[5].t)
+    return chunk
+
+
+def _wide_engine(algorithm):
+    engine = StreamEngine(keep_results=True, return_results=False)
+    n, k, s = WIDE
+    engine.subscribe("q", QuerySpec(n=n, k=k, s=s).using(algorithm))
+    return engine
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("algorithm", ["SAP", "SAP-equal", "MinTopK"])
+def test_non_finite_score_is_rejected_whole(algorithm, value):
+    """One NaN score used to be admitted and then break every later chunk
+    of a SAP engine; MinTopK ran on with wrong answers.  The edge refuses
+    the chunk, and the engine runs on as a twin that never saw it."""
+    engine, twin = _wide_engine(algorithm), _wide_engine(algorithm)
+    engine.push_many(FINITE_STREAM[:200])
+    twin.push_many(FINITE_STREAM[:200])
+    with pytest.raises(InvalidQueryError, match="scores must be finite; got .* at t=205"):
+        engine.push_many(_poisoned(value))
+    _assert_twins(engine, twin)
+    engine.push_many(FINITE_STREAM[200:])
+    twin.push_many(FINITE_STREAM[200:])
+    _assert_twins(engine, twin)
+
+
+def test_sharded_facade_rejects_a_non_finite_chunk_whole():
+    from repro.cluster import ShardedStreamEngine
+
+    n, k, s = WIDE
+    twin = _wide_engine("SAP")
+    with ShardedStreamEngine(2, keep_results=True) as engine:
+        engine.subscribe("q", QuerySpec(n=n, k=k, s=s).using("SAP"))
+        engine.push_many(FINITE_STREAM[:200])
+        twin.push_many(FINITE_STREAM[:200])
+        with pytest.raises(InvalidQueryError, match="scores must be finite"):
+            engine.push_many(_poisoned(float("nan")))
+        engine.push_many(FINITE_STREAM[200:])
+        twin.push_many(FINITE_STREAM[200:])
+        engine.synchronize()
+        assert _signature(engine.drain_results()) == _signature(twin.drain_results())
+
+
+def test_durable_engine_journals_no_record_of_a_non_finite_chunk(tmp_path):
+    engine = StreamEngine.durable(str(tmp_path), keep_results=True, return_results=False)
+    _subscribe(engine)
+    engine.push_many(STREAM[:100])
+    before = engine.durability.wal.next_seq
+    bad = STREAM[100:110] + [StreamObject(score=float("nan"), t=110)]
+    with pytest.raises(InvalidQueryError, match="scores must be finite"):
+        engine.push_many(bad)
+    with pytest.raises(InvalidQueryError, match="scores must be finite"):
+        engine.push_block(SlideBlock.from_objects(bad))
+    assert engine.durability.wal.next_seq == before
+    engine.close()
+
+
+def test_checked_windows_refuse_non_finite_scores():
+    """Standalone windows and the reference driver run the same check."""
+    query = QuerySpec(n=40, k=3, s=10).build()
+    bad = STREAM[100:110] + [StreamObject(score=float("inf"), t=110)]
+    window = SlidingWindow()
+    window.extend(STREAM[:100])
+    with pytest.raises(InvalidQueryError, match="got inf at t=110"):
+        window.extend(bad)
+    assert window.contents() == STREAM[:100]
+    with pytest.raises(InvalidQueryError, match="got inf at t=110"):
+        create_algorithm("SAP", query).run(STREAM[:100] + bad)
+
+
+def test_finite_scores_whose_sum_overflows_are_admitted():
+    """The check sums the scores first; an overflowing sum of finite
+    scores (or an int past float64) is no reason to refuse."""
+    chunk = [StreamObject(score=1e308, t=i) for i in range(3)]
+    chunk.append(StreamObject(score=10**400, t=3))
+    assert check_order(chunk, -1) == 3

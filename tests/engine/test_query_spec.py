@@ -143,6 +143,27 @@ class TestWireForm:
         with pytest.raises(InvalidQueryError):
             QuerySpec.from_dict({"n": "ten", "k": 2})
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"n": float("inf"), "k": 2},
+            {"n": 10, "k": float("nan")},
+            {"n": 10, "k": 2, "s": float("inf")},
+            {"n": 10, "k": 2, "preference": [1.0], "cluster_id": float("inf")},
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, body):
+        with pytest.raises(InvalidQueryError):
+            QuerySpec.from_dict(body)
+
+    @pytest.mark.parametrize("pad_factor", [float("inf"), float("nan"), 0.5])
+    def test_pad_factor_must_be_finite_and_at_least_one(self, pad_factor):
+        from repro.streams.preference import PreferenceError
+
+        body = {"n": 10, "k": 2, "preference": [1.0], "pad_factor": pad_factor}
+        with pytest.raises(PreferenceError, match="pad_factor"):
+            QuerySpec.from_dict(body)
+
     def test_default_algorithm_applies(self):
         spec = QuerySpec.from_dict({"n": 10, "k": 2}, default_algorithm="MinTopK")
         assert spec.execution_plan()[0] == "MinTopK"

@@ -3,9 +3,9 @@
 The :class:`~repro.core.columnar.SlideBlock` round trip is the exactness
 foundation of the zero-copy transport: whatever objects go in — NaN and
 infinite scores, empty slides, payload-bearing and payload-free batches —
-the same objects must come back out, bit for bit, under both the numpy
-and the stdlib backend.  The vectorized ordering helpers must likewise be
-indistinguishable from the per-object ``top_k``.
+the same objects must come back out, bit for bit.  The vectorized
+ordering helpers must likewise be indistinguishable from the per-object
+``top_k`` over every score the ingest edge admits.
 """
 
 import math
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import (
-    BACKENDS,
     BlockPackError,
     SlideBlock,
     decode_chunk,
@@ -24,16 +23,6 @@ from repro.core.columnar import (
     topk_objects,
 )
 from repro.core.object import StreamObject, top_k
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    HAVE_NUMPY = False
-
-#: Backends actually runnable in this environment.
-RUNNABLE_BACKENDS = [b for b in BACKENDS if b != "numpy" or HAVE_NUMPY]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -104,49 +93,43 @@ def assert_same_objects(left, right):
         assert same_object(a, b), f"{a} != {b}"
 
 
-@pytest.mark.parametrize("backend", RUNNABLE_BACKENDS)
 @settings(max_examples=120, deadline=None)
 @given(objects=stream_objects())
-def test_block_roundtrip(backend, objects):
-    """from_objects -> to_objects is the identity, on either backend."""
-    block = SlideBlock.from_objects(objects, backend=backend)
+def test_block_roundtrip(objects):
+    """from_objects -> to_objects is the identity."""
+    block = SlideBlock.from_objects(objects)
     assert len(block) == len(objects)
     assert_same_objects(block.to_objects(), objects)
 
 
-@pytest.mark.parametrize("backend", RUNNABLE_BACKENDS)
 @settings(max_examples=100, deadline=None)
 @given(objects=stream_objects())
-def test_wire_roundtrip(backend, objects):
+def test_wire_roundtrip(objects):
     """to_bytes -> from_bytes is the identity; the payload flag only
     appears when at least one object actually carries a payload."""
-    block = SlideBlock.from_objects(objects, backend=backend)
+    block = SlideBlock.from_objects(objects)
     data = block.to_bytes()
     if all(obj.payload is None for obj in objects):
         assert block.payloads is None  # payloads ride out-of-band only when present
-    for decode_backend in RUNNABLE_BACKENDS:
-        decoded = SlideBlock.from_bytes(data, backend=decode_backend)
-        assert_same_objects(decoded.to_objects(), objects)
+    assert_same_objects(SlideBlock.from_bytes(data).to_objects(), objects)
 
 
-@pytest.mark.parametrize("backend", RUNNABLE_BACKENDS)
 @settings(max_examples=100, deadline=None)
 @given(objects=stream_objects())
-def test_chunk_codec_roundtrip(backend, objects):
-    data = encode_chunk(objects, backend=backend)
+def test_chunk_codec_roundtrip(objects):
+    data = encode_chunk(objects)
     decoded, block = decode_chunk(data)
     assert_same_objects(decoded, objects)
     assert block is not None  # packable inputs take the columnar format
 
 
 def test_empty_block_roundtrips():
-    for backend in RUNNABLE_BACKENDS:
-        block = SlideBlock.from_objects([], backend=backend)
-        assert len(block) == 0
-        assert block.to_objects() == []
-        decoded, wire_block = decode_chunk(encode_chunk([], backend=backend))
-        assert decoded == []
-        assert wire_block is not None
+    block = SlideBlock.from_objects([])
+    assert len(block) == 0
+    assert block.to_objects() == []
+    decoded, wire_block = decode_chunk(encode_chunk([]))
+    assert decoded == []
+    assert wire_block is not None
 
 
 def test_unpackable_chunks_take_the_pickle_fallback():
@@ -168,7 +151,7 @@ def test_unpackable_chunks_take_the_pickle_fallback():
 @settings(max_examples=120, deadline=None)
 @given(
     scores=st.lists(
-        st.floats(width=64, allow_nan=True, allow_infinity=True),
+        st.floats(width=64, allow_nan=False, allow_infinity=True),
         min_size=0,
         max_size=80,
     ),
@@ -176,17 +159,17 @@ def test_unpackable_chunks_take_the_pickle_fallback():
 )
 def test_topk_objects_matches_per_object_sort(scores, k):
     """The vectorized top-k realises the library's total order exactly —
-    including the NaN fallback, duplicate scores broken by arrival order,
-    and k past the input size."""
+    including the infinities, duplicate scores broken by arrival order,
+    and k past the input size.  NaN is outside the order: the ingest edge
+    refuses it."""
     objects = [StreamObject(score=s, t=i) for i, s in enumerate(scores)]
     assert topk_objects(objects, k) == top_k(objects, k)
 
 
-@pytest.mark.parametrize("backend", RUNNABLE_BACKENDS)
-def test_nan_and_inf_bit_patterns_survive_the_wire(backend):
+def test_nan_and_inf_bit_patterns_survive_the_wire():
     values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
     objects = [StreamObject(score=v, t=i) for i, v in enumerate(values)]
-    data = encode_chunk(objects, backend=backend)
+    data = encode_chunk(objects)
     decoded, _ = decode_chunk(data)
     assert [pickle.dumps(o.score) for o in decoded] == [
         pickle.dumps(o.score) for o in objects

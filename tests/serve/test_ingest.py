@@ -88,6 +88,10 @@ class TestParseEvent:
             {"score": "high"},  # non-numeric
             {"score": True},  # bool is not a score
             {"score": 1.0, "id": 7},  # non-string id
+            {"id": "a", "score": float("nan")},  # outside the (score, t) order
+            {"score": float("inf")},
+            {"score": float("-inf")},
+            {"score": 10**400},  # an int past float64
         ],
     )
     def test_invalid_events_rejected(self, raw):

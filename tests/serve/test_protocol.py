@@ -1,8 +1,7 @@
 """Wire-format tests for :mod:`repro.serve.protocol`.
 
 The parser and framers are plain functions over bytes, so everything here
-runs without a socket: HTTP requests come from in-memory stream readers,
-WebSocket frames round-trip through the encoder and decoder directly.
+runs without a socket: HTTP requests come from in-memory stream readers.
 """
 
 import asyncio
@@ -11,21 +10,13 @@ import json
 import pytest
 
 from repro.serve.protocol import (
-    WS_CLOSE,
-    WS_PING,
-    WS_TEXT,
     HttpRequest,
     ProtocolError,
-    encode_websocket_frame,
     error_response,
-    is_websocket_upgrade,
     read_request,
-    read_websocket_frame,
     render_response,
     sse_comment,
     sse_event,
-    websocket_accept_key,
-    websocket_handshake_response,
 )
 
 
@@ -86,6 +77,14 @@ class TestHttpParsing:
             req.json()
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_json_constants_map_to_400(self, constant):
+        body = b'{"score": ' + constant + b"}"
+        head = b"POST /v1/events HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+        with pytest.raises(ProtocolError, match="not a JSON number") as err:
+            parse(head + body).json()
+        assert err.value.status == 400
+
     def test_keep_alive_default_and_close(self):
         assert parse(b"GET / HTTP/1.1\r\n\r\n").wants_keep_alive()
         req = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
@@ -118,76 +117,3 @@ class TestServerSentEvents:
 
     def test_comment_framing(self):
         assert sse_comment("hello") == b": hello\n\n"
-
-
-class TestWebSocket:
-    def test_accept_key_rfc6455_example(self):
-        # The worked example from RFC 6455 section 1.3.
-        assert (
-            websocket_accept_key("dGhlIHNhbXBsZSBub25jZQ==")
-            == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-        )
-
-    def test_upgrade_detection(self):
-        req = parse(
-            b"GET /v1/subscriptions/q/ws HTTP/1.1\r\n"
-            b"Upgrade: websocket\r\nConnection: keep-alive, Upgrade\r\n"
-            b"Sec-WebSocket-Key: abc\r\n\r\n"
-        )
-        assert is_websocket_upgrade(req)
-        assert not is_websocket_upgrade(parse(b"GET / HTTP/1.1\r\n\r\n"))
-
-    def test_handshake_response_contains_accept(self):
-        req = parse(
-            b"GET /v1/subscriptions/q/ws HTTP/1.1\r\n"
-            b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n"
-        )
-        raw = websocket_handshake_response(req)
-        assert raw.startswith(b"HTTP/1.1 101")
-        assert b"s3pPLMBiTxaQ9kYGzzhZRbK+xOo=" in raw
-
-    @pytest.mark.parametrize("size", [0, 1, 125, 126, 65535, 65536, 70000])
-    def test_frame_roundtrip_all_length_encodings(self, size):
-        # Server frames are unmasked; the reader accepts them as a client
-        # would, which exercises the 7/16/64-bit length paths.
-        payload = bytes(i % 251 for i in range(size))
-        frame = encode_websocket_frame(payload, opcode=WS_TEXT)
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            return await read_websocket_frame(reader)
-
-        opcode, decoded = asyncio.run(go())
-        assert opcode == WS_TEXT
-        assert decoded == payload
-
-    def test_masked_client_frame_is_unmasked(self):
-        # Hand-build a masked client frame: "Hi" with mask 0x11223344.
-        mask = bytes([0x11, 0x22, 0x33, 0x44])
-        payload = b"Hi"
-        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-        frame = bytes([0x80 | WS_TEXT, 0x80 | len(payload)]) + mask + masked
-
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            return await read_websocket_frame(reader)
-
-        opcode, decoded = asyncio.run(go())
-        assert (opcode, decoded) == (WS_TEXT, b"Hi")
-
-    def test_eof_mid_frame_returns_none(self):
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(bytes([0x80 | WS_TEXT, 126, 0x01]))  # truncated
-            reader.feed_eof()
-            return await read_websocket_frame(reader)
-
-        assert asyncio.run(go()) is None
-
-    def test_control_opcodes_exported(self):
-        assert (WS_CLOSE, WS_PING) == (0x8, 0x9)

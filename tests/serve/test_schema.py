@@ -55,7 +55,7 @@ class TestDriftGuards:
 
     def test_streaming_flags_match_the_takeover_handlers(self):
         streaming = {r.handler for r in schema.ROUTES if r.streaming}
-        assert streaming == {"stream_sse", "stream_ws"}
+        assert streaming == {"stream_sse"}
 
     def test_readme_embeds_exactly_the_generated_table(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "..", "README.md")

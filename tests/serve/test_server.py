@@ -6,16 +6,13 @@ between tests that mutate subscriptions), driven with
 bodies, and status codes exactly the way external producers will.
 """
 
-import base64
-import hashlib
 import json
-import os
 import socket
-import struct
 import time
 
 import pytest
 
+from repro import QuerySpec, StreamEngine, StreamObject
 from repro.serve import (
     DISCONNECT,
     ServeConfig,
@@ -29,11 +26,13 @@ def server():
 
 
 def request(handle, method, path, body=None):
+    """One request; a ``bytes`` body is sent as given (``json.dumps``
+    cannot write ``1e400``)."""
     import http.client
 
     conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
     try:
-        payload = json.dumps(body) if body is not None else None
+        payload = body if body is None or isinstance(body, bytes) else json.dumps(body)
         conn.request(
             method, path, body=payload, headers={"Content-Type": "application/json"}
         )
@@ -198,6 +197,74 @@ class TestIngestion:
         assert body["results"] == []
 
 
+def embedded_answers(scores, *, n, k, s):
+    """The answers of an embedded engine fed ``scores`` at t = 0, 1, ..."""
+    engine = StreamEngine(keep_results=True, return_results=False)
+    engine.subscribe("q", QuerySpec(n=n, k=k, s=s))
+    engine.push_many([StreamObject(score=v, t=t) for t, v in enumerate(scores)])
+    return [
+        (r.slide_index, [(o.score, o.t) for o in r.objects])
+        for r in engine.results("q")
+    ]
+
+
+def served_answers(records):
+    return [
+        (r["slide_index"], [(o["score"], o["t"]) for o in r["objects"]])
+        for r in records
+    ]
+
+
+class TestNonFiniteNumbers:
+    """NaN, the infinities and numbers past float64 get a 400 for their
+    own request, never a 500, and leave the served answers as an
+    embedded twin's."""
+
+    HOSTILE_EVENTS = [
+        b'{"events": [{"id": "a", "score": NaN}]}',
+        b'{"events": [{"score": Infinity}]}',
+        b'{"events": [{"score": -Infinity}]}',
+        b'{"events": [{"score": 1e400}]}',
+        b'{"events": [{"score": 1' + b"0" * 400 + b'}]}',
+        # One bad event refuses the whole request, good events included.
+        b'{"events": [{"id": "b", "score": 1.0}, {"score": 2.0}, {"score": -1e400}]}',
+    ]
+
+    HOSTILE_SUBSCRIPTIONS = [
+        b'{"name": "h", "n": Infinity, "k": 3, "s": 5}',
+        b'{"name": "h", "n": 10, "k": NaN, "s": 5}',
+        b'{"name": "h", "n": 10, "k": 3, "s": 1e400}',
+        b'{"name": "h", "n": 10, "k": 3, "s": 5, "preference": [1.0, 1e400]}',
+        b'{"name": "h", "n": 10, "k": 3, "s": 5, "preference": [1.0], "pad_factor": 1e400}',
+        b'{"name": "h", "n": 10, "k": 3, "s": 5, "preference": [1.0], "cluster_id": 1e400}',
+    ]
+
+    def test_hostile_events_are_refused(self, server):
+        scores = [float((t * 7) % 11) for t in range(20)]
+        subscribe(server, "q", n=10, k=3, s=5)
+        ingest(server, [{"score": v} for v in scores[:10]])
+        for raw in self.HOSTILE_EVENTS:
+            status, body, _ = request(server, "POST", "/v1/events", raw)
+            assert status == 400, (raw, body)
+        status, body, _ = ingest(server, [{"id": "b", "score": scores[10]}])
+        assert (status, body["accepted"]) == (200, 1)  # "b" was never admitted
+        ingest(server, [{"score": v} for v in scores[11:]])
+        results = wait_for_results(server, "q", minimum=3)
+        assert served_answers(results) == embedded_answers(scores, n=10, k=3, s=5)
+
+    def test_hostile_subscriptions_are_refused(self, server):
+        for raw in self.HOSTILE_SUBSCRIPTIONS:
+            status, body, _ = request(server, "POST", "/v1/subscriptions", raw)
+            assert status == 400, (raw, body)
+        _, body, _ = request(server, "GET", "/v1/subscriptions")
+        assert body["subscriptions"] == []
+        scores = [float((t * 5) % 13) for t in range(15)]
+        subscribe(server, "q", n=10, k=2, s=5)
+        ingest(server, [{"score": v} for v in scores])
+        results = wait_for_results(server, "q", minimum=2)
+        assert served_answers(results) == embedded_answers(scores, n=10, k=2, s=5)
+
+
 class TestStreamingDelivery:
     def read_until(self, sock, marker, timeout=5.0):
         sock.settimeout(timeout)
@@ -230,42 +297,6 @@ class TestStreamingDelivery:
             assert len(record["objects"]) == 3  # k=3
         finally:
             sse.close()
-
-    def test_websocket_stream_delivers_results(self, server):
-        subscribe(server, "q")
-        ws = socket.create_connection(("127.0.0.1", server.port))
-        try:
-            key = base64.b64encode(os.urandom(16)).decode()
-            ws.sendall(
-                (
-                    "GET /v1/subscriptions/q/ws HTTP/1.1\r\nHost: t\r\n"
-                    "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-                    f"Sec-WebSocket-Key: {key}\r\n"
-                    "Sec-WebSocket-Version: 13\r\n\r\n"
-                ).encode()
-            )
-            head = self.read_until(ws, b"\r\n\r\n")
-            assert head.startswith(b"HTTP/1.1 101")
-            accept = base64.b64encode(
-                hashlib.sha1(
-                    (key + "258EAFA5-E914-47DA-95CA-C5AB0DC85B11").encode()
-                ).digest()
-            )
-            assert accept in head
-
-            ingest(server, [{"score": float(i)} for i in range(10)])
-            ws.settimeout(5.0)
-            frame = ws.recv(65536)
-            opcode, length = frame[0] & 0x0F, frame[1] & 0x7F
-            offset = 2
-            if length == 126:
-                length = struct.unpack(">H", frame[2:4])[0]
-                offset = 4
-            record = json.loads(frame[offset : offset + length])
-            assert opcode == 0x1
-            assert record["subscription"] == "q"
-        finally:
-            ws.close()
 
     def test_disconnecting_sse_client_is_detached(self, server):
         subscribe(server, "q")
