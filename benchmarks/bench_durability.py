@@ -1,7 +1,6 @@
 """Durability plane — what crash-exactness costs, and how fast it recovers.
 
-Trajectory benchmark (like ``bench_obs_overhead``): headline numbers land
-in ``BENCH_durability.json`` at the repository root.  Three questions:
+Three questions, each gated by an assert below:
 
 * **Steady-state overhead** — how much of a durable engine's ingest
   time is spent in the durability plane (WAL encode+append, periodic
@@ -25,8 +24,6 @@ in ``BENCH_durability.json`` at the repository root.  Three questions:
 same code paths (journal, checkpoint, truncate, restore, replay).
 """
 
-import json
-import os
 import shutil
 import tempfile
 import time
@@ -36,9 +33,6 @@ from repro.engine import QuerySpec, StreamEngine
 from repro.streams import make_dataset
 
 from conftest import run_sweep
-
-#: Trajectory file recorded at the repository root.
-TRAJECTORY_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_durability.json")
 
 #: Acceptance bar for the durable-vs-plain A/B on the engine hot path.
 OVERHEAD_TARGET = 0.05
@@ -231,31 +225,6 @@ def recovery_run(scale):
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def write_trajectory(rows, recovery, scale) -> None:
-    payload = {
-        "benchmark": "durability",
-        "scale": scale.name,
-        "overhead_target": OVERHEAD_TARGET,
-        "rows": rows,
-        "recovery": recovery,
-        "headline": {
-            "max_overhead_fraction": round(
-                max(row["overhead_fraction"] for row in rows), 4
-            ),
-            "recovery_seconds": round(recovery["recovery_seconds"], 4),
-            "replayed_slides": recovery["replayed_slides"],
-            "subscriptions": recovery["subscriptions"],
-            "exact": recovery["exact"],
-        },
-    }
-    try:
-        with open(TRAJECTORY_PATH, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # read-only checkout; the results dir copy still exists
-
-
 def test_durability(benchmark, scale):
     rows, recovery = run_sweep(
         benchmark,
@@ -287,7 +256,6 @@ def test_durability(benchmark, scale):
     write_results(
         "durability", table + "\n" + note, raw={"rows": rows, "recovery": recovery}
     )
-    write_trajectory(rows, recovery, scale)
 
     assert recovery["exact"], (
         "recovered answer stream diverged from the uncrashed twin"

@@ -1,10 +1,7 @@
 """Multi-query sharing — N independent engines vs one shared plane.
 
-This is the repo's first *trajectory* benchmark: unlike the table/figure
-reproductions, it measures the engine architecture itself, so its headline
-numbers are recorded in ``BENCH_multiquery.json`` at the repository root
-(as well as under ``benchmarks/results/``) to track the speedup of the
-shared multi-query plane across PRs.
+Unlike the table/figure reproductions, it measures the engine
+architecture itself; the table is written under ``benchmarks/results/``.
 
 The workload is the ROADMAP's north-star scenario scaled down: eight users
 watching the same feed with the same window shape ``(n, s)`` but different
@@ -14,9 +11,6 @@ runs one engine, where the eight queries share one batcher and one
 ``k_max`` algorithm core.  The acceptance bar is a >= 1.5x throughput gain
 for SAP.
 """
-
-import json
-import os
 
 import pytest
 
@@ -28,16 +22,6 @@ from conftest import run_sweep
 #: Result sizes of the eight concurrent queries (shared window shape).
 K_VALUES = (5, 10, 15, 20, 25, 30, 40, 50)
 ALGORITHMS = ("SAP", "k-skyband", "MinTopK")
-
-#: Trajectory file recorded at the repository root.
-TRAJECTORY_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_multiquery.json")
-
-#: SAP shared-plane throughput (events/second) recorded in the trajectory
-#: file before the columnar data plane landed, on this workload at default
-#: scale.  The vectorized-vs-seed row in the trajectory headline compares
-#: the current single-process shared plane against this constant, so the
-#: per-object -> columnar hot-path rewrite stays visible across PRs.
-SEED_SAP_SHARED_EVENTS_PER_SECOND = 76_155.4
 
 
 def fanout_shape(scale):
@@ -64,48 +48,6 @@ def sharing_sweep(scale):
         )
         rows.append(row)
     return rows
-
-
-def write_trajectory(rows, scale) -> None:
-    payload = {
-        "benchmark": "multiquery_sharing",
-        "scale": scale.name,
-        "queries": len(K_VALUES),
-        "k_values": list(K_VALUES),
-        "rows": rows,
-        "headline": {
-            row["algorithm"]: {
-                "speedup": round(row["speedup"], 3),
-                "independent_events_per_second": round(
-                    row["independent"]["events_per_second"], 1
-                ),
-                "shared_events_per_second": round(
-                    row["shared"]["events_per_second"], 1
-                ),
-            }
-            for row in rows
-        },
-    }
-    sap = next((row for row in rows if row["algorithm"] == "SAP"), None)
-    if sap is not None:
-        shared_eps = sap["shared"]["events_per_second"]
-        payload["vectorized_vs_seed"] = {
-            "algorithm": "SAP",
-            "scale": scale.name,
-            "seed_events_per_second": SEED_SAP_SHARED_EVENTS_PER_SECOND,
-            "vectorized_events_per_second": round(shared_eps, 1),
-            # Only the default scale reran the seed's exact workload; other
-            # scales record the ratio for context, not for the bar.
-            "speedup_vs_seed": round(
-                shared_eps / SEED_SAP_SHARED_EVENTS_PER_SECOND, 3
-            ),
-        }
-    try:
-        with open(TRAJECTORY_PATH, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # read-only checkout; the results dir copy still exists
 
 
 def test_multiquery_sharing(benchmark, scale):
@@ -138,7 +80,6 @@ def test_multiquery_sharing(benchmark, scale):
     )
     print("\n" + table)
     write_results("multiquery_sharing", table, raw={"rows": rows})
-    write_trajectory(rows, scale)
     # The architectural acceptance bar: sharing must beat independent
     # engines by >= 1.5x for 8 same-window queries, on every algorithm
     # that implements a shared plan.

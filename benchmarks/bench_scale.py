@@ -1,9 +1,7 @@
 """Subscription scale — clustered preference plans vs per-user exact plans.
 
 The subscription-scale benchmark of preference clustering ("millions of
-users"): the headline numbers are recorded in ``BENCH_scale.json`` at
-the repository root (and under ``benchmarks/results/``) to track the
-clustering plane's scaling across PRs.
+users"); the table is written under ``benchmarks/results/``.
 
 The workload is many users with *distinct but similar* preference
 vectors (drawn around a few shared "tastes") watching one attribute
@@ -21,9 +19,6 @@ per-user baseline's events/s at 10k users — applies from the 10k tier
 up; exactness (sampled members byte-identical to single-user engines)
 is asserted at every tier unconditionally.
 """
-
-import json
-import os
 
 from repro.bench.experiments import measure_preference_scale
 from repro.bench.reporting import format_table, write_results
@@ -44,9 +39,6 @@ SPEEDUP_BAR = 5.0
 
 #: The 10k-and-up tiers the bar applies to.
 BAR_FROM_USERS = 10_000
-
-#: Trajectory file recorded at the repository root.
-TRAJECTORY_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
 
 
 def scale_query(scale):
@@ -69,55 +61,6 @@ def scale_sweep(scale):
         )
         for users in TIERS[scale.name]
     ]
-
-
-def write_trajectory(rows, scale) -> None:
-    by_users = {row["users"]: row for row in rows}
-    largest = rows[-1]
-    smallest = rows[0]
-    # Sub-linear memory: going from the smallest to the largest measured
-    # tier, summed clustered memory must grow slower than the user count
-    # (the shared plans amortise; only re-rank state is per-member).
-    if largest["users"] > smallest["users"]:
-        memory_growth = largest["clustered"]["memory_bytes"] / max(
-            1, smallest["clustered"]["memory_bytes"]
-        )
-        user_growth = largest["users"] / smallest["users"]
-        memory_sublinear = memory_growth < user_growth
-    else:
-        memory_growth = user_growth = None
-        memory_sublinear = None
-    row_10k = by_users.get(BAR_FROM_USERS)
-    headline = {
-        "exact": all(row["exact"] for row in rows),
-        "speedup_bar": SPEEDUP_BAR,
-        # None when the 10k tier was not measured (the CI smoke leg runs
-        # 1k only); the field itself always exists so trajectory readers
-        # and the CI assertion have a stable schema.
-        "speedup_10k": None if row_10k is None else row_10k["speedup"],
-        "speedup_at_largest_tier": largest["speedup"],
-        "largest_tier_users": largest["users"],
-        "events_per_second": {
-            str(row["users"]): row["clustered"]["events_per_second"] for row in rows
-        },
-        "memory_sublinear": memory_sublinear,
-        "memory_growth": memory_growth,
-        "user_growth": user_growth,
-        "fallbacks": sum(row["fallbacks"] for row in rows),
-    }
-    payload = {
-        "benchmark": "scale",
-        "scale": scale.name,
-        "tiers": [row["users"] for row in rows],
-        "rows": rows,
-        "headline": headline,
-    }
-    try:
-        with open(TRAJECTORY_PATH, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # read-only checkout; the results dir copy still exists
 
 
 def test_scale(benchmark, scale):
@@ -154,7 +97,6 @@ def test_scale(benchmark, scale):
     )
     print("\n" + table)
     write_results("scale", table, raw={"rows": rows})
-    write_trajectory(rows, scale)
 
     # Exactness holds at every tier on any hardware: sampled members of
     # the clustered engine must be byte-identical to single-user engines.

@@ -238,179 +238,6 @@ def measure_multiquery_sharing(
     }
 
 
-def measure_sharding(
-    dataset: str,
-    workload: Sequence[Tuple[str, TopKQuery]],
-    algorithm: str,
-    stream_length: int,
-    shards: int,
-    placement: str = "hash-window",
-    verify: bool = True,
-    rebalance: bool = True,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """The sharded plane against one single-process engine.
-
-    Runs a mixed-window ``workload`` twice — once on a single
-    :class:`~repro.engine.StreamEngine` (every query on one core) and
-    once on a :class:`~repro.cluster.ShardedStreamEngine` with ``shards``
-    worker processes — and reports both throughputs.  Workload entries
-    are ``(name, query)`` or ``(name, query, shard)``; an explicit shard
-    pins the query (benchmarks pin so utilisation is deterministic
-    instead of depending on how the shapes happen to hash).  With
-    ``verify``, both planes are re-run retaining answers and the result
-    sequences are checked to be byte-identical; with ``rebalance``, a
-    third sharded run moves one subscription to another shard mid-stream
-    and its answers are checked against the uninterrupted reference.
-
-    The timing run also collects the router/worker transport counters and
-    reports a per-batch breakdown (serialize/transfer/deserialize seconds
-    plus bytes per event) under ``"transport_breakdown"``.  Both timing
-    legs take the minimum over ``repeats`` fresh runs: a cold worker pool
-    (process spawn, first-touch imports, scheduler placement) easily
-    doubles a single measurement on a busy host.
-
-    On a single-core host the sharded run measures IPC overhead rather
-    than parallelism; ``cpu_count`` is recorded so trajectory numbers are
-    interpreted against the hardware that produced them.
-    """
-    import os
-
-    from ..cluster import ShardedStreamEngine
-
-    objects = dataset_stream(dataset, stream_length)
-    entries = [
-        (entry[0], entry[1], entry[2] if len(entry) > 2 else None)
-        for entry in workload
-    ]
-    names = [name for name, _, _ in entries]
-
-    def run_single(keep: bool) -> Tuple[float, Dict[str, List]]:
-        engine = StreamEngine(keep_results=keep, return_results=False)
-        for name, query, _ in entries:
-            engine.subscribe(name, query, algorithm=algorithm)
-        started = time.perf_counter()
-        engine.push_many(objects)
-        engine.flush()
-        elapsed = time.perf_counter() - started
-        results = {name: engine.results(name) for name in names} if keep else {}
-        return elapsed, results
-
-    transport_stats: Dict[int, Dict[str, object]] = {}
-
-    def run_sharded(
-        keep: bool, move: Optional[Tuple[str, int]] = None
-    ) -> Tuple[float, Dict[str, List]]:
-        with ShardedStreamEngine(
-            shards, placement=placement, keep_results=keep
-        ) as engine:
-            for name, query, shard in entries:
-                engine.subscribe(name, query, algorithm=algorithm, shard=shard)
-            started = time.perf_counter()
-            if move is None:
-                engine.push_many(objects)
-            else:
-                # Cut at a slide-aligned point past every window fill, so
-                # the source shard sits at an exact boundary for capture.
-                quantum = engine.slide_alignment()
-                largest_n = max(query.n for _, query, _ in entries)
-                half = max(1, (len(objects) // 2) // quantum) * quantum
-                while half < largest_n and half + quantum <= len(objects):
-                    half += quantum
-                engine.push_many(objects[:half])
-                name, offset = move
-                target = (engine.shard_of(name) + offset) % shards
-                engine.rebalance(name, target)
-                engine.push_many(objects[half:])
-            engine.flush()
-            engine.synchronize()
-            elapsed = time.perf_counter() - started
-            if not keep and move is None:
-                # The timing run doubles as the counter source: per-shard
-                # serialize/send (router) and deserialize (worker) totals.
-                transport_stats.update(engine.transport_stats())
-            results = (
-                {name: engine.results(name) for name in names} if keep else {}
-            )
-        return elapsed, results
-
-    single_seconds = min(run_single(keep=False)[0] for _ in range(max(1, repeats)))
-    sharded_seconds = None
-    for _ in range(max(1, repeats)):
-        transport_stats.clear()
-        elapsed, _ = run_sharded(keep=False)
-        sharded_seconds = elapsed if sharded_seconds is None else min(sharded_seconds, elapsed)
-
-    def transport_breakdown() -> Dict[str, object]:
-        """Collapse the per-shard counters into the headline data-path
-        numbers: seconds spent in each stage and bytes moved per event."""
-        total = lambda key: sum(
-            float(entry.get(key, 0) or 0) for entry in transport_stats.values()
-        )
-        moved_bytes = int(total("bytes"))
-        events = int(total("objects"))
-        return {
-            "per_shard": {
-                shard: dict(entry) for shard, entry in sorted(transport_stats.items())
-            },
-            "serialize_seconds": total("encode_seconds"),
-            "transfer_seconds": total("send_seconds"),
-            "deserialize_seconds": total("decode_seconds"),
-            "batches": int(total("batches")),
-            "bytes": moved_bytes,
-            "events": events,
-            "bytes_per_event": moved_bytes / events if events else 0.0,
-        }
-
-    record: Dict[str, object] = {
-        "dataset": dataset,
-        "algorithm": algorithm,
-        "queries": len(workload),
-        "shapes": sorted({(query.n, query.s) for _, query, _ in entries}),
-        "stream_length": len(objects),
-        "shards": shards,
-        "placement": placement,
-        "pinned": any(shard is not None for _, _, shard in entries),
-        "cpu_count": os.cpu_count(),
-        "transport_breakdown": transport_breakdown(),
-        "single_process": {
-            "seconds": single_seconds,
-            "objects_per_second": len(objects) / single_seconds if single_seconds else float("inf"),
-        },
-        "sharded": {
-            "seconds": sharded_seconds,
-            "objects_per_second": len(objects) / sharded_seconds if sharded_seconds else float("inf"),
-        },
-        "speedup": single_seconds / sharded_seconds if sharded_seconds else float("inf"),
-    }
-
-    def identical(left: Dict[str, List], right: Dict[str, List]) -> bool:
-        if left.keys() != right.keys():
-            return False
-        for name in left:
-            a, b = left[name], right[name]
-            if len(a) != len(b):
-                return False
-            if any(
-                x.slide_index != y.slide_index or x.identity() != y.identity()
-                for x, y in zip(a, b)
-            ):
-                return False
-        return True
-
-    if verify or rebalance:
-        _, reference = run_single(keep=True)
-    if verify:
-        _, sharded_results = run_sharded(keep=True)
-        record["exact"] = identical(reference, sharded_results)
-    if rebalance:
-        mover = names[0]
-        _, moved_results = run_sharded(keep=True, move=(mover, 1))
-        record["rebalance_exact"] = identical(reference, moved_results)
-        record["rebalanced_subscription"] = mover
-    return record
-
-
 def _preference_vectors(users: int, dim: int, centers: int, seed: int) -> List[Tuple[float, ...]]:
     """Deterministic user vectors drawn around ``centers`` shared tastes.
 

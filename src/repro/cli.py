@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import textwrap
 import time
 from dataclasses import dataclass
@@ -560,80 +559,6 @@ def _command_top(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# trace
-# ----------------------------------------------------------------------
-def _configure_trace(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--dataset",
-        default="STOCK",
-        choices=dataset_names(),
-        help="built-in synthetic dataset to stream",
-    )
-    sub.add_argument("--objects", type=int, default=10_000, help="stream length")
-    sub.add_argument("--n", type=int, default=1000, help="base window size")
-    sub.add_argument("--s", type=int, default=50, help="base slide size")
-    sub.add_argument(
-        "--k",
-        type=int,
-        nargs="+",
-        default=[5, 10, 20, 50],
-        help="result sizes, cycled over the generated queries",
-    )
-    sub.add_argument("--shards", type=int, default=2, help="worker processes")
-    sub.add_argument(
-        "--queries",
-        type=int,
-        default=4,
-        help="number of queries (mixed-window workload, as in ``repro shard``)",
-    )
-    sub.add_argument(
-        "--algorithm",
-        default="SAP",
-        choices=sorted(algorithm_factories()),
-        help="algorithm backing every query",
-    )
-    sub.add_argument(
-        "--output",
-        "-o",
-        default="trace.json",
-        metavar="PATH",
-        help="where to write the Chrome trace-event JSON",
-    )
-
-
-def _command_trace(args: argparse.Namespace) -> int:
-    from .obs import write_chrome_trace
-
-    stream = list(make_dataset(args.dataset).take(args.objects))
-    workload = _shard_workload(args)
-
-    with ShardedStreamEngine(args.shards) as engine:
-        for name, query in workload:
-            engine.subscribe(name, query, algorithm=args.algorithm, keep_results=False)
-        engine.set_tracing(True)
-        started = time.perf_counter()
-        engine.push_many(stream)
-        engine.synchronize()
-        elapsed = time.perf_counter() - started
-        spans = engine.collect_spans()
-
-    write_chrome_trace(spans, args.output)
-    print(f"dataset   : {args.dataset} ({args.objects} objects)")
-    print(
-        f"plane     : {len(workload)} queries on {args.shards} shards "
-        f"({args.algorithm})"
-    )
-    print(f"run       : {elapsed:.3f}s traced")
-    per_stage: Dict[str, int] = {}
-    for span in spans:
-        per_stage[span.stage] = per_stage.get(span.stage, 0) + 1
-    stages = ", ".join(f"{stage}={count}" for stage, count in sorted(per_stage.items()))
-    print(f"spans     : {len(spans)} ({stages})")
-    print(f"trace     : {args.output} (open at chrome://tracing or ui.perfetto.dev)")
-    return 0
-
-
-# ----------------------------------------------------------------------
 # The command registry: the single source of truth of the CLI surface.
 # ----------------------------------------------------------------------
 COMMANDS: List[CliCommand] = [
@@ -707,17 +632,6 @@ COMMANDS: List[CliCommand] = [
         configure=_configure_top,
         run=_command_top,
     ),
-    CliCommand(
-        name="trace",
-        help="record a pipeline trace and export Chrome trace-event JSON",
-        doc="Run a mixed-window workload on the sharded execution plane "
-        "with pipeline tracing enabled, collect the spans from every "
-        "process (facade, router, and workers — stitched by slide and "
-        "chunk ids), and write them as Chrome trace-event JSON for "
-        "chrome://tracing or Perfetto (:mod:`repro.obs.tracing`).",
-        configure=_configure_trace,
-        run=_command_trace,
-    ),
 ]
 
 
@@ -773,7 +687,6 @@ def _command_reference() -> str:
             "    python -m repro shard --shards 4 --queries 8 --baseline",
             "    python -m repro serve --port 8765 --max-subscriptions 1000",
             "    python -m repro top --url http://127.0.0.1:8765/v1/metrics.json",
-            "    python -m repro trace --shards 2 --objects 10000 -o trace.json",
             "    python -m repro --version",
         ]
     )

@@ -34,7 +34,6 @@ from ..core.columnar import encode_chunk
 from ..core.exceptions import ReproError
 from ..core.state import dumps
 from ..obs.registry import LATENCY_BUCKETS, get_registry
-from ..obs.tracing import get_tracer
 from .worker import shard_worker_main
 
 #: Command-queue depth per worker.  Small on purpose: each entry can carry
@@ -184,7 +183,6 @@ class ShardRouter:
         self._obs_send = registry.histogram(
             "repro_stage_seconds", stage_help, {"stage": "send"}, LATENCY_BUCKETS
         )
-        self._tracer = get_tracer()
         self._registry = registry
         registry.add_collector(self._collect)
 
@@ -286,16 +284,6 @@ class ShardRouter:
         payload = encode_chunk(chunk)
         encode_seconds = time.perf_counter() - started
         self._obs_encode.observe(encode_seconds)
-        if self._tracer.enabled:
-            # Spans correlate by chunk sequence number: the worker stamps
-            # its decode/push spans with the same pre-increment counter.
-            self._tracer.record(
-                "encode",
-                targets[0].sent_chunks,
-                time.time() - encode_seconds,
-                encode_seconds,
-                f"bytes={len(payload)}",
-            )
         size = len(payload)
         count = len(chunk)
         for shard in targets:
@@ -313,14 +301,6 @@ class ShardRouter:
             send_seconds = time.perf_counter() - started
             counters.send_seconds += send_seconds
             self._obs_send.observe(send_seconds)
-            if self._tracer.enabled:
-                self._tracer.record(
-                    "send",
-                    shard.sent_chunks,
-                    time.time() - send_seconds,
-                    send_seconds,
-                    f"shard={shard.shard_id}",
-                )
             shard.sent_chunks += 1
 
     def transport_stats(self) -> Dict[int, Dict[str, float]]:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..core.exceptions import AlgorithmStateError
@@ -56,7 +55,6 @@ from ..core.window import aligned_chunk, check_order
 from ..engine.spec import QuerySpec, resolve_query
 from ..obs.exposition import merge_snapshots
 from ..obs.registry import get_registry
-from ..obs.tracing import Span, get_tracer, spans_from_payload
 from .merge import merge_disjoint, merged_latency_stats
 from .placement import PlacementPolicy, make_placement
 from .router import (
@@ -414,39 +412,17 @@ class ShardedStreamEngine:
         if size < 1:
             raise ValueError(f"chunk_size must be positive, got {size}")
         size = aligned_chunk(self._queries(), size)
-        tracer = get_tracer()
         count = 0
-        batches = 0
         chunk: List[StreamObject] = []
-        batch_started = time.time() if tracer.enabled else 0.0
         for obj in objects:
             chunk.append(obj)
             if len(chunk) >= size:
                 self._dispatch(chunk, targets)
                 count += len(chunk)
-                if tracer.enabled:
-                    now = time.time()
-                    tracer.record(
-                        "ingest-batch",
-                        batches,
-                        batch_started,
-                        now - batch_started,
-                        f"objects={len(chunk)}",
-                    )
-                    batch_started = now
-                batches += 1
                 chunk = []
         if chunk:
             self._dispatch(chunk, targets)
             count += len(chunk)
-            if tracer.enabled:
-                tracer.record(
-                    "ingest-batch",
-                    batches,
-                    batch_started,
-                    time.time() - batch_started,
-                    f"objects={len(chunk)}",
-                )
         return count
 
     def _dispatch(self, chunk: List[StreamObject], targets: List[int]) -> None:
@@ -669,7 +645,7 @@ class ShardedStreamEngine:
         return merged
 
     # ------------------------------------------------------------------
-    # Observability (cluster-aggregated metrics and tracing)
+    # Observability (cluster-aggregated metrics)
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> List[Dict[str, object]]:
         """One cluster-wide metrics snapshot: this process's registry
@@ -683,29 +659,6 @@ class ShardedStreamEngine:
             {"shard": str(shard_id)} for shard_id in self._router.shard_ids()
         ]
         return merge_snapshots(snapshots, extra)
-
-    def set_tracing(self, enabled: bool) -> None:
-        """Switch pipeline tracing on/off cluster-wide: the facade
-        process's tracer (ingest-batch, encode, send spans) and every
-        worker's (decode, push, seal, merge, deliver spans)."""
-        self._ensure_open()
-        tracer = get_tracer()
-        if enabled:
-            tracer.enable()
-        else:
-            tracer.disable()
-        self._router.broadcast(("set_tracing", bool(enabled)))
-
-    def collect_spans(self) -> List[Span]:
-        """Drain every process's recorded spans into one list ordered by
-        start time; spans carry their shard id (-1 for the facade), and
-        stitch across processes by slide/chunk sequence number."""
-        self._ensure_open()
-        spans = list(get_tracer().drain())
-        for payload in self._router.broadcast(("spans",)):
-            spans.extend(spans_from_payload(payload or ()))
-        spans.sort(key=lambda span: span.start)
-        return spans
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Point-in-time state of every subscription, keyed by name."""

@@ -31,7 +31,6 @@ from ..obs.registry import (
     get_registry,
     set_registry,
 )
-from ..obs.tracing import Tracer, set_tracer, span_payload
 
 #: Opcodes that reply on the worker's reply queue.  ``push`` and ``stop``
 #: are fire-and-forget; everything else is synchronous.
@@ -51,8 +50,6 @@ SYNC_OPS = frozenset(
         "telemetry",
         "transport_stats",
         "metrics",
-        "spans",
-        "set_tracing",
         "snapshot",
         "groups",
         "capture",
@@ -90,11 +87,6 @@ def shard_worker_main(
     restarts a SIGKILL'd worker this way, then re-sends the chunk tail
     the dead process had received but not yet logged."""
     parent_pid = os.getppid()
-    # This process's tracer carries the shard id on every span; installed
-    # before the engine exists so subscriptions and groups cache the right
-    # one.  The facade's "set_tracing" broadcast flips it on.
-    tracer = Tracer(shard=shard_id)
-    set_tracer(tracer)
     # A fresh registry, not the inherited one: under the fork start method
     # the parent's families (and their values at fork time) would otherwise
     # leak into this worker's snapshot and double-count on merge.
@@ -171,22 +163,10 @@ def shard_worker_main(
                 # Journal the wire payload ahead of application; the
                 # replayed journal is then the exact received sequence.
                 durability.log_encoded(bytes(payload))
-            # Pre-increment sequence number: matches the router's
-            # ``sent_chunks`` stamp on its encode/send spans, so the
-            # trace stitches across the process boundary.
-            seq = decode_stats["decoded_batches"]
             started = time.perf_counter()
             objects, block = decode_chunk(payload, materialize=False)
             decode_seconds = time.perf_counter() - started
             obs_decode.observe(decode_seconds)
-            if tracer.enabled:
-                tracer.record(
-                    "decode",
-                    seq,
-                    time.time() - decode_seconds,
-                    decode_seconds,
-                    f"bytes={len(payload)}",
-                )
             count = len(block) if block is not None else len(objects)
             decode_stats["decode_seconds"] += decode_seconds
             decode_stats["decode_bytes"] += len(payload)
@@ -199,16 +179,7 @@ def shard_worker_main(
                 pushed += engine.push_block(block)
             else:
                 pushed += engine.push_many(objects, chunk_size=max(1, len(objects)))
-            push_seconds = time.perf_counter() - started
-            obs_push.observe(push_seconds)
-            if tracer.enabled:
-                tracer.record(
-                    "push",
-                    seq,
-                    time.time() - push_seconds,
-                    push_seconds,
-                    f"objects={count}",
-                )
+            obs_push.observe(time.perf_counter() - started)
         except BaseException:
             failure = traceback.format_exc()
 
@@ -298,13 +269,6 @@ def shard_worker_main(
                 payload = {"shard": shard_id, **decode_stats}
             elif op == "metrics":
                 payload = registry.snapshot()
-            elif op == "spans":
-                payload = span_payload(tracer.drain())
-            elif op == "set_tracing":
-                if message[1]:
-                    tracer.enable()
-                else:
-                    tracer.disable()
             elif op == "snapshot":
                 payload = engine.snapshot()
             elif op == "groups":

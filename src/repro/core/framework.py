@@ -39,7 +39,6 @@ from ..partitioning.enhanced import EnhancedDynamicPartitioner
 from ..savl.amortized import AmortizedSAVLBuilder
 from ..savl.meaningful import EmptyMeaningfulSet, MeaningfulSet, SortedMeaningfulSet
 from ..obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS, get_registry
-from ..obs.tracing import get_tracer
 from ..savl.savl import SAVL
 from ..savl.segmented import SegmentedSAVL
 from ..stats.dominance import k_skyband
@@ -472,8 +471,7 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         # cache (never the instance): SAP algorithms are pickled for
         # capture/rebalance, so instruments must not ride on ``self``.
         registry = get_registry()
-        tracer = get_tracer()
-        timed = registry.enabled or tracer.enabled
+        timed = registry.enabled
         started = time.perf_counter() if timed else 0.0
         partition = build_partition(
             self._next_partition_id, spec.objects, self.query.k, spec.units, spec.topk
@@ -493,19 +491,10 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         if self._policy == "eager":
             self._premade[partition.partition_id] = self._build_premade(partition)
         if timed:
-            seal_seconds = time.perf_counter() - started
             stage, sealed_total, partition_size = _seal_instruments(registry)
-            stage.observe(seal_seconds)
+            stage.observe(time.perf_counter() - started)
             sealed_total.inc()
             partition_size.observe(len(partition.objects))
-            if tracer.enabled:
-                tracer.record(
-                    "seal",
-                    self._slides_processed,
-                    time.time() - seal_seconds,
-                    seal_seconds,
-                    f"objects={len(spec.objects)}",
-                )
 
     def _build_premade(self, partition: Partition) -> MeaningfulSet:
         """Non-delay variant: form ``M_i`` at seal time.

@@ -18,6 +18,7 @@ assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from math import gcd, inf
 from operator import attrgetter, lt
@@ -28,7 +29,7 @@ from .object import StreamObject
 from .query import TopKQuery
 
 _t_of = attrgetter("t")
-_score_of = attrgetter("score")
+_FLOAT_ONLY = {float}
 
 #: Objects per batcher call when :func:`slides_for_query` drains a stream.
 _SLIDES_CHUNK = 256
@@ -63,11 +64,21 @@ def _non_finite(score) -> bool:
     return score != score or score == inf or score == -inf
 
 
+def _inexact(score) -> bool:
+    """True unless float64 holds ``score`` exactly (Fraction compares
+    exactly with ints, numpy integers, fractions and decimals)."""
+    try:
+        return Fraction(float(score)) != score
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
 def check_order(objects: Sequence[StreamObject], previous: float) -> int:
     """The last ``t`` of a non-empty chunk; raises
     :class:`InvalidQueryError` unless ``t`` strictly increases, within the
     chunk and from ``previous`` (``t`` identifies an object), and every
-    score is finite (NaN has no place in the ``(score, t)`` order)."""
+    score is finite (NaN has no place in the ``(score, t)`` order) and
+    held exactly by float64 (the columnar paths rank in float64)."""
     ts = list(map(_t_of, objects))
     if ts[0] <= previous or not all(map(lt, ts, islice(ts, 1, None))):
         # Name the first offending object.
@@ -78,18 +89,23 @@ def check_order(objects: Sequence[StreamObject], previous: float) -> int:
                     f"got t={t} after t={previous}"
                 )
             previous = t
-    try:
-        total = sum(map(_score_of, objects))
-    except (OverflowError, TypeError):
-        total = inf
-    # One non-finite score makes the sum non-finite; so can an overflow
-    # of finite scores, which the per-object pass then admits.
-    if _non_finite(total):
-        for obj in objects:
-            if _non_finite(obj.score):
+    scores = [obj.score for obj in objects]
+    # A chunk of plain floats needs one sum: a non-finite score makes it
+    # non-finite, and so can an overflow, which the per-object pass admits.
+    if set(map(type, scores)) == _FLOAT_ONLY and not _non_finite(sum(scores)):
+        return ts[-1]
+    for obj in objects:
+        score = obj.score
+        if isinstance(score, float):
+            if _non_finite(score):
                 raise InvalidQueryError(
-                    f"stream object scores must be finite; got {obj.score!r} at t={obj.t}"
+                    f"stream object scores must be finite; got {score!r} at t={obj.t}"
                 )
+        elif _inexact(score):
+            raise InvalidQueryError(
+                "stream object scores must be held exactly by float64; "
+                f"got {score!r} at t={obj.t}"
+            )
     return ts[-1]
 
 

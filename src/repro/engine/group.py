@@ -41,7 +41,6 @@ from ..core.shared import SharedPlan, SharedSlide
 from ..core.state import PlanLayout, Position, replay_event
 from ..core.window import SlideBatcher, SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, get_registry
-from ..obs.tracing import get_tracer
 from .subscription import Subscription
 
 #: Group key: window size, slide, and window type.
@@ -75,7 +74,6 @@ class QueryGroup:
             LATENCY_BUCKETS,
         )
         self._obs_enabled = registry.enabled
-        self._tracer = get_tracer()
 
     # ------------------------------------------------------------------
     # Membership
@@ -302,7 +300,7 @@ class QueryGroup:
         if not events:
             return ()
         produced: Dict[Subscription, List[TopKResult]] = {}
-        timed = self._obs_enabled or self._tracer.enabled
+        timed = self._obs_enabled
         for event in events:
             merge_started = time.perf_counter() if timed else 0.0
             shared_for: Dict[int, SharedSlide] = {}
@@ -326,16 +324,7 @@ class QueryGroup:
                 if shared.delivered:
                     Subscription._account_plan_slide(shared)
             if timed:
-                merge_seconds = time.perf_counter() - merge_started
-                self._obs_merge.observe(merge_seconds)
-                if self._tracer.enabled:
-                    self._tracer.record(
-                        "merge",
-                        event.index,
-                        time.time() - merge_seconds,
-                        merge_seconds,
-                        f"members={len(self._members)}",
-                    )
+                self._obs_merge.observe(time.perf_counter() - merge_started)
         if not collect:
             return ()
         return [

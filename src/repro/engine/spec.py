@@ -33,10 +33,22 @@ still works.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.exceptions import InvalidQueryError
 from ..core.query import PreferenceFunction, TopKQuery, identity_preference
+
+
+def _integral(value: object, key: str) -> int:
+    """``value`` as an int; a boolean, a fraction or a non-number is
+    refused rather than truncated (``10.0`` is ten, ``10.9`` is refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidQueryError(f"{key!r} must be an integer, got {value!r}")
+    if not isinstance(value, numbers.Integral):
+        if not (math.isfinite(value) and float(value).is_integer()):
+            raise InvalidQueryError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 class QuerySpec:
@@ -276,19 +288,12 @@ class QuerySpec:
             raise InvalidQueryError(
                 f"unknown subscription parameter(s): {sorted(unknown)}"
             )
-        try:
-            n = int(body["n"])
-            k = int(body["k"])
-        except KeyError as exc:
-            raise InvalidQueryError(
-                f"missing query parameter {exc.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidQueryError(f"invalid query: {exc}") from None
-        try:
-            s = int(body.get("s", 1))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidQueryError(f"invalid slide size: {exc}") from None
+        missing = [key for key in ("n", "k") if key not in body]
+        if missing:
+            raise InvalidQueryError(f"missing query parameter {missing[0]!r}")
+        n = _integral(body["n"], "n")
+        k = _integral(body["k"], "k")
+        s = _integral(body.get("s", 1), "s")
         algorithm = body.get("algorithm", default_algorithm)
         if not isinstance(algorithm, str):
             raise InvalidQueryError(
@@ -313,8 +318,9 @@ class QuerySpec:
                 algorithm = default_algorithm
         cluster_id = body.get("cluster_id")
         pad_factor = body.get("pad_factor")
+        if cluster_id is not None:
+            cluster_id = _integral(cluster_id, "cluster_id")
         try:
-            cluster_id = None if cluster_id is None else int(cluster_id)
             pad_factor = None if pad_factor is None else float(pad_factor)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidQueryError(f"invalid cluster option: {exc}") from None

@@ -26,7 +26,6 @@ from ..core.result import TopKResult
 from ..core.shared import SharedSlide
 from ..core.window import SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS, get_registry
-from ..obs.tracing import get_tracer
 
 #: The documented schema of every per-subscription stats surface.
 #: :meth:`Subscription.stats` (local and embedded engines),
@@ -110,7 +109,6 @@ class Subscription:
         self._obs_candidates_last = registry.gauge(
             "repro_candidates_last", "Candidate-set size of the latest slide.", labels
         )
-        self._tracer = get_tracer()
 
     # ------------------------------------------------------------------
     # Consuming answers
@@ -270,10 +268,6 @@ class Subscription:
             latency = time.perf_counter() - started
             if shared is not None:
                 latency += shared.prep_share
-        if self._tracer.enabled:
-            self._tracer.record(
-                "deliver", event.index, time.time() - latency, latency, self.name
-            )
         candidates = 0
         if self._collect_metrics:
             if shared is not None and shared.candidates is not None:

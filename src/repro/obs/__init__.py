@@ -1,4 +1,4 @@
-"""Unified observability plane: metrics, tracing, exposition, dashboard.
+"""Unified observability plane: metrics, exposition, dashboard.
 
 Every layer of the system — engine, query groups, partition seals, the
 shard router's command queues, the serving layer's batcher and dedupe
@@ -9,12 +9,12 @@ their owners), and a disabled registry hands out a shared no-op
 instrument so the whole plane compiles away to one dead method call per
 sample.
 
-Around the metrics sit three consumers:
+The slide lifecycle is timed from inside by one histogram family,
+``repro_stage_seconds{stage}``, with the stages ``encode`` and ``send``
+(router), ``decode`` and ``push`` (shard worker), ``seal`` (SAP partition
+seal) and ``merge`` (one query group's dispatch of one slide).  Around
+the metrics sit two consumers:
 
-* **tracing** (:class:`Tracer`): spans over the slide lifecycle
-  (``ingest-batch → encode → send → decode → push → seal → merge →
-  deliver``), shipped from worker processes over the existing control
-  channel and exported as Chrome trace-event JSON via ``repro trace``;
 * **exposition** (:func:`render_prometheus`, :func:`merge_snapshots`):
   ``GET /v1/metrics`` on ``repro serve`` in Prometheus text format 0.0.4,
   cluster-aggregated across worker processes, plus the ``/v1/metrics.json``
@@ -52,18 +52,6 @@ from .registry import (
     set_registry,
 )
 from .top import render_dashboard, run_top
-from .tracing import (
-    SPAN_CAPACITY,
-    STAGES,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    span_payload,
-    spans_from_payload,
-    to_chrome_trace,
-    write_chrome_trace,
-)
 
 __all__ = [
     "Counter",
@@ -73,14 +61,9 @@ __all__ = [
     "MetricsRegistry",
     "NoopInstrument",
     "SIZE_BUCKETS",
-    "SPAN_CAPACITY",
-    "STAGES",
     "STANDARD_FRACTIONS",
-    "Span",
-    "Tracer",
     "find_series",
     "get_registry",
-    "get_tracer",
     "histogram_quantile",
     "log_linear_buckets",
     "merge_snapshots",
@@ -90,10 +73,5 @@ __all__ = [
     "render_prometheus",
     "run_top",
     "set_registry",
-    "set_tracer",
     "snapshot_value",
-    "span_payload",
-    "spans_from_payload",
-    "to_chrome_trace",
-    "write_chrome_trace",
 ]

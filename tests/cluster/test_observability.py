@@ -1,36 +1,32 @@
-"""Cluster-side observability: merged metrics snapshots and tracing.
+"""Cluster-side observability: the merged metrics snapshot.
 
-One engine run covers the three facade surfaces added for the
-observability plane: ``metrics_snapshot()`` (worker registries merged
-with the facade's, shard labels stamped), ``set_tracing()`` /
-``collect_spans()`` (spans gathered from every process and stitched by
-chunk/slide ids), and the span → Chrome-trace export path.
+One sharded run feeds every case: ``metrics_snapshot()`` merges the
+worker registries with the facade's and stamps each worker series with
+its shard, and ``repro_stage_seconds{stage}`` times every pipeline stage
+from inside the program.
 """
 
 import pytest
 
 from repro.cluster import ShardedStreamEngine
 from repro.core.query import TopKQuery
-from repro.obs import find_series, render_prometheus, snapshot_value, to_chrome_trace
+from repro.obs import find_series, render_prometheus, snapshot_value
 from repro.streams import make_dataset
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def sharded_snapshot():
     with ShardedStreamEngine(2, placement="least-loaded", transport="queue") as engine:
         engine.subscribe("a", TopKQuery(n=200, k=5, s=20), keep_results=False)
         engine.subscribe("b", TopKQuery(n=100, k=5, s=10), keep_results=False)
-        engine.set_tracing(True)
         engine.push_many(make_dataset("STOCK").take(2000))
         engine.synchronize()
-        snapshot = engine.metrics_snapshot()
-        spans = engine.collect_spans()
-    return snapshot, spans
+        return engine.metrics_snapshot()
 
 
 class TestMetricsSnapshot:
-    def test_cluster_instruments_present(self, traced_run):
-        snapshot, _ = traced_run
+    def test_cluster_instruments_present(self, sharded_snapshot):
+        snapshot = sharded_snapshot
         names = {record["name"] for record in snapshot}
         assert {
             "repro_events_ingested_total",
@@ -41,18 +37,18 @@ class TestMetricsSnapshot:
             "repro_transport_bytes_total",
         } <= names
 
-    def test_worker_series_carry_shard_labels(self, traced_run):
-        snapshot, _ = traced_run
+    def test_worker_series_carry_shard_labels(self, sharded_snapshot):
+        snapshot = sharded_snapshot
         shards = {
             (record.get("labels") or {}).get("shard")
             for record in find_series(snapshot, "repro_events_ingested_total")
         }
         assert {"0", "1"} <= shards
 
-    def test_counts_match_the_workload(self, traced_run):
+    def test_counts_match_the_workload(self, sharded_snapshot):
         # Every shard hosting a subscription receives the full stream, so
         # each shard-labelled ingest series counts exactly the workload.
-        snapshot, _ = traced_run
+        snapshot = sharded_snapshot
         for shard in ("0", "1"):
             assert (
                 snapshot_value(
@@ -62,51 +58,17 @@ class TestMetricsSnapshot:
             )
         assert snapshot_value(snapshot, "repro_slides_total") > 0
 
-    def test_snapshot_renders_as_prometheus_text(self, traced_run):
-        snapshot, _ = traced_run
+    def test_snapshot_renders_as_prometheus_text(self, sharded_snapshot):
+        snapshot = sharded_snapshot
         text = render_prometheus(snapshot)
         assert "# TYPE repro_events_ingested_total counter" in text
         assert "repro_stage_seconds_bucket" in text
 
 
-class TestTracing:
-    def test_spans_cover_the_pipeline(self, traced_run):
-        _, spans = traced_run
-        stages = {span.stage for span in spans}
-        assert {
-            "ingest-batch",
-            "encode",
-            "send",
-            "decode",
-            "push",
-            "merge",
-            "deliver",
-        } <= stages
-
-    def test_spans_come_from_facade_and_workers(self, traced_run):
-        _, spans = traced_run
-        shards = {span.shard for span in spans}
-        assert -1 in shards  # facade/router process
-        assert shards - {-1}  # at least one worker shipped spans back
-
-    def test_spans_are_time_ordered(self, traced_run):
-        _, spans = traced_run
-        starts = [span.start for span in spans]
-        assert starts == sorted(starts)
-
-    def test_transport_spans_stitch_by_chunk_sequence(self, traced_run):
-        _, spans = traced_run
-        sends = {span.slide for span in spans if span.stage == "send"}
-        decodes = {span.slide for span in spans if span.stage == "decode"}
-        assert decodes <= sends  # every decoded chunk was a sent chunk
-
-    def test_chrome_export(self, traced_run):
-        _, spans = traced_run
-        document = to_chrome_trace(spans)
-        complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        assert len(complete) == len(spans)
-
-    def test_collect_drains(self, traced_run):
-        # collect_spans drained every buffer inside the fixture's run.
-        _, spans = traced_run
-        assert spans  # sanity: the run produced spans at all
+class TestStageTimings:
+    def test_every_pipeline_stage_is_timed(self, sharded_snapshot):
+        # encode/send in the router, decode/push in the workers, seal in
+        # the SAP framework and merge in each query group.
+        for stage in ("encode", "send", "decode", "push", "seal", "merge"):
+            series = find_series(sharded_snapshot, "repro_stage_seconds", {"stage": stage})
+            assert any(record["count"] > 0 for record in series), stage

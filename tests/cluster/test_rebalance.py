@@ -16,12 +16,17 @@ def stream():
     return make_objects(random_scores(1200, seed=31))
 
 
+def answers_of(results):
+    """Slide index and ``(score, t)`` identity of each answer, in order."""
+    return [(r.slide_index, r.identity()) for r in results]
+
+
 def expected_results(stream):
     engine = StreamEngine()
     engine.subscribe("mover", QUERY, algorithm="SAP")
     engine.subscribe("stayer", SIBLING, algorithm="SAP")
     engine.push_many(stream)
-    return {name: [r.scores for r in engine.results(name)] for name in ("mover", "stayer")}
+    return {name: answers_of(engine.results(name)) for name in ("mover", "stayer")}
 
 
 class TestRebalance:
@@ -35,10 +40,7 @@ class TestRebalance:
             assert handle.shard == 1
             assert engine.shard_of("mover") == 1
             engine.push_many(stream[600:])
-            got = {
-                name: [r.scores for r in engine.results(name)]
-                for name in ("mover", "stayer")
-            }
+            got = {name: answers_of(engine.results(name)) for name in ("mover", "stayer")}
             assert got == expected
 
     def test_results_metrics_and_counters_travel(self, stream):
@@ -109,8 +111,8 @@ class TestLocalCaptureRestore:
         target.restore_subscription(state)
         source.push_many(stream[600:], chunk_size=120)
         target.push_many(stream[600:], chunk_size=120)
-        assert [r.scores for r in target.results("mover")] == expected["mover"]
-        assert [r.scores for r in source.results("stayer")] == expected["stayer"]
+        assert answers_of(target.results("mover")) == expected["mover"]
+        assert answers_of(source.results("stayer")) == expected["stayer"]
 
     def test_captured_metrics_are_a_snapshot_not_an_alias(self, stream):
         # The capture leaves the source running; its further slides must

@@ -35,8 +35,9 @@ def reference_results(objects, algorithm="SAP"):
     return {name: engine.results(name) for name in QUERIES}
 
 
-def scores_of(results):
-    return [r.scores for r in results]
+def answers_of(results):
+    """Slide index and ``(score, t)`` identity of each answer, in order."""
+    return [(r.slide_index, r.identity()) for r in results]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestEquivalence:
             assert pushed == len(stream)
             engine.flush()
             for name in QUERIES:
-                assert scores_of(engine.results(name)) == scores_of(expected[name])
+                assert answers_of(engine.results(name)) == answers_of(expected[name])
 
     def test_push_single_objects(self, stream, expected):
         with ShardedStreamEngine(2) as engine:
@@ -67,8 +68,8 @@ class TestEquivalence:
             for obj in stream[:240]:
                 assert engine.push(obj) == {}
             engine.synchronize()
-            head = scores_of(expected["fine"])[: len(engine.results("fine"))]
-            assert scores_of(engine.results("fine")) == head
+            head = answers_of(expected["fine"])[: len(engine.results("fine"))]
+            assert answers_of(engine.results("fine")) == head
 
     def test_hash_placement_keeps_shared_plans(self, stream):
         with ShardedStreamEngine(2, placement="hash-window") as engine:
@@ -176,7 +177,7 @@ class TestFacadeSurface:
             retained = handle.results()
             assert len(retained) == 3  # the buffer bound applied in-worker
             drained = handle.drain()
-            assert scores_of(drained) == scores_of(retained)
+            assert answers_of(drained) == answers_of(retained)
             assert handle.results() == []
             assert handle.stats()["slides"] > 0
             assert handle.snapshot()["name"] == "fine"

@@ -8,7 +8,9 @@ leave the engine exactly as an uncrashed twin that never saw it.
 """
 
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.columnar import SlideBlock
@@ -316,7 +318,7 @@ def test_non_finite_score_is_rejected_whole(algorithm, value):
     _assert_twins(engine, twin)
 
 
-def test_sharded_facade_rejects_a_non_finite_chunk_whole():
+def _assert_sharded_facade_refuses(value, message):
     from repro.cluster import ShardedStreamEngine
 
     n, k, s = WIDE
@@ -325,12 +327,16 @@ def test_sharded_facade_rejects_a_non_finite_chunk_whole():
         engine.subscribe("q", QuerySpec(n=n, k=k, s=s).using("SAP"))
         engine.push_many(FINITE_STREAM[:200])
         twin.push_many(FINITE_STREAM[:200])
-        with pytest.raises(InvalidQueryError, match="scores must be finite"):
-            engine.push_many(_poisoned(float("nan")))
+        with pytest.raises(InvalidQueryError, match=message):
+            engine.push_many(_poisoned(value))
         engine.push_many(FINITE_STREAM[200:])
         twin.push_many(FINITE_STREAM[200:])
         engine.synchronize()
         assert _signature(engine.drain_results()) == _signature(twin.drain_results())
+
+
+def test_sharded_facade_rejects_a_non_finite_chunk_whole():
+    _assert_sharded_facade_refuses(float("nan"), "scores must be finite")
 
 
 def test_durable_engine_journals_no_record_of_a_non_finite_chunk(tmp_path):
@@ -362,7 +368,68 @@ def test_checked_windows_refuse_non_finite_scores():
 
 def test_finite_scores_whose_sum_overflows_are_admitted():
     """The check sums the scores first; an overflowing sum of finite
-    scores (or an int past float64) is no reason to refuse."""
+    scores (or an int past 2**53 that float64 holds exactly) is no reason
+    to refuse."""
     chunk = [StreamObject(score=1e308, t=i) for i in range(3)]
-    chunk.append(StreamObject(score=10**400, t=3))
+    chunk.append(StreamObject(score=2**1000, t=3))
     assert check_order(chunk, -1) == 3
+
+
+#: Scores float64 cannot hold: a repeating fraction, an odd int past 2**53
+#: (Python and numpy), and an int past the float64 range.
+INEXACT = [Fraction(1, 3), 2**60 + 1, np.int64(2**60 + 1), 10**400]
+
+
+def _inexact_push_many(engine, chunk):
+    engine.push_many(chunk)
+
+
+def _inexact_push(engine, chunk):
+    engine.push_many(chunk[:5])
+    engine.push(chunk[5])
+
+
+def _inexact_push_block(engine, chunk):
+    # A packed block cannot hold such a score; one built with an object
+    # column hands it to the edge as it is.
+    block = SlideBlock.from_objects(FINITE_STREAM[200:220])
+    block.scores = np.array([obj.score for obj in chunk], dtype=object)
+    engine.push_block(block)
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+@pytest.mark.parametrize("push", [_inexact_push_many, _inexact_push, _inexact_push_block])
+def test_inexact_score_is_rejected_whole(push, value):
+    """Scores like ``Fraction(1, 3) - j / 10**30`` or ``2**60 - j`` once
+    reached SAP, whose float64 ranking then disagreed with brute force.
+    The edge refuses the chunk and names the offending object."""
+    engine, twin = _wide_engine("SAP"), _wide_engine("SAP")
+    engine.push_many(FINITE_STREAM[:200])
+    twin.push_many(FINITE_STREAM[:200])
+    if push is _inexact_push:
+        twin.push_many(FINITE_STREAM[200:205])
+    message = re.escape(f"held exactly by float64; got {value!r} at t=205")
+    with pytest.raises(InvalidQueryError, match=message):
+        push(engine, _poisoned(value))
+    _assert_twins(engine, twin)
+    rest = FINITE_STREAM[205:] if push is _inexact_push else FINITE_STREAM[200:]
+    engine.push_many(rest)
+    twin.push_many(rest)
+    _assert_twins(engine, twin)
+
+
+def test_sharded_facade_rejects_an_inexact_chunk_whole():
+    _assert_sharded_facade_refuses(Fraction(1, 3), "held exactly by float64")
+
+
+def test_exact_non_float_scores_are_admitted_and_agree():
+    """Ints within 2**53 and fractions with a power-of-two denominator
+    are exact in float64: the edge admits them and SAP stays exact."""
+    objects = [
+        StreamObject(score=(j * 7919) % 1000 if j % 2 else Fraction((j * 31) % 97, 4), t=j)
+        for j in range(400)
+    ]
+    engine = _wide_engine("SAP")
+    engine.push_many(objects)
+    reference = create_algorithm("brute-force", engine.subscription("q").query)
+    assert results_agree(engine.results("q"), reference.run(objects))

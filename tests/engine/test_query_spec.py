@@ -156,6 +156,30 @@ class TestWireForm:
         with pytest.raises(InvalidQueryError):
             QuerySpec.from_dict(body)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"n": 10.9, "k": 2.5, "s": 1.7},
+            {"n": 10, "k": 2.5},
+            {"n": 10, "k": 2, "s": 1.7},
+            {"n": True, "k": 2},
+            {"n": 10, "k": False},
+            {"n": 10, "k": 2, "s": True},
+            {"n": 10, "k": 2, "s": "5"},
+            {"n": 10, "k": 2, "preference": [1.0], "cluster_id": 1.5},
+            {"n": 10, "k": 2, "preference": [1.0], "cluster_id": True},
+        ],
+    )
+    def test_non_integral_or_boolean_shape_rejected(self, body):
+        """``int()`` once turned ``{"n": 10.9, "k": 2.5, "s": 1.7}`` into
+        n=10, k=2, s=1 without a word."""
+        with pytest.raises(InvalidQueryError, match="must be an integer"):
+            QuerySpec.from_dict(body)
+
+    def test_integral_floats_accepted(self):
+        spec = QuerySpec.from_dict({"n": 10.0, "k": 2.0, "s": 5.0})
+        assert spec.to_dict()["n"] == 10 and type(spec.build().n) is int
+
     @pytest.mark.parametrize("pad_factor", [float("inf"), float("nan"), 0.5])
     def test_pad_factor_must_be_finite_and_at_least_one(self, pad_factor):
         from repro.streams.preference import PreferenceError

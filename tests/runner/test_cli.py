@@ -208,11 +208,6 @@ class TestObservabilityCommands:
         assert args.interval == 1.0
         assert args.iterations is None
 
-    def test_trace_parser_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.shards == 2
-        assert args.output == "trace.json"
-
     def test_top_command_renders_frames(self, capsys, monkeypatch):
         documents = iter(
             [
@@ -235,27 +230,3 @@ class TestObservabilityCommands:
         )
         assert code == 1
         assert "cannot reach" in capsys.readouterr().out
-
-    def test_trace_command_writes_chrome_trace(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "trace.json"
-        code = main(
-            [
-                "trace",
-                "--objects", "2000",
-                "--n", "200",
-                "--s", "20",
-                "--queries", "2",
-                "--shards", "2",
-                "-o", str(path),
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "spans" in printed
-        document = json.loads(path.read_text())
-        stages = {
-            event["cat"] for event in document["traceEvents"] if event["ph"] == "X"
-        }
-        assert {"encode", "send", "decode", "push", "deliver"} <= stages

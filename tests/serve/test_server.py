@@ -102,6 +102,19 @@ class TestSubscriptionLifecycle:
             status, _, _ = request(server, "POST", "/v1/subscriptions", body)
             assert status == 400, body
 
+    def test_non_integral_shapes_are_400_and_create_nothing(self, server):
+        # int() once truncated these to n=10, k=2, s=1 and subscribed.
+        for body in [
+            {"name": "x", "n": 10.9, "k": 2.5, "s": 1.7},
+            {"name": "x", "n": 10, "k": 2, "s": True},
+            {"name": "x", "n": 10, "k": 2, "preference": [1.0], "cluster_id": 0.5},
+        ]:
+            status, reply, _ = request(server, "POST", "/v1/subscriptions", body)
+            assert status == 400, (body, reply)
+            assert "must be an integer" in reply["error"]
+        _, reply, _ = request(server, "GET", "/v1/subscriptions")
+        assert reply["subscriptions"] == []
+
     def test_unknown_routes_and_methods(self, server):
         assert request(server, "GET", "/nope")[0] == 404
         subscribe(server, "q")
