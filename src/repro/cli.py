@@ -106,24 +106,6 @@ def _query_from_args(args: argparse.Namespace) -> TopKQuery:
     return TopKQuery(n=args.n, k=args.k, s=args.s)
 
 
-def _resume_offset(engine) -> int:
-    """Where a recovered engine's arrival clock resumes (0 when fresh).
-
-    Durable engines enforce a strictly increasing ``t`` across restarts,
-    so a re-run of a CLI workload must shift its dataset past the
-    journaled tail instead of starting over at ``t=0``.
-    """
-    report = getattr(engine, "recovery_report", None)
-    if report is not None:
-        return int(report.next_t)
-    status = getattr(engine, "durability_status", None)
-    if callable(status):
-        # Every shard sees the whole dense-t stream; the furthest shard's
-        # ingest count is the next arrival index.
-        return max((int(e.get("ingested") or 0) for e in status()), default=0)
-    return 0
-
-
 def _shift_stream(stream, offset: int):
     """Re-stamp a dataset's arrival order to continue a recovered clock."""
     if not offset:
@@ -381,8 +363,9 @@ def _command_shard(args: argparse.Namespace) -> int:
                 engine.subscribe(
                     name, query, algorithm=args.algorithm, keep_results=False
                 )
-        if args.durability_dir is not None:
-            stream = _shift_stream(stream, _resume_offset(engine))
+        # A recovered cluster enforces strictly increasing t across
+        # restarts: continue past the journaled tail (a fresh one at 0).
+        stream = _shift_stream(stream, int(max(0, engine.last_t + 1)))
         started = time.perf_counter()
         engine.push_many(stream)
         engine.synchronize()

@@ -89,28 +89,10 @@ class LeastLoadedPlacement(PlacementPolicy):
         return min(range(len(loads)), key=lambda shard: (loads[shard], shard))
 
 
-class ClusterAffinePlacement(PlacementPolicy):
-    """Cluster-id hashing for preference queries, window hashing otherwise.
-
-    The explicit policy for preference-heavy workloads: every member of a
-    preference cluster lands on one shard (so the cluster's padded-k
-    shared plan stays whole), and plain subscriptions keep the window-
-    shape affinity of :class:`HashWindowPlacement`.  ``place_preference``
-    is inherited — the base class already hashes the cluster id — so this
-    class mostly *names* the behaviour for the CLI and the serve config.
-    """
-
-    name = "hash-cluster"
-
-    def place(self, query: TopKQuery, loads: Sequence[float]) -> int:
-        return HashWindowPlacement().place(query, loads)
-
-
 #: Built-in policies, keyed by the names the CLI exposes.
 PLACEMENT_POLICIES: Dict[str, Type[PlacementPolicy]] = {
     HashWindowPlacement.name: HashWindowPlacement,
     LeastLoadedPlacement.name: LeastLoadedPlacement,
-    ClusterAffinePlacement.name: ClusterAffinePlacement,
 }
 
 

@@ -144,9 +144,7 @@ class ShardRouter:
         self,
         shard_count: int,
         *,
-        start_method: Optional[str] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        reply_timeout: Optional[float] = None,
         backpressure_timeout: Optional[float] = DEFAULT_BACKPRESSURE_TIMEOUT,
         durability_root: Optional[str] = None,
     ) -> None:
@@ -157,12 +155,8 @@ class ShardRouter:
         # ``fork`` starts workers in milliseconds and is the Linux default;
         # ``spawn`` works too (the worker entry point is importable) and is
         # the fallback where fork is unavailable.
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = mp.get_context(start_method)
-        self.start_method = start_method
-        self.reply_timeout = reply_timeout
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         self.backpressure_timeout = backpressure_timeout
         self.queue_depth = queue_depth
         self.durability_root = durability_root
@@ -380,11 +374,6 @@ class ShardRouter:
         return sum(self.broadcast(("sync",), shard_ids))
 
     def _await_reply(self, shard: _ShardHandle, op: str):
-        deadline = (
-            time.monotonic() + self.reply_timeout
-            if self.reply_timeout is not None
-            else None
-        )
         # Escalating poll: short waits right after the send (replies to
         # cheap ops arrive in microseconds), backing off to
         # REPLY_POLL_SECONDS between liveness checks of a slow worker.
@@ -397,11 +386,6 @@ class ShardRouter:
                     raise ShardError(
                         f"shard {shard.shard_id} died (exit code "
                         f"{shard.process.exitcode}) before replying to {op!r}"
-                    ) from None
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ShardError(
-                        f"shard {shard.shard_id} did not reply to {op!r} "
-                        f"within {self.reply_timeout}s"
                     ) from None
                 poll = min(poll * 2, REPLY_POLL_SECONDS)
                 continue

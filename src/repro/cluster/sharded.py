@@ -52,7 +52,8 @@ from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from ..core.state import dumps
 from ..core.window import aligned_chunk, check_order
-from ..engine.spec import QuerySpec, resolve_query
+from ..engine.core import subscribe_op
+from ..engine.spec import ExecutionPlanner, QuerySpec, resolve_query
 from ..obs.exposition import merge_snapshots
 from ..obs.registry import get_registry
 from .merge import merge_disjoint, merged_latency_stats
@@ -114,7 +115,7 @@ class ShardSubscription:
         return f"ShardSubscription({self.name!r}, shard={self.shard})"
 
 
-class ShardedStreamEngine:
+class ShardedStreamEngine(ExecutionPlanner):
     """Multi-process execution of continuous top-k queries behind one facade."""
 
     def __init__(
@@ -124,9 +125,7 @@ class ShardedStreamEngine:
         placement: Union[str, PlacementPolicy] = "hash-window",
         chunk_size: int = DEFAULT_CHUNK,
         keep_results: bool = True,
-        start_method: Optional[str] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        reply_timeout: Optional[float] = None,
         transport: str = "queue",
         backpressure_timeout: Optional[float] = DEFAULT_BACKPRESSURE_TIMEOUT,
         durability_dir: Optional[str] = None,
@@ -137,10 +136,10 @@ class ShardedStreamEngine:
         ``"least-loaded"``, or a :class:`PlacementPolicy` instance);
         ``chunk_size`` is the requested router fan-out granularity;
         ``keep_results`` is the default retention policy of new
-        subscriptions; ``start_method``/``queue_depth``/``reply_timeout``
-        tune the worker pool (defaults: platform fork, depth 8, wait
-        forever).  Chunks and control messages share each worker's one
-        command queue; ``transport`` accepts only ``"queue"`` and raises
+        subscriptions; ``queue_depth`` bounds each worker's one command
+        queue (default 8), which chunks and control messages share;
+        workers start with ``fork`` where the platform has it.
+        ``transport`` accepts only ``"queue"`` and raises
         :class:`ValueError` for anything else — it stays in the signature
         because existing callers (the ``perfbench`` sharded workload among
         them) pass it.  ``backpressure_timeout`` bounds how
@@ -151,27 +150,28 @@ class ShardedStreamEngine:
         worker journals into ``<dir>/shard-<id>`` (checkpoints + WAL, see
         :mod:`repro.durability`), a ``cluster.json`` manifest records the
         shard count (on restart the manifest *wins* over the ``shards``
-        argument, so a resized cluster comes back at its resized width),
-        and the facade rebuilds its name->shard map from the workers'
-        recovered subscriptions.  A worker that dies mid-stream can then
+        argument, so a resized cluster comes back at its resized width)
+        and the facade's preference-cluster space, and the facade
+        rebuilds its name->shard map from the workers' recovered
+        subscriptions.  A worker that dies mid-stream can then
         be revived in place with :meth:`resurrect_shard`.
         """
         if transport != "queue":
             raise ValueError(f"transport must be 'queue', got {transport!r}")
         self._durability_dir = durability_dir
+        recorded = {}
         if durability_dir is not None:
             os.makedirs(durability_dir, exist_ok=True)
             manifest = os.path.join(durability_dir, "cluster.json")
             if os.path.exists(manifest):
                 with open(manifest, "r", encoding="utf-8") as fh:
-                    recorded = json.load(fh).get("shards")
-                if recorded:
-                    shards = int(recorded)
+                    recorded = json.load(fh)
+            shards = int(recorded.get("shards") or shards)
+            if "clusters" in recorded:
+                self.cluster_space().load(recorded["clusters"])
         self._router = ShardRouter(
             shards,
-            start_method=start_method,
             queue_depth=queue_depth,
-            reply_timeout=reply_timeout,
             backpressure_timeout=backpressure_timeout,
             durability_root=durability_dir,
         )
@@ -180,7 +180,6 @@ class ShardedStreamEngine:
         self._default_keep_results = keep_results
         self._handles: Dict[str, ShardSubscription] = {}
         self._shard_of: Dict[str, int] = {}
-        self._clusters = None
         self._loads: List[float] = [0.0] * shards
         # The last admitted arrival order: the facade rejects a chunk whose
         # t does not strictly increase before any shard sees it, as the
@@ -192,13 +191,17 @@ class ShardedStreamEngine:
             self._recover_map()
 
     def _write_manifest(self) -> None:
-        """Persist the live shard count (atomically) for the next boot."""
+        """Persist the live shard count and preference-cluster space
+        (atomically) for the next boot."""
         if self._durability_dir is None:
             return
         path = os.path.join(self._durability_dir, "cluster.json")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"shards": len(self._router)}, fh)
+            json.dump(
+                {"shards": len(self._router), "clusters": self.cluster_space().snapshot()},
+                fh,
+            )
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -252,20 +255,9 @@ class ShardedStreamEngine:
         self._ensure_open()
         if name in self._handles:
             raise ValueError(f"query {name!r} is already subscribed")
-        spec_cluster = None
-        if isinstance(spec, QuerySpec) and spec.carries_execution():
-            if algorithm != "SAP" or algorithm_options:
-                raise ValueError(
-                    "the spec already declares its execution (using/"
-                    "preferring); drop the algorithm/options arguments"
-                )
-            algorithm, algorithm_options = spec.execution_plan()
-            if algorithm == "clustered":
-                if "cluster_id" not in algorithm_options:
-                    algorithm_options["cluster_id"] = int(
-                        self._cluster_space().assign(algorithm_options["vector"])
-                    )
-                spec_cluster = algorithm_options["cluster_id"]
+        algorithm, algorithm_options, cluster_id = self.plan(
+            spec, algorithm, algorithm_options
+        )
         if not isinstance(algorithm, str):
             raise TypeError(
                 "the sharded engine takes an algorithm name from "
@@ -273,10 +265,14 @@ class ShardedStreamEngine:
                 f"worker process), got {type(algorithm).__name__}"
             )
         query = resolve_query(spec)
+        if cluster_id is not None:
+            # The facade assigns clusters; the shard runs the pinned id.
+            algorithm_options = {**algorithm_options, "cluster_id": cluster_id}
+            self._write_manifest()
         if shard is None:
-            if spec_cluster is not None:
+            if cluster_id is not None:
                 shard = self._placement.place_preference(
-                    query, spec_cluster, self._loads
+                    query, cluster_id, self._loads
                 )
             else:
                 shard = self._placement.place(query, self._loads)
@@ -287,15 +283,9 @@ class ShardedStreamEngine:
         keep = self._default_keep_results if keep_results is None else keep_results
         self._router.request(
             shard,
-            (
-                "subscribe",
-                name,
-                query,
-                algorithm,
-                algorithm_options,
-                keep,
-                result_buffer,
-                collect_metrics,
+            subscribe_op(
+                name, query, algorithm, algorithm_options,
+                keep, result_buffer, collect_metrics,
             ),
         )
         handle = ShardSubscription(self, name, query)
@@ -312,13 +302,6 @@ class ShardedStreamEngine:
         return self._router.request(
             self.shard_of(name), ("update_preference", name, tuple(vector))
         )
-
-    def _cluster_space(self):
-        if self._clusters is None:
-            from ..core.clustering import ClusterSpace
-
-            self._clusters = ClusterSpace()
-        return self._clusters
 
     def unsubscribe(self, name: str) -> None:
         """Close and remove one query from its shard."""
@@ -368,6 +351,12 @@ class ShardedStreamEngine:
     @property
     def shards(self) -> int:
         return len(self._router)
+
+    @property
+    def last_t(self) -> float:
+        """``t`` of the newest admitted object (``-inf`` before the first),
+        recovered from the workers' journals after a restart."""
+        return self._last_t
 
     # ------------------------------------------------------------------
     # Ingestion

@@ -4,8 +4,10 @@ Each worker is a separate OS process (its own interpreter, its own GIL)
 hosting a full single-process engine — query groups and ``k_max`` shared
 plans work inside a shard exactly as they do locally.  The worker loop is
 deliberately dumb: it pops ``(opcode, ...)`` tuples off its command queue,
-applies them to the engine, and pushes ``("ok", payload)`` /
-``("err", message)`` tuples onto its reply queue for synchronous opcodes.
+answers each synchronous opcode with one call from its table — the four
+subscription ops go to the engine's one op parser,
+:meth:`~repro.engine.StreamEngine.apply_op` — and pushes
+``("ok", payload)`` / ``("err", message)`` tuples onto its reply queue.
 
 ``push`` is the one asynchronous opcode: the router streams pre-chunked,
 slide-aligned object batches without waiting for replies (that is where
@@ -20,44 +22,15 @@ import os
 import time
 import traceback
 from queue import Empty
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.columnar import decode_chunk
-from ..core.state import loads
 from ..engine import StreamEngine
 from ..obs.registry import (
     LATENCY_BUCKETS,
     MetricsRegistry,
     get_registry,
     set_registry,
-)
-
-#: Opcodes that reply on the worker's reply queue.  ``push`` and ``stop``
-#: are fire-and-forget; everything else is synchronous.
-SYNC_OPS = frozenset(
-    {
-        "subscribe",
-        "update_preference",
-        "unsubscribe",
-        "flush",
-        "sync",
-        "results",
-        "drain",
-        "latest",
-        "stats",
-        "stats_one",
-        "snapshot_one",
-        "telemetry",
-        "transport_stats",
-        "metrics",
-        "snapshot",
-        "groups",
-        "capture",
-        "restore",
-        "wal_status",
-        "manifest",
-        "close",
-    }
 )
 
 #: How long an idle worker waits on its command queue before checking
@@ -138,20 +111,6 @@ def shard_worker_main(
 
     registry.add_collector(collect_transport)
 
-    def telemetry() -> Dict[str, Dict[str, object]]:
-        """Per-subscription statistics plus the latency sketch's bucket
-        counts, so the facade can merge percentiles by adding counts
-        instead of averaging per-shard percentiles (which would be wrong)."""
-        record: Dict[str, Dict[str, object]] = {}
-        for name in engine.subscriptions():
-            subscription = engine.subscription(name)
-            record[name] = {
-                "stats": subscription.stats(),
-                "latencies": dict(subscription.metrics.latency_buckets),
-                "shard": shard_id,
-            }
-        return record
-
     def handle_push(payload) -> None:
         """Apply one data chunk of :func:`~repro.core.columnar.encode_chunk`
         bytes, latching any failure for the next synchronous opcode."""
@@ -183,6 +142,71 @@ def shard_worker_main(
         except BaseException:
             failure = traceback.format_exc()
 
+    def capture(message):
+        _, names, remove = message
+        states = engine.capture_groups(names)
+        if remove:
+            for name in names:
+                engine.unsubscribe(name)
+        return states
+
+    def results(message):
+        subscription = engine.subscription(message[1])
+        return list(subscription.drain()) if message[2] else subscription.results()
+
+    def wal_status(message):
+        # Resurrection handshake: how many chunks the journal holds, so
+        # the router knows which retained chunks to re-send.
+        return {
+            "shard": shard_id,
+            "chunks": durability.chunks_logged if durability is not None else None,
+            "ingested": pushed,
+            "recovered_subscriptions": (
+                None if recovery is None else recovery.restored_subscriptions
+            ),
+            "recovered_groups": None if recovery is None else recovery.restored_groups,
+        }
+
+    def manifest(message):
+        # Which subscriptions this shard hosts and the last t its engine
+        # admitted — the facade rebuilds its name->shard map, load
+        # accounting and order check from these after a restart.  The
+        # engine's own t is kept both live and through checkpoint restore
+        # plus journal replay.
+        return {
+            "subscriptions": {
+                name: engine.subscription(name).query for name in engine.subscriptions()
+            },
+            "last_t": engine.last_t,
+        }
+
+    # Every synchronous opcode: one call each, ``message`` is the command
+    # tuple.  ``push`` and ``stop`` are fire-and-forget; an opcode missing
+    # here is rejected.
+    calls = {
+        **dict.fromkeys(
+            ("subscribe", "unsubscribe", "update_preference", "restore"),
+            engine.apply_op,
+        ),
+        "flush": lambda message: engine.flush(),
+        "sync": lambda message: pushed,
+        "results": results,
+        "drain": lambda message: engine.drain_results(),
+        "latest": lambda message: engine.subscription(message[1]).latest(),
+        "stats": lambda message: engine.stats(),
+        "stats_one": lambda message: engine.subscription(message[1]).stats(),
+        "snapshot_one": lambda message: engine.subscription(message[1]).snapshot(),
+        "telemetry": lambda message: engine.telemetry(shard_id),
+        "transport_stats": lambda message: {"shard": shard_id, **decode_stats},
+        "metrics": lambda message: registry.snapshot(),
+        "snapshot": lambda message: engine.snapshot(),
+        "groups": lambda message: engine.groups(),
+        "capture": capture,
+        "wal_status": wal_status,
+        "manifest": manifest,
+        "close": lambda message: engine.close(),
+    }
+
     while True:
         try:
             message = commands.get(timeout=PARENT_CHECK_SECONDS)
@@ -207,10 +231,8 @@ def shard_worker_main(
             handle_push(message[1])
             continue
 
-        # Synchronous opcodes.  SYNC_OPS is the contract: anything else is
-        # rejected here, so the dispatch below and the documented opcode
-        # split cannot drift apart.
-        if op not in SYNC_OPS:
+        call = calls.get(op)
+        if call is None:
             replies.put(("err", f"unknown opcode {op!r}"))
             continue
         if failure is not None:
@@ -227,91 +249,7 @@ def shard_worker_main(
             replies.put(("err", f"shard {shard_id} failed during push:\n{failure}"))
             continue
         try:
-            payload: object = None
-            if op == "subscribe":
-                _, name, query, algorithm, options, keep, buffer, metrics = message
-                engine.subscribe(
-                    name,
-                    query,
-                    algorithm=algorithm,
-                    keep_results=keep,
-                    result_buffer=buffer,
-                    collect_metrics=metrics,
-                    **options,
-                )
-            elif op == "update_preference":
-                payload = engine.update_preference(message[1], message[2])
-            elif op == "unsubscribe":
-                engine.unsubscribe(message[1])
-            elif op == "flush":
-                payload = engine.flush()
-            elif op == "sync":
-                payload = pushed
-            elif op == "results":
-                _, name, drain = message
-                subscription = engine.subscription(name)
-                payload = (
-                    list(subscription.drain()) if drain else subscription.results()
-                )
-            elif op == "drain":
-                payload = engine.drain_results()
-            elif op == "latest":
-                payload = engine.subscription(message[1]).latest()
-            elif op == "stats":
-                payload = engine.stats()
-            elif op == "stats_one":
-                payload = engine.subscription(message[1]).stats()
-            elif op == "snapshot_one":
-                payload = engine.subscription(message[1]).snapshot()
-            elif op == "telemetry":
-                payload = telemetry()
-            elif op == "transport_stats":
-                payload = {"shard": shard_id, **decode_stats}
-            elif op == "metrics":
-                payload = registry.snapshot()
-            elif op == "snapshot":
-                payload = engine.snapshot()
-            elif op == "groups":
-                payload = engine.groups()
-            elif op == "capture":
-                _, names, remove = message
-                payload = engine.capture_groups(names)
-                if remove:
-                    for name in names:
-                        engine.unsubscribe(name)
-            elif op == "restore":
-                engine.restore_groups(loads(message[1]))
-            elif op == "wal_status":
-                # Resurrection handshake: how many chunks the journal
-                # holds, so the router knows which retained chunks to
-                # re-send.
-                payload = {
-                    "shard": shard_id,
-                    "chunks": durability.chunks_logged if durability is not None else None,
-                    "ingested": pushed,
-                    "recovered_subscriptions": (
-                        None if recovery is None else recovery.restored_subscriptions
-                    ),
-                    "recovered_groups": (
-                        None if recovery is None else recovery.restored_groups
-                    ),
-                }
-            elif op == "manifest":
-                # Which subscriptions this shard hosts and the last t its
-                # engine admitted — the facade rebuilds its name->shard
-                # map, load accounting and order check from these after a
-                # restart.  The engine's own t is kept both live and
-                # through checkpoint restore plus journal replay.
-                payload = {
-                    "subscriptions": {
-                        name: engine.subscription(name).query
-                        for name in engine.subscriptions()
-                    },
-                    "last_t": engine.last_t,
-                }
-            else:  # op == "close" (the last member of SYNC_OPS)
-                payload = engine.close()
-            replies.put(("ok", payload))
+            replies.put(("ok", call(message)))
         except BaseException as exc:  # noqa: BLE001 - forwarded to the facade
             replies.put(
                 ("err", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")

@@ -89,7 +89,7 @@ __all__ = [
 #: O(k) sized.
 DEFAULT_PAD_FACTOR = 4.0
 
-#: Default cosine-similarity threshold of :class:`ClusterSpace`: vectors
+#: The cosine-similarity threshold of :class:`ClusterSpace`: vectors
 #: at least this similar to a cluster's centroid join that cluster.  The
 #: threshold is deliberately tight: preference vectors are non-negative,
 #: and in the positive orthant even unrelated tastes measure ~0.9 cosine
@@ -243,21 +243,39 @@ class ClusterSpace:
     """Greedy online clustering of preference vectors by cosine similarity.
 
     ``assign`` matches a vector against the existing cluster centroids of
-    its dimension: the first (lowest-id) centroid at least ``similarity``
-    cosine-similar wins and absorbs the vector into its running mean;
-    otherwise a fresh cluster is opened.  Assignment is deterministic in
-    arrival order, which is what lets the sharded facade and a local
-    engine agree on ids without talking to each other: whoever owns the
-    space assigns, and the id travels with the subscription.
+    its dimension: the first (lowest-id) centroid at least
+    :data:`DEFAULT_SIMILARITY` cosine-similar wins and absorbs the vector
+    into its running mean; otherwise a fresh cluster is opened.
+    Assignment is deterministic in arrival order, which is what lets the
+    sharded facade and a local engine agree on ids without talking to
+    each other: whoever owns the space assigns, and the id travels with
+    the subscription.  :meth:`snapshot` / :meth:`load` carry the space
+    across a restart, so a recovered owner keeps assigning the ids its
+    uncrashed twin would.
     """
 
-    def __init__(self, similarity: float = DEFAULT_SIMILARITY) -> None:
-        if not 0.0 < similarity <= 1.0:
-            raise ValueError(f"similarity must be in (0, 1], got {similarity}")
-        self.similarity = similarity
+    def __init__(self) -> None:
         # id -> (weight sums, member count); centroid = sums / count.
         self._centroids: Dict[int, Tuple[List[float], int]] = {}
         self._next_id = 0
+
+    def snapshot(self) -> Dict[str, object]:
+        """The whole space as JSON-representable data (see :meth:`load`)."""
+        return {
+            "next_id": self._next_id,
+            "centroids": [
+                [cluster_id, list(sums), count]
+                for cluster_id, (sums, count) in sorted(self._centroids.items())
+            ],
+        }
+
+    def load(self, snapshot: Dict[str, object]) -> None:
+        """Replace this space's contents with a :meth:`snapshot`."""
+        self._next_id = int(snapshot["next_id"])
+        self._centroids = {
+            int(cluster_id): ([float(value) for value in sums], int(count))
+            for cluster_id, sums, count in snapshot["centroids"]
+        }
 
     def __len__(self) -> int:
         return len(self._centroids)
@@ -277,7 +295,7 @@ class ClusterSpace:
             if len(sums) != len(vector):
                 continue
             centroid = [value / count for value in sums]
-            if self._cosine(vector, centroid) >= self.similarity:
+            if self._cosine(vector, centroid) >= DEFAULT_SIMILARITY:
                 self._centroids[cluster_id] = (
                     [a + b for a, b in zip(sums, vector)],
                     count + 1,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 from .exceptions import ReproError
 from .interface import ContinuousTopKAlgorithm
@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 4
+STATE_FORMAT_VERSION = 5
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes
@@ -155,6 +155,11 @@ class EngineCheckpoint:
     #: decide which retained chunks to re-send.
     chunks: int = 0
     subscriptions: Tuple[str, ...] = ()
+    #: The engine's preference-cluster space
+    #: (:meth:`~repro.core.clustering.ClusterSpace.snapshot`), so a
+    #: recovered engine assigns the cluster ids its uncrashed twin would
+    #: (``None``: restore leaves the engine's space as it is).
+    clusters: Optional[Dict[str, object]] = None
 
     @property
     def member_count(self) -> int:

@@ -2,7 +2,7 @@
 
 :class:`DurabilityManager` sits between a live engine and the two
 stores of this package.  Attached via
-:meth:`repro.engine.EngineCore.attach_durability`, it
+:meth:`repro.engine.StreamEngine.attach_durability`, it
 
 * appends every subscription lifecycle op and every ingested chunk to
   the :class:`~repro.durability.wal.WriteAheadLog` *before* the engine
@@ -11,15 +11,17 @@ stores of this package.  Attached via
 * every ``checkpoint_interval`` chunks, at the first slide boundary,
   captures every query group whole — its window and slide clock once,
   each member's configuration, metrics and retained answers, and its
-  shared-plan layout — into one atomic
-  :class:`~repro.core.state.EngineCheckpoint` and truncates the WAL
-  prefix the checkpoint covers.
+  shared-plan layout — plus the engine's preference-cluster space into
+  one atomic :class:`~repro.core.state.EngineCheckpoint` and truncates
+  the WAL prefix the checkpoint covers.
 
 :meth:`recover` is the inverse: restore the latest checkpoint's groups
-into a fresh engine (the same groups and plans the checkpointed engine
-had), then replay the WAL tail.  A journaled ``restore`` op holds one
+and cluster space into a fresh engine (the same groups, plans and
+cluster ids the checkpointed engine had), then replay the WAL tail
+through :meth:`~repro.engine.StreamEngine.apply_op`, the engine's one
+parser of subscription ops.  A journaled ``restore`` op holds one
 captured :class:`~repro.core.state.GroupState` and replays through the
-same :meth:`~repro.engine.EngineCore.restore_groups` placement, so the
+same :meth:`~repro.engine.StreamEngine.restore_groups` placement, so the
 tail rebuilds the groups the live engine had too.  A WAL whose truncated prefix no
 readable checkpoint covers is refused with :class:`DurabilityError`
 rather than replayed from the middle.  Determinism of the
@@ -45,7 +47,7 @@ from ..core.exceptions import AlgorithmStateError, InvalidQueryError, ReproError
 from ..core.object import StreamObject
 from ..core.state import STATE_FORMAT_VERSION, EngineCheckpoint, StateSerializationError
 from ..obs.registry import get_registry
-from .checkpoint import DEFAULT_KEEP, CheckpointStore
+from .checkpoint import CheckpointStore
 from .wal import DEFAULT_SEGMENT_BYTES, KIND_CHUNK, KIND_OP, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,7 +99,6 @@ class DurabilityManager:
         *,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        keep_checkpoints: int = DEFAULT_KEEP,
         logs_engine_chunks: bool = True,
     ) -> None:
         if checkpoint_interval < 1:
@@ -111,7 +112,7 @@ class DurabilityManager:
         #: payload themselves via :meth:`log_encoded` before decoding.
         self.logs_engine_chunks = logs_engine_chunks
         self.wal = WriteAheadLog(directory, segment_bytes=segment_bytes)
-        self.store = CheckpointStore(directory, keep=keep_checkpoints)
+        self.store = CheckpointStore(directory)
         #: Lifetime counters, restored by :meth:`recover`.
         self.ingested = 0
         self.chunks_logged = 0
@@ -213,6 +214,7 @@ class DurabilityManager:
             groups=groups,
             chunks=self.chunks_logged,
             subscriptions=tuple(engine.subscriptions()),
+            clusters=engine.cluster_space().snapshot(),
         )
         self.wal.sync()
         self.store.write(checkpoint)
@@ -262,12 +264,21 @@ class DurabilityManager:
             self.chunks_logged = checkpoint.chunks
             self.last_t = checkpoint.last_t
             engine.restore_groups(checkpoint.groups, checkpoint.subscriptions)
+            if checkpoint.clusters is not None:
+                engine.cluster_space().load(checkpoint.clusters)
             restored = checkpoint.member_count
             restored_groups = len(checkpoint.groups)
         replayed_ops = replayed_chunks = replayed_objects = skipped = 0
         for kind, payload in self.wal.replay(after_seq):
             if kind == KIND_OP:
-                self._apply_op(engine, state_module.loads(payload))
+                try:
+                    engine.apply_op(state_module.loads(payload))
+                except KeyError:
+                    # An op naming a subscription whose own op could not
+                    # be journaled (checkpoint-only durability) and that
+                    # no checkpoint holds: the live engine had it, the
+                    # log cannot rebuild it.
+                    pass
                 replayed_ops += 1
             else:
                 try:
@@ -310,31 +321,6 @@ class DurabilityManager:
         if top > self.last_t:
             self.last_t = top
         return count
-
-    def _apply_op(self, engine: "EngineCore", op: Tuple) -> None:
-        kind = op[0]
-        if kind == "subscribe":
-            _, name, query, algorithm, options, keep, buffer, collect = op
-            engine.subscribe(
-                name,
-                query,
-                algorithm,
-                keep_results=keep,
-                result_buffer=buffer,
-                collect_metrics=collect,
-                **options,
-            )
-        elif kind == "restore":
-            engine.restore_groups((op[1],))
-        elif kind == "unsubscribe":
-            try:
-                engine.unsubscribe(op[1])
-            except KeyError:
-                pass
-        elif kind == "update_preference":
-            engine.update_preference(op[1], op[2])
-        else:
-            raise DurabilityError(f"unknown WAL op kind {kind!r}")
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -1,32 +1,47 @@
-"""The engine core: subscription/group bookkeeping and local execution.
+"""The push-based engine: one class for every execution plane.
 
-:class:`EngineCore` is the part of the push-based engine that every
-execution plane shares: it owns the subscription registry, places
-subscriptions into :class:`~repro.engine.group.QueryGroup` objects, moves
-stream objects through the groups, and captures / restores query groups
-as :class:`~repro.core.state.GroupState` records.
+:class:`StreamEngine` (also exported as ``EngineCore``) is the
+single-process execution path of the reproduction: the CLI, the
+benchmarks and the tests run and measure every algorithm through its
+subscriptions.  Callers describe queries with
+:class:`~repro.engine.spec.QuerySpec` (or a plain
+:class:`~repro.core.query.TopKQuery`), attach any algorithm registered in
+:mod:`repro.registry` by name, and push stream objects::
 
-Every subscription is placed by one rule, in ``EngineCore._place``: it
-joins the query group that has its window shape and its window position,
-or opens one.  :meth:`~EngineCore.subscribe` places a fresh subscription
-("not started"); :meth:`~EngineCore.restore_groups` places the members of
+    engine = StreamEngine()
+    fire = engine.subscribe("fire", QuerySpec(n=5000, k=10, s=100), algorithm="SAP")
+    for obj in sensor_feed:           # unbounded — never materialised
+        engine.push(obj)
+        for result in fire.drain():
+            alert(result)
+    engine.close()
+
+The engine owns the subscription registry, places subscriptions into
+:class:`~repro.engine.group.QueryGroup` objects — one per window shape,
+sharing one partition-sealing / candidate-core pipeline at the group's
+largest ``k`` (see :mod:`repro.core.shared`) — moves stream objects
+through the groups, and captures / restores query groups as
+:class:`~repro.core.state.GroupState` records.  Memory stays O(window)
+per window *shape* plus whatever answers the caller asked to retain.
+
+Every subscription is placed by one rule, in ``_place``: it joins the
+query group that has its window shape and its window position, or opens
+one.  :meth:`~StreamEngine.subscribe` places a fresh subscription ("not
+started"); :meth:`~StreamEngine.restore_groups` places the members of
 each captured record at the record's slide index and window.
 
-Three planes build on the core rather than forking it:
+Every subscription op — ``subscribe``, ``unsubscribe``,
+``update_preference`` and ``restore`` — has one tuple form, parsed in one
+place, :meth:`~StreamEngine.apply_op`: the durability plane
+(:mod:`repro.durability`) journals these ops and replays them through
+it, and each shard worker of :mod:`repro.cluster` (one full engine per
+process) applies the sharded facade's commands through it.
+:meth:`~StreamEngine.durable` / :meth:`~StreamEngine.recover` build an
+engine that journals into a directory and recovers from it.
 
-* :class:`repro.engine.StreamEngine` — the single-process facade; it adds
-  durable construction (:meth:`~repro.engine.StreamEngine.recover`).
-* the shard workers of :mod:`repro.cluster` — each worker process hosts a
-  full :class:`StreamEngine`, and the sharded facade moves subscriptions
-  between workers with :meth:`capture_groups` / :meth:`restore_groups`,
-  so a moved group joins the target's group at the same position;
-* the durability plane (:mod:`repro.durability`) — it checkpoints whole
-  query groups with :meth:`capture_groups`, journals every restored
-  record, and recovers both through :meth:`restore_groups`.
-
-Every ingest call — :meth:`~EngineCore.push`, :meth:`~EngineCore.push_many`
-and :meth:`~EngineCore.push_block` — hands its chunks to one edge,
-``EngineCore._ingest``: it validates arrival order, journals, counts, and
+Every ingest call — :meth:`~StreamEngine.push`, :meth:`~StreamEngine.push_many`
+and :meth:`~StreamEngine.push_block` — hands its chunks to one edge,
+``StreamEngine._ingest``: it validates arrival order, journals, counts, and
 moves the chunk through every query group, in that order.
 """
 
@@ -52,7 +67,7 @@ from ..core.window import check_order
 from ..obs.registry import get_registry
 from ..registry import create_algorithm
 from .group import QueryGroup, group_key_for
-from .spec import QuerySpec, resolve_query
+from .spec import ExecutionPlanner, QuerySpec, resolve_query
 from .subscription import ResultCallback, Subscription
 
 #: What ``subscribe`` accepts as the algorithm: a registry name, a ready
@@ -65,7 +80,25 @@ AlgorithmLike = Union[str, ContinuousTopKAlgorithm, Callable[..., ContinuousTopK
 PUSH_MANY_CHUNK = 256
 
 
-class EngineCore:
+def subscribe_op(
+    name: str,
+    query: TopKQuery,
+    algorithm: str,
+    options: Dict[str, object],
+    keep_results: bool,
+    result_buffer: Optional[int],
+    collect_metrics: bool,
+) -> Tuple:
+    """The ``subscribe`` op of a registry-named algorithm: the write-ahead
+    log's record of a subscription and the shard worker's subscribe
+    command.  :meth:`StreamEngine.apply_op` applies it."""
+    return (
+        "subscribe", name, query, algorithm, dict(options),
+        keep_results, result_buffer, collect_metrics,
+    )
+
+
+class StreamEngine(ExecutionPlanner):
     """Shared, push-based execution of any number of continuous queries."""
 
     def __init__(self, *, keep_results: bool = True, return_results: bool = True) -> None:
@@ -77,9 +110,10 @@ class EngineCore:
         self._groups: List[QueryGroup] = []
         self._default_keep_results = keep_results
         self._return_results = return_results
-        self._cluster_space = None
         self._closed = False
         self._durability = None
+        #: Set by :meth:`recover` — what the durability plane replayed.
+        self.recovery_report = None
         #: ``t`` of the newest admitted object; a chunk starting below it
         #: is rejected whole at the ingest edge.
         self._last_t = float("-inf")
@@ -142,26 +176,18 @@ class EngineCore:
         self._ensure_open()
         if name in self._subscriptions:
             raise ValueError(f"query {name!r} is already subscribed")
-        if isinstance(spec, QuerySpec) and spec.carries_execution():
-            if algorithm != "SAP" or algorithm_options:
-                raise ValueError(
-                    "the spec already declares its execution (using/"
-                    "preferring); drop the algorithm/options arguments"
-                )
-            algorithm, algorithm_options = spec.execution_plan()
-            if (
-                algorithm == "clustered"
-                and "cluster_id" not in algorithm_options
-            ):
-                algorithm_options["cluster_id"] = int(
-                    self.cluster_space().assign(algorithm_options["vector"])
-                )
-
-        instance = self._resolve_algorithm(spec, algorithm, algorithm_options)
+        algorithm, algorithm_options, cluster_id = self.plan(
+            spec, algorithm, algorithm_options
+        )
+        options = algorithm_options
+        if cluster_id is not None:
+            options = {**algorithm_options, "cluster_id": cluster_id}
+        instance = self._resolve_algorithm(spec, algorithm, options)
+        keep = self._default_keep_results if keep_results is None else keep_results
         subscription = Subscription(
             name,
             instance,
-            keep_results=self._default_keep_results if keep_results is None else keep_results,
+            keep_results=keep,
             result_buffer=result_buffer,
             collect_metrics=collect_metrics,
         )
@@ -170,32 +196,50 @@ class EngineCore:
         self._place([subscription])
         self._subscriptions[name] = subscription
         if self._durability is not None:
-            self._log_subscribe_op(name, instance, algorithm, algorithm_options,
-                                   subscription)
+            # Registry-named algorithms log a compact ``subscribe`` op with
+            # the options as declared, so replay assigns the same cluster
+            # from the same space; ready instances/factories fall back to
+            # a ``restore`` op of the fresh member (checkpoint-only
+            # durability when even that is unpicklable).
+            if isinstance(algorithm, str):
+                self._durability.log_op(subscribe_op(
+                    name, instance.query, algorithm, algorithm_options,
+                    keep, result_buffer, collect_metrics,
+                ))
+            else:
+                self._durability.log_op(("restore", self.capture_subscription(name)))
         return subscription
 
-    def _log_subscribe_op(
-        self, name, instance, algorithm, options, subscription
-    ) -> None:
-        """WAL the subscription so recovery can replay its creation.
+    def apply_op(self, op: Tuple) -> Optional[Dict[str, object]]:
+        """Apply one subscription op — the one parser of the op tuples
+        that write-ahead-log replay and the shard worker feed in.
 
-        Registry-named algorithms log a compact ``subscribe`` op; ready
-        instances/factories fall back to a ``restore`` op of the fresh
-        member's :class:`GroupState` (checkpoint-only durability when even
-        that is unpicklable, e.g. closure-scored queries)."""
-        if isinstance(algorithm, str):
-            self._durability.log_op((
-                "subscribe",
-                name,
-                instance.query,
-                algorithm,
-                dict(options),
-                subscription._keep_results,
-                subscription._results.maxlen,
-                subscription._collect_metrics,
-            ))
+        ``("subscribe", ...)`` is :func:`subscribe_op`'s tuple;
+        ``("unsubscribe", name)``; ``("update_preference", name, vector)``;
+        ``("restore", states)`` where ``states`` is one
+        :class:`~repro.core.state.GroupState`, a tuple or list of them, or
+        their pickled bytes.  Returns ``update_preference``'s cluster
+        record, else ``None``.
+        """
+        kind = op[0]
+        if kind == "subscribe":
+            _, name, query, algorithm, options, keep, buffer, collect = op
+            self.subscribe(
+                name, query, algorithm, keep_results=keep, result_buffer=buffer,
+                collect_metrics=collect, **options,
+            )
+        elif kind == "unsubscribe":
+            self.unsubscribe(op[1])
+        elif kind == "update_preference":
+            return self.update_preference(op[1], op[2])
+        elif kind == "restore":
+            states = op[1]
+            if isinstance(states, (bytes, bytearray)):
+                states = loads(bytes(states))
+            self.restore_groups(states if isinstance(states, (tuple, list)) else (states,))
         else:
-            self._durability.log_op(("restore", self.capture_subscription(name)))
+            raise ValueError(f"unknown subscription op {kind!r}")
+        return None
 
     def update_preference(self, name: str, vector: Iterable[float]) -> Dict[str, object]:
         """Re-declare one preference subscription's vector mid-stream.
@@ -218,14 +262,6 @@ class EngineCore:
         if self._durability is not None:
             self._durability.log_op(("update_preference", name, vector))
         return record
-
-    def cluster_space(self):
-        """The engine's preference-cluster assignment state (lazy)."""
-        if self._cluster_space is None:
-            from ..core.clustering import ClusterSpace
-
-            self._cluster_space = ClusterSpace()
-        return self._cluster_space
 
     def unsubscribe(self, name: str) -> None:
         """Close and remove one query."""
@@ -564,19 +600,62 @@ class EngineCore:
         """
         from ..cluster.merge import merged_latency_stats
 
-        telemetry = {
+        return merged_latency_stats([self.telemetry()])
+
+    def telemetry(self, shard: int = -1) -> Dict[str, Dict[str, object]]:
+        """Per-subscription statistics plus each latency sketch's bucket
+        counts, tagged with ``shard``: what
+        :func:`~repro.cluster.merge.merged_latency_stats` adds up, so
+        percentiles merge by adding counts instead of averaging
+        percentiles (which would be wrong)."""
+        return {
             name: {
                 "stats": sub.stats(),
-                "latencies": sub.metrics.latency_buckets,
-                "shard": -1,
+                "latencies": dict(sub.metrics.latency_buckets),
+                "shard": shard,
             }
             for name, sub in self._subscriptions.items()
         }
-        return merged_latency_stats([telemetry])
 
     # ------------------------------------------------------------------
     # Durability (checkpoints + write-ahead log, :mod:`repro.durability`)
     # ------------------------------------------------------------------
+    @classmethod
+    def durable(cls, directory: str, *, checkpoint_interval: Optional[int] = None,
+                **engine_kwargs) -> "StreamEngine":
+        """A fresh engine persisting into ``directory``.
+
+        Equivalent to :meth:`recover` on an empty directory; on a
+        directory with prior state it *also* recovers first, so callers
+        can use one constructor for both cold and crashed starts.
+        """
+        return cls.recover(directory, checkpoint_interval=checkpoint_interval,
+                           **engine_kwargs)
+
+    @classmethod
+    def recover(cls, directory: str, *, checkpoint_interval: Optional[int] = None,
+                **engine_kwargs) -> "StreamEngine":
+        """Rebuild the engine persisted in ``directory`` and keep persisting.
+
+        Restores the latest checkpoint, replays the write-ahead-log tail
+        (producing the exact pre-crash subscriptions, windows, retained
+        answers and preference clusters), then attaches the durability
+        manager so the recovered engine continues journaling.  The replay
+        summary is left on ``engine.recovery_report``.  An empty directory
+        recovers to an empty engine — i.e. this is also how a durable
+        engine is *first* created.
+        """
+        from ..durability import DurabilityManager
+
+        kwargs = {}
+        if checkpoint_interval is not None:
+            kwargs["checkpoint_interval"] = checkpoint_interval
+        engine = cls(**engine_kwargs)
+        manager = DurabilityManager(directory, **kwargs)
+        engine.recovery_report = manager.recover(engine)
+        engine.attach_durability(manager)
+        return engine
+
     def attach_durability(self, manager) -> None:
         """Persist this engine through ``manager``: every subscription op
         and ingested chunk is WAL'd ahead of application, and checkpoints
@@ -621,8 +700,9 @@ class EngineCore:
     def close(self) -> Dict[str, List[TopKResult]]:
         """Flush pending time-based reports, then close every subscription.
 
-        Returns the answers produced by the final flush.  Closing twice is
-        a no-op; pushing after close raises :class:`AlgorithmStateError`.
+        Returns the answers produced by the final flush, and closes the
+        attached durability manager.  Closing twice is a no-op; pushing
+        after close raises :class:`AlgorithmStateError`.
         """
         if self._closed:
             return {}
@@ -632,8 +712,10 @@ class EngineCore:
             for subscription in self._subscriptions.values():
                 subscription.close()
             self._closed = True
+            if self._durability is not None:
+                self._durability.close()
 
-    def __enter__(self) -> "EngineCore":
+    def __enter__(self) -> "StreamEngine":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -688,3 +770,8 @@ class EngineCore:
         if isinstance(algorithm, str):
             return create_algorithm(algorithm, query, **options)
         return algorithm(query, **options)
+
+
+#: The engine's other name: the planes built on it (and the benchmark's
+#: per-layer tracer) refer to it as the engine core.
+EngineCore = StreamEngine

@@ -368,6 +368,56 @@ class QuerySpec:
         return f"QuerySpec(n={self._n}, k={self._k}, s={self._s}, {kind}{extra})"
 
 
+class ExecutionPlanner:
+    """The one rule turning a subscribe call into what an engine runs.
+
+    :class:`repro.engine.StreamEngine` and
+    :class:`repro.cluster.ShardedStreamEngine` both inherit it, so both
+    read a spec's ``using(...)`` / ``preferring(...)`` the same way and
+    assign preference clusters from a
+    :class:`~repro.core.clustering.ClusterSpace` they own.
+    """
+
+    _clusters = None
+
+    def cluster_space(self):
+        """This engine's preference-cluster assignment state (lazy)."""
+        if self._clusters is None:
+            from ..core.clustering import ClusterSpace
+
+            self._clusters = ClusterSpace()
+        return self._clusters
+
+    def plan(
+        self, spec: object, algorithm: object, options: Dict[str, object]
+    ) -> Tuple[object, Dict[str, object], Optional[int]]:
+        """``(algorithm, options, cluster_id)`` of one subscribe call.
+
+        A :class:`QuerySpec` that carries execution choices is the whole
+        declaration: ``algorithm`` must then stay at its default
+        ``"SAP"``, ``options`` empty, and the spec's plan wins.
+        ``cluster_id`` is the preference cluster of a ``"clustered"``
+        plan — the pinned one, or one this engine's space assigns — and
+        ``None`` otherwise.  ``options`` come back as declared, without an
+        assigned id: replaying them through this method on a space in the
+        same state assigns the same id again.
+        """
+        if isinstance(spec, QuerySpec) and spec.carries_execution():
+            if algorithm != "SAP" or options:
+                raise ValueError(
+                    "the spec already declares its execution (using/"
+                    "preferring); drop the algorithm/options arguments"
+                )
+            algorithm, options = spec.execution_plan()
+        cluster_id = None
+        if algorithm == "clustered" and "vector" in options:
+            cluster_id = options.get("cluster_id")
+            if cluster_id is None:
+                cluster_id = self.cluster_space().assign(options["vector"])
+            cluster_id = int(cluster_id)
+        return algorithm, options, cluster_id
+
+
 def resolve_query(spec: object) -> TopKQuery:
     """Accept a :class:`TopKQuery` or a :class:`QuerySpec` and return a query."""
     if isinstance(spec, TopKQuery):

@@ -101,8 +101,6 @@ class ServeConfig:
     #: How long a partial (unaligned) ingest tail may linger before it is
     #: flushed to the engine anyway.
     linger_ms: int = 50
-    #: Per-subscription answer history retained for the polling endpoint.
-    result_history: int = 1024
     default_algorithm: str = "SAP"
     #: Durability: when set, the engine journals every ingested slide and
     #: checkpoints subscription state under this directory, and a restart
@@ -120,7 +118,7 @@ class ServeConfig:
                 f"got {self.slow_client!r}"
             )
         for field_name in ("shards", "max_subscriptions", "client_queue",
-                           "dedupe_window", "result_history"):
+                           "dedupe_window"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be positive")
         if self.linger_ms < 0:
@@ -396,7 +394,6 @@ class TopKServer:
             handle.query,
             spec.algorithm or self.config.default_algorithm,
             handle,
-            history=self.config.result_history,
             preference=spec.vector,
         )
         self.registry.add(session)
@@ -445,22 +442,6 @@ class TopKServer:
         engine = self._engine
         return {name: engine.subscription(name) for name in engine.subscriptions()}
 
-    def _recovered_next_t(self) -> int:
-        """Engine-thread job: where the recovered arrival clock resumes."""
-        engine = self._engine
-        report = getattr(engine, "recovery_report", None)
-        if report is not None:
-            return int(report.next_t)
-        status = getattr(engine, "durability_status", None)
-        if callable(status):
-            # Every shard sees the whole (dense-t) stream, so the furthest
-            # shard's ingest count is the next arrival index.
-            return max(
-                (int(entry.get("ingested") or 0) for entry in status()),
-                default=0,
-            )
-        return 0
-
     async def _recover_sessions(self) -> None:
         """Rebuild the serving layer over an engine recovered from disk.
 
@@ -501,7 +482,6 @@ class TopKServer:
                     handle.query,
                     spec.algorithm or self.config.default_algorithm,
                     handle,
-                    history=self.config.result_history,
                     preference=spec.vector,
                 )
             )
@@ -510,7 +490,8 @@ class TopKServer:
         replayed = await self._engine_call(self._engine.drain_results)
         routed = self.registry.dispatch(replayed or {})
         self.batcher.set_alignment(self.registry.queries())
-        next_t = await self._engine_call(self._recovered_next_t)
+        # Both engines recover the newest admitted t from their journals.
+        next_t = int(max(0, self._engine.last_t + 1))
         self.batcher.resume_from(next_t)
         report = getattr(self._engine, "recovery_report", None)
         self.recovery_info = {

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
-from ..core.window import aligned_chunk
+from ..core.window import _inexact, aligned_chunk
 
 #: Default dedupe-window capacity (distinct event ids remembered).
 DEFAULT_DEDUPE_WINDOW = 65_536
@@ -85,7 +85,8 @@ class DedupeWindow:
 def parse_event(raw: object) -> Tuple[Optional[str], float, object]:
     """Validate one wire event; returns ``(id, score, payload)``.
 
-    An event is a JSON object with a finite numeric ``score``, an optional
+    An event is a JSON object with a finite numeric ``score`` that float64
+    holds exactly (an int past 2**53 that would round is refused), an optional
     string ``id`` (events without an id bypass deduplication — the
     producer has declared them non-retried), and an optional ``payload``
     carried through to the :class:`StreamObject` untouched.
@@ -103,6 +104,10 @@ def parse_event(raw: object) -> Tuple[Optional[str], float, object]:
         value = inf
     if not isfinite(value):
         raise ValueError(f"event score must be finite, got {score!r}")
+    if isinstance(score, int) and _inexact(score):
+        # The embedded ingest edge refuses it too (an int past 2**53
+        # would silently round).
+        raise ValueError(f"event score must be held exactly by float64, got {score!r}")
     event_id = raw.get("id")
     if event_id is not None and not isinstance(event_id, str):
         raise ValueError(f"event id must be a string, got {event_id!r}")

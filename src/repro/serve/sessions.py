@@ -27,6 +27,9 @@ from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from .backpressure import ClientChannel
 
+#: Answers per subscription retained for the REST polling endpoint.
+RESULT_HISTORY = 1024
+
 
 def result_record(name: str, result: TopKResult) -> Dict[str, object]:
     """The JSON shape of one answer, shared by SSE and REST.
@@ -53,7 +56,6 @@ class Session:
         algorithm: str,
         handle,
         *,
-        history: int = 1024,
         preference=None,
     ) -> None:
         self.name = name
@@ -66,7 +68,7 @@ class Session:
         self.channels: Set[ClientChannel] = set()
         #: Bounded answer history served by the REST polling endpoint
         #: (streaming clients receive answers live instead).
-        self.history: Deque[Dict[str, object]] = deque(maxlen=history)
+        self.history: Deque[Dict[str, object]] = deque(maxlen=RESULT_HISTORY)
         self.results_pushed = 0
         self.results_dropped = 0
         self.clients_disconnected = 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.placement import (
     PLACEMENT_POLICIES,
-    ClusterAffinePlacement,
     HashWindowPlacement,
     LeastLoadedPlacement,
     PlacementPolicy,
@@ -60,11 +59,14 @@ class TestLeastLoaded:
 
 
 class TestClusterAffine:
+    """``place_preference``: every policy places a preference cluster by
+    hashing its id."""
+
     def test_same_cluster_always_colocates(self):
         """A cluster's shared plan only exists on one shard: every member
         of one cluster id must land on the same shard, whatever its
         window shape or the current loads."""
-        policy = ClusterAffinePlacement()
+        policy = LeastLoadedPlacement()
         loads = [5.0, 0.0, 3.0, 1.0]
         placements = {
             policy.place_preference(TopKQuery(n=n, k=2, s=s), 7, loads)
@@ -73,7 +75,7 @@ class TestClusterAffine:
         assert len(placements) == 1
 
     def test_distinct_clusters_spread(self):
-        policy = ClusterAffinePlacement()
+        policy = HashWindowPlacement()
         loads = [0.0] * 8
         query = TopKQuery(n=100, k=5, s=10)
         shards = {
@@ -88,27 +90,19 @@ class TestClusterAffine:
         loads = [0.0] * 5
         results = {
             policy().place_preference(query, 3, loads)
-            for policy in (ClusterAffinePlacement, HashWindowPlacement, LeastLoadedPlacement)
+            for policy in (HashWindowPlacement, LeastLoadedPlacement)
         }
         assert len(results) == 1
 
-    def test_plain_queries_keep_window_affinity(self):
-        loads = [0.0] * 6
-        query = TopKQuery(n=300, k=5, s=30)
-        assert ClusterAffinePlacement().place(query, loads) == HashWindowPlacement().place(
-            query, loads
-        )
-
     def test_no_shards_rejected(self):
         with pytest.raises(ValueError):
-            ClusterAffinePlacement().place_preference(TopKQuery(n=10, k=2, s=5), 0, [])
+            HashWindowPlacement().place_preference(TopKQuery(n=10, k=2, s=5), 0, [])
 
 
 class TestRegistry:
     def test_make_placement_by_name(self):
         assert isinstance(make_placement("hash-window"), HashWindowPlacement)
         assert isinstance(make_placement("least-loaded"), LeastLoadedPlacement)
-        assert isinstance(make_placement("hash-cluster"), ClusterAffinePlacement)
 
     def test_make_placement_passthrough(self):
         policy = LeastLoadedPlacement()

@@ -241,7 +241,7 @@ class TestShardedIntegration:
         from repro.cluster import ShardedStreamEngine
 
         local = StreamEngine()
-        sharded = ShardedStreamEngine(shards=2, placement="hash-cluster")
+        sharded = ShardedStreamEngine(shards=2, placement="hash-window")
         try:
             vectors = {
                 "a": (1.0, 0.2, 0.0),

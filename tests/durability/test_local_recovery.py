@@ -193,3 +193,49 @@ class TestPoisonChunks:
         assert report.last_t == 9
         recovered.push_many(make_objects(random_scores(5), start_t=10))
         recovered.close()
+
+
+class TestClusterIdsAfterRecovery:
+    """A recovered engine assigns the preference-cluster ids, and so the
+    shared plans, of its uncrashed twin: the cluster space survives in
+    the checkpoint and is rebuilt by replaying the journaled ops."""
+
+    A = (1.0, 0.1, 0.1)
+    B = (0.1, 1.0, 0.1)
+
+    def _before_crash(self, engine):
+        engine.subscribe("a", QuerySpec(n=20, k=3, s=5).preferring(self.A))
+        engine.subscribe("b", QuerySpec(n=20, k=3, s=5).preferring(self.B))
+        engine.push_many(
+            StreamObject(score=0.0, t=t, payload={"attributes": [
+                float((7 * t) % 23), float((5 * t) % 17), float(t % 11)]})
+            for t in range(40)
+        )
+
+    def _after_crash(self, engine):
+        engine.subscribe("b2", QuerySpec(n=20, k=3, s=5).preferring(self.B))
+        engine.subscribe("b3", QuerySpec(n=20, k=3, s=5).preferring(self.B))
+
+    @pytest.mark.parametrize("interval", [1, 100], ids=["checkpoint", "wal-only"])
+    def test_recovered_engine_assigns_the_twins_cluster_ids(self, tmp_path, interval):
+        crashed = _durable(str(tmp_path), interval=interval)
+        self._before_crash(crashed)
+        # abandoned without close(), as SIGKILL leaves it
+        recovered = _durable(str(tmp_path), interval=interval)
+        assert (recovered.recovery_report.checkpoint_seq is not None) == (interval == 1)
+        self._after_crash(recovered)
+        twin = StreamEngine()
+        self._before_crash(twin)
+        self._after_crash(twin)
+
+        def cluster_ids(engine):
+            return {
+                name: engine.subscription(name).snapshot()["cluster"]["cluster_id"]
+                for name in engine.subscriptions()
+            }
+
+        assert cluster_ids(twin) == {"a": 0, "b": 1, "b2": 1, "b3": 1}
+        assert cluster_ids(recovered) == cluster_ids(twin)
+        assert recovered.groups() == twin.groups()
+        recovered.close()
+        twin.close()

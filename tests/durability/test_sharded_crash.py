@@ -139,3 +139,51 @@ def test_facade_crash_manifest_wins_over_shards_argument(tmp_path):
         assert _signature(revived.drain_results()) == _twin_signature(stream)
     finally:
         revived.close()
+
+
+def test_restarted_facade_assigns_the_twins_cluster_ids(tmp_path):
+    """The facade's preference-cluster space survives a restart in
+    ``cluster.json``: a revived facade assigns (and so places) new
+    preference subscriptions as its uncrashed twin does."""
+    first, second = (1.0, 0.1, 0.1), (0.1, 1.0, 0.1)
+    objects = [
+        StreamObject(score=0.0, t=t, payload={"attributes": [
+            float((7 * t) % 23), float((5 * t) % 17), float(t % 11)]})
+        for t in range(40)
+    ]
+
+    def before_crash(engine):
+        engine.subscribe("a", QuerySpec(n=20, k=3, s=5).preferring(first))
+        engine.subscribe("b", QuerySpec(n=20, k=3, s=5).preferring(second))
+        engine.push_many(objects, chunk_size=10)
+        engine.synchronize()
+
+    def after_crash(engine):
+        engine.subscribe("b2", QuerySpec(n=20, k=3, s=5).preferring(second))
+        engine.subscribe("b3", QuerySpec(n=20, k=3, s=5).preferring(second))
+
+    def layout(engine):
+        return {
+            name: (
+                engine.shard_of(name),
+                engine.subscription(name).snapshot()["cluster"]["cluster_id"],
+            )
+            for name in engine.subscriptions()
+        }, engine.groups()
+
+    crashed = ShardedStreamEngine(2, keep_results=True, durability_dir=str(tmp_path))
+    before_crash(crashed)
+    for shard_id in range(2):
+        _kill_worker(crashed, shard_id)
+    revived = ShardedStreamEngine(2, keep_results=True, durability_dir=str(tmp_path))
+    try:
+        after_crash(revived)
+        with ShardedStreamEngine(2, keep_results=True) as twin:
+            before_crash(twin)
+            after_crash(twin)
+            assert layout(revived) == layout(twin)
+            assert {name: ids[1] for name, ids in layout(twin)[0].items()} == {
+                "a": 0, "b": 1, "b2": 1, "b3": 1,
+            }
+    finally:
+        revived.close()

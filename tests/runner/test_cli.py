@@ -139,6 +139,16 @@ class TestShardCommand:
         assert exit_code == 0
         assert "least-loaded placement" in captured
 
+    def test_shard_command_resumes_a_durable_cluster(self, tmp_path, capsys):
+        """A second run over the same durability directory recovers the
+        cluster and continues its arrival clock past the journaled tail."""
+        argv = ["shard", "--dataset", "TIMEU", "--objects", "200", "--n", "50",
+                "--s", "10", "--k", "3", "--shards", "2", "--queries", "2",
+                "--durability-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("2 queries on 2 shards") == 2
+
 
 class TestServeCommand:
     def test_serve_parser_defaults(self):

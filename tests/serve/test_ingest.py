@@ -92,11 +92,15 @@ class TestParseEvent:
             {"score": float("inf")},
             {"score": float("-inf")},
             {"score": 10**400},  # an int past float64
+            {"score": 2**53 + 1},  # an int float64 would round
         ],
     )
     def test_invalid_events_rejected(self, raw):
         with pytest.raises(ValueError):
             parse_event(raw)
+
+    def test_exact_large_int_accepted(self):
+        assert parse_event({"score": 2**53})[1] == 2.0**53
 
 
 class TestIngestBatcher:

@@ -229,9 +229,9 @@ def served_answers(records):
 
 
 class TestNonFiniteNumbers:
-    """NaN, the infinities and numbers past float64 get a 400 for their
-    own request, never a 500, and leave the served answers as an
-    embedded twin's."""
+    """NaN, the infinities, numbers past float64 and ints float64 would
+    round get a 400 for their own request, never a 500, and leave the
+    served answers as an embedded twin's."""
 
     HOSTILE_EVENTS = [
         b'{"events": [{"id": "a", "score": NaN}]}',
@@ -239,6 +239,7 @@ class TestNonFiniteNumbers:
         b'{"events": [{"score": -Infinity}]}',
         b'{"events": [{"score": 1e400}]}',
         b'{"events": [{"score": 1' + b"0" * 400 + b'}]}',
+        b'{"events": [{"score": 9007199254740993}]}',
         # One bad event refuses the whole request, good events included.
         b'{"events": [{"id": "b", "score": 1.0}, {"score": 2.0}, {"score": -1e400}]}',
     ]
