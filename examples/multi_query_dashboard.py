@@ -53,8 +53,10 @@ def main() -> None:
         print(f"  refreshed {view.results_delivered} times; "
               f"current best trade value {best.score:,.0f} "
               f"(stock {best.payload.stock_id})")
-        print(f"  SAP kept {view.algorithm.candidate_count()} candidates; "
-              f"stats: {view.algorithm.stats.as_dict()}\n")
+        # A shared view reports its plan's core, so every view of a
+        # shape shows the same candidate bookkeeping.
+        print(f"  SAP kept {view.snapshot()['candidate_count']} candidates "
+              f"(average {view.stats()['average_candidates']:.1f} per slide)\n")
 
     engine.close()
 

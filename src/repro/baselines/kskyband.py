@@ -16,13 +16,12 @@ paper makes the same distinction).
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Tuple
 
 from ..core.interface import OBJECT_FOOTPRINT_BYTES, ContinuousTopKAlgorithm
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.shared import CoreSharedPlan, SharedCoreMember, plan_k_max
 from ..core.window import SlideEvent
 from ..structures.avl import AVLTree
 
@@ -37,7 +36,7 @@ class _SkybandEntry:
         self.dominators = 0
 
 
-class KSkybandTopK(SharedCoreMember, ContinuousTopKAlgorithm):
+class KSkybandTopK(ContinuousTopKAlgorithm):
     """Maintain all k-skyband objects of the window."""
 
     name = "k-skyband"
@@ -47,27 +46,19 @@ class KSkybandTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         self._candidates = AVLTree()
 
     # ------------------------------------------------------------------
-    # Shared-slide lifecycle: the k-skyband of the window at k_max is a
+    # Shared-slide hooks: the k-skyband of the window at k_max is a
     # superset of the skyband at any smaller k, and its top-k prefix *is*
     # the window's exact top-k.  One shared skyband core therefore serves
     # every co-windowed k-skyband query; members just slice the answer
-    # (the mechanics live in SharedCoreMember / CoreSharedPlan).
+    # (the mechanics live in CoreSharedPlan).
     # ------------------------------------------------------------------
     def shared_plan_key(self) -> Hashable:
         return ("k-skyband",)
 
-    def build_shared_plan(
-        self, subscriptions: Sequence[object], k_max: Optional[int] = None
-    ) -> "KSkybandSharedPlan":
-        return KSkybandSharedPlan(subscriptions, k_max)
-
-    def _sharing_started(self) -> bool:
-        return len(self._candidates) > 0
-
-    def _local_candidate_count(self) -> int:
+    def candidate_count(self) -> int:
         return len(self._candidates)
 
-    def _local_memory_bytes(self) -> int:
+    def memory_bytes(self) -> int:
         return len(self._candidates) * OBJECT_FOOTPRINT_BYTES
 
     # ------------------------------------------------------------------
@@ -92,18 +83,3 @@ class KSkybandTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         for key in doomed:
             self._candidates.remove(key)
         self._candidates.insert(obj.rank_key, _SkybandEntry(obj))
-
-class KSkybandSharedPlan(CoreSharedPlan):
-    """One k-skyband core (at ``k_max``) serving every member query."""
-
-    kind = "k-skyband"
-
-    def __init__(
-        self, subscriptions: Sequence[object], k_max: Optional[int] = None
-    ) -> None:
-        shape = subscriptions[0].query
-        k_max = plan_k_max(subscriptions, k_max)
-        core = KSkybandTopK(
-            TopKQuery(n=shape.n, k=k_max, s=shape.s, time_based=shape.time_based)
-        )
-        super().__init__(subscriptions, core)

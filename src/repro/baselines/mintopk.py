@@ -24,7 +24,7 @@ expensive as ``s`` shrinks.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..core.exceptions import AlgorithmStateError, InvalidQueryError
 from ..core.interface import (
@@ -35,13 +35,12 @@ from ..core.interface import (
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.shared import CoreSharedPlan, SharedCoreMember, plan_k_max
 from ..core.window import SlideEvent
 
 RankKey = Tuple[float, int]
 
 
-class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
+class MinTopK(ContinuousTopKAlgorithm):
     """Predicted-result-set maintenance for count-based sliding windows."""
 
     name = "MinTopK"
@@ -60,28 +59,20 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         self._origin: Optional[int] = None
 
     # ------------------------------------------------------------------
-    # Shared-slide lifecycle: a window position's predicted top-k_max set
+    # Shared-slide hooks: a window position's predicted top-k_max set
     # contains the true top-k of that position for every k <= k_max (both
     # are exact top-k of the same already-seen objects), so one shared
     # MinTopK core serves all co-windowed MinTopK queries; members slice
     # their prefix out of the position's answer when it becomes current
-    # (the mechanics live in SharedCoreMember / CoreSharedPlan).
+    # (the mechanics live in CoreSharedPlan).
     # ------------------------------------------------------------------
     def shared_plan_key(self) -> Hashable:
         return ("MinTopK",)
 
-    def build_shared_plan(
-        self, subscriptions: Sequence[object], k_max: Optional[int] = None
-    ) -> "MinTopKSharedPlan":
-        return MinTopKSharedPlan(subscriptions, k_max)
-
-    def _sharing_started(self) -> bool:
-        return bool(self._pool or self._predicted)
-
-    def _local_candidate_count(self) -> int:
+    def candidate_count(self) -> int:
         return len(self._pool)
 
-    def _local_memory_bytes(self) -> int:
+    def memory_bytes(self) -> int:
         predicted_refs = sum(len(heap) for heap in self._predicted.values())
         lbp_pointers = len(self._predicted)
         return (
@@ -166,16 +157,3 @@ class MinTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         for key, _ in heap:
             self._release(key)
         return TopKResult.from_objects(event.index, event.window_end, objects)
-
-class MinTopKSharedPlan(CoreSharedPlan):
-    """One MinTopK core (at ``k_max``) serving every member query."""
-
-    kind = "MinTopK"
-
-    def __init__(
-        self, subscriptions: Sequence[object], k_max: Optional[int] = None
-    ) -> None:
-        shape = subscriptions[0].query
-        k_max = plan_k_max(subscriptions, k_max)
-        core = MinTopK(TopKQuery(n=shape.n, k=k_max, s=shape.s))
-        super().__init__(subscriptions, core)

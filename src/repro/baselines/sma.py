@@ -54,12 +54,12 @@ class SMATopK(ContinuousTopKAlgorithm):
         self._calibrated = False
 
     # ------------------------------------------------------------------
-    def respawn(self) -> "SMATopK":
+    def spawn(self, query: TopKQuery) -> "SMATopK":
         """A fresh instance preserving the construction-time configuration
-        (``kmax_factor``, ``grid_cells``) — the default query-only respawn
+        (``kmax_factor``, ``grid_cells``) — the default query-only spawn
         would silently reset them, breaking serialized-state round-trips."""
         return SMATopK(
-            self.query,
+            query,
             kmax_factor=self._kmax // self.query.k,
             grid_cells=self._grid_cells,
         )

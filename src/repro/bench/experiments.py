@@ -331,7 +331,7 @@ def measure_preference_scale(
     engine.push_many(objects, chunk_size=max(1, query.s))
     clustered_seconds = time.perf_counter() - started
     clustered_memory = sum(
-        engine.subscription(name).algorithm.memory_bytes()
+        engine.subscription(name).snapshot()["memory_bytes"]
         for name in engine.subscriptions()
     )
     reranks = fallbacks = clusters = 0
@@ -372,7 +372,7 @@ def measure_preference_scale(
     baseline.push_many(objects, chunk_size=max(1, query.s))
     baseline_measured_seconds = time.perf_counter() - started
     baseline_measured_memory = sum(
-        baseline.subscription(name).algorithm.memory_bytes()
+        baseline.subscription(name).snapshot()["memory_bytes"]
         for name in baseline.subscriptions()
     )
     baseline.close()

@@ -338,23 +338,15 @@ class _WindowEntry:
 
 
 class _PreparedSlide:
-    """Per-slide shared state consumed by the member re-ranking path."""
+    """Per-slide shared state consumed by the member answers of one
+    :meth:`ClusterSharedPlan.prepare`."""
 
-    __slots__ = (
-        "event",
-        "candidates",
-        "candidate_rows",
-        "tau_u",
-        "saturated",
-        "tainted",
-    )
+    __slots__ = ("event", "candidates", "tau_u", "saturated", "tainted", "batch", "scan", "scanned")
 
-    def __init__(self, event, candidates, candidate_rows, tau_u, saturated, tainted):
+    def __init__(self, event, candidates, tau_u, saturated, tainted):
         self.event = event
         #: The shared core's top-k_pad window entries, best-first by U-score.
         self.candidates: List[_WindowEntry] = candidates
-        #: Attribute rows of the candidates (None for unattributed ones).
-        self.candidate_rows: List[Optional[Tuple[float, ...]]] = candidate_rows
         #: U-score of the k_pad-th candidate (the guard threshold).
         self.tau_u: float = tau_u
         #: Whether the candidate set is full (|C| == k_pad): only then can
@@ -363,6 +355,12 @@ class _PreparedSlide:
         #: Whether the live window holds any negative attribute (dominance
         #: bound invalid -> every member must scan).
         self.tainted: bool = tainted
+        #: Every member's candidate scores, made by the first re-rank.
+        self.batch: Optional[_SlideBatch] = None
+        #: ``(entries, ts, matrix, missing)`` of the window, made by the
+        #: first scan, and each scanned vector's window scores.
+        self.scan: Optional[tuple] = None
+        self.scanned: Dict[Tuple[float, ...], List[float]] = {}
 
 
 class _SlideBatch:
@@ -383,10 +381,11 @@ class ClusterSharedPlan(SharedPlan):
 
     The plan re-scores every arrival under the cluster's upper envelope
     ``U``, drives one registry algorithm (the *inner core*, e.g. SAP or
-    MinTopK) at ``k_pad`` over the ``U``-scored stream, and serves each
-    member from the resulting candidate set via
-    :meth:`answer_for` — a vectorized ``w``-re-rank guarded by the
-    dominance bound, with an exact full-window scan as the fallback.
+    MinTopK) at ``k_pad`` over the ``U``-scored stream, and answers every
+    member from the resulting candidate set inside :meth:`prepare` — a
+    vectorized ``w``-re-rank guarded by the dominance bound, with an exact
+    full-window scan as the fallback — so each member's latency is its
+    share of the prepare.
     """
 
     kind = "cluster"
@@ -424,11 +423,6 @@ class ClusterSharedPlan(SharedPlan):
         self._window: Deque[_WindowEntry] = deque()
         self._by_t: Dict[int, _WindowEntry] = {}
         self._negatives = 0
-        self._unattributed = 0
-        self._current: Optional[_PreparedSlide] = None
-        self._batch: Optional[_SlideBatch] = None
-        self._scan_state: Optional[tuple] = None
-        self._window_scan_cache: Dict[Tuple[float, ...], List[float]] = {}
         registry = get_registry()
         labels = {"cluster": str(self.cluster_id), "inner": self.inner_name}
         self._obs_rerank = registry.counter(
@@ -457,15 +451,13 @@ class ClusterSharedPlan(SharedPlan):
             algorithm.join_shared_plan(self)
 
     # ------------------------------------------------------------------
-    def fast_forward(self, slide_index: int) -> None:
-        self._core.fast_forward(slide_index)
-
     def candidate_count(self) -> int:
         return self._core.candidate_count() + len(self._window)
 
-    def memory_bytes(self) -> int:
+    def member_memory_bytes(self) -> int:
         per_entry = OBJECT_FOOTPRINT_BYTES + self.dim * POINTER_FOOTPRINT_BYTES // 2
-        return self._core.memory_bytes() + len(self._window) * per_entry
+        total = self._core.memory_bytes() + len(self._window) * per_entry
+        return total // max(1, len(self._subs))
 
     def describe(self) -> Dict[str, object]:
         record = super().describe()
@@ -491,7 +483,6 @@ class ClusterSharedPlan(SharedPlan):
         for obj in event.arrivals:
             entry = _WindowEntry(obj, attributes_of(obj, self.dim))
             if entry.attributes is None:
-                self._unattributed += 1
                 self._obs_unattributed.inc()
             if entry.negative:
                 self._negatives += 1
@@ -541,23 +532,25 @@ class ClusterSharedPlan(SharedPlan):
         prepared = _PreparedSlide(
             event=event,
             candidates=candidates,
-            candidate_rows=[entry.attributes for entry in candidates],
             tau_u=result.objects[-1].score if saturated else UNATTRIBUTED_SCORE,
             saturated=saturated,
             tainted=self._negatives > 0,
         )
-        self._current = prepared
-        self._batch = None
-        self._scan_state = None
-        self._window_scan_cache.clear()
-        members = self.open_member_count() or 1
+        answers = {sub: self._answer(sub.algorithm, prepared) for sub in self._subs}
+        members = len(self._subs)
         self._obs_members.set(members)
         prep = time.perf_counter() - started
         return SharedSlide(
             event=event,
             window_topk=result.objects,
             prep_share=prep / members,
+            candidates=self.candidate_count(),
+            memory_bytes=self.member_memory_bytes(),
+            answers=answers,
         )
+
+    def answer(self, subscription: object, shared: SharedSlide) -> TopKResult:
+        return shared.answers[subscription]
 
     # ------------------------------------------------------------------
     def _attribute_matrix(self, entries: Sequence[_WindowEntry]):
@@ -575,7 +568,7 @@ class ClusterSharedPlan(SharedPlan):
     def _batch_for(self, prepared: _PreparedSlide) -> "_SlideBatch":
         """All members' candidate scores and ranks, computed in one pass.
 
-        Built lazily on the slide's first member answer: one elementwise
+        Built on the slide's first re-ranked member answer: one elementwise
         product + row reduction scores every distinct member vector
         against every candidate, and one 2-D :func:`rank_descending`
         ranks all of them — two numpy calls per slide regardless of
@@ -583,8 +576,8 @@ class ClusterSharedPlan(SharedPlan):
         exactly like the canonical scorer's ``(m * w).sum(axis=1)``, so
         the floats stay bit-identical to a per-member scoring pass.
         """
-        if self._batch is not None:
-            return self._batch
+        if prepared.batch is not None:
+            return prepared.batch
         row_of: Dict[Tuple[float, ...], int] = {}
         for sub in self._subs:
             algorithm = sub.algorithm
@@ -597,21 +590,16 @@ class ClusterSharedPlan(SharedPlan):
         if missing:
             scores[:, missing] = UNATTRIBUTED_SCORE
         ts = [entry.obj.t for entry in prepared.candidates]
-        self._batch = _SlideBatch(scores, rank_descending(scores, ts), row_of)
-        return self._batch
+        prepared.batch = _SlideBatch(scores, rank_descending(scores, ts), row_of)
+        return prepared.batch
 
-    def answer_for(self, member: "ClusteredTopK", shared: SharedSlide) -> TopKResult:
-        """One member's exact answer for the slide just prepared."""
-        prepared = self._current
-        if prepared is None or prepared.event is not shared.event:
-            raise AlgorithmStateError(
-                "cluster member asked about a slide the plan did not prepare"
-            )
+    def _answer(self, member: "ClusteredTopK", prepared: _PreparedSlide) -> TopKResult:
+        """One member's exact answer for the slide being prepared."""
         event = prepared.event
         k = member.query.k
         if not member.drifted and not prepared.tainted:
-            # Every undrifted member has a row: the plan built the batch
-            # from its members, and a vector change drops the batch.
+            # Every undrifted member has a row: the plan builds the batch
+            # from its members during the prepare.
             batch = self._batch_for(prepared)
             row = batch.row_of[member.vector]
             scores = batch.scores[row]
@@ -627,10 +615,10 @@ class ClusterSharedPlan(SharedPlan):
                 )
         self.fallback_count += 1
         self._obs_fallback.inc()
-        return self._scan(member, event, k)
+        return self._scan(member, prepared, k)
 
     def _scan(
-        self, member: "ClusteredTopK", event: SlideEvent, k: int
+        self, member: "ClusteredTopK", prepared: _PreparedSlide, k: int
     ) -> TopKResult:
         """Exact vectorized full-window scan (guard failed / tainted /
         drifted).  The window's attribute matrix is materialised once per
@@ -638,23 +626,21 @@ class ClusterSharedPlan(SharedPlan):
         cost is otherwise rebuilding it per member), and per-slide scores
         are cached per vector so members sharing one drifted vector pay
         the scoring once."""
-        scan = self._scan_state
-        if scan is None or scan[0] is not event:
+        if prepared.scan is None:
             entries = list(self._window)
             ts = [entry.obj.t for entry in entries]
-            scan = self._scan_state = (event, entries, ts) + self._attribute_matrix(entries)
-            self._window_scan_cache.clear()
-        _, entries, ts, matrix, missing = scan
-        scores = self._window_scan_cache.get(member.vector)
+            prepared.scan = (entries, ts) + self._attribute_matrix(entries)
+        entries, ts, matrix, missing = prepared.scan
+        scores = prepared.scanned.get(member.vector)
         if scores is None:
             # Same elementwise-product row reduction as the canonical
             # scorer (bit-identical floats), over the shared matrix.
             scored = (matrix * _np.asarray(member.vector, dtype=_np.float64)).sum(axis=1)
             if missing:
                 scored[missing] = UNATTRIBUTED_SCORE
-            scores = self._window_scan_cache[member.vector] = scored.tolist()
+            scores = prepared.scanned[member.vector] = scored.tolist()
         order = rank_descending(scores, ts)[:k].tolist()
-        return _result_from(event, k, entries, scores, order)
+        return _result_from(prepared.event, k, entries, scores, order)
 
     def member_vector_changed(
         self, member: "ClusteredTopK", vector: Tuple[float, ...]
@@ -664,7 +650,6 @@ class ClusterSharedPlan(SharedPlan):
         The envelope is *not* recomputed on drift: widening it would
         invalidate the running core's scores.  A drifted member keeps its
         membership but answers by exact scan until re-clustered."""
-        self._batch = None  # the batch keys member rows by vector
         return dominated_by(vector, self.envelope)
 
 
@@ -699,12 +684,14 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
 
     * **shared** — when at least two co-windowed subscriptions carry the
       same ``(inner, cluster id)`` plan key, the query group forms one
-      :class:`ClusterSharedPlan` and this member answers by re-ranking
-      the plan's padded candidate set (exactness-guarded, scan fallback);
+      :class:`ClusterSharedPlan`, which answers this member by
+      re-ranking the plan's padded candidate set (exactness-guarded,
+      scan fallback) while the instance itself stays idle;
     * **private** — alone in its bucket (or moved alone to another
-      engine by ``restore_subscription``), the member runs its own inner registry algorithm over the stream
-      re-scored with its *own* vector: the per-user exact plan that the
-      shared mode is benchmarked against.
+      engine by ``restore_subscription``), the member is a plan of one
+      over this instance, which runs its own inner registry algorithm
+      over the stream re-scored with its *own* vector: the per-user
+      exact plan that the shared mode is benchmarked against.
 
     Either way the answers are byte-identical to an independent engine
     fed ``StreamObject(score=w·attributes(payload), t)`` — the property
@@ -753,10 +740,6 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
         return ClusterSharedPlan(subscriptions, k_max)
 
     def join_shared_plan(self, plan: ClusterSharedPlan) -> None:
-        if self._slides:
-            raise AlgorithmStateError(
-                "cannot join a cluster plan after processing has begun"
-            )
         self._plan = plan
         if not dominated_by(self.vector, plan.envelope):  # pragma: no cover
             # The envelope is the max over the members, so a founding
@@ -828,23 +811,9 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
         )
 
     def process_slide(self, event: SlideEvent) -> TopKResult:
-        if self._plan is not None:
-            # Plan members are always fed through the group's shared-slide
-            # path (dispatch and mid-stream joins both prepare the plan
-            # first); a raw event here means the caller bypassed the plan.
-            raise AlgorithmStateError(
-                "a cluster plan member only consumes shared slides"
-            )
         self._slides += 1
         self._last_index = event.index
         return self._ensure_inner().process_slide(self._rescored_event(event))
-
-    def process_shared_slide(self, shared: SharedSlide) -> TopKResult:
-        if self._plan is None:
-            return self.process_slide(shared.event)
-        self._slides += 1
-        self._last_index = shared.event.index
-        return self._plan.answer_for(self, shared)
 
     # ------------------------------------------------------------------
     # Vector updates (drift)
@@ -908,9 +877,9 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
     # ------------------------------------------------------------------
     # Lifecycle / bookkeeping
     # ------------------------------------------------------------------
-    def respawn(self) -> "ClusteredTopK":
+    def spawn(self, query: TopKQuery) -> "ClusteredTopK":
         return ClusteredTopK(
-            self.query,
+            query,
             vector=self.vector,
             cluster_id=self.cluster_id,
             inner=self.inner_name,
@@ -925,17 +894,11 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
             self._inner.fast_forward(slide_index)
 
     def candidate_count(self) -> int:
-        if self._plan is not None:
-            return self._plan.candidate_count()
         if self._inner is not None:
             return self._inner.candidate_count()
         return 0
 
     def memory_bytes(self) -> int:
-        if self._plan is not None:
-            return self._plan.memory_bytes() // max(
-                1, len(self._plan.subscriptions())
-            )
         if self._inner is not None:
             return self._inner.memory_bytes() + len(self._window) * (
                 OBJECT_FOOTPRINT_BYTES + len(self.vector) * POINTER_FOOTPRINT_BYTES // 2

@@ -54,7 +54,7 @@ from .object import StreamObject
 from .partition import Partition, PartitionSpec, build_partition
 from .query import TopKQuery
 from .result import TopKResult
-from .shared import CoreSharedPlan, SharedCoreMember, plan_k_max
+from .shared import CoreSharedPlan
 from .window import SlideEvent
 
 RankKey = Tuple[float, int]
@@ -141,7 +141,7 @@ class FrameworkStats:
 MEANINGFUL_POLICIES = ("lazy", "eager", "amortized")
 
 
-class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
+class SAPTopK(ContinuousTopKAlgorithm):
     """Continuous top-k monitoring with the SAP framework.
 
     Parameters
@@ -204,11 +204,6 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
     # Public protocol
     # ------------------------------------------------------------------
     def process_slide(self, event: SlideEvent) -> TopKResult:
-        if self._shared_plan is not None:
-            raise AlgorithmStateError(
-                "this SAP instance is attached to a shared plan; "
-                "drive it through its StreamEngine"
-            )
         self._handle_expirations(event.expirations)
         self._handle_arrivals(event.arrivals)
         if self._policy == "amortized":
@@ -218,9 +213,9 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         return self._current_result(event)
 
     # ------------------------------------------------------------------
-    # Shared-slide lifecycle: SAP answers the exact top-k of the window,
-    # so one core at k_max serves every co-windowed SAP query of the same
-    # configuration; members slice the answer (SharedCoreMember).
+    # Shared-slide hooks: SAP answers the exact top-k of the window, so
+    # one core at k_max serves every co-windowed SAP query of the same
+    # configuration; members slice the answer.
     # ------------------------------------------------------------------
     def shared_plan_key(self) -> Optional[Hashable]:
         return ("SAP", self._partitioner.plan_key(), self._policy, self._use_savl)
@@ -232,16 +227,13 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
 
     # Bound on the class itself so per-class instrumentation of SAPTopK
     # also sees member slides.
-    process_shared_slide = SharedCoreMember.process_shared_slide
+    process_shared_slide = ContinuousTopKAlgorithm.process_shared_slide
 
-    def _sharing_started(self) -> bool:
-        return bool(self._slides_processed or self._next_partition_id)
-
-    def _local_candidate_count(self) -> int:
+    def candidate_count(self) -> int:
         meaningful = len(self._front_meaningful) if self._front_meaningful else 0
         return len(self._candidates) + len(self._pending_topk) + meaningful
 
-    def _local_memory_bytes(self) -> int:
+    def memory_bytes(self) -> int:
         candidates = len(self._candidates) + len(self._pending_topk)
         meaningful = len(self._front_meaningful) if self._front_meaningful else 0
         premade = sum(len(ms) for ms in self._premade.values())
@@ -271,14 +263,9 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         return self._partitions[0] if self._partitions else None
 
     def seal_stats(self) -> Dict[str, object]:
-        """Sealing behaviour of whichever instance does the work.
-
-        A member of a shared plan reports the plan core; otherwise the
-        record is the instance's own.  Either way it carries the
-        partitioner's sizing and the framework counters in one place.
-        """
-        if self._shared_plan is not None:
-            return self._shared_plan.seal_stats()
+        """Sealing behaviour of this instance: the partitioner's sizing and
+        the framework counters in one place.  A shared plan's numbers are
+        its core's (:meth:`SAPSharedPlan.seal_stats`)."""
         base = self._partitioner.seal_stats()
         base["partitions_live"] = len(self._partitions)
         base["framework"] = self.stats.as_dict()
@@ -301,12 +288,12 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
         expected = topk_objects(self._partitioner.pending_objects(), self.query.k)
         assert pending == expected[::-1], "pending top-k is not the suffix's top-k"
 
-    def respawn(self) -> "SAPTopK":
-        """A fresh SAP instance with this configuration (a fresh clone of
-        the partitioner, the meaningful-set policy, the S-AVL toggle) and
-        empty state."""
+    def spawn(self, query: TopKQuery) -> "SAPTopK":
+        """A fresh SAP instance at ``query`` with this configuration (a
+        fresh clone of the partitioner, the meaningful-set policy, the
+        S-AVL toggle) and empty state."""
         return SAPTopK(
-            self.query,
+            query,
             partitioner=self._partitioner.spawn(),
             meaningful_policy=self._policy,
             use_savl=self._use_savl,
@@ -641,34 +628,14 @@ class SAPTopK(SharedCoreMember, ContinuousTopKAlgorithm):
 class SAPSharedPlan(CoreSharedPlan):
     """One SAP core (at ``k_max``) serving every member query.
 
-    The core copies the leading member's configuration — a fresh clone of
-    its partitioner, its meaningful-set policy, and its S-AVL toggle, which
+    The core is the leading member's spawn — a fresh clone of its
+    partitioner, its meaningful-set policy, and its S-AVL toggle, which
     the plan key makes equal across members — so the configuration each
     member asked for is the one that runs.
     """
 
-    kind = "SAP"
-
-    def __init__(
-        self, subscriptions: Sequence[object], k_max: Optional[int] = None
-    ) -> None:
-        leader: SAPTopK = subscriptions[0].algorithm
-        shape = leader.query
-        core = SAPTopK(
-            TopKQuery(
-                n=shape.n,
-                k=plan_k_max(subscriptions, k_max),
-                s=shape.s,
-                time_based=shape.time_based,
-            ),
-            partitioner=leader.partitioner.spawn(),
-            meaningful_policy=leader._policy,
-            use_savl=leader._use_savl,
-        )
-        super().__init__(subscriptions, core)
-
     # Bound on the class itself so SAP plan preparation can be instrumented
-    # apart from the baseline plans.
+    # apart from the other plans.
     prepare = CoreSharedPlan.prepare
 
     def describe(self) -> Dict[str, object]:

@@ -7,6 +7,13 @@ slide events produced by :mod:`repro.core.window` and emit one
 expose the two bookkeeping quantities the paper's evaluation tracks:
 the current candidate-set size and an estimate of the memory occupied by
 the algorithm's own structures (excluding the raw stream).
+
+The shared-slide hooks tell the engine's query groups which co-windowed
+algorithms may share one plan core (``shared_plan_key``), which plan
+serves them (``build_shared_plan``) and how a member slices its answer
+from the core's (``process_shared_slide``).  The plan, not the member,
+holds the shared state: a member of a shared plan stays idle, and its
+own bookkeeping describes that idle instance.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 from .query import TopKQuery
 from .result import TopKResult
-from .shared import SharedPlan, SharedSlide
+from .shared import CoreSharedPlan, SharedPlan, SharedSlide
 from .window import SlideEvent, slides_for_query
 from ..core.object import StreamObject
 
@@ -44,16 +51,17 @@ class ContinuousTopKAlgorithm(ABC):
         """Consume one window movement and return the current top-k."""
 
     # ------------------------------------------------------------------
-    # Shared-slide lifecycle (multi-query execution plane)
+    # Shared-slide hooks (multi-query execution plane)
     # ------------------------------------------------------------------
     # Queries that share the window shape ``(n, s)`` differ only in ``k``,
     # so the expensive per-slide work (partition sealing, skyband
     # maintenance, per-position predicted sets) can be done once at the
-    # largest ``k`` and sliced per query.  The engine's QueryGroup asks
-    # each algorithm whether — and with whom — it can share, through the
-    # three hooks below.  The defaults decline: the algorithm then simply
-    # receives the raw slide event of each shared slide, which keeps every
-    # baseline correct without any opt-in work.
+    # largest ``k`` and sliced per query.  The engine's QueryGroup answers
+    # every member through a plan (:mod:`repro.core.shared`); these hooks
+    # say with whom an algorithm can share one, and how.  The defaults
+    # decline: an algorithm without a plan key runs in a plan of one over
+    # its own instance, which keeps every baseline correct without any
+    # opt-in work.  Plan state lives in the plan, never in the member.
     def shared_plan_key(self) -> Optional[Hashable]:
         """Key identifying which co-windowed algorithms can share one plan.
 
@@ -65,51 +73,67 @@ class ContinuousTopKAlgorithm(ABC):
 
     def build_shared_plan(
         self, subscriptions: Sequence[object], k_max: Optional[int] = None
-    ) -> Optional[SharedPlan]:
+    ) -> SharedPlan:
         """Create the sharing plan for a bucket of same-key subscriptions.
 
         Called once, on the first member of the bucket, before any object
         is processed.  ``k_max`` overrides the plan's ``k`` (see
-        :func:`repro.core.shared.plan_k_max`).  Returning ``None`` (the
-        default) leaves every member running independently.
+        :class:`~repro.core.shared.SharedPlan`).  The default runs one
+        core, this instance's :meth:`spawn` at ``k_max``.
         """
-        return None
+        return CoreSharedPlan(subscriptions, k_max)
 
     def process_shared_slide(self, shared: SharedSlide) -> TopKResult:
-        """Consume one window movement prepared by a shared plan.
+        """This query's answer out of a core plan's prepared slide.
 
-        The default implementation ignores the shared artifacts and
-        processes the raw event — the correct fallback for algorithms
-        that cannot exploit cross-query sharing.
+        The prefix of the core's top-``k_max``, made once per ``k`` and
+        shared by every member with that ``k``; the core's answer is
+        already best-first, so it is sliced, never re-sorted.
         """
-        return self.process_slide(shared.event)
+        k = self.query.k
+        result = shared.answers.get(k)
+        if result is None:
+            event = shared.event
+            result = shared.answers[k] = TopKResult(
+                slide_index=event.index,
+                window_end=event.window_end,
+                objects=shared.window_topk[:k],
+            )
+        return result
 
     # ------------------------------------------------------------------
     # Mid-stream seating (state restores, rebalances, recovery)
     # ------------------------------------------------------------------
     # A captured query is seated at a slide boundary of a started group: a
     # fresh instance is built, fast-forwarded to the stream position, and
-    # fed the live window contents as one synthetic slide event.  Both hooks
+    # fed the live window contents as one synthetic slide event.  The hooks
     # have safe defaults; algorithms with construction-time configuration
-    # override ``respawn`` and algorithms with an internal slide clock
+    # override ``spawn`` and algorithms with an internal slide clock
     # override ``fast_forward``.
     def respawn(self) -> "ContinuousTopKAlgorithm":
         """A fresh instance with this instance's configuration, empty state.
 
-        The default rebuilds from the query alone, which is correct for
-        every algorithm whose constructor signature is ``cls(query)``.
-
-        This is also the serialization contract of the library
+        This is the serialization contract of the library
         (:mod:`repro.core.state`): the respawned instance must (a) carry
         *every* construction-time option, not just the query, and (b) be
         picklable, because transportable state is ``respawn() + window +
         slide index`` — a restored instance is fast-forwarded and fed the
         captured window as one synthetic slide, after which it must produce
-        byte-identical results to the uninterrupted original.  Algorithms
-        with extra constructor options must override this (see
-        :meth:`repro.baselines.sma.SMATopK.respawn`).
+        byte-identical results to the uninterrupted original.  It is
+        :meth:`spawn` at this instance's own query.
         """
-        return type(self)(self.query)
+        return self.spawn(self.query)
+
+    def spawn(self, query: TopKQuery) -> "ContinuousTopKAlgorithm":
+        """A fresh instance with this instance's configuration at ``query``.
+
+        A core plan runs its leading member's spawn at the ``k_max``
+        query.  The default rebuilds from the query alone, which is
+        correct for every algorithm whose constructor signature is
+        ``cls(query)``; algorithms with extra constructor options must
+        override this (see :meth:`repro.baselines.sma.SMATopK.spawn`).
+        """
+        return type(self)(query)
 
     def fast_forward(self, slide_index: int) -> None:
         """Align any internal slide clock to ``slide_index`` before a

@@ -6,15 +6,17 @@ shape ``(n, s, window type)`` and one window position.  The group owns the
 and expiry happen exactly once per slide, no matter how many queries watch
 the shape — and fans each sealed slide event out to its members.
 
+Every member is answered through a :class:`~repro.core.shared.SharedPlan`.
 Members are bucketed by their algorithm's
 :meth:`~repro.core.interface.ContinuousTopKAlgorithm.shared_plan_key`, and
-a :class:`~repro.core.shared.SharedPlan` forms for every bucket with at
-least two members: SAP, k-skyband and MinTopK queries each share one
-algorithm core run at the bucket's ``k_max``, and every member slices its
-answer out of the core's top-``k_max``.  The plan prepares each slide
-once, before any member sees it.  Algorithms without a plan (or alone in
-their bucket) process the raw events exactly as before, so mixing
-sharable and unsharable queries in one group is always safe.
+a shared plan forms for every bucket with at least two members: SAP,
+k-skyband and MinTopK queries each share one algorithm core run at the
+bucket's ``k_max``, and every member slices its answer out of the core's
+top-``k_max``.  A member alone in its bucket, or whose algorithm has no
+plan key, is a plan of one whose core is its own instance.  Each slide,
+every plan prepares once and then answers its members; a member's
+latency is its share of the prepare, and the metrics registry records
+the slide once per plan (:meth:`QueryGroup._dispatch`).
 
 The placement rule: a subscription joins the group with its window shape
 and its window position (:meth:`QueryGroup.at`).  A fresh subscription's
@@ -37,7 +39,7 @@ from ..core.exceptions import AlgorithmStateError
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.shared import SharedPlan, SharedSlide
+from ..core.shared import CoreSharedPlan, SharedPlan
 from ..core.state import PlanLayout, Position, replay_event
 from ..core.window import SlideBatcher, SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, get_registry
@@ -117,11 +119,14 @@ class QueryGroup:
     def remove(self, subscription: Subscription) -> None:
         if subscription in self._members:
             self._members.remove(subscription)
-        for plan in self._plans:
+        plan = subscription._plan
+        if plan in self._plans:
             plan.discard(subscription)
-        # A plan whose last member left does no work; dropping it keeps
-        # the group's layout capturable (a plan is restored from members).
-        self._plans = [plan for plan in self._plans if plan.subscriptions()]
+            # A plan whose last member left does no work; dropping it
+            # keeps the group's layout capturable (a plan is restored
+            # from members).
+            if not plan.subscriptions():
+                self._plans.remove(plan)
 
     def __len__(self) -> int:
         return len(self._members)
@@ -172,34 +177,47 @@ class QueryGroup:
         members: Sequence[Subscription],
         layout: Optional[Sequence[PlanLayout]] = None,
     ) -> List[SharedPlan]:
-        """Bucket ``members`` by plan key and build one plan per bucket.
+        """Seat every one of ``members`` in a plan and return the plans.
 
-        With a captured ``layout`` the buckets and their ``k_max`` are
-        taken from it instead, reproducing the captured group's plans.
+        Members are bucketed by plan key, and every bucket of two or more
+        shares a plan.  With a captured ``layout`` the shared buckets and
+        their ``k_max`` are taken from it instead, reproducing the
+        captured group's plans.  Every other member — alone in its bucket,
+        without a plan key, or covered by no layout entry — runs in a plan
+        of one over its own algorithm instance.
         """
         buckets: List[Tuple[List[Subscription], Optional[int]]] = []
+        lone: List[Subscription] = []
         if layout is not None:
             for positions, k_max in layout:
                 buckets.append(([members[i] for i in positions], k_max))
+            covered = {i for positions, _ in layout for i in positions}
+            lone = [sub for i, sub in enumerate(members) if i not in covered]
         else:
             by_key: Dict[object, List[Subscription]] = {}
             for subscription in members:
                 key = subscription.algorithm.shared_plan_key()
-                if key is not None:
+                if key is None:
+                    lone.append(subscription)
+                else:
                     by_key.setdefault(key, []).append(subscription)
-            # A lone member gains nothing from a plan; it keeps its fully
-            # independent execution path (and its exact legacy per-slide
-            # accounting).
-            buckets = [(bucket, None) for bucket in by_key.values() if len(bucket) > 1]
-        plans: List[SharedPlan] = []
-        for bucket, k_max in buckets:
-            plan = bucket[0].algorithm.build_shared_plan(bucket, k_max)
-            if plan is not None:
-                plans.append(plan)
+            for bucket in by_key.values():
+                if len(bucket) > 1:
+                    buckets.append((bucket, None))
+                else:
+                    lone.extend(bucket)
+        plans = [
+            bucket[0].algorithm.build_shared_plan(bucket, k_max) for bucket, k_max in buckets
+        ]
+        plans.extend(CoreSharedPlan([sub], core=sub.algorithm) for sub in lone)
+        for plan in plans:
+            for subscription in plan.subscriptions():
+                subscription._plan = plan
         return plans
 
     def plans(self) -> List[SharedPlan]:
-        return list(self._plans)
+        """The plans running a core of their own (no plans of one)."""
+        return [plan for plan in self._plans if not plan.solo]
 
     def plan_layout(
         self, members: Optional[Sequence[Subscription]] = None
@@ -211,7 +229,7 @@ class QueryGroup:
         members = self._members if members is None else members
         position = {id(sub): index for index, sub in enumerate(members)}
         layout = []
-        for plan in self._plans:
+        for plan in self.plans():
             positions = tuple(
                 position[id(sub)] for sub in plan.subscriptions() if id(sub) in position
             )
@@ -240,24 +258,12 @@ class QueryGroup:
         window into them as one synthetic slide event (answers discarded:
         this window was already reported)."""
         slide_index = self._batcher.last_index
-        for subscription in subscriptions:
-            subscription.algorithm.fast_forward(slide_index)
         plans = self._form_plans(subscriptions, layout)
+        event = replay_event(tuple(self._batcher.window_contents()), slide_index)
         for plan in plans:
             plan.fast_forward(slide_index)
+            plan.prepare(event)
         self._plans.extend(plans)
-        event = replay_event(tuple(self._batcher.window_contents()), slide_index)
-        planned: Dict[int, SharedSlide] = {}
-        for plan in plans:
-            shared = plan.prepare(event)
-            for subscription in plan.subscriptions():
-                planned[id(subscription)] = shared
-        for subscription in subscriptions:
-            shared = planned.get(id(subscription))
-            if shared is not None:
-                subscription.algorithm.process_shared_slide(shared)
-            else:
-                subscription.algorithm.process_slide(event)
 
     def describe(self) -> Dict[str, object]:
         """Introspection record shown by ``StreamEngine.groups()``."""
@@ -267,7 +273,7 @@ class QueryGroup:
             "s": self.s,
             "window": kind,
             "members": [subscription.name for subscription in self._members],
-            "plans": [plan.describe() for plan in self._plans],
+            "plans": [plan.describe() for plan in self.plans()],
         }
 
     # ------------------------------------------------------------------
@@ -297,32 +303,34 @@ class QueryGroup:
     def _dispatch(
         self, events: Sequence[SlideEvent], errors: List[Exception], collect: bool = True
     ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
+        """Answer every member of every plan, slide by slide: the plan
+        prepares the slide once, each open member takes its answer and
+        its metrics record from it, and the registry records the slide
+        once per plan and instrument set."""
         if not events:
             return ()
         produced: Dict[Subscription, List[TopKResult]] = {}
         timed = self._obs_enabled
         for event in events:
             merge_started = time.perf_counter() if timed else 0.0
-            shared_for: Dict[int, SharedSlide] = {}
-            prepared: List[SharedSlide] = []
-            for plan in self._plans:
-                if not plan.has_open_members():
+            # Snapshots: a result callback may unsubscribe a member (which
+            # mutates the plans) without desyncing this dispatch.
+            for plan in tuple(self._plans):
+                members = plan.subscriptions()
+                if not members:
                     continue
                 shared = plan.prepare(event)
-                prepared.append(shared)
-                for subscription in plan.subscriptions():
-                    shared_for[id(subscription)] = shared
-            # Snapshot: a result callback may unsubscribe a member (which
-            # mutates self._members) without desyncing this dispatch.
-            for subscription in tuple(self._members):
-                result = subscription._deliver_slide(
-                    event, shared_for.get(id(subscription)), errors
-                )
-                if collect and result is not None:
-                    produced.setdefault(subscription, []).append(result)
-            for shared in prepared:
-                if shared.delivered:
-                    Subscription._account_plan_slide(shared)
+                delivered = []
+                for subscription in members:
+                    if subscription._closed:
+                        continue
+                    result = plan.answer(subscription, shared)
+                    subscription._deliver_slide(result, shared, errors)
+                    delivered.append(subscription)
+                    if collect:
+                        produced.setdefault(subscription, []).append(result)
+                if delivered:
+                    Subscription._observe(delivered, shared)
             if timed:
                 self._obs_merge.observe(time.perf_counter() - merge_started)
         if not collect:

@@ -38,6 +38,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.exceptions import InvalidQueryError
 from ..core.query import PreferenceFunction, TopKQuery, identity_preference
+from ..registry import create_algorithm
 
 
 def _integral(value: object, key: str) -> int:
@@ -400,7 +401,9 @@ class ExecutionPlanner:
         plan — the pinned one, or one this engine's space assigns — and
         ``None`` otherwise.  ``options`` come back as declared, without an
         assigned id: replaying them through this method on a space in the
-        same state assigns the same id again.
+        same state assigns the same id again.  The space assigns only once
+        the member's instance builds, so a refused subscription (a bad
+        query, vector or ``pad_factor``) leaves the space as it was.
         """
         if isinstance(spec, QuerySpec) and spec.carries_execution():
             if algorithm != "SAP" or options:
@@ -413,6 +416,7 @@ class ExecutionPlanner:
         if algorithm == "clustered" and "vector" in options:
             cluster_id = options.get("cluster_id")
             if cluster_id is None:
+                create_algorithm(algorithm, resolve_query(spec), **options)
                 cluster_id = self.cluster_space().assign(options["vector"])
             cluster_id = int(cluster_id)
         return algorithm, options, cluster_id

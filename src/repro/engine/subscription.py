@@ -4,9 +4,11 @@ A subscription owns everything one query needs *beyond* the shared window
 machinery: the algorithm instance, the metric aggregates, the retained
 answers, and the result callbacks.  Slide batching lives in the query
 group the engine assigns the subscription to (all queries of one window
-shape share a single batcher), which delivers sealed slide events — plus
-the group's precomputed shared artifacts, when the algorithm participates
-in a shared plan — through :meth:`_deliver_slide`.
+shape share a single batcher), and answering lives in the group's plans:
+every member belongs to one :class:`~repro.core.shared.SharedPlan` — a
+shared core, or a plan of one over the member's own instance — which
+makes the member's answer and its metrics sample for each slide, handed
+over through :meth:`Subscription._deliver_slide`.
 
 Memory stays O(window): the group batcher holds at most one window of
 objects for the whole shape and the result buffer is bounded whenever the
@@ -16,15 +18,13 @@ caller bounds it (``result_buffer=...``) or disables retention
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
 
 from ..core.interface import ContinuousTopKAlgorithm
 from ..core.metrics import MetricsCollector
 from ..core.result import TopKResult
-from ..core.shared import SharedSlide
-from ..core.window import SlideEvent
+from ..core.shared import SharedPlan, SharedSlide
 from ..obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS, get_registry
 
 #: The documented schema of every per-subscription stats surface.
@@ -74,6 +74,8 @@ class Subscription:
         self.algorithm = algorithm
         self.query = algorithm.query
         self._group: Optional["QueryGroup"] = None
+        #: The plan answering this member, set when its group forms plans.
+        self._plan: Optional[SharedPlan] = None
         self._metrics = MetricsCollector()
         self._collect_metrics = collect_metrics
         self._keep_results = keep_results
@@ -95,8 +97,8 @@ class Subscription:
         )
         self._obs_latency = registry.histogram(
             "repro_deliver_latency_seconds",
-            "Per-slide answer latency (a core-plan member's is its share of "
-            "the plan's prepare time).",
+            "Per-slide answer latency (the member's share of its plan's "
+            "prepare time).",
             labels,
             LATENCY_BUCKETS,
         )
@@ -166,9 +168,17 @@ class Subscription:
         Preference-clustered subscriptions additionally carry a
         ``"cluster"`` record (cluster id, shared/private/drifted mode,
         re-rank and fallback counters) — the surface the serve layer's
-        inspect endpoint reads.
+        inspect endpoint reads.  The candidate count and memory are the
+        plan's (memory amortised over its members); before the group
+        forms plans they are the algorithm's own.
         """
         latest = self.latest()
+        plan = self._plan
+        if plan is None:
+            candidates = self.algorithm.candidate_count()
+            memory = self.algorithm.memory_bytes()
+        else:
+            candidates, memory = plan.candidate_count(), plan.member_memory_bytes()
         cluster_info = getattr(self.algorithm, "cluster_info", None)
         extras = {} if cluster_info is None else {"cluster": cluster_info()}
         return {
@@ -180,8 +190,8 @@ class Subscription:
             "slides": self._metrics.slides,
             "results_delivered": self._delivered,
             "window_size": self.window_size(),
-            "candidate_count": self.algorithm.candidate_count(),
-            "memory_bytes": self.algorithm.memory_bytes(),
+            "candidate_count": candidates,
+            "memory_bytes": memory,
             "latest_scores": list(latest.scores) if latest is not None else [],
         }
 
@@ -242,45 +252,16 @@ class Subscription:
         return self._template
 
     def _deliver_slide(
-        self, event: SlideEvent, shared: Optional[SharedSlide], errors: List[Exception]
-    ) -> Optional[TopKResult]:
-        """Process one sealed slide; return the answer (None when closed).
-
-        ``shared`` carries the artifacts precomputed by this subscription's
-        shared plan, if it belongs to one.  A core-plan member does no work
-        of its own: its per-slide latency is its share of the plan's prepare
-        time, and its registry instruments are updated once per plan
-        (:meth:`_account_plan_slide`).  Callback errors go to ``errors``.
-        """
-        if self._closed:
-            return None
-        planned = shared is not None and shared.delivered is not None
-        if planned:
-            result = self.algorithm.process_shared_slide(shared)
-            latency = shared.prep_share
-            shared.delivered[self._obs_slides].append(self)
-        else:
-            started = time.perf_counter()
-            if shared is None:
-                result = self.algorithm.process_slide(event)
-            else:
-                result = self.algorithm.process_shared_slide(shared)
-            latency = time.perf_counter() - started
-            if shared is not None:
-                latency += shared.prep_share
-        candidates = 0
+        self, result: TopKResult, shared: SharedSlide, errors: List[Exception]
+    ) -> None:
+        """Take one answer its plan made for a sealed slide: record the
+        metrics (the latency is the member's share of the plan's prepare,
+        the bookkeeping the plan's sample), retain the answer and call
+        back.  Callback errors go to ``errors``."""
         if self._collect_metrics:
-            if shared is not None and shared.candidates is not None:
-                # Sampled once per slide by the plan for all its members.
-                candidates, memory = shared.candidates, shared.memory_bytes
-            else:
-                candidates = self.algorithm.candidate_count()
-                memory = self.algorithm.memory_bytes()
-            self._metrics.record(candidates, memory, latency)
+            self._metrics.record(shared.candidates, shared.memory_bytes, shared.prep_share)
         else:
             self._metrics.slides += 1
-        if not planned:
-            self._observe(1, latency, candidates, self._collect_metrics)
         self._delivered += 1
         if self._keep_results:
             self._results.append(result)
@@ -289,25 +270,29 @@ class Subscription:
                 callback(self.name, result)
             except Exception as exc:  # re-raised by the ingest edge
                 errors.append(exc)
-        return result
-
-    def _observe(self, count: int, latency: float, candidates: int, sampled: int) -> None:
-        """Observe ``count`` slides (``sampled`` with ``candidates``)."""
-        self._obs_slides.inc(count)
-        self._obs_delivered.inc(count)
-        self._obs_latency.observe(latency, count)
-        if sampled:
-            self._obs_candidates.observe(candidates, sampled)
-            self._obs_candidates_last.set(candidates)
 
     @staticmethod
-    def _account_plan_slide(shared: SharedSlide) -> None:
-        """Observe an untimed slide once per instrument set of its
-        ``delivered`` members (one per algorithm name), weighted by their
-        number: each would have observed the same values."""
-        for members in shared.delivered.values():
-            sampled = sum(member._collect_metrics for member in members)
-            members[0]._observe(len(members), shared.prep_share, shared.candidates, sampled)
+    def _observe(members: Sequence["Subscription"], shared: SharedSlide) -> None:
+        """Observe one slide for ``members``, the members of one plan it
+        was delivered to: once per instrument set (one per algorithm
+        name), weighted by the members sharing it, since each would have
+        observed the same values."""
+        while members:
+            first, rest = members[0], []
+            slides, count, sampled = first._obs_slides, 0, 0
+            for member in members:
+                if member._obs_slides is slides:
+                    count += 1
+                    sampled += member._collect_metrics
+                else:
+                    rest.append(member)
+            members = rest
+            slides.inc(count)
+            first._obs_delivered.inc(count)
+            first._obs_latency.observe(shared.prep_share, count)
+            if sampled:
+                first._obs_candidates.observe(shared.candidates, sampled)
+                first._obs_candidates_last.set(shared.candidates)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

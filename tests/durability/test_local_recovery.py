@@ -239,3 +239,21 @@ class TestClusterIdsAfterRecovery:
         assert recovered.groups() == twin.groups()
         recovered.close()
         twin.close()
+
+    def test_refused_subscribe_assigns_no_cluster(self, tmp_path):
+        """A preference subscribe the engine refuses takes no cluster id:
+        the ids recovery assigns are the ones the live engine did."""
+        query = QuerySpec(n=20, k=3, s=5)
+        live = _durable(str(tmp_path))
+        with pytest.raises(InvalidQueryError, match="pad_factor"):
+            live.subscribe("x", query.build(), "clustered", vector=self.A, pad_factor=0.5)
+        live.subscribe("b", query.preferring(self.B))
+        assert live.subscription("b").snapshot()["cluster"]["cluster_id"] == 0
+        live.close()
+        recovered = _durable(str(tmp_path))
+        recovered.subscribe("c", query.preferring((0.1, 0.1, 1.0)))
+        assert {
+            name: recovered.subscription(name).snapshot()["cluster"]["cluster_id"]
+            for name in recovered.subscriptions()
+        } == {"b": 0, "c": 1}
+        recovered.close()

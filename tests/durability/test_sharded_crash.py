@@ -21,10 +21,11 @@ import time
 import pytest
 
 from repro.cluster import ShardedStreamEngine
+from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
 from repro.engine import QuerySpec
 
-from ..conftest import make_objects, random_scores
+from ..conftest import random_scores
 
 TRANSPORTS = ["queue"]
 
@@ -187,3 +188,25 @@ def test_restarted_facade_assigns_the_twins_cluster_ids(tmp_path):
             }
     finally:
         revived.close()
+
+
+def test_refused_preference_subscribe_leaves_cluster_json_alone(tmp_path):
+    """The facade refuses a preference subscription its shard would
+    refuse before any cluster id is assigned, so no worker sees it and
+    ``cluster.json`` keeps the space of the accepted subscriptions."""
+    manifest = tmp_path / "cluster.json"
+    engine = ShardedStreamEngine(2, keep_results=True, durability_dir=str(tmp_path))
+    try:
+        engine.subscribe("a", QuerySpec(n=20, k=3, s=5).preferring((0.1, 1.0, 0.1)))
+        before = manifest.read_bytes()
+        with pytest.raises(InvalidQueryError, match="pad_factor"):
+            engine.subscribe(
+                "x", QuerySpec(n=20, k=3, s=5).build(), "clustered",
+                vector=(1.0, 0.1, 0.1), pad_factor=0.5,
+            )
+        assert manifest.read_bytes() == before
+        assert engine.subscriptions() == ["a"]
+        engine.subscribe("b", QuerySpec(n=20, k=3, s=5).preferring((1.0, 0.1, 0.1)))
+        assert engine.subscription("b").snapshot()["cluster"]["cluster_id"] == 1
+    finally:
+        engine.close()

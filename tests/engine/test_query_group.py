@@ -118,7 +118,7 @@ class TestPlanFormation:
         engine.push_many(objects)
         # Both report the shared core (sized for k_max), so the paper's
         # candidate bookkeeping stays visible per query.
-        assert small.algorithm.candidate_count() == big.algorithm.candidate_count() > 0
+        assert small.snapshot()["candidate_count"] == big.snapshot()["candidate_count"] > 0
 
 
 class TestBatchedIngestion:

@@ -110,25 +110,12 @@ class TestOneCorePerPlan:
         for a, b in zip(small.results(), big.results()):
             assert a.objects == b.objects[:3]
         # Members report the core's bookkeeping (memory amortised).
-        assert small.algorithm.candidate_count() == big.algorithm.candidate_count() > 0
+        assert small.snapshot()["candidate_count"] == big.snapshot()["candidate_count"] > 0
         assert small.stats()["average_candidates"] == big.stats()["average_candidates"]
 
-    def test_one_answer_per_distinct_k_and_no_member_clock(self, monkeypatch):
-        from types import SimpleNamespace
-
+    def test_one_answer_per_distinct_k_and_no_member_clock(self):
         from repro.engine import subscription as subscription_module
 
-        ticks = []
-
-        def perf_counter():
-            ticks.append(None)
-            return 0.0
-
-        monkeypatch.setattr(
-            subscription_module,
-            "time",
-            SimpleNamespace(perf_counter=perf_counter, time=subscription_module.time.time),
-        )
         objects = make_objects(random_scores(600, seed=13))
         engine = StreamEngine(return_results=False)
         subs = [
@@ -142,7 +129,7 @@ class TestOneCorePerPlan:
                 assert len(result) == sub.query.k
         # Plan members read no clock of their own; each latency is the
         # member's share of the plan's prepare time.
-        assert ticks == []
+        assert not hasattr(subscription_module, "time")
         latencies = {sub.metrics.latency_total for sub in subs}
         assert len(latencies) == 1 and latencies.pop() > 0
         assert {sub.stats()["latency_samples"] for sub in subs} == {len(subs[0].results())}
@@ -182,7 +169,8 @@ class TestOneCorePerPlan:
         engine.push_many(make_objects(random_scores(120, seed=13)))
         (group,) = engine.groups()
         (plan,) = group["plans"]
-        core = engine.subscription("a").algorithm._shared_plan._core
+        (shared,) = engine.subscription("a").group.plans()
+        core = shared._core
         assert plan["partitioner"] == "dynamic" == core.partitioner.name
         assert (core._policy, core._use_savl) == ("amortized", False)
         assert core.query.k == 4
@@ -195,8 +183,9 @@ class TestSealTelemetryForMembers:
         a = engine.subscribe("a", TopKQuery(n=100, k=3, s=10), algorithm="SAP")
         b = engine.subscribe("b", TopKQuery(n=100, k=8, s=10), algorithm="SAP")
         engine.push_many(objects)
-        stats = a.algorithm.seal_stats()
-        assert stats == b.algorithm.seal_stats()
+        (plan,) = a.group.plans()
+        assert b.group.plans() == [plan]
+        stats = plan.seal_stats()
         assert stats["partitions_sealed"] > 0
         assert stats["partitions_live"] >= 1
         assert stats["framework"]["partitions_sealed"] == stats["partitions_sealed"]

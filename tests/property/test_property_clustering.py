@@ -10,7 +10,12 @@ fallback scan restores exactness, so the equality holds *unconditionally*
 (the counters just say which path paid for it).  Checked over both
 shipped inner cores (SAP and MinTopK), including mid-stream vector
 drift past the cluster envelope.
+
+``REPRO_CLUSTERING_EXAMPLES`` raises both properties' example counts
+(CI runs them high).
 """
+
+import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +25,8 @@ from repro.core.clustering import linear_scores
 from repro.core.object import StreamObject
 
 INNER_CORES = ("SAP", "MinTopK")
+
+EXAMPLES = os.environ.get("REPRO_CLUSTERING_EXAMPLES")
 
 DIM = 3
 
@@ -110,7 +117,7 @@ def _member_spec(query, inner, vector):
     )
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=int(EXAMPLES or 30), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=attribute_stream, vectors=cluster_vectors, shape=shape_strategy)
 def test_clustered_members_equal_independent_engines(rows, vectors, shape):
     n, s, k = shape
@@ -136,7 +143,7 @@ def test_clustered_members_equal_independent_engines(rows, vectors, shape):
         engine.close()
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=int(EXAMPLES or 25), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rows=attribute_stream,
     vectors=cluster_vectors,
