@@ -58,7 +58,6 @@ from .core import (
     StreamObject,
     TopKQuery,
     TopKResult,
-    make_query,
     results_agree,
     top_k,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "AlgorithmStateError",
     "StreamObject",
     "TopKQuery",
-    "make_query",
     "TopKResult",
     "results_agree",
     "top_k",

@@ -317,7 +317,7 @@ class ShardRouter:
         """Validate that a control message pickles *before* enqueueing it.
 
         ``mp.Queue`` serializes in a background feeder thread: an
-        unpicklable payload (a lambda preference, a closure option) would
+        unpicklable payload (a closure option, a locally defined class) would
         otherwise never reach the worker, and the caller would block
         forever waiting for a reply that cannot come.  Failing here turns
         that silent hang into a clear :class:`StateSerializationError`.

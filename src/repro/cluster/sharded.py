@@ -35,9 +35,9 @@ Division of labour:
 Because subscriptions cross a process boundary, ``subscribe`` takes an
 *algorithm name* from :mod:`repro.registry` (plus picklable options), not
 a live instance, and result callbacks are not supported — consume answers
-with ``results()`` / ``drain()`` on the returned handle.  Every query's
-preference function and options must be picklable (module-level, not
-lambdas).
+with ``results()`` / ``drain()`` on the returned handle.  A subscription
+whose options cannot be pickled is refused with
+:class:`~repro.core.state.StateSerializationError`.
 """
 
 from __future__ import annotations
@@ -255,9 +255,7 @@ class ShardedStreamEngine(ExecutionPlanner):
         self._ensure_open()
         if name in self._handles:
             raise ValueError(f"query {name!r} is already subscribed")
-        algorithm, algorithm_options, cluster_id = self.plan(
-            spec, algorithm, algorithm_options
-        )
+        algorithm, algorithm_options = self.plan(spec, algorithm, algorithm_options)
         if not isinstance(algorithm, str):
             raise TypeError(
                 "the sharded engine takes an algorithm name from "
@@ -265,6 +263,13 @@ class ShardedStreamEngine(ExecutionPlanner):
                 f"worker process), got {type(algorithm).__name__}"
             )
         query = resolve_query(spec)
+        keep = self._default_keep_results if keep_results is None else keep_results
+        # Refuse what cannot reach a shard before the space assigns (the
+        # pinned id the shard runs is an int and changes nothing here).
+        dumps(subscribe_op(
+            name, query, algorithm, algorithm_options, keep, result_buffer, collect_metrics,
+        ))
+        cluster_id = self.cluster_for(query, algorithm, algorithm_options)
         if cluster_id is not None:
             # The facade assigns clusters; the shard runs the pinned id.
             algorithm_options = {**algorithm_options, "cluster_id": cluster_id}
@@ -280,7 +285,6 @@ class ShardedStreamEngine(ExecutionPlanner):
             raise ValueError(
                 f"shard {shard} out of range (cluster has {len(self._router)})"
             )
-        keep = self._default_keep_results if keep_results is None else keep_results
         self._router.request(
             shard,
             subscribe_op(

@@ -13,7 +13,10 @@ subscription ops go to the engine's one op parser,
 slide-aligned object batches without waiting for replies (that is where
 the parallelism comes from), and any failure raised while processing a
 batch is latched and surfaced at the next synchronous opcode, so errors
-cannot disappear just because nobody was waiting.
+cannot disappear just because nobody was waiting.  Every batch arrives
+in the one columnar wire format (:func:`~repro.core.columnar.encode_chunk`
+of a chunk the facade's ingest edge admitted) and enters the engine as
+one :class:`~repro.core.columnar.SlideBlock`.
 """
 
 from __future__ import annotations
@@ -123,21 +126,16 @@ def shard_worker_main(
                 # replayed journal is then the exact received sequence.
                 durability.log_encoded(bytes(payload))
             started = time.perf_counter()
-            objects, block = decode_chunk(payload, materialize=False)
+            block = decode_chunk(payload)
             decode_seconds = time.perf_counter() - started
             obs_decode.observe(decode_seconds)
-            count = len(block) if block is not None else len(objects)
             decode_stats["decode_seconds"] += decode_seconds
             decode_stats["decode_bytes"] += len(payload)
             decode_stats["decoded_batches"] += 1
-            decode_stats["decoded_objects"] += count
-            # The router pre-chunks to slide-aligned sizes; a columnar
-            # chunk moves through each query group in block form.
+            decode_stats["decoded_objects"] += len(block)
+            # The router pre-chunks to slide-aligned sizes.
             started = time.perf_counter()
-            if block is not None:
-                pushed += engine.push_block(block)
-            else:
-                pushed += engine.push_many(objects, chunk_size=max(1, len(objects)))
+            pushed += engine.push_block(block)
             obs_push.observe(time.perf_counter() - started)
         except BaseException:
             failure = traceback.format_exc()

@@ -8,7 +8,7 @@ from .exceptions import (
     StreamExhaustedError,
 )
 from .object import StreamObject, kth_score, sort_by_rank, top_k
-from .query import TopKQuery, make_query
+from .query import TopKQuery
 from .result import TopKResult, results_agree
 from .window import SlideEvent, SlidingWindow, count_based_slides, slides_for_query, time_based_slides
 from .interface import ContinuousTopKAlgorithm
@@ -35,7 +35,6 @@ __all__ = [
     "kth_score",
     "sort_by_rank",
     "TopKQuery",
-    "make_query",
     "TopKResult",
     "results_agree",
     "SlideEvent",

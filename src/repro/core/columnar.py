@@ -14,11 +14,12 @@ contiguous buffers so the hot paths can operate on whole columns at once:
   *out of band* — a plain Python list riding alongside the columns — and
   only when at least one object actually has one.
 * a wire format (:meth:`SlideBlock.to_bytes` / :func:`encode_chunk` /
-  :func:`decode_chunk`) used by the cluster transports: the columns are
-  written as raw little-endian buffers (a memcpy, not a per-object pickle
-  walk), with an automatic whole-chunk pickle fallback for objects the
-  columns cannot represent (arrival orders beyond int64, exotic score
-  types).
+  :func:`decode_chunk`) used by the cluster transports and the
+  write-ahead log: the columns are written as raw little-endian buffers
+  (a memcpy, not a per-object pickle walk).  Every chunk the ingest edge
+  (:func:`repro.core.window.check_order`) admits packs: its scores are
+  held exactly by float64, and its arrival orders and timestamps are
+  integers within int64.
 * the one ordering helper over columns (:func:`rank_descending`) and
   :func:`topk_objects` built on it, implementing the library-wide total
   order ``(score, t)`` via ``numpy.lexsort`` — used by partition sealing,
@@ -30,50 +31,22 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as _np
 
 from .object import StreamObject, top_k
-
-#: int64 bounds; arrival orders outside them cannot be packed as columns.
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 # Wire format -----------------------------------------------------------
 #: Header: magic, version, format, flags, count.
 _HEADER = struct.Struct("<HBBBxxxQ")
 _MAGIC = 0x5B1C
 _WIRE_VERSION = 1
-#: ``format`` byte: columnar payload vs whole-chunk pickle fallback.
+#: ``format`` byte of a columnar payload, the one chunk format.
 FORMAT_COLUMNAR = 1
-FORMAT_PICKLED = 2
 #: ``flags`` bits of a columnar payload.
 _FLAG_TIMESTAMPS = 1
 _FLAG_PAYLOADS = 2
-
-
-class BlockPackError(ValueError):
-    """The objects cannot be represented as columns (use the fallback)."""
-
-
-def _as_float_scores(objects: Sequence[StreamObject]) -> List[float]:
-    scores: List[float] = []
-    for obj in objects:
-        score = obj.score
-        if type(score) is not float:
-            # Accept exact ints etc. only when float() preserves the value
-            # and the ordering semantics; anything lossy must take the
-            # pickle fallback instead of silently changing rank keys.
-            try:
-                as_float = float(score)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise BlockPackError(f"score {score!r} is not packable") from exc
-            if as_float != score:
-                raise BlockPackError(f"score {score!r} does not survive float64")
-            score = as_float
-        scores.append(score)
-    return scores
 
 
 class SlideBlock:
@@ -99,44 +72,27 @@ class SlideBlock:
     # ------------------------------------------------------------------
     @classmethod
     def from_objects(cls, objects: Sequence[StreamObject]) -> "SlideBlock":
-        """Pack objects into columns (raises :class:`BlockPackError` when
-        a score or arrival order cannot be represented)."""
+        """Pack objects into columns (objects the ingest edge admitted:
+        see :func:`repro.core.window.check_order`)."""
         count = len(objects)
-        scores = _as_float_scores(objects)
-        ts: List[int] = []
-        for obj in objects:
-            t = obj.t
-            if type(t) is not int:
-                if isinstance(t, bool) or not isinstance(t, int):
-                    raise BlockPackError(f"arrival order {t!r} is not an int")
-            if not _INT64_MIN <= t <= _INT64_MAX:
-                raise BlockPackError(f"arrival order {t!r} overflows int64")
-            ts.append(t)
         timestamps: Optional[List[int]] = None
         mask: Optional[bytearray] = None
-        for index, obj in enumerate(objects):
-            stamp = obj.timestamp
-            if stamp is None:
-                continue
-            if not isinstance(stamp, int) or isinstance(stamp, bool):
-                raise BlockPackError(f"timestamp {stamp!r} is not an int")
-            if not _INT64_MIN <= stamp <= _INT64_MAX:
-                raise BlockPackError(f"timestamp {stamp!r} overflows int64")
-            if timestamps is None:
-                timestamps = [0] * count
-                mask = bytearray(count)
-            timestamps[index] = stamp
-            mask[index] = 1
         payloads: Optional[List[object]] = None
         for index, obj in enumerate(objects):
+            if obj.timestamp is not None:
+                if timestamps is None:
+                    timestamps = [0] * count
+                    mask = bytearray(count)
+                timestamps[index] = obj.timestamp
+                mask[index] = 1
             if obj.payload is not None:
                 if payloads is None:
                     payloads = [None] * count
                 payloads[index] = obj.payload
         return cls(
             count=count,
-            scores=_np.array(scores, dtype=_np.float64),
-            ts=_np.array(ts, dtype=_np.int64),
+            scores=_np.array([obj.score for obj in objects], dtype=_np.float64),
+            ts=_np.array([obj.t for obj in objects], dtype=_np.int64),
             timestamps=None if timestamps is None else _np.array(timestamps, dtype=_np.int64),
             timestamp_mask=bytes(mask) if mask is not None else None,
             payloads=payloads,
@@ -225,61 +181,21 @@ class SlideBlock:
 
 
 # ----------------------------------------------------------------------
-# Chunk codec (the cluster transports' unit of transfer)
+# Chunk codec (the unit of the cluster transports and the write-ahead log)
 # ----------------------------------------------------------------------
 def encode_chunk(objects: Sequence[StreamObject]) -> bytes:
-    """Encode a chunk of stream objects for transport.
-
-    Columnar when possible; otherwise (exotic scores, arrival orders past
-    int64) the whole chunk is pickled behind the same header, so every
-    consumer handles every chunk through one entry point.
-    """
-    try:
-        return SlideBlock.from_objects(objects).to_bytes()
-    except BlockPackError:
-        header = _HEADER.pack(_MAGIC, _WIRE_VERSION, FORMAT_PICKLED, 0, len(objects))
-        return header + pickle.dumps(list(objects), protocol=pickle.HIGHEST_PROTOCOL)
+    """Encode a chunk of admitted stream objects for transport."""
+    return SlideBlock.from_objects(objects).to_bytes()
 
 
-def decode_chunk(
-    data, materialize: bool = True
-) -> Tuple[List[StreamObject], Optional[SlideBlock]]:
-    """Decode a chunk written by :func:`encode_chunk`.
-
-    Returns ``(objects, block)``; ``block`` is ``None`` for the pickle
-    fallback format (the objects then carry everything).  Consumers that
-    feed columnar chunks onward in block form pass ``materialize=False``
-    to skip building the object list (``objects`` is then empty whenever
-    ``block`` is not ``None``) — materialising here *and* in the block
-    consumer would double the per-object cost of the hot path.
-    """
-    magic, version, wire_format, _flags, _count = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise ValueError(f"not a chunk payload (magic {magic:#x})")
-    if version != _WIRE_VERSION:
-        raise ValueError(f"unsupported chunk wire version {version}")
-    if wire_format == FORMAT_PICKLED:
-        return pickle.loads(memoryview(data)[_HEADER.size :]), None
-    block = SlideBlock.from_bytes(data)
-    return (block.to_objects() if materialize else []), block
+def decode_chunk(data) -> SlideBlock:
+    """Decode a chunk written by :func:`encode_chunk` into its block."""
+    return SlideBlock.from_bytes(data)
 
 
 # ----------------------------------------------------------------------
 # Vectorized ordering (the library-wide total order over columns)
 # ----------------------------------------------------------------------
-def _columns_of(
-    objects: Sequence[StreamObject],
-) -> Optional[Tuple["object", "object"]]:
-    """Extract (scores, ts) as numpy columns, or ``None`` when a score or
-    an arrival order does not fit float64 / int64."""
-    try:
-        scores = _np.array([obj.score for obj in objects], dtype=_np.float64)
-        ts = _np.array([obj.t for obj in objects], dtype=_np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return scores, ts
-
-
 def rank_descending(scores, ts) -> "object":
     """Indices ordering ``(score, t)`` best-first along the last axis.
 
@@ -299,8 +215,8 @@ def topk_objects(objects: Sequence[StreamObject], k: int) -> List[StreamObject]:
     """The ``k`` best objects, best first — vectorized :func:`~repro.core.object.top_k`.
 
     Bit-identical to the per-object sort: ``numpy.lexsort`` over the
-    ``(score, t)`` columns realises the same total order (arrival orders
-    beyond int64 and scores beyond float64 fall back to the object sort).
+    ``(score, t)`` columns realises the same total order (the ingest edge
+    admits only scores float64 holds and arrival orders within int64).
     """
     if k <= 0:
         return []
@@ -310,8 +226,7 @@ def topk_objects(objects: Sequence[StreamObject], k: int) -> List[StreamObject]:
     if size <= 16:
         # Tiny inputs: column extraction costs more than the sort saves.
         return top_k(objects, k)
-    columns = _columns_of(objects)
-    if columns is None:
-        return top_k(objects, k)
-    order = rank_descending(*columns)[:k]
+    scores = _np.array([obj.score for obj in objects], dtype=_np.float64)
+    ts = _np.array([obj.t for obj in objects], dtype=_np.int64)
+    order = rank_descending(scores, ts)[:k]
     return [objects[i] for i in order.tolist()]

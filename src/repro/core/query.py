@@ -8,6 +8,13 @@ A continuous top-k query is the tuple ``⟨n, k, s, F⟩`` from the paper:
 * ``s``  — slide size (number of newly arrived objects, or a time interval);
 * ``F``  — preference function mapping a raw record to a numeric score.
 
+``F`` is applied once per object, when the object enters the system
+(:class:`~repro.core.object.StreamObject` carries the score): the stream
+sources take it as their ``preference=`` (see :mod:`repro.streams`), and
+preference subscriptions declare a linear ``F`` as a weight vector
+(:meth:`repro.engine.spec.QuerySpec.preferring`).  :class:`TopKQuery`
+therefore holds the window shape ``⟨n, k, s⟩`` only.
+
 The query object also exposes the derived quantities the SAP partitioners
 need: the suggested number of equal partitions ``m*``, the minimal partition
 size ``l_min`` and the maximal partition size ``l_max``.
@@ -16,18 +23,9 @@ size ``l_min`` and the maximal partition size ``l_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
 
 from .exceptions import InvalidQueryError
-
-#: A preference function maps an application record to a numeric score.
-PreferenceFunction = Callable[[Any], float]
-
-
-def identity_preference(value: Any) -> float:
-    """Default preference function: the record *is* the score."""
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,6 @@ class TopKQuery:
         Number of results per slide.  Must be positive.
     s:
         Slide size.  Must be positive and no larger than ``n``.
-    preference:
-        Preference function ``F``.  Defaults to interpreting the raw record
-        as the score itself.
     time_based:
         ``False`` (default) for count-based windows, ``True`` for time-based
         windows where ``n`` and ``s`` are durations.
@@ -53,7 +48,6 @@ class TopKQuery:
     n: int
     k: int
     s: int = 1
-    preference: PreferenceFunction = field(default=identity_preference, compare=False)
     time_based: bool = False
 
     def __post_init__(self) -> None:
@@ -107,10 +101,6 @@ class TopKQuery:
         return candidate
 
     # ------------------------------------------------------------------
-    def score(self, record: Any) -> float:
-        """Apply the preference function to an application record."""
-        return float(self.preference(record))
-
     def _round_up_to_slide(self, value: int) -> int:
         if value % self.s == 0:
             return value
@@ -126,19 +116,3 @@ class TopKQuery:
         kind = "time-based" if self.time_based else "count-based"
         return f"top-{self.k} over a {kind} window of {self.n} (slide {self.s})"
 
-
-def make_query(
-    n: int,
-    k: int,
-    s: int = 1,
-    preference: Optional[PreferenceFunction] = None,
-    time_based: bool = False,
-) -> TopKQuery:
-    """Convenience constructor mirroring the paper's ``⟨n, k, s, F⟩`` tuple."""
-    return TopKQuery(
-        n=n,
-        k=k,
-        s=s,
-        preference=preference if preference is not None else identity_preference,
-        time_based=time_based,
-    )

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 5
+STATE_FORMAT_VERSION = 6
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes
@@ -62,7 +62,8 @@ class StateVersionError(ReproError):
 
 
 class StateSerializationError(ReproError):
-    """A runtime object cannot be serialized (e.g. a closure preference)."""
+    """A runtime object cannot be serialized (e.g. an instance of a class
+    defined inside a function)."""
 
 
 @dataclass(frozen=True)
@@ -225,14 +226,15 @@ def check_version(record: object, kind: Type = object) -> None:
 
 def dumps(state: object) -> bytes:
     """Pickle a state object, converting pickling failures into a clear
-    error (the usual cause: a lambda/closure preference function)."""
+    error (the usual cause: an algorithm instance or option whose class or
+    function is not defined at module level)."""
     try:
         return pickle.dumps(state, protocol=PICKLE_PROTOCOL)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise StateSerializationError(
             f"cannot serialize {type(state).__name__}: {exc}; "
-            "preference functions and algorithm options must be module-level "
-            "(picklable) to cross a process boundary"
+            "algorithm instances and options must be module-level (picklable) "
+            "to be journaled or to cross a process boundary"
         ) from exc
 
 

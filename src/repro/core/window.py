@@ -24,12 +24,20 @@ from math import gcd, inf
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from .exceptions import InvalidQueryError
 from .object import StreamObject
 from .query import TopKQuery
 
 _t_of = attrgetter("t")
+_timestamp_of = attrgetter("timestamp")
 _FLOAT_ONLY = {float}
+_INT_ONLY = {int}
+_NONE_ONLY = {None}
+#: The int64 range: ``t`` and timestamps outside it cannot be packed.
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 #: Objects per batcher call when :func:`slides_for_query` drains a stream.
 _SLIDES_CHUNK = 256
@@ -73,13 +81,24 @@ def _inexact(score) -> bool:
         return True
 
 
+def _integer(value) -> bool:
+    """True for an int or a numpy integer (a bool is not an arrival order)."""
+    return isinstance(value, (int, _np.integer)) and not isinstance(value, bool)
+
+
 def check_order(objects: Sequence[StreamObject], previous: float) -> int:
     """The last ``t`` of a non-empty chunk; raises
-    :class:`InvalidQueryError` unless ``t`` strictly increases, within the
-    chunk and from ``previous`` (``t`` identifies an object), and every
-    score is finite (NaN has no place in the ``(score, t)`` order) and
-    held exactly by float64 (the columnar paths rank in float64)."""
+    :class:`InvalidQueryError` unless every ``t`` is an integer within
+    int64 that strictly increases, within the chunk and from ``previous``
+    (``t`` identifies an object), every ``timestamp`` is ``None`` or such
+    an integer, and every score is finite (NaN has no place in the
+    ``(score, t)`` order) and held exactly by float64.  So every admitted
+    chunk packs into a :class:`~repro.core.columnar.SlideBlock`."""
     ts = list(map(_t_of, objects))
+    if set(map(type, ts)) != _INT_ONLY:
+        for t in ts:
+            if not _integer(t):
+                raise InvalidQueryError(f"stream object t must be an integer; got {t!r}")
     if ts[0] <= previous or not all(map(lt, ts, islice(ts, 1, None))):
         # Name the first offending object.
         for t in ts:
@@ -89,6 +108,25 @@ def check_order(objects: Sequence[StreamObject], previous: float) -> int:
                     f"got t={t} after t={previous}"
                 )
             previous = t
+    # ``t`` strictly increases, so the chunk's ends bound it.
+    if ts[0] < _INT64_MIN or ts[-1] > _INT64_MAX:
+        for t in ts:
+            if not _INT64_MIN <= t <= _INT64_MAX:
+                raise InvalidQueryError(f"stream object t must fit in int64; got t={t}")
+    try:
+        stamps = set(map(_timestamp_of, objects))
+    except TypeError:  # an unhashable timestamp
+        stamps = ()
+    if stamps != _NONE_ONLY:
+        for obj in objects:
+            stamp = obj.timestamp
+            if stamp is not None and not (
+                _integer(stamp) and _INT64_MIN <= stamp <= _INT64_MAX
+            ):
+                raise InvalidQueryError(
+                    "stream object timestamps must be None or an integer within "
+                    f"int64; got {stamp!r} at t={obj.t}"
+                )
     scores = [obj.score for obj in objects]
     # A chunk of plain floats needs one sum: a non-finite score makes it
     # non-finite, and so can an overflow, which the per-object pass admits.

@@ -4,10 +4,13 @@
 stores of this package.  Attached via
 :meth:`repro.engine.StreamEngine.attach_durability`, it
 
-* appends every subscription lifecycle op and every ingested chunk to
-  the :class:`~repro.durability.wal.WriteAheadLog` *before* the engine
-  applies it (chunks in the columnar wire format, so the log is also a
-  replayable copy of the exact post-dedupe object sequence);
+* appends every ingested chunk to the
+  :class:`~repro.durability.wal.WriteAheadLog` *before* the engine
+  applies it (in the columnar wire format, so the log is also a
+  replayable copy of the exact post-dedupe object sequence), and every
+  subscription lifecycle op once it applied — serialized before it
+  applied, so an op the log cannot hold is refused and every live
+  subscription can be rebuilt from the log;
 * every ``checkpoint_interval`` chunks, at the first slide boundary,
   captures every query group whole — its window and slide clock once,
   each member's configuration, metrics and retained answers, and its
@@ -39,13 +42,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core import state as state_module
 from ..core.columnar import decode_chunk, encode_chunk
 from ..core.exceptions import AlgorithmStateError, InvalidQueryError, ReproError
 from ..core.object import StreamObject
-from ..core.state import STATE_FORMAT_VERSION, EngineCheckpoint, StateSerializationError
+from ..core.state import STATE_FORMAT_VERSION, EngineCheckpoint
 from ..obs.registry import get_registry
 from .checkpoint import CheckpointStore
 from .wal import DEFAULT_SEGMENT_BYTES, KIND_CHUNK, KIND_OP, WriteAheadLog
@@ -159,22 +162,13 @@ class DurabilityManager:
         self._obs_records.inc()
         self._obs_bytes.inc(len(payload))
 
-    def log_op(self, op: Tuple) -> bool:
-        """WAL one subscription lifecycle op; False when unpicklable.
-
-        An op that cannot be serialized (e.g. a closure-scored algorithm
-        instance) degrades that subscription to checkpoint-only
-        durability: it survives any crash after the next checkpoint, but
-        not one before it.
-        """
-        try:
-            payload = state_module.dumps(op)
-        except StateSerializationError:
-            return False
+    def log_op(self, payload: bytes) -> None:
+        """WAL one subscription lifecycle op, as :func:`repro.core.state.dumps`
+        wrote it.  The engine serializes each op before applying it, so an
+        op that cannot be pickled raises there and never applies."""
         self.wal.append(KIND_OP, payload)
         self._obs_records.inc()
         self._obs_bytes.inc(len(payload))
-        return True
 
     def after_chunk(self, engine: "EngineCore", count: int) -> None:
         """A chunk of ``count`` objects finished moving through ``engine``;
@@ -236,7 +230,8 @@ class DurabilityManager:
         are already in the log, so replay must not re-log them.
 
         Raises :class:`DurabilityError` when WAL truncation removed
-        records no readable checkpoint covers, and
+        records no readable checkpoint covers or a journaled op names what
+        neither the checkpoint nor the log holds, and
         :class:`~repro.core.state.StateVersionError` when the newest
         intact checkpoint, or a journaled record, was written by another
         state format version.
@@ -269,16 +264,18 @@ class DurabilityManager:
             restored = checkpoint.member_count
             restored_groups = len(checkpoint.groups)
         replayed_ops = replayed_chunks = replayed_objects = skipped = 0
-        for kind, payload in self.wal.replay(after_seq):
+        for seq, (kind, payload) in enumerate(self.wal.replay(after_seq), after_seq):
             if kind == KIND_OP:
+                op = state_module.loads(payload)
                 try:
-                    engine.apply_op(state_module.loads(payload))
-                except KeyError:
-                    # An op naming a subscription whose own op could not
-                    # be journaled (checkpoint-only durability) and that
-                    # no checkpoint holds: the live engine had it, the
-                    # log cannot rebuild it.
-                    pass
+                    engine.apply_op(op)
+                except KeyError as exc:
+                    # The live engine applied this op, so the name it
+                    # misses was journaled nowhere: refuse to guess.
+                    raise DurabilityError(
+                        f"write-ahead log record {seq} in {self.directory!r}, a "
+                        f"{op[0]!r} op, cannot be replayed: {exc.args[0]}"
+                    ) from None
                 replayed_ops += 1
             else:
                 try:
@@ -310,13 +307,9 @@ class DurabilityManager:
         return report
 
     def _apply_chunk(self, engine: "EngineCore", payload: bytes) -> int:
-        objects, block = decode_chunk(payload, materialize=False)
-        if block is not None:
-            count = engine.push_block(block)
-            top = int(block.ts[-1]) if count else -1
-        else:
-            count = engine.push_many(objects, chunk_size=max(1, len(objects)))
-            top = objects[-1].t if count else -1
+        block = decode_chunk(payload)
+        count = engine.push_block(block)
+        top = int(block.ts[-1]) if count else -1
         # The engine admitted the chunk, so its last t is its newest.
         if top > self.last_t:
             self.last_t = top

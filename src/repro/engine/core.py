@@ -41,14 +41,14 @@ engine that journals into a directory and recovers from it.
 
 Every ingest call — :meth:`~StreamEngine.push`, :meth:`~StreamEngine.push_many`
 and :meth:`~StreamEngine.push_block` — hands its chunks to one edge,
-``StreamEngine._ingest``: it validates arrival order, journals, counts, and
-moves the chunk through every query group, in that order.
+``StreamEngine._ingest``: it validates the chunk (:func:`~repro.core.window.check_order`),
+journals, counts, and moves it through every query group, in that order.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import AlgorithmStateError
 from ..core.interface import ContinuousTopKAlgorithm
@@ -61,6 +61,7 @@ from ..core.state import (
     SubscriptionState,
     capture_subscription,
     check_version,
+    dumps,
     loads,
 )
 from ..core.window import check_order
@@ -69,10 +70,6 @@ from ..registry import create_algorithm
 from .group import QueryGroup, group_key_for
 from .spec import ExecutionPlanner, QuerySpec, resolve_query
 from .subscription import ResultCallback, Subscription
-
-#: What ``subscribe`` accepts as the algorithm: a registry name, a ready
-#: instance, or any factory/class called as ``factory(query, **options)``.
-AlgorithmLike = Union[str, ContinuousTopKAlgorithm, Callable[..., ContinuousTopKAlgorithm]]
 
 #: Default chunk size of ``push_many``: objects are drained from the input
 #: iterable in chunks of this many and moved through each query group with
@@ -129,7 +126,7 @@ class StreamEngine(ExecutionPlanner):
         self,
         name: str,
         spec: Union[QuerySpec, TopKQuery, None] = None,
-        algorithm: AlgorithmLike = "SAP",
+        algorithm: Union[str, ContinuousTopKAlgorithm] = "SAP",
         *,
         keep_results: Optional[bool] = None,
         result_buffer: Optional[int] = None,
@@ -148,9 +145,8 @@ class StreamEngine(ExecutionPlanner):
             :class:`TopKQuery`.  May be omitted when ``algorithm`` is an
             instance (the instance already knows its query).
         algorithm:
-            A name from :mod:`repro.registry` (default ``"SAP"``), an
-            algorithm instance, or a factory called as
-            ``factory(query, **algorithm_options)``.
+            A name from :mod:`repro.registry` (default ``"SAP"``) or an
+            algorithm instance.
         keep_results / result_buffer:
             Retention policy for answers: ``keep_results=False`` retains
             nothing (callbacks still fire), ``result_buffer=b`` keeps only
@@ -172,18 +168,48 @@ class StreamEngine(ExecutionPlanner):
         parameter must then stay at its default and the spec's plan wins
         (preference vectors route through the clustered sharing plane,
         see :mod:`repro.core.clustering`).
+
+        A durable engine journals a registry-named subscription as a
+        compact ``subscribe`` op with the options as declared (replay
+        assigns the same cluster from the same space), and a ready
+        instance as a ``restore`` op of the fresh member.  The op is
+        serialized first: one that cannot be pickled raises
+        :class:`~repro.core.state.StateSerializationError` and leaves the
+        engine, its cluster space and its log as they were.
         """
         self._ensure_open()
         if name in self._subscriptions:
             raise ValueError(f"query {name!r} is already subscribed")
-        algorithm, algorithm_options, cluster_id = self.plan(
-            spec, algorithm, algorithm_options
-        )
-        options = algorithm_options
-        if cluster_id is not None:
-            options = {**algorithm_options, "cluster_id": cluster_id}
-        instance = self._resolve_algorithm(spec, algorithm, options)
+        algorithm, declared = self.plan(spec, algorithm, algorithm_options)
         keep = self._default_keep_results if keep_results is None else keep_results
+        payload = None
+        if isinstance(algorithm, str):
+            if spec is None:
+                raise ValueError("a QuerySpec (or TopKQuery) is required")
+            query = resolve_query(spec)
+            payload = self._journal(subscribe_op(
+                name, query, algorithm, declared, keep, result_buffer, collect_metrics,
+            ))
+            cluster_id = self.cluster_for(query, algorithm, declared)
+            options = declared if cluster_id is None else {**declared, "cluster_id": cluster_id}
+            instance = create_algorithm(algorithm, query, **options)
+        elif isinstance(algorithm, ContinuousTopKAlgorithm):
+            if declared:
+                raise ValueError(
+                    "algorithm options cannot be applied to a ready instance: "
+                    f"{sorted(declared)}"
+                )
+            if spec is not None and resolve_query(spec) != algorithm.query:
+                raise ValueError(
+                    "the given spec disagrees with the algorithm instance's query; "
+                    "omit the spec or build the instance from it"
+                )
+            instance = algorithm
+        else:
+            raise TypeError(
+                "algorithm must be a registry name or a ContinuousTopKAlgorithm "
+                f"instance, got {type(algorithm).__name__}"
+            )
         subscription = Subscription(
             name,
             instance,
@@ -191,23 +217,19 @@ class StreamEngine(ExecutionPlanner):
             result_buffer=result_buffer,
             collect_metrics=collect_metrics,
         )
+        if self._durability is not None and payload is None:
+            # The fresh member as a not-started group would capture it.
+            query = instance.query
+            payload = self._journal(("restore", GroupState(
+                version=STATE_FORMAT_VERSION, n=query.n, s=query.s, window=(),
+                slide_index=None, members=(capture_subscription(subscription),),
+            )))
         if on_result is not None:
             subscription.on_result(on_result)
         self._place([subscription])
         self._subscriptions[name] = subscription
-        if self._durability is not None:
-            # Registry-named algorithms log a compact ``subscribe`` op with
-            # the options as declared, so replay assigns the same cluster
-            # from the same space; ready instances/factories fall back to
-            # a ``restore`` op of the fresh member (checkpoint-only
-            # durability when even that is unpicklable).
-            if isinstance(algorithm, str):
-                self._durability.log_op(subscribe_op(
-                    name, instance.query, algorithm, algorithm_options,
-                    keep, result_buffer, collect_metrics,
-                ))
-            else:
-                self._durability.log_op(("restore", self.capture_subscription(name)))
+        if payload is not None:
+            self._durability.log_op(payload)
         return subscription
 
     def apply_op(self, op: Tuple) -> Optional[Dict[str, object]]:
@@ -257,25 +279,27 @@ class StreamEngine(ExecutionPlanner):
                 "with subscribe(name, QuerySpec(...).preferring(vector))"
             )
         vector = tuple(vector)
+        payload = self._journal(("update_preference", name, vector))
         record = update(vector)
         subscription._template = None  # the vector is configuration
-        if self._durability is not None:
-            self._durability.log_op(("update_preference", name, vector))
+        if payload is not None:
+            self._durability.log_op(payload)
         return record
 
     def unsubscribe(self, name: str) -> None:
         """Close and remove one query."""
-        subscription = self._subscriptions.pop(name, None)
-        if subscription is None:
+        if name not in self._subscriptions:
             raise KeyError(f"no subscription named {name!r}")
+        payload = self._journal(("unsubscribe", name))
+        subscription = self._subscriptions.pop(name)
         subscription.close()
         group = subscription.group
         if group is not None:
             group.remove(subscription)
             if not len(group):
                 self._groups.remove(group)
-        if self._durability is not None:
-            self._durability.log_op(("unsubscribe", name))
+        if payload is not None:
+            self._durability.log_op(payload)
 
     def subscription(self, name: str) -> Subscription:
         try:
@@ -399,7 +423,10 @@ class StreamEngine(ExecutionPlanner):
 
         With a durability manager attached every record is journaled as
         one ``restore`` op, which WAL replay feeds back through this
-        method.
+        method; the ops are serialized before any member is placed, so a
+        record that cannot be pickled raises
+        :class:`~repro.core.state.StateSerializationError` and restores
+        nothing.
         """
         self._ensure_open()
         for state in states:
@@ -420,6 +447,7 @@ class StreamEngine(ExecutionPlanner):
             seen.add(name)
         if order and sorted(order) != sorted(names):
             raise ValueError("order must list exactly the restored subscriptions")
+        payloads = [self._journal(("restore", state)) for state in states]
         restored: Dict[str, Subscription] = {}
         for state in states:
             members = []
@@ -441,9 +469,9 @@ class StreamEngine(ExecutionPlanner):
                 self._place(members, state)
         for name in order or restored:
             self._subscriptions[name] = restored[name]
-        if self._durability is not None:
-            for state in states:
-                self._durability.log_op(("restore", state))
+        for payload in payloads:
+            if payload is not None:
+                self._durability.log_op(payload)
         return list(restored.values())
 
     # ------------------------------------------------------------------
@@ -501,7 +529,8 @@ class StreamEngine(ExecutionPlanner):
     ) -> Optional[Dict[str, List[TopKResult]]]:
         """The one ingest edge: every pushed chunk enters the engine here.
 
-        The chunk's arrival order is validated first, so a rejected chunk
+        The chunk is validated first (order, integer ``t`` and timestamps
+        within int64, finite scores float64 holds), so a rejected chunk
         leaves the engine and its write-ahead log exactly as they were.
         Then the chunk is journaled, counted, moved through every query
         group and reported to the durability manager.
@@ -511,7 +540,7 @@ class StreamEngine(ExecutionPlanner):
             return None
         if not self._subscriptions:
             raise ValueError("no queries subscribed")
-        last_t = self._check_order(objects)
+        last_t = check_order(objects, self._last_t)
         if self._durability is not None and self._durability.logs_engine_chunks:
             self._durability.log_objects(objects)
         self._last_t = last_t
@@ -536,12 +565,6 @@ class StreamEngine(ExecutionPlanner):
         if errors:
             raise errors[0]
         return produced
-
-    def _check_order(self, objects: Sequence[StreamObject]) -> int:
-        """The chunk's last ``t``; raises :class:`InvalidQueryError` unless
-        ``t`` strictly increases within the chunk and past the last
-        admitted one."""
-        return check_order(objects, self._last_t)
 
     def flush(self) -> Dict[str, List[TopKResult]]:
         """Emit the end-of-stream report of time-based windows (if any)."""
@@ -746,30 +769,13 @@ class StreamEngine(ExecutionPlanner):
             self._groups.append(group)
         group.admit(members, None if state is None else state.plans)
 
-    @staticmethod
-    def _resolve_algorithm(
-        spec: Union[QuerySpec, TopKQuery, None],
-        algorithm: AlgorithmLike,
-        options: Dict[str, object],
-    ) -> ContinuousTopKAlgorithm:
-        if isinstance(algorithm, ContinuousTopKAlgorithm):
-            if options:
-                raise ValueError(
-                    "algorithm options cannot be applied to a ready instance: "
-                    f"{sorted(options)}"
-                )
-            if spec is not None and resolve_query(spec) != algorithm.query:
-                raise ValueError(
-                    "the given spec disagrees with the algorithm instance's query; "
-                    "omit the spec or build the instance from it"
-                )
-            return algorithm
-        if spec is None:
-            raise ValueError("a QuerySpec (or TopKQuery) is required")
-        query = resolve_query(spec)
-        if isinstance(algorithm, str):
-            return create_algorithm(algorithm, query, **options)
-        return algorithm(query, **options)
+    def _journal(self, op: Tuple) -> Optional[bytes]:
+        """``op`` serialized for the write-ahead log (``None`` when the
+        engine is not durable).  Every op is serialized before it applies,
+        so one the log cannot hold raises
+        :class:`~repro.core.state.StateSerializationError` and changes
+        nothing."""
+        return None if self._durability is None else dumps(op)
 
 
 #: The engine's other name: the planes built on it (and the benchmark's

@@ -1,7 +1,9 @@
 """The unified, typed query specification: one object, every entry point.
 
-:class:`~repro.core.query.TopKQuery` is an immutable tuple ``⟨n, k, s, F⟩``
-whose constructor validates everything at once.  :class:`QuerySpec` is the
+:class:`~repro.core.query.TopKQuery` is the immutable window shape
+``⟨n, k, s⟩`` whose constructor validates everything at once (``F`` is
+applied where objects enter: the sources score them, and a preference
+vector declares a linear ``F``).  :class:`QuerySpec` is the
 declaration callers hand to the engines: the window shape *plus* the
 execution choices that used to be scattered over three different
 subscription signatures — the algorithm and its options, and an optional
@@ -37,7 +39,7 @@ import numbers
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.exceptions import InvalidQueryError
-from ..core.query import PreferenceFunction, TopKQuery, identity_preference
+from ..core.query import TopKQuery
 from ..registry import create_algorithm
 
 
@@ -60,7 +62,6 @@ class QuerySpec:
         n: Optional[int] = None,
         k: Optional[int] = None,
         s: int = 1,
-        preference: Optional[PreferenceFunction] = None,
         time_based: bool = False,
         algorithm: Optional[str] = None,
         options: Optional[Dict[str, object]] = None,
@@ -71,7 +72,6 @@ class QuerySpec:
         self._n = n
         self._k = k
         self._s = s
-        self._preference = preference
         self._time_based = time_based
         self._algorithm = algorithm
         self._options: Dict[str, object] = dict(options or {})
@@ -95,11 +95,6 @@ class QuerySpec:
     def slide(self, s: int) -> "QuerySpec":
         """Slide size: an arrival count, or a duration when time-based."""
         self._s = s
-        return self
-
-    def scored_by(self, preference: PreferenceFunction) -> "QuerySpec":
-        """Preference function ``F`` mapping a record to a numeric score."""
-        self._preference = preference
         return self
 
     def over_time(self, time_based: bool = True) -> "QuerySpec":
@@ -194,11 +189,6 @@ class QuerySpec:
                 raise PreferenceError(
                     f"pad_factor must be finite and >= 1, got {self._pad_factor}"
                 )
-            if self._preference is not None:
-                raise PreferenceError(
-                    "a spec cannot combine scored_by(F) with a preference "
-                    "vector: the vector is the preference"
-                )
             if self._algorithm == "clustered":
                 raise PreferenceError(
                     "'clustered' is the sharing wrapper itself; name the "
@@ -249,20 +239,13 @@ class QuerySpec:
             n=self._n,
             k=self._k,
             s=self._s,
-            preference=self._preference if self._preference is not None else identity_preference,
             time_based=self._time_based,
         )
 
     @classmethod
     def from_query(cls, query: TopKQuery) -> "QuerySpec":
         """Builder pre-populated from an existing query."""
-        return cls(
-            n=query.n,
-            k=query.k,
-            s=query.s,
-            preference=query.preference,
-            time_based=query.time_based,
-        )
+        return cls(n=query.n, k=query.k, s=query.s, time_based=query.time_based)
 
     # ------------------------------------------------------------------
     # Wire form (the REST body of POST /v1/subscriptions)
@@ -340,7 +323,7 @@ class QuerySpec:
 
     def to_dict(self) -> Dict[str, object]:
         """The wire form of this spec (inverse of :meth:`from_dict` for
-        JSON-representable specs; ``scored_by`` functions are omitted)."""
+        JSON-representable options)."""
         payload: Dict[str, object] = {
             "n": self._n,
             "k": self._k,
@@ -391,19 +374,13 @@ class ExecutionPlanner:
 
     def plan(
         self, spec: object, algorithm: object, options: Dict[str, object]
-    ) -> Tuple[object, Dict[str, object], Optional[int]]:
-        """``(algorithm, options, cluster_id)`` of one subscribe call.
+    ) -> Tuple[object, Dict[str, object]]:
+        """``(algorithm, options)`` of one subscribe call, as declared.
 
         A :class:`QuerySpec` that carries execution choices is the whole
         declaration: ``algorithm`` must then stay at its default
-        ``"SAP"``, ``options`` empty, and the spec's plan wins.
-        ``cluster_id`` is the preference cluster of a ``"clustered"``
-        plan — the pinned one, or one this engine's space assigns — and
-        ``None`` otherwise.  ``options`` come back as declared, without an
-        assigned id: replaying them through this method on a space in the
-        same state assigns the same id again.  The space assigns only once
-        the member's instance builds, so a refused subscription (a bad
-        query, vector or ``pad_factor``) leaves the space as it was.
+        ``"SAP"``, ``options`` empty, and the spec's plan wins.  Planning
+        changes nothing: :meth:`cluster_for` is the step that assigns.
         """
         if isinstance(spec, QuerySpec) and spec.carries_execution():
             if algorithm != "SAP" or options:
@@ -412,14 +389,27 @@ class ExecutionPlanner:
                     "preferring); drop the algorithm/options arguments"
                 )
             algorithm, options = spec.execution_plan()
-        cluster_id = None
-        if algorithm == "clustered" and "vector" in options:
-            cluster_id = options.get("cluster_id")
-            if cluster_id is None:
-                create_algorithm(algorithm, resolve_query(spec), **options)
-                cluster_id = self.cluster_space().assign(options["vector"])
-            cluster_id = int(cluster_id)
-        return algorithm, options, cluster_id
+        return algorithm, options
+
+    def cluster_for(
+        self, query: TopKQuery, algorithm: object, options: Dict[str, object]
+    ) -> Optional[int]:
+        """The preference cluster of a ``"clustered"`` plan — the pinned
+        one, or one this engine's space assigns — and ``None`` otherwise.
+
+        ``options`` are as declared, without an assigned id: replaying
+        them through this method on a space in the same state assigns the
+        same id again.  The space assigns only once the member's instance
+        builds, so a refused subscription (a bad query, vector or
+        ``pad_factor``) leaves the space as it was.
+        """
+        if algorithm != "clustered" or "vector" not in options:
+            return None
+        cluster_id = options.get("cluster_id")
+        if cluster_id is None:
+            create_algorithm(algorithm, query, **options)
+            cluster_id = self.cluster_space().assign(options["vector"])
+        return int(cluster_id)
 
 
 def resolve_query(spec: object) -> TopKQuery:

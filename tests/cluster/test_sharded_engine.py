@@ -102,8 +102,7 @@ class TestFacadeSurface:
         with ShardedStreamEngine(1) as engine:
             with pytest.raises(StateSerializationError, match="picklable"):
                 engine.subscribe(
-                    "q",
-                    TopKQuery(n=60, k=4, s=10, preference=lambda record: float(record)),
+                    "q", TopKQuery(n=60, k=4, s=10), meaningful_policy=lambda: "eager"
                 )
             assert "q" not in engine
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.exceptions import InvalidQueryError
-from repro.core.query import TopKQuery, identity_preference, make_query
+from repro.core.query import TopKQuery
 
 
 class TestValidation:
@@ -78,19 +78,6 @@ class TestDerivedQuantities:
 
 
 class TestPreference:
-    def test_identity_preference_default(self):
-        query = TopKQuery(n=10, k=1)
-        assert query.score(3) == 3.0
-        assert query.preference is identity_preference
-
-    def test_custom_preference(self):
-        query = make_query(n=10, k=1, preference=lambda record: record["value"] * 2)
-        assert query.score({"value": 4}) == 8.0
-
     def test_describe_mentions_window_type(self):
         assert "count-based" in TopKQuery(n=10, k=2).describe()
         assert "time-based" in TopKQuery(n=10, k=2, time_based=True).describe()
-
-    def test_make_query_defaults(self):
-        query = make_query(n=20, k=3)
-        assert query.s == 1 and not query.time_based

@@ -19,6 +19,7 @@ from repro.core.state import (
     replay_event,
 )
 from repro.core.window import SlideBatcher
+from repro.baselines.brute_force import BruteForceTopK
 from repro.baselines.sma import SMATopK
 
 from ..conftest import make_objects, random_scores
@@ -118,9 +119,11 @@ class TestWireFormat:
             check_version(state.members[0], GroupState)
 
     def test_unpicklable_state_raises_clear_error(self):
-        query = TopKQuery(n=60, k=4, s=10, preference=lambda record: float(record))
+        class Local(BruteForceTopK):  # defined in a function: not picklable
+            pass
+
         engine = StreamEngine()
-        engine.subscribe("q", query, algorithm="SAP")
+        engine.subscribe("q", algorithm=Local(TopKQuery(n=60, k=4, s=10)))
         with pytest.raises(StateSerializationError, match="picklable"):
             dumps(engine.capture_subscription("q"))
 

@@ -23,7 +23,9 @@ import pytest
 from repro.cluster import ShardedStreamEngine
 from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
+from repro.core.state import StateSerializationError
 from repro.engine import QuerySpec
+from repro.partitioning import EqualPartitioner
 
 from ..conftest import random_scores
 
@@ -190,10 +192,18 @@ def test_restarted_facade_assigns_the_twins_cluster_ids(tmp_path):
         revived.close()
 
 
+def _local_partitioner():
+    class LocalPartitioner(EqualPartitioner):  # defined in a function
+        pass
+
+    return LocalPartitioner()
+
+
 def test_refused_preference_subscribe_leaves_cluster_json_alone(tmp_path):
     """The facade refuses a preference subscription its shard would
-    refuse before any cluster id is assigned, so no worker sees it and
-    ``cluster.json`` keeps the space of the accepted subscriptions."""
+    refuse, or one that cannot be pickled to reach a shard, before any
+    cluster id is assigned, so no worker sees it and ``cluster.json``
+    keeps the space of the accepted subscriptions."""
     manifest = tmp_path / "cluster.json"
     engine = ShardedStreamEngine(2, keep_results=True, durability_dir=str(tmp_path))
     try:
@@ -204,6 +214,13 @@ def test_refused_preference_subscribe_leaves_cluster_json_alone(tmp_path):
                 "x", QuerySpec(n=20, k=3, s=5).build(), "clustered",
                 vector=(1.0, 0.1, 0.1), pad_factor=0.5,
             )
+        with pytest.raises(StateSerializationError, match="picklable"):
+            engine.subscribe(
+                "y", QuerySpec(n=20, k=3, s=5).using(
+                    "SAP", partitioner=_local_partitioner()
+                ).preferring((1.0, 0.1, 0.1)),
+            )
+        assert engine.cluster_space().snapshot()["next_id"] == 1
         assert manifest.read_bytes() == before
         assert engine.subscriptions() == ["a"]
         engine.subscribe("b", QuerySpec(n=20, k=3, s=5).preferring((1.0, 0.1, 0.1)))

@@ -121,7 +121,7 @@ def test_order_checks_name_the_first_decrease(position):
     engine = _engine()
     engine.push_many(STREAM[:100])
     with pytest.raises(InvalidQueryError, match=message):
-        engine._check_order(chunk)
+        engine.push_many(chunk)
     window = SlidingWindow()
     window.extend(STREAM[:100])
     with pytest.raises(InvalidQueryError, match=message):
@@ -130,7 +130,7 @@ def test_order_checks_name_the_first_decrease(position):
     tied = STREAM[100:102] + [StreamObject(score=3.0, t=101)] + STREAM[102:104]
     tie = re.escape("order of t; got t=101 after t=101")
     with pytest.raises(InvalidQueryError, match=tie):
-        engine._check_order(tied)
+        engine.push_many(tied)
     with pytest.raises(InvalidQueryError, match=tie):
         window.extend(tied)
     assert window.contents() == STREAM[:100]
@@ -433,3 +433,55 @@ def test_exact_non_float_scores_are_admitted_and_agree():
     engine.push_many(objects)
     reference = create_algorithm("brute-force", engine.subscription("q").query)
     assert results_agree(engine.results("q"), reference.run(objects))
+
+
+#: Arrival orders and timestamps the columns cannot hold, each on the last
+#: object of ``FINITE_STREAM[200:220]`` (t=219), with the edge's message.
+BAD_ORDERS = {
+    "t past int64": (dict(t=2**63), "t must fit in int64; got t=9223372036854775808"),
+    "float t": (dict(t=219.5), "t must be an integer; got 219.5"),
+    "bool t": (dict(t=True), "t must be an integer; got True"),
+    "float timestamp": (dict(timestamp=219.0), "None or an integer within int64; got 219.0"),
+}
+
+
+def _bad_order(fields):
+    chunk = list(FINITE_STREAM[200:220])
+    last = chunk[-1]
+    chunk[-1] = StreamObject(**{"score": last.score, "t": last.t, **fields})
+    return chunk
+
+
+def test_sharded_facade_refuses_what_the_columns_cannot_hold():
+    """The facade checks each chunk before its router encodes it: a chunk
+    the columns cannot hold is refused whole, the order mark stays, and
+    the shards run on as a twin that never saw it."""
+    from repro.cluster import ShardedStreamEngine
+
+    n, k, s = WIDE
+    twin = _wide_engine("SAP")
+    with ShardedStreamEngine(2, keep_results=True) as engine:
+        engine.subscribe("q", QuerySpec(n=n, k=k, s=s).using("SAP"))
+        engine.push_many(FINITE_STREAM[:200])
+        twin.push_many(FINITE_STREAM[:200])
+        for fields, message in BAD_ORDERS.values():
+            with pytest.raises(InvalidQueryError, match=re.escape(message)):
+                engine.push_many(_bad_order(fields))
+            assert engine.last_t == 199
+        engine.push_many(FINITE_STREAM[200:])
+        twin.push_many(FINITE_STREAM[200:])
+        engine.synchronize()
+        assert _signature(engine.drain_results()) == _signature(twin.drain_results())
+
+
+@pytest.mark.parametrize("name", list(BAD_ORDERS))
+def test_standalone_window_refuses_what_the_columns_cannot_hold(name):
+    fields, message = BAD_ORDERS[name]
+    window = SlidingWindow()
+    window.extend(FINITE_STREAM[:200])
+    with pytest.raises(InvalidQueryError, match=re.escape(message)):
+        window.extend(_bad_order(fields))
+    assert window.contents() == FINITE_STREAM[:200]
+    assert window.newest.t == 199
+    window.extend(FINITE_STREAM[200:220])
+    assert window.newest.t == 219

@@ -25,7 +25,7 @@ class TestGrouping:
 
     def test_group_key_ignores_k_and_preference(self):
         base = group_key_for(TopKQuery(n=50, k=3, s=5))
-        assert base == group_key_for(TopKQuery(n=50, k=20, s=5, preference=abs))
+        assert base == group_key_for(TopKQuery(n=50, k=20, s=5))
         assert base != group_key_for(TopKQuery(n=50, k=3, s=5, time_based=True))
         assert base != group_key_for(TopKQuery(n=51, k=3, s=5))
 

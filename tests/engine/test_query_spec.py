@@ -19,10 +19,6 @@ class TestBuild:
     def test_default_slide_is_one(self):
         assert QuerySpec(n=10, k=2).build().s == 1
 
-    def test_scored_by_sets_preference(self):
-        query = QuerySpec(n=10, k=2).scored_by(lambda record: record["value"]).build()
-        assert query.score({"value": 3.5}) == 3.5
-
     def test_over_time_marks_time_based(self):
         assert QuerySpec(n=600, k=10, s=60).over_time().build().time_based
         assert not QuerySpec(n=600, k=10, s=60).over_time().over_count().build().time_based
@@ -111,11 +107,6 @@ class TestValidate:
     def test_cluster_id_without_vector_rejected(self):
         with pytest.raises(self._pref_error(), match="cluster_id"):
             QuerySpec(n=10, k=2, cluster_id=1).validate()
-
-    def test_scored_by_conflicts_with_vector(self):
-        spec = QuerySpec(n=10, k=2).scored_by(lambda r: r[0]).preferring((1.0,))
-        with pytest.raises(self._pref_error(), match="vector is the preference"):
-            spec.validate()
 
 
 class TestWireForm:

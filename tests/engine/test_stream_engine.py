@@ -120,14 +120,6 @@ class TestSubscribe:
         with pytest.raises(ValueError, match="disagrees"):
             StreamEngine().subscribe("q", TopKQuery(n=60, k=3, s=5), algorithm=algorithm)
 
-    def test_accepts_factory_callable(self):
-        from repro.baselines.brute_force import BruteForceTopK
-
-        subscription = StreamEngine().subscribe(
-            "q", TopKQuery(n=50, k=3, s=5), algorithm=BruteForceTopK
-        )
-        assert subscription.algorithm.name == "brute-force"
-
     def test_algorithm_options_forwarded_to_registry_factory(self):
         subscription = StreamEngine().subscribe(
             "q", TopKQuery(n=50, k=3, s=5), algorithm="SAP", meaningful_policy="eager"

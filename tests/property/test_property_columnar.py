@@ -11,12 +11,10 @@ ordering helpers must likewise be indistinguishable from the per-object
 import math
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import (
-    BlockPackError,
     SlideBlock,
     decode_chunk,
     encode_chunk,
@@ -118,34 +116,14 @@ def test_wire_roundtrip(objects):
 @given(objects=stream_objects())
 def test_chunk_codec_roundtrip(objects):
     data = encode_chunk(objects)
-    decoded, block = decode_chunk(data)
-    assert_same_objects(decoded, objects)
-    assert block is not None  # packable inputs take the columnar format
+    assert_same_objects(decode_chunk(data).to_objects(), objects)
 
 
 def test_empty_block_roundtrips():
     block = SlideBlock.from_objects([])
     assert len(block) == 0
     assert block.to_objects() == []
-    decoded, wire_block = decode_chunk(encode_chunk([]))
-    assert decoded == []
-    assert wire_block is not None
-
-
-def test_unpackable_chunks_take_the_pickle_fallback():
-    """Objects the columns cannot represent still round-trip — through the
-    whole-chunk pickle format, signalled by ``block is None``."""
-    beyond_int64 = [StreamObject(score=1.0, t=2**63)]
-    from fractions import Fraction
-
-    lossy_score = [StreamObject(score=Fraction(1, 3), t=0)]
-    for objects in (beyond_int64, lossy_score):
-        with pytest.raises(BlockPackError):
-            SlideBlock.from_objects(objects)
-        decoded, block = decode_chunk(encode_chunk(objects))
-        assert block is None
-        assert decoded[0].t == objects[0].t
-        assert decoded[0].score == objects[0].score
+    assert decode_chunk(encode_chunk([])).to_objects() == []
 
 
 @settings(max_examples=120, deadline=None)
@@ -170,7 +148,7 @@ def test_nan_and_inf_bit_patterns_survive_the_wire():
     values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
     objects = [StreamObject(score=v, t=i) for i, v in enumerate(values)]
     data = encode_chunk(objects)
-    decoded, _ = decode_chunk(data)
+    decoded = decode_chunk(data).to_objects()
     assert [pickle.dumps(o.score) for o in decoded] == [
         pickle.dumps(o.score) for o in objects
     ]

@@ -2,16 +2,21 @@
 
 ``push``, ``push_many`` and ``push_block`` hand every chunk to one engine
 edge, which refuses a chunk holding a NaN or infinite score, a score
-float64 cannot hold exactly (an int past 2**53, a ``Fraction``), or a
-``t`` that does not strictly increase — before any group, plan or
-counter sees it.  Fed valid chunks mixed with such chunks through all
-three entry points, an engine must raise :class:`InvalidQueryError` for
-each hostile chunk and end equal to a twin fed only the accepted chunks:
-the same answers, the same groups, and the same captured windows and
-slide indexes.  The examples are the fixed cases of
+float64 cannot hold exactly (an int past 2**53, a ``Fraction``), a ``t``
+that does not strictly increase, a ``t`` that is not an integer within
+int64 (one past int64, a float, a bool), or a timestamp that is neither
+``None`` nor such an integer — before any group, plan or counter sees
+it.  Fed valid chunks mixed with such chunks through all three entry
+points, an engine must raise :class:`InvalidQueryError` for each hostile
+chunk and end equal to a twin fed only the accepted chunks: the same
+answers, the same groups, and the same captured windows and slide
+indexes.  The examples are the fixed cases of
 ``tests/engine/test_ingest_edge.py``.
+
+``REPRO_INGEST_EDGE_EXAMPLES`` raises the example count (CI runs it high).
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -25,6 +30,7 @@ from repro.core.columnar import SlideBlock
 from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
 
+EXAMPLES = int(os.environ.get("REPRO_INGEST_EDGE_EXAMPLES", "40"))
 N, S = 20, 5
 MODES = ("push", "push_many", "push_block")
 #: Score poisons, by name; ``"t"`` repeats or rewinds an arrival order.
@@ -35,7 +41,16 @@ SCORES = {
     "int": 2**53 + 1,
     "fraction": Fraction(1, 3),
 }
-POISONS = (None, "t") + tuple(SCORES)
+#: Arrival-order and timestamp poisons: each maps the object to poison.
+STAMPS = {
+    "t-int64": lambda obj: StreamObject(score=obj.score, t=2**63 + obj.t),
+    "t-float": lambda obj: StreamObject(score=obj.score, t=obj.t + 0.5),
+    "t-bool": lambda obj: StreamObject(score=obj.score, t=True),
+    "timestamp-float": lambda obj: StreamObject(
+        score=obj.score, t=obj.t, timestamp=float(obj.t)
+    ),
+}
+POISONS = (None, "t") + tuple(SCORES) + tuple(STAMPS)
 
 chunk_strategy = st.tuples(
     st.integers(min_value=1, max_value=12),  # size
@@ -74,6 +89,8 @@ def _build(specs, seed):
                 # Equal to the object before, or to the warm-up's first t.
                 rewound = chunk[at - 1].t if at else -N
                 chunk[at] = StreamObject(score=chunk[at].score, t=rewound)
+            elif poison in STAMPS:
+                chunk[at] = STAMPS[poison](chunk[at])
             else:
                 chunk[at] = StreamObject(score=SCORES[poison], t=chunk[at].t)
         chunks.append(chunk)
@@ -82,12 +99,19 @@ def _build(specs, seed):
 
 
 def _block(chunk):
-    if all(type(obj.score) is float for obj in chunk):
-        return SlideBlock.from_objects(chunk)
-    # A packed block cannot hold an inexact score; one built with an
-    # object column hands it to the edge as it is.
-    block = SlideBlock.from_objects([StreamObject(score=0.0, t=obj.t) for obj in chunk])
+    """A block of ``chunk``.  A packed block cannot hold an inexact score,
+    a ``t`` that is not an int64, or a float timestamp; one built with
+    object columns hands them to the edge as they are."""
+    block = SlideBlock.from_objects(
+        [StreamObject(score=0.0, t=0, timestamp=0) for _ in chunk]
+    )
     block.scores = np.array([obj.score for obj in chunk], dtype=object)
+    block.ts = np.array([obj.t for obj in chunk], dtype=object)
+    if all(obj.timestamp is None for obj in chunk):
+        block.timestamps = block.timestamp_mask = None
+    else:
+        block.timestamps = np.array([obj.timestamp or 0 for obj in chunk], dtype=object)
+        block.timestamp_mask = bytes(obj.timestamp is not None for obj in chunk)
     return block
 
 
@@ -121,7 +145,9 @@ def _signature(engine):
     return answers, engine.groups(), windows
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 @given(specs=st.lists(chunk_strategy, min_size=1, max_size=12), seed=st.integers(0, 2**16))
 # An out-of-order t mid-chunk, and each hostile score, through each entry point.
 @example(specs=[(12, "push_many", "t", 6, 1), (5, "push", None, 0, 1)], seed=0)
@@ -129,6 +155,15 @@ def _signature(engine):
 @example(specs=[(10, "push_many", "nan", 5, 1), (10, "push", "inf", 9, 1)], seed=2)
 @example(specs=[(10, "push_block", "-inf", 5, 1), (10, "push", "fraction", 5, 1)], seed=3)
 @example(specs=[(10, "push_block", "int", 5, 1), (10, "push_many", "fraction", 0, 2)], seed=4)
+# Each arrival-order and timestamp poison, through each entry point.
+@example(specs=[(10, "push_many", "t-int64", 5, 1), (10, "push", "t-float", 9, 1)], seed=5)
+@example(specs=[(10, "push_block", "t-bool", 0, 1), (10, "push", "timestamp-float", 3, 1)], seed=6)
+@example(specs=[(10, "push_block", "t-int64", 9, 1), (10, "push_many", "t-bool", 4, 1)], seed=7)
+@example(
+    specs=[(10, "push_block", "t-float", 2, 1), (10, "push_block", "timestamp-float", 7, 2)],
+    seed=8,
+)
+@example(specs=[(10, "push", "t-int64", 0, 1), (10, "push_many", "timestamp-float", 0, 1)], seed=9)
 def test_hostile_chunks_leave_the_engine_as_its_twin(specs, seed):
     warm_up = [StreamObject(score=float(j % 7), t=-N + j) for j in range(N)]
     chunks, poisoned = _build(specs, seed)
@@ -142,7 +177,11 @@ def test_hostile_chunks_leave_the_engine_as_its_twin(specs, seed):
             twin.push_many(accepted)
         admitted += len(accepted)
     # Top both engines up to a slide boundary, so their groups capture.
-    last = max(obj.t for chunk in chunks for obj in chunk)
+    last = max(
+        (obj.t for chunk, at in zip(chunks, poisoned)
+         for index, obj in enumerate(chunk) if index != at),
+        default=-1,
+    )
     fill = (S - (admitted - N) % S) % S
     top_up = [StreamObject(score=1.0, t=last + 1 + j) for j in range(fill)]
     if top_up:
