@@ -58,8 +58,7 @@ OVERHEAD_FLEET = tuple(
     for i in range(12)
 )
 
-#: WAL chunk size: the LCM of the fleet's slide sizes, so every record
-#: lands on a slide boundary (slide-granular journaling).
+#: WAL chunk size: one record per 100 objects.
 OVERHEAD_CHUNK = 100
 
 

@@ -1,6 +1,6 @@
 """Kill an engine mid-stream, recover it, and prove nothing was lost.
 
-A durable :class:`repro.StreamEngine` journals every slide-aligned chunk
+A durable :class:`repro.StreamEngine` journals every accepted chunk
 into a write-ahead log and periodically checkpoints every subscription's
 state (windows, candidate structures, slide clocks, retained answers).
 This example crashes one the hard way — the process state is simply

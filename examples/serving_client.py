@@ -98,7 +98,7 @@ def embedded_answers(scores):
 def main() -> int:
     scores = [obj.score for obj in make_dataset("STOCK").take(STREAM_LENGTH)]
 
-    with run_in_thread(ServeConfig(port=0, linger_ms=20)) as handle:
+    with run_in_thread(ServeConfig(port=0)) as handle:
         print(f"server    : {handle.base_url}")
         created = request(handle.base_url, "POST", "/v1/subscriptions", QUERY)
         print(

@@ -6,7 +6,7 @@ GIL); the :class:`repro.cluster.ShardedStreamEngine` below places each
 query on one of four worker processes instead — queries sharing a window
 shape land on the same shard (hash-window placement), so they keep the
 ``k_max`` shared execution plans of the multi-query plane — and fans the
-feed out in slide-aligned chunks.
+feed out in chunks.
 
 Halfway through, one query is *rebalanced* to another shard while the
 stream is live: its state (configuration, window contents, slide clock,

@@ -98,7 +98,7 @@ class MinTopK(ContinuousTopKAlgorithm):
     def process_slide(self, event: SlideEvent) -> TopKResult:
         if self._origin is None:
             # The first event is a window fill (the initial one, or a
-            # replayed window at slide boundary ``event.index``), so its
+            # replayed window reported as slide ``event.index``), so its
             # first arrival sits at position ``event.index * s``.
             self._origin = event.arrivals[0].t - event.index * self.query.s
         for obj in event.arrivals:

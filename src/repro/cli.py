@@ -427,8 +427,8 @@ def _configure_serve(sub: argparse.ArgumentParser) -> None:
         "--checkpoint-interval",
         type=int,
         default=None,
-        metavar="SLIDES",
-        help="slides between durability checkpoints (with --durability-dir)",
+        metavar="CHUNKS",
+        help="ingested chunks between durability checkpoints (with --durability-dir)",
     )
     sub.add_argument(
         "--max-subscriptions",
@@ -455,13 +455,6 @@ def _configure_serve(sub: argparse.ArgumentParser) -> None:
         default=65_536,
         help="idempotency window: distinct event ids remembered for dedupe",
     )
-    sub.add_argument(
-        "--linger-ms",
-        type=int,
-        default=50,
-        help="max time a partial (unaligned) ingest tail waits before "
-        "being pushed anyway",
-    )
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -474,7 +467,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         client_queue=args.client_queue,
         slow_client=args.slow_client,
         dedupe_window=args.dedupe_window,
-        linger_ms=args.linger_ms,
         durability_dir=args.durability_dir,
         checkpoint_interval=args.checkpoint_interval,
     )

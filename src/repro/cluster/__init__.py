@@ -3,12 +3,12 @@
 This package scales the push-based engine across CPU cores:
 :class:`ShardedStreamEngine` places each subscription on one of N worker
 processes (each hosting a full :class:`repro.StreamEngine`), fans the
-stream out in slide-aligned chunks over multiprocessing queues, merges
+stream out in chunks over multiprocessing queues, merges
 per-shard answers and statistics, and rebalances live subscriptions
 between shards through the serialization layer (:mod:`repro.core.state`).
 The pool is elastic by hand: ``spawn_shard`` adds a worker,
 ``retire_shard`` drains the highest-numbered one onto the rest and stops
-it, and ``rebalance`` moves one subscription at a slide boundary.
+it, and ``rebalance`` moves one subscription after any push.
 
 See :mod:`repro.cluster.sharded` for the facade,
 :mod:`repro.cluster.placement` for the placement policies,

@@ -37,7 +37,7 @@ from ..obs.registry import LATENCY_BUCKETS, get_registry
 from .worker import shard_worker_main
 
 #: Command-queue depth per worker.  Small on purpose: each entry can carry
-#: a whole slide-aligned chunk, so even a depth of 8 keeps every worker
+#: a whole chunk, so even a depth of 8 keeps every worker
 #: busy while bounding the in-flight stream to O(depth * chunk).
 DEFAULT_QUEUE_DEPTH = 8
 
@@ -266,7 +266,7 @@ class ShardRouter:
         self._put(self._handle(shard_id), message)
 
     def push_chunk(self, chunk: Sequence, shard_ids: Sequence[int]) -> None:
-        """Fan one slide-aligned chunk out to the given shards.
+        """Fan one chunk out to the given shards.
 
         The chunk is packed once into columnar wire bytes; each shard then
         receives the same immutable payload on its command queue.

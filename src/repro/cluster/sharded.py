@@ -9,7 +9,7 @@ that turns additional cores into throughput::
     engine = ShardedStreamEngine(shards=4)
     for user, (n, k, s) in dashboards.items():
         engine.subscribe(user, QuerySpec(n=n, k=k, s=s), algorithm="SAP")
-    engine.push_many(feed)            # fans slide-aligned chunks to all shards
+    engine.push_many(feed)            # fans chunks out to all shards
     engine.flush()
     print(engine.aggregate_stats())   # percentiles merged from samples
     engine.close()
@@ -25,8 +25,8 @@ Division of labour:
 * the *merge layer* (:mod:`repro.cluster.merge`) combines per-shard
   results and statistics (percentiles merged from latency sketches,
   never averaged);
-* *rebalancing* moves live subscriptions between shards at a slide
-  boundary as :class:`~repro.core.state.GroupState` records — the same
+* *rebalancing* moves live subscriptions between shards after any
+  accepted chunk as :class:`~repro.core.state.GroupState` records — the same
   capture-and-replay contract as durable recovery, so a moved query's
   answers are byte-identical to an unmoved one's, and the same placement
   rule as local restores, so a moved query joins the target's group at
@@ -51,7 +51,7 @@ from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from ..core.state import dumps
-from ..core.window import aligned_chunk, check_order
+from ..core.window import check_order
 from ..engine.core import subscribe_op
 from ..engine.spec import ExecutionPlanner, QuerySpec, resolve_query
 from ..obs.exposition import merge_snapshots
@@ -65,10 +65,8 @@ from .router import (
     ShardRouter,
 )
 
-#: Requested fan-out chunk size (objects per router dispatch).  The actual
-#: chunk is the nearest slide-aligned size (see :meth:`slide_alignment`);
-#: large chunks amortise queue/pickle overhead, which is the IPC cost
-#: driver.
+#: Fan-out chunk size (objects per router dispatch): large chunks amortise
+#: queue/pickle overhead, which is the IPC cost driver.
 DEFAULT_CHUNK = 4096
 
 
@@ -383,18 +381,14 @@ class ShardedStreamEngine(ExecutionPlanner):
     def push_many(
         self, objects: Iterable[StreamObject], *, chunk_size: Optional[int] = None
     ) -> int:
-        """Fan an iterable out to the shards in slide-aligned chunks.
+        """Fan an iterable out to the shards in chunks of ``chunk_size``.
 
         The iterable is consumed lazily; each chunk is enqueued to every
         shard hosting subscriptions and processed by all of them in
-        parallel.  Chunk sizes are aligned to the least common multiple of
-        the subscribed count-based slide sizes, so — for queries whose
-        window size is a multiple of their slide (``n % s == 0``) — every
-        chunk boundary is an exact slide boundary, the points where
-        :meth:`rebalance` may move queries (see :meth:`slide_alignment`).
-        A chunk whose ``t`` does not strictly increase is rejected whole
-        with :class:`~repro.core.exceptions.InvalidQueryError` before any
-        shard sees it; earlier chunks of the same call stay dispatched.
+        parallel.  A chunk whose ``t`` does not strictly increase is
+        rejected whole with :class:`~repro.core.exceptions.InvalidQueryError`
+        before any shard sees it; earlier chunks of the same call stay
+        dispatched.
         Returns the number of objects dispatched.
         """
         self._ensure_open()
@@ -404,7 +398,6 @@ class ShardedStreamEngine(ExecutionPlanner):
         size = self._chunk_size if chunk_size is None else chunk_size
         if size < 1:
             raise ValueError(f"chunk_size must be positive, got {size}")
-        size = aligned_chunk(self._queries(), size)
         count = 0
         chunk: List[StreamObject] = []
         for obj in objects:
@@ -445,23 +438,6 @@ class ShardedStreamEngine(ExecutionPlanner):
     def _active_shards(self) -> List[int]:
         return sorted({shard for shard in self._shard_of.values()})
 
-    def slide_alignment(self) -> int:
-        """The cluster's slide-alignment quantum: the least common multiple
-        of the subscribed count-based slide sizes (1 when none applies, or
-        past the ceiling of :func:`repro.core.window.aligned_chunk`, when
-        rebalances may have to wait for a coincidental boundary).
-
-        After pushing a whole multiple of this many objects through
-        :meth:`push_many` — at least the largest window size, for windows
-        whose size is a multiple of their slide — every count-based
-        subscription sits at an exact slide boundary, which is what
-        :meth:`rebalance` needs on the source shard.
-        """
-        return aligned_chunk(self._queries())
-
-    def _queries(self) -> List[TopKQuery]:
-        return [handle.query for handle in self._handles.values()]
-
     # ------------------------------------------------------------------
     # Rebalancing (the serialization layer in action)
     # ------------------------------------------------------------------
@@ -473,18 +449,8 @@ class ShardedStreamEngine(ExecutionPlanner):
         source shard (behind any queued pushes, which the worker drains
         first), and restored on the target through the standard
         drain-and-replay path: it joins the target's group of its window
-        shape and position when there is one.  Subsequent answers are
-        byte-identical to an unmoved run.
-
-        Capture requires the source group to sit at an exact slide
-        boundary.  Slide-aligned chunking guarantees that after any
-        :meth:`push_many` call whose total is a multiple of
-        :meth:`slide_alignment` — *provided* the moved query's window size
-        is a multiple of its slide (``n % s == 0``).  A query with
-        ``n % s != 0`` reaches boundaries only at offsets ``n + j*s``,
-        which chunk alignment cannot hit in general; rebalancing such a
-        query raises a :class:`ShardError` naming the boundary rule, and
-        the subscription keeps running on its source shard.
+        shape and position when there is one.  Any query moves after any
+        push, and subsequent answers are byte-identical to an unmoved run.
         """
         self._ensure_open()
         source = self.shard_of(name)
@@ -566,9 +532,8 @@ class ShardedStreamEngine(ExecutionPlanner):
         """Drain and stop the highest-numbered worker; returns its id.
 
         Each query group the shard hosts first moves whole, in one
-        capture, onto the least-loaded remaining shard (which needs the
-        same slide-boundary alignment as any :meth:`rebalance`), where it
-        joins the group at its window position if there is one; then the
+        capture, onto the least-loaded remaining shard, where it joins the
+        group at its window position if there is one; then the
         worker is stopped and its journal removed.  Ids stay dense, so
         only the highest shard can retire.
         """

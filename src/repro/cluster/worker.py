@@ -9,8 +9,8 @@ subscription ops go to the engine's one op parser,
 :meth:`~repro.engine.StreamEngine.apply_op` — and pushes
 ``("ok", payload)`` / ``("err", message)`` tuples onto its reply queue.
 
-``push`` is the one asynchronous opcode: the router streams pre-chunked,
-slide-aligned object batches without waiting for replies (that is where
+``push`` is the one asynchronous opcode: the router streams pre-chunked
+object batches without waiting for replies (that is where
 the parallelism comes from), and any failure raised while processing a
 batch is latched and surfaced at the next synchronous opcode, so errors
 cannot disappear just because nobody was waiting.  Every batch arrives
@@ -133,7 +133,6 @@ def shard_worker_main(
             decode_stats["decode_bytes"] += len(payload)
             decode_stats["decoded_batches"] += 1
             decode_stats["decoded_objects"] += len(block)
-            # The router pre-chunks to slide-aligned sizes.
             started = time.perf_counter()
             pushed += engine.push_block(block)
             obs_push.observe(time.perf_counter() - started)

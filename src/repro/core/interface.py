@@ -104,9 +104,9 @@ class ContinuousTopKAlgorithm(ABC):
     # ------------------------------------------------------------------
     # Mid-stream seating (state restores, rebalances, recovery)
     # ------------------------------------------------------------------
-    # A captured query is seated at a slide boundary of a started group: a
-    # fresh instance is built, fast-forwarded to the stream position, and
-    # fed the live window contents as one synthetic slide event.  The hooks
+    # A captured query is seated in a started group: a fresh instance is
+    # built, fast-forwarded to the group's last slide, and fed the last
+    # reported window as one synthetic slide event.  The hooks
     # have safe defaults; algorithms with construction-time configuration
     # override ``spawn`` and algorithms with an internal slide clock
     # override ``fast_forward``.

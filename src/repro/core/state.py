@@ -3,22 +3,24 @@
 Every algorithm in the library computes exact answers from the live window
 contents alone, which makes a query group's *transportable* state tiny:
 fresh (configuration-only) algorithm instances, the window contents, and
-the slide clock.  Restoring is the drain-and-replay mechanism by which a
+the slide clock.  Algorithms only ever consume whole slides: the partial
+slide a window buffers past its last report is state of the window, not
+of any algorithm.  Restoring is the drain-and-replay mechanism by which a
 started query group seats new members (``QueryGroup._join``) —
-:meth:`fast_forward` to the captured slide index, then replay the window
-as one synthetic slide event whose answer is discarded (that window was
-already reported).  The result stream after a restore is therefore
-byte-identical to an uninterrupted run, no matter which process the state
-lands in.
+:meth:`fast_forward` to the captured slide index, then replay the last
+reported window as one synthetic slide event whose answer is discarded
+(that window was already reported).  The result stream after a restore
+is therefore byte-identical to an uninterrupted run, no matter which
+process the state lands in.
 
 :class:`GroupState` is the one unit of state: one query group — or the
-named members of one — at a slide boundary, with its window and slide
-clock held once, each member's :class:`SubscriptionState`
-(configuration, retention policy, retained answers, metric aggregates),
-and the layout of the members' shared plans.  Checkpoints hold one per
-group, the write-ahead log journals one per restored group, and the
-sharded plane (:mod:`repro.cluster`) moves them between shard workers on
-rebalance.  :meth:`repro.engine.core.EngineCore.restore_groups` places
+named members of one — after any accepted chunk, with its window,
+partial slide and slide clock held once, each member's
+:class:`SubscriptionState` (configuration, retention policy, retained
+answers, metric aggregates), and the layout of the members' shared
+plans.  Checkpoints hold one per group, the write-ahead log journals one
+per restored group, and the sharded plane (:mod:`repro.cluster`) moves
+them between shard workers on rebalance.  :meth:`repro.engine.core.EngineCore.restore_groups` places
 the members by the engine's one placement rule, so a record captured at
 the window position of a live group joins that group instead of
 splitting from it.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Type
 
 from .exceptions import ReproError
 from .interface import ContinuousTopKAlgorithm
@@ -49,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 6
+STATE_FORMAT_VERSION = 7
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes
@@ -94,21 +96,27 @@ class SubscriptionState:
 #: the captured member order, and the ``k`` its core runs at.
 PlanLayout = Tuple[Tuple[int, ...], int]
 
-#: Where a group's window stands: ``None`` before the group's first push,
-#: else the last slide index and the ``t`` of every window object.
-Position = Optional[Tuple[int, Tuple[int, ...]]]
+#: Where a group's window stands: ``None`` before the group consumed
+#: anything, else the last slide index, the ``t`` of every buffered
+#: object, how many of them are the pending partial slide, and a
+#: time-based window's next report time.
+Position = Optional[Tuple[Optional[int], Tuple[int, ...], int, Optional[int]]]
 
 
 @dataclass(frozen=True)
 class GroupState:
-    """Members of one query group at a slide boundary, captured together.
+    """Members of one query group after any accepted chunk, captured
+    together.
 
-    ``window`` and ``slide_index`` are held once for the group, and
-    ``members`` are in group member order.  ``plans`` is the members'
-    shared-plan layout (:data:`PlanLayout`), so a restore forms the same
-    plans at the same ``k_max`` even after members left.  A group that
-    has not started has an empty window, ``slide_index`` ``None`` and no
-    plans.
+    ``window`` (the last reported window, slide ``slide_index``),
+    ``pending`` (the partial slide buffered since) and ``report_time``
+    (a time-based window's next report time) are held once for the
+    group, and ``members`` are in group member order.  ``plans`` is the
+    members' shared-plan layout (:data:`PlanLayout`), so a restore forms
+    the same plans at the same ``k_max`` even after members left.  A
+    group still filling has ``slide_index`` ``None`` and its objects
+    pending; one that has not consumed anything has nothing buffered and
+    no plans.
     """
 
     version: int
@@ -118,19 +126,33 @@ class GroupState:
     slide_index: Optional[int]
     members: Tuple[SubscriptionState, ...]
     plans: Tuple[PlanLayout, ...] = ()
+    pending: Tuple[StreamObject, ...] = ()
+    report_time: Optional[int] = None
 
     @property
     def position(self) -> Position:
         """The window position of the capture (see
         :meth:`repro.engine.group.QueryGroup.at`)."""
-        if self.slide_index is None:
-            return None
-        return self.slide_index, tuple(obj.t for obj in self.window)
+        return window_position(self.window, self.slide_index, self.pending, self.report_time)
+
+
+def window_position(
+    window: Sequence[StreamObject],
+    slide_index: Optional[int],
+    pending: Sequence[StreamObject],
+    report_time: Optional[int],
+) -> Position:
+    """The :data:`Position` of a window: reported objects, last slide
+    index, pending partial slide and next report time."""
+    if slide_index is None and not window and not pending and report_time is None:
+        return None
+    ts = tuple(obj.t for obj in window) + tuple(obj.t for obj in pending)
+    return slide_index, ts, len(pending), report_time
 
 
 @dataclass(frozen=True)
 class EngineCheckpoint:
-    """A whole engine at one slide boundary: every query group's state
+    """A whole engine after one accepted chunk: every query group's state
     plus the write-ahead-log position the snapshot corresponds to.
 
     This is the unit the durability plane (:mod:`repro.durability`)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, inf
+from math import inf
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -145,37 +145,6 @@ def check_order(objects: Sequence[StreamObject], previous: float) -> int:
                 f"got {score!r} at t={obj.t}"
             )
     return ts[-1]
-
-
-#: Ceiling for slide alignment: past it, aligning chunks to the least
-#: common multiple of the slide sizes would buffer an unreasonable amount
-#: of stream per dispatch, so the requested chunking is kept.
-MAX_ALIGNED_CHUNK = 32_768
-
-
-def aligned_chunk(windows: Iterable, requested: int = 1) -> int:
-    """A chunk size that ends on a slide boundary of every count-based
-    window.
-
-    ``windows`` are queries or query groups (anything with ``s`` and
-    ``time_based``); time-based windows are skipped.  The quantum is the
-    least common multiple of the remaining slide sizes.
-    Returns ``requested`` rounded down to a multiple of the quantum, or the
-    quantum itself when ``requested`` is smaller; when the quantum would
-    exceed :data:`MAX_ALIGNED_CHUNK`, returns ``requested`` unaligned.  With
-    the default ``requested=1`` the result is the quantum (1 when none
-    applies).
-    """
-    lcm = 1
-    for window in windows:
-        if window.time_based:
-            continue
-        lcm = lcm * window.s // gcd(lcm, window.s)
-        if lcm > MAX_ALIGNED_CHUNK:
-            return requested
-    if requested <= lcm:
-        return lcm
-    return (requested // lcm) * lcm
 
 
 class SlidingWindow:
@@ -327,43 +296,61 @@ class SlideBatcher:
         self._report_time = None
         return [event]
 
-    def seed(self, contents: Sequence[StreamObject], last_index: int) -> None:
+    def seed(
+        self,
+        window: Sequence[StreamObject],
+        last_index: Optional[int],
+        pending: Sequence[StreamObject] = (),
+        report_time: Optional[int] = None,
+    ) -> None:
         """Load captured window state into a never-pushed batcher.
 
-        After seeding, the batcher behaves exactly as if it had consumed a
-        stream ending at the slide boundary ``last_index`` whose window
-        contents were ``contents``: the next ``s`` arrivals complete slide
-        ``last_index + 1`` with the correct expirations.  This is the
-        restore half of the serialization layer (:mod:`repro.core.state`);
-        only exact boundaries can be captured, so only full count-based
-        windows can be seeded.
+        ``window`` is the last reported window (slide ``last_index``;
+        ``None`` and empty before the first report), ``pending`` the
+        partial slide buffered since, and ``report_time`` a time-based
+        window's next report time.  After seeding, the batcher behaves
+        exactly as the one they were read from: the same arrivals complete
+        the same slides with the same expirations.  This is the restore
+        half of the serialization layer (:mod:`repro.core.state`).
         """
-        if self.query.time_based:
-            raise InvalidQueryError("only count-based windows can be seeded")
-        if self._index or self._filled or self._pending or len(self._window):
+        if self._index or self._pending or len(self._window):
             raise InvalidQueryError("cannot seed a batcher that has consumed objects")
-        if len(contents) != self.query.n:
-            raise InvalidQueryError(
-                f"seeding needs exactly n={self.query.n} objects "
-                f"(a full window), got {len(contents)}"
-            )
-        if last_index < 0:
+        query = self.query
+        if last_index is not None and last_index < 0:
             raise InvalidQueryError(f"last_index must be >= 0, got {last_index}")
-        self._window.extend(contents)
-        self._filled = True
-        self._index = last_index + 1
+        if not query.time_based:
+            size = 0 if last_index is None else query.n
+            if len(window) != size or len(pending) >= (query.s if size else query.n):
+                raise InvalidQueryError(
+                    f"a count-based window of n={query.n}, s={query.s} cannot hold "
+                    f"{len(window)} reported and {len(pending)} pending objects "
+                    f"at slide {last_index}"
+                )
+        self._window.extend(tuple(window) + tuple(pending))
+        self._pending = list(pending)
+        self._index = 0 if last_index is None else last_index + 1
+        self._filled = self._index > 0
+        self._report_time = report_time
 
     def window_size(self) -> int:
         """Number of stream objects currently held by the window."""
         return len(self._window)
 
     def window_contents(self) -> List[StreamObject]:
-        """Snapshot of the buffered window, oldest first.
-
-        Captures and joins read it: a member seated in a started group is
-        fed these contents as one replayed slide.
-        """
+        """Snapshot of the buffered window, oldest first: the last
+        reported window followed by the pending partial slide."""
         return self._window.contents()
+
+    def reported_window(self) -> List[StreamObject]:
+        """The last reported window, oldest first (the contents minus the
+        pending tail): a member seated in a started group is fed it as
+        one replayed slide."""
+        contents = self._window.contents()
+        return contents[: len(contents) - len(self._pending)]
+
+    def pending(self) -> Tuple[StreamObject, ...]:
+        """The objects accumulated since the last emitted slide event."""
+        return tuple(self._pending)
 
     def pending_count(self) -> int:
         """Objects accumulated since the last emitted slide event."""
@@ -375,16 +362,11 @@ class SlideBatcher:
         window first fills)."""
         return self._index - 1 if self._index else None
 
-    def at_slide_boundary(self) -> bool:
-        """True when the window state corresponds exactly to the last
-        emitted slide event — i.e. the window has filled and no partial
-        slide has accumulated since.  Only count-based windows have exact
-        boundaries; time-based windows buffer ahead of their reports."""
-        return (
-            not self.query.time_based
-            and self._index > 0
-            and not self._pending
-        )
+    @property
+    def report_time(self) -> Optional[int]:
+        """A time-based window's next report time (None before its first
+        object and after :meth:`flush`)."""
+        return self._report_time
 
     # ------------------------------------------------------------------
     def _emit_time_based(self, now: int) -> SlideEvent:

@@ -1,9 +1,9 @@
-"""Durability plane: checkpoints + a slide-granular write-ahead log.
+"""Durability plane: checkpoints + a chunk-granular write-ahead log.
 
 The engine's answer streams are deterministic functions of the
-subscription set and the ingested object sequence, and every
-algorithm's state is already byte-identically restorable at slide
-boundaries (:mod:`repro.core.state`).  Durability is therefore two
+subscription set and the ingested object sequence, and every query
+group is byte-identically restorable after any accepted chunk
+(:mod:`repro.core.state`).  Durability is therefore two
 small, decoupled pieces:
 
 * a **write-ahead log** (:class:`~repro.durability.wal.WriteAheadLog`)

@@ -11,8 +11,8 @@ stores of this package.  Attached via
   subscription lifecycle op once it applied — serialized before it
   applied, so an op the log cannot hold is refused and every live
   subscription can be rebuilt from the log;
-* every ``checkpoint_interval`` chunks, at the first slide boundary,
-  captures every query group whole — its window and slide clock once,
+* every ``checkpoint_interval`` chunks captures every query group
+  whole — its window, partial slide and slide clock once,
   each member's configuration, metrics and retained answers, and its
   shared-plan layout — plus the engine's preference-cluster space into
   one atomic :class:`~repro.core.state.EngineCheckpoint` and truncates
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core import state as state_module
 from ..core.columnar import decode_chunk, encode_chunk
-from ..core.exceptions import AlgorithmStateError, InvalidQueryError, ReproError
+from ..core.exceptions import InvalidQueryError, ReproError
 from ..core.object import StreamObject
 from ..core.state import STATE_FORMAT_VERSION, EngineCheckpoint
 from ..obs.registry import get_registry
@@ -56,8 +56,7 @@ from .wal import DEFAULT_SEGMENT_BYTES, KIND_CHUNK, KIND_OP, WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.core import EngineCore
 
-#: Attempt a checkpoint once this many chunks accumulated since the last
-#: one (the attempt then lands on the first slide boundary that follows).
+#: Commit a checkpoint once this many chunks accumulated since the last one.
 DEFAULT_CHECKPOINT_INTERVAL = 64
 
 
@@ -122,7 +121,6 @@ class DurabilityManager:
         self.last_t = -1
         self.last_recovery: Optional[RecoveryReport] = None
         self._chunks_since_checkpoint = 0
-        self._want_checkpoint = False
         registry = get_registry()
         self._obs_checkpoints = registry.counter(
             "repro_checkpoints_total", "Engine checkpoints committed."
@@ -172,7 +170,7 @@ class DurabilityManager:
 
     def after_chunk(self, engine: "EngineCore", count: int) -> None:
         """A chunk of ``count`` objects finished moving through ``engine``;
-        checkpoint when due and the engine sits at a slide boundary."""
+        checkpoint when due."""
         # Shard workers journal encoded payloads (:meth:`log_encoded`), so
         # the engine's admitted t is what keeps checkpoints' ``last_t``
         # current there.
@@ -181,31 +179,20 @@ class DurabilityManager:
         self.chunks_logged += 1
         self._chunks_since_checkpoint += 1
         if self._chunks_since_checkpoint >= self.checkpoint_interval:
-            self._want_checkpoint = True
-        if self._want_checkpoint and engine.at_checkpoint_boundary():
             self.checkpoint(engine)
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self, engine: "EngineCore") -> bool:
-        """Capture every query group and commit one checkpoint.
-
-        Returns False (without partial effects) when the engine is not
-        at a capturable point — a window holds a partial slide, or a
-        time-based subscription exists; the caller just retries later.
-        """
+    def checkpoint(self, engine: "EngineCore") -> EngineCheckpoint:
+        """Capture every query group, commit one checkpoint and return it."""
         started = time.perf_counter()
-        try:
-            groups = engine.capture_groups()
-        except AlgorithmStateError:
-            return False
         checkpoint = EngineCheckpoint(
             version=STATE_FORMAT_VERSION,
             wal_records=self.wal.next_seq,
             ingested=self.ingested,
             last_t=self.last_t,
-            groups=groups,
+            groups=engine.capture_groups(),
             chunks=self.chunks_logged,
             subscriptions=tuple(engine.subscriptions()),
             clusters=engine.cluster_space().snapshot(),
@@ -214,10 +201,9 @@ class DurabilityManager:
         self.store.write(checkpoint)
         self.wal.truncate(checkpoint.wal_records)
         self._chunks_since_checkpoint = 0
-        self._want_checkpoint = False
         self._obs_checkpoints.inc()
         self._obs_checkpoint_seconds.observe(time.perf_counter() - started)
-        return True
+        return checkpoint
 
     # ------------------------------------------------------------------
     # Recovery

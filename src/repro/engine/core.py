@@ -28,7 +28,7 @@ Every subscription is placed by one rule, in ``_place``: it joins the
 query group that has its window shape and its window position, or opens
 one.  :meth:`~StreamEngine.subscribe` places a fresh subscription ("not
 started"); :meth:`~StreamEngine.restore_groups` places the members of
-each captured record at the record's slide index and window.
+each captured record at the record's window position.
 
 Every subscription op — ``subscribe``, ``unsubscribe``,
 ``update_preference`` and ``restore`` — has one tuple form, parsed in one
@@ -341,28 +341,10 @@ class StreamEngine(ExecutionPlanner):
         self, group: QueryGroup, members: Optional[Sequence[Subscription]] = None
     ) -> GroupState:
         """Capture ``members`` of one query group (default: all, in member
-        order): the group's window and slide clock once, every member's
-        state, and their plan layout.
-
-        Only exact slide boundaries can be captured (the live window must
-        equal the last reported window).  Raises :class:`AlgorithmStateError`
-        off a slide boundary and on a time-based group that has started.
-        """
-        window: Tuple[StreamObject, ...] = ()
-        slide_index = None
-        if group.started:
-            if group.time_based:
-                raise AlgorithmStateError(
-                    "time-based subscriptions cannot be captured: their windows "
-                    "have no exact slide boundaries"
-                )
-            if not group.at_slide_boundary():
-                raise AlgorithmStateError(
-                    "capture is only possible at a slide boundary (window full, "
-                    "no partial slide buffered); push a whole number of slides "
-                    "or use slide-aligned chunking"
-                )
-            window, slide_index = tuple(group.window_contents()), group.last_slide_index()
+        order): the group's window, partial slide and slide and report
+        clocks once, every member's state, and their plan layout.  Any
+        group can be captured after any accepted chunk."""
+        window, slide_index, pending, report_time = group.window_state()
         members = group.members() if members is None else members
         return GroupState(
             version=STATE_FORMAT_VERSION,
@@ -372,6 +354,8 @@ class StreamEngine(ExecutionPlanner):
             slide_index=slide_index,
             members=tuple(capture_subscription(sub) for sub in members),
             plans=group.plan_layout(members),
+            pending=pending,
+            report_time=report_time,
         )
 
     def capture_groups(self, names: Optional[Iterable[str]] = None) -> Tuple[GroupState, ...]:
@@ -414,7 +398,7 @@ class StreamEngine(ExecutionPlanner):
 
         The members of each record go through the engine's placement rule
         together: they join the group at the record's window position — a
-        live group at the same slide index and window, or the group of
+        live group with the same window and clocks, or the group of
         their shape that has not started — or open one seeded with the
         record's window.  They form plans from the record's layout, so
         plans (buckets, ``k_max``) match the captured ones.  ``order``,
@@ -681,9 +665,10 @@ class StreamEngine(ExecutionPlanner):
 
     def attach_durability(self, manager) -> None:
         """Persist this engine through ``manager``: every subscription op
-        and ingested chunk is WAL'd ahead of application, and checkpoints
-        commit at slide boundaries.  Attach exactly one manager, *after*
-        any :meth:`repro.durability.DurabilityManager.recover` call (the
+        and ingested chunk is WAL'd ahead of application, and a checkpoint
+        commits every ``checkpoint_interval`` chunks.  Attach exactly one
+        manager, *after* any
+        :meth:`repro.durability.DurabilityManager.recover` call (the
         replayed records are already in the log)."""
         if self._durability is not None:
             raise ValueError("a durability manager is already attached")
@@ -701,17 +686,6 @@ class StreamEngine(ExecutionPlanner):
     def durability(self):
         """The attached :class:`~repro.durability.DurabilityManager`."""
         return self._durability
-
-    def at_checkpoint_boundary(self) -> bool:
-        """Whether every window sits at an exact slide boundary (the only
-        points where :meth:`capture_groups` — and therefore a checkpoint —
-        is possible).  Time-based windows never are."""
-        for group in self._groups:
-            if group.time_based:
-                return False
-            if group.started and not group.at_slide_boundary():
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -754,8 +728,8 @@ class StreamEngine(ExecutionPlanner):
     ) -> None:
         """The one placement rule: ``members`` join the query group with
         their window shape and window position — "not started" for fresh
-        subscriptions, ``state``'s slide index and window for captured
-        ones — or open one (seeded with ``state``'s window)."""
+        subscriptions, ``state``'s window and clocks for captured ones — or
+        open one (seeded with ``state``'s window)."""
         key = group_key_for(members[0].query)
         position = None if state is None else state.position
         for group in self._groups:
@@ -764,8 +738,10 @@ class StreamEngine(ExecutionPlanner):
         else:
             group = QueryGroup(*key)
             if position is not None:
-                group.prime(state.window, state.slide_index)
-                self._last_t = max(self._last_t, state.window[-1].t)
+                group.prime(state)
+                buffered = state.pending or state.window
+                if buffered:
+                    self._last_t = max(self._last_t, buffered[-1].t)
             self._groups.append(group)
         group.admit(members, None if state is None else state.plans)
 

@@ -23,11 +23,12 @@ and its window position (:meth:`QueryGroup.at`).  A fresh subscription's
 position is "not started", so it joins the group of its shape that has
 not consumed the stream yet, and every member of that group forms plans
 at its first push.  A captured one (:class:`~repro.core.state.GroupState`)
-joins the group at its last slide index and window ``t`` sequence.
-Members admitted into a started group (:meth:`QueryGroup.admit`) are
-fast-forwarded to the group's slide, fed its window as one replayed slide,
-and form plans only among themselves, so existing members and plans never
-notice a join.
+joins the group at its window ``t`` sequence, partial slide, and slide
+and report clocks, which a group has after any accepted chunk.  Members
+admitted into a started group (:meth:`QueryGroup.admit`) form plans only
+among themselves and, once its window has reported, are fast-forwarded to
+the group's slide and fed its last reported window as one replayed slide,
+so existing members and plans never notice a join.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from ..core.shared import CoreSharedPlan, SharedPlan
-from ..core.state import PlanLayout, Position, replay_event
+from ..core.state import GroupState, PlanLayout, Position, replay_event, window_position
 from ..core.window import SlideBatcher, SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, get_registry
 from .subscription import Subscription
@@ -100,16 +101,13 @@ class QueryGroup:
         group's position.
 
         In a group that has not started they simply join, and plans form
-        over every member at the first push.  In a started group they are
-        fast-forwarded to its slide, form plans among themselves — from
-        the captured ``layout`` (positions into ``subscriptions``) when
-        given, else by plan-key bucketing — and consume the live window as
-        one replayed slide whose answers are discarded.
+        over every member at the first push.  In a started group they form
+        plans among themselves — from the captured ``layout`` (positions
+        into ``subscriptions``) when given, else by plan-key bucketing —
+        and, once the window has reported, are fast-forwarded to its slide
+        and consume the last reported window as one replayed slide whose
+        answers are discarded.
         """
-        if self._started and not self.at_slide_boundary():
-            raise AlgorithmStateError(
-                "a started query group admits members only at a slide boundary"
-            )
         for subscription in subscriptions:
             self._members.append(subscription)
             subscription._attach_group(self)
@@ -135,32 +133,31 @@ class QueryGroup:
         """Number of stream objects currently buffered for this shape."""
         return self._batcher.window_size()
 
-    def window_contents(self) -> List[StreamObject]:
-        """Snapshot of the shape's buffered window, oldest first."""
-        return self._batcher.window_contents()
-
     def last_slide_index(self) -> Optional[int]:
         """Index of the most recent slide event (None before first fill)."""
         return self._batcher.last_index
 
-    def at_slide_boundary(self) -> bool:
-        """True when the group's window state matches the last emitted slide
-        exactly (count-based, filled, no partial slide buffered).  Captures
-        and joins into a started group are only legal at such boundaries."""
-        return self._started and self._batcher.at_slide_boundary()
+    def window_state(self) -> Tuple[
+        Tuple[StreamObject, ...], Optional[int], Tuple[StreamObject, ...], Optional[int]
+    ]:
+        """The batcher's state as :class:`~repro.core.state.GroupState`
+        holds it: the last reported window, its slide index, the pending
+        partial slide and the next report time of a time-based window."""
+        batcher = self._batcher
+        return (
+            tuple(batcher.reported_window()),
+            batcher.last_index,
+            batcher.pending(),
+            batcher.report_time,
+        )
 
     def at(self, position: Position) -> bool:
         """Whether this group sits at ``position``: not started for
-        ``None``, else at a slide boundary with that last slide index and
-        window ``t`` sequence."""
+        ``None``, else started with that window, partial slide and slide
+        and report clocks."""
         if position is None:
             return not self._started
-        index, ts = position
-        return (
-            self.at_slide_boundary()
-            and self._batcher.last_index == index
-            and tuple(obj.t for obj in self._batcher.window_contents()) == ts
-        )
+        return self._started and window_position(*self.window_state()) == position
 
     # ------------------------------------------------------------------
     # Plan formation
@@ -237,15 +234,15 @@ class QueryGroup:
                 layout.append((positions, plan.k_max))
         return tuple(layout)
 
-    def prime(self, contents: Sequence[StreamObject], last_index: int) -> None:
-        """Seed a fresh, memberless group with a window captured at slide
-        boundary ``last_index`` (the restore half of
-        :mod:`repro.core.state`); members then join through :meth:`admit`
-        and continue byte-identically to the group the window came from.
+    def prime(self, state: GroupState) -> None:
+        """Seed a fresh, memberless group with the window of a captured
+        ``state`` (the restore half of :mod:`repro.core.state`); members
+        then join through :meth:`admit` and continue byte-identically to
+        the group the window came from.
         """
         if self._started or self._members:
             raise AlgorithmStateError("only a fresh, empty group can be primed")
-        self._batcher.seed(contents, last_index)
+        self._batcher.seed(state.window, state.slide_index, state.pending, state.report_time)
         self._started = True
 
     def _join(
@@ -253,16 +250,19 @@ class QueryGroup:
         subscriptions: Sequence[Subscription],
         layout: Optional[Sequence[PlanLayout]] = None,
     ) -> None:
-        """Seat fresh member instances in this started group: fast-forward
-        them to its slide clock, form their plans, and replay the live
-        window into them as one synthetic slide event (answers discarded:
-        this window was already reported)."""
-        slide_index = self._batcher.last_index
+        """Seat fresh member instances in this started group: form their
+        plans and, once the window has reported, fast-forward them to its
+        slide clock and replay the last reported window into them as one
+        synthetic slide event (answers discarded: this window was already
+        reported).  The pending partial slide reaches them with the slide
+        it completes, as it reaches every other member."""
         plans = self._form_plans(subscriptions, layout)
-        event = replay_event(tuple(self._batcher.window_contents()), slide_index)
-        for plan in plans:
-            plan.fast_forward(slide_index)
-            plan.prepare(event)
+        slide_index = self._batcher.last_index
+        if slide_index is not None:
+            event = replay_event(tuple(self._batcher.reported_window()), slide_index)
+            for plan in plans:
+                plan.fast_forward(slide_index)
+                plan.prepare(event)
         self._plans.extend(plans)
 
     def describe(self) -> Dict[str, object]:

@@ -300,6 +300,9 @@ class QuerySpec:
                 # "clustered" is the wrapper itself; a preference query's
                 # ``algorithm`` names the inner core it shares.
                 algorithm = default_algorithm
+        time_based = body.get("time_based", False)
+        if not isinstance(time_based, bool):
+            raise InvalidQueryError(f"'time_based' must be a boolean, got {time_based!r}")
         cluster_id = body.get("cluster_id")
         pad_factor = body.get("pad_factor")
         if cluster_id is not None:
@@ -312,7 +315,7 @@ class QuerySpec:
             n=n,
             k=k,
             s=s,
-            time_based=bool(body.get("time_based", False)),
+            time_based=time_based,
             algorithm=algorithm,
             options=dict(options),
             vector=vector,

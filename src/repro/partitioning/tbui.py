@@ -22,10 +22,10 @@ tracks the recent score level:
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import List
 
-from ..stats.selection import kth_largest
 from ..stats.solvers import zeta_max, zeta_star
 
 
@@ -90,7 +90,7 @@ class TBUIState:
         buffer to the scores above the new threshold."""
         if len(self._above) < self.zeta_star:
             return
-        new_tau = kth_largest(self._above, self.zeta_star)
+        new_tau = heapq.nlargest(self.zeta_star, self._above)[-1]
         self._above = [score for score in self._above if score > new_tau]
         self.tau = new_tau
         self._refresh_count += 1

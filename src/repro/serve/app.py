@@ -24,8 +24,8 @@ behind a **single-worker executor thread**, and every engine touch goes
 through :meth:`TopKServer._engine_call`.  One executor job both pushes a
 batch and drains the answers it produced, so the engine is never observed
 mid-batch.  Ingestion dedupes producer retries through a bounded LRU
-window (:mod:`repro.serve.ingest`), batches admitted events to the slide
-alignment of the live queries, and fans drained answers out to bounded
+window (:mod:`repro.serve.ingest`), pushes every admitted batch at once,
+and fans drained answers out to bounded
 per-client channels (:mod:`repro.serve.backpressure`) — a slow consumer
 costs itself dropped answers (or its connection), never engine
 throughput.
@@ -98,15 +98,12 @@ class ServeConfig:
     slow_client: str = DROP_OLDEST
     #: Idempotency window: distinct event ids remembered for dedupe.
     dedupe_window: int = DEFAULT_DEDUPE_WINDOW
-    #: How long a partial (unaligned) ingest tail may linger before it is
-    #: flushed to the engine anyway.
-    linger_ms: int = 50
     default_algorithm: str = "SAP"
     #: Durability: when set, the engine journals every ingested slide and
     #: checkpoints subscription state under this directory, and a restart
     #: pointed at the same directory recovers the exact pre-crash stream.
     durability_dir: Optional[str] = None
-    #: Slides between checkpoints (None = the durability plane's default).
+    #: Ingested chunks between checkpoints (None = the durability plane's default).
     checkpoint_interval: Optional[int] = None
 
     def validate(self) -> "ServeConfig":
@@ -121,8 +118,6 @@ class ServeConfig:
                            "dedupe_window"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be positive")
-        if self.linger_ms < 0:
-            raise ValueError("linger_ms must be >= 0")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be positive")
         return self
@@ -178,7 +173,6 @@ class TopKServer:
         self.dedupe = DedupeWindow(self.config.dedupe_window)
         self.batcher = IngestBatcher()
         self._flush_lock = asyncio.Lock()
-        self._linger_handle: Optional[asyncio.TimerHandle] = None
         self._client_tasks: Set[asyncio.Task] = set()
         self._shutdown_requested = asyncio.Event()
         self._shutdown_finished = False
@@ -210,7 +204,7 @@ class TopKServer:
             "repro_ingested_total", "Events admitted by the ingest batcher."
         ).value = float(batcher["ingested"])
         registry.gauge(
-            "repro_ingest_pending", "Events buffered awaiting slide alignment."
+            "repro_ingest_pending", "Admitted events not yet pushed to the engine."
         ).set(batcher["pending"])
         dedupe = self.dedupe.stats()
         registry.counter(
@@ -293,9 +287,6 @@ class TopKServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._linger_handle is not None:
-            self._linger_handle.cancel()
-            self._linger_handle = None
         async with self._flush_lock:
             tail = self.batcher.take_all()
             produced = await self._engine_call(self._drain_and_close, tail)
@@ -397,7 +388,6 @@ class TopKServer:
             preference=spec.vector,
         )
         self.registry.add(session)
-        self.batcher.set_alignment(self.registry.queries())
         self._session_specs[name] = spec.to_dict()
         self._persist_sessions()
         return session
@@ -408,7 +398,6 @@ class TopKServer:
             raise ProtocolError(404, f"no subscription named {name!r}")
         session.close("unsubscribed")
         self.admission.release()
-        self.batcher.set_alignment(self.registry.queries())
         if not len(self.registry):
             # The last subscriber left: buffered events can never reach an
             # answer (new subscriptions only window future arrivals), so
@@ -489,7 +478,6 @@ class TopKServer:
         self._persist_sessions()
         replayed = await self._engine_call(self._engine.drain_results)
         routed = self.registry.dispatch(replayed or {})
-        self.batcher.set_alignment(self.registry.queries())
         # Both engines recover the newest admitted t from their journals.
         next_t = int(max(0, self._engine.last_t + 1))
         self.batcher.resume_from(next_t)
@@ -507,10 +495,9 @@ class TopKServer:
     # Ingestion
     # ------------------------------------------------------------------
     async def ingest(self, events: List[object]) -> Dict[str, int]:
-        """Dedupe, batch, and (when a whole slide multiple is pending)
-        push a batch through the engine, delivering the answers.  Every
-        event is validated first, so a request with one bad event is
-        refused whole."""
+        """Dedupe the events and push the admitted batch through the
+        engine, delivering the answers.  Every event is validated first,
+        so a request with one bad event is refused whole."""
         accepted = duplicates = 0
         parsed = [parse_event(raw) for raw in events]  # ValueError -> 400
         for event_id, score, payload in parsed:
@@ -523,42 +510,21 @@ class TopKServer:
             # Nobody is subscribed: the events cannot contribute to any
             # answer, so drop them (counted) instead of buffering forever.
             self.dropped_no_subscribers += len(self.batcher.take_all())
-        elif len(self.batcher) >= self.batcher.alignment:
-            await self._flush(aligned=True)
-            if len(self.batcher):
-                # The flush kept an unaligned tail; make sure it cannot
-                # sit forever waiting for the next ingest call.
-                self._arm_linger()
         elif len(self.batcher):
-            self._arm_linger()
+            await self._flush()
         return {
             "accepted": accepted,
             "duplicates": duplicates,
             "pending": len(self.batcher),
         }
 
-    async def _flush(self, aligned: bool) -> None:
+    async def _flush(self) -> None:
         async with self._flush_lock:
-            batch = self.batcher.take_aligned() if aligned else self.batcher.take_all()
+            batch = self.batcher.take_all()
             if not batch or not len(self.registry):
                 return
             produced = await self._engine_call(self._push_and_drain, batch)
             self.registry.dispatch(produced)
-
-    def _arm_linger(self) -> None:
-        """(Re)start the linger timer that flushes a partial tail."""
-        if self._linger_handle is not None or self._shutdown_finished:
-            return
-
-        def fire() -> None:
-            self._linger_handle = None
-            if len(self.batcher):
-                asyncio.ensure_future(self._flush(aligned=False))
-
-        assert self._loop is not None
-        self._linger_handle = self._loop.call_later(
-            self.config.linger_ms / 1000.0, fire
-        )
 
     # ------------------------------------------------------------------
     # HTTP plumbing

@@ -1,4 +1,4 @@
-"""Idempotent ingestion: event-id dedupe and slide-aligned batching.
+"""Idempotent ingestion: event-id dedupe and batching.
 
 Network producers deliver *at least* once — a webhook that times out is
 retried, a reconnecting publisher replays its tail — but the engine's
@@ -15,20 +15,19 @@ at risk).
 Admitted events become :class:`~repro.core.object.StreamObject` instances
 with a server-assigned, strictly increasing arrival order — producers
 never coordinate on ``t`` — and accumulate in an :class:`IngestBatcher`
-that releases them in slide-aligned batches for
-:meth:`~repro.engine.core.EngineCore.push_many`, so each engine dispatch
-moves whole slides and results surface at batch boundaries.
+that releases each admitted batch whole to
+:meth:`~repro.engine.core.EngineCore.push_many`; a window buffers any
+partial slide itself, so results surface as soon as a slide completes.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from math import inf, isfinite
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.object import StreamObject
-from ..core.query import TopKQuery
-from ..core.window import _inexact, aligned_chunk
+from ..core.window import _inexact
 
 #: Default dedupe-window capacity (distinct event ids remembered).
 DEFAULT_DEDUPE_WINDOW = 65_536
@@ -115,40 +114,20 @@ def parse_event(raw: object) -> Tuple[Optional[str], float, object]:
 
 
 class IngestBatcher:
-    """Accumulates admitted objects and releases slide-aligned batches.
+    """Accumulates admitted objects and releases them as one batch.
 
     The serving layer appends admitted events one at a time (arrival
     order is assigned here, under the event loop, so it is contention-
-    free) and periodically asks for a batch to push:
-
-    * :meth:`take_aligned` returns the largest prefix that is a whole
-      multiple of the current slide alignment — called when enough
-      events are pending;
-    * :meth:`take_all` empties the buffer regardless of alignment —
-      called by the linger timer and by graceful shutdown, so a quiet
-      stream still makes progress.
+    free) and takes everything pending with :meth:`take_all` to push it.
     """
 
     def __init__(self) -> None:
         self._pending: List[StreamObject] = []
         self._next_t = 0
-        self._alignment = 1
         self.ingested = 0
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    @property
-    def alignment(self) -> int:
-        return self._alignment
-
-    def set_alignment(self, queries: Iterable[TopKQuery]) -> int:
-        """Recompute the batch alignment from the subscribed queries: the
-        least common multiple of their count-based slide sizes, or 1 when
-        none applies or the multiple passes the ceiling of
-        :func:`repro.core.window.aligned_chunk`."""
-        self._alignment = aligned_chunk(queries)
-        return self._alignment
 
     def resume_from(self, next_t: int) -> int:
         """Advance the arrival clock past a recovered stream's tail.
@@ -167,24 +146,23 @@ class IngestBatcher:
         self.ingested += 1
         return obj
 
-    def take_aligned(self) -> List[StreamObject]:
-        """Remove and return the largest slide-aligned pending prefix."""
-        take = (len(self._pending) // self._alignment) * self._alignment
-        if not take:
-            return []
-        batch = self._pending[:take]
-        del self._pending[:take]
-        return batch
-
     def take_all(self) -> List[StreamObject]:
-        """Remove and return everything pending (linger / shutdown path)."""
+        """Remove and return everything pending."""
         batch = self._pending
         self._pending = []
         return batch
+
+    def take_aligned(self) -> List[StreamObject]:
+        """:meth:`take_all`.
+
+        Nothing in the program calls it: it remains because the
+        ``perfbench`` tracer wraps it by name, until the benchmark reads
+        its batch sizes from :meth:`take_all`.
+        """
+        return self.take_all()
 
     def stats(self) -> Dict[str, int]:
         return {
             "ingested": self.ingested,
             "pending": len(self._pending),
-            "alignment": self._alignment,
         }

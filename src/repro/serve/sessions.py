@@ -23,7 +23,6 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
-from ..core.query import TopKQuery
 from ..core.result import TopKResult
 from .backpressure import ClientChannel
 
@@ -171,10 +170,6 @@ class SessionRegistry:
 
     def sessions(self) -> List[Session]:
         return list(self._sessions.values())
-
-    def queries(self) -> List[TopKQuery]:
-        """Every session's query (the batcher's alignment input)."""
-        return [session.query for session in self._sessions.values()]
 
     def dispatch(self, produced: Dict[str, Iterable[TopKResult]]) -> int:
         """Route drained answers to their sessions; returns answers routed."""

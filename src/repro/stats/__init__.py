@@ -1,14 +1,10 @@
-"""Statistical substrates: selection, dominance, and the Mann-Whitney rank test."""
+"""Statistical substrates: dominance and the Mann-Whitney rank test."""
 
-from .selection import kth_largest, median, select
 from .mannwhitney import MannWhitneyResult, rank_sum, rank_sum_test, upper_critical_value
 from .solvers import eta_for_k, zeta_star, zeta_max
 from .dominance import dominance_count, k_skyband, is_dominated_by
 
 __all__ = [
-    "kth_largest",
-    "median",
-    "select",
     "MannWhitneyResult",
     "rank_sum",
     "rank_sum_test",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import StreamEngine, TopKQuery
-from repro.cluster import ShardedStreamEngine, ShardError
+from repro.cluster import ShardedStreamEngine
 
 from ..conftest import make_objects, random_scores
 
@@ -80,20 +80,49 @@ class TestRebalance:
             with pytest.raises(KeyError):
                 engine.rebalance("missing", to_shard=0)
 
-    def test_off_boundary_capture_fails_and_subscription_survives(self):
-        # 125 objects = window fill (120) + half a slide: not a boundary.
-        # The capture must fail on the source shard and the subscription
-        # must keep working where it was.
+    def test_mid_slide_move_preserves_answers(self, stream):
+        # 125 objects = window fill (120) + half a slide: the move takes
+        # the partial slide along and the answers do not change.
+        expected = expected_results(stream)
         with ShardedStreamEngine(2) as engine:
             engine.subscribe("mover", QUERY, algorithm="SAP", shard=0)
-            objects = make_objects(random_scores(125, seed=9))
-            # Bypass the facade's aligned chunking to land off-boundary.
-            engine._router.push_chunk(objects, [0])
-            with pytest.raises(ShardError, match="slide boundary"):
-                engine.rebalance("mover", to_shard=1)
-            assert engine.shard_of("mover") == 0
-            engine.synchronize()
-            assert len(engine.results("mover")) == 1
+            engine.subscribe("stayer", SIBLING, algorithm="SAP", shard=0)
+            engine.push_many(stream[:125])
+            engine.rebalance("mover", to_shard=1)
+            assert engine.shard_of("mover") == 1
+            engine.push_many(stream[125:])
+            got = {name: answers_of(engine.results(name)) for name in ("mover", "stayer")}
+        assert got == expected
+
+    def test_any_query_moves_after_any_push(self, stream):
+        # A time-based window, one whose slide does not divide it, and a
+        # pair with coprime slides: rebalance and retire_shard move each
+        # after pushes that end mid-slide, and nothing changes.
+        queries = [
+            ("timed", TopKQuery(n=50, k=3, s=10, time_based=True)),
+            ("odd", TopKQuery(n=125, k=4, s=10)),
+            ("p97", TopKQuery(n=200, k=3, s=97)),
+            ("p101", TopKQuery(n=202, k=5, s=101)),
+        ]
+        reference = StreamEngine()
+        for name, query in queries:
+            reference.subscribe(name, query, algorithm="SAP")
+        reference.push_many(stream)
+        reference.flush()
+        expected = {name: answers_of(reference.results(name)) for name, _ in queries}
+        with ShardedStreamEngine(2) as engine:
+            for name, query in queries:
+                engine.subscribe(name, query, algorithm="SAP", shard=0)
+            engine.push_many(stream[:333])
+            for name, _ in queries:
+                engine.rebalance(name, to_shard=1)
+            engine.push_many(stream[333:777], chunk_size=61)
+            assert engine.retire_shard() == 1
+            assert {engine.shard_of(name) for name, _ in queries} == {0}
+            engine.push_many(stream[777:])
+            engine.flush()
+            got = {name: answers_of(engine.results(name)) for name, _ in queries}
+        assert got == expected
 
 
 class TestLocalCaptureRestore:
@@ -141,16 +170,21 @@ class TestLocalCaptureRestore:
         with pytest.raises(TypeError, match="GroupState"):
             engine.restore_subscription({"not": "a state"})
 
-    def test_time_based_capture_rejected(self):
-        from repro.core.exceptions import AlgorithmStateError
-
-        engine = StreamEngine()
-        engine.subscribe(
-            "timed", TopKQuery(n=50, k=3, s=10, time_based=True), algorithm="SAP"
-        )
-        engine.push_many(make_objects(random_scores(200, seed=2)))
-        with pytest.raises(AlgorithmStateError, match="time-based"):
-            engine.capture_subscription("timed")
+    def test_time_based_capture_roundtrip(self):
+        objects = make_objects(random_scores(400, seed=2))
+        query = TopKQuery(n=50, k=3, s=10, time_based=True)
+        expected = StreamEngine()
+        expected.subscribe("timed", query, algorithm="SAP")
+        expected.push_many(objects)
+        expected.flush()
+        source = StreamEngine()
+        source.subscribe("timed", query, algorithm="SAP")
+        source.push_many(objects[:203])
+        target = StreamEngine()
+        target.restore_subscription(source.capture_subscription("timed"))
+        target.push_many(objects[203:])
+        target.flush()
+        assert answers_of(target.results("timed")) == answers_of(expected.results("timed"))
 
 
 def _single_engine_answers(subscriptions, stream):

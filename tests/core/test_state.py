@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro import StreamEngine
-from repro.core.exceptions import AlgorithmStateError, InvalidQueryError
+from repro.core.exceptions import InvalidQueryError
 from repro.core.framework import SAPTopK
 from repro.core.query import TopKQuery
 from repro.core.state import (
@@ -44,7 +44,7 @@ class TestCapture:
         assert isinstance(state, GroupState)
         assert state.version == STATE_FORMAT_VERSION
         assert state.slide_index == group.last_slide_index()
-        assert state.position == (state.slide_index, tuple(range(60, 120)))
+        assert state.position == (state.slide_index, tuple(range(60, 120)), 0, None)
         assert len(state.window) == QUERY.n
         (member,) = state.members
         assert member.version == STATE_FORMAT_VERSION
@@ -52,15 +52,24 @@ class TestCapture:
         assert member.algorithm is not engine.subscription("q").algorithm
         assert member.algorithm.candidate_count() == 0
 
-    def test_capture_before_first_slide_requires_empty_window(self):
+    def test_capture_before_first_slide_holds_the_filling_window(self):
         fresh = engine_at(())
         state = fresh.capture_subscription("q")
         assert state.window == () and state.slide_index is None
         assert state.position is None
-        # A partially filled window is not a slide boundary.
-        partial = engine_at(make_objects(random_scores(30)))
-        with pytest.raises(AlgorithmStateError, match="slide boundary"):
-            partial.capture_subscription("q")
+        # A partially filled window is all pending, and restores as such.
+        objects = make_objects(random_scores(130, seed=5))
+        partial = engine_at(objects[:30])
+        state = partial.capture_subscription("q")
+        assert state.window == () and state.slide_index is None
+        assert state.pending == tuple(objects[:30])
+        assert state.position == (None, tuple(range(30)), 30, None)
+        resumed = StreamEngine()
+        resumed.restore_subscription(state)
+        resumed.push_many(objects[30:])
+        assert [r.scores for r in resumed.results("q")] == [
+            r.scores for r in engine_at(objects).results("q")
+        ]
 
     def test_restored_member_is_a_respawned_instance(self):
         state = engine_at(make_objects(random_scores(120))).capture_subscription("q")
@@ -156,13 +165,14 @@ class TestBatcherSeed:
 
         first = SlideBatcher(QUERY)
         head = []
-        for obj in objects[:100]:
+        for obj in objects[:103]:
             head.extend(first.push(obj))
         second = SlideBatcher(QUERY)
-        second.seed(tuple(first.window_contents()), first.last_index)
-        assert second.at_slide_boundary()
+        second.seed(first.reported_window(), first.last_index, first.pending())
+        assert second.window_contents() == first.window_contents()
+        assert second.pending_count() == 3
         tail = []
-        for obj in objects[100:]:
+        for obj in objects[103:]:
             tail.extend(second.push(obj))
         got = head + tail
         assert [e.index for e in got] == [e.index for e in expected]
@@ -171,8 +181,10 @@ class TestBatcherSeed:
 
     def test_seed_rejects_wrong_size(self):
         batcher = SlideBatcher(QUERY)
-        with pytest.raises(InvalidQueryError, match="full window"):
+        with pytest.raises(InvalidQueryError, match="cannot hold"):
             batcher.seed(tuple(make_objects([1.0])), 0)
+        with pytest.raises(InvalidQueryError, match="cannot hold"):
+            batcher.seed((), None, tuple(make_objects(random_scores(60))))
 
     def test_seed_rejects_used_batcher(self):
         batcher = SlideBatcher(QUERY)
@@ -180,10 +192,19 @@ class TestBatcherSeed:
         with pytest.raises(InvalidQueryError, match="consumed"):
             batcher.seed(tuple(make_objects(random_scores(60))), 0)
 
-    def test_seed_rejects_time_based(self):
-        batcher = SlideBatcher(TopKQuery(n=60, k=4, s=10, time_based=True))
-        with pytest.raises(InvalidQueryError, match="count-based"):
-            batcher.seed(tuple(make_objects(random_scores(60))), 0)
+    def test_seed_continues_a_time_based_window(self):
+        query = TopKQuery(n=60, k=4, s=10, time_based=True)
+        objects = make_objects(random_scores(200, seed=3))
+        expected = SlideBatcher(query).push_batch(objects)
+        first = SlideBatcher(query)
+        head = first.push_batch(objects[:97])
+        second = SlideBatcher(query)
+        second.seed(first.reported_window(), first.last_index, first.pending(),
+                    first.report_time)
+        got = head + second.push_batch(objects[97:])
+        assert [(e.index, e.arrivals, e.expirations) for e in got] == [
+            (e.index, e.arrivals, e.expirations) for e in expected
+        ]
 
     def test_seed_rejects_negative_index(self):
         batcher = SlideBatcher(QUERY)

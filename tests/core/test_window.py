@@ -5,46 +5,76 @@ import pytest
 from repro.core.exceptions import InvalidQueryError
 from repro.core.object import StreamObject
 from repro.core.query import TopKQuery
+from repro.core.state import dumps, loads
 from repro.core.window import (
-    MAX_ALIGNED_CHUNK,
     SlidingWindow,
-    aligned_chunk,
     count_based_slides,
     slides_for_query,
     time_based_slides,
 )
+from repro.engine import StreamEngine
 from repro.engine.group import QueryGroup
 
-from ..conftest import make_objects
+from ..conftest import make_objects, random_scores
 
 
 def _count(s):
     return TopKQuery(n=s * 4, k=1, s=s)
 
 
+def _answers(queries, objects, chunk=None):
+    """Answers and groups of one engine fed ``objects`` whole, or in
+    chunks of ``chunk`` and captured after every one of them and resumed
+    on a fresh engine each time."""
+    engine = StreamEngine()
+    for index, query in enumerate(queries):
+        engine.subscribe(
+            f"q{index}", TopKQuery(n=query.n, k=2, s=query.s, time_based=query.time_based)
+        )
+    size = chunk or len(objects)
+    for start in range(0, len(objects), size):
+        engine.push_many(objects[start : start + size], chunk_size=size)
+        if chunk is not None:
+            resumed = StreamEngine()
+            resumed.restore_groups(loads(dumps(engine.capture_groups())), engine.subscriptions())
+            engine = resumed
+    engine.flush()
+    answers = {
+        name: [(r.slide_index, r.window_end, r.identity()) for r in engine.results(name)]
+        for name in engine.subscriptions()
+    }
+    return answers, engine.groups()
+
+
 @pytest.mark.parametrize(
-    "windows, requested, expected",
+    "windows, chunk, aligned",
     [
-        # The quantum is the lcm of the slide sizes (12 here).
+        # ``aligned`` is the chunk the deleted slide alignment chose for
+        # ``chunk``: the lcm of the slide sizes (12 here), rounded down.
         ([_count(4), _count(6)], 1, 12),
-        ([_count(4), _count(6)], 10, 12),  # below: the quantum
-        ([_count(4), _count(6)], 12, 12),  # at
-        ([_count(4), _count(6)], 50, 48),  # above: rounded down
+        ([_count(4), _count(6)], 10, 12),
+        ([_count(4), _count(6)], 12, 12),
+        ([_count(4), _count(6)], 50, 48),
         ([], 1, 1),
         ([], 50, 50),
-        # Coprime slides whose lcm passes the ceiling: no alignment.
+        # Coprime slides whose lcm passed the alignment ceiling.
         ([_count(7919), _count(7927)], 1, 1),
         ([_count(7919), _count(7927)], 100, 100),
-        # Time-based windows do not align chunks; query groups align
-        # like their queries.
+        # Time-based windows and query groups.
         ([_count(4), TopKQuery(n=60, k=1, s=6, time_based=True)], 10, 8),
         ([_count(4), QueryGroup(60, 6, False)], 10, 12),
         ([_count(4), QueryGroup(60, 6, True)], 10, 8),
     ],
 )
-def test_aligned_chunk(windows, requested, expected):
-    assert 7919 * 7927 > MAX_ALIGNED_CHUNK
-    assert aligned_chunk(windows, requested) == expected
+def test_aligned_chunk(windows, chunk, aligned):
+    """No chunk needs aligning to the slides: an engine captured after
+    every chunk, of the old aligned size or not, and resumed on a fresh
+    engine each time answers exactly as an uncaptured one."""
+    queries = windows or [TopKQuery(n=9, k=1, s=4)]
+    objects = make_objects(random_scores(3 * max(chunk, aligned) + 7, seed=chunk))
+    expected = _answers(queries, objects)
+    assert _answers(queries, objects, chunk) == expected
+    assert _answers(queries, objects, aligned) == expected
 
 
 class TestSlidingWindow:

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import state as state_module
-from repro.core.exceptions import AlgorithmStateError
 from repro.core.framework import SAPTopK
 from repro.core.metrics import MetricsCollector
 from repro.core.object import StreamObject
@@ -42,9 +41,9 @@ from repro.engine import QuerySpec, StreamEngine
 from ..conftest import make_objects, random_scores
 
 ALGORITHMS = ["SAP", "MinTopK", "k-skyband", "SMA"]
-#: Window shapes ``(n, s)``; every slide divides CHUNK, so chunk ends are
-#: slide boundaries of every group once its window has filled.
-SHAPES = [(24, 6), (18, 6), (20, 4)]
+#: Window shapes ``(n, s)``; the last one's slide does not divide CHUNK
+#: nor its window, so most checkpoints catch it mid-slide.
+SHAPES = [(24, 6), (18, 6), (20, 4), (21, 5)]
 CHUNK = 12
 CHUNKS = 10
 
@@ -249,19 +248,24 @@ class TestCheckpointRecords:
         ]
         recovered.close()
 
-    def test_capture_group_refuses_off_boundary_and_time_based(self):
-        engine = StreamEngine()
-        engine.subscribe("q", QuerySpec(n=12, k=2, s=6))
-        engine.push_many(make_objects(random_scores(15)))  # partial slide
-        with pytest.raises(AlgorithmStateError):
-            engine.capture_group(engine.subscription("q").group)
-        timed = StreamEngine()
-        timed.subscribe("t", TopKQuery(n=10, k=2, s=5, time_based=True))
-        group = timed.subscription("t").group
-        assert timed.capture_group(group).slide_index is None  # not started
-        timed.push_many(make_objects(random_scores(20)))
-        with pytest.raises(AlgorithmStateError):
-            timed.capture_group(group)
+    def test_capture_group_mid_slide_and_time_based_restores(self):
+        objects = make_objects(random_scores(60))
+        for query in (TopKQuery(n=12, k=2, s=6), TopKQuery(n=10, k=2, s=5, time_based=True)):
+            engine, twin = StreamEngine(), StreamEngine()
+            engine.subscribe("q", query)
+            twin.subscribe("q", query)
+            group = engine.subscription("q").group
+            assert engine.capture_group(group).position is None  # not started
+            engine.push_many(objects[:15])  # a partial slide
+            twin.push_many(objects)
+            state = engine.capture_group(group)
+            assert state.pending
+            resumed = StreamEngine()
+            resumed.restore_groups((state,))
+            resumed.push_many(objects[15:])
+            for done in (resumed, twin):
+                done.flush()
+            assert _signature(resumed.drain_results()) == _signature(twin.drain_results())
 
     def test_captured_metrics_do_not_follow_the_live_collector(self):
         engine = StreamEngine()

@@ -35,7 +35,6 @@ async def main():
         durability_dir=sys.argv[1],
         engine=sys.argv[2],
         shards=2,
-        linger_ms=10,
         checkpoint_interval=4,
     )
     server = TopKServer(config)
@@ -114,7 +113,7 @@ class _Server:
         self.process.wait(timeout=10)
 
     def histories(self):
-        # linger-flushed batches need a beat to land before reading
+        # a sharded engine answers asynchronously: give it a beat
         time.sleep(0.3)
         return {
             sub["name"]: _call(

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core.exceptions import AlgorithmStateError
 from repro.core.query import TopKQuery
 from repro.core.result import results_agree
 from repro.core.window import SlideBatcher
-from repro.engine import QueryGroup, StreamEngine, group_key_for
+from repro.engine import StreamEngine, group_key_for
 from repro.registry import create_algorithm
 
 from ..conftest import make_objects, random_scores
@@ -41,16 +40,23 @@ class TestGrouping:
         reference = create_algorithm("SAP", late.query).run(objects[100:])
         assert results_agree(late.results(), reference)
 
-    def test_started_group_rejects_new_members(self):
-        # Off a slide boundary (here: before its window filled) a started
-        # group has no position a member could join at.
-        group = QueryGroup(10, 2, False)
-        group.start()
-        engine = StreamEngine()
-        subscription = engine.subscribe("q", TopKQuery(n=10, k=2, s=2))
-        with pytest.raises(AlgorithmStateError, match="slide boundary"):
-            group.admit([subscription])
-        assert len(group) == 0
+    def test_started_group_admits_members_anywhere(self):
+        # Before its window filled and mid-slide, a started group admits
+        # a member captured at its position, which answers as if it had
+        # never moved.
+        objects = make_objects(random_scores(60, seed=4))
+        for cut in (7, 13):
+            source, target = StreamEngine(), StreamEngine()
+            source.subscribe("a", TopKQuery(n=10, k=2, s=4))
+            target.subscribe("b", TopKQuery(n=10, k=3, s=4))
+            source.push_many(objects[:cut])
+            target.push_many(objects[:cut])
+            target.restore_subscription(source.capture_subscription("a"))
+            assert [group["members"] for group in target.groups()] == [["b", "a"]]
+            target.push_many(objects[cut:])
+            for name in ("a", "b"):
+                reference = create_algorithm("SAP", target.subscription(name).query)
+                assert results_agree(target.results(name), reference.run(objects))
 
     def test_unsubscribe_drops_empty_group(self):
         engine = StreamEngine()

@@ -4,7 +4,7 @@ A subscription joins the query group with its window shape and its
 window position, wherever it comes from: a fresh ``subscribe``, a
 ``restore_groups`` of captured records, the replay of a journaled
 ``restore`` op after a crash, or a move between shards.  The local
-property drives random sequences of subscribes, whole-slide pushes,
+property drives random sequences of subscribes, chunked pushes,
 ``capture_groups`` → ``restore_groups`` moves into a durable engine, and
 crashes, and checks the recovered engine against an uncrashed twin —
 ``groups()`` with members and plan layouts, and the drained answers.
@@ -30,10 +30,9 @@ from ..conftest import make_objects, random_scores
 
 EXAMPLES = int(os.environ.get("REPRO_PLACEMENT_EXAMPLES", "30"))
 ALGORITHMS = ["SAP", "MinTopK", "k-skyband", "SMA"]
-#: Window shapes ``(n, s)``: every slide divides CHUNK and every window
-#: fits in one, so after any push every started group sits at a slide
-#: boundary and can be captured.
-SHAPES = [(12, 6), (12, 4), (8, 4)]
+#: Window shapes ``(n, s)``.  The last one's slide divides neither CHUNK
+#: nor its window, so a capture often finds it mid-slide or still filling.
+SHAPES = [(12, 6), (12, 4), (8, 4), (10, 3)]
 CHUNK = 12
 
 #: One op subscribes 1-3 queries of one shape, so groups and plans often

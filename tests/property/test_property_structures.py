@@ -7,7 +7,6 @@ from repro.core.object import top_k
 from repro.savl.savl import SAVL
 from repro.stats.dominance import k_skyband, k_skyband_brute_force
 from repro.stats.mannwhitney import rank_sum, rank_sum_test
-from repro.stats.selection import kth_largest, median, select
 from repro.structures.avl import AVLTree
 
 from ..conftest import make_objects
@@ -47,25 +46,6 @@ def test_avl_order_statistics(keys, probe):
     ordered = sorted(keys, reverse=True)
     for rank in range(1, len(keys) + 1):
         assert tree.kth_largest(rank)[0] == ordered[rank - 1]
-
-
-# ----------------------------------------------------------------------
-# Selection
-# ----------------------------------------------------------------------
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1),
-       st.data())
-def test_select_equals_sorting(values, data):
-    rank = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
-    assert select(values, rank) == sorted(values)[rank]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1))
-def test_median_and_kth_largest_consistent(values):
-    assert median(values) == sorted(values)[(len(values) - 1) // 2]
-    assert kth_largest(values, 1) == max(values)
-    assert kth_largest(values, len(values)) == min(values)
 
 
 # ----------------------------------------------------------------------

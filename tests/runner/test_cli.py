@@ -162,7 +162,10 @@ class TestServeCommand:
         assert args.client_queue == 256
         assert args.slow_client == "drop-oldest"
         assert args.dedupe_window == 65_536
-        assert args.linger_ms == 50
+        # The server pushes every admitted batch at once: no linger timer.
+        assert not hasattr(args, "linger_ms")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--linger-ms", "50"])
 
     def test_serve_rejects_unknown_policy_and_engine(self):
         with pytest.raises(SystemExit):

@@ -1,21 +1,14 @@
 """Tests for the ingestion pipeline: dedupe window, event parsing, and
-slide-aligned batching (:mod:`repro.serve.ingest`)."""
+batching (:mod:`repro.serve.ingest`)."""
 
 import pytest
 
-from repro.core.query import TopKQuery
-from repro.core.window import MAX_ALIGNED_CHUNK
 from repro.serve.ingest import (
     DEFAULT_DEDUPE_WINDOW,
     DedupeWindow,
     IngestBatcher,
     parse_event,
 )
-
-
-def slides(*sizes):
-    """Count-based queries with the given slide sizes."""
-    return [TopKQuery(n=s, k=1, s=s) for s in sizes]
 
 
 class TestDedupeWindow:
@@ -116,44 +109,21 @@ class TestIngestBatcher:
         batcher.append(9.0, None)
         assert batcher.take_all()[0].t == 3
 
-    def test_alignment_is_lcm_of_slides(self):
+    def test_take_all_releases_any_number_of_events(self):
+        # Every admitted event goes out with its batch: a window buffers
+        # a partial slide itself, so no tail is held back.
         batcher = IngestBatcher()
-        batcher.set_alignment(slides(4, 6))
-        assert batcher.alignment == 12
-        batcher.set_alignment(slides(5))
-        assert batcher.alignment == 5
-        batcher.set_alignment(slides())  # no count-based subscriptions
-        assert batcher.alignment == 1
-
-    def test_alignment_clamped_when_lcm_explodes(self):
-        batcher = IngestBatcher()
-        batcher.set_alignment(slides(7919, 7927))  # coprime: lcm ~62.8M
-        assert batcher.alignment == 1
-        assert batcher.alignment <= MAX_ALIGNED_CHUNK
-
-    def test_take_aligned_keeps_the_tail(self):
-        batcher = IngestBatcher()
-        batcher.set_alignment(slides(5))
         for i in range(13):
             batcher.append(float(i), None)
-        aligned = batcher.take_aligned()
-        assert len(aligned) == 10  # largest multiple of 5
-        assert batcher.stats()["pending"] == 3
-        tail = batcher.take_all()
-        assert [o.t for o in tail] == [10, 11, 12]
-
-    def test_take_aligned_below_one_slide_is_empty(self):
-        batcher = IngestBatcher()
-        batcher.set_alignment(slides(10))
+        assert [o.t for o in batcher.take_all()] == list(range(13))
+        assert batcher.stats()["pending"] == 0
         batcher.append(1.0, None)
-        assert batcher.take_aligned() == []
-        assert batcher.stats()["pending"] == 1
+        assert [o.t for o in batcher.take_aligned()] == [13]
 
     def test_stats_track_totals(self):
         batcher = IngestBatcher()
-        batcher.set_alignment(slides(2))
         for i in range(5):
             batcher.append(float(i), None)
-        batcher.take_aligned()
-        stats = batcher.stats()
-        assert stats == {"ingested": 5, "pending": 1, "alignment": 2}
+        assert batcher.stats() == {"ingested": 5, "pending": 5}
+        batcher.take_all()
+        assert batcher.stats() == {"ingested": 5, "pending": 0}

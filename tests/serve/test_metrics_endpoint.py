@@ -11,7 +11,7 @@ from repro.serve import ServeConfig, run_in_thread
 
 @pytest.fixture()
 def server():
-    with run_in_thread(ServeConfig(port=0, linger_ms=10)) as handle:
+    with run_in_thread(ServeConfig(port=0)) as handle:
         yield handle
 
 

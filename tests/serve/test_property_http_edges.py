@@ -5,7 +5,8 @@ valid ``POST /v1/subscriptions`` bodies with hostile ones, then valid
 ``POST /v1/events`` bodies with hostile ones.  The hostile bodies are the
 fixed cases of :class:`tests.serve.test_server.TestNonFiniteNumbers` plus
 generated variants of the same kinds: a valid body with one number
-replaced by a non-finite, out-of-range or non-integral literal.  Every
+replaced by a non-finite, out-of-range or non-integral literal, or its
+``time_based`` by anything but a JSON boolean.  Every
 hostile request must get a 4xx — never a 5xx — and the served answers
 of every valid subscription must equal those of an embedded engine fed
 only the accepted events.
@@ -41,6 +42,8 @@ BAD_SCORES = [
 BAD_INTEGERS = [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"10.5", b"true", b'"x"']
 #: JSON literals no preference weight or pad factor may take.
 BAD_REALS = [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400"]
+#: JSON literals ``time_based`` may not take: only a JSON boolean declares it.
+BAD_BOOLEANS = [b'"no"', b'"yes"', b'"false"', b"0", b"1", b"null", b"[]"]
 
 scores = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -61,6 +64,7 @@ subscription_steps = st.lists(
             st.sampled_from(["preference", "pad_factor"]),
             st.sampled_from(BAD_REALS),
         ),
+        st.tuples(st.just("boolean"), st.just("time_based"), st.sampled_from(BAD_BOOLEANS)),
     ),
     max_size=5,
 )
@@ -81,7 +85,7 @@ _examples = itertools.count()
 
 @pytest.fixture(scope="module")
 def server():
-    with run_in_thread(ServeConfig(port=0, linger_ms=5)) as handle:
+    with run_in_thread(ServeConfig(port=0)) as handle:
         yield handle
 
 

@@ -42,7 +42,7 @@ redelivery_strategy = st.lists(st.integers(min_value=0, max_value=2), max_size=4
 
 @pytest.fixture(scope="module")
 def server():
-    with run_in_thread(ServeConfig(port=0, linger_ms=5)) as handle:
+    with run_in_thread(ServeConfig(port=0)) as handle:
         yield handle
 
 

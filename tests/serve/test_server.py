@@ -21,7 +21,7 @@ from repro.serve import (
 
 @pytest.fixture()
 def server():
-    with run_in_thread(ServeConfig(port=0, linger_ms=10)) as handle:
+    with run_in_thread(ServeConfig(port=0)) as handle:
         yield handle
 
 
@@ -187,12 +187,12 @@ class TestIngestion:
         _, stats, _ = request(server, "GET", "/v1/stats")
         assert stats["ingest"]["dropped_no_subscribers"] == 2
 
-    def test_linger_flushes_partial_slides(self, server):
+    def test_partial_slides_are_pushed_at_once(self, server):
         subscribe(server, "q", n=10, k=2, s=5)
-        # 12 events: 10 flush aligned, the 2-event tail rides the linger
-        # timer; the next 3 never reach alignment (5) inside one call, so
-        # only the linger can complete the second window.
-        ingest(server, [{"score": float(i)} for i in range(12)])
+        # 12 events: all are pushed at once and the window buffers the
+        # 2-event partial slide; the next 3 complete the second window.
+        _, body, _ = ingest(server, [{"score": float(i)} for i in range(12)])
+        assert body["pending"] == 0
         results = wait_for_results(server, "q", minimum=1)
         assert results[0]["slide_index"] == 0
         ingest(server, [{"score": float(i)} for i in range(12, 15)])
@@ -384,15 +384,15 @@ class TestSlowClients:
 
 class TestGracefulShutdown:
     def test_shutdown_pushes_the_buffered_tail(self):
-        # Events still below one slide alignment when the server stops are
-        # pushed before the engine closes instead of being dropped.
-        config = ServeConfig(port=0, linger_ms=60_000)  # linger never fires
-        handle = run_in_thread(config)
+        # Admitted events are pushed with their request; a partial slide
+        # waits in the engine's window, not in the server, and the
+        # shutdown drain leaves nothing buffered.
+        handle = run_in_thread(ServeConfig(port=0))
         try:
             subscribe(handle, "q", n=10, k=2, s=5)
             ingest(handle, [{"score": float(i)} for i in range(12)])
             wait_for_results(handle, "q", minimum=1)
-            assert handle.server.batcher.stats()["pending"] == 2
+            assert handle.server.batcher.stats()["pending"] == 0
         finally:
             handle.stop()
         assert handle.server.batcher.stats()["pending"] == 0
@@ -402,7 +402,7 @@ class TestGracefulShutdown:
     def test_shutdown_delivers_final_time_based_report(self):
         # Time-based windows emit an end-of-stream report on close; the
         # shutdown drain must deliver it to the subscription history.
-        config = ServeConfig(port=0, linger_ms=5)
+        config = ServeConfig(port=0)
         handle = run_in_thread(config)
         try:
             subscribe(handle, "t", n=10, k=2, s=5, time_based=True)
@@ -423,7 +423,7 @@ class TestGracefulShutdown:
 
 class TestSharded:
     def test_serves_from_the_sharded_plane(self):
-        config = ServeConfig(port=0, engine="sharded", shards=2, linger_ms=10)
+        config = ServeConfig(port=0, engine="sharded", shards=2)
         with run_in_thread(config) as handle:
             subscribe(handle, "a", n=10, k=3, s=5)
             subscribe(handle, "b", n=20, k=4, s=10)
