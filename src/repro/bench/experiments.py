@@ -73,9 +73,10 @@ def run_measured(
     charged to it.
     """
     engine = StreamEngine()
-    metrics = engine.subscribe("run", algorithm=algorithm, keep_results=False).metrics
+    subscription = engine.subscribe("run", algorithm=algorithm, keep_results=False)
     engine.push_many(objects)
     engine.close()
+    metrics = subscription.metrics
     return {
         "seconds": metrics.latency_total,
         "candidates": metrics.average_candidates,

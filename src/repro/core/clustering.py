@@ -389,6 +389,8 @@ class ClusterSharedPlan(SharedPlan):
     """
 
     kind = "cluster"
+    #: Members differ in their preference vectors: each carries its own.
+    shares_configuration = False
 
     def __init__(
         self, subscriptions: Sequence[object], k_max: Optional[int] = None
@@ -549,8 +551,9 @@ class ClusterSharedPlan(SharedPlan):
             answers=answers,
         )
 
-    def answer(self, subscription: object, shared: SharedSlide) -> TopKResult:
-        return shared.answers[subscription]
+    def answer_key(self, subscription: object) -> object:
+        # Each member re-ranks under its own vector: one answer per member.
+        return subscription
 
     # ------------------------------------------------------------------
     def _attribute_matrix(self, entries: Sequence[_WindowEntry]):

@@ -84,10 +84,12 @@ class ContinuousTopKAlgorithm(ABC):
         return CoreSharedPlan(subscriptions, k_max)
 
     def process_shared_slide(self, shared: SharedSlide) -> TopKResult:
-        """This query's answer out of a core plan's prepared slide.
+        """This query's answer out of a core plan's prepared slide, stored
+        in ``shared.answers`` under its ``k``.
 
-        The prefix of the core's top-``k_max``, made once per ``k`` and
-        shared by every member with that ``k``; the core's answer is
+        The prefix of the core's top-``k_max``: the plan calls this once
+        per slide on one member of each distinct ``k``, and every member
+        with that ``k`` receives the same answer; the core's answer is
         already best-first, so it is sliced, never re-sorted.
         """
         k = self.query.k

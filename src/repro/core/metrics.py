@@ -10,6 +10,10 @@ The evaluation section of the paper reports, for every algorithm:
 :class:`MetricsCollector` samples the latter two after every slide and keeps
 simple aggregates, and per-slide latencies in a log-bucket sketch
 (:mod:`repro.obs.quantiles`), so it never grows with the stream.
+
+:class:`MetricsCohort` is how plan members pay for metrics: every member
+of a plan records the same sample per slide, so members that joined the
+plan together with one history share one collector, recorded once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ from dataclasses import dataclass, field, replace
 from math import ceil, log
 from typing import List, Optional, Sequence
 
-from ..obs.quantiles import SKETCH_INDEX_SCALE, ZERO_BUCKET, Sketch, nearest_rank, sketch_ranks
+from ..obs.quantiles import (
+    SKETCH_INDEX_SCALE,
+    ZERO_BUCKET,
+    Sketch,
+    merge_sketches,
+    nearest_rank,
+    sketch_ranks,
+)
 
 
 def bytes_to_kb(value: float) -> float:
@@ -62,7 +73,7 @@ class MetricsCollector:
         memory_bytes: int,
         latency_seconds: Optional[float] = None,
     ) -> None:
-        # Runs once per member per slide: plain comparisons, not max().
+        # Runs once per cohort per slide: plain comparisons, not max().
         self.slides += 1
         self.candidate_total += candidate_count
         if candidate_count > self.candidate_max:
@@ -86,6 +97,21 @@ class MetricsCollector:
         """An independent snapshot (every field but the sketch is an
         immutable scalar, so only the bucket map needs copying)."""
         return replace(self, latency_buckets=dict(self.latency_buckets))
+
+    def merged(self, later: "MetricsCollector") -> "MetricsCollector":
+        """A new collector holding these aggregates followed by ``later``'s,
+        as one collector that recorded both would (totals add, maxima take
+        the larger, sketch counts add)."""
+        return MetricsCollector(
+            self.slides + later.slides,
+            self.candidate_total + later.candidate_total,
+            max(self.candidate_max, later.candidate_max),
+            self.memory_total + later.memory_total,
+            max(self.memory_max, later.memory_max),
+            self.latency_total + later.latency_total,
+            max(self.latency_max, later.latency_max),
+            merge_sketches((self.latency_buckets, later.latency_buckets)),
+        )
 
     @property
     def average_candidates(self) -> float:
@@ -123,3 +149,28 @@ class MetricsCollector:
     @property
     def max_latency(self) -> float:
         return self.latency_max
+
+
+class MetricsCohort:
+    """The shared metrics of plan members that joined together.
+
+    Every member of a plan records the same sample for a slide (the
+    plan's candidate count, its amortised memory and the member's share
+    of its prepare time), so members that joined one plan at the same
+    slide with the same history hold the same aggregates: one collector,
+    ``live``, records the slide once for all of them.  ``baseline`` is
+    that shared history (a restored record's aggregates, else empty) and
+    is never mutated; ``collect`` is the members' ``collect_metrics``
+    (without it only slides are counted).
+    """
+
+    __slots__ = ("baseline", "live", "collect")
+
+    def __init__(self, baseline: MetricsCollector, collect: bool) -> None:
+        self.baseline = baseline
+        self.live = MetricsCollector()
+        self.collect = collect
+
+    def total(self) -> MetricsCollector:
+        """A member's aggregates: the baseline followed by ``live``."""
+        return self.baseline.merged(self.live)

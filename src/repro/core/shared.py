@@ -16,8 +16,8 @@ plan key — is a *plan of one* whose core is its own algorithm instance.
 This module defines:
 
 * :class:`SharedSlide` — one window movement enriched with everything the
-  plan computed for it (the core's answer, the members' answers made so
-  far, the latency share and the bookkeeping sample);
+  plan computed for it (the core's answer, one answer per distinct ``k``
+  or per member, the latency share and the bookkeeping sample);
 * :class:`SharedPlan` — base class of the plans;
 * :class:`CoreSharedPlan` — the plan hosting one core at ``k_max``, built
   from the leading member's :meth:`spawn
@@ -58,7 +58,7 @@ class SharedSlide:
         The plan's memory estimate after this slide, amortised over the
         members.
     answers:
-        The members' answers made so far, keyed as the plan looks them up
+        Every member's answer, keyed by the plan's :meth:`SharedPlan.answer_key`
         (by ``k`` for a core plan, by member for a cluster plan).
     """
 
@@ -76,10 +76,10 @@ class SharedPlan:
     A plan runs one algorithm instance, its *core* (``_core``, set by the
     subclass), plus whatever else is computed once per slide for all
     member queries, and exposes it through :meth:`prepare`, called
-    exactly once per slide event before any member is answered through
-    :meth:`answer`.  Members are the engine's open subscription handles;
-    the plan only relies on their ``name``, ``query`` and ``algorithm``
-    attributes.
+    exactly once per slide event; the prepared slide holds every member's
+    answer under its :meth:`answer_key`.  Members are the engine's open
+    subscription handles; the plan only relies on their ``name``,
+    ``query`` and ``algorithm`` attributes.
 
     ``k_max`` is normally the members' largest ``k``.  A restored plan
     passes the ``k_max`` it was captured with: a live plan keeps its
@@ -93,6 +93,9 @@ class SharedPlan:
     #: runs no core of its own, so introspection and captured plan
     #: layouts leave it out.
     solo: bool = False
+    #: Whether the members differ from one another only in ``k``, so a
+    #: captured plan holds one configuration for all of them.
+    shares_configuration: bool = True
     _core: object
 
     def __init__(
@@ -133,13 +136,13 @@ class SharedPlan:
         self._core.fast_forward(slide_index)
 
     def prepare(self, event: SlideEvent) -> SharedSlide:
-        """Do the shared per-slide work once; called before any member."""
+        """Do the per-slide work once and answer every member."""
         raise NotImplementedError
 
-    def answer(self, subscription: object, shared: SharedSlide) -> TopKResult:
-        """``subscription``'s answer to the slide :meth:`prepare` made: by
-        default its algorithm's slice of the core's top-``k_max``."""
-        return subscription.algorithm.process_shared_slide(shared)
+    def answer_key(self, subscription: object) -> Hashable:
+        """Where ``subscription``'s answer sits in a prepared slide's
+        ``answers``: its ``k`` (members with one ``k`` share one answer)."""
+        return subscription.query.k
 
     def candidate_count(self) -> int:
         """The candidate count every member reports."""
@@ -156,7 +159,9 @@ class CoreSharedPlan(SharedPlan):
     The core answers the top-``k_max`` of the window, which holds every
     member's answer as its prefix, so nothing per-member remains: the plan
     runs the core once per slide and each distinct ``k``'s answer is sliced
-    out of ``window_topk`` once, for every member with that ``k``.
+    out of ``window_topk`` once, by one member algorithm with that ``k``
+    (:meth:`~repro.core.interface.ContinuousTopKAlgorithm.process_shared_slide`),
+    for every member with that ``k``.
 
     The core is the leading member's :meth:`spawn
     <repro.core.interface.ContinuousTopKAlgorithm.spawn>` at the ``k_max``
@@ -179,6 +184,20 @@ class CoreSharedPlan(SharedPlan):
             self.solo = True
         self._core = core
         self.kind = type(core).name
+        self._index()
+
+    def _index(self) -> None:
+        """One member algorithm per distinct ``k`` below ``k_max`` (the
+        core's own answer serves ``k_max``)."""
+        slicers: Dict[int, object] = {}
+        for sub in self._subs:
+            slicers.setdefault(sub.query.k, sub.algorithm)
+        slicers.pop(self.k_max, None)
+        self._slicers = tuple(slicers.values())
+
+    def discard(self, subscription: object) -> None:
+        super().discard(subscription)
+        self._index()
 
     def prepare(self, event: SlideEvent) -> SharedSlide:
         core = self._core
@@ -186,7 +205,7 @@ class CoreSharedPlan(SharedPlan):
         result = core.process_slide(event)
         prep = time.perf_counter() - started
         members = len(self._subs)
-        return SharedSlide(
+        shared = SharedSlide(
             event,
             result.objects,
             prep / members,
@@ -194,3 +213,6 @@ class CoreSharedPlan(SharedPlan):
             core.memory_bytes() // members,
             {self.k_max: result},
         )
+        for algorithm in self._slicers:
+            algorithm.process_shared_slide(shared)
+        return shared

@@ -15,10 +15,12 @@ process the state lands in.
 
 :class:`GroupState` is the one unit of state: one query group — or the
 named members of one — after any accepted chunk, with its window,
-partial slide and slide clock held once, each member's
-:class:`SubscriptionState` (configuration, retention policy, retained
-answers, metric aggregates), and the layout of the members' shared
-plans.  Checkpoints hold one per group, the write-ahead log journals one
+partial slide and slide clock held once, the layout of the members'
+shared plans with each plan's configuration held once, and each member's
+:class:`SubscriptionState` (its ``k``, retention policy, retained
+answers and metric aggregates — one record per metric cohort, shared by
+its members — and its own configuration only where no plan holds it).
+Checkpoints hold one per group, the write-ahead log journals one
 per restored group, and the sharded plane (:mod:`repro.cluster`) moves
 them between shard workers on rebalance.  :meth:`repro.engine.core.EngineCore.restore_groups` places
 the members by the engine's one placement rule, so a record captured at
@@ -36,8 +38,8 @@ mis-restored.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 from .exceptions import ReproError
 from .interface import ContinuousTopKAlgorithm
@@ -51,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 7
+STATE_FORMAT_VERSION = 8
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes
@@ -72,18 +74,22 @@ class StateSerializationError(ReproError):
 class SubscriptionState:
     """One member of a captured :class:`GroupState`.
 
-    ``algorithm`` is the member's configuration: a *fresh* instance (the
-    live one's :meth:`~repro.core.interface.ContinuousTopKAlgorithm.respawn`,
-    made once per live instance and shared by its captures; restores
-    respawn it again, so it never runs).  Beyond it the record carries
+    ``algorithm`` is the member's own configuration, or ``None`` when its
+    plan's record holds it (the member is that configuration at ``k``).
+    A configuration is a *fresh* instance (the live one's
+    :meth:`~repro.core.interface.ContinuousTopKAlgorithm.respawn`, made
+    once per live instance and shared by its captures; restores respawn
+    or spawn it again, so it never runs).  Beyond it the record carries
     the retention policy, the retained answers (plan members share each
     answer object, which a payload holds once), the delivery counter and
-    the metric aggregates, so history and percentiles survive a move.
+    the metric aggregates — one object per metric cohort, shared by its
+    members' records — so history and percentiles survive a move.
     """
 
     version: int
     name: str
-    algorithm: ContinuousTopKAlgorithm
+    k: int
+    algorithm: Optional[ContinuousTopKAlgorithm] = None
     keep_results: bool = True
     result_buffer: Optional[int] = None
     collect_metrics: bool = True
@@ -93,8 +99,10 @@ class SubscriptionState:
 
 
 #: One shared plan of a captured group: the positions of its members in
-#: the captured member order, and the ``k`` its core runs at.
-PlanLayout = Tuple[Tuple[int, ...], int]
+#: the captured member order, the ``k`` its core runs at, and its
+#: configuration (a fresh instance its members are spawned from at their
+#: own ``k``; ``None`` when every member carries its own).
+PlanLayout = Tuple[Tuple[int, ...], int, Optional[ContinuousTopKAlgorithm]]
 
 #: Where a group's window stands: ``None`` before the group consumed
 #: anything, else the last slide index, the ``t`` of every buffered
@@ -113,7 +121,9 @@ class GroupState:
     (a time-based window's next report time) are held once for the
     group, and ``members`` are in group member order.  ``plans`` is the
     members' shared-plan layout (:data:`PlanLayout`), so a restore forms
-    the same plans at the same ``k_max`` even after members left.  A
+    the same plans at the same ``k_max`` even after members left, and
+    spawns every member without a configuration of its own from its
+    plan's (:func:`member_algorithms`).  A
     group still filling has ``slide_index`` ``None`` and its objects
     pending; one that has not consumed anything has nothing buffered and
     no plans.
@@ -207,25 +217,66 @@ def replay_event(
     )
 
 
-def capture_subscription(subscription: "Subscription") -> SubscriptionState:
+def capture_subscription(
+    subscription: "Subscription",
+    configured: bool = False,
+    cohorts: Optional[Dict[object, MetricsCollector]] = None,
+) -> SubscriptionState:
     """Capture one member (configuration + retention + metrics).
 
+    ``configured`` leaves the configuration to the member's plan record.
+    ``cohorts`` maps the metric cohorts already captured to their
+    aggregates, so the members of one cohort share one record.
+
     The state is a true point-in-time snapshot: the metric aggregates are
-    copied, because the captured subscription may keep running (the local
-    capture API leaves it subscribed) and must not mutate the state after
-    the fact.
+    a new object, because the captured subscription may keep running (the
+    local capture API leaves it subscribed) and must not mutate the state
+    after the fact.
     """
+    cohort = subscription._cohort
+    if cohort is None:
+        metrics = subscription._metrics.copy()
+    else:
+        cohorts = {} if cohorts is None else cohorts
+        metrics = cohorts.get(cohort)
+        if metrics is None:
+            metrics = cohorts[cohort] = cohort.total()
     return SubscriptionState(
-        version=STATE_FORMAT_VERSION,
-        name=subscription.name,
-        algorithm=subscription._algorithm_template(),
-        keep_results=subscription._keep_results,
-        result_buffer=subscription._results.maxlen,
-        collect_metrics=subscription._collect_metrics,
-        results=tuple(subscription._results),
-        results_delivered=subscription.results_delivered,
-        metrics=subscription.metrics.copy(),
+        STATE_FORMAT_VERSION,
+        subscription.name,
+        subscription.query.k,
+        None if configured else subscription._algorithm_template(),
+        subscription._keep_results,
+        subscription._results.maxlen,
+        subscription._collect_metrics,
+        tuple(subscription._results),
+        subscription.results_delivered,
+        metrics,
     )
+
+
+def member_algorithms(state: GroupState) -> List[ContinuousTopKAlgorithm]:
+    """A fresh algorithm instance for every member of ``state``, in member
+    order: its own configuration respawned, else its plan's spawned at the
+    member's ``k``.  Fresh every call, so a state restores twice into
+    independent instances."""
+    configuration: Dict[int, ContinuousTopKAlgorithm] = {}
+    for positions, _, algorithm in state.plans:
+        if algorithm is not None:
+            configuration.update(dict.fromkeys(positions, algorithm))
+    instances = []
+    for index, member in enumerate(state.members):
+        if member.algorithm is not None:
+            instances.append(member.algorithm.respawn())
+            continue
+        template = configuration.get(index)
+        if template is None:
+            raise ValueError(
+                f"member {member.name!r} has no configuration: neither its "
+                "own nor a plan's"
+            )
+        instances.append(template.spawn(replace(template.query, k=member.k)))
+    return instances
 
 
 # ----------------------------------------------------------------------

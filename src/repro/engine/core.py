@@ -63,12 +63,13 @@ from ..core.state import (
     check_version,
     dumps,
     loads,
+    member_algorithms,
 )
 from ..core.window import check_order
 from ..obs.registry import get_registry
 from ..registry import create_algorithm
 from .group import QueryGroup, group_key_for
-from .spec import ExecutionPlanner, QuerySpec, resolve_query
+from .spec import ExecutionPlanner, QuerySpec, check_plan_key, resolve_query
 from .subscription import ResultCallback, Subscription
 
 #: Default chunk size of ``push_many``: objects are drained from the input
@@ -193,6 +194,7 @@ class StreamEngine(ExecutionPlanner):
             cluster_id = self.cluster_for(query, algorithm, declared)
             options = declared if cluster_id is None else {**declared, "cluster_id": cluster_id}
             instance = create_algorithm(algorithm, query, **options)
+            check_plan_key(instance)
         elif isinstance(algorithm, ContinuousTopKAlgorithm):
             if declared:
                 raise ValueError(
@@ -204,6 +206,7 @@ class StreamEngine(ExecutionPlanner):
                     "the given spec disagrees with the algorithm instance's query; "
                     "omit the spec or build the instance from it"
                 )
+            check_plan_key(algorithm)
             instance = algorithm
         else:
             raise TypeError(
@@ -342,18 +345,24 @@ class StreamEngine(ExecutionPlanner):
     ) -> GroupState:
         """Capture ``members`` of one query group (default: all, in member
         order): the group's window, partial slide and slide and report
-        clocks once, every member's state, and their plan layout.  Any
-        group can be captured after any accepted chunk."""
+        clocks once, their plan layout with each plan's configuration
+        once, and every member's state, one metrics record per cohort.
+        Any group can be captured after any accepted chunk."""
         window, slide_index, pending, report_time = group.window_state()
         members = group.members() if members is None else members
+        layout, configured = group.plan_layout(members)
+        cohorts: Dict[object, object] = {}
         return GroupState(
             version=STATE_FORMAT_VERSION,
             n=group.n,
             s=group.s,
             window=window,
             slide_index=slide_index,
-            members=tuple(capture_subscription(sub) for sub in members),
-            plans=group.plan_layout(members),
+            members=tuple(
+                capture_subscription(sub, index in configured, cohorts)
+                for index, sub in enumerate(members)
+            ),
+            plans=layout,
             pending=pending,
             report_time=report_time,
         )
@@ -413,11 +422,17 @@ class StreamEngine(ExecutionPlanner):
         nothing.
         """
         self._ensure_open()
+        algorithms = []
         for state in states:
             check_version(state, GroupState)
             for member in state.members:
                 check_version(member, SubscriptionState)
-                query = member.algorithm.query
+            # Fresh instances, so the state object stays reusable:
+            # restoring the same payload twice must not share one live
+            # instance.
+            algorithms.append(member_algorithms(state))
+            for member, algorithm in zip(state.members, algorithms[-1]):
+                query = algorithm.query
                 if (query.n, query.s) != (state.n, state.s):
                     raise ValueError(
                         f"member {member.name!r} ({query.describe()}) does not "
@@ -433,20 +448,22 @@ class StreamEngine(ExecutionPlanner):
             raise ValueError("order must list exactly the restored subscriptions")
         payloads = [self._journal(("restore", state)) for state in states]
         restored: Dict[str, Subscription] = {}
-        for state in states:
+        for state, instances in zip(states, algorithms):
             members = []
-            for member in state.members:
-                # Respawn once more so the state object stays reusable:
-                # restoring the same payload twice must not share one live
-                # instance.
+            # One copy per captured metrics record: its members share it.
+            histories: Dict[int, object] = {}
+            for member, algorithm in zip(state.members, instances):
                 subscription = Subscription(
                     member.name,
-                    member.algorithm.respawn(),
+                    algorithm,
                     keep_results=member.keep_results,
                     result_buffer=member.result_buffer,
                     collect_metrics=member.collect_metrics,
                 )
-                subscription._adopt_state(member)
+                history = histories.get(id(member.metrics))
+                if history is None:
+                    history = histories[id(member.metrics)] = member.metrics.copy()
+                subscription._adopt_state(member, history)
                 members.append(subscription)
                 restored[member.name] = subscription
             if members:
@@ -581,11 +598,13 @@ class StreamEngine(ExecutionPlanner):
         no new answers are omitted.  Reading is allowed on a closed
         engine (the final answers stay collectible after ``close``).
         """
-        return {
-            name: list(subscription.drain())
-            for name, subscription in self._subscriptions.items()
-            if subscription._results
-        }
+        drained = {}
+        for name, subscription in self._subscriptions.items():
+            results = subscription._results
+            if results:
+                drained[name] = list(results)
+                results.clear()
+        return drained
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Point-in-time state of every subscription, keyed by name."""

@@ -14,9 +14,13 @@ k-skyband and MinTopK queries each share one algorithm core run at the
 bucket's ``k_max``, and every member slices its answer out of the core's
 top-``k_max``.  A member alone in its bucket, or whose algorithm has no
 plan key, is a plan of one whose core is its own instance.  Each slide,
-every plan prepares once and then answers its members; a member's
-latency is its share of the prepare, and the metrics registry records
-the slide once per plan (:meth:`QueryGroup._dispatch`).
+every plan prepares once, making one answer per distinct ``k`` (per
+member for a cluster plan); each member then only takes its answer into
+retention and its callbacks.  A member's latency is its share of the
+prepare; the members that joined a plan together with one history share
+one :class:`~repro.core.metrics.MetricsCohort`, which records the slide
+once, and the metrics registry records it once per plan and instrument
+set (:meth:`QueryGroup._dispatch`).
 
 The placement rule: a subscription joins the group with its window shape
 and its window position (:meth:`QueryGroup.at`).  A fresh subscription's
@@ -34,13 +38,14 @@ so existing members and plans never notice a join.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.exceptions import AlgorithmStateError
+from ..core.metrics import MetricsCohort, MetricsCollector
 from ..core.object import StreamObject
 from ..core.query import TopKQuery
 from ..core.result import TopKResult
-from ..core.shared import CoreSharedPlan, SharedPlan
+from ..core.shared import CoreSharedPlan, SharedPlan, SharedSlide
 from ..core.state import GroupState, PlanLayout, Position, replay_event, window_position
 from ..core.window import SlideBatcher, SlideEvent
 from ..obs.registry import LATENCY_BUCKETS, get_registry
@@ -55,6 +60,59 @@ def group_key_for(query: TopKQuery) -> GroupKey:
     return (query.n, query.s, query.time_based)
 
 
+#: A member's history before it joined a plan, when it has none.
+_NO_HISTORY = MetricsCollector()
+
+
+class PlanSeats:
+    """One plan's members as :meth:`QueryGroup._dispatch` walks them.
+
+    ``members`` pairs every member, in plan order, with the key of its
+    answer, its retention's ``append`` (``None`` without retention) and
+    its callbacks; ``recorders`` and ``counters`` are the live collectors
+    of the members' cohorts (recording samples, counting slides only);
+    ``observers`` are the registry instrument sets with the members each
+    counts and samples.  Rebuilt when a member leaves.
+    """
+
+    __slots__ = ("plan", "members", "recorders", "counters", "observers")
+
+    def __init__(self, plan: SharedPlan) -> None:
+        self.plan = plan
+        self.refresh()
+
+    def refresh(self) -> None:
+        members = self.plan.subscriptions()
+        key = self.plan.answer_key
+        self.members = tuple(
+            (sub, key(sub), sub._results.append if sub._keep_results else None, sub._callbacks)
+            for sub in members
+        )
+        cohorts = dict.fromkeys(sub._cohort for sub in members)
+        self.recorders = tuple(cohort.live.record for cohort in cohorts if cohort.collect)
+        self.counters = tuple(cohort.live for cohort in cohorts if not cohort.collect)
+        self.observers = _observers(members)
+
+
+def _observers(members: Sequence[Subscription]) -> Tuple[tuple, ...]:
+    """``members``' registry instrument sets (one per algorithm name):
+    ``(slides, delivered, latency, candidates, candidates_last, count,
+    sampled)`` where ``count`` members share the set and ``sampled`` of
+    them collect metrics, since each would have observed the same
+    values."""
+    sets: Dict[int, list] = {}
+    for sub in members:
+        entry = sets.get(id(sub._obs_slides))
+        if entry is None:
+            entry = sets[id(sub._obs_slides)] = [
+                sub._obs_slides, sub._obs_delivered, sub._obs_latency,
+                sub._obs_candidates, sub._obs_candidates_last, 0, 0,
+            ]
+        entry[5] += 1
+        entry[6] += sub._collect_metrics
+    return tuple(tuple(entry) for entry in sets.values())
+
+
 class QueryGroup:
     """All subscriptions sharing one window shape and window position."""
 
@@ -67,8 +125,11 @@ class QueryGroup:
         query = TopKQuery(n=n, k=1, s=s, time_based=time_based)
         self._batcher = SlideBatcher(query, checked=False)
         self._members: List[Subscription] = []
-        self._plans: List[SharedPlan] = []
+        self._seats: List[PlanSeats] = []
         self._started = False
+        #: While a member's callbacks run: its plan's seats as the slide
+        #: began, the slide, and the member.
+        self._delivering: Optional[Tuple[tuple, SharedSlide, Subscription]] = None
         registry = get_registry()
         self._obs_merge = registry.histogram(
             "repro_stage_seconds",
@@ -115,16 +176,34 @@ class QueryGroup:
             self._join(subscriptions, layout)
 
     def remove(self, subscription: Subscription) -> None:
+        """Take a member out of the group and its plan, freezing its
+        aggregates at the last slide it received: a member a callback
+        unsubscribes mid-slide counts that slide only if it had already
+        received it."""
         if subscription in self._members:
             self._members.remove(subscription)
         plan = subscription._plan
-        if plan in self._plans:
-            plan.discard(subscription)
-            # A plan whose last member left does no work; dropping it
-            # keeps the group's layout capturable (a plan is restored
-            # from members).
-            if not plan.subscriptions():
-                self._plans.remove(plan)
+        for seats in self._seats:
+            if seats.plan is plan:
+                break
+        else:
+            return
+        plan.discard(subscription)
+        received = None
+        if self._delivering is not None:
+            # Unsubscribed by a callback: it received the slide when it
+            # sits no later than the member being called back.
+            members, shared, caller = self._delivering
+            order = [entry[0] for entry in members]
+            if subscription in order and order.index(subscription) <= order.index(caller):
+                received = shared
+        subscription._leave_cohort(received)
+        # A plan whose last member left does no work (a dispatch under way
+        # skips its empty seats); dropping it keeps the group's layout
+        # capturable (a plan is restored from members).
+        seats.refresh()
+        if not seats.members:
+            self._seats.remove(seats)
 
     def __len__(self) -> int:
         return len(self._members)
@@ -163,11 +242,28 @@ class QueryGroup:
     # Plan formation
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Form the shared plans over every member (first push)."""
+        """Form the shared plans over every member (first push).  The
+        group counts as started only once its plans formed."""
         if self._started:
             return
+        self._seat(self._form_plans(self._members))
         self._started = True
-        self._plans.extend(self._form_plans(self._members))
+
+    def _seat(self, plans: Sequence[SharedPlan]) -> None:
+        """Seat newly formed plans: group each plan's members into metric
+        cohorts — members with one ``collect_metrics`` setting and one
+        history (none, or one restored record's) share one — and add the
+        plans to the dispatch."""
+        for plan in plans:
+            cohorts: Dict[Tuple[bool, int], MetricsCohort] = {}
+            for sub in plan.subscriptions():
+                history = sub._metrics
+                key = (sub._collect_metrics, 0 if history == _NO_HISTORY else id(history))
+                cohort = cohorts.get(key)
+                if cohort is None:
+                    cohort = cohorts[key] = MetricsCohort(history, sub._collect_metrics)
+                sub._cohort = cohort
+            self._seats.append(PlanSeats(plan))
 
     @staticmethod
     def _form_plans(
@@ -186,9 +282,9 @@ class QueryGroup:
         buckets: List[Tuple[List[Subscription], Optional[int]]] = []
         lone: List[Subscription] = []
         if layout is not None:
-            for positions, k_max in layout:
+            for positions, k_max, _ in layout:
                 buckets.append(([members[i] for i in positions], k_max))
-            covered = {i for positions, _ in layout for i in positions}
+            covered = {i for positions, _, _ in layout for i in positions}
             lone = [sub for i, sub in enumerate(members) if i not in covered]
         else:
             by_key: Dict[object, List[Subscription]] = {}
@@ -214,25 +310,40 @@ class QueryGroup:
 
     def plans(self) -> List[SharedPlan]:
         """The plans running a core of their own (no plans of one)."""
-        return [plan for plan in self._plans if not plan.solo]
+        return [seats.plan for seats in self._seats if not seats.plan.solo]
 
     def plan_layout(
-        self, members: Optional[Sequence[Subscription]] = None
-    ) -> Tuple[PlanLayout, ...]:
-        """Every shared plan as positions in ``members`` (default: every
-        member) plus ``k_max`` — the :class:`~repro.core.state.GroupState`
-        record of the plans.  A plan keeps only its members among
-        ``members``, and is left out when none of them is."""
-        members = self._members if members is None else members
+        self, members: Sequence[Subscription]
+    ) -> Tuple[Tuple[PlanLayout, ...], Set[int]]:
+        """Every shared plan as positions in ``members``, ``k_max`` and
+        its configuration — the :class:`~repro.core.state.GroupState`
+        record of the plans — plus the positions of the members whose
+        configuration is their plan's.
+
+        A plan keeps only its members among ``members``, and is left out
+        when none of them is.  Its configuration is its leading member's
+        respawn template when every member's differs from it only in
+        ``k`` (members of the leader's class in a plan that shares one),
+        else ``None`` and each member carries its own.
+        """
         position = {id(sub): index for index, sub in enumerate(members)}
         layout = []
+        configured: Set[int] = set()
         for plan in self.plans():
-            positions = tuple(
-                position[id(sub)] for sub in plan.subscriptions() if id(sub) in position
-            )
-            if positions:
-                layout.append((positions, plan.k_max))
-        return tuple(layout)
+            subs = plan.subscriptions()
+            positions = tuple(position[id(sub)] for sub in subs if id(sub) in position)
+            if not positions:
+                continue
+            configuration = None
+            if plan.shares_configuration:
+                leader = subs[0]
+                configuration = leader._algorithm_template()
+                kind = type(leader.algorithm)
+                configured.update(
+                    index for index in positions if type(members[index].algorithm) is kind
+                )
+            layout.append((positions, plan.k_max, configuration))
+        return tuple(layout), configured
 
     def prime(self, state: GroupState) -> None:
         """Seed a fresh, memberless group with the window of a captured
@@ -263,7 +374,7 @@ class QueryGroup:
             for plan in plans:
                 plan.fast_forward(slide_index)
                 plan.prepare(event)
-        self._plans.extend(plans)
+        self._seat(plans)
 
     def describe(self) -> Dict[str, object]:
         """Introspection record shown by ``StreamEngine.groups()``."""
@@ -304,9 +415,9 @@ class QueryGroup:
         self, events: Sequence[SlideEvent], errors: List[Exception], collect: bool = True
     ) -> Sequence[Tuple[Subscription, List[TopKResult]]]:
         """Answer every member of every plan, slide by slide: the plan
-        prepares the slide once, each open member takes its answer and
-        its metrics record from it, and the registry records the slide
-        once per plan and instrument set."""
+        prepares the slide once with an answer per distinct ``k``, each
+        open member takes its answer into retention and its callbacks,
+        and then each cohort and the registry record the slide once."""
         if not events:
             return ()
         produced: Dict[Subscription, List[TopKResult]] = {}
@@ -314,23 +425,49 @@ class QueryGroup:
         for event in events:
             merge_started = time.perf_counter() if timed else 0.0
             # Snapshots: a result callback may unsubscribe a member (which
-            # mutates the plans) without desyncing this dispatch.
-            for plan in tuple(self._plans):
-                members = plan.subscriptions()
+            # reseats its plan) without desyncing this dispatch.
+            for seats in tuple(self._seats):
+                members = seats.members
                 if not members:
                     continue
-                shared = plan.prepare(event)
-                delivered = []
-                for subscription in members:
+                recorders, counters, observers = seats.recorders, seats.counters, seats.observers
+                shared = seats.plan.prepare(event)
+                answers = shared.answers
+                skipped = ()
+                for subscription, key, retain, callbacks in members:
                     if subscription._closed:
+                        skipped += (subscription,)
                         continue
-                    result = plan.answer(subscription, shared)
-                    subscription._deliver_slide(result, shared, errors)
-                    delivered.append(subscription)
+                    result = answers[key]
+                    if retain is not None:
+                        retain(result)
+                    if callbacks:
+                        self._delivering = (members, shared, subscription)
+                        name = subscription.name
+                        for callback in callbacks:
+                            try:
+                                callback(name, result)
+                            except Exception as exc:  # re-raised by the ingest edge
+                                errors.append(exc)
+                        self._delivering = None
                     if collect:
                         produced.setdefault(subscription, []).append(result)
-                if delivered:
-                    Subscription._observe(delivered, shared)
+                candidates, prep_share = shared.candidates, shared.prep_share
+                for record in recorders:
+                    record(candidates, shared.memory_bytes, prep_share)
+                for live in counters:
+                    live.slides += 1
+                if skipped:
+                    observers = _observers(
+                        [entry[0] for entry in members if entry[0] not in skipped]
+                    )
+                for slides, delivered, latency, sizes, last, count, sampled in observers:
+                    slides.inc(count)
+                    delivered.inc(count)
+                    latency.observe(prep_share, count)
+                    if sampled:
+                        sizes.observe(candidates, sampled)
+                        last.set(candidates)
             if timed:
                 self._obs_merge.observe(time.perf_counter() - merge_started)
         if not collect:

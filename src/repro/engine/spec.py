@@ -415,6 +415,21 @@ class ExecutionPlanner:
         return int(cluster_id)
 
 
+def check_plan_key(algorithm) -> None:
+    """Refuse, with :class:`InvalidQueryError`, an algorithm instance whose
+    :meth:`~repro.core.interface.ContinuousTopKAlgorithm.shared_plan_key`
+    cannot be hashed (an option given as a list, say): its query group
+    could not bucket it into a plan.  Both engines call this before the
+    subscription changes anything."""
+    try:
+        hash(algorithm.shared_plan_key())
+    except TypeError as exc:
+        raise InvalidQueryError(
+            f"{algorithm.name} options must be hashable values to plan the "
+            f"query ({exc})"
+        ) from None
+
+
 def resolve_query(spec: object) -> TopKQuery:
     """Accept a :class:`TopKQuery` or a :class:`QuerySpec` and return a query."""
     if isinstance(spec, TopKQuery):

@@ -7,8 +7,10 @@ group the engine assigns the subscription to (all queries of one window
 shape share a single batcher), and answering lives in the group's plans:
 every member belongs to one :class:`~repro.core.shared.SharedPlan` — a
 shared core, or a plan of one over the member's own instance — which
-makes the member's answer and its metrics sample for each slide, handed
-over through :meth:`Subscription._deliver_slide`.
+makes the member's answer and its metrics sample for each slide.  Once
+its plan forms, a member's aggregates are those of its metric cohort
+(:class:`~repro.core.metrics.MetricsCohort`): the members that joined the
+plan together with one history, whose slide the group records once.
 
 Memory stays O(window): the group batcher holds at most one window of
 objects for the whole shape and the result buffer is bounded whenever the
@@ -19,10 +21,10 @@ caller bounds it (``result_buffer=...``) or disables retention
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from ..core.interface import ContinuousTopKAlgorithm
-from ..core.metrics import MetricsCollector
+from ..core.metrics import MetricsCohort, MetricsCollector
 from ..core.result import TopKResult
 from ..core.shared import SharedPlan, SharedSlide
 from ..obs.registry import LATENCY_BUCKETS, SIZE_BUCKETS, get_registry
@@ -76,11 +78,17 @@ class Subscription:
         self._group: Optional["QueryGroup"] = None
         #: The plan answering this member, set when its group forms plans.
         self._plan: Optional[SharedPlan] = None
+        #: The member's aggregates outside a cohort: before its plan
+        #: forms (its history), and after it leaves the plan.
         self._metrics = MetricsCollector()
+        #: The metric cohort recording for the member while it is seated.
+        self._cohort: Optional[MetricsCohort] = None
         self._collect_metrics = collect_metrics
         self._keep_results = keep_results
         self._results: Deque[TopKResult] = deque(maxlen=result_buffer)
         self._callbacks: List[ResultCallback] = []
+        #: Answers delivered outside the cohort (history, or all of them
+        #: once the member left its plan).
         self._delivered = 0
         self._closed = False
         self._template: Optional[ContinuousTopKAlgorithm] = None
@@ -146,12 +154,18 @@ class Subscription:
 
     @property
     def metrics(self) -> MetricsCollector:
-        return self._metrics
+        """The metric aggregates.  While the member's plan runs they are
+        a snapshot (the history followed by the cohort's), counting every
+        slide its plan answered all members of: a result callback reads
+        them as of the slide before."""
+        cohort = self._cohort
+        return self._metrics if cohort is None else cohort.total()
 
     @property
     def results_delivered(self) -> int:
         """Total answers produced so far (regardless of retention)."""
-        return self._delivered
+        cohort = self._cohort
+        return self._delivered if cohort is None else self._delivered + cohort.live.slides
 
     @property
     def group(self) -> Optional["QueryGroup"]:
@@ -187,8 +201,8 @@ class Subscription:
             "algorithm": self.algorithm.name,
             "query": self.query.describe(),
             "closed": self._closed,
-            "slides": self._metrics.slides,
-            "results_delivered": self._delivered,
+            "slides": self.metrics.slides,
+            "results_delivered": self.results_delivered,
             "window_size": self.window_size(),
             "candidate_count": candidates,
             "memory_bytes": memory,
@@ -202,11 +216,11 @@ class Subscription:
         Emits exactly :data:`STATS_KEYS` — the same schema every other
         stats surface (sharded, cluster-aggregate) uses.
         """
-        m = self._metrics
+        m = self.metrics
         p50, p95, p99 = m.latency_percentiles((0.5, 0.95, 0.99))
         return {
             "slides": m.slides,
-            "results_delivered": self._delivered,
+            "results_delivered": self.results_delivered,
             "average_candidates": m.average_candidates,
             "candidate_max": m.candidate_max,
             "average_memory_kb": m.average_memory_kb,
@@ -230,69 +244,42 @@ class Subscription:
     def _attach_group(self, group: "QueryGroup") -> None:
         self._group = group
 
-    def _adopt_state(self, state) -> None:
+    def _adopt_state(self, state, metrics: MetricsCollector) -> None:
         """Adopt the runtime history carried by a
         :class:`~repro.core.state.SubscriptionState`: retained answers, the
-        delivery counter, and the metric aggregates.  Called by
+        delivery counter, and the metric aggregates ``metrics`` — a copy
+        of the record's, so the state object stays reusable, shared by
+        the members restored from one record's cohort, which form one
+        cohort again.  Called by
         :meth:`repro.engine.core.EngineCore.restore_groups` so a rebalanced
         or recovered subscription keeps its percentiles and result history.
-
-        The metric aggregates are copied, not adopted by reference — the
-        state object stays reusable (restoring it into two engines must
-        not make their subscriptions share one live collector).
         """
         self._results.extend(state.results)
         self._delivered = state.results_delivered
-        self._metrics = state.metrics.copy()
+        self._metrics = metrics
+
+    def _leave_cohort(self, received: Optional[SharedSlide] = None) -> None:
+        """Freeze the aggregates on leaving the plan: the cohort's so far,
+        plus ``received``, a slide this member got whose cohort has not
+        recorded it yet."""
+        cohort = self._cohort
+        if cohort is None:
+            return
+        metrics = cohort.total()
+        delivered = self._delivered + cohort.live.slides
+        if received is not None:
+            delivered += 1
+            if cohort.collect:
+                metrics.record(received.candidates, received.memory_bytes, received.prep_share)
+            else:
+                metrics.slides += 1
+        self._metrics, self._delivered, self._cohort = metrics, delivered, None
 
     def _algorithm_template(self) -> ContinuousTopKAlgorithm:
         """``algorithm.respawn()`` made once per instance; captures share it."""
         if self._template is None:
             self._template = self.algorithm.respawn()
         return self._template
-
-    def _deliver_slide(
-        self, result: TopKResult, shared: SharedSlide, errors: List[Exception]
-    ) -> None:
-        """Take one answer its plan made for a sealed slide: record the
-        metrics (the latency is the member's share of the plan's prepare,
-        the bookkeeping the plan's sample), retain the answer and call
-        back.  Callback errors go to ``errors``."""
-        if self._collect_metrics:
-            self._metrics.record(shared.candidates, shared.memory_bytes, shared.prep_share)
-        else:
-            self._metrics.slides += 1
-        self._delivered += 1
-        if self._keep_results:
-            self._results.append(result)
-        for callback in self._callbacks:
-            try:
-                callback(self.name, result)
-            except Exception as exc:  # re-raised by the ingest edge
-                errors.append(exc)
-
-    @staticmethod
-    def _observe(members: Sequence["Subscription"], shared: SharedSlide) -> None:
-        """Observe one slide for ``members``, the members of one plan it
-        was delivered to: once per instrument set (one per algorithm
-        name), weighted by the members sharing it, since each would have
-        observed the same values."""
-        while members:
-            first, rest = members[0], []
-            slides, count, sampled = first._obs_slides, 0, 0
-            for member in members:
-                if member._obs_slides is slides:
-                    count += 1
-                    sampled += member._collect_metrics
-                else:
-                    rest.append(member)
-            members = rest
-            slides.inc(count)
-            first._obs_delivered.inc(count)
-            first._obs_latency.observe(shared.prep_share, count)
-            if sampled:
-                first._obs_candidates.observe(shared.candidates, sampled)
-                first._obs_candidates_last.set(shared.candidates)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

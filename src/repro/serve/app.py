@@ -377,8 +377,11 @@ class TopKServer:
         self.admission.admit()  # raises AdmissionError -> 429
         try:
             handle = await self._engine_call(self._subscribe_engine, name, spec)
-        except BaseException:
+        except BaseException as exc:
             self.admission.release()
+            if isinstance(exc, (InvalidQueryError, PreferenceError)):
+                # Options the engine cannot plan (an unhashable value).
+                raise ProtocolError(400, str(exc)) from None
             raise
         session = Session(
             name,

@@ -64,3 +64,20 @@ class TestSketchCollector:
         metrics.record(candidate_count=3, memory_bytes=10)
         assert metrics.slides == 1 and metrics.latency_count == 0
         assert metrics.latency_percentiles((0.5, 0.99)) == [0.0, 0.0]
+
+
+class TestMerged:
+    def test_merged_equals_one_collector_recording_both(self):
+        rng = random.Random(4)
+        samples = [
+            (rng.randrange(50), rng.randrange(4096), rng.randrange(1, 64) / 1024)
+            for _ in range(40)
+        ]
+        first, later, both = MetricsCollector(), MetricsCollector(), MetricsCollector()
+        for index, sample in enumerate(samples):
+            (first if index < 25 else later).record(*sample)
+            both.record(*sample)
+        merged = first.merged(later)
+        assert merged == both
+        assert merged.latency_buckets is not first.latency_buckets
+        assert first.slides == 25 and later.slides == 15

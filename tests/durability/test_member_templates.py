@@ -1,15 +1,16 @@
-"""Checkpoints capture a member's configuration once per algorithm instance.
+"""Checkpoints capture one configuration per plan, made once per plan.
 
-A member's captured algorithm is its ``respawn()`` template, made by the
-first capture and reused by later ones until a preference update changes
-the member's configuration.  Members of one SAP plan that share ``k``
-retain the very same answer objects, so a payload pickles each answer
-once.
+A plan's captured configuration is its leading member's ``respawn()``
+template, made by the first capture and reused by later ones until a
+preference update changes the member's configuration; every other member
+of the plan is recorded by its ``k`` alone.  Members of one SAP plan that
+share ``k`` retain the very same answer objects, and the members of one
+metric cohort share one metrics record, so a payload pickles each once.
 """
 
 from repro.baselines.mintopk import MinTopK
 from repro.core.framework import SAPTopK
-from repro.core.state import dumps
+from repro.core.state import dumps, loads
 from repro.engine import QuerySpec, StreamEngine
 
 from ..conftest import make_objects, random_scores
@@ -35,9 +36,40 @@ def test_each_member_respawns_once_over_two_checkpoints(tmp_path, monkeypatch):
     assert engine.durability.checkpoint(engine)
     engine.push_many(STREAM[200:400])
     assert engine.durability.checkpoint(engine)
-    live = {id(engine.subscription(name).algorithm) for name in engine.subscriptions()}
-    assert sorted(respawned) == sorted(live)
+    # One respawn per plan: the SAP plan's leader and the lone MinTopK.
+    leaders = {id(engine.subscription(name).algorithm) for name in ("sap0", "min")}
+    assert sorted(respawned) == sorted(leaders)
     engine.close()
+
+
+def _plan_of(members, collect=lambda index: True):
+    engine = StreamEngine(keep_results=False, return_results=False)
+    for index in range(members):
+        engine.subscribe(
+            f"m{index}", QuerySpec(n=100, k=1 + index % 8, s=10),
+            collect_metrics=collect(index),
+        )
+    engine.push_many(STREAM[:400])
+    (state,) = engine.capture_groups()
+    return state
+
+
+def test_a_plan_of_200_pickles_one_configuration_and_one_collector_per_cohort():
+    state = loads(dumps(_plan_of(200, collect=lambda index: index % 3 != 0)))
+    ((positions, k_max, configuration),) = state.plans
+    assert len(positions) == 200 and k_max == 8
+    assert isinstance(configuration, SAPTopK)
+    assert all(member.algorithm is None for member in state.members)
+    assert sorted({member.k for member in state.members}) == list(range(1, 9))
+    # Two cohorts: the members collecting metrics and those counting slides.
+    cohorts = {id(member.metrics): member.metrics for member in state.members}
+    assert len(cohorts) == 2
+    assert sorted(metrics.slides for metrics in cohorts.values()) == [31, 31]
+
+
+def test_a_checkpoint_grows_by_under_100_bytes_per_plan_member():
+    small, large = len(dumps(_plan_of(100))), len(dumps(_plan_of(200)))
+    assert (large - small) / 100 < 100, (small, large)
 
 
 def _twenty_members(keep_results):

@@ -41,12 +41,13 @@ def _groups(engine):
         (
             tuple(obj.t for obj in group.window),
             group.slide_index,
-            group.plans,
+            [(positions, k_max, type(configuration))
+             for positions, k_max, configuration in group.plans],
             [
                 (
                     member.name,
+                    member.k,
                     type(member.algorithm),
-                    member.algorithm.query,
                     [result.identity() for result in member.results],
                     member.results_delivered,
                     member.metrics.slides,

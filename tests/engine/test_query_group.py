@@ -224,3 +224,42 @@ class TestLazyPushResults:
         engine.subscribe("q", TopKQuery(n=10, k=2, s=5))
         produced = [engine.push(obj) for obj in objects]
         assert [i for i, p in enumerate(produced) if p] == [9, 14, 19, 24, 29]
+
+
+class TestMetricCohorts:
+    """Plan members that joined together with one history share one
+    collector; anything else keeps its aggregates apart."""
+
+    QUERY = TopKQuery(n=20, k=3, s=5)
+
+    def test_members_with_different_histories_keep_their_own(self):
+        engine = StreamEngine()
+        engine.subscribe("a", self.QUERY)
+        engine.subscribe("b", self.QUERY)
+        engine.subscription("a").metrics.record(1000, 64, 0.5)
+        engine.push_many(make_objects(random_scores(60)))
+        a, b = engine.stats()["a"], engine.stats()["b"]
+        assert a["slides"] == b["slides"] + 1 == 10
+        assert a["candidate_max"] == 1000 > b["candidate_max"]
+        assert b["latency_samples"] == 9
+
+    def test_a_departed_member_keeps_the_aggregates_it_left_with(self):
+        engine = StreamEngine()
+        engine.subscribe("a", self.QUERY)
+        stays = engine.subscribe("b", self.QUERY)
+        objects = make_objects(random_scores(100))
+        engine.push_many(objects[:60])
+        left = engine.subscription("a")
+        engine.unsubscribe("a")
+        before = (left.stats(), left.results_delivered)
+        engine.push_many(objects[60:])
+        assert (left.stats(), left.results_delivered) == before
+        assert before[1] == 9 and stays.results_delivered == 17
+
+    def test_metrics_read_a_snapshot_once_plans_run(self):
+        engine = StreamEngine()
+        subscription = engine.subscribe("a", self.QUERY)
+        engine.push_many(make_objects(random_scores(60)))
+        snapshot = subscription.metrics
+        snapshot.record(1, 1, 1.0)
+        assert subscription.metrics.slides == 9 and snapshot.slides == 10

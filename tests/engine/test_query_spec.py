@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro import StreamEngine, StreamObject
 from repro.core.exceptions import InvalidQueryError
+from repro.core.framework import SAPTopK
 from repro.core.query import TopKQuery
+from repro.engine.group import QueryGroup
 from repro.engine.spec import QuerySpec, resolve_query
+from repro.engine.subscription import Subscription
 
 
 class TestBuild:
@@ -223,3 +227,66 @@ class TestLegacyShims:
             engine.subscribe(
                 "q", QuerySpec(n=10, k=2).using("MinTopK"), "SMA"
             )
+
+
+class TestUnhashablePlanKey:
+    """Options that leave a plan key unhashable are refused at subscribe:
+    no engine, cluster or log ever holds the query, and the group it would
+    have joined keeps answering."""
+
+    BODY = {"n": 10, "k": 2, "s": 2, "options": {"use_savl": [1]}}
+
+    @staticmethod
+    def _objects(count):
+        return [StreamObject(float((t * 7) % 11), t) for t in range(count)]
+
+    def test_embedded_subscribe_is_refused_and_the_group_keeps_answering(self):
+        engine = StreamEngine()
+        engine.subscribe("ok", QuerySpec(n=10, k=2, s=2))
+        with pytest.raises(InvalidQueryError, match="hashable"):
+            engine.subscribe("bad", QuerySpec.from_dict(self.BODY))
+        assert engine.subscriptions() == ["ok"]
+        engine.push_many(self._objects(30))
+        twin = StreamEngine()
+        twin.subscribe("ok", QuerySpec(n=10, k=2, s=2))
+        twin.push_many(self._objects(30))
+        assert [r.identity() for r in engine.results("ok")] == [
+            r.identity() for r in twin.results("ok")
+        ]
+        assert len(engine.results("ok")) == 11
+
+    def test_ready_instance_is_refused(self):
+        engine = StreamEngine()
+        with pytest.raises(InvalidQueryError, match="hashable"):
+            engine.subscribe("bad", algorithm=SAPTopK(TopKQuery(n=10, k=2, s=2), use_savl=[1]))
+        assert len(engine) == 0
+
+    def test_durable_engine_logs_nothing(self, tmp_path):
+        engine = StreamEngine.durable(str(tmp_path))
+        with pytest.raises(InvalidQueryError):
+            engine.subscribe("bad", QuerySpec.from_dict(self.BODY))
+        engine.subscribe("ok", QuerySpec(n=10, k=2, s=2))
+        engine.push_many(self._objects(30))
+        engine.close()
+        recovered = StreamEngine.recover(str(tmp_path))
+        assert recovered.subscriptions() == ["ok"]
+        recovered.close()
+
+    def test_sharded_facade_refuses_before_any_shard(self):
+        from repro.cluster import ShardedStreamEngine
+
+        with ShardedStreamEngine(1) as engine:
+            with pytest.raises(InvalidQueryError, match="hashable"):
+                engine.subscribe("bad", QuerySpec.from_dict(self.BODY))
+            assert "bad" not in engine
+            engine.subscribe("ok", QuerySpec(n=10, k=2, s=2))
+            engine.push_many(self._objects(30))
+            engine.synchronize()
+            assert len(engine.results("ok")) == 11
+
+    def test_a_group_counts_as_started_only_once_its_plans_formed(self):
+        group = QueryGroup(10, 2, False)
+        group.admit([Subscription("bad", SAPTopK(TopKQuery(n=10, k=2, s=2), use_savl=[1]))])
+        with pytest.raises(TypeError, match="unhashable"):
+            group.start()
+        assert not group.started

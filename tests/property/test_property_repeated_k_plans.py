@@ -21,6 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import StreamEngine, TopKQuery
+from repro.core.metrics import MetricsCollector
+from repro.core.state import dumps, loads
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.registry import create_algorithm
 
@@ -163,3 +165,116 @@ def test_repeated_k_plans_deliver_like_private_engines(
         ), name
         for key in ("slides", "results_delivered", "latency_samples"):
             assert shared.stats()[key] == alone.stats()[key], (name, key)
+
+
+def _oracle_callback(engine, name, collect, oracle):
+    """Record, per answer, the sample the member's plan made for it: the
+    aggregates a collector of the member's own would hold."""
+
+    def record(_, result):
+        metrics = oracle.setdefault(name, MetricsCollector())
+        if collect:
+            snapshot = engine.subscription(name).snapshot()
+            metrics.record(snapshot["candidate_count"], snapshot["memory_bytes"])
+        else:
+            metrics.slides += 1
+
+    engine.subscription(name).on_result(record)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    scores=scores_strategy,
+    shape=st.tuples(st.integers(min_value=4, max_value=40), st.integers(min_value=1, max_value=8)),
+    members=members_strategy(),
+    joiners=members_strategy(),
+    cuts=st.tuples(st.floats(min_value=0.1, max_value=0.9), st.floats(min_value=0.0, max_value=1.0)),
+    round_trip=st.booleans(),
+    extra_departures=st.sets(st.integers(min_value=0, max_value=15), max_size=2),
+)
+def test_cohorts_deliver_like_private_engines(
+    scores, shape, members, joiners, cuts, round_trip, extra_departures
+):
+    """Members join a started group mid-stream with their history (captured
+    from a donor engine at the same window position and restored), cohorts
+    lose their first member, and the survivors move to a fresh engine (a
+    second capture, of cohorts that carry a history); every member still
+    matches a private engine running its query alone — answers, retained
+    and drained answers, ``results_delivered``, ``snapshot()`` — and a
+    collector of its own fed its plan's samples (every stat but the
+    latency-timed)."""
+    n, s = shape
+    s = min(s, n)
+    objects = make_objects(scores)
+    join = max(1, int(len(objects) * cuts[0]))
+    leave = join + int((len(objects) - join) * cuts[1])
+    plan = [(f"m{i}", member, False) for i, member in enumerate(members)]
+    plan += [(f"j{i}", member, True) for i, member in enumerate(joiners)]
+    queries = {name: TopKQuery(n=n, k=min(member["k"], n), s=s) for name, member, _ in plan}
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    oracle = {}
+    try:
+        engine = StreamEngine(return_results=False)
+        donor = StreamEngine(return_results=False)
+        for name, member, joins in plan:
+            target = donor if joins else engine
+            _subscribe(target, name, queries[name], member, {})
+            _oracle_callback(target, name, member["collect_metrics"], oracle)
+        engine.push_many(objects[:join])
+        donor.push_many(objects[:join])
+        states = donor.capture_groups()
+        if round_trip:
+            states = loads(dumps(states))
+        collects = {name: member["collect_metrics"] for name, member, _ in plan}
+        for restored in engine.restore_groups(states):
+            _oracle_callback(engine, restored.name, collects[restored.name], oracle)
+        assert len(engine.groups()) == 1  # the joiners joined the started group
+        handles = {name: engine.subscription(name) for name, _, _ in plan}
+        # Every cohort's first member leaves, plus any others drawn.
+        departed = {plan[0][0], next(name for name, _, joins in plan if joins)}
+        departed |= {plan[index % len(plan)][0] for index in extra_departures}
+        engine.push_many(objects[join:leave])
+        for name in departed:
+            engine.unsubscribe(name)
+        if len(engine):
+            states = engine.capture_groups()
+            engine = StreamEngine(return_results=False)
+            for restored in engine.restore_groups(loads(dumps(states))):
+                handles[restored.name] = restored
+                _oracle_callback(engine, restored.name, collects[restored.name], oracle)
+            engine.push_many(objects[leave:])
+    finally:
+        set_registry(previous)
+
+    delivered = sum(handle.results_delivered for handle in handles.values())
+    assert _counter_total(registry, "repro_slides_total") == delivered
+    assert _counter_total(registry, "repro_results_delivered_total") == delivered
+    drained = engine.drain_results()
+    for name, member, _ in plan:
+        handle = handles[name]
+        stop = leave if name in departed else len(objects)
+        private = StreamEngine(return_results=False)
+        alone = _subscribe(private, name, queries[name], member, {})
+        private.push_many(objects[:stop])
+        assert handle.results_delivered == alone.results_delivered, name
+        expected = _identities(alone.results())
+        if name in departed:
+            assert _identities(handle.results()) == expected, name
+        else:
+            assert _identities(drained.get(name, [])) == expected, name
+            assert handle.results() == []
+        stats, mine = handle.stats(), oracle.get(name, MetricsCollector())
+        assert stats["slides"] == mine.slides == alone.stats()["slides"], name
+        assert stats["latency_samples"] == alone.stats()["latency_samples"], name
+        for key, value in (("average_candidates", mine.average_candidates),
+                           ("candidate_max", mine.candidate_max),
+                           ("average_memory_kb", mine.average_memory_kb)):
+            assert stats[key] == value, (name, key)
+        snapshot, reference = handle.snapshot(), alone.snapshot()
+        # A live member's answers were drained above (the private engine
+        # kept its own); a departed member's group window moved on.
+        keys = ("latest_scores",) if name in departed else ("window_size",)
+        for key in ("slides", "results_delivered") + keys:
+            assert snapshot[key] == reference[key], (name, key)

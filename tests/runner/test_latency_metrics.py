@@ -47,8 +47,9 @@ class TestLatencyCollection:
         query = TopKQuery(n=60, k=3, s=6)
         objects = make_objects(random_scores(300, seed=1))
         engine = StreamEngine()
-        metrics = engine.subscribe("run", algorithm=SAPTopK(query)).metrics
+        subscription = engine.subscribe("run", algorithm=SAPTopK(query))
         engine.push_many(objects)
+        metrics = subscription.metrics
         assert metrics.latency_count == metrics.slides == 1 + (300 - 60) // 6
         assert metrics.latency_total > 0.0
         assert metrics.p95_latency >= metrics.median_latency

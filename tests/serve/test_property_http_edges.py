@@ -3,8 +3,9 @@
 One in-process server, over a real socket, is fed sequences that mix
 valid ``POST /v1/subscriptions`` bodies with hostile ones, then valid
 ``POST /v1/events`` bodies with hostile ones.  The hostile bodies are the
-fixed cases of :class:`tests.serve.test_server.TestNonFiniteNumbers` plus
-generated variants of the same kinds: a valid body with one number
+fixed cases of :class:`tests.serve.test_server.TestNonFiniteNumbers`, a
+body whose options no engine can plan, plus generated variants of the
+same kinds: a valid body with one number
 replaced by a non-finite, out-of-range or non-integral literal, or its
 ``time_based`` by anything but a JSON boolean.  Every
 hostile request must get a 4xx — never a 5xx — and the served answers
@@ -31,7 +32,14 @@ from . import test_server
 from .test_server import request
 
 HOSTILE_EVENTS = test_server.TestNonFiniteNumbers.HOSTILE_EVENTS
-HOSTILE_SUBSCRIPTIONS = test_server.TestNonFiniteNumbers.HOSTILE_SUBSCRIPTIONS
+#: Bodies the wire validator accepts but no engine can plan: an option
+#: that leaves the algorithm's plan key unhashable.
+UNPLANNABLE_SUBSCRIPTIONS = [
+    b'{"name": "h", "n": 10, "k": 2, "s": 2, "options": {"use_savl": [1]}}',
+]
+HOSTILE_SUBSCRIPTIONS = (
+    test_server.TestNonFiniteNumbers.HOSTILE_SUBSCRIPTIONS + UNPLANNABLE_SUBSCRIPTIONS
+)
 SHAPES = [(10, 3, 5), (8, 2, 4), (12, 4, 6)]
 #: JSON literals no score may take.
 BAD_SCORES = [
@@ -136,6 +144,14 @@ def _served(server, name, count, deadline):
 
 def _assert_refused(status, body, raw):
     assert 400 <= status < 500, (status, body, raw)
+
+
+def test_an_unplannable_subscription_is_refused(server):
+    for raw in UNPLANNABLE_SUBSCRIPTIONS:
+        status, body, _ = request(server, "POST", "/v1/subscriptions", raw)
+        assert status == 400, body
+    _, body, _ = request(server, "GET", "/v1/subscriptions")
+    assert "h" not in [s["name"] for s in body["subscriptions"]]
 
 
 @settings(
