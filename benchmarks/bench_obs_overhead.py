@@ -14,10 +14,14 @@ answered, each gated by an assert below:
   that a NOOP op stays under a microsecond (in practice tens of
   nanoseconds — "~0%" of any per-slide budget).
 
-The ``smoke`` scale (``REPRO_BENCH_SCALE=smoke``) keeps CI runs to a few
-seconds while still driving every instrumented layer.
+Each algorithm's stream is lengthened until one of its legs runs at
+least half a second: a leg of a few tens of milliseconds puts scheduler
+noise on a shared machine on the order of the 5% being gated.  The
+``smoke`` scale (``REPRO_BENCH_SCALE=smoke``) still keeps the whole A/B to
+about half a minute.
 """
 
+import math
 import time
 from timeit import timeit
 
@@ -39,6 +43,9 @@ NOOP_BUDGET_SECONDS = 1e-6
 #: ever adds time, so min-of-N is the honest estimate of the code's cost).
 REPEATS = 7
 
+#: Shortest run of one leg (one mode, one algorithm) the A/B accepts.
+MIN_LEG_SECONDS = 0.5
+
 
 def run_engine(stream, query, algorithm, enabled):
     """One full engine run under a fresh registry; returns seconds."""
@@ -56,15 +63,18 @@ def run_engine(stream, query, algorithm, enabled):
 
 def overhead_row(scale, algorithm):
     """Interleaved A/B: disabled and enabled runs."""
-    # Three times the standard stream, floored at 24k events: the A/B compares
-    # per-slide costs, and a stream short enough to finish in a few
-    # milliseconds would put scheduler noise on the same order as the
-    # effect being gated.  Smoke scale therefore measures the same
-    # workload shape as quick; only the repeats stay cheap.
-    stream_length = max(3 * scale.stream_length, 24_000)
-    n = min(1_000, stream_length // 4)
+    # The query shape comes from three times the standard stream, floored
+    # at 24k events, so smoke scale measures the same shape as quick.
+    base_length = max(3 * scale.stream_length, 24_000)
+    n = min(1_000, base_length // 4)
     query = TopKQuery(n=n, k=scale.default_k, s=max(1, n // 20))
-    stream = list(make_dataset("STOCK").take(stream_length))
+    stream = list(make_dataset("STOCK").take(base_length))
+    # Then the stream grows until a leg runs MIN_LEG_SECONDS, with a
+    # margin for a probe that noise slowed down.
+    probe = min(run_engine(stream, query, algorithm, enabled=False) for _ in range(2))
+    if probe < MIN_LEG_SECONDS:
+        length = math.ceil(1.5 * base_length * MIN_LEG_SECONDS / probe)
+        stream = list(make_dataset("STOCK").take(length))
     best = {"disabled": float("inf"), "enabled": float("inf")}
     for _ in range(REPEATS):
         # Interleaving keeps thermal/frequency drift from biasing a mode.

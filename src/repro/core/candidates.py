@@ -23,15 +23,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .object import StreamObject
+from .object import StreamObject, rank_of
 
 RankKey = Tuple[float, int]
 
 _obj_of = attrgetter("obj")
-_rank_of = attrgetter("score", "t")
 
 
 @dataclass
@@ -107,42 +106,52 @@ class CandidateSet:
         removed: List[CandidateEntry] = []
         if not new_objects:
             return removed
-        ordered_new = sorted(new_objects, key=_rank_of, reverse=True)
         keys = self._keys
         entries = self._entries
-        to_delete: List[int] = []
-        new_index = 0
-        seen_new = 0
+        index = self._index
+        new_keys = sorted(map(rank_of, new_objects))
+        count = len(new_keys)
         # Walk existing candidates best-first, starting below the best new
-        # object (those above it gain nothing); the dominance increment for
-        # a candidate is the count of new objects ranking above it.
-        start = bisect_right(keys, ordered_new[0].rank_key)
-        for position in range(start - 1, -1, -1):
+        # key (those above it gain nothing); a candidate gains the count of
+        # new keys above it, all of them once it is below the lowest.
+        lower = bisect_left(keys, new_keys[0])
+        seen = 0
+        for position in range(bisect_right(keys, new_keys[-1]) - 1, lower - 1, -1):
             key = keys[position]
-            while new_index < len(ordered_new) and ordered_new[new_index].rank_key > key:
-                seen_new += 1
-                new_index += 1
+            while new_keys[-1 - seen] > key:
+                seen += 1
             entry = entries[position]
-            entry.dominance += seen_new
+            entry.dominance += seen
             if entry.dominance >= k:
-                to_delete.append(position)
-        # Positions were collected high-to-low, so in-place deletion is safe.
-        for position in to_delete:
-            removed.append(entries[position])
-            del self._index[keys[position]]
-            del keys[position]
-            del entries[position]
-        # Insert the new objects by merging two ascending runs in one sort.
-        new_keys = list(map(_rank_of, reversed(ordered_new)))
-        fresh = [CandidateEntry(obj, partition_id) for obj in reversed(ordered_new)]
-        self._index.update(zip(new_keys, fresh))
-        merged = sorted(zip(keys + new_keys, entries + fresh), key=itemgetter(0))
-        self._keys, self._entries = map(list, zip(*merged))
+                removed.append(entry)
+        for entry in reversed(entries[:lower]):
+            entry.dominance += count
+            if entry.dominance >= k:
+                removed.append(entry)
+        for entry in removed:
+            key = rank_of(entry.obj)
+            del index[key]
+            del keys[bisect_left(keys, key)]
+        # Insert the new objects: rank keys are unique, so the keys sort
+        # by themselves and the entries are read back through the index.
+        for obj in new_objects:
+            index[rank_of(obj)] = CandidateEntry(obj, partition_id)
+        keys += new_keys
+        keys.sort()
+        self._entries = list(map(index.__getitem__, keys))
         return removed
 
     # ------------------------------------------------------------------
     # Queries used by the SAP framework
     # ------------------------------------------------------------------
+    def keys_of(self, partition_id: int) -> List[RankKey]:
+        """Rank keys of the candidates owned by ``partition_id``, ascending."""
+        return [
+            key
+            for key, entry in zip(self._keys, self._entries)
+            if entry.partition_id == partition_id
+        ]
+
     def top_entries(self, count: int) -> List[CandidateEntry]:
         """The ``count`` best candidates, best first."""
         if count <= 0:

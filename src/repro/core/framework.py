@@ -23,6 +23,18 @@ procedure) on top of the building blocks of the other modules:
 * the query answer at every slide is the k best objects of
   ``C ∪ P_m^k`` where ``P_m^k`` is the top-k of the not-yet-sealed suffix
   of the stream.
+
+Each slide touches only what can change the answer, through two floors.
+Both rest on the same fact: every object of the unsealed suffix is newer
+than every candidate, and every arrival is newer than the whole suffix, so
+a newer object wins a score tie and the ``(score, t)`` order of such runs
+is a stable sort by score alone.
+
+* The pending floor: once ``P_m^k`` holds k objects, an arrival can enter
+  it only if its score is at least the k-th kept score (ties enter).
+* The answer floor: once ``C`` holds k candidates, a pending object scoring
+  below the k-th candidate cannot answer (ties answer); when none is left,
+  the answer is the candidates' top k with no sort.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from .interface import (
     POINTER_FOOTPRINT_BYTES,
     ContinuousTopKAlgorithm,
 )
-from .object import StreamObject
+from .object import StreamObject, rank_of
 from .partition import Partition, PartitionSpec, build_partition
 from .query import TopKQuery
 from .result import TopKResult
@@ -59,8 +71,9 @@ from .window import SlideEvent
 
 RankKey = Tuple[float, int]
 
-#: The rank key ``(score, t)`` of an object, read in C.
-_rank_of = attrgetter("score", "t")
+#: The score alone: the sort key of runs whose ``t`` order is their list
+#: order (see the module docstring).
+_score_of = attrgetter("score")
 
 #: Seal-path instruments per registry.  SAP algorithms are pickled for
 #: capture/rebalance, so observability handles must not live on the
@@ -152,8 +165,10 @@ class SAPTopK(ContinuousTopKAlgorithm):
         Partitioning strategy; defaults to the enhanced dynamic partitioner,
         the configuration the paper evaluates as "SAP".
     meaningful_policy:
-        ``"lazy"`` (default, Algorithm 1) or ``"eager"`` (the non-delay
-        variant used as a baseline in Table 2).
+        ``"lazy"`` (default, Algorithm 1), ``"eager"`` (the non-delay
+        variant used as a baseline in Table 2) or ``"amortized"`` (the
+        next partition's S-AVL is built a step per slide while the front
+        expires, Section 5.1).
     use_savl:
         When True (default) the meaningful object set is stored in the
         S-AVL structure (or its segmented variant when unit metadata is
@@ -275,16 +290,12 @@ class SAPTopK(ContinuousTopKAlgorithm):
         """Validate the per-slide bookkeeping (tests call it after slides)."""
         if self._front_prepared:
             front_id = self._partitions[0].partition_id
-            owned = [
-                entry.obj.rank_key
-                for entry in self._candidates.top_entries(len(self._candidates))
-                if entry.partition_id == front_id
-            ]
+            owned = self._candidates.keys_of(front_id)
             assert self._front_candidate_live == len(owned), "front count drifted"
             queued = {key for _, key in self._front_expiry}
             assert queued.issuperset(owned), "front candidate missing from expiry heap"
         pending = self._pending_topk
-        assert pending == sorted(pending, key=_rank_of), "pending top-k not ascending"
+        assert pending == sorted(pending, key=rank_of), "pending top-k not ascending"
         expected = topk_objects(self._partitioner.pending_objects(), self.query.k)
         assert pending == expected[::-1], "pending top-k is not the suffix's top-k"
 
@@ -371,11 +382,7 @@ class SAPTopK(ContinuousTopKAlgorithm):
         rho = self._candidates.group_dominance(partition.kth_key, partition.partition_id, k)
         partition.rho = rho
         front_id = partition.partition_id
-        self._front_expiry = [
-            (entry.obj.t, entry.obj.rank_key)
-            for entry in self._candidates.top_entries(len(self._candidates))
-            if entry.partition_id == front_id
-        ]
+        self._front_expiry = [(key[1], key) for key in self._candidates.keys_of(front_id)]
         heapq.heapify(self._front_expiry)
         self._front_candidate_live = len(self._front_expiry)
         if self._policy == "eager":
@@ -506,11 +513,19 @@ class SAPTopK(ContinuousTopKAlgorithm):
 
     def _push_pending_topk_many(self, objects: Sequence[StreamObject]) -> None:
         # top_k(A ∪ B) == top_k(top_k(A) ∪ B): merge the kept objects with
-        # the whole batch and keep the k best.  Timsort exploits the sorted
-        # prefix, so this beats per-object insort by a wide margin.
-        merged = self._pending_topk + list(objects)
-        merged.sort(key=_rank_of)
-        excess = len(merged) - self.query.k
+        # the arrivals that can enter and keep the k best.  Arrivals are
+        # newer than every kept object, so the pending floor admits score
+        # ties, and a stable sort by score alone yields the (score, t) order.
+        pending = self._pending_topk
+        k = self.query.k
+        if len(pending) >= k:
+            floor = pending[0].score
+            objects = [obj for obj in objects if obj.score >= floor]
+            if not objects:
+                return
+        merged = pending + list(objects)
+        merged.sort(key=_score_of)
+        excess = len(merged) - k
         if excess > 0:
             del merged[:excess]
         self._pending_topk = merged
@@ -606,16 +621,31 @@ class SAPTopK(ContinuousTopKAlgorithm):
     # ------------------------------------------------------------------
     def _current_result(self, event: SlideEvent) -> TopKResult:
         # The two sources are ascending runs — the candidate set's top k
-        # and the pending top-k — so one sort merges them in C.  They are
-        # disjoint: candidates come from sealed partitions, pending objects
-        # are unsealed.
+        # and the pending top-k — and every pending object is newer than
+        # every candidate (candidates come from sealed partitions).  The
+        # answer floor drops the pending objects scoring below the k-th
+        # candidate; a stable sort by score merges what is left.
         k = self.query.k
-        merged = self._candidates.top_objects(k) + self._pending_topk
-        merged.sort(key=_rank_of)
+        best = self._candidates.top_objects(k)
+        pending = self._pending_topk
+        if pending and len(best) == k:
+            floor = best[0].score
+            low, high = 0, len(pending)
+            while low < high:
+                middle = (low + high) // 2
+                if pending[middle].score < floor:
+                    low = middle + 1
+                else:
+                    high = middle
+            pending = pending[low:]
+        if pending:
+            best += pending
+            best.sort(key=_score_of)
+            del best[:-k]
         return TopKResult(
             slide_index=event.index,
             window_end=event.window_end,
-            objects=tuple(reversed(merged[-k:])),
+            objects=tuple(reversed(best)),
         )
 
     # ------------------------------------------------------------------

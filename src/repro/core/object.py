@@ -17,6 +17,7 @@ outlive the older one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterable, List, Optional, Tuple
 
 
@@ -73,12 +74,17 @@ class StreamObject:
         return f"StreamObject(score={self.score!r}, t={self.t!r})"
 
 
+#: The rank key ``(score, t)`` of an object, read in C: the tuple
+#: :attr:`StreamObject.rank_key` returns, without a Python call.
+rank_of = attrgetter("score", "t")
+
+
 def sort_by_rank(objects: Iterable[StreamObject], reverse: bool = True) -> List[StreamObject]:
     """Sort objects by the library-wide total order.
 
     ``reverse=True`` (default) places the best object first.
     """
-    return sorted(objects, key=lambda o: o.rank_key, reverse=reverse)
+    return sorted(objects, key=rank_of, reverse=reverse)
 
 
 def top_k(objects: Iterable[StreamObject], k: int) -> List[StreamObject]:

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .columnar import topk_objects
-from .object import StreamObject
+from .object import StreamObject, rank_of
 
 RankKey = Tuple[float, int]
 
@@ -116,14 +116,17 @@ class Partition:
 
     def topk_keys(self) -> List[RankKey]:
         if self._topk_keys is None:
-            self._topk_keys = [obj.rank_key for obj in self.topk]
+            self._topk_keys = list(map(rank_of, self.topk))
         return self._topk_keys
 
     def expire_batch(self, objs: Sequence[StreamObject]) -> None:
         """Record the expiration of a run of oldest live objects at once.
 
         Each object is checked against the partition's next live object;
-        the first mismatch is reported by its ``t``."""
+        the first mismatch is reported by its ``t``.  The window expires
+        the very objects the partition sealed, so list equality (which
+        tries identity first) settles the check; only on a mismatch are
+        the arrival orders compared."""
         start = self.expired_prefix
         end = start + len(objs)
         if end > len(self.objects):
@@ -132,7 +135,7 @@ class Partition:
                 f"{len(self.objects) - start} remain live"
             )
         expected = self.objects[start:end]
-        if list(map(_t_of, expected)) != list(map(_t_of, objs)):
+        if expected != list(objs) and list(map(_t_of, expected)) != list(map(_t_of, objs)):
             for have, got in zip(expected, objs):
                 if have.t != got.t:
                     raise ValueError(

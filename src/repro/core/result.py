@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, List, Sequence, Tuple
 
-from .object import StreamObject
+from .object import StreamObject, rank_of
+
+_score_of = attrgetter("score")
+_t_of = attrgetter("t")
 
 
 @dataclass(frozen=True)
@@ -35,12 +39,12 @@ class TopKResult:
     @property
     def scores(self) -> List[float]:
         """Scores of the result objects, best first."""
-        return [o.score for o in self.objects]
+        return list(map(_score_of, self.objects))
 
     @property
     def arrival_orders(self) -> List[int]:
         """Arrival orders of the result objects, best first."""
-        return [o.t for o in self.objects]
+        return list(map(_t_of, self.objects))
 
     def identity(self) -> Tuple[Tuple[float, int], ...]:
         """Hashable identity of the result used to compare algorithms.
@@ -48,14 +52,14 @@ class TopKResult:
         Two algorithms agree on a window when they return the same ordered
         sequence of ``(score, t)`` pairs.
         """
-        return tuple(o.rank_key for o in self.objects)
+        return tuple(map(rank_of, self.objects))
 
     @staticmethod
     def from_objects(
         slide_index: int, window_end: int, objects: Sequence[StreamObject]
     ) -> "TopKResult":
         """Build a result, normalising the object order to best-first."""
-        ordered = tuple(sorted(objects, key=lambda o: o.rank_key, reverse=True))
+        ordered = tuple(sorted(objects, key=rank_of, reverse=True))
         return TopKResult(slide_index=slide_index, window_end=window_end, objects=ordered)
 
 

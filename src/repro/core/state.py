@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version stamp of the state format.  Bump on any incompatible change to
 #: the dataclasses below; :func:`loads` rejects mismatching payloads.
-STATE_FORMAT_VERSION = 8
+STATE_FORMAT_VERSION = 9
 
 #: Pickle protocol used for state payloads: the highest protocol shared by
 #: every supported interpreter (3.8+), chosen explicitly so two processes

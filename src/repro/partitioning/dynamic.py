@@ -53,6 +53,9 @@ class DynamicPartitioner(Partitioner):
         self._l_max = 0
         self._eta_k = 0
         self._units: List[_PendingUnit] = []
+        #: Top-k of the pending units' objects, best first, kept as units
+        #: join (top_k(A ∪ B) == top_k(top_k(A) ∪ B)).
+        self._topk: List[StreamObject] = []
         self._current: List[StreamObject] = []
 
     # ------------------------------------------------------------------
@@ -63,6 +66,7 @@ class DynamicPartitioner(Partitioner):
         self._eta_k = eta_k(query.k)
         self._l_max = query.l_max(eta_for_k(query.k))
         self._units = []
+        self._topk = []
         self._current = []
 
     # ------------------------------------------------------------------
@@ -117,37 +121,38 @@ class DynamicPartitioner(Partitioner):
         )
         self._on_unit_complete(unit)
 
-        if not self._units:
-            self._units = [unit]
-            return None
-
-        if self._partition_is_proper(unit):
-            self._units.append(unit)
-            return None
-
-        spec = self._seal_units(self._units)
+        if self._units:
+            extended = self._absorb(unit)
+            if extended is not None:
+                self._units.append(unit)
+                self._topk = extended
+                return None
+            spec = self._seal_units()
+            self._on_partition_start(unit)
+        else:
+            spec = None
         self._units = [unit]
-        self._on_partition_start(unit)
+        self._topk = unit.topk
         return spec
 
-    def _partition_is_proper(self, new_unit: _PendingUnit) -> bool:
-        """Decide whether the pending partition may absorb the new unit."""
+    def _absorb(self, new_unit: _PendingUnit) -> Optional[List[StreamObject]]:
+        """Decide whether the pending partition may absorb the new unit:
+        the top-k of the extended partition when it may, else ``None``."""
         assert self.query is not None and self.context is not None
         merged_size = sum(len(unit.objects) for unit in self._units) + len(new_unit.objects)
         if merged_size > self._l_max:
-            return False
+            return None
 
+        extended = topk_objects(self._topk + new_unit.topk, self.query.k)
         reference = self.context.top_candidate_scores(self._eta_k)
         if len(reference) < max(self.query.k, 2):
             # Not enough history to compare against: keep growing, the size
             # cap above still bounds the partition.
-            return True
+            return extended
 
-        candidate_pool = [obj for unit in self._units for obj in unit.topk]
-        candidate_pool.extend(new_unit.topk)
-        sample1 = [obj.score for obj in topk_objects(candidate_pool, self.query.k)]
+        sample1 = [obj.score for obj in extended]
         outcome = rank_sum_test(sample1, reference, alpha=self._alpha)
-        return not outcome.first_is_larger
+        return None if outcome.first_is_larger else extended
 
     # ------------------------------------------------------------------
     # Hooks overridden by the enhanced partitioner
@@ -158,15 +163,14 @@ class DynamicPartitioner(Partitioner):
     def _on_partition_start(self, seed_unit: _PendingUnit) -> None:
         """Called when a new partition is started from ``seed_unit``."""
 
-    def _seal_units(self, units: List[_PendingUnit]) -> PartitionSpec:
-        assert self.query is not None
+    def _seal_units(self) -> PartitionSpec:
+        units = self._units
         objects = [obj for unit in units for obj in unit.objects]
         self.seals.record(len(objects))
-        # top_k(A ∪ B) == top_k(top_k(A) ∪ top_k(B)): the units' top-k
-        # stand in for a scan of the sealed objects.
-        topk = topk_objects([obj for unit in units for obj in unit.topk], self.query.k)
+        # The running top-k of the units stands in for a scan of the
+        # sealed objects.
         return PartitionSpec(
-            objects=objects, units=self._unit_summaries(units), topk=topk
+            objects=objects, units=self._unit_summaries(units), topk=self._topk
         )
 
     def _unit_summaries(self, units: List[_PendingUnit]) -> Optional[List[UnitSummary]]:
@@ -180,10 +184,9 @@ class DynamicPartitioner(Partitioner):
         return pending
 
     def pending_topk(self, k: int) -> List[StreamObject]:
-        pool = [obj for unit in self._units for obj in unit.topk]
-        pool.extend(self._current)
-        return topk_objects(pool, k)
+        return topk_objects(self._topk + self._current, k)
 
     def _drop_pending(self) -> None:
         self._units = []
+        self._topk = []
         self._current = []

@@ -46,9 +46,7 @@ class EnhancedDynamicPartitioner(DynamicPartitioner):
     # ------------------------------------------------------------------
     def _observe_slice(self, objects: Sequence[StreamObject]) -> None:
         assert self._tbui is not None
-        observe = self._tbui.observe
-        for obj in objects:
-            observe(obj.score)
+        self._tbui.observe_slice([obj.score for obj in objects])
 
     def _on_unit_complete(self, unit: _PendingUnit) -> None:
         assert self._tbui is not None

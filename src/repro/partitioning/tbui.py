@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List
+from typing import List, Sequence
 
 from ..stats.solvers import zeta_max, zeta_star
 
@@ -55,15 +55,40 @@ class TBUIState:
         return self._refresh_count
 
     # ------------------------------------------------------------------
-    def observe(self, score: float) -> None:
-        """Process one newly arrived object (lines 3-9 of Algorithm 2)."""
-        if score >= self.tau:
-            self._above.append(score)
-        if self.initializing and len(self._above) == 2 * self.zeta_star:
-            self._refresh()
-        elif not self.initializing and len(self._above) > max(2 * self.zeta_star, self.zeta_max):
+    def observe_slice(self, scores: Sequence[float]) -> None:
+        """Process a run of arrivals of the current unit, oldest first
+        (lines 3-9 of Algorithm 2).
+
+        The same as observing the scores one at a time: the scores at or
+        above ``τ`` join the buffer up to the one that fills it to its
+        refresh trigger, ``τ`` is refreshed there, and the rest of the run
+        continues under the new threshold.
+        """
+        position, total = 0, len(scores)
+        while position < total:
+            tau = self.tau
+            if self.initializing:
+                # Initialisation refreshes when the buffer reaches 2ζ*.
+                room = 2 * self.zeta_star - len(self._above)
+            else:
+                # An uptrend refreshes when it overflows max(2ζ*, ζ_max).
+                room = max(2 * self.zeta_star, self.zeta_max) + 1 - len(self._above)
+            rest = scores[position:] if position else scores
+            hits = [score for score in rest if score >= tau]
+            if len(hits) < room:
+                self._above.extend(hits)
+                return
+            # The room-th hit fills the buffer to the trigger: find it, and
+            # refresh there (an uptrend also restarts the initialisation).
+            self._above.extend(hits[:room])
+            for position in range(position, total):
+                if scores[position] >= tau:
+                    room -= 1
+                    if not room:
+                        break
             self._refresh()
             self.initializing = True
+            position += 1
 
     def complete_unit(self) -> int:
         """Close the current unit (lines 10-16); return ``|U_v^τ|``.

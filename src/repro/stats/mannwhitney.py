@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as _np
+
 #: Upper quantile of the standard normal distribution for alpha = 0.05
 #: (two-sided), i.e. ``u_{1 - alpha/2}``.
 DEFAULT_ALPHA = 0.05
@@ -68,25 +70,20 @@ def normal_quantile(p: float) -> float:
 def rank_sum(sample1: Sequence[float], sample2: Sequence[float]) -> Tuple[float, float]:
     """Rank sums ``(R1, R2)`` of the two samples in the pooled ordering.
 
-    Ties receive mid-ranks, the standard convention for the rank-sum test.
+    Ties receive mid-ranks, the standard convention for the rank-sum test:
+    a value with ``below`` smaller pooled values and ``through`` pooled
+    values no larger ranks ``(below + through + 1) / 2``.  The sums are
+    sums of half-integers, exact in float64, and ``R2`` is the rest of
+    ``1 + 2 + ... + (n1 + n2)``.
     """
-    pooled = [(value, 0) for value in sample1] + [(value, 1) for value in sample2]
-    pooled.sort(key=lambda pair: pair[0])
-
-    ranks = [0.0] * len(pooled)
-    index = 0
-    while index < len(pooled):
-        tail = index
-        while tail + 1 < len(pooled) and pooled[tail + 1][0] == pooled[index][0]:
-            tail += 1
-        mid_rank = (index + tail) / 2.0 + 1.0
-        for position in range(index, tail + 1):
-            ranks[position] = mid_rank
-        index = tail + 1
-
-    r1 = sum(rank for rank, (_, origin) in zip(ranks, pooled) if origin == 0)
-    r2 = sum(rank for rank, (_, origin) in zip(ranks, pooled) if origin == 1)
-    return r1, r2
+    first = _np.asarray(sample1, dtype=_np.float64)
+    pooled = _np.concatenate((first, _np.asarray(sample2, dtype=_np.float64)))
+    pooled.sort()
+    below = _np.searchsorted(pooled, first, "left")
+    through = _np.searchsorted(pooled, first, "right")
+    r1 = float((below + through + 1).sum()) / 2.0
+    size = len(pooled)
+    return r1, size * (size + 1) / 2.0 - r1
 
 
 @lru_cache(maxsize=256)

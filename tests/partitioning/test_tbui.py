@@ -24,7 +24,7 @@ class TestInitialisation:
         state = TBUIState(k=3)
         needed = 2 * state.zeta_star
         for i in range(needed):
-            state.observe(float(i))
+            state.observe_slice([float(i)])
         assert state.tau > -math.inf
         # Only the scores above the new threshold remain buffered.
         assert state.above_count <= state.zeta_star
@@ -34,7 +34,7 @@ class TestUnitCompletion:
     def test_unit_with_many_high_scores_reports_count_at_least_k(self):
         state = TBUIState(k=3)
         for i in range(3 * state.zeta_star):
-            state.observe(100.0 + i)
+            state.observe_slice([100.0 + i])
         count = state.complete_unit()
         assert count >= state.k
         assert not state.initializing
@@ -43,13 +43,13 @@ class TestUnitCompletion:
         state = TBUIState(k=3)
         # First unit: high scores establish a high threshold.
         for i in range(3 * state.zeta_star):
-            state.observe(100.0 + i)
+            state.observe_slice([100.0 + i])
         state.complete_unit()
         tau_after_first = state.tau
         assert tau_after_first > -math.inf
         # Second unit: scores collapse, almost nothing exceeds tau.
         for i in range(50):
-            state.observe(1.0 + 0.01 * i)
+            state.observe_slice([1.0 + 0.01 * i])
         count = state.complete_unit()
         assert count < state.k
         assert state.initializing
@@ -58,7 +58,7 @@ class TestUnitCompletion:
     def test_buffer_resets_between_units(self):
         state = TBUIState(k=2)
         for i in range(10):
-            state.observe(float(i))
+            state.observe_slice([float(i)])
         state.complete_unit()
         assert state.above_count == 0
 
@@ -66,12 +66,12 @@ class TestUnitCompletion:
         state = TBUIState(k=2)
         # Establish the threshold with a first unit.
         for i in range(2 * state.zeta_star):
-            state.observe(10.0 + i)
+            state.observe_slice([10.0 + i])
         state.complete_unit()
         refreshes_before = state.refresh_count
         # A strong uptrend floods the buffer past max(2ζ*, ζ_max).
         for i in range(3 * max(2 * state.zeta_star, state.zeta_max)):
-            state.observe(1000.0 + i)
+            state.observe_slice([1000.0 + i])
         assert state.refresh_count > refreshes_before
 
 
@@ -86,7 +86,7 @@ class TestStatisticalBehaviour:
         counts = []
         for _ in range(8):
             for _ in range(unit_size):
-                state.observe(rng.uniform(0, 100))
+                state.observe_slice([rng.uniform(0, 100)])
             counts.append(state.complete_unit())
         # Skip the first unit (threshold initialisation happens inside it).
         assert all(count >= state.k for count in counts[1:])

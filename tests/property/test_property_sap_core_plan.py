@@ -6,7 +6,11 @@ core at its own ``k_max`` — over random window shapes and sets of ``k``.
 Mid-stream, the ``k_max`` member of every plan unsubscribes; the core
 keeps running at the original ``k_max`` and the remaining members must
 not notice.
+
+``REPRO_SAP_CORE_EXAMPLES`` raises the example count (CI runs it high).
 """
+
+import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,8 @@ from repro import StreamEngine, TopKQuery
 from repro.registry import create_algorithm
 
 from ..conftest import make_objects
+
+EXAMPLES = int(os.environ.get("REPRO_SAP_CORE_EXAMPLES", "40"))
 
 scores_strategy = st.lists(
     st.one_of(
@@ -37,7 +43,7 @@ def _identities(results):
     return [(r.slide_index, r.window_end, r.identity()) for r in results]
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     scores=scores_strategy,
     shape=shape_strategy,
