@@ -11,15 +11,12 @@ using the default query parameters.
 
 import pytest
 
-from repro.bench.experiments import run_measured
-from repro.bench.reporting import format_table, write_results
-from repro.bench.workloads import dataset_stream
 from repro.core.query import TopKQuery
 from repro.registry import get_algorithm
 
 from conftest import run_sweep
+from harness import SYNTHETIC_DATASETS, dataset_stream, format_table, run_measured, write_results
 
-DATASETS = ["TIMEU", "TIMER"]
 
 # Every configuration is a registry entry plus ablation options: the
 # registry factories accept the SAP keyword arguments (meaningful_policy,
@@ -57,7 +54,7 @@ def ablation_sweep(dataset, scale):
     return rows
 
 
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", SYNTHETIC_DATASETS)
 def test_ablation_design_choices(benchmark, scale, dataset):
     rows = run_sweep(benchmark, ablation_sweep, dataset, scale)
     assert len(rows) == len(CONFIGURATIONS)

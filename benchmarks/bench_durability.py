@@ -28,11 +28,11 @@ import shutil
 import tempfile
 import time
 
-from repro.bench.reporting import format_table, write_results
 from repro.engine import QuerySpec, StreamEngine
 from repro.streams import make_dataset
 
 from conftest import run_sweep
+from harness import format_table, write_results
 
 #: Acceptance bar for the durable-vs-plain A/B on the engine hot path.
 OVERHEAD_TARGET = 0.05

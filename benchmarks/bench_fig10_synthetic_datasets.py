@@ -9,13 +9,16 @@ SAP's partitioning keeps both bounded.
 
 import pytest
 
-from repro.bench.experiments import ALGORITHM_FACTORIES, sweep_parameter
-from repro.bench.plotting import render_sweep
-from repro.bench.reporting import format_table, write_results
-
 from conftest import run_sweep
+from harness import (
+    ALGORITHM_FACTORIES,
+    SYNTHETIC_DATASETS,
+    format_table,
+    render_sweep,
+    sweep_parameter,
+    write_results,
+)
 
-DATASETS = ["TIMEU", "TIMER"]
 SUBFIGURES = {
     "n": "Fig 10(a-b)",
     "k": "Fig 10(c-d)",
@@ -28,7 +31,7 @@ def _values(scale, parameter):
 
 
 @pytest.mark.parametrize("parameter", list(SUBFIGURES))
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", SYNTHETIC_DATASETS)
 def test_fig10_running_time(benchmark, scale, dataset, parameter):
     rows = run_sweep(
         benchmark,

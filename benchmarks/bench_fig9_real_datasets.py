@@ -8,13 +8,16 @@ sub-figure as a series of (parameter value, algorithm, seconds) rows.
 
 import pytest
 
-from repro.bench.experiments import ALGORITHM_FACTORIES, sweep_parameter
-from repro.bench.plotting import render_sweep
-from repro.bench.reporting import format_table, write_results
-
 from conftest import run_sweep
+from harness import (
+    ALGORITHM_FACTORIES,
+    REAL_DATASETS,
+    format_table,
+    render_sweep,
+    sweep_parameter,
+    write_results,
+)
 
-DATASETS = ["STOCK", "TRIP", "PLANET"]
 SUBFIGURES = {
     "n": "Fig 9(a-c)",
     "k": "Fig 9(d-f)",
@@ -27,7 +30,7 @@ def _values(scale, parameter):
 
 
 @pytest.mark.parametrize("parameter", list(SUBFIGURES))
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", REAL_DATASETS)
 def test_fig9_running_time(benchmark, scale, dataset, parameter):
     rows = run_sweep(
         benchmark,

@@ -12,12 +12,18 @@ runs one engine, where the eight queries share one batcher and one
 for SAP.
 """
 
+import time
+from typing import Dict, List, Sequence, Tuple
+
 import pytest
 
-from repro.bench.experiments import measure_multiquery_sharing
-from repro.bench.reporting import format_table, write_results
+from repro.core.query import TopKQuery
+from repro.core.result import results_agree
+from repro.engine import StreamEngine
+from repro.registry import create_algorithm
 
 from conftest import run_sweep
+from harness import dataset_stream, format_table, write_results
 
 #: Result sizes of the eight concurrent queries (shared window shape).
 K_VALUES = (5, 10, 15, 20, 25, 30, 40, 50)
@@ -33,6 +39,66 @@ def fanout_shape(scale):
     """
     n = min(2 * scale.default_n, scale.stream_length // 4)
     return n, max(1, n // 20)
+
+
+def measure_multiquery_sharing(
+    dataset: str,
+    query_shape: Tuple[int, int],
+    k_values: Sequence[int],
+    algorithm: str,
+    stream_length: int,
+) -> Dict[str, object]:
+    """Compare N independent engines against one shared multi-query plane.
+
+    Runs ``len(k_values)`` queries of one window shape ``(n, s)`` — first
+    each on its own :class:`~repro.engine.StreamEngine` (the pre-group
+    architecture), then all on a single engine, where they form one query
+    group and share slide batching and, when the algorithm supports it, a
+    ``k_max`` execution plan.  Returns throughput (objects/second through
+    the plane) and per-slide latency aggregates for both arrangements.
+    """
+    n, s = query_shape
+    objects = dataset_stream(dataset, stream_length)
+    queries = [TopKQuery(n=n, k=k, s=s) for k in k_values]
+
+    def run_engines(shared: bool) -> Dict[str, float]:
+        engines: List[StreamEngine] = []
+        subscriptions = []
+        if shared:
+            engines.append(StreamEngine(keep_results=False, return_results=False))
+        for query in queries:
+            if not shared:
+                engines.append(StreamEngine(keep_results=False, return_results=False))
+            subscriptions.append(
+                engines[-1].subscribe(f"k{query.k}-{len(subscriptions)}", query, algorithm=algorithm)
+            )
+        started = time.perf_counter()
+        for engine in engines:
+            engine.push_many(objects)
+        elapsed = time.perf_counter() - started
+        slide_latencies = [sub.metrics for sub in subscriptions]
+        return {
+            "seconds": elapsed,
+            "events_per_second": len(objects) / elapsed if elapsed else float("inf"),
+            "median_slide_latency": max(m.median_latency for m in slide_latencies),
+            "p95_slide_latency": max(m.p95_latency for m in slide_latencies),
+            "slides": sum(m.slides for m in slide_latencies),
+        }
+
+    independent = run_engines(shared=False)
+    shared = run_engines(shared=True)
+    return {
+        "dataset": dataset,
+        "algorithm": algorithm,
+        "n": n,
+        "s": s,
+        "k_values": list(k_values),
+        "queries": len(k_values),
+        "stream_length": len(objects),
+        "independent": independent,
+        "shared": shared,
+        "speedup": independent["seconds"] / shared["seconds"] if shared["seconds"] else float("inf"),
+    }
 
 
 def sharing_sweep(scale):
@@ -92,12 +158,6 @@ def test_multiquery_sharing(benchmark, scale):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_shared_plane_answers_match_independent(scale, algorithm):
     """Correctness guard riding along with the benchmark (tiny scale)."""
-    from repro.bench.workloads import dataset_stream
-    from repro.core.query import TopKQuery
-    from repro.core.result import results_agree
-    from repro.engine import StreamEngine
-    from repro.registry import create_algorithm
-
     objects = dataset_stream("STOCK", 2_000)
     engine = StreamEngine()
     for k in (5, 20):

@@ -27,11 +27,11 @@ from timeit import timeit
 
 from repro.core.query import TopKQuery
 from repro.engine import StreamEngine
-from repro.bench.reporting import format_table, write_results
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.streams import make_dataset
 
 from conftest import run_sweep
+from harness import format_table, write_results
 
 #: Acceptance bar for the enabled-registry A/B on the engine hot path.
 OVERHEAD_TARGET = 0.05

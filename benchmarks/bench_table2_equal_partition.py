@@ -14,15 +14,11 @@ with ``m*``, the resolution suggested by the cost model.
 
 import pytest
 
-from repro.bench.experiments import equal_partition_sweep
-from repro.bench.reporting import format_table, write_results
-
 from conftest import run_sweep
+from harness import ALL_DATASETS, equal_partition_sweep, format_table, write_results
 
-DATASETS = ["STOCK", "TRIP", "PLANET", "TIMEU", "TIMER"]
 
-
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
 def test_table2_equal_partition(benchmark, scale, dataset):
     rows = run_sweep(benchmark, equal_partition_sweep, dataset, scale)
     assert rows, "sweep produced no measurements"

@@ -8,12 +8,9 @@ partitioner and parameter value.
 
 import pytest
 
-from repro.bench.experiments import partitioner_comparison
-from repro.bench.reporting import format_table, write_results
-
 from conftest import run_sweep
+from harness import ALL_DATASETS, format_table, partitioner_comparison, write_results
 
-DATASETS = ["STOCK", "TRIP", "PLANET", "TIMEU", "TIMER"]
 PARAMETERS = ["n", "k", "s"]
 
 
@@ -22,7 +19,7 @@ def _values(scale, parameter):
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
 def test_table3_partitioner_comparison(benchmark, scale, dataset, parameter):
     rows = run_sweep(
         benchmark, partitioner_comparison, dataset, scale, parameter, _values(scale, parameter)

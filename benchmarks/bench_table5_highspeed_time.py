@@ -9,14 +9,12 @@ scale's high-speed parameters.
 
 import pytest
 
-from repro.bench.experiments import measure_algorithms
-from repro.bench.reporting import format_table, write_results
 from repro.core.query import TopKQuery
 from repro.registry import algorithm_factories
 
 from conftest import run_sweep
+from harness import ALL_DATASETS, format_table, measure_algorithms, write_results
 
-DATASETS = ["STOCK", "TRIP", "PLANET", "TIMEU", "TIMER"]
 FACTORIES = algorithm_factories("SAP", "MinTopK")
 
 
@@ -37,7 +35,7 @@ def highspeed_sweep(dataset, scale):
     return rows
 
 
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
 def test_table5_highspeed_running_time(benchmark, scale, dataset):
     rows = run_sweep(benchmark, highspeed_sweep, dataset, scale)
     assert rows

@@ -9,13 +9,11 @@ cache, so this module mostly re-reports their candidate columns.
 
 import pytest
 
-from repro.bench.experiments import sweep_parameter
-from repro.bench.reporting import format_table, write_results
 from repro.registry import algorithm_factories
 
 from conftest import run_sweep
+from harness import ALL_DATASETS, format_table, sweep_parameter, write_results
 
-DATASETS = ["STOCK", "TRIP", "PLANET", "TIMEU", "TIMER"]
 FACTORIES = algorithm_factories("SAP", "MinTopK", "k-skyband")
 PARAMETERS = ["n", "k", "s"]
 
@@ -25,7 +23,7 @@ def _values(scale, parameter):
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
 def test_table6_candidate_counts(benchmark, scale, dataset, parameter):
     rows = run_sweep(
         benchmark, sweep_parameter, dataset, scale, parameter, _values(scale, parameter), FACTORIES

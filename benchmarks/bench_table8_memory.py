@@ -8,13 +8,11 @@ the memory column.
 
 import pytest
 
-from repro.bench.experiments import sweep_parameter
-from repro.bench.reporting import format_table, write_results
 from repro.registry import algorithm_factories
 
 from conftest import run_sweep
+from harness import ALL_DATASETS, format_table, sweep_parameter, write_results
 
-DATASETS = ["STOCK", "TRIP", "PLANET", "TIMEU", "TIMER"]
 FACTORIES = algorithm_factories("SAP", "MinTopK", "k-skyband")
 PARAMETERS = ["n", "k", "s"]
 
@@ -24,7 +22,7 @@ def _values(scale, parameter):
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
 def test_table8_memory(benchmark, scale, dataset, parameter):
     rows = run_sweep(
         benchmark, sweep_parameter, dataset, scale, parameter, _values(scale, parameter), FACTORIES

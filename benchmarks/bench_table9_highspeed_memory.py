@@ -6,15 +6,13 @@ column, mirroring Appendix F's second table.
 
 import pytest
 
-from repro.bench.reporting import format_table, write_results
 
 from bench_table5_highspeed_time import highspeed_sweep
 from conftest import run_sweep
+from harness import ALL_DATASETS, format_table, write_results
 
-DATASETS = ["STOCK", "TRIP", "PLANET", "TIMEU", "TIMER"]
 
-
-@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("dataset", ALL_DATASETS)
 def test_table9_highspeed_memory(benchmark, scale, dataset):
     rows = run_sweep(benchmark, highspeed_sweep, dataset, scale)
     assert rows

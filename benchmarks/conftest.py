@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.workloads import scale_from_env
+from harness import scale_from_env
 
 
 @pytest.fixture(scope="session")

@@ -225,11 +225,6 @@ def _configure_multi(sub: argparse.ArgumentParser) -> None:
         choices=sorted(algorithm_factories()),
         help="algorithm backing every query",
     )
-    sub.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run each query on its own engine and report the speedup",
-    )
 
 
 def _command_multi(args: argparse.Namespace) -> int:
@@ -269,18 +264,6 @@ def _command_multi(args: argparse.Namespace) -> int:
             f"{subscription.name:<12} {int(stats['slides']):>7} "
             f"{stats['average_candidates']:>11.1f} {stats['p95_latency']:>12.6f}"
         )
-
-    if args.baseline:
-        started = time.perf_counter()
-        for query in queries:
-            solo = StreamEngine(keep_results=False, return_results=False)
-            solo.subscribe("solo", query, algorithm=args.algorithm)
-            solo.push_many(stream)
-            solo.flush()
-        independent_seconds = time.perf_counter() - started
-        speedup = independent_seconds / shared_seconds if shared_seconds else float("inf")
-        print(f"baseline  : {independent_seconds:.3f}s on independent engines "
-              f"-> {speedup:.2f}x speedup from sharing")
     return 0
 
 
@@ -327,12 +310,6 @@ def _configure_shard(sub: argparse.ArgumentParser) -> None:
         default="SAP",
         choices=sorted(algorithm_factories()),
         help="algorithm backing every query",
-    )
-    sub.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run the workload on one single-process engine and "
-        "report the sharding speedup",
     )
 
 
@@ -386,20 +363,6 @@ def _command_shard(args: argparse.Namespace) -> int:
             f"latency   : p50={merged['p50_latency']:.6f}s "
             f"p95={merged['p95_latency']:.6f}s p99={merged['p99_latency']:.6f}s "
             f"(merged from {int(merged['latency_samples'])} samples)"
-        )
-
-    if args.baseline:
-        solo = StreamEngine(keep_results=False, return_results=False)
-        for name, query in workload:
-            solo.subscribe(name, query, algorithm=args.algorithm)
-        started = time.perf_counter()
-        solo.push_many(stream)
-        solo.flush()
-        solo_seconds = time.perf_counter() - started
-        speedup = solo_seconds / sharded_seconds if sharded_seconds else float("inf")
-        print(
-            f"baseline  : {solo_seconds:.3f}s single-process "
-            f"-> {speedup:.2f}x speedup from {args.shards} shards"
         )
     return 0
 
@@ -560,7 +523,7 @@ COMMANDS: List[CliCommand] = [
         doc="Run several queries with one window shape but different result "
         "sizes ``k`` through the shared multi-query plane (one query group, "
         "one ``k_max`` execution plan) and print per-query statistics plus "
-        "the plane's throughput against independent engines.",
+        "the plane's throughput.",
         configure=_configure_multi,
         run=_command_multi,
     ),
@@ -574,8 +537,7 @@ COMMANDS: List[CliCommand] = [
         "makes every worker journal its state for crash-exact recovery.  "
         "The pool keeps its ``--shards`` width; the library's "
         "``spawn_shard`` / ``retire_shard`` / ``rebalance`` change it by "
-        "hand.  ``--baseline`` also runs the workload single-process and "
-        "reports the speedup.",
+        "hand.",
         configure=_configure_shard,
         run=_command_shard,
     ),
@@ -659,7 +621,7 @@ def _command_reference() -> str:
             "    python -m repro compare --dataset TIMER --n 1000 --k 20 --s 50 \\",
             "        --algorithms SAP MinTopK k-skyband",
             "    python -m repro multi --dataset STOCK --n 1000 --s 50 --k 5 10 20 50",
-            "    python -m repro shard --shards 4 --queries 8 --baseline",
+            "    python -m repro shard --shards 4 --queries 8",
             "    python -m repro serve --port 8765 --max-subscriptions 1000",
             "    python -m repro top --url http://127.0.0.1:8765/v1/metrics.json",
             "    python -m repro --version",

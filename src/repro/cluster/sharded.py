@@ -53,10 +53,10 @@ from ..core.result import TopKResult
 from ..core.state import dumps
 from ..core.window import check_order
 from ..engine.core import subscribe_op
-from ..engine.spec import ExecutionPlanner, QuerySpec, check_plan_key, resolve_query
+from ..engine.spec import ExecutionPlanner, QuerySpec, build_declared, resolve_query
 from ..obs.exposition import merge_snapshots
 from ..obs.registry import get_registry
-from ..registry import algorithm_names, create_algorithm
+from ..registry import algorithm_names
 from .merge import merge_disjoint, merged_latency_stats
 from .placement import PlacementPolicy, make_placement
 from .router import (
@@ -271,7 +271,7 @@ class ShardedStreamEngine(ExecutionPlanner):
         if algorithm in algorithm_names():
             # Refuse options no shard could plan; a name the registry does
             # not know is the shard's to report.
-            check_plan_key(create_algorithm(algorithm, query, **algorithm_options))
+            build_declared(algorithm, query, algorithm_options)
         cluster_id = self.cluster_for(query, algorithm, algorithm_options)
         if cluster_id is not None:
             # The facade assigns clusters; the shard runs the pinned id.

@@ -723,6 +723,12 @@ class ClusteredTopK(ContinuousTopKAlgorithm):
                 f"pad_factor must be finite and >= 1, got {self.pad_factor}"
             )
         self.inner_options = dict(inner_options)
+        from ..registry import create_algorithm  # lazy: import cycle
+
+        # The inner core builds lazily, and a shared member never builds
+        # one: build it once here and discard it, so an inner configuration
+        # that the inner algorithm refuses fails now, not at the first slide.
+        create_algorithm(self.inner_name, query, **self.inner_options).close()
         self.drifted = False
         self._plan: Optional[ClusterSharedPlan] = None
         self._inner: Optional[ContinuousTopKAlgorithm] = None

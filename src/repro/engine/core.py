@@ -67,9 +67,8 @@ from ..core.state import (
 )
 from ..core.window import check_order
 from ..obs.registry import get_registry
-from ..registry import create_algorithm
 from .group import QueryGroup, group_key_for
-from .spec import ExecutionPlanner, QuerySpec, check_plan_key, resolve_query
+from .spec import ExecutionPlanner, QuerySpec, build_declared, check_plan_key, resolve_query
 from .subscription import ResultCallback, Subscription
 
 #: Default chunk size of ``push_many``: objects are drained from the input
@@ -193,8 +192,7 @@ class StreamEngine(ExecutionPlanner):
             ))
             cluster_id = self.cluster_for(query, algorithm, declared)
             options = declared if cluster_id is None else {**declared, "cluster_id": cluster_id}
-            instance = create_algorithm(algorithm, query, **options)
-            check_plan_key(instance)
+            instance = build_declared(algorithm, query, options)
         elif isinstance(algorithm, ContinuousTopKAlgorithm):
             if declared:
                 raise ValueError(

@@ -39,6 +39,7 @@ import numbers
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.exceptions import InvalidQueryError
+from ..core.interface import ContinuousTopKAlgorithm
 from ..core.query import TopKQuery
 from ..registry import create_algorithm
 
@@ -286,6 +287,11 @@ class QuerySpec:
         options = body.get("options") or {}
         if not isinstance(options, Mapping):
             raise InvalidQueryError("'options' must be a JSON object")
+        if "partitioner" in options:
+            raise InvalidQueryError(
+                "'partitioner' takes a Partitioner instance, which no JSON value "
+                "is; name a SAP variant in 'algorithm' instead"
+            )
         preference = body.get("preference")
         vector = None
         if preference is not None:
@@ -403,16 +409,33 @@ class ExecutionPlanner:
         ``options`` are as declared, without an assigned id: replaying
         them through this method on a space in the same state assigns the
         same id again.  The space assigns only once the member's instance
-        builds, so a refused subscription (a bad query, vector or
-        ``pad_factor``) leaves the space as it was.
+        builds, so a refused subscription (a bad query, vector,
+        ``pad_factor`` or inner option) leaves the space as it was.
         """
         if algorithm != "clustered" or "vector" not in options:
             return None
         cluster_id = options.get("cluster_id")
         if cluster_id is None:
-            create_algorithm(algorithm, query, **options)
+            build_declared(algorithm, query, options)
             cluster_id = self.cluster_space().assign(options["vector"])
         return int(cluster_id)
+
+
+def build_declared(
+    algorithm: str, query: TopKQuery, options: Mapping[str, object]
+) -> ContinuousTopKAlgorithm:
+    """The registry algorithm one subscribe call declares.  Options its
+    constructor refuses (a ``TypeError`` or ``ValueError``: an unknown
+    name, a value out of range) and an unhashable plan key raise
+    :class:`InvalidQueryError`; an unknown algorithm keeps its
+    ``KeyError``.  Both engines call this before the subscription changes
+    anything."""
+    try:
+        instance = create_algorithm(algorithm, query, **options)
+    except (TypeError, ValueError) as exc:
+        raise InvalidQueryError(f"{algorithm} refuses its options: {exc}") from None
+    check_plan_key(instance)
+    return instance
 
 
 def check_plan_key(algorithm) -> None:

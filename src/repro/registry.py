@@ -3,8 +3,8 @@
 Every continuous top-k algorithm — the SAP framework with its partitioner
 variants and the competitors from the paper's evaluation — is registered
 here exactly once, under the name used in the paper's tables.  The CLI
-(:data:`repro.cli.CLI_ALGORITHMS`), the benchmark harness, and the push-based
-:class:`repro.engine.StreamEngine` all resolve algorithm names through this
+(:data:`repro.cli.CLI_ALGORITHMS`), both engines, the serving layer and the
+paper suite in ``benchmarks/`` all resolve algorithm names through this
 module, so a new algorithm registered with :func:`register_algorithm` is
 immediately addressable everywhere::
 

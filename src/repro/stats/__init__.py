@@ -1,8 +1,8 @@
-"""Statistical substrates: dominance and the Mann-Whitney rank test."""
+"""Statistical substrates: the k-skyband and the Mann-Whitney rank test."""
 
 from .mannwhitney import MannWhitneyResult, rank_sum, rank_sum_test, upper_critical_value
 from .solvers import eta_for_k, zeta_star, zeta_max
-from .dominance import dominance_count, k_skyband, is_dominated_by
+from .dominance import k_skyband
 
 __all__ = [
     "MannWhitneyResult",
@@ -12,7 +12,5 @@ __all__ = [
     "eta_for_k",
     "zeta_star",
     "zeta_max",
-    "dominance_count",
     "k_skyband",
-    "is_dominated_by",
 ]

@@ -1,30 +1,14 @@
-"""Dominance relationships and reference k-skyband computation.
+"""The k-skyband of a set of objects (Section 2.1 of the paper).
 
-These helpers implement the definitions of Section 2.1 directly and serve
-two purposes: they are the reference ("obviously correct") implementations
-against which the incremental structures are tested, and they are used by
-the baselines when a full re-scan of the window is unavoidable.
+SAP uses :func:`k_skyband` when it forms a meaningful set by a full scan.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..core.object import StreamObject
 from ..structures.avl import AVLTree
-
-
-def is_dominated_by(obj: StreamObject, other: StreamObject) -> bool:
-    """True when ``other`` dominates ``obj`` (arrived no earlier, ranks higher)."""
-    return obj.dominated_by(other)
-
-
-def dominance_count(obj: StreamObject, others: Iterable[StreamObject]) -> int:
-    """Number of objects in ``others`` that dominate ``obj``.
-
-    This is ``D(o, O_W, W)`` from the paper, computed by brute force.
-    """
-    return sum(1 for other in others if obj.dominated_by(other))
 
 
 def k_skyband(objects: Sequence[StreamObject], k: int) -> List[StreamObject]:
@@ -48,15 +32,3 @@ def k_skyband(objects: Sequence[StreamObject], k: int) -> List[StreamObject]:
     skyband.sort(key=lambda o: o.t)
     return skyband
 
-
-def k_skyband_brute_force(objects: Sequence[StreamObject], k: int) -> List[StreamObject]:
-    """Quadratic reference implementation of the k-skyband (tests only)."""
-    if k <= 0:
-        return []
-    result = [
-        obj
-        for obj in objects
-        if dominance_count(obj, (o for o in objects if o is not obj)) < k
-    ]
-    result.sort(key=lambda o: o.t)
-    return result

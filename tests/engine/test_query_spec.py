@@ -290,3 +290,83 @@ class TestUnhashablePlanKey:
         with pytest.raises(TypeError, match="unhashable"):
             group.start()
         assert not group.started
+
+
+class TestRefusedOptions:
+    """Options the algorithm refuses are refused at subscribe with
+    :class:`InvalidQueryError`, a preference subscription's inner options
+    included (its inner core builds lazily, so it once failed only at the
+    first slide and left the engine refusing every later push).  The
+    refusal assigns no cluster id, journals nothing and places nothing."""
+
+    OPTIONS = [{"bogus": 1}, {"meaningful_policy": "zzz"}]
+
+    @staticmethod
+    def _objects(count):
+        return [
+            StreamObject(
+                float((t * 7) % 11), t, payload={"attributes": [(t * 7) % 11, (t * 3) % 5]}
+            )
+            for t in range(count)
+        ]
+
+    @staticmethod
+    def _bad(options, preference):
+        body = {"n": 4, "k": 2, "s": 1, "options": options}
+        if preference:
+            body["preference"] = [1, 1]
+        return QuerySpec.from_dict(body)
+
+    @staticmethod
+    def _answers(engine, name):
+        return [r.identity() for r in engine.results(name)]
+
+    def test_wire_partitioner_is_refused(self):
+        with pytest.raises(InvalidQueryError, match="partitioner"):
+            QuerySpec.from_dict({"n": 4, "k": 2, "options": {"partitioner": "x"}})
+
+    @pytest.mark.parametrize("preference", [False, True])
+    def test_engine_answers_as_its_twin(self, preference):
+        engine, twin = StreamEngine(), StreamEngine()
+        for target in (engine, twin):
+            target.subscribe("ok", QuerySpec(n=4, k=2, s=1))
+        for options in self.OPTIONS:
+            with pytest.raises(InvalidQueryError, match="refuses its options"):
+                engine.subscribe("bad", self._bad(options, preference))
+        assert engine.subscriptions() == ["ok"]
+        assert len(engine.cluster_space()) == 0
+        for target in (engine, twin):
+            target.subscribe("pref", QuerySpec(n=4, k=2, s=1).preferring((1, 1)))
+            target.push_many(self._objects(12))
+        assert engine.subscription("pref").algorithm.cluster_id == 0
+        assert engine.groups() == twin.groups()
+        for name in ("ok", "pref"):
+            assert self._answers(engine, name) == self._answers(twin, name)
+            assert len(engine.results(name)) == 9
+
+    def test_durable_engine_logs_nothing(self, tmp_path):
+        engine = StreamEngine.durable(str(tmp_path))
+        for options in self.OPTIONS:
+            with pytest.raises(InvalidQueryError):
+                engine.subscribe("bad", self._bad(options, True))
+        engine.subscribe("ok", QuerySpec(n=4, k=2, s=1).preferring((1, 1)))
+        engine.push_many(self._objects(12))
+        engine.close()
+        recovered = StreamEngine.recover(str(tmp_path))
+        assert recovered.subscriptions() == ["ok"]
+        assert recovered.subscription("ok").algorithm.cluster_id == 0
+        recovered.close()
+
+    def test_sharded_facade_refuses_before_any_shard(self):
+        from repro.cluster import ShardedStreamEngine
+
+        with ShardedStreamEngine(1) as engine:
+            for preference in (False, True):
+                with pytest.raises(InvalidQueryError, match="refuses its options"):
+                    engine.subscribe("bad", self._bad({"bogus": 1}, preference))
+            assert "bad" not in engine
+            assert len(engine.cluster_space()) == 0
+            engine.subscribe("ok", QuerySpec(n=4, k=2, s=1).preferring((1, 1)))
+            engine.push_many(self._objects(12))
+            engine.synchronize()
+            assert len(engine.results("ok")) == 9

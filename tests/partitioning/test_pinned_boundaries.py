@@ -11,10 +11,10 @@ paper's Table 3 query (n=1000, k=20, s=10).
 
 import pytest
 
-from repro.bench.workloads import dataset_stream
 from repro.core.query import TopKQuery
 from repro.core.window import slides_for_query
 from repro.registry import create_algorithm
+from repro.streams import make_dataset
 
 QUERY = TopKQuery(n=1000, k=20, s=10)
 EVENTS = 8000
@@ -83,7 +83,7 @@ def test_sealed_partitions_and_counters_are_pinned(dataset, algorithm, partition
     sealed_sizes = []
     candidates = []
     sealed = 0
-    for event in slides_for_query(dataset_stream(dataset, EVENTS), QUERY):
+    for event in slides_for_query(make_dataset(dataset).take(EVENTS), QUERY):
         sap.process_slide(event)
         new = sap.stats.partitions_sealed - sealed
         if new:

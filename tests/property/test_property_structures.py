@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from repro.core.object import top_k
 from repro.savl.savl import SAVL
-from repro.stats.dominance import k_skyband, k_skyband_brute_force
+from repro.stats.dominance import k_skyband
 from repro.stats.mannwhitney import rank_sum, rank_sum_test
 from repro.structures.avl import AVLTree
 
 from ..conftest import make_objects
+from ..skyband_reference import k_skyband_brute_force
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 One in-process server, over a real socket, is fed sequences that mix
 valid ``POST /v1/subscriptions`` bodies with hostile ones, then valid
 ``POST /v1/events`` bodies with hostile ones.  The hostile bodies are the
-fixed cases of :class:`tests.serve.test_server.TestNonFiniteNumbers`, a
-body whose options no engine can plan, plus generated variants of the
+fixed cases of :class:`tests.serve.test_server.TestNonFiniteNumbers`,
+bodies whose options no engine can plan, plus generated variants of the
 same kinds: a valid body with one number
 replaced by a non-finite, out-of-range or non-integral literal, or its
 ``time_based`` by anything but a JSON boolean.  Every
@@ -32,10 +32,16 @@ from . import test_server
 from .test_server import request
 
 HOSTILE_EVENTS = test_server.TestNonFiniteNumbers.HOSTILE_EVENTS
-#: Bodies the wire validator accepts but no engine can plan: an option
-#: that leaves the algorithm's plan key unhashable.
+#: Bodies no engine can plan: an option that leaves the algorithm's plan
+#: key unhashable, options the algorithm (or a preference body's inner
+#: algorithm) refuses, and a partitioner, which no JSON value can be.
 UNPLANNABLE_SUBSCRIPTIONS = [
     b'{"name": "h", "n": 10, "k": 2, "s": 2, "options": {"use_savl": [1]}}',
+    b'{"name": "h", "n": 10, "k": 2, "s": 2, "options": {"bogus": 1}}',
+    b'{"name": "h", "n": 10, "k": 2, "s": 2, "options": {"partitioner": "x"}}',
+    b'{"name": "h", "n": 10, "k": 2, "s": 2, "preference": [1, 1], "options": {"bogus": 1}}',
+    b'{"name": "h", "n": 10, "k": 2, "s": 2, "preference": [1, 1],'
+    b' "options": {"meaningful_policy": "zzz"}}',
 ]
 HOSTILE_SUBSCRIPTIONS = (
     test_server.TestNonFiniteNumbers.HOSTILE_SUBSCRIPTIONS + UNPLANNABLE_SUBSCRIPTIONS

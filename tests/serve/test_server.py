@@ -279,6 +279,47 @@ class TestNonFiniteNumbers:
         assert served_answers(results) == embedded_answers(scores, n=10, k=2, s=5)
 
 
+class TestRefusedOptions:
+    """Options an algorithm refuses get a 400 at subscribe, a preference
+    body's inner options included, and the served answers stay those of
+    an embedded twin that never saw the refused bodies."""
+
+    REFUSED = [
+        {"options": {"bogus": 1}},
+        {"options": {"partitioner": "x"}},
+        {"preference": [1, 1], "options": {"bogus": 1}},
+        {"preference": [1, 1], "options": {"meaningful_policy": "zzz"}},
+    ]
+
+    def test_refused_options_leave_the_engine_alone(self, server):
+        assert subscribe(server, "q", n=4, k=2, s=1)[0] == 201
+        for extra in self.REFUSED:
+            status, body, _ = subscribe(server, "d", n=4, k=2, s=1, **extra)
+            assert status == 400, (extra, body)
+        assert subscribe(server, "p", n=4, k=2, s=1, preference=[1, 1])[0] == 201
+        rows = [((t * 7) % 11, (t * 3) % 5) for t in range(12)]
+        events = [{"score": float(a), "payload": {"attributes": [a, b]}} for a, b in rows]
+        for start in range(0, len(events), 3):
+            assert ingest(server, events[start:start + 3])[0] == 200
+
+        twin = StreamEngine(return_results=False)
+        twin.subscribe("q", QuerySpec(n=4, k=2, s=1))
+        twin.subscribe("p", QuerySpec(n=4, k=2, s=1).preferring((1, 1)))
+        twin.push_many([
+            StreamObject(score=event["score"], t=t, payload=event["payload"])
+            for t, event in enumerate(events)
+        ])
+        for name in ("q", "p"):
+            expected = [
+                (r.slide_index, [(o.score, o.t) for o in r.objects])
+                for r in twin.results(name)
+            ]
+            served = wait_for_results(server, name, minimum=len(expected))
+            assert served_answers(served) == expected, name
+        _, body, _ = request(server, "GET", "/v1/subscriptions")
+        assert sorted(s["name"] for s in body["subscriptions"]) == ["p", "q"]
+
+
 class TestStreamingDelivery:
     def read_until(self, sock, marker, timeout=5.0):
         sock.settimeout(timeout)

@@ -3,14 +3,10 @@
 import random
 
 from repro.core.object import StreamObject
-from repro.stats.dominance import (
-    dominance_count,
-    is_dominated_by,
-    k_skyband,
-    k_skyband_brute_force,
-)
+from repro.stats.dominance import k_skyband
 
 from ..conftest import make_objects, random_scores
+from ..skyband_reference import dominance_count, is_dominated_by, k_skyband_brute_force
 
 
 class TestDominanceCount:
